@@ -25,7 +25,7 @@ from .geometry import (
     TangentPoint,
     stack_for,
 )
-from .measures import MeasureStack, VolumeForm, bh_density, volume_form
+from .measures import MeasureStack, VolumeForm, as_volume, bh_density
 from .projective import (
     WEYL_ROUTES,
     WO_ROUTES,
@@ -45,7 +45,6 @@ from .verify import (
     REGISTRY,
     SuiteReport,
     Tolerances,
-    as_volume,
     check_names,
     fd_oracle,
     identity_suite,
@@ -103,7 +102,6 @@ __all__ = [
     "theorem_summary",
     "volume_change",
     "volume_change_wo",
-    "volume_form",
     "weyl",
     "__version__",
 ]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import jets
 from .errors import AdmissibilityError, ConfigError
-from .expressions import ScalarField, as_field
+from .expressions import as_field
 from .geometry import FinslerMetric, PerturbedSpray, Spray, TangentPoint
 
 
@@ -386,6 +386,8 @@ def build(spec) -> FinslerMetric | Spray:
 
 def _draw_x(rng, dim, box):
     kind, size = box
+    if not size > 0:
+        raise ConfigError(f"box size must be positive, got {size}")
     if kind == "cube":
         return rng.uniform(-size, size, dim)
     if kind == "ball":
@@ -397,6 +399,8 @@ def _draw_x(rng, dim, box):
 
 def sample(obj, count=20, seed=0, box=None) -> list[TangentPoint]:
     """Deterministic admissible sample; |y| drawn uniformly in [1/2, 2]."""
+    if count < 1:
+        raise ConfigError(f"point count must be at least 1, got {count}")
     if isinstance(obj, (str, MetricSpec)):
         obj = build(obj)
     box = box if box is not None else getattr(obj, "default_box", ("cube", 0.5))

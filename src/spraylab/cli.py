@@ -25,15 +25,14 @@ import numpy as np
 from . import catalog
 from .catalog import MetricSpec
 from .errors import ConfigError, SprayLabError
-from .geometry import (DEFAULT_DEGREE, FinslerMetric, MetricFrame, MetricSpray,
-                       Spray, stack_for)
-from .measures import MeasureStack, VolumeForm
+from .geometry import (DEFAULT_DEGREE, MetricFrame, MetricSpray, spray_and_metric,
+                       stack_for)
+from .measures import MeasureStack, VolumeForm, as_volume, split_volume
 from .projective import WEYL_ROUTES, WO_ROUTES, ProjectiveStack
 from .verify import (Tolerances, identity_suite, theorem_check, theorem_names,
                      theorem_summary)
 
 _FORMATS = ("json-lines", "csv")
-_VOLUME_KINDS = ("coordinate", "busemann-hausdorff", "explicit")
 
 VERIFY_COLUMNS = [
     "record", "check", "points", "residual", "scale", "tolerance", "floor",
@@ -75,17 +74,11 @@ class RunConfig:
         return MetricSpec(self.metric_family, self.metric_dim, dict(self.metric_params))
 
     def volume(self) -> VolumeForm:
-        if self.volume_kind == "coordinate":
-            return VolumeForm.coordinate()
-        if self.volume_kind == "busemann-hausdorff":
-            return VolumeForm.busemann_hausdorff(self.volume_nodes)
-        if self.volume_kind == "explicit":
-            if self.volume_sigma is None:
-                raise ConfigError(
-                    "explicit volume needs volume.sigma (or --volume explicit:<expr>)"
-                )
-            return VolumeForm.explicit(self.volume_sigma)
-        raise ConfigError(f"unknown volume kind {self.volume_kind!r}")
+        if self.volume_kind == "explicit" and self.volume_sigma is None:
+            raise ConfigError(
+                "explicit volume needs volume.sigma (or --volume explicit:<expr>)"
+            )
+        return as_volume(self.volume_kind, self.volume_nodes, sigma=self.volume_sigma)
 
     def tolerances(self) -> Tolerances:
         return Tolerances(jet=self.tol_jet, quad=self.tol_quad, floor=self.floor)
@@ -115,14 +108,11 @@ def _parse_box(key: str, value: str) -> tuple[str, float]:
     return (kind.strip(), _parse_float(key, size))
 
 
-def _volume_kind(key: str, value: str) -> str:
-    kind = "busemann-hausdorff" if value == "bh" else value
-    if kind not in _VOLUME_KINDS:
-        raise ConfigError(
-            f"{key} expects one of coordinate, busemann-hausdorff, explicit; "
-            f"got {value!r}"
-        )
-    return kind
+def _set_volume(cfg: RunConfig, key: str, value: str):
+    cfg.volume_kind, sigma = split_volume(key, value)
+    if sigma is not None:
+        cfg.volume_sigma = sigma
+    cfg.volume_set = True
 
 
 def _parse_format(key: str, value: str) -> str:
@@ -157,8 +147,7 @@ def _apply_pair(cfg: RunConfig, key: str, value: str):
     elif key.startswith("metric."):
         cfg.metric_params[key[len("metric."):]] = _literal(value)
     elif key == "volume.kind":
-        cfg.volume_kind = _volume_kind(key, value)
-        cfg.volume_set = True
+        _set_volume(cfg, key, value)
     elif key == "volume.sigma":
         cfg.volume_sigma = value
         cfg.volume_set = True
@@ -213,12 +202,7 @@ def _apply_flags(cfg: RunConfig, args: argparse.Namespace):
             raise ConfigError(f"--param expects key=value, got {entry!r}")
         cfg.metric_params[key.strip()] = _literal(value)
     if args.volume is not None:
-        if args.volume.startswith("explicit:"):
-            cfg.volume_kind = "explicit"
-            cfg.volume_sigma = args.volume[len("explicit:"):]
-        else:
-            cfg.volume_kind = _volume_kind("--volume", args.volume)
-        cfg.volume_set = True
+        _set_volume(cfg, "--volume", args.volume)
     if args.bh_nodes is not None:
         cfg.volume_nodes = args.bh_nodes
     if args.points is not None:
@@ -315,14 +299,6 @@ def _render(records: list[dict], columns: list[str], fmt: str,
 
 
 # -- subcommands ------------------------------------------------------------------
-
-
-def _split(obj) -> tuple[Spray, FinslerMetric | None]:
-    if isinstance(obj, FinslerMetric):
-        return obj.spray(), obj
-    if isinstance(obj, Spray):
-        return obj, obj.metric
-    raise ConfigError(f"expected a metric or spray, got {type(obj).__name__}")
 
 
 def _report_records(subcommand: str, report, per_point: bool = False) -> list[dict]:
@@ -467,7 +443,7 @@ def _eval_point(spray, metric, volume, point, degree, index) -> dict:
 def _cmd_eval(args) -> tuple[str, int]:
     cfg = parse_config(args.config, args)
     obj = catalog.build(cfg.metric_spec())
-    spray, metric = _split(obj)
+    spray, metric = spray_and_metric(obj)
     volume = cfg.volume()
     points = catalog.sample(obj, count=cfg.points, seed=cfg.seed, box=cfg.box)
     records = [

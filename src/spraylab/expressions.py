@@ -120,10 +120,6 @@ class ScalarField:
         return base**exponent
 
 
-def parse_scalar(expr: str, nvars: int) -> ScalarField:
-    return ScalarField(expr, nvars)
-
-
 def as_field(spec, nvars: int) -> ScalarField | None:
     """Accept a ScalarField, an expression string, or None."""
     if spec is None or isinstance(spec, ScalarField):

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, ConfigError
 from .jets import Jet
 
 # Input truncation degree that leaves every derived quantity enough exact
@@ -152,8 +152,13 @@ class PerturbedSpray(Spray):
         return self.base.admissible(point)
 
 
-def _tensor(shape) -> np.ndarray:
-    return np.empty(shape, dtype=object)
+def spray_and_metric(obj) -> tuple[Spray, FinslerMetric | None]:
+    """The spray of a metric or spray, with the metric it comes from (if any)."""
+    if isinstance(obj, FinslerMetric):
+        return obj.spray(), obj
+    if isinstance(obj, Spray):
+        return obj, obj.metric
+    raise ConfigError(f"expected a metric or spray, got {type(obj).__name__}")
 
 
 def tensor_values(tensor: np.ndarray) -> np.ndarray:
@@ -290,26 +295,17 @@ class SprayStack:
             raise ValueError("spray jets must live in the doubled (x, y) ring")
         self.y_jets = [self.ring.seed(self.n + i, point.y[i]) for i in range(self.n)]
 
-    # -- derivative slots ------------------------------------------------
-
-    def xslot(self, k: int) -> int:
-        return k
-
-    def yslot(self, k: int) -> int:
-        return self.n + k
+    # -- derivatives of scalars ------------------------------------------
 
     def vderiv(self, f: Jet, k: int) -> Jet:
         """Vertical derivative with respect to y^k."""
         return f.deriv(self.n + k)
 
-    def xderiv(self, f: Jet, k: int) -> Jet:
-        return f.deriv(k)
-
     def hderiv(self, f: Jet, k: int) -> Jet:
         """Horizontal derivative of a scalar along the spray's frame."""
         acc = f.deriv(k)
         for l in range(self.n):
-            acc = acc - self.N[l][k] * f.deriv(self.n + l)
+            acc = acc - self.N[l, k] * f.deriv(self.n + l)
         return acc
 
     def hderiv_value(self, f: Jet, k: int) -> float:
@@ -326,87 +322,81 @@ class SprayStack:
     # -- connection -------------------------------------------------------
 
     @cached_property
-    def N(self) -> list[list[Jet]]:
-        return [[self.G[i].deriv(self.n + j) for j in range(self.n)] for i in range(self.n)]
+    def N(self) -> np.ndarray:
+        n = self.n
+        return np.array([[self.G[i].deriv(n + j) for j in range(n)] for i in range(n)],
+                        dtype=object)
 
     @cached_property
     def N_values(self) -> np.ndarray:
-        return np.array([[e.value() for e in row] for row in self.N])
+        return tensor_values(self.N)
 
     @cached_property
-    def Gamma(self) -> list[list[list[Jet]]]:
+    def Gamma(self) -> np.ndarray:
         n = self.n
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
+        out = np.empty((n, n, n), dtype=object)
         for i in range(n):
             for j in range(n):
                 for k in range(j, n):
-                    out[i][j][k] = out[i][k][j] = self.N[i][j].deriv(n + k)
+                    out[i, j, k] = out[i, k, j] = self.N[i, j].deriv(n + k)
         return out
 
     @cached_property
     def Gamma_values(self) -> np.ndarray:
-        n = self.n
-        out = np.zeros((n, n, n))
-        for i, j, k in itertools.product(range(n), repeat=3):
-            out[i, j, k] = self.Gamma[i][j][k].value()
-        return out
+        return tensor_values(self.Gamma)
 
     @cached_property
-    def B(self) -> list[list[list[list[Jet]]]]:
+    def B(self) -> np.ndarray:
         n = self.n
-        out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        out = np.empty((n, n, n, n), dtype=object)
         for i, j in itertools.product(range(n), repeat=2):
             for k in range(j, n):
                 for l in range(k, n):
-                    d = self.Gamma[i][j][k].deriv(n + l)
+                    d = self.Gamma[i, j, k].deriv(n + l)
                     for a, b, c in itertools.permutations((j, k, l)):
-                        out[i][a][b][c] = d
+                        out[i, a, b, c] = d
         return out
 
     @cached_property
     def B_values(self) -> np.ndarray:
-        n = self.n
-        out = np.zeros((n, n, n, n))
-        for idx in itertools.product(range(n), repeat=4):
-            out[idx] = self.B[idx[0]][idx[1]][idx[2]][idx[3]].value()
-        return out
+        return tensor_values(self.B)
 
     # -- curvature ----------------------------------------------------------
 
     @cached_property
-    def Rik(self) -> list[list[Jet]]:
+    def Rik(self) -> np.ndarray:
         n = self.n
-        out = [[None] * n for _ in range(n)]
+        out = np.empty((n, n), dtype=object)
         gx = [[self.G[i].deriv(j) for j in range(n)] for i in range(n)]
         for i in range(n):
             for k in range(n):
                 acc = 2.0 * gx[i][k]
                 for j in range(n):
                     acc = acc - self.y_jets[j] * gx[i][j].deriv(n + k)
-                    acc = acc + 2.0 * self.G[j] * self.Gamma[i][j][k]
-                    acc = acc - self.N[i][j] * self.N[j][k]
-                out[i][k] = acc
+                    acc = acc + 2.0 * self.G[j] * self.Gamma[i, j, k]
+                    acc = acc - self.N[i, j] * self.N[j, k]
+                out[i, k] = acc
         return out
 
     @cached_property
     def Rik_values(self) -> np.ndarray:
-        return np.array([[e.value() for e in row] for row in self.Rik])
+        return tensor_values(self.Rik)
 
     @cached_property
     def R3(self) -> np.ndarray:
         n = self.n
-        out = _tensor((n, n, n))
+        out = np.empty((n, n, n), dtype=object)
         third = 1.0 / 3.0
         for i, k, l in itertools.product(range(n), repeat=3):
             out[i, k, l] = third * (
-                self.Rik[i][k].deriv(n + l) - self.Rik[i][l].deriv(n + k)
+                self.Rik[i, k].deriv(n + l) - self.Rik[i, l].deriv(n + k)
             )
         return out
 
     @cached_property
     def R4(self) -> np.ndarray:
         n = self.n
-        out = _tensor((n, n, n, n))
+        out = np.empty((n, n, n, n), dtype=object)
         for j, i, k, l in itertools.product(range(n), repeat=4):
             out[j, i, k, l] = self.R3[i, k, l].deriv(n + j)
         return out
@@ -415,7 +405,7 @@ class SprayStack:
     def Ric(self) -> Jet:
         acc = self.ring.zero()
         for m in range(self.n):
-            acc = acc + self.Rik[m][m]
+            acc = acc + self.Rik[m, m]
         return acc
 
     @cached_property
@@ -425,10 +415,10 @@ class SprayStack:
     @cached_property
     def T(self) -> np.ndarray:
         n = self.n
-        out = _tensor((n, n))
+        out = np.empty((n, n), dtype=object)
         rv = [self.Rscalar.deriv(n + j) for j in range(n)]
         for i, j in itertools.product(range(n), repeat=2):
-            entry = self.Rik[i][j] + 0.5 * rv[j] * self.y_jets[i]
+            entry = self.Rik[i, j] + 0.5 * rv[j] * self.y_jets[i]
             if i == j:
                 entry = entry - self.Rscalar
             out[i, j] = entry
@@ -440,13 +430,15 @@ class SprayStack:
 
     # -- covariant derivatives -------------------------------------------
 
-    def hcov_values(self, tensor: np.ndarray, contra: int) -> np.ndarray:
+    def hcov_values(self, tensor, contra: int) -> np.ndarray:
         """Horizontal covariant derivative, one extra lower index, values only.
 
-        ``tensor`` is an object array of jets whose first ``contra`` axes are
-        contravariant; every entry must keep at least one exact order.
+        ``tensor`` is an object array (or nested list) of jets whose first
+        ``contra`` axes are contravariant; every entry must keep at least
+        one exact order.
         """
         n = self.n
+        tensor = np.asarray(tensor, dtype=object)
         rank = tensor.ndim
         vals = tensor_values(tensor)
         Nv, Gv = self.N_values, self.Gamma_values
@@ -470,6 +462,21 @@ class SprayStack:
     def hcov_scalar_values(self, f: Jet) -> np.ndarray:
         grad = f.gradient()
         return grad[: self.n] - self.N_values.T @ grad[self.n :]
+
+    @cached_property
+    def Rscalar_hcov(self) -> np.ndarray:
+        """R_{|k}."""
+        return self.hcov_scalar_values(self.Rscalar)
+
+    @cached_property
+    def Rscalar_vhcov(self) -> np.ndarray:
+        """(R_{.k})_{|m}, indexed [k, m]."""
+        return self.hcov_values([self.vderiv(self.Rscalar, k) for k in range(self.n)], contra=0)
+
+    @cached_property
+    def Rik_hcov(self) -> np.ndarray:
+        """R^i_{k|m}, indexed [i, k, m]."""
+        return self.hcov_values(self.Rik, contra=1)
 
 
 # -- public wrappers ---------------------------------------------------------

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegreeBudgetError, JetDomainError
+from .errors import ConfigError, DegreeBudgetError, JetDomainError
 
 MAX_VARS = 12
 MAX_DEGREE = 10
@@ -51,9 +51,10 @@ class PolyRing:
 
     def __init__(self, nvars: int, degree: int):
         if not (1 <= nvars <= MAX_VARS):
-            raise ValueError(f"nvars must be in 1..{MAX_VARS}, got {nvars}")
+            raise ConfigError(f"jet ring needs 1..{MAX_VARS} variables "
+                              f"(dimension at most {MAX_VARS // 2}), got {nvars}")
         if not (1 <= degree <= MAX_DEGREE):
-            raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+            raise ConfigError(f"jet degree must be in 1..{MAX_DEGREE}, got {degree}")
         self.nvars = nvars
         self.degree = degree
         self.exponents = _graded_exponents(nvars, degree)
@@ -143,9 +144,6 @@ class PolyRing:
         coeffs[..., 0] = value
         coeffs[..., 1 + var] = 1.0
         return Jet(self, coeffs, valid=self.degree, nzdeg=1)
-
-    def seed_point(self, values) -> list["Jet"]:
-        return [self.seed(v, float(x)) for v, x in enumerate(values)]
 
     # -- raw kernels ---------------------------------------------------
 

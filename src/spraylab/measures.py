@@ -20,9 +20,9 @@ from .expressions import as_field
 from .geometry import (
     DEFAULT_DEGREE,
     FinslerMetric,
-    Spray,
     SprayStack,
     TangentPoint,
+    spray_and_metric,
     stack_for,
 )
 from .jets import Jet
@@ -30,7 +30,8 @@ from .jets import Jet
 BH_MAX_DIM = 4
 _CHUNK = 4096
 
-VOLUME_KINDS = ("coordinate", "explicit", "busemann-hausdorff", "scaled")
+# kinds a user can name; "scaled" forms are only built in code
+VOLUME_KINDS = ("coordinate", "busemann-hausdorff", "explicit")
 
 
 def unit_ball_volume(n: int) -> float:
@@ -116,7 +117,7 @@ class VolumeForm:
     """dV = sigma(x) dx, with sigma given directly or by quadrature."""
 
     def __init__(self, kind, sigma=None, f=None, base=None, sign=1, nodes=64):
-        if kind not in VOLUME_KINDS:
+        if kind not in VOLUME_KINDS and kind != "scaled":
             raise ConfigError(f"unknown volume kind {kind!r}; use one of {VOLUME_KINDS}")
         self.kind = kind
         self.sigma = sigma
@@ -147,6 +148,13 @@ class VolumeForm:
         if f is None:
             raise ConfigError("scaled volume needs the scaling function f")
         return cls("scaled", f=f, base=base, sign=sign)
+
+    @property
+    def uses_quadrature(self) -> bool:
+        """Whether ln sigma comes from quadrature, directly or through a base."""
+        if self.kind == "scaled":
+            return self.base is not None and self.base.uses_quadrature
+        return self.kind == "busemann-hausdorff"
 
     def _field(self, raw, n):
         key = (id(raw), n)
@@ -186,14 +194,37 @@ class VolumeForm:
         return self.kind
 
 
-def volume_form(kind="coordinate", sigma=None, nodes=64) -> VolumeForm:
+def split_volume(key: str, spec: str) -> tuple[str, str | None]:
+    """Kind and sigma of a volume spec: a kind name, ``bh``, or explicit:<expr>.
+
+    ``key`` names the setting the spec came from, for the error message.
+    """
+    if spec.startswith("explicit:"):
+        return "explicit", spec[len("explicit:"):]
+    kind = "busemann-hausdorff" if spec == "bh" else spec
+    if kind not in VOLUME_KINDS:
+        raise ConfigError(f"{key} expects one of {', '.join(VOLUME_KINDS)} "
+                          f"or explicit:<sigma expression>; got {spec!r}")
+    return kind, None
+
+
+def as_volume(spec=None, nodes: int = 64, sigma: str | None = None) -> VolumeForm:
+    """Coerce a volume description (None, a form, or a spec) to a form.
+
+    A bare ``explicit`` spec takes its density from ``sigma``.
+    """
+    if spec is None:
+        return VolumeForm.coordinate()
+    if isinstance(spec, VolumeForm):
+        return spec
+    if not isinstance(spec, str):
+        raise ConfigError("volume must be a VolumeForm, a recognized name, or None")
+    kind, given = split_volume("volume", spec)
     if kind == "coordinate":
         return VolumeForm.coordinate()
-    if kind == "explicit":
-        return VolumeForm.explicit(sigma)
     if kind == "busemann-hausdorff":
         return VolumeForm.busemann_hausdorff(nodes)
-    raise ConfigError(f"unknown volume kind {kind!r}")
+    return VolumeForm.explicit(sigma if given is None else given)
 
 
 class MeasureStack:
@@ -217,13 +248,18 @@ class MeasureStack:
     @cached_property
     def S(self) -> Jet:
         st = self.stack
-        acc = st.N[0][0]
+        acc = st.N[0, 0]
         for m in range(1, self.n):
-            acc = acc + st.N[m][m]
+            acc = acc + st.N[m, m]
         ln = self.lnsigma
         for m in range(self.n):
             acc = acc - st.y_jets[m] * ln.deriv(m)
         return acc
+
+    @cached_property
+    def S_v(self) -> np.ndarray:
+        """Values of S_{.k}."""
+        return np.array([self.S.deriv(self.n + k).value() for k in range(self.n)])
 
     @cached_property
     def S_hderiv(self) -> list[Jet]:
@@ -248,11 +284,10 @@ class MeasureStack:
         if route == "fromS":
             # S_{.i|m} is the covariant derivative of the one-form S_{.i};
             # contracted with y^m its connection term is -S_{.l} N^l_i
-            sv = np.array([self.S.deriv(n + l).value() for l in range(n)])
             out = np.zeros(n)
             for i in range(n):
                 si = self.S.deriv(n + i)
-                acc = -float(sv @ st.N_values[:, i])
+                acc = -float(self.S_v @ st.N_values[:, i])
                 for m in range(n):
                     acc += st.hderiv_value(si, m) * st.point.y[m]
                 out[i] = 0.5 * (acc - st.hderiv_value(self.S, i))
@@ -273,21 +308,17 @@ class MeasureStack:
         st = self.stack
         out = []
         for i in range(n):
-            acc = 2.0 * st.Rik[0][i].deriv(n + 0)
+            acc = 2.0 * st.Rik[0, i].deriv(n + 0)
             for m in range(1, n):
-                acc = acc + 2.0 * st.Rik[m][i].deriv(n + m)
+                acc = acc + 2.0 * st.Rik[m, i].deriv(n + m)
             acc = acc + (n - 1.0) * st.Rscalar.deriv(n + i)
             out.append((-1.0 / 6.0) * acc)
         return out
 
 
-def _as_spray(obj) -> Spray:
-    return obj.spray() if isinstance(obj, FinslerMetric) else obj
-
-
 def measure_stack(obj, volume: VolumeForm, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> MeasureStack:
-    spray = _as_spray(obj)
-    return MeasureStack(stack_for(spray, point, degree), volume, spray.metric)
+    spray, metric = spray_and_metric(obj)
+    return MeasureStack(stack_for(spray, point, degree), volume, metric)
 
 
 def s_curvature(obj, volume: VolumeForm, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> Jet:

@@ -35,11 +35,12 @@ from .geometry import (
     Spray,
     SprayStack,
     TangentPoint,
+    spray_and_metric,
     stack_for,
     tensor_values,
 )
 from .jets import Jet
-from .measures import MeasureStack, VolumeForm, _as_spray, measure_stack
+from .measures import MeasureStack, VolumeForm, measure_stack
 
 WEYL_ROUTES = ("viaChi", "viaHat")
 WO_ROUTES = ("definition", "viaBase", "divW", "divR")
@@ -82,6 +83,36 @@ class ProjectiveStack:
         """Weyl tensor as jets: the trace-adjusted hat curvature."""
         return self.hat.T
 
+    @cached_property
+    def wo_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rhat_{||k} and (1/2) (Rhat_{.k})_{||m} y^m; W^o by definition is their difference."""
+        return self.hat.Rscalar_hcov, 0.5 * (self.hat.Rscalar_vhcov @ self.point.y_array())
+
+    @cached_property
+    def base_pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """R_{|k}, R_{.k|m} y^m, chi_{k|m} y^m along the base spray."""
+        st = self.base
+        y = self.point.y_array()
+        chi_cov = st.hcov_values(self.measure.chi_jets, contra=0)
+        return st.Rscalar_hcov, st.Rscalar_vhcov @ y, chi_cov @ y
+
+    @cached_property
+    def weyl_base(self) -> np.ndarray:
+        """Weyl tensor as base-ring jets (trace-adjusted curvature plus chi)."""
+        n = self.n
+        st = self.base
+        chi = self.measure.chi_jets
+        out = np.empty((n, n), dtype=object)
+        for i in range(n):
+            for k in range(n):
+                out[i, k] = st.T[i, k] + (3.0 / (n + 1.0)) * st.y_jets[i] * chi[k]
+        return out
+
+    @cached_property
+    def weyl_div(self) -> np.ndarray:
+        """W^m_{k|m}, the divergence of the Weyl tensor along the base spray."""
+        return np.einsum("mkm->k", self.base.hcov_values(self.weyl_base, contra=1))
+
     def weyl_values(self, route: str = "viaHat") -> np.ndarray:
         if route == "viaHat":
             return tensor_values(self.W)
@@ -91,28 +122,14 @@ class ProjectiveStack:
             return self.base.T_values + (3.0 / (self.n + 1.0)) * np.outer(y, chi)
         raise ConfigError(f"unknown weyl route {route!r}; use one of {WEYL_ROUTES}")
 
-    def _oneform(self, entries) -> np.ndarray:
-        out = np.empty(self.n, dtype=object)
-        for k, jet in enumerate(entries):
-            out[k] = jet
-        return out
-
     def wo_values(self, route: str = "definition") -> np.ndarray:
         n = self.n
-        y = self.point.y_array()
         if route == "definition":
-            hat = self.hat
-            first = hat.hcov_scalar_values(self.Rhat)
-            rv = self._oneform(hat.vderiv(self.Rhat, k) for k in range(n))
-            return first - 0.5 * hat.hcov_values(rv, contra=0) @ y
+            first, half = self.wo_terms
+            return first - half
         if route == "viaBase":
-            st = self.base
-            first = st.hcov_scalar_values(st.Rscalar)
-            rv = self._oneform(st.vderiv(st.Rscalar, k) for k in range(n))
-            second = st.hcov_values(rv, contra=0) @ y
-            third = st.hcov_values(self._oneform(self.measure.chi_jets), contra=0) @ y
-            sm = np.array([self.measure.S.deriv(n + m).value() for m in range(n)])
-            fourth = self.weyl_values("viaHat").T @ sm
+            first, second, third = self.base_pieces
+            fourth = self.weyl_values("viaHat").T @ self.measure.S_v
             frac = 1.0 / (n + 1.0)
             return first - 0.5 * second - frac * third - frac * fourth
         if route == "divW":
@@ -121,13 +138,22 @@ class ProjectiveStack:
             cov = self.hat.hcov_values(self.W, contra=1)
             return np.einsum("mkm->k", cov) / (n - 2.0)
         if route == "divR":
-            rik = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for k in range(n):
-                    rik[i, k] = self.hat.Rik[i][k]
-            cov = self.hat.hcov_values(rik, contra=1)
-            return np.einsum("mkm->k", cov) / (n - 1.0)
+            return np.einsum("mkm->k", self.hat.Rik_hcov) / (n - 1.0)
         raise ConfigError(f"unknown berwald-weyl route {route!r}; use one of {WO_ROUTES}")
+
+    def flatness_gaps(self, fm: np.ndarray):
+        """Gaps of the two BWeyl-flatness conditions for a volume change f.
+
+        ``fm`` holds f_{x^m}.  Returns ``(b, c), (wo, wf, div, wxi)`` with
+        b = W^o_k - W^m_k f_m and c = W^m_{k|m} - (n-2) W^m_k Xi_{.m},
+        Xi_{.m} = S_{.m}/(n+1) + f_m, followed by the four compared terms.
+        """
+        wt = self.weyl_values("viaHat").T
+        wo = self.wo_values("definition")
+        wf = wt @ fm
+        xi = self.measure.S_v / (self.n + 1.0) + fm
+        wxi = (self.n - 2.0) * (wt @ xi)
+        return (wo - wf, self.weyl_div - wxi), (wo, wf, self.weyl_div, wxi)
 
 
 class ProjectiveSpray(Spray):
@@ -217,7 +243,7 @@ def projective_stack(obj, volume: VolumeForm, point: TangentPoint, degree: int =
 
 
 def projective_spray(obj, volume: VolumeForm) -> ProjectiveSpray:
-    return ProjectiveSpray(_as_spray(obj), volume)
+    return ProjectiveSpray(spray_and_metric(obj)[0], volume)
 
 
 def weyl(obj, volume: VolumeForm, point: TangentPoint, route: str = "viaHat", degree: int = DEFAULT_DEGREE) -> np.ndarray:
@@ -288,22 +314,14 @@ def bweyl_residual(obj, volume: VolumeForm, f, point: TangentPoint, degree: int 
     Xi = S/(n+1) + f_0.  Conversion to float yields the (c) residual.
     """
     ps = projective_stack(obj, volume, point, degree)
-    n = ps.n
-    if n < 3:
+    if ps.n < 3:
         raise ConfigError("flatness conditions divide by n - 2 and need dimension >= 3")
-    change = volume_change(f, ps.measure)
-    Wv = ps.weyl_values("viaHat")
-    wo = ps.wo_values("definition")
-    b_pred = Wv.T @ change.fm
-    sm = np.array([ps.measure.S.deriv(n + m).value() for m in range(n)])
-    xi_m = sm / (n + 1.0) + change.fm
-    c_lhs = np.einsum("mkm->k", ps.base.hcov_values(ps.W, contra=1))
-    c_rhs = (n - 2.0) * (Wv.T @ xi_m)
+    (b, c), (wo, wf, div, wxi) = ps.flatness_gaps(volume_change(f, ps.measure).fm)
     return BWeylResidual(
-        b_residual=float(np.max(np.abs(wo - b_pred))),
-        c_residual=float(np.max(np.abs(c_lhs - c_rhs))),
-        b_scale=float(max(np.abs(wo).max(), np.abs(b_pred).max())),
-        c_scale=float(max(np.abs(c_lhs).max(), np.abs(c_rhs).max())),
+        b_residual=float(np.max(np.abs(b))),
+        c_residual=float(np.max(np.abs(c))),
+        b_scale=float(max(np.abs(wo).max(), np.abs(wf).max())),
+        c_scale=float(max(np.abs(div).max(), np.abs(wxi).max())),
     )
 
 

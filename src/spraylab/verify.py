@@ -13,8 +13,9 @@ a single point are recorded as infinite residuals and the run continues.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -23,12 +24,13 @@ import numpy as np
 from . import catalog
 from .catalog import MetricSpec
 from .errors import ConfigError, SprayLabError
-from .geometry import (DEFAULT_DEGREE, FinslerMetric, MetricFrame, MetricSpray,
-                       PerturbedSpray, Spray, SprayStack, TangentPoint,
+from .geometry import (DEFAULT_DEGREE, MetricFrame, MetricSpray, PerturbedSpray,
+                       Spray, SprayStack, TangentPoint, spray_and_metric,
                        stack_for, tensor_values)
 from .jets import Jet
-from .measures import MeasureStack, VolumeForm
-from .projective import (ProjectiveStack, einstein_wo_check, volume_change)
+from .measures import MeasureStack, VolumeForm, as_volume
+from .projective import (ProjectiveStack, einstein_wo_check, projective_stack,
+                         volume_change)
 
 __all__ = [
     "Tolerances",
@@ -41,7 +43,6 @@ __all__ = [
     "theorem_check",
     "theorem_names",
     "fd_oracle",
-    "as_volume",
 ]
 
 
@@ -114,7 +115,12 @@ def _result(check: str, point, residual, scale, tolerance, floor) -> CheckResult
 
 
 def _ratio(r: CheckResult) -> float:
-    return r.residual / (r.tolerance * r.scale + r.floor)
+    """Residual over its threshold; a non-finite ratio ranks worst."""
+    if r.residual == 0.0:
+        return 0.0
+    limit = r.tolerance * r.scale + r.floor
+    ratio = r.residual / limit if limit else math.inf
+    return ratio if math.isfinite(ratio) else math.inf
 
 
 def _aggregate(check: str, results: list[CheckResult], tolerance, floor) -> CheckAggregate:
@@ -128,50 +134,10 @@ def _aggregate(check: str, results: list[CheckResult], tolerance, floor) -> Chec
     )
 
 
-def _uses_quadrature(volume: VolumeForm | None) -> bool:
-    if volume is None:
-        return False
-    if volume.kind == "busemann-hausdorff":
-        return True
-    if volume.kind == "scaled":
-        return _uses_quadrature(volume.base or VolumeForm.coordinate())
-    return False
-
-
-def as_volume(spec, nodes: int = 64) -> VolumeForm:
-    """Coerce a volume description (None, name, explicit:<expr>) to a form."""
-    if spec is None:
-        return VolumeForm.coordinate()
-    if isinstance(spec, VolumeForm):
-        return spec
-    if isinstance(spec, str):
-        if spec == "coordinate":
-            return VolumeForm.coordinate()
-        if spec in ("busemann-hausdorff", "bh"):
-            return VolumeForm.busemann_hausdorff(nodes)
-        if spec.startswith("explicit:"):
-            return VolumeForm.explicit(spec.split(":", 1)[1])
-        raise ConfigError(
-            f"unknown volume {spec!r}; use coordinate, busemann-hausdorff, "
-            "or explicit:<sigma expression>"
-        )
-    raise ConfigError("volume must be a VolumeForm, a recognized name, or None")
-
-
-def _split(obj) -> tuple[Spray, FinslerMetric | None]:
-    if isinstance(obj, FinslerMetric):
-        return obj.spray(), obj
-    if isinstance(obj, Spray):
-        return obj, obj.metric
-    raise ConfigError(f"expected a metric or spray, got {type(obj).__name__}")
-
-
-def _oneform(entries) -> np.ndarray:
-    entries = list(entries)
-    out = np.empty(len(entries), dtype=object)
-    for k, jet in enumerate(entries):
-        out[k] = jet
-    return out
+def _spread(vals) -> tuple[float, float]:
+    """Largest pairwise distance between routes, and their magnitude."""
+    res = max(_maxabs(a - b) for a, b in itertools.combinations(vals, 2))
+    return res, _maxabs(*vals)
 
 
 # -- shared per-point state ----------------------------------------------------
@@ -212,57 +178,10 @@ class CheckContext:
         return ProjectiveStack(self.measure)
 
     @cached_property
-    def rik_obj(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for k in range(n):
-                out[i, k] = self.stack.Rik[i][k]
-        return out
-
-    @cached_property
-    def r_vform(self) -> np.ndarray:
-        """One-form of vertical derivatives of the Ricci scalar."""
-        n = self.n
-        return _oneform(self.stack.Rscalar.deriv(n + k) for k in range(n))
-
-    @cached_property
     def r_hcov(self) -> np.ndarray:
         """Second horizontal covariant derivative matrix of the Ricci scalar."""
         st = self.stack
-        form = _oneform(st.hderiv(st.Rscalar, k) for k in range(self.n))
-        return st.hcov_values(form, contra=0)
-
-    @cached_property
-    def s_vderivs(self) -> np.ndarray:
-        n = self.n
-        return np.array([self.measure.S.deriv(n + k).value() for k in range(n)])
-
-    @cached_property
-    def weyl_jets(self) -> np.ndarray:
-        """Weyl tensor as base-ring jets (trace-adjusted curvature plus chi)."""
-        n = self.n
-        st = self.stack
-        chi = self.measure.chi_jets
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for k in range(n):
-                out[i, k] = st.T[i, k] + (3.0 / (n + 1.0)) * st.y_jets[i] * chi[k]
-        return out
-
-    @cached_property
-    def base_pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """R_{|k}, R_{.k|m} y^m, chi_{k|m} y^m along the base spray."""
-        st = self.stack
-        first = st.hcov_scalar_values(st.Rscalar)
-        second = st.hcov_values(self.r_vform, contra=0) @ self.y
-        third = st.hcov_values(_oneform(self.measure.chi_jets), contra=0) @ self.y
-        return first, second, third
-
-    @cached_property
-    def rik_div(self) -> np.ndarray:
-        """R^m_{k|m} along the base spray."""
-        return np.einsum("mkm->k", self.stack.hcov_values(self.rik_obj, contra=1))
+        return st.hcov_values([st.hderiv(st.Rscalar, k) for k in range(self.n)], contra=0)
 
 
 # -- registered identities -----------------------------------------------------
@@ -363,7 +282,7 @@ def _riemannian_berwald(ctx):
 
 def _y_parallel(ctx):
     st = ctx.stack
-    cov = st.hcov_values(_oneform(st.y_jets), contra=1)
+    cov = st.hcov_values(st.y_jets, contra=1)
     return _maxabs(cov), _maxabs(st.N_values) + _maxabs(ctx.y)
 
 
@@ -373,7 +292,7 @@ def _ricci_exchange_1(ctx):
     lhs = np.array(
         [[st.hderiv(f, m).deriv(n + k).value() for k in range(n)] for m in range(n)]
     )
-    rhs = st.hcov_values(ctx.r_vform, contra=0)
+    rhs = st.Rscalar_vhcov
     return _maxabs(lhs - rhs.T), _maxabs(lhs, rhs)
 
 
@@ -398,7 +317,7 @@ def _ricci_exchange_3(ctx):
 
 def _bianchi_contracted(ctx):
     st = ctx.stack
-    rikcov = st.hcov_values(ctx.rik_obj, contra=1)
+    rikcov = st.Rik_hcov
     r3cov = st.hcov_values(st.R3, contra=1)
     term = np.einsum("ipkl,l->ikp", r3cov, ctx.y)
     lhs = rikcov - rikcov.transpose(0, 2, 1) + term
@@ -406,9 +325,8 @@ def _bianchi_contracted(ctx):
 
 
 def _s_homogeneous(ctx):
-    n = ctx.n
     S = ctx.measure.S
-    lhs = float(ctx.y @ ctx.s_vderivs)
+    lhs = float(ctx.y @ ctx.measure.S_v)
     return abs(lhs - S.value()), max(abs(lhs), abs(S.value()))
 
 
@@ -425,13 +343,7 @@ def _chi_y_kill(ctx):
 
 
 def _chi_routes(ctx):
-    vals = [ctx.measure.chi_values(route) for route in MeasureStack.CHI_ROUTES]
-    res = max(
-        _maxabs(vals[i] - vals[j])
-        for i in range(len(vals))
-        for j in range(i + 1, len(vals))
-    )
-    return res, _maxabs(*vals)
+    return _spread([ctx.measure.chi_values(route) for route in MeasureStack.CHI_ROUTES])
 
 
 def _s_volume_change(ctx):
@@ -480,7 +392,7 @@ def _chi_curvature_trace(ctx):
     n = ctx.n
     st = ctx.stack
     lhs = np.array(
-        [sum(st.Rik[m][i].deriv(n + m).value() for m in range(n)) for i in range(n)]
+        [sum(st.Rik[m, i].deriv(n + m).value() for m in range(n)) for i in range(n)]
     )
     chi = ctx.measure.chi_values("fromR")
     rv = np.array([st.Rscalar.deriv(n + i).value() for i in range(n)])
@@ -503,7 +415,7 @@ def _hat_nonlinear(ctx):
     n = ctx.n
     S = ctx.measure.S
     rhs = ctx.stack.N_values - (
-        S.value() * np.eye(n) + np.outer(ctx.y, ctx.s_vderivs)
+        S.value() * np.eye(n) + np.outer(ctx.y, ctx.measure.S_v)
     ) / (n + 1.0)
     lhs = ctx.proj.hat.N_values
     return _maxabs(lhs - rhs), _maxabs(lhs, ctx.stack.N_values)
@@ -512,7 +424,7 @@ def _hat_nonlinear(ctx):
 def _hat_berwald(ctx):
     n = ctx.n
     S = ctx.measure.S
-    sd = ctx.s_vderivs
+    sd = ctx.measure.S_v
     sdd = np.array(
         [[S.deriv(n + k).deriv(n + j).value() for j in range(n)] for k in range(n)]
     )
@@ -536,7 +448,7 @@ def _transfer_residual(ctx, f: Jet) -> tuple[float, float]:
     rhs = np.array(
         [
             st.hderiv_value(f, k)
-            + (Yf * ctx.s_vderivs[k] + S.value() * f.deriv(n + k).value()) / (n + 1.0)
+            + (Yf * ctx.measure.S_v[k] + S.value() * f.deriv(n + k).value()) / (n + 1.0)
             for k in range(n)
         ]
     )
@@ -549,7 +461,7 @@ def _hat_scalar_transfer(ctx):
 
 def _hat_frame_transfer(ctx):
     st = ctx.stack
-    trace_n = sum((st.N[m][m] for m in range(1, ctx.n)), st.N[0][0])
+    trace_n = sum((st.N[m, m] for m in range(1, ctx.n)), st.N[0, 0])
     return _transfer_residual(ctx, trace_n)
 
 
@@ -578,13 +490,7 @@ def _wo_routes(ctx):
     routes = ["definition", "viaBase", "divR"]
     if ctx.n >= 3:
         routes.append("divW")
-    vals = [ctx.proj.wo_values(route) for route in routes]
-    res = max(
-        _maxabs(vals[i] - vals[j])
-        for i in range(len(vals))
-        for j in range(i + 1, len(vals))
-    )
-    return res, _maxabs(*vals)
+    return _spread([ctx.proj.wo_values(route) for route in routes])
 
 
 def _wo_rewrite(ctx):
@@ -608,16 +514,17 @@ def _wo_y_kill(ctx):
 
 def _ricci_divergence(ctx):
     n = ctx.n
-    first, second, third = ctx.base_pieces
-    lhs = first - 0.5 * second - (third + ctx.rik_div) / (n - 1.0)
+    first, second, third = ctx.proj.base_pieces
+    rik_div = np.einsum("mkm->k", ctx.stack.Rik_hcov)
+    lhs = first - 0.5 * second - (third + rik_div) / (n - 1.0)
     return _maxabs(lhs), _maxabs(first, 0.5 * second, third / (n - 1.0),
-                                 ctx.rik_div / (n - 1.0))
+                                 rik_div / (n - 1.0))
 
 
 def _weyl_divergence(ctx):
     n = ctx.n
-    lhs = np.einsum("mkm->k", ctx.stack.hcov_values(ctx.weyl_jets, contra=1))
-    first, second, third = ctx.base_pieces
+    lhs = ctx.proj.weyl_div
+    first, second, third = ctx.proj.base_pieces
     rhs = (n - 2.0) * (first - 0.5 * second - third / (n + 1.0))
     return _maxabs(lhs - rhs), _maxabs(lhs, rhs)
 
@@ -641,20 +548,16 @@ def _projective_invariance(ctx):
     return res, _maxabs(w0, w1, wo0, wo1)
 
 
-def _flatness_equivalence(ctx):
+def _flatness_residual(proj: ProjectiveStack, f) -> tuple[float, float]:
     # W^o_k = W^m_k f_m  iff  W^m_{k|m} = (n-2) W^m_k Xi_{.m}
     # with Xi_{.m} = S_{.m}/(n+1) + f_m; the gaps are proportional by n-2.
-    n = ctx.n
-    change = volume_change("0.1*x1*x2", ctx.measure)
-    wv = ctx.proj.weyl_values("viaHat")
-    wo = ctx.proj.wo_values("definition")
-    b_gap = wo - wv.T @ change.fm
-    xi = ctx.s_vderivs / (n + 1.0) + change.fm
-    c_lhs = np.einsum("mkm->k", ctx.stack.hcov_values(ctx.weyl_jets, contra=1))
-    c_rhs = (n - 2.0) * (wv.T @ xi)
-    c_gap = c_lhs - c_rhs
-    res = _maxabs(c_gap - (n - 2.0) * b_gap)
-    return res, _maxabs(c_lhs, c_rhs, (n - 2.0) * b_gap)
+    (b, c), (_, _, div, wxi) = proj.flatness_gaps(volume_change(f, proj.measure).fm)
+    nb = (proj.n - 2.0) * b
+    return _maxabs(c - nb), _maxabs(div, wxi, nb)
+
+
+def _flatness_equivalence(ctx):
+    return _flatness_residual(ctx.proj, "0.1*x1*x2")
 
 
 REGISTRY: tuple[IdentityCheck, ...] = (
@@ -717,6 +620,8 @@ def _resolve_points(obj, points, seed, box):
     if isinstance(points, int):
         return catalog.sample(obj, count=points, seed=seed, box=box), seed
     pts = [p if isinstance(p, TangentPoint) else TangentPoint(*p) for p in points]
+    if not pts:
+        raise ConfigError("the identity suite needs at least one point")
     return pts, None
 
 
@@ -732,7 +637,7 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
     jet degree is the smallest that feeds every registered identity.
     """
     obj = catalog.build(spec) if isinstance(spec, (str, MetricSpec)) else spec
-    spray, metric = _split(obj)
+    spray, metric = spray_and_metric(obj)
     volume = as_volume(volume)
     tolerances = tolerances if tolerances is not None else Tolerances()
     pts, seed = _resolve_points(obj, points, seed, box)
@@ -743,7 +648,7 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
         missing = sorted(set(checks) - known)
         raise ConfigError(f"unknown checks: {', '.join(missing)}")
 
-    quad = _uses_quadrature(volume)
+    quad = volume.uses_quadrature
     per_check: dict[str, list[CheckResult]] = {c.name: [] for c in selected}
     for point in pts:
         ctx = CheckContext(spray, metric, volume, point, degree)
@@ -783,14 +688,19 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
 # -- theorem fixtures -------------------------------------------------------------
 
 
-def _wo_with_scale(proj: ProjectiveStack) -> tuple[np.ndarray, float]:
-    """W^o by definition plus the magnitude of its two constituent terms."""
-    hat = proj.hat
-    n = proj.n
-    first = hat.hcov_scalar_values(proj.Rhat)
-    rv = _oneform(hat.vderiv(proj.Rhat, k) for k in range(n))
-    second = hat.hcov_values(rv, contra=0) @ proj.point.y_array()
-    return first - 0.5 * second, _maxabs(first, 0.5 * second)
+def _fixture(family, dim, opts, default_count, seed_offset=0, params=None):
+    """A catalog fixture and its sample points (``default_count`` unless given)."""
+    metric = catalog.build(MetricSpec(family, dim, params or {}))
+    count = default_count if opts["points"] is None else opts["points"]
+    return metric, catalog.sample(metric, count=count, seed=opts["seed"] + seed_offset)
+
+
+def _wo_zero(label: str, point, ms: MeasureStack, tol, at_least=0.0) -> CheckResult:
+    """W^o = 0 under the volume of ``ms``, scaled by its two defining terms."""
+    proj = ProjectiveStack(ms)
+    return _result(label, point, _maxabs(proj.wo_values("definition")),
+                   max(_maxabs(*proj.wo_terms), at_least),
+                   tol.pick(ms.volume.uses_quadrature), tol.floor)
 
 
 def _theorem_volumes(override, nodes):
@@ -805,30 +715,24 @@ def _theorem_volumes(override, nodes):
 
 def _thm12(opts, tol):
     """Scalar-curvature spray: W^o vanishes for every volume form."""
-    metric = catalog.build(MetricSpec("funk", 3))
-    pts = catalog.sample(metric, count=opts.get("points") or 20, seed=opts["seed"])
+    metric, pts = _fixture("funk", 3, opts, 20)
     results = []
-    for vol in _theorem_volumes(opts.get("volume"), opts["nodes"]):
-        t = tol.pick(_uses_quadrature(vol))
-        label = f"thm12:funk:{vol.kind}"
+    for vol in _theorem_volumes(opts["volume"], opts["nodes"]):
         for point in pts:
-            ms = MeasureStack(stack_for(metric.spray(), point, opts["degree"]),
-                              vol, metric)
-            wo, scale = _wo_with_scale(ProjectiveStack(ms))
-            results.append(_result(label, point, _maxabs(wo), scale, t, tol.floor))
+            st = stack_for(metric.spray(), point, opts["degree"])
+            results.append(_wo_zero(f"thm12:funk:{vol.kind}", point,
+                                    MeasureStack(st, vol, metric), tol))
     return results, "coordinate, explicit, busemann-hausdorff"
 
 
 def _thm15(opts, tol):
     """Einstein with constant S-curvature: W^o vanishes under the BH form."""
-    count = opts.get("points") or 6
-    nodes = opts["nodes"]
     results = []
-    vol = VolumeForm.busemann_hausdorff(nodes)
+    vol = VolumeForm.busemann_hausdorff(opts["nodes"])
     t = tol.pick(True)
 
-    funk = catalog.build(MetricSpec("funk", 3))
-    for point in catalog.sample(funk, count=count, seed=opts["seed"]):
+    funk, pts = _fixture("funk", 3, opts, 6)
+    for point in pts:
         frame = MetricFrame(funk, point, opts["degree"])
         ms = MeasureStack(frame.stack, vol, funk)
         s_val = ms.S.value()
@@ -836,79 +740,58 @@ def _thm15(opts, tol):
         results.append(_result("thm15:funk:constant-s", point,
                                abs(s_val - 2.0 * f_val),
                                max(abs(s_val), 2.0 * f_val), t, tol.floor))
-        wo, scale = _wo_with_scale(ProjectiveStack(ms))
-        results.append(_result("thm15:funk:wo-zero", point,
-                               _maxabs(wo), scale, t, tol.floor))
+        results.append(_wo_zero("thm15:funk:wo-zero", point, ms, tol))
 
-    ball = catalog.build(MetricSpec("hyperbolic-ball", 3))
-    for point in catalog.sample(ball, count=count, seed=opts["seed"] + 1):
+    ball, pts = _fixture("hyperbolic-ball", 3, opts, 6, seed_offset=1)
+    for point in pts:
         st = stack_for(ball.spray(), point, opts["degree"])
         ms = MeasureStack(st, vol, ball)
         scale_s = max(abs(float(np.trace(st.N_values))), 1.0)
         results.append(_result("thm15:hyperbolic:constant-s", point,
                                abs(ms.S.value()), scale_s, t, tol.floor))
-        wo, scale = _wo_with_scale(ProjectiveStack(ms))
-        results.append(_result("thm15:hyperbolic:wo-zero", point,
-                               _maxabs(wo), scale, t, tol.floor))
+        results.append(_wo_zero("thm15:hyperbolic:wo-zero", point, ms, tol))
     return results, vol.describe()
 
 
 def _cor14(opts, tol):
     """In dimension two W^o does not depend on the volume form."""
-    metric = catalog.build(MetricSpec("conformal-flat-2d", 2))
-    pts = catalog.sample(metric, count=opts.get("points") or 12, seed=opts["seed"])
-    volumes = _theorem_volumes(opts.get("volume"), opts["nodes"])
+    metric, pts = _fixture("conformal-flat-2d", 2, opts, 12)
+    volumes = _theorem_volumes(opts["volume"], opts["nodes"])
     if len(volumes) < 2:
         volumes.append(VolumeForm.coordinate()
                        if volumes[0].kind != "coordinate"
                        else VolumeForm.explicit("exp(0.1*x2)"))
-    quad = any(_uses_quadrature(v) for v in volumes)
-    t = tol.pick(quad)
+    t = tol.pick(any(v.uses_quadrature for v in volumes))
     results = []
     for point in pts:
         st = stack_for(metric.spray(), point, opts["degree"])
-        wos = []
-        for vol in volumes:
-            ms = MeasureStack(st, vol, metric)
-            wos.append(ProjectiveStack(ms).wo_values("definition"))
-        res = max(
-            _maxabs(wos[i] - wos[j])
-            for i in range(len(wos))
-            for j in range(i + 1, len(wos))
-        )
-        results.append(_result("cor14:volume-independence", point, res,
-                               _maxabs(*wos), t, tol.floor))
+        res, scale = _spread([ProjectiveStack(MeasureStack(st, vol, metric)).wo_values("definition")
+                              for vol in volumes])
+        results.append(_result("cor14:volume-independence", point, res, scale, t, tol.floor))
     return results, ", ".join(v.describe() for v in volumes)
 
 
 def _cor33(opts, tol):
     """Constant flag curvature surfaces have W^o = 0."""
-    count = opts.get("points") or 8
     results = []
     volumes = [VolumeForm.coordinate(), VolumeForm.busemann_hausdorff(opts["nodes"])]
     for family, offset in (("round-sphere", 0), ("hyperbolic-ball", 1)):
-        metric = catalog.build(MetricSpec(family, 2))
-        pts = catalog.sample(metric, count=count, seed=opts["seed"] + offset)
+        metric, pts = _fixture(family, 2, opts, 8, seed_offset=offset)
         for point in pts:
             st = stack_for(metric.spray(), point, opts["degree"])
             for vol in volumes:
-                t = tol.pick(_uses_quadrature(vol))
-                ms = MeasureStack(st, vol, metric)
-                wo, scale = _wo_with_scale(ProjectiveStack(ms))
-                scale = max(scale, abs(st.Rscalar.value()))
-                results.append(_result(f"cor33:{family}:{vol.kind}", point,
-                                       _maxabs(wo), scale, t, tol.floor))
+                results.append(_wo_zero(f"cor33:{family}:{vol.kind}", point,
+                                        MeasureStack(st, vol, metric), tol,
+                                        at_least=abs(st.Rscalar.value())))
     return results, "coordinate, busemann-hausdorff"
 
 
 def _prop32(opts, tol):
     """Einstein surface under BH: W^o_k = F^3 (theta/F)_{.k}."""
-    count = opts.get("points") or 8
     t = tol.pick(True)
     results = []
     for family in ("conformal-flat-2d", "round-sphere"):
-        metric = catalog.build(MetricSpec(family, 2))
-        pts = catalog.sample(metric, count=count, seed=opts["seed"])
+        metric, pts = _fixture(family, 2, opts, 8)
         for point in pts:
             check = einstein_wo_check(metric, point, degree=opts["degree"],
                                       nodes=opts["nodes"])
@@ -920,38 +803,23 @@ def _prop32(opts, tol):
 
 def _thm43(opts, tol):
     """The two volume-flatness conditions fail or hold together."""
-    metric = catalog.build(MetricSpec("randers", 3))
-    pts = catalog.sample(metric, count=opts.get("points") or 6, seed=opts["seed"])
-    volume = as_volume(opts.get("volume"), opts["nodes"])
-    quad = _uses_quadrature(volume)
-    t = tol.pick(quad)
-    n = metric.dim
-    results = []
-    for f in ("0.1*x1*x2", "0.05*x3", None):
-        label = f"thm43:f={f or '0'}"
-        for point in pts:
-            ctx = CheckContext(metric.spray(), metric, volume, point, opts["degree"])
-            change = volume_change(f, ctx.measure)
-            wv = ctx.proj.weyl_values("viaHat")
-            wo = ctx.proj.wo_values("definition")
-            b_gap = wo - wv.T @ change.fm
-            xi = ctx.s_vderivs / (n + 1.0) + change.fm
-            c_lhs = np.einsum("mkm->k",
-                              ctx.stack.hcov_values(ctx.weyl_jets, contra=1))
-            c_gap = c_lhs - (n - 2.0) * (wv.T @ xi)
-            res = _maxabs(c_gap - (n - 2.0) * b_gap)
-            scale = _maxabs(c_lhs, (n - 2.0) * b_gap, (n - 2.0) * (wv.T @ xi))
-            results.append(_result(label, point, res, scale, t, tol.floor))
-    return results, volume.describe()
+    metric, pts = _fixture("randers", 3, opts, 6)
+    volume = as_volume(opts["volume"], opts["nodes"])
+    t = tol.pick(volume.uses_quadrature)
+    by_f: dict[str | None, list[CheckResult]] = {"0.1*x1*x2": [], "0.05*x3": [], None: []}
+    for point in pts:
+        proj = projective_stack(metric, volume, point, opts["degree"])
+        for f, results in by_f.items():
+            res, scale = _flatness_residual(proj, f)
+            results.append(_result(f"thm43:f={f or '0'}", point, res, scale, t, tol.floor))
+    return [r for results in by_f.values() for r in results], volume.describe()
 
 
 def _ex17(opts, tol):
     """Fourth-root metric with flat factors: everything vanishes."""
-    metric = catalog.build(MetricSpec("fourth-root", 4, {"c": 0.5}))
-    nodes = opts.get("nodes") or 16
-    vol = VolumeForm.busemann_hausdorff(min(nodes, 16))
+    metric, pts = _fixture("fourth-root", 4, opts, 5, params={"c": 0.5})
+    vol = VolumeForm.busemann_hausdorff(min(opts["nodes"], 16))
     t = tol.pick(True)
-    pts = catalog.sample(metric, count=opts.get("points") or 5, seed=opts["seed"])
     results = []
     for point in pts:
         st = stack_for(metric.spray(), point, opts["degree"])
@@ -962,9 +830,7 @@ def _ex17(opts, tol):
         ms = MeasureStack(st, vol, metric)
         results.append(_result("ex17:s-zero", point, abs(ms.S.value()),
                                1.0, t, tol.floor))
-        wo, scale = _wo_with_scale(ProjectiveStack(ms))
-        results.append(_result("ex17:wo-zero", point, _maxabs(wo),
-                               max(scale, 1.0), t, tol.floor))
+        results.append(_wo_zero("ex17:wo-zero", point, ms, tol, at_least=1.0))
     return results, vol.describe()
 
 
@@ -977,8 +843,7 @@ def _ex45(opts, tol):
     Ricci-flat - fails at every tried volume, and that failure is
     reported as a failing aggregate rather than suppressed.
     """
-    metric = catalog.build(MetricSpec("square-metric", 3))
-    pts = catalog.sample(metric, count=opts.get("points") or 4, seed=opts["seed"])
+    metric, pts = _fixture("square-metric", 3, opts, 4)
     nodes = min(opts["nodes"], 32)
     results = []
     gate_vols = [
@@ -995,7 +860,7 @@ def _ex45(opts, tol):
         results.append(_result("ex45:scalar-curvature", point, _maxabs(wv),
                                fsq, tol.pick(False), tol.floor))
         for vol in (gate_vols[0], gate_vols[2]):
-            t = tol.pick(_uses_quadrature(vol))
+            t = tol.pick(vol.uses_quadrature)
             msv = MeasureStack(st, vol, metric)
             wo = ProjectiveStack(msv).wo_values("definition")
             results.append(_result(f"ex45:wo-zero:{vol.kind}", point, _maxabs(wo),
@@ -1041,37 +906,32 @@ def theorem_names() -> list[str]:
     return list(_THEOREMS)
 
 
-def theorem_summary(name: str) -> str:
+def _theorem(name: str) -> tuple[Callable, str]:
     if name not in _THEOREMS:
         raise ConfigError(
             f"unknown theorem {name!r}; available: {', '.join(_THEOREMS)}"
         )
-    return _THEOREMS[name][1]
+    return _THEOREMS[name]
+
+
+def theorem_summary(name: str) -> str:
+    return _theorem(name)[1]
 
 
 def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
                   nodes=64, volume=None, tolerances=None) -> SuiteReport:
     """Run one named conclusion on its designated catalog fixture(s)."""
-    if name not in _THEOREMS:
-        raise ConfigError(
-            f"unknown theorem {name!r}; available: {', '.join(_THEOREMS)}"
-        )
+    fn, _ = _theorem(name)
     tol = tolerances if tolerances is not None else Tolerances()
     opts = {"points": points, "seed": seed, "degree": degree,
             "nodes": nodes, "volume": volume}
-    fn, _ = _THEOREMS[name]
     results, volume_desc = fn(opts, tol)
 
-    order: list[str] = []
     grouped: dict[str, list[CheckResult]] = {}
     for r in results:
-        if r.check not in grouped:
-            grouped[r.check] = []
-            order.append(r.check)
-        grouped[r.check].append(r)
+        grouped.setdefault(r.check, []).append(r)
     aggregates = tuple(
-        _aggregate(label, grouped[label], grouped[label][0].tolerance, tol.floor)
-        for label in order
+        _aggregate(label, rs, rs[0].tolerance, tol.floor) for label, rs in grouped.items()
     )
     return SuiteReport(
         metric=name,

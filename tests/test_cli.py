@@ -1,15 +1,19 @@
 """Command-line interface: config layering, output formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spraylab import cli
 from spraylab.cli import RunConfig, main, parse_config
 from spraylab.errors import ConfigError
+from spraylab.verify import theorem_names
 
 
 def run_cli(capsys, *argv):
@@ -271,8 +275,72 @@ def test_unknown_subcommand_exits_two(capsys):
 
 def test_bad_flag_values_exit_two(capsys):
     assert run_cli(capsys, "verify", "--box", "everywhere")[0] == 2
+    assert run_cli(capsys, "verify", "--box", "cube:-1")[0] == 2
     assert run_cli(capsys, "verify", "--param", "oops")[0] == 2
     assert run_cli(capsys, "verify", "--volume", "lebesgue")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--points", "0"),
+    ("verify", "--points", "-1"),
+    ("eval", "--points", "0"),
+    ("theorem", "thm43", "--points", "0"),
+])
+def test_point_count_below_one_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "point count" in err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("eval", "--degree", "11"), "degree"),
+    (("eval", "--dim", "7"), "variables"),
+])
+def test_ring_limits_exit_two(capsys, argv, limit):
+    code, _, err = run_cli(capsys, *argv, "--points", "1")
+    assert code == 2
+    assert limit in err and len(err.splitlines()) == 1
+
+
+_DRAWN_FLAGS = {
+    "--metric": ["euclidean", "round-sphere", "randers", "klein"],
+    "--dim": ["2", "3", "7"],
+    "--degree": ["0", "3", "7", "11"],
+    "--volume": ["coordinate", "bh", "explicit:x1", "lebesgue"],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["list", "eval", "verify", "theorem"]))
+    if command == "theorem":
+        argv = [command, draw(st.sampled_from(theorem_names())),
+                "--points", "1", "--bh-nodes", "8"]
+    else:
+        argv = [command, "--points", draw(st.sampled_from(["-1", "0", "1"]))]
+    for flag, values in _DRAWN_FLAGS.items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_argv())
+def test_exit_contract_on_random_arguments(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().strip()
+
+
+def test_zero_threshold_is_not_a_crash(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--metric", "euclidean", "--points", "1",
+                           "--tol-jet", "0", "--floor", "0")
+    assert code == 0
+    assert json_records(out)[-1]["pass"]
 
 
 def test_missing_config_file_exits_two(capsys):

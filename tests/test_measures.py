@@ -17,6 +17,7 @@ from spraylab.errors import AdmissibilityError, ConfigError, JetDomainError
 from spraylab.geometry import MetricFrame, TangentPoint, jet_matrix_inverse, stack_for
 from spraylab.measures import (
     VolumeForm,
+    as_volume,
     bh_density,
     chi,
     measure_stack,
@@ -24,7 +25,6 @@ from spraylab.measures import (
     sphere_nodes,
     tau,
     unit_ball_volume,
-    volume_form,
 )
 
 SPHERE_AREAS = {2: 2.0 * math.pi, 3: 4.0 * math.pi, 4: 2.0 * math.pi**2}
@@ -121,7 +121,7 @@ def test_bh_density_rejects_bad_directions():
 
 def test_volume_form_validation():
     with pytest.raises(ConfigError):
-        volume_form("nope")
+        as_volume("nope")
     with pytest.raises(ConfigError):
         VolumeForm.explicit(None)
     with pytest.raises(ConfigError):
@@ -129,7 +129,7 @@ def test_volume_form_validation():
     vol = VolumeForm.explicit("x1")
     with pytest.raises(JetDomainError):
         vol.lnsigma_jet(None, (-0.5, 0.1), 2)
-    assert volume_form("busemann-hausdorff", nodes=32).describe() == "busemann-hausdorff(32)"
+    assert as_volume("busemann-hausdorff", nodes=32).describe() == "busemann-hausdorff(32)"
 
 
 def test_bh_volume_without_metric():

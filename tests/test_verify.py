@@ -116,6 +116,22 @@ def test_explicit_point_list():
     assert by_name["euler-spray"].points == 2
 
 
+def test_point_counts_below_one_are_config_errors():
+    for points in (0, -1, []):
+        with pytest.raises(ConfigError):
+            identity_suite("euclidean", points=points)
+
+
+def test_non_finite_residual_ranks_worst():
+    pts = [TangentPoint((0.1 * k, 0.0), (1.0, 0.5)) for k in range(3)]
+    results = [verify.CheckResult("c", p, r, 1.0, 1e-7, 1e-9, r <= 1e-7 + 1e-9)
+               for p, r in zip(pts, [1e-12, math.nan, 1e-11])]
+    agg = verify._aggregate("c", results, 1e-7, 1e-9)
+    assert not agg.passed
+    assert math.isnan(agg.max_residual)
+    assert agg.worst_point == pts[1]
+
+
 def test_check_subset_and_unknown_names():
     report = identity_suite("euclidean", points=2, checks=["euler-spray", "t-y-kill"])
     assert len(report.checks) == 2
