@@ -232,6 +232,9 @@ def parse_config(path=None, args: argparse.Namespace | None = None) -> RunConfig
             _apply_pair(cfg, key, value)
     if args is not None:
         _apply_flags(cfg, args)
+    # bad tolerances are configuration errors for every subcommand, not
+    # only for those that compare against them
+    cfg.tolerances()
     return cfg
 
 

@@ -364,7 +364,7 @@ def sqrt(a: Jet) -> Jet:
     if not isinstance(a, Jet):
         return np.sqrt(a)
     _require_positive(a, "sqrt")
-    return _compose(a, lambda k, x: _binom(0.5, k) * x ** (0.5 - k))
+    return powr(a, 0.5)
 
 
 def log(a: Jet) -> Jet:
@@ -387,11 +387,16 @@ def exp(a: Jet) -> Jet:
 
 
 def powr(a: Jet, r: float) -> Jet:
-    """Real power with positive constant term, as ``exp(r * log(a))``."""
+    """Real power with positive constant term, as one binomial series.
+
+    The k-th Taylor coefficient of ``x -> x**r`` at ``x0`` is
+    ``binom(r, k) * x0**(r - k)``, so one composition does the work that
+    ``exp(r * log(a))`` needs two for.
+    """
     if not isinstance(a, Jet):
         return float(a) ** float(r)
     _require_positive(a, "pow")
-    return exp(log(a) * r)
+    return _compose(a, lambda k, x: _binom(r, k) * x ** (r - k))
 
 
 def sin(a: Jet) -> Jet:

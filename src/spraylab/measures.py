@@ -10,7 +10,7 @@ than from finite differences.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,7 +28,12 @@ from .geometry import (
 from .jets import Jet
 
 BH_MAX_DIM = 4
-_CHUNK = 4096
+# BH quadrature runs its directions in blocks whose largest jet-multiply
+# temporary fits in this many bytes.  That is glibc's default mmap
+# threshold: larger temporaries may be mapped fresh from the OS and
+# page-faulted in on every multiply, and smaller blocks pay more Python
+# per direction.
+_BLOCK_BYTES = 128 * 1024
 
 # kinds a user can name; "scaled" forms are only built in code
 VOLUME_KINDS = ("coordinate", "busemann-hausdorff", "explicit")
@@ -38,13 +43,22 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+@lru_cache(maxsize=8)
 def sphere_nodes(n: int, nodes: int):
     """Quadrature nodes and weights for S^{n-1}; weights sum to its area.
 
     S^1 uses the uniform trapezoid rule (spectrally accurate for periodic
     integrands); higher spheres use tensor products of Gauss-Legendre
     panels in the polar angles with the uniform rule in the azimuth.
+    The rules are cached, so the arrays returned are read-only.
     """
+    theta, weights = _sphere_rule(n, nodes)
+    theta.flags.writeable = False
+    weights.flags.writeable = False
+    return theta, weights
+
+
+def _sphere_rule(n: int, nodes: int):
     if nodes < 8:
         raise ConfigError("sphere quadrature needs at least 8 nodes per angle")
     phi = 2.0 * math.pi * np.arange(nodes) / nodes
@@ -91,14 +105,17 @@ def bh_density(metric: FinslerMetric, x, nodes: int = 64, degree: int = 3) -> Je
 
     sigma_BH(x) = Vol(B^n) / Vol{y : F(x, y) < 1}, with the unit-ball
     volume computed as (1/n) * integral over S^{n-1} of F(x, theta)^{-n}.
+    The directions are summed block by block, each block sized by
+    ``_BLOCK_BYTES``.
     """
     n = metric.dim
     ring = jets.ring(n, degree)
     xs = [ring.seed(i, float(x[i])) for i in range(n)]
     theta, weights = sphere_nodes(n, nodes)
+    step = max(1, _BLOCK_BYTES // (8 * int(ring._pairs_upto[degree])))
     total = None
-    for start in range(0, theta.shape[0], _CHUNK):
-        block = slice(start, start + _CHUNK)
+    for start in range(0, theta.shape[0], step):
+        block = slice(start, start + step)
         ys = [ring.const(np.ascontiguousarray(theta[block, i])) for i in range(n)]
         fsq = metric.fsq(xs, ys)
         values = np.asarray(fsq.coeffs[..., 0])
@@ -126,7 +143,8 @@ class VolumeForm:
         self.sign = sign
         self.nodes = int(nodes)
         self._fields = {}
-        self._bh_cache = {}
+        # (key, jet) of the last BH density: the checks of one point share it
+        self._bh_last = None
 
     @classmethod
     def coordinate(cls):
@@ -175,9 +193,9 @@ class VolumeForm:
             if metric is None:
                 raise ConfigError("Busemann-Hausdorff volume needs a metric spray")
             key = (metric, tuple(float(v) for v in x), degree, self.nodes)
-            if key not in self._bh_cache:
-                self._bh_cache[key] = bh_density(metric, x, self.nodes, degree)
-            return self._bh_cache[key]
+            if self._bh_last is None or self._bh_last[0] != key:
+                self._bh_last = (key, bh_density(metric, x, self.nodes, degree))
+            return self._bh_last[1]
         base = self.base if self.base is not None else VolumeForm.coordinate()
         xs = [ring.seed(i, float(x[i])) for i in range(n)]
         scale = self.sign * (n + 1.0) * self._field(self.f, n)(xs)

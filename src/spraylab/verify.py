@@ -54,6 +54,15 @@ class Tolerances:
     quad: float = 1e-4
     floor: float = 1e-9
 
+    def __post_init__(self):
+        # a negative or NaN threshold fails every check, an infinite one
+        # passes every check; neither is a verdict about the geometry
+        for name in ("jet", "quad", "floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"tolerance {name} must be a finite number >= 0, "
+                                  f"got {value!r}")
+
     def pick(self, quadrature: bool) -> float:
         return self.quad if quadrature else self.jet
 
@@ -716,12 +725,16 @@ def _theorem_volumes(override, nodes):
 def _thm12(opts, tol):
     """Scalar-curvature spray: W^o vanishes for every volume form."""
     metric, pts = _fixture("funk", 3, opts, 20)
-    results = []
-    for vol in _theorem_volumes(opts["volume"], opts["nodes"]):
-        for point in pts:
-            st = stack_for(metric.spray(), point, opts["degree"])
-            results.append(_wo_zero(f"thm12:funk:{vol.kind}", point,
-                                    MeasureStack(st, vol, metric), tol))
+    volumes = _theorem_volumes(opts["volume"], opts["nodes"])
+    # one base stack per point serves every volume; results stay grouped
+    # by volume, in point order
+    per_volume = [[] for _ in volumes]
+    for point in pts:
+        st = stack_for(metric.spray(), point, opts["degree"])
+        for vol, rs in zip(volumes, per_volume):
+            rs.append(_wo_zero(f"thm12:funk:{vol.kind}", point,
+                               MeasureStack(st, vol, metric), tol))
+    results = [r for rs in per_volume for r in rs]
     return results, "coordinate, explicit, busemann-hausdorff"
 
 
@@ -879,9 +892,11 @@ def _ex45(opts, tol):
     x = pts[0].x
     dirs = [(1.0, 0.4, -0.3), (-0.5, 1.0, 0.8), (0.2, -0.9, 1.0)]
     ratios = []
+    # sigma_BH depends on x alone, so the three directions share one density
+    bh = VolumeForm.busemann_hausdorff(nodes)
     for y in dirs:
         frame = MetricFrame(metric, TangentPoint(x, y), 4)
-        ms = MeasureStack(frame.stack, VolumeForm.busemann_hausdorff(nodes), metric)
+        ms = MeasureStack(frame.stack, bh, metric)
         ratios.append(ms.S.value() / frame.F.value())
     spread = max(ratios) - min(ratios)
     results.append(_result("ex45:anisotropic-s", pts[0],

@@ -5,12 +5,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spraylab import cli
+import spraylab
+from spraylab import cli, geometry, measures
 from spraylab.cli import RunConfig, main, parse_config
 from spraylab.errors import ConfigError
 from spraylab.verify import theorem_names
@@ -341,6 +346,67 @@ def test_zero_threshold_is_not_a_crash(capsys):
                            "--tol-jet", "0", "--floor", "0")
     assert code == 0
     assert json_records(out)[-1]["pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--tol-jet", "-1", "--floor", "-1"),
+    ("verify", "--tol-jet", "nan"),
+    ("verify", "--tol-quad", "-0.5"),
+    ("verify", "--floor", "inf"),
+    ("eval", "--tol-jet", "nan"),
+])
+def test_bad_tolerances_exit_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--metric", "euclidean", "--points", "1")
+    assert code == 2 and out == ""
+    assert "tolerance" in err
+
+
+@pytest.mark.parametrize("line", ["tol.jet = -1e-7", "tol.quad = nan", "tol.floor = inf"])
+def test_bad_tolerance_keys_exit_two(capsys, tmp_path, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "theorem", "cor33", "--points", "1", "--config", str(path))
+    assert code == 2 and out == ""
+    assert "tolerance" in err
+
+
+def _count_calls(monkeypatch, owner, attr):
+    calls = []
+    fn = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_thm12_builds_one_base_stack_per_point(capsys, monkeypatch):
+    # per point: one base stack plus one hat stack for each of three volumes
+    inits = _count_calls(monkeypatch, geometry.SprayStack, "__init__")
+    assert run_cli(capsys, "theorem", "thm12", "--points", "2")[0] == 0
+    assert len(inits) == 2 * (1 + 3)
+
+
+@pytest.mark.parametrize("argv, densities", [
+    (("verify", "--metric", "randers", "--volume", "bh", "--points", "3"), 3),
+    # two gate points plus one base point shared by three directions
+    (("theorem", "ex45", "--points", "2"), 3),
+])
+def test_one_bh_density_per_volume_and_point(capsys, monkeypatch, argv, densities):
+    calls = _count_calls(monkeypatch, measures, "bh_density")
+    run_cli(capsys, *argv)
+    keys = [(id(metric), tuple(x)) + tuple(rest) for metric, x, *rest in calls]
+    assert len(calls) == densities == len(set(keys))
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(spraylab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spraylab", "theorem", "nope"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "unknown theorem" in proc.stderr
 
 
 def test_missing_config_file_exits_two(capsys):

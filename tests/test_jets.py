@@ -154,6 +154,25 @@ def test_pow_quarter_round_trip():
     np.testing.assert_allclose(back.coeffs, a.coeffs, rtol=1e-10, atol=1e-10)
 
 
+@pytest.mark.parametrize("r", [-2.5, -1.5, 0.25, 0.5, 3.7])
+def test_powr_matches_exp_log(r):
+    rng = np.random.default_rng(5)
+    ring = jets.ring(3, 5)
+    coeffs = 0.3 * rng.normal(size=(4, ring.size))
+    coeffs[:, 0] = [0.6, 1.0, 2.0, 3.5]
+    a = jets.Jet(ring, coeffs, valid=5, nzdeg=5)
+    for jet in (a, a.deriv(1) + 2.0):
+        got = jets.powr(jet, r)
+        want = jets.exp(r * jets.log(jet))
+        assert got.valid == jet.valid
+        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want.coeffs).max())
+    with pytest.raises(JetDomainError, match="pow"):
+        jets.powr(a - 1.0, r)
+    with pytest.raises(JetDomainError, match="sqrt"):
+        jets.sqrt(a - 1.0)
+
+
 def test_partial_examples():
     r = jets.ring(1, 3)
     u = r.seed(0, 1.0)

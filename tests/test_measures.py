@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from spraylab import jets
+from spraylab import jets, measures
 from spraylab.catalog import MetricSpec, build, sample
 from spraylab.errors import AdmissibilityError, ConfigError, JetDomainError
 from spraylab.geometry import MetricFrame, TangentPoint, jet_matrix_inverse, stack_for
@@ -40,6 +40,15 @@ def test_sphere_nodes_integrate_low_moments(n):
     assert w.sum() == pytest.approx(area, rel=1e-12)
     second = np.einsum("q,qi,qj->ij", w, theta, theta)
     np.testing.assert_allclose(second, area / n * np.eye(n), atol=1e-12 * area)
+
+
+def test_sphere_nodes_are_cached_and_read_only():
+    theta, w = sphere_nodes(3, 24)
+    assert sphere_nodes(3, 24)[0] is theta
+    with pytest.raises(ValueError):
+        theta[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        w[0] = 1.0
 
 
 def test_sphere_nodes_dim_and_count_limits():
@@ -105,6 +114,29 @@ def test_bh_density_node_doubling_drift():
     a = bh_density(metric, (0.1, 0.2, -0.1), nodes=64, degree=2)
     b = bh_density(metric, (0.1, 0.2, -0.1), nodes=128, degree=2)
     assert abs(a.value() - b.value()) < 1e-8
+
+
+@pytest.mark.parametrize("family, dim", [("randers", 3), ("funk", 4)])
+def test_bh_density_does_not_depend_on_block_size(monkeypatch, family, dim):
+    metric = build(MetricSpec(family, dim))
+    x = sample(metric, count=1, seed=2)[0].x
+    want = bh_density(metric, x, nodes=16, degree=5)
+    ndirs = len(sphere_nodes(dim, 16)[1])
+    per_dir = 8 * int(jets.ring(dim, 5)._pairs_upto[5])
+    batches = []
+    sum_batch = jets.Jet.sum_batch
+    monkeypatch.setattr(jets.Jet, "sum_batch",
+                        lambda a, w: batches.append(a.batch_shape) or sum_batch(a, w))
+    for block in (1, ndirs):
+        batches.clear()
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", block * per_dir)
+        got = bh_density(metric, x, nodes=16, degree=5)
+        assert batches == [(block,)] * (ndirs // block)
+        # ln sigma is the difference of two logs of order one (for funk it
+        # is exactly 0, its indicatrices being translates of the domain),
+        # so rounding is measured against 1 where the jet itself is smaller
+        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-13,
+                                   atol=1e-13 * max(1.0, np.abs(want.coeffs).max()))
 
 
 def test_bh_density_rejects_bad_directions():

@@ -151,6 +151,14 @@ def test_custom_tolerances_gate_pass():
     assert not report.passed
 
 
+def test_tolerances_reject_negative_and_non_finite():
+    for field in ("jet", "quad", "floor"):
+        for bad in (-1e-7, math.nan, math.inf):
+            with pytest.raises(ConfigError, match=field):
+                Tolerances(**{field: bad})
+    assert Tolerances(jet=0.0, quad=0.0, floor=0.0).pick(True) == 0.0
+
+
 # -- volume coercion -----------------------------------------------------------
 
 
