@@ -426,7 +426,7 @@ def _eval_point(spray, metric, volume, point, degree, index) -> dict:
         "x": list(point.x),
         "y": list(point.y),
         "F": f_val,
-        "G": [g.value() for g in st.G],
+        "G": st.G.value(),
         "N": st.N_values,
         "Gamma": st.Gamma_values,
         "B": st.B_values,
@@ -437,7 +437,7 @@ def _eval_point(spray, metric, volume, point, degree, index) -> dict:
         "S": ms.S.value(),
         "tau": ms.tau.value(),
         "chi": ms.chi_values("fromR"),
-        "Ghat": [g.value() for g in ps.Ghat],
+        "Ghat": ps.Ghat.value(),
         "W": {route: ps.weyl_values(route) for route in WEYL_ROUTES},
         "Wo": wo,
     }

@@ -8,14 +8,13 @@ expressions are kept; a "field" is anything that can hand back a jet at
 a point, which is what makes the derivative operators composable.
 
 Index conventions: ring variables 0..n-1 are x^1..x^n, variables n..2n-1
-are y^1..y^n.  Tensors are stored as numpy object arrays of jets with
-all contravariant indices first.
+are y^1..y^n.  A tensor is one batched jet whose batch axes are its
+indices, all contravariant indices first; ``.value()`` reads its values.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -92,7 +91,8 @@ class Spray:
     name: str = "spray"
     metric: FinslerMetric | None = None
 
-    def coefficients(self, point: TangentPoint, degree: int) -> list[Jet]:
+    def coefficients(self, point: TangentPoint, degree: int) -> Jet:
+        """The jets G^i, as one jet with batch shape (n,)."""
         raise NotImplementedError
 
     def admissible(self, point: TangentPoint) -> bool:
@@ -116,7 +116,7 @@ class MetricSpray(Spray):
         self.name = f"spray({metric.name})"
         self.default_box = metric.default_box
 
-    def coefficients(self, point: TangentPoint, degree: int) -> list[Jet]:
+    def coefficients(self, point: TangentPoint, degree: int) -> Jet:
         return MetricFrame(self.metric, point, degree).spray_coefficients
 
     def admissible(self, point: TangentPoint) -> bool:
@@ -139,14 +139,15 @@ class PerturbedSpray(Spray):
         if isinstance(base, MetricSpray):
             self.default_box = base.metric.default_box
 
-    def coefficients(self, point: TangentPoint, degree: int) -> list[Jet]:
-        G = self.base.coefficients(point, degree)
-        ring = G[0].ring
+    def coefficients(self, point: TangentPoint, degree: int) -> Jet:
+        G = jets.stack(self.base.coefficients(point, degree))
         n = self.dim
-        xs = [ring.seed(i, point.x[i]) for i in range(n)]
-        ys = [ring.seed(n + i, point.y[i]) for i in range(n)]
-        p = sum((self.oneform[m](xs) * ys[m] for m in range(n)), ring.zero())
-        return [G[i] + p * ys[i] for i in range(n)]
+        xs = [G.ring.seed(i, point.x[i]) for i in range(n)]
+        ys = _seeds(G.ring, n, point.y)
+        p = sum((self.oneform[m](xs) * ys[m] for m in range(n)), G.ring.zero())
+        # p and the seeds are exact to the full ring degree; one product per
+        # entry keeps that multiply's temporaries at the size of one jet
+        return jets.stack([g + p * y for g, y in zip(G, ys)])
 
     def admissible(self, point: TangentPoint) -> bool:
         return self.base.admissible(point)
@@ -161,11 +162,9 @@ def spray_and_metric(obj) -> tuple[Spray, FinslerMetric | None]:
     raise ConfigError(f"expected a metric or spray, got {type(obj).__name__}")
 
 
-def tensor_values(tensor: np.ndarray) -> np.ndarray:
-    out = np.zeros(tensor.shape)
-    for idx in np.ndindex(*tensor.shape):
-        out[idx] = tensor[idx].value()
-    return out
+def _seeds(ring, offset: int, values) -> Jet:
+    """The coordinate jets of ring variables offset, offset+1, ... as one tensor."""
+    return jets.stack([ring.seed(offset + i, v) for i, v in enumerate(values)])
 
 
 def _assert_positive_definite(g: np.ndarray, context: str):
@@ -173,12 +172,10 @@ def _assert_positive_definite(g: np.ndarray, context: str):
     a = np.array(g, dtype=float)
     n = a.shape[0]
     scale = max(float(np.abs(np.diag(a)).max()), 1.0)
-    perm = list(range(n))
     for k in range(n):
         p = k + int(np.argmax(np.diag(a)[k:]))
         a[[k, p]] = a[[p, k]]
         a[:, [k, p]] = a[:, [p, k]]
-        perm[k], perm[p] = perm[p], perm[k]
         pivot = a[k, k]
         if pivot <= PIVOT_TOL * scale:
             raise AdmissibilityError(
@@ -219,8 +216,9 @@ class MetricFrame:
         self.n = metric.dim
         self.ring = jets.ring(2 * self.n, degree)
         self.x = [self.ring.seed(i, point.x[i]) for i in range(self.n)]
-        self.y = [self.ring.seed(self.n + i, point.y[i]) for i in range(self.n)]
-        self.fsq = metric.fsq(self.x, self.y)
+        self.y = _seeds(self.ring, self.n, point.y)
+        self.ys = range(self.n, 2 * self.n)
+        self.fsq = metric.fsq(self.x, list(self.y))
         self.fsq.assert_finite(f"F^2 of {metric.name}")
         if self.fsq.value() <= 0.0:
             raise AdmissibilityError(f"F^2 <= 0 at {point} for {metric.name}")
@@ -230,48 +228,31 @@ class MetricFrame:
         return jets.sqrt(self.fsq)
 
     @cached_property
-    def g(self) -> list[list[Jet]]:
-        n = self.n
-        half = [self.fsq.deriv(n + i) for i in range(n)]
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                out[i][j] = out[j][i] = 0.5 * half[i].deriv(n + j)
-        return out
+    def g(self) -> Jet:
+        return 0.5 * self.fsq.grad(self.ys).grad(self.ys)
 
     @cached_property
     def g_values(self) -> np.ndarray:
-        vals = np.array([[e.value() for e in row] for row in self.g])
+        vals = self.g.value()
         _assert_positive_definite(vals, f"{self.metric.name} at {self.point}")
         return vals
 
     @cached_property
-    def ginv(self) -> list[list[Jet]]:
+    def ginv(self) -> Jet:
         self.g_values  # definiteness gate before inverting
-        return jet_matrix_inverse(self.g)
+        # scalar entries keep the constant-pivot shortcuts of the elimination
+        return jets.stack(jet_matrix_inverse(self.g))
 
     @cached_property
     def ylow(self) -> np.ndarray:
-        n = self.n
-        return np.array([0.5 * self.fsq.deriv(n + m).value() for m in range(n)])
+        return 0.5 * self.fsq.gradient()[self.n:]
 
     @cached_property
-    def spray_coefficients(self) -> list[Jet]:
-        n = self.n
-        fx = [self.fsq.deriv(k) for k in range(n)]
-        rhs = []
-        for l in range(n):
-            acc = -fx[l]
-            for k in range(n):
-                acc = acc + fx[k].deriv(n + l) * self.y[k]
-            rhs.append(acc)
-        G = []
-        for i in range(n):
-            acc = self.ring.zero()
-            for l in range(n):
-                acc = acc + self.ginv[i][l] * rhs[l]
-            G.append(0.25 * acc)
-        return G
+    def spray_coefficients(self) -> Jet:
+        fx = self.fsq.grad(range(self.n))
+        # rhs_l = -F^2_{x^l} + F^2_{x^k y^l} y^k
+        rhs = (fx.grad(self.ys) * self.y[:, None]).einsum("kl->l") - fx
+        return 0.25 * (self.ginv * rhs[None, :]).einsum("il->i")
 
     @cached_property
     def stack(self) -> "SprayStack":
@@ -284,16 +265,19 @@ class SprayStack:
     Derivative bookkeeping relative to the coefficients G (valid to v):
     N keeps v-1 orders, Gamma v-2, B v-3, R^i_k v-2, R^i_kl v-3, the full
     curvature tensor v-4, and each covariant derivative costs one more.
+    B and the full curvature tensor are kept as values only.
     """
 
-    def __init__(self, point: TangentPoint, G: list[Jet]):
+    def __init__(self, point: TangentPoint, G):
         self.point = point
-        self.G = list(G)
-        self.ring = self.G[0].ring
+        self.G = jets.stack(G)
+        self.ring = self.G.ring
         self.n = point.dim
         if self.ring.nvars != 2 * self.n:
             raise ValueError("spray jets must live in the doubled (x, y) ring")
-        self.y_jets = [self.ring.seed(self.n + i, point.y[i]) for i in range(self.n)]
+        self.xs = range(self.n)
+        self.ys = range(self.n, 2 * self.n)
+        self.y_jets = _seeds(self.ring, self.n, point.y)
 
     # -- derivatives of scalars ------------------------------------------
 
@@ -301,167 +285,105 @@ class SprayStack:
         """Vertical derivative with respect to y^k."""
         return f.deriv(self.n + k)
 
+    def hgrad(self, f: Jet) -> Jet:
+        """Horizontal derivatives f_{|k} = f_{x^k} - N^l_k f_{.l} of a scalar jet."""
+        return f.grad(self.xs) - (self.N * f.grad(self.ys)[:, None]).einsum("lk->k")
+
     def hderiv(self, f: Jet, k: int) -> Jet:
         """Horizontal derivative of a scalar along the spray's frame."""
-        acc = f.deriv(k)
-        for l in range(self.n):
-            acc = acc - self.N[l, k] * f.deriv(self.n + l)
-        return acc
+        return self.hgrad(f)[k]
 
     def hderiv_value(self, f: Jet, k: int) -> float:
-        grad = f.gradient()
-        return float(grad[k] - self.N_values[:, k] @ grad[self.n :])
+        return float(self.hcov_scalar_values(f)[k])
 
     def euler_field(self, f: Jet) -> Jet:
         """Y(f) = y^m f_{.m}."""
-        acc = self.ring.zero()
-        for m in range(self.n):
-            acc = acc + self.y_jets[m] * f.deriv(self.n + m)
-        return acc
+        return (self.y_jets * f.grad(self.ys)).einsum("m->")
 
     # -- connection -------------------------------------------------------
 
     @cached_property
-    def N(self) -> np.ndarray:
-        n = self.n
-        return np.array([[self.G[i].deriv(n + j) for j in range(n)] for i in range(n)],
-                        dtype=object)
+    def N(self) -> Jet:
+        return self.G.grad(self.ys)
+
+    N_values = cached_property(lambda self: self.N.value())
 
     @cached_property
-    def N_values(self) -> np.ndarray:
-        return tensor_values(self.N)
+    def Gamma(self) -> Jet:
+        return self.N.grad(self.ys)
 
-    @cached_property
-    def Gamma(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    out[i, j, k] = out[i, k, j] = self.N[i, j].deriv(n + k)
-        return out
+    Gamma_values = cached_property(lambda self: self.Gamma.value())
 
-    @cached_property
-    def Gamma_values(self) -> np.ndarray:
-        return tensor_values(self.Gamma)
-
-    @cached_property
-    def B(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n, n, n), dtype=object)
-        for i, j in itertools.product(range(n), repeat=2):
-            for k in range(j, n):
-                for l in range(k, n):
-                    d = self.Gamma[i, j, k].deriv(n + l)
-                    for a, b, c in itertools.permutations((j, k, l)):
-                        out[i, a, b, c] = d
-        return out
-
-    @cached_property
-    def B_values(self) -> np.ndarray:
-        return tensor_values(self.B)
+    B_values = cached_property(lambda self: self.Gamma.gradient()[..., self.n:])
 
     # -- curvature ----------------------------------------------------------
 
     @cached_property
-    def Rik(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n), dtype=object)
-        gx = [[self.G[i].deriv(j) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for k in range(n):
-                acc = 2.0 * gx[i][k]
-                for j in range(n):
-                    acc = acc - self.y_jets[j] * gx[i][j].deriv(n + k)
-                    acc = acc + 2.0 * self.G[j] * self.Gamma[i, j, k]
-                    acc = acc - self.N[i, j] * self.N[j, k]
-                out[i, k] = acc
-        return out
+    def Rik(self) -> Jet:
+        # one batched (n, n) product per summed index keeps temporaries small
+        gx = self.G.grad(self.xs)
+        gxy = gx.grad(self.ys)
+        G, N, y = self.G, self.N, self.y_jets
+        acc = 2.0 * gx
+        for j in range(self.n):
+            acc = acc - y[j] * gxy[:, j]
+            acc = acc + 2.0 * G[j] * self.Gamma[:, j]
+            acc = acc - N[:, j, None] * N[None, j]
+        return acc
+
+    Rik_values = cached_property(lambda self: self.Rik.value())
 
     @cached_property
-    def Rik_values(self) -> np.ndarray:
-        return tensor_values(self.Rik)
+    def R3(self) -> Jet:
+        d = self.Rik.grad(self.ys)
+        return (1.0 / 3.0) * (d - d.einsum("ikl->ilk"))
 
     @cached_property
-    def R3(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n, n), dtype=object)
-        third = 1.0 / 3.0
-        for i, k, l in itertools.product(range(n), repeat=3):
-            out[i, k, l] = third * (
-                self.Rik[i, k].deriv(n + l) - self.Rik[i, l].deriv(n + k)
-            )
-        return out
-
-    @cached_property
-    def R4(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n, n, n), dtype=object)
-        for j, i, k, l in itertools.product(range(n), repeat=4):
-            out[j, i, k, l] = self.R3[i, k, l].deriv(n + j)
-        return out
+    def R4_values(self) -> np.ndarray:
+        """R^i_{jkl}, the full curvature tensor, indexed [j, i, k, l]."""
+        return np.moveaxis(self.R3.gradient()[..., self.n:], -1, 0)
 
     @cached_property
     def Ric(self) -> Jet:
-        acc = self.ring.zero()
-        for m in range(self.n):
-            acc = acc + self.Rik[m, m]
-        return acc
+        return self.Rik.einsum("mm->")
 
     @cached_property
     def Rscalar(self) -> Jet:
         return (1.0 / (self.n - 1)) * self.Ric
 
     @cached_property
-    def T(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n), dtype=object)
-        rv = [self.Rscalar.deriv(n + j) for j in range(n)]
-        for i, j in itertools.product(range(n), repeat=2):
-            entry = self.Rik[i, j] + 0.5 * rv[j] * self.y_jets[i]
-            if i == j:
-                entry = entry - self.Rscalar
-            out[i, j] = entry
-        return out
+    def Rscalar_v(self) -> Jet:
+        """R_{.k}."""
+        return self.Rscalar.grad(self.ys)
 
     @cached_property
-    def T_values(self) -> np.ndarray:
-        return tensor_values(self.T)
+    def T(self) -> Jet:
+        return (self.Rik + (0.5 * self.Rscalar_v)[None, :] * self.y_jets[:, None]
+                - self.Rscalar * np.eye(self.n))
+
+    T_values = cached_property(lambda self: self.T.value())
 
     # -- covariant derivatives -------------------------------------------
 
     def hcov_values(self, tensor, contra: int) -> np.ndarray:
         """Horizontal covariant derivative, one extra lower index, values only.
 
-        ``tensor`` is an object array (or nested list) of jets whose first
-        ``contra`` axes are contravariant; every entry must keep at least
-        one exact order.
+        ``tensor`` is a tensor jet (or nested jets, see :func:`jets.stack`) whose
+        first ``contra`` axes are contravariant; it must keep one exact order.
         """
-        n = self.n
-        tensor = np.asarray(tensor, dtype=object)
-        rank = tensor.ndim
-        vals = tensor_values(tensor)
-        Nv, Gv = self.N_values, self.Gamma_values
-        out = np.zeros(tensor.shape + (n,))
-        for idx in np.ndindex(*tensor.shape):
-            grad = tensor[idx].gradient()
-            base = grad[:n] - Nv.T @ grad[n:]
-            for m in range(n):
-                val = base[m]
-                for pos in range(rank):
-                    swapped = list(idx)
-                    for l in range(n):
-                        swapped[pos] = l
-                        if pos < contra:
-                            val += vals[tuple(swapped)] * Gv[idx[pos], l, m]
-                        else:
-                            val -= vals[tuple(swapped)] * Gv[l, idx[pos], m]
-                out[idx + (m,)] = val
+        tensor = jets.stack(tensor)
+        vals = np.asarray(tensor.value())
+        out = self.hcov_scalar_values(tensor)
+        for pos in range(vals.ndim):
+            # contravariant slot: + T^..l.. Gamma^i_lm; covariant: - T_..l.. Gamma^l_im
+            conn = self.Gamma_values if pos < contra else -self.Gamma_values.transpose(1, 0, 2)
+            out += np.moveaxis(np.tensordot(vals, conn, axes=([pos], [1])), -2, pos)
         return out
 
     def hcov_scalar_values(self, f: Jet) -> np.ndarray:
+        """Values of f_{|k} = f_{x^k} - N^l_k f_{.l}, indexed [..., k], entry by entry."""
         grad = f.gradient()
-        return grad[: self.n] - self.N_values.T @ grad[self.n :]
+        return grad[..., : self.n] - grad[..., self.n :] @ self.N_values
 
     @cached_property
     def Rscalar_hcov(self) -> np.ndarray:
@@ -471,7 +393,7 @@ class SprayStack:
     @cached_property
     def Rscalar_vhcov(self) -> np.ndarray:
         """(R_{.k})_{|m}, indexed [k, m]."""
-        return self.hcov_values([self.vderiv(self.Rscalar, k) for k in range(self.n)], contra=0)
+        return self.hcov_values(self.Rscalar_v, contra=0)
 
     @cached_property
     def Rik_hcov(self) -> np.ndarray:
@@ -512,7 +434,7 @@ def fundamental_tensor(metric: FinslerMetric, point: TangentPoint, degree: int =
     return FundamentalTensor(g=g, ginv=np.linalg.inv(g), ylow=frame.ylow)
 
 
-def geodesic_coefficients(metric: FinslerMetric, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> list[Jet]:
+def geodesic_coefficients(metric: FinslerMetric, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> Jet:
     return MetricFrame(metric, point, degree).spray_coefficients
 
 
@@ -528,14 +450,8 @@ def connection(spray: Spray, point: TangentPoint, degree: int = 5) -> Connection
 
 def riemann(spray: Spray, point: TangentPoint, degree: int = 6) -> Curvature:
     st = stack_for(spray, point, degree)
-    return Curvature(
-        Rik=st.Rik_values,
-        R3=tensor_values(st.R3),
-        R4=tensor_values(st.R4),
-        Ric=st.Ric.value(),
-        Rscalar=st.Rscalar.value(),
-        T=st.T_values,
-    )
+    return Curvature(Rik=st.Rik_values, R3=st.R3.value(), R4=st.R4_values,
+                     Ric=st.Ric.value(), Rscalar=st.Rscalar.value(), T=st.T_values)
 
 
 def vderiv(field, spray: Spray, point: TangentPoint, k: int, degree: int = DEFAULT_DEGREE) -> float:

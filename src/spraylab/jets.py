@@ -12,7 +12,9 @@ precomputed graded multi-index table shared by all jets of the same
 order of ``itertools.combinations_with_replacement``, so truncating to a
 lower degree is a prefix slice.  Jets may carry leading batch axes
 (``coeffs.shape == (*batch, ring.size)``); all operations broadcast over
-them, which is what makes quadrature loops cheap.
+them, which is what makes quadrature loops cheap.  A tensor is one jet
+whose batch axes are its indices; indexing, ``grad`` and ``einsum`` act
+on those axes only (the vector mode of forward differentiation).
 
 Each jet also records ``valid``, the number of Taylor orders that are
 still exact.  Deriving a jet from truncated data loses one order per
@@ -162,9 +164,10 @@ def ring(nvars: int, degree: int) -> PolyRing:
 
 
 class Jet:
-    """One truncated Taylor expansion; treat as immutable."""
+    """One truncated Taylor expansion (or a tensor of them); treat as immutable."""
 
     __slots__ = ("ring", "coeffs", "valid", "nzdeg")
+    __array_ufunc__ = None  # numpy operands on the left defer to __rmul__ etc.
 
     def __init__(self, ring: PolyRing, coeffs: np.ndarray, valid: int, nzdeg: int):
         self.ring = ring
@@ -177,6 +180,21 @@ class Jet:
     @property
     def batch_shape(self) -> tuple:
         return self.coeffs.shape[:-1]
+
+    def __getitem__(self, idx) -> "Jet":
+        """Index the batch axes; the coefficient axis always stays whole."""
+        if not self.batch_shape:
+            raise TypeError("a scalar jet is not indexable")
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        return Jet(self.ring, self.coeffs[idx + (Ellipsis, slice(None))], self.valid, self.nzdeg)
+
+    def __len__(self) -> int:
+        if not self.batch_shape:
+            raise TypeError("a scalar jet has no length")
+        return self.batch_shape[0]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     def value(self):
         v = self.coeffs[..., 0]
@@ -215,12 +233,28 @@ class Jet:
 
     def deriv(self, var: int) -> "Jet":
         """Partial-derivative jet with respect to ring variable ``var``."""
-        if not (0 <= var < self.ring.nvars):
-            raise ValueError(f"derivative slot {var} out of range")
+        return self.grad(var)
+
+    def grad(self, slots) -> "Jet":
+        """Partials along a sequence of ``slots``, stacked on a new trailing batch axis."""
+        ring = self.ring
+        slots = np.asarray(slots)
+        if slots.dtype.kind not in "iu" or ((slots < 0) | (slots >= ring.nvars)).any():
+            raise ValueError(f"derivative slot {slots} out of range")
         if self.valid < 1:
             raise DegreeBudgetError("derivative would exceed the truncation budget")
-        coeffs = self.coeffs[..., self.ring._dsrc[var]] * self.ring._dmul[var]
-        return Jet(self.ring, coeffs, valid=self.valid - 1, nzdeg=max(self.nzdeg - 1, 0))
+        # outputs above valid-1 read inputs above valid, which are zero
+        keep = int(ring.size_upto[self.valid - 1])
+        part = self.coeffs[..., ring._dsrc[slots, :keep]] * ring._dmul[slots, :keep]
+        coeffs = np.zeros(part.shape[:-1] + (ring.size,))
+        coeffs[..., :keep] = part
+        return Jet(ring, coeffs, valid=self.valid - 1, nzdeg=max(self.nzdeg - 1, 0))
+
+    def einsum(self, spec: str) -> "Jet":
+        """Linear map over the batch axes, e.g. ``"mm->"`` (trace) or ``"ik->ki"``."""
+        inputs, output = spec.split("->")
+        return Jet(self.ring, np.einsum(f"{inputs}...->{output}...", self.coeffs),
+                   self.valid, self.nzdeg)
 
     def sum_batch(self, weights: np.ndarray) -> "Jet":
         """Weighted sum over the leading batch axis (quadrature reduction)."""
@@ -317,6 +351,20 @@ class Jet:
             f"Jet(nvars={self.ring.nvars}, degree={self.ring.degree}, "
             f"valid={self.valid}, value={np.array2string(np.asarray(self.coeffs[..., 0]))})"
         )
+
+
+def stack(nested) -> Jet:
+    """One tensor jet from nested jets, keeping the fewest exact orders among them."""
+    if isinstance(nested, Jet):
+        return nested
+    parts = [stack(entry) for entry in nested]
+    ring = parts[0].ring
+    if any(p.ring is not ring for p in parts):
+        raise ValueError("jets belong to different rings")
+    valid = min(p.valid for p in parts)
+    coeffs = np.stack([p.coeffs for p in parts])
+    coeffs[..., int(ring.size_upto[valid]):] = 0.0
+    return Jet(ring, coeffs, valid, max(p.nzdeg for p in parts))
 
 
 # -- univariate composition ---------------------------------------------

@@ -266,30 +266,22 @@ class MeasureStack:
     @cached_property
     def S(self) -> Jet:
         st = self.stack
-        acc = st.N[0, 0]
-        for m in range(1, self.n):
-            acc = acc + st.N[m, m]
-        ln = self.lnsigma
-        for m in range(self.n):
-            acc = acc - st.y_jets[m] * ln.deriv(m)
-        return acc
+        return st.N.einsum("mm->") - (st.y_jets * self.lnsigma.grad(st.xs)).einsum("m->")
 
     @cached_property
     def S_v(self) -> np.ndarray:
         """Values of S_{.k}."""
-        return np.array([self.S.deriv(self.n + k).value() for k in range(self.n)])
+        return self.S.gradient()[self.n:]
 
     @cached_property
-    def S_hderiv(self) -> list[Jet]:
-        return [self.stack.hderiv(self.S, m) for m in range(self.n)]
+    def S_hderiv(self) -> Jet:
+        """S_{|m}."""
+        return self.stack.hgrad(self.S)
 
     @cached_property
     def S0(self) -> Jet:
         """S_{|m} y^m."""
-        acc = self.S_hderiv[0] * self.stack.y_jets[0]
-        for m in range(1, self.n):
-            acc = acc + self.S_hderiv[m] * self.stack.y_jets[m]
-        return acc
+        return (self.S_hderiv * self.stack.y_jets).einsum("m->")
 
     @cached_property
     def tau(self) -> Jet:
@@ -297,41 +289,24 @@ class MeasureStack:
         return (k * self.S) ** 2 + k * self.S0
 
     def chi_values(self, route: str = "fromT") -> np.ndarray:
-        n = self.n
         st = self.stack
         if route == "fromS":
             # S_{.i|m} is the covariant derivative of the one-form S_{.i};
             # contracted with y^m its connection term is -S_{.l} N^l_i
-            out = np.zeros(n)
-            for i in range(n):
-                si = self.S.deriv(n + i)
-                acc = -float(self.S_v @ st.N_values[:, i])
-                for m in range(n):
-                    acc += st.hderiv_value(si, m) * st.point.y[m]
-                out[i] = 0.5 * (acc - st.hderiv_value(self.S, i))
-            return out
+            s_vh = st.hcov_scalar_values(self.S.grad(st.ys)) @ st.point.y_array()
+            return 0.5 * (s_vh - self.S_v @ st.N_values - st.hcov_scalar_values(self.S))
         if route == "fromT":
-            out = np.zeros(n)
-            for i in range(n):
-                out[i] = -sum(st.T[m, i].deriv(n + m).value() for m in range(n)) / 3.0
-            return out
+            return -np.einsum("mim->i", st.T.gradient()[..., self.n:]) / 3.0
         if route == "fromR":
-            return np.array([jet.value() for jet in self.chi_jets])
+            return self.chi_jets.value()
         raise ConfigError(f"unknown chi route {route!r}; use one of {self.CHI_ROUTES}")
 
     @cached_property
-    def chi_jets(self) -> list[Jet]:
+    def chi_jets(self) -> Jet:
         """chi as jets via the curvature-only expression (keeps most orders)."""
-        n = self.n
         st = self.stack
-        out = []
-        for i in range(n):
-            acc = 2.0 * st.Rik[0, i].deriv(n + 0)
-            for m in range(1, n):
-                acc = acc + 2.0 * st.Rik[m, i].deriv(n + m)
-            acc = acc + (n - 1.0) * st.Rscalar.deriv(n + i)
-            out.append((-1.0 / 6.0) * acc)
-        return out
+        trace = st.Rik.grad(st.ys).einsum("mim->i")
+        return (-1.0 / 6.0) * (2.0 * trace + (self.n - 1.0) * st.Rscalar_v)
 
 
 def measure_stack(obj, volume: VolumeForm, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> MeasureStack:

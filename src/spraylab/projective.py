@@ -37,7 +37,6 @@ from .geometry import (
     TangentPoint,
     spray_and_metric,
     stack_for,
-    tensor_values,
 )
 from .jets import Jet
 from .measures import MeasureStack, VolumeForm, measure_stack
@@ -62,9 +61,9 @@ class ProjectiveStack:
         self.ring = self.base.ring
 
     @cached_property
-    def Ghat(self) -> list[Jet]:
+    def Ghat(self) -> Jet:
         shift = (1.0 / (self.n + 1.0)) * self.measure.S
-        return [g - shift * yj for g, yj in zip(self.base.G, self.base.y_jets)]
+        return self.base.G - shift * self.base.y_jets
 
     @cached_property
     def hat(self) -> SprayStack:
@@ -79,7 +78,7 @@ class ProjectiveStack:
         return self.hat.Rscalar
 
     @cached_property
-    def W(self) -> np.ndarray:
+    def W(self) -> Jet:
         """Weyl tensor as jets: the trace-adjusted hat curvature."""
         return self.hat.T
 
@@ -97,16 +96,11 @@ class ProjectiveStack:
         return st.Rscalar_hcov, st.Rscalar_vhcov @ y, chi_cov @ y
 
     @cached_property
-    def weyl_base(self) -> np.ndarray:
+    def weyl_base(self) -> Jet:
         """Weyl tensor as base-ring jets (trace-adjusted curvature plus chi)."""
-        n = self.n
         st = self.base
         chi = self.measure.chi_jets
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for k in range(n):
-                out[i, k] = st.T[i, k] + (3.0 / (n + 1.0)) * st.y_jets[i] * chi[k]
-        return out
+        return st.T + (3.0 / (self.n + 1.0)) * st.y_jets[:, None] * chi[None, :]
 
     @cached_property
     def weyl_div(self) -> np.ndarray:
@@ -115,7 +109,7 @@ class ProjectiveStack:
 
     def weyl_values(self, route: str = "viaHat") -> np.ndarray:
         if route == "viaHat":
-            return tensor_values(self.W)
+            return self.W.value()
         if route == "viaChi":
             chi = self.measure.chi_values("fromR")
             y = self.point.y_array()
@@ -168,7 +162,7 @@ class ProjectiveSpray(Spray):
         if hasattr(base, "default_box"):
             self.default_box = base.default_box
 
-    def coefficients(self, point: TangentPoint, degree: int) -> list[Jet]:
+    def coefficients(self, point: TangentPoint, degree: int) -> Jet:
         st = stack_for(self.base, point, degree)
         return ProjectiveStack(MeasureStack(st, self.volume, self.base.metric)).Ghat
 
@@ -183,7 +177,7 @@ class ProjectiveSpray(Spray):
 class ProjectiveEval:
     """Hat-spray quantities of one (spray, volume) pair at one point."""
 
-    Ghat: list
+    Ghat: Jet
     Nhat: np.ndarray
     Gammahat: np.ndarray
     Shat: float
@@ -258,14 +252,14 @@ def projective_eval(obj, volume: VolumeForm, point: TangentPoint, degree: int = 
     ps = projective_stack(obj, volume, point, degree)
     hat = ps.hat
     return ProjectiveEval(
-        Ghat=list(ps.Ghat),
+        Ghat=ps.Ghat,
         Nhat=hat.N_values,
         Gammahat=hat.Gamma_values,
         Shat=ps.hat_measure.S.value(),
         chihat=ps.hat_measure.chi_values("fromR"),
         Rhat_ik=hat.Rik_values,
         Rhat=ps.Rhat.value(),
-        That=tensor_values(ps.W),
+        That=ps.W.value(),
         W=ps.weyl_values("viaHat"),
         Wo=ps.wo_values(wo_route),
     )
@@ -356,11 +350,8 @@ def einstein_wo_check(metric, point: TangentPoint, degree: int = DEFAULT_DEGREE,
     ps = ProjectiveStack(MeasureStack(st, volume, metric))
     n = metric.dim
     sigma = st.Rscalar * jets.reciprocal(frame.fsq)
-    theta = sigma.deriv(0) * st.y_jets[0]
-    for m in range(1, n):
-        theta = theta + sigma.deriv(m) * st.y_jets[m]
+    theta = (sigma.grad(st.xs) * st.y_jets).einsum("m->")
     ratio = theta * jets.reciprocal(frame.F)
-    fval = frame.F.value()
-    predicted = np.array([fval**3 * ratio.deriv(n + k).value() for k in range(n)])
+    predicted = frame.F.value() ** 3 * ratio.gradient()[n:]
     wo = ps.wo_values("definition")
     return EinsteinCheck(wo=wo, predicted=predicted, residual=float(np.max(np.abs(wo - predicted))))

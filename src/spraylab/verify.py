@@ -26,7 +26,7 @@ from .catalog import MetricSpec
 from .errors import ConfigError, SprayLabError
 from .geometry import (DEFAULT_DEGREE, MetricFrame, MetricSpray, PerturbedSpray,
                        Spray, SprayStack, TangentPoint, spray_and_metric,
-                       stack_for, tensor_values)
+                       stack_for)
 from .jets import Jet
 from .measures import MeasureStack, VolumeForm, as_volume
 from .projective import (ProjectiveStack, einstein_wo_check, projective_stack,
@@ -143,6 +143,20 @@ def _aggregate(check: str, results: list[CheckResult], tolerance, floor) -> Chec
     )
 
 
+def _suite_report(metric: str, volume: str, seed, degree: int, tol: Tolerances,
+                  groups: dict, results=None) -> SuiteReport:
+    """A report from insertion-ordered ``{check: (tolerance, results)}`` groups.
+
+    ``results`` keeps the caller's order of the per-point results; by
+    default they follow the groups.
+    """
+    checks = tuple(_aggregate(name, rs, t, tol.floor) for name, (t, rs) in groups.items())
+    if results is None:
+        results = [r for _, rs in groups.values() for r in rs]
+    return SuiteReport(metric, volume, seed, degree, tol, checks, tuple(results),
+                       all(agg.passed for agg in checks))
+
+
 def _spread(vals) -> tuple[float, float]:
     """Largest pairwise distance between routes, and their magnitude."""
     res = max(_maxabs(a - b) for a, b in itertools.combinations(vals, 2))
@@ -187,10 +201,14 @@ class CheckContext:
         return ProjectiveStack(self.measure)
 
     @cached_property
+    def r_h(self) -> Jet:
+        """R_{|k}, the horizontal derivatives of the Ricci scalar, as jets."""
+        return self.stack.hgrad(self.stack.Rscalar)
+
+    @cached_property
     def r_hcov(self) -> np.ndarray:
         """Second horizontal covariant derivative matrix of the Ricci scalar."""
-        st = self.stack
-        return st.hcov_values([st.hderiv(st.Rscalar, k) for k in range(self.n)], contra=0)
+        return self.stack.hcov_values(self.r_h, contra=0)
 
 
 # -- registered identities -----------------------------------------------------
@@ -221,9 +239,8 @@ class IdentityCheck:
 
 
 def _euler_metric(ctx):
-    n = ctx.n
     F = ctx.frame.F
-    lhs = sum(ctx.point.y[m] * F.deriv(n + m).value() for m in range(n))
+    lhs = float(ctx.y @ F.gradient()[ctx.n:])
     return abs(lhs - F.value()), abs(F.value())
 
 
@@ -234,7 +251,7 @@ def _euler_fundamental(ctx):
 
 def _euler_spray(ctx):
     st = ctx.stack
-    G = np.array([g.value() for g in st.G])
+    G = st.G.value()
     lhs = st.N_values @ ctx.y
     return _maxabs(lhs - 2.0 * G), _maxabs(lhs, 2.0 * G)
 
@@ -257,20 +274,20 @@ def _rik_y_kill(ctx):
 
 
 def _r3_antisymmetric(ctx):
-    r3 = tensor_values(ctx.stack.R3)
+    r3 = ctx.stack.R3.value()
     return _maxabs(r3 + r3.transpose(0, 2, 1)), _maxabs(r3)
 
 
 def _r3_contract(ctx):
     st = ctx.stack
-    lhs = np.einsum("ikl,l->ik", tensor_values(st.R3), ctx.y)
+    lhs = np.einsum("ikl,l->ik", st.R3.value(), ctx.y)
     return _maxabs(lhs - st.Rik_values), _maxabs(lhs, st.Rik_values)
 
 
 def _r4_contract(ctx):
     st = ctx.stack
-    r3 = tensor_values(st.R3)
-    lhs = np.einsum("jikl,j->ikl", tensor_values(st.R4), ctx.y)
+    r3 = st.R3.value()
+    lhs = np.einsum("jikl,j->ikl", st.R4_values, ctx.y)
     return _maxabs(lhs - r3), _maxabs(lhs, r3)
 
 
@@ -296,31 +313,23 @@ def _y_parallel(ctx):
 
 
 def _ricci_exchange_1(ctx):
-    st, n = ctx.stack, ctx.n
-    f = st.Rscalar
-    lhs = np.array(
-        [[st.hderiv(f, m).deriv(n + k).value() for k in range(n)] for m in range(n)]
-    )
-    rhs = st.Rscalar_vhcov
+    lhs = ctx.r_h.gradient()[:, ctx.n:]
+    rhs = ctx.stack.Rscalar_vhcov
     return _maxabs(lhs - rhs.T), _maxabs(lhs, rhs)
 
 
 def _ricci_exchange_2(ctx):
-    st, n = ctx.stack, ctx.n
+    st = ctx.stack
     cov = ctx.r_hcov
-    fv = np.array([st.Rscalar.deriv(n + l).value() for l in range(n)])
-    rhs = np.einsum("l,lkm->km", fv, tensor_values(st.R3))
+    rhs = np.einsum("l,lkm->km", st.Rscalar_v.value(), st.R3.value())
     return _maxabs(cov - cov.T - rhs), _maxabs(cov, rhs)
 
 
 def _ricci_exchange_3(ctx):
-    st, n = ctx.stack, ctx.n
-    f = st.Rscalar
+    st = ctx.stack
     lhs = ctx.r_hcov @ ctx.y
-    f0 = sum((st.hderiv(f, m) * st.y_jets[m] for m in range(n)), st.ring.zero())
-    mid = np.array([st.hderiv_value(f0, k) for k in range(n)])
-    fv = np.array([f.deriv(n + l).value() for l in range(n)])
-    rhs = fv @ st.Rik_values
+    mid = st.hcov_scalar_values((ctx.r_h * st.y_jets).einsum("m->"))
+    rhs = st.Rscalar_v.value() @ st.Rik_values
     return _maxabs(lhs - mid - rhs), _maxabs(lhs, mid, rhs)
 
 
@@ -340,9 +349,8 @@ def _s_homogeneous(ctx):
 
 
 def _tau_homogeneous(ctx):
-    n = ctx.n
     t = ctx.measure.tau
-    lhs = sum(ctx.point.y[m] * t.deriv(n + m).value() for m in range(n))
+    lhs = float(ctx.y @ t.gradient()[ctx.n:])
     return abs(lhs - 2.0 * t.value()), max(abs(lhs), 2.0 * abs(t.value()))
 
 
@@ -376,7 +384,7 @@ def _hat_ricci_scalar(ctx):
 def _hat_ricci_tensor(ctx):
     n = ctx.n
     tau = ctx.measure.tau
-    taud = np.array([tau.deriv(n + k).value() for k in range(n)])
+    taud = tau.gradient()[n:]
     chi = ctx.measure.chi_values("fromR")
     rhs = (
         ctx.stack.Rik_values
@@ -388,11 +396,8 @@ def _hat_ricci_tensor(ctx):
 
 
 def _chi_compact_form(ctx):
-    n = ctx.n
-    st = ctx.stack
-    S0 = ctx.measure.S0
-    sk = np.array([st.hderiv_value(ctx.measure.S, k) for k in range(n)])
-    lhs = np.array([0.5 * (S0.deriv(n + k).value() - 2.0 * sk[k]) for k in range(n)])
+    sk = ctx.stack.hcov_scalar_values(ctx.measure.S)
+    lhs = 0.5 * (ctx.measure.S0.gradient()[ctx.n:] - 2.0 * sk)
     rhs = ctx.measure.chi_values("fromR")
     return _maxabs(lhs - rhs), _maxabs(lhs, rhs, sk)
 
@@ -400,12 +405,9 @@ def _chi_compact_form(ctx):
 def _chi_curvature_trace(ctx):
     n = ctx.n
     st = ctx.stack
-    lhs = np.array(
-        [sum(st.Rik[m, i].deriv(n + m).value() for m in range(n)) for i in range(n)]
-    )
+    lhs = np.einsum("mim->i", st.Rik.gradient()[..., n:])
     chi = ctx.measure.chi_values("fromR")
-    rv = np.array([st.Rscalar.deriv(n + i).value() for i in range(n)])
-    rhs = -3.0 * chi - 0.5 * (n - 1.0) * rv
+    rhs = -3.0 * chi - 0.5 * (n - 1.0) * st.Rscalar_v.value()
     return _maxabs(lhs - rhs), _maxabs(lhs, rhs)
 
 
@@ -432,16 +434,12 @@ def _hat_nonlinear(ctx):
 
 def _hat_berwald(ctx):
     n = ctx.n
-    S = ctx.measure.S
     sd = ctx.measure.S_v
-    sdd = np.array(
-        [[S.deriv(n + k).deriv(n + j).value() for j in range(n)] for k in range(n)]
-    )
-    corr = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                corr[i, j, k] = sd[k] * (i == j) + sd[j] * (i == k) + sdd[k, j] * ctx.y[i]
+    sdd = ctx.measure.S.grad(ctx.stack.ys).gradient()[:, n:]
+    eye = np.eye(n)
+    # sd_k d^i_j + sd_j d^i_k + sdd_jk y^i
+    corr = (np.einsum("ij,k->ijk", eye, sd) + np.einsum("ik,j->ijk", eye, sd)
+            + np.einsum("i,kj->ijk", ctx.y, sdd))
     rhs = ctx.stack.Gamma_values - corr / (n + 1.0)
     lhs = ctx.proj.hat.Gamma_values
     return _maxabs(lhs - rhs), _maxabs(lhs, ctx.stack.Gamma_values)
@@ -451,16 +449,10 @@ def _transfer_residual(ctx, f: Jet) -> tuple[float, float]:
     # f_{||k} = f_{|k} + Y(f) S_{.k}/(n+1) + S f_{.k}/(n+1)
     n = ctx.n
     st = ctx.stack
-    S = ctx.measure.S
     Yf = st.euler_field(f).value()
-    lhs = np.array([ctx.proj.hat.hderiv(f, k).value() for k in range(n)])
-    rhs = np.array(
-        [
-            st.hderiv_value(f, k)
-            + (Yf * ctx.measure.S_v[k] + S.value() * f.deriv(n + k).value()) / (n + 1.0)
-            for k in range(n)
-        ]
-    )
+    lhs = ctx.proj.hat.hgrad(f).value()
+    rhs = st.hcov_scalar_values(f) + (
+        Yf * ctx.measure.S_v + ctx.measure.S.value() * f.gradient()[n:]) / (n + 1.0)
     return _maxabs(lhs - rhs), _maxabs(lhs, rhs)
 
 
@@ -469,9 +461,7 @@ def _hat_scalar_transfer(ctx):
 
 
 def _hat_frame_transfer(ctx):
-    st = ctx.stack
-    trace_n = sum((st.N[m, m] for m in range(1, ctx.n)), st.N[0, 0])
-    return _transfer_residual(ctx, trace_n)
+    return _transfer_residual(ctx, ctx.stack.N.einsum("mm->"))
 
 
 def _weyl_routes(ctx):
@@ -504,14 +494,10 @@ def _wo_routes(ctx):
 
 def _wo_rewrite(ctx):
     # W^o_k = (3 Rhat_{||k} - (Rhat_{||m} y^m)_{.k}) / 2
-    n = ctx.n
     hat = ctx.proj.hat
-    hk = [hat.hderiv(ctx.proj.Rhat, k) for k in range(n)]
-    h0 = sum((hk[m] * hat.y_jets[m] for m in range(1, n)), hk[0] * hat.y_jets[0])
-    alt = 0.5 * (
-        3.0 * np.array([jet.value() for jet in hk])
-        - np.array([h0.deriv(n + k).value() for k in range(n)])
-    )
+    hk = hat.hgrad(ctx.proj.Rhat)
+    h0 = (hk * hat.y_jets).einsum("m->")
+    alt = 0.5 * (3.0 * hk.value() - h0.gradient()[ctx.n:])
     wo = ctx.proj.wo_values("definition")
     return _maxabs(alt - wo), _maxabs(alt, wo)
 
@@ -658,40 +644,22 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
         raise ConfigError(f"unknown checks: {', '.join(missing)}")
 
     quad = volume.uses_quadrature
-    per_check: dict[str, list[CheckResult]] = {c.name: [] for c in selected}
+    groups = {c.name: (tolerances.pick(quad and c.uses_measure), []) for c in selected}
     for point in pts:
         ctx = CheckContext(spray, metric, volume, point, degree)
         for check in selected:
             if not check.applies(ctx):
                 continue
-            tol = tolerances.pick(quad and check.uses_measure)
+            tol, results = groups[check.name]
             try:
                 residual, scale = check.fn(ctx)
             except ConfigError:
                 raise
             except (SprayLabError, FloatingPointError):
                 residual, scale = math.inf, 1.0
-            per_check[check.name].append(
-                _result(check.name, point, residual, scale, tol, tolerances.floor)
-            )
-
-    aggregates = []
-    results: list[CheckResult] = []
-    for check in selected:
-        tol = tolerances.pick(quad and check.uses_measure)
-        aggregates.append(_aggregate(check.name, per_check[check.name],
-                                     tol, tolerances.floor))
-        results.extend(per_check[check.name])
-    return SuiteReport(
-        metric=getattr(obj, "name", str(obj)),
-        volume=volume.describe(),
-        seed=seed,
-        degree=degree,
-        tolerances=tolerances,
-        checks=tuple(aggregates),
-        results=tuple(results),
-        passed=all(agg.passed for agg in aggregates),
-    )
+            results.append(_result(check.name, point, residual, scale, tol, tolerances.floor))
+    return _suite_report(getattr(obj, "name", str(obj)), volume.describe(), seed,
+                         degree, tolerances, groups)
 
 
 # -- theorem fixtures -------------------------------------------------------------
@@ -941,23 +909,10 @@ def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
     opts = {"points": points, "seed": seed, "degree": degree,
             "nodes": nodes, "volume": volume}
     results, volume_desc = fn(opts, tol)
-
-    grouped: dict[str, list[CheckResult]] = {}
+    groups: dict[str, tuple[float, list[CheckResult]]] = {}
     for r in results:
-        grouped.setdefault(r.check, []).append(r)
-    aggregates = tuple(
-        _aggregate(label, rs, rs[0].tolerance, tol.floor) for label, rs in grouped.items()
-    )
-    return SuiteReport(
-        metric=name,
-        volume=volume_desc,
-        seed=seed,
-        degree=degree,
-        tolerances=tol,
-        checks=aggregates,
-        results=tuple(results),
-        passed=all(agg.passed for agg in aggregates),
-    )
+        groups.setdefault(r.check, (r.tolerance, []))[1].append(r)
+    return _suite_report(name, volume_desc, seed, degree, tol, groups, results)
 
 
 # -- finite-difference oracle ----------------------------------------------------

@@ -26,7 +26,6 @@ from spraylab.geometry import (
     jet_matrix_inverse,
     riemann,
     stack_for,
-    tensor_values,
 )
 
 
@@ -363,7 +362,7 @@ def test_curvature_traces_and_y_kill():
 
 def test_r3_antisymmetry_and_contraction():
     st = stack_for(RandersVar().spray(), POINT3, degree=6)
-    r3 = tensor_values(st.R3)
+    r3 = st.R3.value()
     np.testing.assert_allclose(r3, -r3.transpose(0, 2, 1), atol=1e-12)
     got = np.einsum("ikl,l->ik", r3, POINT3.y_array())
     np.testing.assert_allclose(got, st.Rik_values, rtol=1e-9, atol=1e-10)
@@ -486,3 +485,38 @@ def test_jet_matrix_inverse_pivots():
                 acc = acc + mat[i][l] * inv[l][j]
             want = 1.0 if i == j else 0.0
             np.testing.assert_allclose(acc.value(), want, atol=1e-13)
+
+
+# -- tensor jets ----------------------------------------------------------------
+
+
+def test_stack_tensors_are_jets_with_index_batch_axes():
+    st = stack_for(RandersVar().spray(), POINT3, degree=6)
+    for name, rank in (("G", 1), ("N", 2), ("Gamma", 3), ("Rik", 2), ("R3", 3), ("T", 2)):
+        tensor = getattr(st, name)
+        assert isinstance(tensor, jets.Jet), name
+        assert tensor.batch_shape == (3,) * rank, name
+    assert st.B_values.shape == (3,) * 4 and st.R4_values.shape == (3,) * 4
+
+
+def test_hcov_values_matches_reference_loop():
+    st = stack_for(RandersVar().spray(), POINT3, degree=6)
+    n = st.n
+    Nv, Gv = st.N_values, st.Gamma_values
+    for tensor, contra in ((st.Rik, 1), (st.T, 0), (st.Rik, 2)):
+        vals = tensor.value()
+        want = np.zeros((n, n, n))
+        for i, k in itertools.product(range(n), repeat=2):
+            grad = tensor[i, k].gradient()
+            for m in range(n):
+                val = grad[m] - Nv[:, m] @ grad[n:]
+                for l in range(n):
+                    val += (vals[l, k] * Gv[i, l, m] if contra > 0
+                            else -vals[l, k] * Gv[l, i, m])
+                    val += (vals[i, l] * Gv[k, l, m] if contra > 1
+                            else -vals[i, l] * Gv[l, k, m])
+                want[i, k, m] = val
+        got = st.hcov_values(tensor, contra=contra)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+        nested = [[tensor[i, k] for k in range(n)] for i in range(n)]
+        np.testing.assert_array_equal(st.hcov_values(nested, contra=contra), got)

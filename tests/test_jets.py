@@ -360,3 +360,96 @@ def test_deterministic_coefficients():
     first = build()
     second = build()
     assert first.tobytes() == second.tobytes()
+
+
+# -- tensor jets ------------------------------------------------------------------
+
+
+def _tensor_jet():
+    """A (2, 3) tensor of distinct jets in ring(3, 4), one order spent."""
+    ring = jets.ring(3, 4)
+    x = [ring.seed(v, 0.3 * v - 0.2) for v in range(3)]
+    entries = [[jets.exp(x[0] * (i + 1)) * x[1] + x[2] ** (k + 2) for k in range(3)]
+               for i in range(2)]
+    return jets.stack(entries).deriv(2)
+
+
+def test_grad_matches_stacked_derivs_bitwise():
+    t = _tensor_jet()
+    slots = [2, 0, 1]
+    g = t.grad(slots)
+    assert g.batch_shape == t.batch_shape + (3,)
+    want = np.stack([t.deriv(s).coeffs for s in slots], axis=-2)
+    np.testing.assert_array_equal(g.coeffs, want)
+    assert (g.valid, g.nzdeg) == (t.valid - 1, max(t.nzdeg - 1, 0))
+
+
+def test_grad_keeps_the_valid_invariant_and_budget():
+    ring = jets.ring(2, 3)
+    f = ring.seed(0, 0.5) * ring.seed(1, -0.25) ** 2
+    g = f.grad([0, 1]).grad([0, 1]).grad([1])
+    assert g.valid == 0 and g.nzdeg == 0
+    np.testing.assert_array_equal(g.coeffs[..., 1:], 0.0)
+    with pytest.raises(DegreeBudgetError):
+        g.grad([0])
+    with pytest.raises(DegreeBudgetError):
+        g.deriv(0)
+    with pytest.raises(ValueError):
+        f.grad([2])
+
+
+def test_indexing_reaches_batch_axes_only():
+    t = _tensor_jet()
+    size = t.ring.size
+    assert t[1].batch_shape == (3,) and t[1, 2].batch_shape == ()
+    assert t[:, 0].coeffs.shape == (2, size)
+    assert t[:, None].coeffs.shape == (2, 1, 3, size)
+    np.testing.assert_array_equal(t[1][2].coeffs, t.coeffs[1, 2])
+    assert (t[0, 1].valid, t[0, 1].nzdeg) == (t.valid, t.nzdeg)
+    with pytest.raises(IndexError):
+        t[0, 1, 0]
+    assert len(t) == 2 and [e.batch_shape for e in t] == [(3,), (3,)]
+    scalar = t[0, 0]
+    with pytest.raises(TypeError):
+        scalar[0]
+    with pytest.raises(TypeError):
+        len(scalar)
+    with pytest.raises(TypeError):
+        iter(scalar)
+
+
+def test_einsum_maps_batch_axes():
+    ring = jets.ring(2, 3)
+    x = ring.seed(0, 0.4)
+    m = jets.stack([[x, 2.0 * x], [x * x, jets.sin(x)]])
+    np.testing.assert_allclose(m.einsum("mm->").coeffs, (x + jets.sin(x)).coeffs, atol=1e-15)
+    np.testing.assert_array_equal(m.einsum("ik->ki").coeffs, m.coeffs.transpose(1, 0, 2))
+    np.testing.assert_array_equal(m.einsum("ik->i")[1].coeffs, (x * x + jets.sin(x)).coeffs)
+
+
+def test_stack_takes_fewest_orders_and_one_ring():
+    ring = jets.ring(2, 4)
+    a = ring.seed(0, 0.3) ** 3
+    b = a.deriv(0).deriv(0)
+    s = jets.stack([a, b, ring.const(2.0)])
+    assert s.batch_shape == (3,) and s.valid == b.valid == 2
+    assert s.nzdeg == 2  # the largest nonzero degree, capped by the budget
+    assert jets.stack([ring.const(1.0), ring.seed(1, 0.0)]).nzdeg == 1
+    # coefficients above the shared budget are dropped
+    np.testing.assert_array_equal(s[0].coeffs[int(ring.size_upto[2]):], 0.0)
+    np.testing.assert_array_equal(s[1].coeffs, b.coeffs)
+    assert jets.stack(s) is s
+    with pytest.raises(ValueError):
+        jets.stack([a, jets.ring(2, 3).seed(0, 0.3)])
+
+
+@pytest.mark.parametrize("left", [np.float64(2.0), np.array(2.0), np.array([2.0, 3.0])],
+                         ids=["numpy-scalar", "0-d", "1-d"])
+def test_numpy_operand_on_the_left_gives_a_jet(left):
+    ring = jets.ring(2, 3)
+    vec = jets.stack([ring.seed(0, 0.1), ring.seed(1, 0.2)])
+    for right in (vec, vec[0]):
+        for out in (left * right, left + right, left - right):
+            assert isinstance(out, jets.Jet)
+            assert out.batch_shape == np.broadcast_shapes(np.shape(left), right.batch_shape)
+    np.testing.assert_allclose((left * vec).value(), np.asarray(left) * vec.value())

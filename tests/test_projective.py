@@ -22,7 +22,6 @@ from spraylab.geometry import (
     PerturbedSpray,
     TangentPoint,
     stack_for,
-    tensor_values,
 )
 from spraylab.measures import MeasureStack, VolumeForm
 from spraylab.projective import (
@@ -436,6 +435,13 @@ def test_einstein_check_guards():
 
 
 # -- bundles, validation, degrees ----------------------------------------------------
+
+
+def test_weyl_tensor_is_one_jet():
+    ps = randers_stack(VolumeForm.coordinate())
+    assert isinstance(ps.W, jets.Jet) and ps.W.batch_shape == (3, 3)
+    assert isinstance(ps.weyl_base, jets.Jet) and ps.weyl_base.batch_shape == (3, 3)
+    assert ps.Ghat.batch_shape == (3,) and ps.measure.chi_jets.batch_shape == (3,)
 
 
 def test_projective_eval_bundle():
