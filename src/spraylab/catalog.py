@@ -403,7 +403,7 @@ def sample(obj, count=20, seed=0, box=None) -> list[TangentPoint]:
         raise ConfigError(f"point count must be at least 1, got {count}")
     if isinstance(obj, (str, MetricSpec)):
         obj = build(obj)
-    box = box if box is not None else getattr(obj, "default_box", ("cube", 0.5))
+    box = box if box is not None else obj.default_box
     rng = np.random.default_rng(seed)
     points = []
     attempts = 0

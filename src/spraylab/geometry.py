@@ -2,10 +2,11 @@
 
 Everything is evaluated through jets at a single tangent point: a metric
 contributes the jet of F^2 in the doubled ring of (x, y) variables, the
-spray coefficients follow by linear algebra on jets, and connection and
-curvature tensors are plain derivative reads from there.  No symbolic
-expressions are kept; a "field" is anything that can hand back a jet at
-a point, which is what makes the derivative operators composable.
+spray coefficients follow from one Taylor-mode linear solve against the
+fundamental tensor g, and connection and curvature tensors are plain
+derivative reads from there.  No symbolic expressions are kept; a
+"field" is anything that can hand back a jet at a point, which is what
+makes the derivative operators composable.
 
 Index conventions: ring variables 0..n-1 are x^1..x^n, variables n..2n-1
 are y^1..y^n.  A tensor is one batched jet whose batch axes are its
@@ -57,17 +58,12 @@ class TangentPoint:
         return np.array(self.y)
 
 
-class FinslerMetric:
-    """Base class: a positively 1-homogeneous norm given through F^2 jets."""
+class Chart:
+    """The chart protocol shared by metrics and sprays: which points are admissible."""
 
     dim: int
-    name: str = "metric"
-    params: dict = {}
+    name: str
     default_box: tuple[str, float] = ("cube", 0.5)
-
-    def fsq(self, x: list, y: list):
-        """Jet (or float) of F^2 from coordinate jets (or floats)."""
-        raise NotImplementedError
 
     def admissible(self, point: TangentPoint) -> bool:
         return True
@@ -75,36 +71,35 @@ class FinslerMetric:
     def check_point(self, point: TangentPoint):
         if point.dim != self.dim:
             raise AdmissibilityError(
-                f"point dimension {point.dim} does not match metric dimension {self.dim}"
+                f"point dimension {point.dim} does not match dimension {self.dim} of {self.name}"
             )
         if not self.admissible(point):
             raise AdmissibilityError(f"point {point} is outside the chart of {self.name}")
+
+
+class FinslerMetric(Chart):
+    """Base class: a positively 1-homogeneous norm given through F^2 jets."""
+
+    name: str = "metric"
+    params: dict = {}
+
+    def fsq(self, x: list, y: list):
+        """Jet (or float) of F^2 from coordinate jets (or floats)."""
+        raise NotImplementedError
 
     def spray(self) -> "MetricSpray":
         return MetricSpray(self)
 
 
-class Spray:
+class Spray(Chart):
     """Base class: second-order vector field with 2-homogeneous coefficients."""
 
-    dim: int
     name: str = "spray"
     metric: FinslerMetric | None = None
 
     def coefficients(self, point: TangentPoint, degree: int) -> Jet:
         """The jets G^i, as one jet with batch shape (n,)."""
         raise NotImplementedError
-
-    def admissible(self, point: TangentPoint) -> bool:
-        return True
-
-    def check_point(self, point: TangentPoint):
-        if point.dim != self.dim:
-            raise AdmissibilityError(
-                f"point dimension {point.dim} does not match spray dimension {self.dim}"
-            )
-        if not self.admissible(point):
-            raise AdmissibilityError(f"point {point} is outside the chart of {self.name}")
 
 
 class MetricSpray(Spray):
@@ -136,18 +131,18 @@ class PerturbedSpray(Spray):
         # measure-level quantities of the perturbation are taken with the
         # base metric's volume forms, so keep the anchor
         self.metric = base.metric
-        if isinstance(base, MetricSpray):
-            self.default_box = base.metric.default_box
+        self.default_box = base.default_box
 
     def coefficients(self, point: TangentPoint, degree: int) -> Jet:
-        G = jets.stack(self.base.coefficients(point, degree))
+        return self.perturb(self.base.coefficients(point, degree), point)
+
+    def perturb(self, G: Jet, point: TangentPoint) -> Jet:
+        """G^i + p y^i for the base spray's coefficients G at ``point``."""
         n = self.dim
         xs = [G.ring.seed(i, point.x[i]) for i in range(n)]
         ys = _seeds(G.ring, n, point.y)
         p = sum((self.oneform[m](xs) * ys[m] for m in range(n)), G.ring.zero())
-        # p and the seeds are exact to the full ring degree; one product per
-        # entry keeps that multiply's temporaries at the size of one jet
-        return jets.stack([g + p * y for g, y in zip(G, ys)])
+        return G + p.truncate(G.valid) * ys
 
     def admissible(self, point: TangentPoint) -> bool:
         return self.base.admissible(point)
@@ -186,28 +181,8 @@ def _assert_positive_definite(g: np.ndarray, context: str):
         a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
 
 
-def jet_matrix_inverse(m: list[list[Jet]]) -> list[list[Jet]]:
-    """Gauss-Jordan inverse of a jet matrix, pivoting on constant terms."""
-    n = len(m)
-    ring = m[0][0].ring
-    aug = [list(row) + [ring.const(1.0 if i == j else 0.0) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col].value()))
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_pivot = jets.reciprocal(aug[col][col])
-        aug[col] = [entry * inv_pivot for entry in aug[col]]
-        for row in range(n):
-            if row == col:
-                continue
-            factor = aug[row][col]
-            if factor.nzdeg == 0 and abs(factor.value()) == 0.0:
-                continue
-            aug[row] = [a - factor * b for a, b in zip(aug[row], aug[col])]
-    return [row[n:] for row in aug]
-
-
 class MetricFrame:
-    """Jets of one metric at one point: F^2, F, g, its inverse, and G^i."""
+    """Jets of one metric at one point: F^2, F, g, and G^i solved from g."""
 
     def __init__(self, metric: FinslerMetric, point: TangentPoint, degree: int = DEFAULT_DEGREE):
         metric.check_point(point)
@@ -238,12 +213,6 @@ class MetricFrame:
         return vals
 
     @cached_property
-    def ginv(self) -> Jet:
-        self.g_values  # definiteness gate before inverting
-        # scalar entries keep the constant-pivot shortcuts of the elimination
-        return jets.stack(jet_matrix_inverse(self.g))
-
-    @cached_property
     def ylow(self) -> np.ndarray:
         return 0.5 * self.fsq.gradient()[self.n:]
 
@@ -252,7 +221,8 @@ class MetricFrame:
         fx = self.fsq.grad(range(self.n))
         # rhs_l = -F^2_{x^l} + F^2_{x^k y^l} y^k
         rhs = (fx.grad(self.ys) * self.y[:, None]).einsum("kl->l") - fx
-        return 0.25 * (self.ginv * rhs[None, :]).einsum("il->i")
+        self.g_values  # definiteness gate before solving
+        return 0.25 * jets.solve(self.g, rhs)
 
     @cached_property
     def stack(self) -> "SprayStack":

@@ -250,6 +250,11 @@ class Jet:
         coeffs[..., :keep] = part
         return Jet(ring, coeffs, valid=self.valid - 1, nzdeg=max(self.nzdeg - 1, 0))
 
+    def truncate(self, k: int) -> "Jet":
+        """The same jet with every order above ``k`` set to zero."""
+        valid = min(self.valid, k)
+        return Jet(self.ring, self._trim(self.coeffs.copy(), valid), valid, self.nzdeg)
+
     def einsum(self, spec: str) -> "Jet":
         """Linear map over the batch axes, e.g. ``"mm->"`` (trace) or ``"ik->ki"``."""
         inputs, output = spec.split("->")
@@ -365,6 +370,30 @@ def stack(nested) -> Jet:
     coeffs = np.stack([p.coeffs for p in parts])
     coeffs[..., int(ring.size_upto[valid]):] = 0.0
     return Jet(ring, coeffs, valid, max(p.nzdeg for p in parts))
+
+
+def solve(a: Jet, b) -> Jet:
+    """The jet z with ``a z = b``, for ``a`` of batch shape (n, n) and ``b`` of shape (n,).
+
+    Taylor-mode solve with one inverse of a(0): the order-k coefficients of
+    z come from those of the residual b - a z, with z known below order k
+    and the product cut at order k (Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., ch. 13).
+    """
+    b = a._coerce(b)
+    ring = a.ring
+    try:
+        a0inv = np.linalg.inv(a.coeffs[..., 0])
+    except np.linalg.LinAlgError:
+        raise JetDomainError("solve needs an invertible constant term") from None
+    valid = min(a.valid, b.valid)
+    z = np.zeros(np.broadcast_shapes(a.batch_shape[:-1], b.batch_shape) + (ring.size,))
+    z[..., :1] = a0inv @ b.coeffs[..., :1]
+    for k in range(1, valid + 1):
+        lo, hi = int(ring.size_upto[k - 1]), int(ring.size_upto[k])
+        az = ring._mul_coeffs(a.coeffs, z[..., None, :, :], k).sum(axis=-2)
+        z[..., lo:hi] = a0inv @ (b.coeffs[..., lo:hi] - az[..., lo:hi])
+    return Jet(ring, z, valid, valid)
 
 
 # -- univariate composition ---------------------------------------------

@@ -159,8 +159,7 @@ class ProjectiveSpray(Spray):
         self.dim = base.dim
         self.name = f"projective({base.name})"
         self.metric = base.metric
-        if hasattr(base, "default_box"):
-            self.default_box = base.default_box
+        self.default_box = base.default_box
 
     def coefficients(self, point: TangentPoint, degree: int) -> Jet:
         st = stack_for(self.base, point, degree)

@@ -533,7 +533,7 @@ def _perturbation_forms(n: int):
 
 def _projective_invariance(ctx):
     pert = PerturbedSpray(ctx.spray, _perturbation_forms(ctx.n))
-    pstack = stack_for(pert, ctx.point, ctx.degree)
+    pstack = SprayStack(ctx.point, pert.perturb(ctx.stack.G, ctx.point))
     pproj = ProjectiveStack(MeasureStack(pstack, ctx.volume, ctx.metric))
     w0 = ctx.proj.weyl_values("viaHat")
     w1 = pproj.weyl_values("viaHat")

@@ -6,6 +6,8 @@ import pytest
 from spraylab import catalog
 from spraylab.catalog import MetricSpec, build, sample
 from spraylab.errors import AdmissibilityError, ConfigError
+from spraylab.measures import VolumeForm
+from spraylab.projective import ProjectiveSpray
 from spraylab.geometry import (
     MetricFrame,
     PerturbedSpray,
@@ -180,6 +182,14 @@ def test_sampler_respects_box():
     points = sample(MetricSpec("funk", 3), count=40, seed=2, box=("ball", 0.9))
     for point in points:
         assert np.linalg.norm(point.x_array()) < 0.9
+
+
+def test_derived_sprays_keep_the_base_box():
+    base = ProjectiveSpray(build(MetricSpec("square-metric", 3)).spray(), VolumeForm.coordinate())
+    pert = PerturbedSpray(base, [lambda xs: 0.1 + 0.0 * xs[0]] * 3)
+    for point in sample(pert, count=20, seed=4):
+        assert np.linalg.norm(point.x_array()) <= 0.25
+    assert pert.default_box == base.default_box == ("ball", 0.25)
 
 
 def test_sampler_rejection_error():

@@ -23,7 +23,6 @@ from spraylab.geometry import (
     connection,
     fundamental_tensor,
     geodesic_coefficients,
-    jet_matrix_inverse,
     riemann,
     stack_for,
 )
@@ -448,43 +447,6 @@ def test_perturbed_spray_coefficients():
     p = oneform[0](xs) * ys[0] + oneform[1](xs) * ys[1] + oneform[2](xs) * ys[2]
     for i in range(3):
         assert_jets_close(G1[i], G0[i] + p * ys[i], 1e-13)
-
-
-def test_jet_matrix_inverse_roundtrip():
-    rng = np.random.default_rng(7)
-    r = jets.ring(3, 4)
-    mat = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            entry = r.const(3.0 if i == j else 0.3 * rng.standard_normal())
-            for v in range(3):
-                entry = entry + 0.2 * rng.standard_normal() * r.seed(v, 0.0)
-            row.append(entry)
-        mat.append(row)
-    inv = jet_matrix_inverse(mat)
-    for i in range(3):
-        for j in range(3):
-            acc = r.zero()
-            for l in range(3):
-                acc = acc + mat[i][l] * inv[l][j]
-            want = 1.0 if i == j else 0.0
-            assert abs(acc.value() - want) < 1e-12
-            np.testing.assert_allclose(acc.coeffs[1:], 0.0, atol=1e-12)
-
-
-def test_jet_matrix_inverse_pivots():
-    r = jets.ring(2, 3)
-    u = r.seed(0, 0.0)
-    mat = [[u, r.const(1.0)], [r.const(1.0), r.const(0.0)]]
-    inv = jet_matrix_inverse(mat)
-    for i in range(2):
-        for j in range(2):
-            acc = r.zero()
-            for l in range(2):
-                acc = acc + mat[i][l] * inv[l][j]
-            want = 1.0 if i == j else 0.0
-            np.testing.assert_allclose(acc.value(), want, atol=1e-13)
 
 
 # -- tensor jets ----------------------------------------------------------------

@@ -453,3 +453,58 @@ def test_numpy_operand_on_the_left_gives_a_jet(left):
             assert isinstance(out, jets.Jet)
             assert out.batch_shape == np.broadcast_shapes(np.shape(left), right.batch_shape)
     np.testing.assert_allclose((left * vec).value(), np.asarray(left) * vec.value())
+
+
+def test_truncate_keeps_low_orders_only():
+    ring = jets.ring(2, 5)
+    f = (ring.seed(0, 0.3) + 2.0 * ring.seed(1, -0.1)) ** 3 + 1.0
+    t = f.truncate(2)
+    keep = int(ring.size_upto[2])
+    assert (t.valid, t.nzdeg) == (2, 2) and (f.valid, f.nzdeg) == (5, 3)
+    np.testing.assert_array_equal(t.coeffs[:keep], f.coeffs[:keep])
+    assert not t.coeffs[keep:].any() and f.coeffs[keep:].any()
+    assert f.truncate(7).valid == 5 and ring.const(2.0).truncate(1).nzdeg == 0
+
+
+def _matmul(a, z):
+    return (a * z[None, :]).einsum("il->i")
+
+
+def test_solve_roundtrip():
+    rng = np.random.default_rng(7)
+    r = jets.ring(3, 4)
+    seeds = [r.seed(v, 0.0) for v in range(3)]
+
+    def entry(c):
+        out = r.const(c)
+        for v in range(3):
+            out = out + 0.2 * rng.standard_normal() * seeds[v]
+        return out + 0.1 * rng.standard_normal() * seeds[0] * seeds[1] * seeds[2]
+
+    a = jets.stack([[entry(3.0 if i == j else 0.3 * rng.standard_normal()) for j in range(3)]
+                    for i in range(3)])
+    b = jets.stack([entry(rng.standard_normal()) ** 2 for _ in range(3)]).truncate(3)
+    z = jets.solve(a, b)
+    assert z.batch_shape == (3,) and z.valid == b.valid
+    np.testing.assert_allclose(_matmul(a, z).coeffs, b.coeffs, rtol=0.0, atol=1e-12)
+
+
+def test_solve_zero_diagonal_constant_term():
+    # a(0) = [[0, 1], [1, 0]] has no usable diagonal pivot; a^{-1} = [[0, 1], [1, -u]]
+    r = jets.ring(2, 3)
+    u = r.seed(0, 0.0)
+    one, zero = r.const(1.0), r.const(0.0)
+    a = jets.stack([[u, one], [one, zero]])
+    want = [[zero, one], [one, -u]]
+    for j, e in enumerate(([1.0, 0.0], [0.0, 1.0])):
+        z = jets.solve(a, r.const(np.array(e)))
+        for i in range(2):
+            np.testing.assert_allclose(z[i].coeffs, want[i][j].coeffs, rtol=0.0, atol=1e-13)
+
+
+def test_solve_singular_constant_term_raises():
+    r = jets.ring(2, 3)
+    u = r.seed(0, 1.0)
+    a = jets.stack([[r.const(1.0), u], [r.const(1.0), u]])
+    with pytest.raises(JetDomainError):
+        jets.solve(a, r.const(np.ones(2)))

@@ -14,7 +14,7 @@ import pytest
 from spraylab import jets, measures
 from spraylab.catalog import MetricSpec, build, sample
 from spraylab.errors import AdmissibilityError, ConfigError, JetDomainError
-from spraylab.geometry import MetricFrame, TangentPoint, jet_matrix_inverse, stack_for
+from spraylab.geometry import MetricFrame, TangentPoint, stack_for
 from spraylab.measures import (
     VolumeForm,
     as_volume,
@@ -93,11 +93,8 @@ def randers_lnsigma_closed_form(metric, x, degree):
         - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
         + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
     )
-    ainv = jet_matrix_inverse(a)
-    bn2 = 0.0
-    for i in range(3):
-        for j in range(3):
-            bn2 = b[i] * ainv[i][j] * b[j] + bn2
+    bv = jets.stack(b)
+    bn2 = (bv * jets.solve(jets.stack(a), bv)).einsum("i->")
     return 2.0 * jets.log(1.0 - bn2) + 0.5 * jets.log(det)
 
 

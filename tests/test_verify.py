@@ -8,7 +8,7 @@ import pytest
 from spraylab import catalog, verify
 from spraylab.catalog import MetricSpec
 from spraylab.errors import ConfigError
-from spraylab.geometry import TangentPoint, stack_for
+from spraylab.geometry import MetricFrame, TangentPoint, stack_for
 from spraylab.measures import MeasureStack, VolumeForm
 from spraylab.verify import (REGISTRY, Tolerances, as_volume, fd_oracle,
                              identity_suite, theorem_check, theorem_names)
@@ -23,6 +23,19 @@ def test_registry_size_and_unique_names():
     names = verify.check_names()
     assert len(REGISTRY) == 43
     assert len(set(names)) == len(names)
+
+
+def test_identity_suite_builds_one_metric_frame_per_point(monkeypatch):
+    built = []
+    init = MetricFrame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MetricFrame, "__init__", counting_init)
+    identity_suite("randers", points=3)
+    assert len(built) == 3 and len(set(built)) == 3
 
 
 def test_registry_dimension_gates():
