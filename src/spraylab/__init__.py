@@ -29,17 +29,13 @@ from .measures import MeasureStack, VolumeForm, as_volume, bh_density
 from .projective import (
     WEYL_ROUTES,
     WO_ROUTES,
+    PointContext,
     ProjectiveSpray,
     ProjectiveStack,
-    berwald_weyl,
     bweyl_residual,
     einstein_wo_check,
-    projective_eval,
-    projective_spray,
-    projective_stack,
     volume_change,
     volume_change_wo,
-    weyl,
 )
 from .verify import (
     REGISTRY,
@@ -67,6 +63,7 @@ __all__ = [
     "MetricSpec",
     "MetricSpray",
     "PerturbedSpray",
+    "PointContext",
     "ProjectiveSpray",
     "ProjectiveStack",
     "REGISTRY",
@@ -82,7 +79,6 @@ __all__ = [
     "WO_ROUTES",
     "as_field",
     "as_volume",
-    "berwald_weyl",
     "bh_density",
     "build",
     "bweyl_residual",
@@ -92,9 +88,6 @@ __all__ = [
     "family_summary",
     "fd_oracle",
     "identity_suite",
-    "projective_eval",
-    "projective_spray",
-    "projective_stack",
     "sample",
     "stack_for",
     "theorem_check",
@@ -102,6 +95,5 @@ __all__ = [
     "theorem_summary",
     "volume_change",
     "volume_change_wo",
-    "weyl",
     "__version__",
 ]

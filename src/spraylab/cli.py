@@ -25,10 +25,9 @@ import numpy as np
 from . import catalog
 from .catalog import MetricSpec
 from .errors import ConfigError, SprayLabError
-from .geometry import (DEFAULT_DEGREE, MetricFrame, MetricSpray, spray_and_metric,
-                       stack_for)
-from .measures import MeasureStack, VolumeForm, as_volume, split_volume
-from .projective import WEYL_ROUTES, WO_ROUTES, ProjectiveStack
+from .geometry import DEFAULT_DEGREE
+from .measures import VolumeForm, as_volume, split_volume
+from .projective import WEYL_ROUTES, WO_ROUTES, PointContext
 from .verify import (Tolerances, identity_suite, theorem_check, theorem_names,
                      theorem_summary)
 
@@ -54,8 +53,7 @@ class RunConfig:
     metric_family: str = "euclidean"
     metric_dim: int | None = None
     metric_params: dict = field(default_factory=dict)
-    volume_kind: str = "coordinate"
-    volume_sigma: str | None = None
+    volume_spec: str = "coordinate"
     volume_nodes: int = 64
     points: int = 20
     seed: int = 0
@@ -74,11 +72,7 @@ class RunConfig:
         return MetricSpec(self.metric_family, self.metric_dim, dict(self.metric_params))
 
     def volume(self) -> VolumeForm:
-        if self.volume_kind == "explicit" and self.volume_sigma is None:
-            raise ConfigError(
-                "explicit volume needs volume.sigma (or --volume explicit:<expr>)"
-            )
-        return as_volume(self.volume_kind, self.volume_nodes, sigma=self.volume_sigma)
+        return as_volume(self.volume_spec, self.volume_nodes)
 
     def tolerances(self) -> Tolerances:
         return Tolerances(jet=self.tol_jet, quad=self.tol_quad, floor=self.floor)
@@ -109,9 +103,8 @@ def _parse_box(key: str, value: str) -> tuple[str, float]:
 
 
 def _set_volume(cfg: RunConfig, key: str, value: str):
-    cfg.volume_kind, sigma = split_volume(key, value)
-    if sigma is not None:
-        cfg.volume_sigma = sigma
+    split_volume(key, value)  # reject a bad spec where it was given
+    cfg.volume_spec = value
     cfg.volume_set = True
 
 
@@ -148,9 +141,6 @@ def _apply_pair(cfg: RunConfig, key: str, value: str):
         cfg.metric_params[key[len("metric."):]] = _literal(value)
     elif key == "volume.kind":
         _set_volume(cfg, key, value)
-    elif key == "volume.sigma":
-        cfg.volume_sigma = value
-        cfg.volume_set = True
     elif key == "volume.nodes":
         cfg.volume_nodes = _parse_int(key, value)
     elif key == "points.count":
@@ -402,30 +392,19 @@ def _cmd_theorem(args) -> tuple[str, int]:
     return text, 0 if report.passed else 1
 
 
-def _eval_point(spray, metric, volume, point, degree, index) -> dict:
-    n = point.dim
-    if metric is not None and isinstance(spray, MetricSpray):
-        frame = MetricFrame(metric, point, degree)
-        st = frame.stack
-        f_val = math.sqrt(frame.fsq.value())
-    else:
-        st = stack_for(spray, point, degree)
-        f_val = (math.sqrt(MetricFrame(metric, point, 2).fsq.value())
-                 if metric is not None else None)
-    ms = MeasureStack(st, volume, metric)
-    ps = ProjectiveStack(ms)
-    wo = {}
-    for route in WO_ROUTES:
-        if route == "divW" and n < 3:
-            wo[route] = None
-        else:
-            wo[route] = ps.wo_values(route)
+def _eval_point(obj, volume, point, degree, index) -> dict:
+    ctx = PointContext(obj, volume, point, degree)
+    st, ms, ps = ctx.stack, ctx.measure, ctx.proj
+    # F is a plain float read: a spray that is not a metric's own builds no frame
+    fsq = None if ctx.metric is None else ctx.metric.fsq(list(point.x), list(point.y))
+    wo = {route: None if route == "divW" and point.dim < 3 else ps.wo_values(route)
+          for route in WO_ROUTES}
     return {
         "record": "eval",
         "index": index,
         "x": list(point.x),
         "y": list(point.y),
-        "F": f_val,
+        "F": None if fsq is None else math.sqrt(fsq),
         "G": st.G.value(),
         "N": st.N_values,
         "Gamma": st.Gamma_values,
@@ -446,13 +425,10 @@ def _eval_point(spray, metric, volume, point, degree, index) -> dict:
 def _cmd_eval(args) -> tuple[str, int]:
     cfg = parse_config(args.config, args)
     obj = catalog.build(cfg.metric_spec())
-    spray, metric = spray_and_metric(obj)
     volume = cfg.volume()
     points = catalog.sample(obj, count=cfg.points, seed=cfg.seed, box=cfg.box)
-    records = [
-        _eval_point(spray, metric, volume, point, cfg.degree, idx)
-        for idx, point in enumerate(points)
-    ]
+    records = [_eval_point(obj, volume, point, cfg.degree, idx)
+               for idx, point in enumerate(points)]
     if cfg.fmt == "csv":
         flat = []
         for rec in records:

@@ -11,6 +11,12 @@ makes the derivative operators composable.
 Index conventions: ring variables 0..n-1 are x^1..x^n, variables n..2n-1
 are y^1..y^n.  A tensor is one batched jet whose batch axes are its
 indices, all contravariant indices first; ``.value()`` reads its values.
+
+This module holds the first two links of the per-point chain: the metric
+frame (F^2, g, G^i) and the spray stack (N, Gamma, B, R and horizontal
+derivatives).  ``projective.PointContext`` strings them together with the
+measure and projective layers; quantities are read from those objects,
+not through one-call helpers.
 """
 
 from __future__ import annotations
@@ -251,20 +257,9 @@ class SprayStack:
 
     # -- derivatives of scalars ------------------------------------------
 
-    def vderiv(self, f: Jet, k: int) -> Jet:
-        """Vertical derivative with respect to y^k."""
-        return f.deriv(self.n + k)
-
     def hgrad(self, f: Jet) -> Jet:
         """Horizontal derivatives f_{|k} = f_{x^k} - N^l_k f_{.l} of a scalar jet."""
         return f.grad(self.xs) - (self.N * f.grad(self.ys)[:, None]).einsum("lk->k")
-
-    def hderiv(self, f: Jet, k: int) -> Jet:
-        """Horizontal derivative of a scalar along the spray's frame."""
-        return self.hgrad(f)[k]
-
-    def hderiv_value(self, f: Jet, k: int) -> float:
-        return float(self.hcov_scalar_values(f)[k])
 
     def euler_field(self, f: Jet) -> Jet:
         """Y(f) = y^m f_{.m}."""
@@ -361,6 +356,16 @@ class SprayStack:
         return self.hcov_scalar_values(self.Rscalar)
 
     @cached_property
+    def Rscalar_h(self) -> Jet:
+        """R_{|k} as jets, for derivatives beyond the first."""
+        return self.hgrad(self.Rscalar)
+
+    @cached_property
+    def Rscalar_hh(self) -> np.ndarray:
+        """R_{|k|m}, indexed [k, m]."""
+        return self.hcov_values(self.Rscalar_h, contra=0)
+
+    @cached_property
     def Rscalar_vhcov(self) -> np.ndarray:
         """(R_{.k})_{|m}, indexed [k, m]."""
         return self.hcov_values(self.Rscalar_v, contra=0)
@@ -371,66 +376,7 @@ class SprayStack:
         return self.hcov_values(self.Rik, contra=1)
 
 
-# -- public wrappers ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FundamentalTensor:
-    g: np.ndarray
-    ginv: np.ndarray
-    ylow: np.ndarray
-
-
-@dataclass(frozen=True)
-class Connection:
-    N: np.ndarray
-    Gamma: np.ndarray
-    B: np.ndarray
-
-
-@dataclass(frozen=True)
-class Curvature:
-    Rik: np.ndarray
-    R3: np.ndarray
-    R4: np.ndarray
-    Ric: float
-    Rscalar: float
-    T: np.ndarray
-
-
-def fundamental_tensor(metric: FinslerMetric, point: TangentPoint, degree: int = 3) -> FundamentalTensor:
-    frame = MetricFrame(metric, point, degree)
-    g = frame.g_values
-    return FundamentalTensor(g=g, ginv=np.linalg.inv(g), ylow=frame.ylow)
-
-
-def geodesic_coefficients(metric: FinslerMetric, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> Jet:
-    return MetricFrame(metric, point, degree).spray_coefficients
-
-
 def stack_for(spray: Spray, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> SprayStack:
+    """The connection and curvature stack of any spray at an admissible point."""
     spray.check_point(point)
     return SprayStack(point, spray.coefficients(point, degree))
-
-
-def connection(spray: Spray, point: TangentPoint, degree: int = 5) -> Connection:
-    st = stack_for(spray, point, degree)
-    return Connection(N=st.N_values, Gamma=st.Gamma_values, B=st.B_values)
-
-
-def riemann(spray: Spray, point: TangentPoint, degree: int = 6) -> Curvature:
-    st = stack_for(spray, point, degree)
-    return Curvature(Rik=st.Rik_values, R3=st.R3.value(), R4=st.R4_values,
-                     Ric=st.Ric.value(), Rscalar=st.Rscalar.value(), T=st.T_values)
-
-
-def vderiv(field, spray: Spray, point: TangentPoint, k: int, degree: int = DEFAULT_DEGREE) -> float:
-    """d(field)/dy^k where ``field`` maps a SprayStack to a jet."""
-    st = stack_for(spray, point, degree)
-    return st.vderiv(field(st), k).value()
-
-
-def hderiv(field, spray: Spray, point: TangentPoint, k: int, degree: int = DEFAULT_DEGREE) -> float:
-    """Horizontal derivative of a scalar field along the spray's frame."""
-    st = stack_for(spray, point, degree)
-    return st.hderiv_value(field(st), k)

@@ -17,14 +17,7 @@ import numpy as np
 from . import jets
 from .errors import AdmissibilityError, ConfigError
 from .expressions import as_field
-from .geometry import (
-    DEFAULT_DEGREE,
-    FinslerMetric,
-    SprayStack,
-    TangentPoint,
-    spray_and_metric,
-    stack_for,
-)
+from .geometry import FinslerMetric, SprayStack
 from .jets import Jet
 
 BH_MAX_DIM = 4
@@ -220,29 +213,26 @@ def split_volume(key: str, spec: str) -> tuple[str, str | None]:
     if spec.startswith("explicit:"):
         return "explicit", spec[len("explicit:"):]
     kind = "busemann-hausdorff" if spec == "bh" else spec
-    if kind not in VOLUME_KINDS:
-        raise ConfigError(f"{key} expects one of {', '.join(VOLUME_KINDS)} "
+    if kind not in ("coordinate", "busemann-hausdorff"):
+        raise ConfigError(f"{key} expects coordinate, busemann-hausdorff (or bh) "
                           f"or explicit:<sigma expression>; got {spec!r}")
     return kind, None
 
 
-def as_volume(spec=None, nodes: int = 64, sigma: str | None = None) -> VolumeForm:
-    """Coerce a volume description (None, a form, or a spec) to a form.
-
-    A bare ``explicit`` spec takes its density from ``sigma``.
-    """
+def as_volume(spec=None, nodes: int = 64) -> VolumeForm:
+    """Coerce a volume description (None, a form, or a spec) to a form."""
     if spec is None:
         return VolumeForm.coordinate()
     if isinstance(spec, VolumeForm):
         return spec
     if not isinstance(spec, str):
         raise ConfigError("volume must be a VolumeForm, a recognized name, or None")
-    kind, given = split_volume("volume", spec)
+    kind, sigma = split_volume("volume", spec)
     if kind == "coordinate":
         return VolumeForm.coordinate()
     if kind == "busemann-hausdorff":
         return VolumeForm.busemann_hausdorff(nodes)
-    return VolumeForm.explicit(sigma if given is None else given)
+    return VolumeForm.explicit(sigma)
 
 
 class MeasureStack:
@@ -308,19 +298,3 @@ class MeasureStack:
         trace = st.Rik.grad(st.ys).einsum("mim->i")
         return (-1.0 / 6.0) * (2.0 * trace + (self.n - 1.0) * st.Rscalar_v)
 
-
-def measure_stack(obj, volume: VolumeForm, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> MeasureStack:
-    spray, metric = spray_and_metric(obj)
-    return MeasureStack(stack_for(spray, point, degree), volume, metric)
-
-
-def s_curvature(obj, volume: VolumeForm, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> Jet:
-    return measure_stack(obj, volume, point, degree).S
-
-
-def tau(obj, volume: VolumeForm, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> float:
-    return measure_stack(obj, volume, point, degree).tau.value()
-
-
-def chi(obj, volume: VolumeForm, point: TangentPoint, route: str = "fromT", degree: int = DEFAULT_DEGREE) -> np.ndarray:
-    return measure_stack(obj, volume, point, degree).chi_values(route)

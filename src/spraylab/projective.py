@@ -16,6 +16,12 @@ Routes for W^o_k (hat marks the projective spray, n the dimension):
 
 "||" is the horizontal covariant derivative of the hat spray, "|" that of
 the base spray; both come from the same SprayStack operators.
+
+``PointContext`` is the one per-point chain, metric frame -> spray stack
+-> measure stack -> projective stack, built lazily.  The CLI's ``eval``,
+the identity suite, the theorem fixtures and the operations below
+(volume change, flatness residuals, the Einstein-surface check) all read
+their quantities from it.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .expressions import as_field
 from .geometry import (
     DEFAULT_DEGREE,
     MetricFrame,
+    MetricSpray,
     Spray,
     SprayStack,
     TangentPoint,
@@ -39,7 +46,7 @@ from .geometry import (
     stack_for,
 )
 from .jets import Jet
-from .measures import MeasureStack, VolumeForm, measure_stack
+from .measures import MeasureStack, VolumeForm
 
 WEYL_ROUTES = ("viaChi", "viaHat")
 WO_ROUTES = ("definition", "viaBase", "divW", "divR")
@@ -150,6 +157,45 @@ class ProjectiveStack:
         return (wo - wf, self.weyl_div - wxi), (wo, wf, self.weyl_div, wxi)
 
 
+class PointContext:
+    """The lazy chain at one (metric or spray, volume, point).
+
+    frame -> stack -> measure -> proj, each built on first use and shared
+    by every quantity read afterwards.  A metric's spray reuses the
+    metric's frame, so F^2 is expanded once per point.
+    """
+
+    def __init__(self, obj, volume: VolumeForm, point: TangentPoint,
+                 degree: int = DEFAULT_DEGREE):
+        self.spray, self.metric = spray_and_metric(obj)
+        self.volume = volume
+        self.point = point
+        self.degree = degree
+        self.n = point.dim
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return self.point.y_array()
+
+    @cached_property
+    def frame(self) -> MetricFrame:
+        return MetricFrame(self.metric, self.point, self.degree)
+
+    @cached_property
+    def stack(self) -> SprayStack:
+        if isinstance(self.spray, MetricSpray):
+            return self.frame.stack
+        return stack_for(self.spray, self.point, self.degree)
+
+    @cached_property
+    def measure(self) -> MeasureStack:
+        return MeasureStack(self.stack, self.volume, self.metric)
+
+    @cached_property
+    def proj(self) -> ProjectiveStack:
+        return ProjectiveStack(self.measure)
+
+
 class ProjectiveSpray(Spray):
     """The spray G^i - S y^i/(n+1) for a fixed volume form."""
 
@@ -162,30 +208,13 @@ class ProjectiveSpray(Spray):
         self.default_box = base.default_box
 
     def coefficients(self, point: TangentPoint, degree: int) -> Jet:
-        st = stack_for(self.base, point, degree)
-        return ProjectiveStack(MeasureStack(st, self.volume, self.base.metric)).Ghat
+        return PointContext(self.base, self.volume, point, degree).proj.Ghat
 
     def admissible(self, point: TangentPoint) -> bool:
         return self.base.admissible(point)
 
 
 # -- result bundles -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjectiveEval:
-    """Hat-spray quantities of one (spray, volume) pair at one point."""
-
-    Ghat: Jet
-    Nhat: np.ndarray
-    Gammahat: np.ndarray
-    Shat: float
-    chihat: np.ndarray
-    Rhat_ik: np.ndarray
-    Rhat: float
-    That: np.ndarray
-    W: np.ndarray
-    Wo: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -231,39 +260,6 @@ class EinsteinCheck:
 # -- public operations ---------------------------------------------------------
 
 
-def projective_stack(obj, volume: VolumeForm, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> ProjectiveStack:
-    return ProjectiveStack(measure_stack(obj, volume, point, degree))
-
-
-def projective_spray(obj, volume: VolumeForm) -> ProjectiveSpray:
-    return ProjectiveSpray(spray_and_metric(obj)[0], volume)
-
-
-def weyl(obj, volume: VolumeForm, point: TangentPoint, route: str = "viaHat", degree: int = DEFAULT_DEGREE) -> np.ndarray:
-    return projective_stack(obj, volume, point, degree).weyl_values(route)
-
-
-def berwald_weyl(obj, volume: VolumeForm, point: TangentPoint, route: str = "definition", degree: int = DEFAULT_DEGREE) -> np.ndarray:
-    return projective_stack(obj, volume, point, degree).wo_values(route)
-
-
-def projective_eval(obj, volume: VolumeForm, point: TangentPoint, degree: int = DEFAULT_DEGREE, wo_route: str = "definition") -> ProjectiveEval:
-    ps = projective_stack(obj, volume, point, degree)
-    hat = ps.hat
-    return ProjectiveEval(
-        Ghat=ps.Ghat,
-        Nhat=hat.N_values,
-        Gammahat=hat.Gamma_values,
-        Shat=ps.hat_measure.S.value(),
-        chihat=ps.hat_measure.chi_values("fromR"),
-        Rhat_ik=hat.Rik_values,
-        Rhat=ps.Rhat.value(),
-        That=ps.W.value(),
-        W=ps.weyl_values("viaHat"),
-        Wo=ps.wo_values(wo_route),
-    )
-
-
 def _xgradient(field, point: TangentPoint) -> np.ndarray:
     """d f / d x^m for a function of x alone (constants have zero gradient)."""
     ring = jets.ring(point.dim, 2)
@@ -287,13 +283,11 @@ def volume_change_wo(obj, volume: VolumeForm, f, point: TangentPoint, degree: in
     Returns ``(wo_tilde, residual)`` where the residual is the max-norm
     distance of the recomputed wo_tilde from the predicted W^o_k - W^m_k f_m.
     """
-    ps = projective_stack(obj, volume, point, degree)
-    change = volume_change(f, ps.measure)
-    if change.f is None:
-        scaled = ps.measure.volume
-    else:
-        scaled = VolumeForm.scaled(ps.measure.volume, change.f, sign=-1)
-    tilde = ProjectiveStack(MeasureStack(ps.base, scaled, ps.measure.metric))
+    ctx = PointContext(obj, volume, point, degree)
+    ps = ctx.proj
+    change = volume_change(f, ctx.measure)
+    scaled = volume if change.f is None else VolumeForm.scaled(volume, change.f, sign=-1)
+    tilde = ProjectiveStack(MeasureStack(ctx.stack, scaled, ctx.metric))
     wo_tilde = tilde.wo_values("definition")
     predicted = ps.wo_values("definition") - ps.weyl_values("viaHat").T @ change.fm
     return wo_tilde, float(np.max(np.abs(wo_tilde - predicted)))
@@ -306,7 +300,7 @@ def bweyl_residual(obj, volume: VolumeForm, f, point: TangentPoint, degree: int 
     base-connection divergence W^m_{k|m} with (n-2) W^m_k Xi_{.m} where
     Xi = S/(n+1) + f_0.  Conversion to float yields the (c) residual.
     """
-    ps = projective_stack(obj, volume, point, degree)
+    ps = PointContext(obj, volume, point, degree).proj
     if ps.n < 3:
         raise ConfigError("flatness conditions divide by n - 2 and need dimension >= 3")
     (b, c), (wo, wf, div, wxi) = ps.flatness_gaps(volume_change(f, ps.measure).fm)
@@ -343,14 +337,12 @@ def einstein_wo_check(metric, point: TangentPoint, degree: int = DEFAULT_DEGREE,
     if metric.dim != 2:
         raise ConfigError("the Einstein surface check needs a 2-dimensional metric")
     _reject_non_einstein(metric, point)
-    volume = VolumeForm.busemann_hausdorff(nodes=nodes)
-    frame = MetricFrame(metric, point, degree)
-    st = frame.stack
-    ps = ProjectiveStack(MeasureStack(st, volume, metric))
+    ctx = PointContext(metric, VolumeForm.busemann_hausdorff(nodes=nodes), point, degree)
+    frame, st = ctx.frame, ctx.stack
     n = metric.dim
     sigma = st.Rscalar * jets.reciprocal(frame.fsq)
     theta = (sigma.grad(st.xs) * st.y_jets).einsum("m->")
     ratio = theta * jets.reciprocal(frame.F)
     predicted = frame.F.value() ** 3 * ratio.gradient()[n:]
-    wo = ps.wo_values("definition")
+    wo = ctx.proj.wo_values("definition")
     return EinsteinCheck(wo=wo, predicted=predicted, residual=float(np.max(np.abs(wo - predicted))))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -24,12 +23,11 @@ import numpy as np
 from . import catalog
 from .catalog import MetricSpec
 from .errors import ConfigError, SprayLabError
-from .geometry import (DEFAULT_DEGREE, MetricFrame, MetricSpray, PerturbedSpray,
-                       Spray, SprayStack, TangentPoint, spray_and_metric,
-                       stack_for)
+from .geometry import (DEFAULT_DEGREE, PerturbedSpray, SprayStack, TangentPoint,
+                       spray_and_metric, stack_for)
 from .jets import Jet
 from .measures import MeasureStack, VolumeForm, as_volume
-from .projective import (ProjectiveStack, einstein_wo_check, projective_stack,
+from .projective import (PointContext, ProjectiveStack, einstein_wo_check,
                          volume_change)
 
 __all__ = [
@@ -163,76 +161,29 @@ def _spread(vals) -> tuple[float, float]:
     return res, _maxabs(*vals)
 
 
-# -- shared per-point state ----------------------------------------------------
-
-
-class CheckContext:
-    """Lazy jets shared by all checks at one (spray, volume, point)."""
-
-    def __init__(self, spray: Spray, metric, volume: VolumeForm,
-                 point: TangentPoint, degree: int):
-        self.spray = spray
-        self.metric = metric
-        self.volume = volume
-        self.point = point
-        self.degree = degree
-        self.n = point.dim
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return self.point.y_array()
-
-    @cached_property
-    def frame(self) -> MetricFrame:
-        return MetricFrame(self.metric, self.point, self.degree)
-
-    @cached_property
-    def stack(self) -> SprayStack:
-        if self.metric is not None and isinstance(self.spray, MetricSpray):
-            return self.frame.stack
-        return stack_for(self.spray, self.point, self.degree)
-
-    @cached_property
-    def measure(self) -> MeasureStack:
-        return MeasureStack(self.stack, self.volume, self.metric)
-
-    @cached_property
-    def proj(self) -> ProjectiveStack:
-        return ProjectiveStack(self.measure)
-
-    @cached_property
-    def r_h(self) -> Jet:
-        """R_{|k}, the horizontal derivatives of the Ricci scalar, as jets."""
-        return self.stack.hgrad(self.stack.Rscalar)
-
-    @cached_property
-    def r_hcov(self) -> np.ndarray:
-        """Second horizontal covariant derivative matrix of the Ricci scalar."""
-        return self.stack.hcov_values(self.r_h, contra=0)
-
-
 # -- registered identities -----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str
-    fn: Callable[[CheckContext], tuple[float, float]]
+    fn: Callable[[PointContext], tuple[float, float]]
     uses_measure: bool = False
     needs_metric: bool = False
     min_dim: int = 2
     only_dim: int | None = None
     riemannian_only: bool = False
 
-    def applies(self, ctx: CheckContext) -> bool:
-        if self.needs_metric and ctx.metric is None:
+    def applies(self, metric, n: int) -> bool:
+        """Whether the check is defined for this metric (or None) in dimension n."""
+        if self.needs_metric and metric is None:
             return False
-        if ctx.n < self.min_dim:
+        if n < self.min_dim:
             return False
-        if self.only_dim is not None and ctx.n != self.only_dim:
+        if self.only_dim is not None and n != self.only_dim:
             return False
         if self.riemannian_only and not isinstance(
-            ctx.metric, (catalog.Euclidean, catalog.Riemannian)
+            metric, (catalog.Euclidean, catalog.Riemannian)
         ):
             return False
         return True
@@ -313,22 +264,22 @@ def _y_parallel(ctx):
 
 
 def _ricci_exchange_1(ctx):
-    lhs = ctx.r_h.gradient()[:, ctx.n:]
+    lhs = ctx.stack.Rscalar_h.gradient()[:, ctx.n:]
     rhs = ctx.stack.Rscalar_vhcov
     return _maxabs(lhs - rhs.T), _maxabs(lhs, rhs)
 
 
 def _ricci_exchange_2(ctx):
     st = ctx.stack
-    cov = ctx.r_hcov
+    cov = st.Rscalar_hh
     rhs = np.einsum("l,lkm->km", st.Rscalar_v.value(), st.R3.value())
     return _maxabs(cov - cov.T - rhs), _maxabs(cov, rhs)
 
 
 def _ricci_exchange_3(ctx):
     st = ctx.stack
-    lhs = ctx.r_hcov @ ctx.y
-    mid = st.hcov_scalar_values((ctx.r_h * st.y_jets).einsum("m->"))
+    lhs = st.Rscalar_hh @ ctx.y
+    mid = st.hcov_scalar_values((st.Rscalar_h * st.y_jets).einsum("m->"))
     rhs = st.Rscalar_v.value() @ st.Rik_values
     return _maxabs(lhs - mid - rhs), _maxabs(lhs, mid, rhs)
 
@@ -632,24 +583,28 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
     jet degree is the smallest that feeds every registered identity.
     """
     obj = catalog.build(spec) if isinstance(spec, (str, MetricSpec)) else spec
-    spray, metric = spray_and_metric(obj)
+    metric = spray_and_metric(obj)[1]
     volume = as_volume(volume)
     tolerances = tolerances if tolerances is not None else Tolerances()
-    pts, seed = _resolve_points(obj, points, seed, box)
     selected = list(REGISTRY if checks is None else
                     [c for c in REGISTRY if c.name in set(checks)])
     if checks is not None and len(selected) < len(set(checks)):
         known = {c.name for c in REGISTRY}
         missing = sorted(set(checks) - known)
         raise ConfigError(f"unknown checks: {', '.join(missing)}")
+    applicable = [c for c in selected if c.applies(metric, obj.dim)]
+    if checks is not None and len(applicable) < len(selected):
+        # a selected check that never runs would pass with zero points
+        idle = [c.name for c in selected if c not in applicable]
+        raise ConfigError(f"checks that do not apply to {obj.name} in dimension "
+                          f"{obj.dim}: {', '.join(idle)}")
+    pts, seed = _resolve_points(obj, points, seed, box)
 
     quad = volume.uses_quadrature
     groups = {c.name: (tolerances.pick(quad and c.uses_measure), []) for c in selected}
     for point in pts:
-        ctx = CheckContext(spray, metric, volume, point, degree)
-        for check in selected:
-            if not check.applies(ctx):
-                continue
+        ctx = PointContext(obj, volume, point, degree)
+        for check in applicable:
             tol, results = groups[check.name]
             try:
                 residual, scale = check.fn(ctx)
@@ -714,10 +669,9 @@ def _thm15(opts, tol):
 
     funk, pts = _fixture("funk", 3, opts, 6)
     for point in pts:
-        frame = MetricFrame(funk, point, opts["degree"])
-        ms = MeasureStack(frame.stack, vol, funk)
-        s_val = ms.S.value()
-        f_val = frame.F.value()
+        ctx = PointContext(funk, vol, point, opts["degree"])
+        ms = ctx.measure
+        s_val, f_val = ms.S.value(), ctx.frame.F.value()
         results.append(_result("thm15:funk:constant-s", point,
                                abs(s_val - 2.0 * f_val),
                                max(abs(s_val), 2.0 * f_val), t, tol.floor))
@@ -725,8 +679,8 @@ def _thm15(opts, tol):
 
     ball, pts = _fixture("hyperbolic-ball", 3, opts, 6, seed_offset=1)
     for point in pts:
-        st = stack_for(ball.spray(), point, opts["degree"])
-        ms = MeasureStack(st, vol, ball)
+        ctx = PointContext(ball, vol, point, opts["degree"])
+        st, ms = ctx.stack, ctx.measure
         scale_s = max(abs(float(np.trace(st.N_values))), 1.0)
         results.append(_result("thm15:hyperbolic:constant-s", point,
                                abs(ms.S.value()), scale_s, t, tol.floor))
@@ -789,7 +743,7 @@ def _thm43(opts, tol):
     t = tol.pick(volume.uses_quadrature)
     by_f: dict[str | None, list[CheckResult]] = {"0.1*x1*x2": [], "0.05*x3": [], None: []}
     for point in pts:
-        proj = projective_stack(metric, volume, point, opts["degree"])
+        proj = PointContext(metric, volume, point, opts["degree"]).proj
         for f, results in by_f.items():
             res, scale = _flatness_residual(proj, f)
             results.append(_result(f"thm43:f={f or '0'}", point, res, scale, t, tol.floor))
@@ -803,12 +757,12 @@ def _ex17(opts, tol):
     t = tol.pick(True)
     results = []
     for point in pts:
-        st = stack_for(metric.spray(), point, opts["degree"])
+        ctx = PointContext(metric, vol, point, opts["degree"])
+        st, ms = ctx.stack, ctx.measure
         results.append(_result("ex17:berwald-flat", point, _maxabs(st.B_values),
                                1.0 + _maxabs(st.Gamma_values), t, tol.floor))
         results.append(_result("ex17:ricci-flat", point, _maxabs(st.Rik_values),
                                1.0 + _maxabs(st.N_values), t, tol.floor))
-        ms = MeasureStack(st, vol, metric)
         results.append(_result("ex17:s-zero", point, abs(ms.S.value()),
                                1.0, t, tol.floor))
         results.append(_wo_zero("ex17:wo-zero", point, ms, tol, at_least=1.0))
@@ -833,11 +787,9 @@ def _ex45(opts, tol):
         VolumeForm.busemann_hausdorff(nodes),
     ]
     for point in pts:
-        frame = MetricFrame(metric, point, opts["degree"])
-        st = frame.stack
-        fsq = frame.fsq.value()
-        ms = MeasureStack(st, VolumeForm.coordinate(), metric)
-        wv = ProjectiveStack(ms).weyl_values("viaChi")
+        ctx = PointContext(metric, VolumeForm.coordinate(), point, opts["degree"])
+        st, fsq = ctx.stack, ctx.frame.fsq.value()
+        wv = ctx.proj.weyl_values("viaChi")
         results.append(_result("ex45:scalar-curvature", point, _maxabs(wv),
                                fsq, tol.pick(False), tol.floor))
         for vol in (gate_vols[0], gate_vols[2]):
@@ -863,9 +815,8 @@ def _ex45(opts, tol):
     # sigma_BH depends on x alone, so the three directions share one density
     bh = VolumeForm.busemann_hausdorff(nodes)
     for y in dirs:
-        frame = MetricFrame(metric, TangentPoint(x, y), 4)
-        ms = MeasureStack(frame.stack, bh, metric)
-        ratios.append(ms.S.value() / frame.F.value())
+        ctx = PointContext(metric, bh, TangentPoint(x, y), 4)
+        ratios.append(ctx.measure.S.value() / ctx.frame.F.value())
     spread = max(ratios) - min(ratios)
     results.append(_result("ex45:anisotropic-s", pts[0],
                            max(0.0, 0.01 - spread), 1.0,

@@ -16,8 +16,8 @@ from spraylab.expressions import as_field
 from spraylab.geometry import MetricFrame, PerturbedSpray, TangentPoint
 from spraylab.measures import MeasureStack, VolumeForm, bh_density
 from spraylab.projective import (
+    PointContext,
     einstein_wo_check,
-    projective_stack,
     volume_change,
     volume_change_wo,
 )
@@ -106,7 +106,7 @@ def test_criterion_02_wo_route_agreement():
     worst = 0.0
     for point in sample(metric, count=4, seed=2):
         for volume in three_volumes():
-            ps = projective_stack(metric, volume, point)
+            ps = PointContext(metric, volume, point).proj
             routes = np.array([ps.wo_values(r) for r in ("definition", "viaBase", "divW", "divR")])
             budget = 1e-6 * np.abs(routes).max() + 1e-9
             for i in range(len(routes)):
@@ -154,8 +154,8 @@ def test_criterion_05_surface_volume_independence():
     vol_b = VolumeForm.busemann_hausdorff(nodes=48)
     worst = 0.0
     for point in sample(metric, count=6, seed=1):
-        wo_a = projective_stack(metric, vol_a, point).wo_values("definition")
-        wo_b = projective_stack(metric, vol_b, point).wo_values("definition")
+        wo_a = PointContext(metric, vol_a, point).proj.wo_values("definition")
+        wo_b = PointContext(metric, vol_b, point).proj.wo_values("definition")
         worst = max(worst, np.abs(wo_a - wo_b).max())
     ok = worst <= 1e-8
     report_line(5, ok, f"wo across unrelated volumes, worst abs diff {worst:.3e}")
@@ -282,8 +282,8 @@ def test_criterion_09_projective_invariance():
         forms = [as_field(e, n) for e in ("0.04*x1 + 0.01", "0.02*x2", "-0.03*x3")[:n]]
         perturbed = PerturbedSpray(metric.spray(), forms)
         for point in sample(metric, count=3, seed=5):
-            ps = projective_stack(metric, volume, point)
-            qs = projective_stack(perturbed, volume, point)
+            ps = PointContext(metric, volume, point).proj
+            qs = PointContext(perturbed, volume, point).proj
             w_a, w_b = ps.weyl_values("viaHat"), qs.weyl_values("viaHat")
             wo_a, wo_b = ps.wo_values("definition"), qs.wo_values("definition")
             w_budget = 1e-6 * max(np.abs(w_a).max(), np.abs(w_b).max()) + 1e-9

@@ -63,7 +63,7 @@ def test_config_file_keys(tmp_path):
     cfg = parse_config(path)
     assert cfg.metric_family == "randers"
     assert cfg.metric_params == {"preset": "generic"}
-    assert cfg.volume_kind == "busemann-hausdorff" and cfg.volume_nodes == 32
+    assert cfg.volume().kind == "busemann-hausdorff" and cfg.volume().nodes == 32
     assert cfg.points == 5 and cfg.seed == 7
     assert cfg.box == ("cube", 0.3)
     assert cfg.degree == 6 and cfg.tol_jet == 1e-6
@@ -75,6 +75,31 @@ def test_config_file_rejects_unknown_key(tmp_path):
     path.write_text("volume.shape = round\n")
     with pytest.raises(ConfigError, match="volume.shape"):
         parse_config(path)
+
+
+def test_volume_sigma_key_is_not_a_volume_spelling(capsys, tmp_path):
+    # explicit densities are spelled volume.kind = explicit:<expr> only
+    path = tmp_path / "run.cfg"
+    path.write_text("metric.family = randers\nvolume.sigma = exp(x1)\n")
+    code, out, err = run_cli(capsys, "eval", "--config", str(path), "--points", "1")
+    assert code == 2 and out == ""
+    assert "unknown config key 'volume.sigma'" in err
+
+
+def test_bare_explicit_volume_exits_two(capsys):
+    code, out, err = run_cli(capsys, "eval", "--volume", "explicit", "--points", "1")
+    assert code == 2 and out == ""
+    assert "explicit:<sigma expression>" in err
+
+
+def test_volume_flag_overrides_file_explicit_volume(capsys, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("metric.family = randers\nvolume.kind = explicit:exp(x1)\n")
+    assert parse_config(path).volume().describe() == "explicit:exp(x1)"
+    code, out, _ = run_cli(capsys, "verify", "--config", str(path), "--volume", "bh",
+                           "--bh-nodes", "16", "--points", "1", "--checks", "s-homogeneous")
+    assert code == 0
+    assert json_records(out)[0]["volume"] == "busemann-hausdorff(16)"
 
 
 def test_config_file_rejects_type_mismatch(tmp_path):
@@ -211,6 +236,16 @@ def test_verify_checks_subset_and_per_point(capsys):
     assert {r["check"] for r in checks} == {"euler-spray", "rik-y-kill"}
     assert len(results) == 6
     assert all("x" in r and "y" in r for r in results)
+
+
+@pytest.mark.parametrize("checks", ["weyl-2d", "euler-spray,weyl-2d"])
+def test_verify_inapplicable_check_exits_two(capsys, checks):
+    # weyl-2d only runs on surfaces; selecting it on randers(3) would pass
+    # with zero points
+    code, out, err = run_cli(capsys, "verify", "--metric", "randers", "--points", "2",
+                             "--checks", checks)
+    assert code == 2 and out == ""
+    assert "weyl-2d" in err and "euler-spray" not in err
 
 
 def test_verify_csv_table(capsys):
@@ -380,6 +415,65 @@ def _count_calls(monkeypatch, owner, attr):
 
     monkeypatch.setattr(owner, attr, counted)
     return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("--metric", "randers"),
+    ("--metric", "projective-perturbation", "--param", "base=randers",
+     "--param", 'oneform=["0.1*x1","0.05*x2","0"]'),
+])
+def test_eval_builds_one_metric_frame_per_point(capsys, monkeypatch, argv):
+    inits = _count_calls(monkeypatch, geometry.MetricFrame, "__init__")
+    assert run_cli(capsys, "eval", *argv, "--points", "2", "--seed", "1")[0] == 0
+    assert len(inits) == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_EVAL = {
+    "eval_randers3.jsonl": ("--metric", "randers", "--dim", "3", "--points", "2",
+                            "--seed", "1"),
+    "eval_perturbation.jsonl": ("--metric", "projective-perturbation", "--dim", "3",
+                                "--param", "base=randers",
+                                "--param", 'oneform=["0.1*x1","0.05*x2","0"]',
+                                "--points", "1", "--seed", "1"),
+}
+
+
+def _is_number(value):
+    # json prints integral floats as integers, so 0 and 1e-17 are both numbers
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        return [v for item in value.values() for v in _numbers(item)]
+    if isinstance(value, list):
+        return [v for item in value for v in _numbers(item)]
+    return [value] if _is_number(value) else []
+
+
+def _skeleton(value):
+    """Keys in order, nesting and non-numeric leaves, with every number blanked."""
+    if isinstance(value, dict):
+        return [(key, _skeleton(item)) for key, item in value.items()]
+    if isinstance(value, list):
+        return [_skeleton(item) for item in value]
+    return "#" if _is_number(value) else value
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EVAL))
+def test_eval_matches_golden_records(capsys, name):
+    # same keys and nesting; numbers within 1e-12 of each record's largest magnitude
+    code, out, _ = run_cli(capsys, "eval", *GOLDEN_EVAL[name])
+    assert code == 0
+    got = json_records(out)
+    want = json_records((GOLDEN / name).read_text())
+    assert len(got) == len(want)
+    for rec_got, rec_want in zip(got, want):
+        assert _skeleton(rec_got) == _skeleton(rec_want)
+        nums_got, nums_want = _numbers(rec_got), _numbers(rec_want)
+        bound = 1e-12 * max(abs(v) for v in nums_want)
+        assert max(abs(a - b) for a, b in zip(nums_got, nums_want)) <= bound
 
 
 def test_thm12_builds_one_base_stack_per_point(capsys, monkeypatch):

@@ -20,10 +20,6 @@ from spraylab.geometry import (
     MetricFrame,
     PerturbedSpray,
     TangentPoint,
-    connection,
-    fundamental_tensor,
-    geodesic_coefficients,
-    riemann,
     stack_for,
 )
 
@@ -160,13 +156,13 @@ def test_tangent_point_validation():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(AdmissibilityError):
-        fundamental_tensor(Euclidean(2), POINT3)
+        MetricFrame(Euclidean(2), POINT3, degree=3)
 
 
 def test_chart_boundary_rejected():
     outside = TangentPoint((1.2, 0.0), (1.0, 0.0))
     with pytest.raises(AdmissibilityError):
-        geodesic_coefficients(Funk(2), outside, degree=3)
+        MetricFrame(Funk(2), outside, degree=3)
 
 
 def test_indefinite_metric_rejected():
@@ -179,7 +175,7 @@ def test_indefinite_metric_rejected():
 
     point = TangentPoint((0.0, 0.0), (1.0, 0.5))
     with pytest.raises(AdmissibilityError):
-        fundamental_tensor(Lorentz(), point)
+        MetricFrame(Lorentz(), point, degree=3).g_values
 
 
 def test_degree_budget_error_surfaces():
@@ -193,16 +189,15 @@ def test_degree_budget_error_surfaces():
 
 def test_euclidean_is_flat():
     metric = Euclidean(3)
-    ft = fundamental_tensor(metric, POINT3)
-    np.testing.assert_allclose(ft.g, np.eye(3), atol=1e-14)
-    np.testing.assert_allclose(ft.ylow, POINT3.y_array(), atol=1e-14)
-    cur = riemann(metric.spray(), POINT3)
-    for field in (cur.Rik, cur.R3, cur.R4, cur.T):
+    frame = MetricFrame(metric, POINT3, degree=6)
+    np.testing.assert_allclose(frame.g_values, np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(frame.ylow, POINT3.y_array(), atol=1e-14)
+    st = frame.stack
+    for field in (st.Rik_values, st.R3.value(), st.R4_values, st.T_values):
         np.testing.assert_allclose(field, 0.0, atol=1e-13)
-    assert cur.Ric == pytest.approx(0.0, abs=1e-13)
-    con = connection(metric.spray(), POINT3)
-    np.testing.assert_allclose(con.N, 0.0, atol=1e-13)
-    np.testing.assert_allclose(con.B, 0.0, atol=1e-13)
+    assert st.Ric.value() == pytest.approx(0.0, abs=1e-13)
+    np.testing.assert_allclose(st.N_values, 0.0, atol=1e-13)
+    np.testing.assert_allclose(st.B_values, 0.0, atol=1e-13)
 
 
 def test_randers_fundamental_tensor_closed_form():
@@ -214,15 +209,15 @@ def test_randers_fundamental_tensor_closed_form():
     ell = a @ y / alpha
     F = alpha + float(b @ y)
     expect = (F / alpha) * (a - np.outer(ell, ell)) + np.outer(ell + b, ell + b)
-    ft = fundamental_tensor(metric, POINT3)
-    np.testing.assert_allclose(ft.g, expect, rtol=1e-12)
-    np.testing.assert_allclose(ft.ginv, np.linalg.inv(expect), rtol=1e-11)
-    np.testing.assert_allclose(ft.ylow, expect @ y, rtol=1e-12)
+    frame = MetricFrame(metric, POINT3, degree=3)
+    np.testing.assert_allclose(frame.g_values, expect, rtol=1e-12)
+    np.testing.assert_allclose(np.linalg.inv(frame.g_values), np.linalg.inv(expect), rtol=1e-11)
+    np.testing.assert_allclose(frame.ylow, expect @ y, rtol=1e-12)
 
 
 def test_ylow_is_g_contracted_with_y():
-    ft = fundamental_tensor(RandersVar(), POINT3)
-    np.testing.assert_allclose(ft.ylow, ft.g @ POINT3.y_array(), rtol=1e-12)
+    frame = MetricFrame(RandersVar(), POINT3, degree=3)
+    np.testing.assert_allclose(frame.ylow, frame.g_values @ POINT3.y_array(), rtol=1e-12)
 
 
 # -- geodesic coefficients ----------------------------------------------------
@@ -265,8 +260,7 @@ def fd_spray(metric, point, h=0.01):
     ],
 )
 def test_geodesic_coefficients_match_finite_differences(metric, point):
-    G = geodesic_coefficients(metric, point, degree=3)
-    got = np.array([gi.value() for gi in G])
+    got = MetricFrame(metric, point, degree=3).spray_coefficients.value()
     want = fd_spray(metric, point)
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
@@ -280,11 +274,9 @@ def test_funk_spray_is_half_f_times_y():
 
 def test_funk_spray_at_origin():
     point = TangentPoint((0.0, 0.0, 0.0), (0.3, -0.2, 0.6))
-    G = geodesic_coefficients(Funk(3), point, degree=3)
+    G = MetricFrame(Funk(3), point, degree=3).spray_coefficients
     norm = np.linalg.norm(point.y_array())
-    np.testing.assert_allclose(
-        [gi.value() for gi in G], 0.5 * norm * point.y_array(), rtol=1e-12
-    )
+    np.testing.assert_allclose(G.value(), 0.5 * norm * point.y_array(), rtol=1e-12)
 
 
 # -- connection ---------------------------------------------------------------
@@ -316,21 +308,21 @@ def fd_christoffel(matrix, x, h=0.01):
 )
 def test_riemannian_connection_is_christoffel(matrix, point):
     metric = MatrixRiemannian(point.dim, matrix)
-    con = connection(metric.spray(), point)
+    st = stack_for(metric.spray(), point, degree=5)
     want = fd_christoffel(matrix, point.x)
-    np.testing.assert_allclose(con.Gamma, want, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(st.Gamma_values, want, rtol=1e-6, atol=1e-9)
     # quadratic sprays have no Berwald curvature
-    np.testing.assert_allclose(con.B, 0.0, atol=1e-9)
+    np.testing.assert_allclose(st.B_values, 0.0, atol=1e-9)
     np.testing.assert_allclose(
-        con.N, np.einsum("ijk,k->ij", con.Gamma, point.y_array()), rtol=1e-10
+        st.N_values, np.einsum("ijk,k->ij", st.Gamma_values, point.y_array()), rtol=1e-10
     )
 
 
 def test_connection_symmetry():
-    con = connection(RandersVar().spray(), POINT3, degree=6)
-    np.testing.assert_allclose(con.Gamma, con.Gamma.transpose(0, 2, 1), atol=1e-12)
+    st = stack_for(RandersVar().spray(), POINT3, degree=6)
+    np.testing.assert_allclose(st.Gamma_values, st.Gamma_values.transpose(0, 2, 1), atol=1e-12)
     for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)):
-        np.testing.assert_allclose(con.B, con.B.transpose(perm), atol=1e-12)
+        np.testing.assert_allclose(st.B_values, st.B_values.transpose(perm), atol=1e-12)
 
 
 # -- curvature ----------------------------------------------------------------
@@ -391,16 +383,10 @@ def test_y_is_horizontally_parallel():
     np.testing.assert_allclose(st.hcov_values(ytensor, contra=1), 0.0, atol=1e-11)
 
 
-def test_hderiv_value_matches_jet_route():
+def test_hcov_scalar_values_match_jet_route():
     st = stack_for(RandersVar().spray(), POINT3, degree=6)
-    for k in range(3):
-        assert st.hderiv(st.Ric, k).value() == pytest.approx(
-            st.hderiv_value(st.Ric, k), rel=1e-12, abs=1e-12
-        )
-    scalar = st.hcov_scalar_values(st.Ric)
-    np.testing.assert_allclose(
-        scalar, [st.hderiv_value(st.Ric, k) for k in range(3)], rtol=1e-12
-    )
+    np.testing.assert_allclose(st.hgrad(st.Ric).value(), st.hcov_scalar_values(st.Ric),
+                               rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -416,7 +402,7 @@ def test_exchange_identity_for_scalars(metric, point):
     n = point.dim
     y = point.y_array()
     f = st.Ric
-    fk = np.array([st.hderiv(f, k) for k in range(n)], dtype=object)
+    fk = st.hgrad(f)
     lhs1 = st.hcov_values(fk, contra=0) @ y
     f0 = st.ring.zero()
     for m in range(n):

@@ -14,18 +14,15 @@ import pytest
 from spraylab import jets, measures
 from spraylab.catalog import MetricSpec, build, sample
 from spraylab.errors import AdmissibilityError, ConfigError, JetDomainError
-from spraylab.geometry import MetricFrame, TangentPoint, stack_for
+from spraylab.geometry import MetricFrame, TangentPoint
 from spraylab.measures import (
     VolumeForm,
     as_volume,
     bh_density,
-    chi,
-    measure_stack,
-    s_curvature,
     sphere_nodes,
-    tau,
     unit_ball_volume,
 )
+from spraylab.projective import PointContext
 
 SPHERE_AREAS = {2: 2.0 * math.pi, 3: 4.0 * math.pi, 4: 2.0 * math.pi**2}
 
@@ -173,7 +170,7 @@ def test_bh_volume_without_metric():
 def test_s_vanishes_flat_coordinate():
     metric = build(MetricSpec("euclidean", 3))
     point = TangentPoint((0.1, 0.2, -0.3), (0.5, -0.4, 0.8))
-    s = s_curvature(metric, VolumeForm.coordinate(), point, degree=4)
+    s = PointContext(metric, VolumeForm.coordinate(), point, degree=4).measure.S
     np.testing.assert_allclose(s.coeffs, 0.0, atol=1e-13)
 
 
@@ -186,7 +183,7 @@ def test_riemannian_s_vanishes_under_own_volume(spec):
     metric = build(spec)
     vol = VolumeForm.busemann_hausdorff(nodes=32)
     for point in sample(metric, count=3, seed=1):
-        ms = measure_stack(metric, vol, point, degree=6)
+        ms = PointContext(metric, vol, point, degree=6).measure
         assert abs(ms.S.value()) < 1e-8
         grad = ms.S.gradient()
         np.testing.assert_allclose(grad, 0.0, atol=1e-7)
@@ -199,7 +196,7 @@ def test_funk_s_curvature_closed_form():
     for point in sample(metric, count=3, seed=2):
         frame = MetricFrame(metric, point, degree=5)
         want = 2.0 * math.sqrt(frame.fsq.value())
-        got = s_curvature(metric, vol, point, degree=5).value()
+        got = PointContext(metric, vol, point, degree=5).measure.S.value()
         assert got == pytest.approx(want, rel=1e-6)
 
 
@@ -208,8 +205,8 @@ def test_s_homogeneity():
     vol = VolumeForm.explicit("exp(x1)")
     point = TangentPoint((0.1, -0.2, 0.2), (0.4, 0.5, -0.3))
     doubled = TangentPoint(point.x, tuple(2.0 * v for v in point.y))
-    s1 = s_curvature(metric, vol, point, degree=4).value()
-    s2 = s_curvature(metric, vol, doubled, degree=4).value()
+    s1 = PointContext(metric, vol, point, degree=4).measure.S.value()
+    s2 = PointContext(metric, vol, doubled, degree=4).measure.S.value()
     assert s2 == pytest.approx(2.0 * s1, rel=1e-10)
 
 
@@ -219,8 +216,8 @@ def test_volume_change_is_affine_in_f():
     point = TangentPoint((0.1, -0.15, 0.2), (0.6, 0.3, -0.5))
     base = VolumeForm.explicit("exp(x1)")
     scaled = VolumeForm.scaled(base, "0.1*x1*x2", sign=1)
-    s_base = s_curvature(metric, base, point, degree=5)
-    s_scaled = s_curvature(metric, scaled, point, degree=5)
+    s_base = PointContext(metric, base, point, degree=5).measure.S
+    s_scaled = PointContext(metric, scaled, point, degree=5).measure.S
     diff = s_scaled - s_base
     # -(n+1) f_0 for f = 0.1 x1 x2
     f0 = 0.1 * (point.x[1] * point.y[0] + point.x[0] * point.y[1])
@@ -236,7 +233,8 @@ def test_volume_change_is_affine_in_f():
 def test_tau_zero_on_flat():
     metric = build(MetricSpec("euclidean", 3))
     point = TangentPoint((0.2, 0.1, -0.1), (0.3, -0.5, 0.4))
-    assert tau(metric, VolumeForm.coordinate(), point, degree=5) == pytest.approx(0.0, abs=1e-13)
+    tau = PointContext(metric, VolumeForm.coordinate(), point, degree=5).measure.tau
+    assert tau.value() == pytest.approx(0.0, abs=1e-13)
 
 
 def test_tau_is_two_homogeneous():
@@ -244,8 +242,8 @@ def test_tau_is_two_homogeneous():
     vol = VolumeForm.busemann_hausdorff(nodes=32)
     point = TangentPoint((0.1, 0.15, -0.2), (0.5, -0.3, 0.4))
     doubled = TangentPoint(point.x, tuple(2.0 * v for v in point.y))
-    t1 = tau(metric, vol, point, degree=5)
-    t2 = tau(metric, vol, doubled, degree=5)
+    t1 = PointContext(metric, vol, point, degree=5).measure.tau.value()
+    t2 = PointContext(metric, vol, doubled, degree=5).measure.tau.value()
     assert t2 == pytest.approx(4.0 * t1, rel=1e-9)
 
 
@@ -256,7 +254,7 @@ def test_chi_routes_agree():
     metric = build(MetricSpec("randers", 3))
     vol = VolumeForm.explicit("exp(0.5*x1)")
     for point in sample(metric, count=4, seed=3):
-        ms = measure_stack(metric, vol, point, degree=6)
+        ms = PointContext(metric, vol, point, degree=6).measure
         routes = {r: ms.chi_values(r) for r in ("fromS", "fromT", "fromR")}
         scale = max(np.abs(v).max() for v in routes.values()) + 1e-12
         for a in routes.values():
@@ -268,7 +266,7 @@ def test_chi_independent_of_volume():
     metric = build(MetricSpec("randers", 3))
     point = TangentPoint((0.05, -0.1, 0.2), (0.7, 0.2, -0.4))
     values = [
-        chi(metric, vol, point, route="fromS", degree=6)
+        PointContext(metric, vol, point, degree=6).measure.chi_values("fromS")
         for vol in (
             VolumeForm.coordinate(),
             VolumeForm.explicit("exp(x1*x2)"),
@@ -284,7 +282,7 @@ def test_chi_kills_y_and_vanishes_on_funk():
     metric = build(MetricSpec("funk", 3))
     vol = VolumeForm.busemann_hausdorff(nodes=32)
     for point in sample(metric, count=3, seed=4):
-        values = chi(metric, vol, point, route="fromS", degree=6)
+        values = PointContext(metric, vol, point, degree=6).measure.chi_values("fromS")
         assert abs(values @ point.y_array()) < 1e-8
         np.testing.assert_allclose(values, 0.0, atol=1e-7)
 
@@ -293,7 +291,7 @@ def test_chi_route_validation():
     metric = build(MetricSpec("euclidean", 3))
     point = TangentPoint((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     with pytest.raises(ConfigError):
-        chi(metric, VolumeForm.coordinate(), point, route="bogus", degree=6)
+        PointContext(metric, VolumeForm.coordinate(), point, degree=6).measure.chi_values("bogus")
 
 
 def test_unit_ball_volumes():

@@ -25,15 +25,11 @@ from spraylab.geometry import (
 )
 from spraylab.measures import MeasureStack, VolumeForm
 from spraylab.projective import (
-    ProjectiveStack,
-    berwald_weyl,
+    PointContext,
+    ProjectiveSpray,
     bweyl_residual,
     einstein_wo_check,
-    projective_eval,
-    projective_spray,
-    projective_stack,
     volume_change_wo,
-    weyl,
 )
 
 PT3 = TangentPoint((0.11, -0.07, 0.15), (0.9, -0.4, 0.7))
@@ -50,7 +46,7 @@ def volumes3():
 
 
 def randers_stack(volume):
-    return projective_stack(build("randers"), volume, PT3)
+    return PointContext(build("randers"), volume, PT3).proj
 
 
 def oneform(entries):
@@ -78,7 +74,7 @@ def s_vderivs(measure):
 
 
 def test_euclidean_hat_spray_vanishes():
-    ps = projective_stack(build("euclidean"), VolumeForm.coordinate(), PT3)
+    ps = PointContext(build("euclidean"), VolumeForm.coordinate(), PT3).proj
     for jet in ps.Ghat:
         np.testing.assert_allclose(jet.coeffs, 0.0, atol=1e-15)
 
@@ -129,14 +125,9 @@ def test_hat_horizontal_derivative_transfer():
     sval = ps.measure.S.value()
     yf = ps.base.euler_field(f).value()
     frac = 1.0 / (n + 1.0)
-    for k in range(n):
-        got = ps.hat.hderiv_value(f, k)
-        want = (
-            ps.base.hderiv_value(f, k)
-            + frac * yf * sm[k]
-            + frac * sval * f.deriv(n + k).value()
-        )
-        assert got == pytest.approx(want, abs=1e-10)
+    fv = np.array([f.deriv(n + k).value() for k in range(n)])
+    want = ps.base.hcov_scalar_values(f) + frac * yf * sm + frac * sval * fv
+    np.testing.assert_allclose(ps.hat.hcov_scalar_values(f), want, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("volume", volumes3(), ids=lambda v: v.kind)
@@ -195,12 +186,12 @@ def test_weyl_trace_and_y_contraction():
 
 @pytest.mark.parametrize("family", ["conformal-flat-2d", "round-sphere"])
 def test_weyl_vanishes_in_dimension_two(family):
-    w = weyl(build(family), VolumeForm.coordinate(), PT2)
+    w = PointContext(build(family), VolumeForm.coordinate(), PT2).proj.weyl_values()
     np.testing.assert_allclose(w, 0.0, atol=1e-10)
 
 
 def test_weyl_vanishes_for_funk():
-    w = weyl(build("funk"), VolumeForm.coordinate(), PT_FUNK)
+    w = PointContext(build("funk"), VolumeForm.coordinate(), PT_FUNK).proj.weyl_values()
     np.testing.assert_allclose(w, 0.0, atol=1e-10)
 
 
@@ -229,14 +220,14 @@ def test_wo_vanishes_for_scalar_curvature():
     # W = 0 in n >= 3 forces W^o = 0 for every volume form
     funk = build("funk")
     for volume in volumes3():
-        wo = berwald_weyl(funk, volume, PT_FUNK)
+        wo = PointContext(funk, volume, PT_FUNK).proj.wo_values()
         np.testing.assert_allclose(wo, 0.0, atol=1e-10)
 
 
 def test_wo_vanishes_fourth_root():
     metric = build("fourth-root")
     pt = TangentPoint((0.1, -0.2, 0.15, 0.05), (0.8, 0.5, -0.6, 0.9))
-    wo = berwald_weyl(metric, VolumeForm.busemann_hausdorff(nodes=16), pt)
+    wo = PointContext(metric, VolumeForm.busemann_hausdorff(nodes=16), pt).proj.wo_values()
     np.testing.assert_allclose(wo, 0.0, atol=1e-12)
 
 
@@ -246,19 +237,19 @@ def test_wo_vanishes_constant_curvature_surfaces(family):
     pt = TangentPoint((0.25, -0.15), (0.7, 1.1))
     for volume in (VolumeForm.coordinate(), VolumeForm.busemann_hausdorff(nodes=32)):
         scale = abs(stack_for(metric.spray(), pt).Rscalar.value())
-        wo = berwald_weyl(metric, volume, pt)
+        wo = PointContext(metric, volume, pt).proj.wo_values()
         np.testing.assert_allclose(wo, 0.0, atol=1e-10 * scale)
 
 
 def test_wo_volume_independent_in_dimension_two():
     metric = build("conformal-flat-2d")
-    base = berwald_weyl(metric, VolumeForm.coordinate(), PT2)
+    base = PointContext(metric, VolumeForm.coordinate(), PT2).proj.wo_values()
     assert np.abs(base).max() > 1e-3  # nontrivial surface
     for volume in (
         VolumeForm.explicit("exp(x1-0.5*x2)"),
         VolumeForm.busemann_hausdorff(nodes=48),
     ):
-        other = berwald_weyl(metric, volume, PT2)
+        other = PointContext(metric, volume, PT2).proj.wo_values()
         np.testing.assert_allclose(other, base, atol=1e-8 * np.abs(base).max())
 
 
@@ -269,8 +260,9 @@ def test_projective_invariance():
         [lambda xs: 0.2 * xs[0], lambda xs: xs[1] * xs[2], lambda xs: 0.1 + 0.0 * xs[0]],
     )
     volume = VolumeForm.explicit("exp(0.1*x2)")
-    w0, w1 = weyl(spray, volume, PT3), weyl(pert, volume, PT3)
-    wo0, wo1 = berwald_weyl(spray, volume, PT3), berwald_weyl(pert, volume, PT3)
+    p0, p1 = PointContext(spray, volume, PT3).proj, PointContext(pert, volume, PT3).proj
+    w0, w1 = p0.weyl_values(), p1.weyl_values()
+    wo0, wo1 = p0.wo_values(), p1.wo_values()
     assert np.abs(w0 - w1).max() <= 1e-10 * (np.abs(w0).max() + 1e-12)
     assert np.abs(wo0 - wo1).max() <= 1e-10 * (np.abs(wo0).max() + 1e-12)
 
@@ -278,7 +270,7 @@ def test_projective_invariance():
 def test_projective_spray_field():
     metric = build("randers")
     volume = VolumeForm.explicit("exp(0.1*x2)")
-    hat = projective_spray(metric, volume)
+    hat = ProjectiveSpray(metric.spray(), volume)
     assert hat.dim == 3 and hat.metric is metric
     own = MeasureStack(stack_for(hat, PT3), volume, metric)
     assert abs(own.S.value()) <= 1e-12
@@ -294,7 +286,7 @@ def base_wo_pieces(ps):
     st = ps.base
     n, y = ps.n, ps.point.y_array()
     first = st.hcov_scalar_values(st.Rscalar)
-    rv = oneform([st.vderiv(st.Rscalar, k) for k in range(n)])
+    rv = oneform([st.Rscalar.deriv(n + k) for k in range(n)])
     second = st.hcov_values(rv, contra=0) @ y
     third = st.hcov_values(oneform(ps.measure.chi_jets), contra=0) @ y
     return first, second, third
@@ -338,7 +330,7 @@ def test_identity_bianchi_contracted():
 def test_volume_change_transfer():
     metric = build("randers")
     volume = VolumeForm.explicit("exp(0.1*x2)")
-    wo = berwald_weyl(metric, volume, PT3)
+    wo = PointContext(metric, volume, PT3).proj.wo_values()
     wo_tilde, residual = volume_change_wo(metric, volume, "0.1*x1*x2", PT3)
     scale = np.abs(wo_tilde).max() + 1e-12
     assert residual <= 1e-9 * scale
@@ -348,7 +340,7 @@ def test_volume_change_transfer():
 def test_volume_change_constant_and_absent_f():
     metric = build("randers")
     volume = VolumeForm.coordinate()
-    wo = berwald_weyl(metric, volume, PT3)
+    wo = PointContext(metric, volume, PT3).proj.wo_values()
     for f in ("0.25", None):
         wo_tilde, residual = volume_change_wo(metric, volume, f, PT3)
         np.testing.assert_allclose(wo_tilde, wo, atol=1e-12)
@@ -382,7 +374,7 @@ def test_bweyl_dimension_guards():
     with pytest.raises(ConfigError):
         bweyl_residual(surface, VolumeForm.coordinate(), "x1", PT2)
     with pytest.raises(ConfigError):
-        berwald_weyl(surface, VolumeForm.coordinate(), PT2, route="divW")
+        PointContext(surface, VolumeForm.coordinate(), PT2).proj.wo_values("divW")
 
 
 # -- Einstein surfaces -------------------------------------------------------------
@@ -444,33 +436,34 @@ def test_weyl_tensor_is_one_jet():
     assert ps.Ghat.batch_shape == (3,) and ps.measure.chi_jets.batch_shape == (3,)
 
 
-def test_projective_eval_bundle():
-    ev = projective_eval(build("randers"), VolumeForm.coordinate(), PT3)
-    assert len(ev.Ghat) == 3 and ev.Nhat.shape == (3, 3)
-    assert ev.Gammahat.shape == (3, 3, 3) and ev.Rhat_ik.shape == (3, 3)
-    assert abs(ev.Shat) <= 1e-12
-    np.testing.assert_allclose(ev.chihat, 0.0, atol=1e-12)
-    np.testing.assert_allclose(ev.That, ev.W, atol=0.0)
-    assert ev.Wo.shape == (3,)
-    assert ev.Rhat == pytest.approx(np.trace(ev.Rhat_ik) / 2.0, rel=1e-12)
+def test_point_context_hat_quantities():
+    ps = PointContext(build("randers"), VolumeForm.coordinate(), PT3).proj
+    hat = ps.hat
+    assert ps.Ghat.batch_shape == (3,) and hat.N_values.shape == (3, 3)
+    assert hat.Gamma_values.shape == (3, 3, 3) and hat.Rik_values.shape == (3, 3)
+    assert abs(ps.hat_measure.S.value()) <= 1e-12
+    np.testing.assert_allclose(ps.hat_measure.chi_values("fromR"), 0.0, atol=1e-12)
+    np.testing.assert_array_equal(ps.W.value(), ps.weyl_values("viaHat"))
+    assert ps.wo_values().shape == (3,)
+    assert ps.Rhat.value() == pytest.approx(np.trace(hat.Rik_values) / 2.0, rel=1e-12)
 
 
 def test_route_validation():
     metric = build("euclidean")
     volume = VolumeForm.coordinate()
     with pytest.raises(ConfigError):
-        weyl(metric, volume, PT3, route="sideways")
+        PointContext(metric, volume, PT3).proj.weyl_values("sideways")
     with pytest.raises(ConfigError):
-        berwald_weyl(metric, volume, PT3, route="sideways")
+        PointContext(metric, volume, PT3).proj.wo_values("sideways")
 
 
 def test_definition_route_needs_full_budget():
     metric = build("randers")
     volume = VolumeForm.coordinate()
     with pytest.raises(DegreeBudgetError):
-        berwald_weyl(metric, volume, PT3, degree=6)
-    divr = berwald_weyl(metric, volume, PT3, route="divR", degree=6)
-    full = berwald_weyl(metric, volume, PT3, route="divR", degree=7)
+        PointContext(metric, volume, PT3, degree=6).proj.wo_values("definition")
+    divr = PointContext(metric, volume, PT3, degree=6).proj.wo_values("divR")
+    full = PointContext(metric, volume, PT3, degree=7).proj.wo_values("divR")
     np.testing.assert_allclose(divr, full, atol=1e-12)
 
 
@@ -483,13 +476,13 @@ def test_square_metric_is_scalar_curvature():
     f2 = MetricFrame(metric, pt, 3).fsq.value()
     assert abs(st.Rscalar.value()) <= 1e-10 * f2
     for volume in (VolumeForm.coordinate(), VolumeForm.busemann_hausdorff(nodes=32)):
-        ps = projective_stack(metric, volume, pt)
+        ps = PointContext(metric, volume, pt).proj
         assert np.abs(ps.weyl_values()).max() <= 1e-10 * f2
         assert np.abs(ps.wo_values()).max() <= 1e-8 * f2
     ratios = []
     bh = VolumeForm.busemann_hausdorff(nodes=32)
     for yy in ((1.0, 0.2, -0.3), (0.1, 1.0, 0.4), (-0.5, 0.3, 1.0)):
         q = TangentPoint(pt.x, yy)
-        ms = projective_stack(metric, bh, q).measure
+        ms = PointContext(metric, bh, q).measure
         ratios.append(ms.S.value() / MetricFrame(metric, q, 3).F.value())
     assert max(ratios) - min(ratios) > 1e-2

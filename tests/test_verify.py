@@ -48,6 +48,18 @@ def test_registry_dimension_gates():
     assert by_name["flatness-equivalence"].points == 0
 
 
+def test_selected_checks_that_cannot_apply_are_config_errors(monkeypatch):
+    built = []
+    monkeypatch.setattr(MetricFrame, "__init__", lambda *args: built.append(args))
+    with pytest.raises(ConfigError) as info:
+        identity_suite("randers", points=2,
+                       checks=["euler-spray", "weyl-2d", "riemannian-berwald"])
+    message = str(info.value)
+    assert "weyl-2d" in message and "riemannian-berwald" in message
+    assert "euler-spray" not in message
+    assert built == []  # raised before any point was computed
+
+
 def test_riemannian_only_check_skips_finsler():
     report = identity_suite("funk", points=1)
     by_name = {agg.check: agg for agg in report.checks}
