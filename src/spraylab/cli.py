@@ -363,7 +363,11 @@ def _cmd_list(args) -> tuple[str, int]:
 
 def _cmd_verify(args) -> tuple[str, int]:
     cfg = parse_config(args.config, args)
-    checks = [c.strip() for c in args.checks.split(",")] if args.checks else None
+    checks = None
+    if args.checks is not None:
+        checks = [c.strip() for c in args.checks.split(",")]
+        if "" in checks:
+            raise ConfigError(f"--checks list has an empty entry: {args.checks!r}")
     report = identity_suite(
         cfg.metric_spec(), cfg.volume(), points=cfg.points,
         tolerances=cfg.tolerances(), seed=cfg.seed, degree=cfg.degree,

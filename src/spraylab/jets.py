@@ -21,6 +21,11 @@ still exact.  Deriving a jet from truncated data loses one order per
 derivative; ``valid`` tracks that budget and every coefficient above it
 is kept at exactly zero.  Requesting a partial beyond ``valid`` raises
 :class:`DegreeBudgetError` instead of returning noise.
+
+``nzdeg`` bounds the polynomial degree of the stored coefficients: every
+coefficient of total degree above it is exactly zero.  A product therefore
+stops at ``nzdeg_a + nzdeg_b`` (or ``valid``, if lower), and step k of
+:func:`solve` computes order k of its product and no other.
 """
 
 from __future__ import annotations
@@ -149,12 +154,19 @@ class PolyRing:
 
     # -- raw kernels ---------------------------------------------------
 
-    def _mul_coeffs(self, a: np.ndarray, b: np.ndarray, out_deg: int) -> np.ndarray:
-        npairs = int(self._pairs_upto[out_deg])
-        ncoef = int(self.size_upto[out_deg])
-        prod = a[..., self._mul_i[:npairs]] * b[..., self._mul_j[:npairs]]
+    def _mul_coeffs(self, a: np.ndarray, b: np.ndarray, out_deg: int,
+                    lo_deg: int = 0) -> np.ndarray:
+        """Orders ``lo_deg..out_deg`` of the product; every other coefficient is zero.
+
+        Pairs are sorted by output index and outputs are graded by degree,
+        so the pairs of one order range are one contiguous slice.
+        """
+        c0 = int(self.size_upto[lo_deg - 1]) if lo_deg else 0
+        c1 = int(self.size_upto[out_deg])
+        p0, p1 = int(self._mul_starts[c0]), int(self._pairs_upto[out_deg])
+        prod = a[..., self._mul_i[p0:p1]] * b[..., self._mul_j[p0:p1]]
         out = np.zeros(prod.shape[:-1] + (self.size,))
-        out[..., :ncoef] = np.add.reduceat(prod, self._mul_starts[:ncoef], axis=-1)
+        out[..., c0:c1] = np.add.reduceat(prod, self._mul_starts[c0:c1] - p0, axis=-1)
         return out
 
 
@@ -319,8 +331,10 @@ class Jet:
             const, full = (self, b) if self.nzdeg == 0 else (b, self)
             coeffs = self._trim(full.coeffs * const.coeffs[..., :1], valid)
             return Jet(self.ring, coeffs, valid, min(full.nzdeg, valid))
-        coeffs = self.ring._mul_coeffs(self.coeffs, b.coeffs, valid)
-        return Jet(self.ring, coeffs, valid, min(self.nzdeg + b.nzdeg, valid))
+        # orders above nzdeg_a + nzdeg_b only sum products of exact zeros
+        nzdeg = min(self.nzdeg + b.nzdeg, valid)
+        coeffs = self.ring._mul_coeffs(self.coeffs, b.coeffs, nzdeg)
+        return Jet(self.ring, coeffs, valid, nzdeg)
 
     __rmul__ = __mul__
 
@@ -377,8 +391,8 @@ def solve(a: Jet, b) -> Jet:
 
     Taylor-mode solve with one inverse of a(0): the order-k coefficients of
     z come from those of the residual b - a z, with z known below order k
-    and the product cut at order k (Griewank & Walther, *Evaluating
-    Derivatives*, 2nd ed., ch. 13).
+    and only order k of the product computed (Griewank & Walther,
+    *Evaluating Derivatives*, 2nd ed., ch. 13).
     """
     b = a._coerce(b)
     ring = a.ring
@@ -391,8 +405,8 @@ def solve(a: Jet, b) -> Jet:
     z[..., :1] = a0inv @ b.coeffs[..., :1]
     for k in range(1, valid + 1):
         lo, hi = int(ring.size_upto[k - 1]), int(ring.size_upto[k])
-        az = ring._mul_coeffs(a.coeffs, z[..., None, :, :], k).sum(axis=-2)
-        z[..., lo:hi] = a0inv @ (b.coeffs[..., lo:hi] - az[..., lo:hi])
+        az = ring._mul_coeffs(a.coeffs, z[..., None, :, :], k, k)[..., lo:hi].sum(axis=-2)
+        z[..., lo:hi] = a0inv @ (b.coeffs[..., lo:hi] - az)
     return Jet(ring, z, valid, valid)
 
 

@@ -568,6 +568,10 @@ def _resolve_points(obj, points, seed, box):
     pts = [p if isinstance(p, TangentPoint) else TangentPoint(*p) for p in points]
     if not pts:
         raise ConfigError("the identity suite needs at least one point")
+    for p in pts:
+        if p.dim != obj.dim:
+            raise ConfigError(f"point x={p.x} has dimension {p.dim} but "
+                              f"{getattr(obj, 'name', obj)} has dimension {obj.dim}")
     return pts, None
 
 

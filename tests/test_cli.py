@@ -248,6 +248,14 @@ def test_verify_inapplicable_check_exits_two(capsys, checks):
     assert "weyl-2d" in err and "euler-spray" not in err
 
 
+@pytest.mark.parametrize("checks", ["euler-spray,", ",", ""])
+def test_verify_empty_checks_entry_exits_two(capsys, checks):
+    code, out, err = run_cli(capsys, "verify", "--metric", "euclidean", "--points", "1",
+                             "--checks", checks)
+    assert code == 2 and out == ""
+    assert "--checks list has an empty entry" in err
+
+
 def test_verify_csv_table(capsys):
     code, out, _ = run_cli(capsys, "verify", "--metric", "euclidean",
                            "--points", "2", "--format", "csv")

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spraylab import jets
+from spraylab import cli, jets
+from spraylab.catalog import MetricSpec
 from spraylab.errors import DegreeBudgetError, JetDomainError
+from spraylab.verify import identity_suite
 
 
 def _stencil(order: int, h: float):
@@ -508,3 +510,112 @@ def test_solve_singular_constant_term_raises():
     a = jets.stack([[r.const(1.0), u], [r.const(1.0), u]])
     with pytest.raises(JetDomainError):
         jets.solve(a, r.const(np.ones(2)))
+
+
+# -- degree-cut kernel -----------------------------------------------------------
+
+
+def _poly_jet(r, rng, batch=()):
+    """A random jet whose coefficients stop at a random nzdeg <= valid."""
+    valid = int(rng.integers(0, r.degree + 1))
+    nzdeg = int(rng.integers(0, valid + 1))
+    coeffs = rng.normal(size=batch + (r.size,))
+    coeffs[..., int(r.size_upto[nzdeg]):] = 0.0
+    return jets.Jet(r, coeffs, valid, nzdeg)
+
+
+def _solve_all_orders(a, b):
+    # reference: step k computes every order <= k of a z and reads order k
+    r = a.ring
+    a0inv = np.linalg.inv(a.coeffs[..., 0])
+    valid = min(a.valid, b.valid)
+    z = np.zeros(b.coeffs.shape)
+    z[..., :1] = a0inv @ b.coeffs[..., :1]
+    for k in range(1, valid + 1):
+        lo, hi = int(r.size_upto[k - 1]), int(r.size_upto[k])
+        az = r._mul_coeffs(a.coeffs, z[..., None, :, :], k).sum(axis=-2)
+        z[..., lo:hi] = a0inv @ (b.coeffs[..., lo:hi] - az[..., lo:hi])
+    return z
+
+
+RINGS = [(3, 5), (4, 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RINGS), st.integers(0, 2**32 - 1))
+def test_cut_product_equals_dense_product(shape, seed):
+    r = jets.ring(*shape)
+    rng = np.random.default_rng(seed)
+    a, b = _poly_jet(r, rng, (2,)), _poly_jet(r, rng)
+    dense = r._mul_coeffs(a.coeffs, b.coeffs, min(a.valid, b.valid))
+    assert np.array_equal((a * b).coeffs, dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RINGS), st.integers(0, 2**32 - 1))
+def test_order_slice_equals_full_product(shape, seed):
+    r = jets.ring(*shape)
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, r.size)), rng.normal(size=r.size)
+    hi = int(rng.integers(0, r.degree + 1))
+    lo = int(rng.integers(0, hi + 1))
+    c0 = int(r.size_upto[lo - 1]) if lo else 0
+    c1 = int(r.size_upto[hi])
+    full = r._mul_coeffs(a, b, hi)
+    part = r._mul_coeffs(a, b, hi, lo)
+    assert np.array_equal(part[..., c0:c1], full[..., c0:c1])
+    assert not part[..., :c0].any() and not part[..., c1:].any()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(RINGS), st.integers(0, 2**32 - 1))
+def test_single_order_solve_equals_all_orders_solve(shape, seed):
+    r = jets.ring(*shape)
+    rng = np.random.default_rng(seed)
+    n = 3
+    a = rng.normal(size=(n, n, r.size)) * 0.3
+    a[..., 0] += np.eye(n)
+    a = jets.Jet(r, a, r.degree, r.degree)
+    b = jets.Jet(r, rng.normal(size=(n, r.size)), r.degree, r.degree)
+    want = _solve_all_orders(a, b)
+    np.testing.assert_allclose(jets.solve(a, b).coeffs, want, rtol=0.0,
+                               atol=1e-14 * np.abs(want).max())
+
+
+FUNK4 = MetricSpec("funk", 4, {})
+
+
+def test_nzdeg_bounds_every_stored_coefficient(monkeypatch, capsys):
+    # the kernel drops every order above nzdeg_a + nzdeg_b, so a bound set
+    # too low would silently lose terms
+    init = jets.Jet.__init__
+    bad, built = [], []
+
+    def checked_init(self, ring, coeffs, valid, nzdeg):
+        init(self, ring, coeffs, valid, nzdeg)
+        built.append(1)
+        if coeffs[..., ring.total_degree > self.nzdeg].any():
+            bad.append((valid, self.nzdeg))
+
+    monkeypatch.setattr(jets.Jet, "__init__", checked_init)
+    identity_suite(FUNK4, points=1)
+    assert cli.main(["eval", "--metric", "randers", "--dim", "3", "--volume", "bh",
+                     "--points", "1"]) == 0
+    capsys.readouterr()
+    assert built and bad == []
+
+
+def test_funk4_point_multiplies_within_the_cut_budget(monkeypatch):
+    # dense pairs up to each call's output degree, as perfbench's jets.mul_terms
+    # counts them: 10.86 M per point without the degree cut
+    mul = jets.PolyRing._mul_coeffs
+    terms = []
+
+    def counting(ring, a, b, out_deg, *args):
+        batch = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        terms.append(int(ring._pairs_upto[out_deg]) * batch)
+        return mul(ring, a, b, out_deg, *args)
+
+    monkeypatch.setattr(jets.PolyRing, "_mul_coeffs", counting)
+    identity_suite(FUNK4, points=1)
+    assert sum(terms) <= 6.0e6

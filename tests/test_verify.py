@@ -141,6 +141,14 @@ def test_explicit_point_list():
     assert by_name["euler-spray"].points == 2
 
 
+def test_point_of_wrong_dimension_is_a_config_error(monkeypatch):
+    built = []
+    monkeypatch.setattr(MetricFrame, "__init__", lambda self, *a, **k: built.append(a))
+    with pytest.raises(ConfigError, match="dimension 2 but randers\\(3\\) has dimension 3"):
+        identity_suite("randers", points=[TangentPoint((0.1, 0.2), (1.0, 0.5))])
+    assert built == []
+
+
 def test_point_counts_below_one_are_config_errors():
     for points in (0, -1, []):
         with pytest.raises(ConfigError):
