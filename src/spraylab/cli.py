@@ -305,6 +305,7 @@ def _report_records(subcommand: str, report, per_point: bool = False) -> list[di
         "tol_jet": report.tolerances.jet,
         "tol_quad": report.tolerances.quad,
         "floor": report.tolerances.floor,
+        **(report.quadrature or {}),
     }]
     for agg in report.checks:
         records.append({
@@ -460,7 +461,7 @@ def _common_options(parser: argparse.ArgumentParser):
     parser.add_argument("--volume", metavar="SPEC",
                         help="coordinate | busemann-hausdorff | explicit:<expr>")
     parser.add_argument("--bh-nodes", type=int, metavar="N",
-                        help="quadrature nodes for the BH density (default 64)")
+                        help="largest rule per angle for the BH density (default 64)")
     parser.add_argument("--points", type=int, help="sample count (default 20)")
     parser.add_argument("--seed", type=int, help="sampler seed (default 0)")
     parser.add_argument("--box", metavar="KIND:SIZE",

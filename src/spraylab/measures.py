@@ -4,7 +4,9 @@ A volume form dV = sigma(x) dx enters every formula only through jets of
 ln sigma in the x variables.  The Busemann-Hausdorff density is computed
 by spherical quadrature with the base point carried as jet variables, so
 its x-derivatives come from differentiating under the integral rather
-than from finite differences.
+than from finite differences.  The quadrature is adaptive per point: the
+rule doubles from 16 nodes per angle until two successive rules agree,
+and the node count of a volume form is the largest rule it may use.
 """
 
 from __future__ import annotations
@@ -21,12 +23,20 @@ from .geometry import FinslerMetric, SprayStack
 from .jets import Jet
 
 BH_MAX_DIM = 4
+# most directions one sphere rule may hold: 64 nodes per angle in dim 4
+# (262,144) and 1,024 in dim 3 fit, 128 in dim 4 does not
+BH_MAX_DIRECTIONS = 2**20
 # BH quadrature runs its directions in blocks whose largest jet-multiply
 # temporary fits in this many bytes.  That is glibc's default mmap
 # threshold: larger temporaries may be mapped fresh from the OS and
 # page-faulted in on every multiply, and smaller blocks pay more Python
 # per direction.
 _BLOCK_BYTES = 128 * 1024
+
+# the adaptive BH quadrature starts at this many nodes per angle and
+# stops doubling once two rules agree to this fraction of max(1, max|coeff|)
+BH_FIRST_NODES = 16
+BH_AGREE = 1e-5
 
 # kinds a user can name; "scaled" forms are only built in code
 VOLUME_KINDS = ("coordinate", "busemann-hausdorff", "explicit")
@@ -51,9 +61,20 @@ def sphere_nodes(n: int, nodes: int):
     return theta, weights
 
 
-def _sphere_rule(n: int, nodes: int):
+def _check_rule(n: int, nodes: int):
+    """Refuse a rule this module cannot build, before anything is allocated."""
+    if not 2 <= n <= BH_MAX_DIM:
+        raise ConfigError(f"Busemann-Hausdorff quadrature supports dim <= {BH_MAX_DIM}, got {n}")
     if nodes < 8:
         raise ConfigError("sphere quadrature needs at least 8 nodes per angle")
+    if nodes ** (n - 1) > BH_MAX_DIRECTIONS:
+        raise ConfigError(f"sphere quadrature with {nodes} nodes per angle needs "
+                          f"{nodes}^{n - 1} directions on S^{n - 1}, more than "
+                          f"{BH_MAX_DIRECTIONS}")
+
+
+def _sphere_rule(n: int, nodes: int):
+    _check_rule(n, nodes)
     phi = 2.0 * math.pi * np.arange(nodes) / nodes
     wphi = np.full(nodes, 2.0 * math.pi / nodes)
     if n == 2:
@@ -72,29 +93,27 @@ def _sphere_rule(n: int, nodes: int):
         )
         w = np.outer(wu, wphi).ravel()
         return theta, w
-    if n == 4:
-        psi = 0.5 * math.pi * (u + 1.0)
-        wpsi = 0.5 * math.pi * wu * np.sin(psi) ** 2
-        sp, cp = np.sin(psi), np.cos(psi)
-        s = np.sqrt(1.0 - u**2)
-        grid = np.meshgrid(np.arange(nodes), np.arange(nodes), np.arange(nodes), indexing="ij")
-        a, b, c = (g.ravel() for g in grid)
-        theta = np.stack(
-            [
-                sp[a] * s[b] * np.cos(phi[c]),
-                sp[a] * s[b] * np.sin(phi[c]),
-                sp[a] * u[b],
-                cp[a],
-            ],
-            axis=1,
-        )
-        w = wpsi[a] * wu[b] * wphi[c]
-        return theta, w
-    raise ConfigError(f"Busemann-Hausdorff quadrature supports dim <= {BH_MAX_DIM}, got {n}")
+    psi = 0.5 * math.pi * (u + 1.0)
+    wpsi = 0.5 * math.pi * wu * np.sin(psi) ** 2
+    sp, cp = np.sin(psi), np.cos(psi)
+    s = np.sqrt(1.0 - u**2)
+    grid = np.meshgrid(np.arange(nodes), np.arange(nodes), np.arange(nodes), indexing="ij")
+    a, b, c = (g.ravel() for g in grid)
+    theta = np.stack(
+        [
+            sp[a] * s[b] * np.cos(phi[c]),
+            sp[a] * s[b] * np.sin(phi[c]),
+            sp[a] * u[b],
+            cp[a],
+        ],
+        axis=1,
+    )
+    w = wpsi[a] * wu[b] * wphi[c]
+    return theta, w
 
 
-def bh_density(metric: FinslerMetric, x, nodes: int = 64, degree: int = 3) -> Jet:
-    """Jet of ln sigma_BH at x, in the n-variable x-ring of the given degree.
+def _bh_rule(metric: FinslerMetric, x, nodes: int, degree: int) -> Jet:
+    """Jet of ln sigma_BH at x from the fixed rule of ``nodes`` per angle.
 
     sigma_BH(x) = Vol(B^n) / Vol{y : F(x, y) < 1}, with the unit-ball
     volume computed as (1/n) * integral over S^{n-1} of F(x, theta)^{-n}.
@@ -123,6 +142,36 @@ def bh_density(metric: FinslerMetric, x, nodes: int = 64, degree: int = 3) -> Je
     return math.log(unit_ball_volume(n)) - jets.log(volume)
 
 
+def bh_density(metric: FinslerMetric, x, nodes: int = 64, degree: int = 3,
+               rules: list | None = None) -> Jet:
+    """Jet of ln sigma_BH at x, in the n-variable x-ring of the given degree.
+
+    ``nodes`` is the largest rule per angle.  The rule starts at
+    ``min(16, nodes)`` nodes and doubles, clamped to ``nodes``, until the
+    largest coefficient change between two successive rules is at most
+    ``BH_AGREE * max(1, max|coeff|)``; the finer rule is returned.  The
+    rules converge spectrally (Trefethen & Weideman, SIAM Review 56(3),
+    2014), so the returned rule's error is of the order of the square of
+    that change.  When
+    ``rules`` is a list, ``(nodes, change)`` of the returned rule is
+    appended to it; ``change`` is None when only one rule ran.
+    """
+    _check_rule(metric.dim, nodes)
+    used = min(BH_FIRST_NODES, nodes)
+    density = _bh_rule(metric, x, used, degree)
+    change = None
+    while used < nodes:
+        used = min(2 * used, nodes)
+        finer = _bh_rule(metric, x, used, degree)
+        change = float(np.abs(finer.coeffs - density.coeffs).max())
+        density = finer
+        if change <= BH_AGREE * max(1.0, float(np.abs(finer.coeffs).max())):
+            break
+    if rules is not None:
+        rules.append((used, change))
+    return density
+
+
 class VolumeForm:
     """dV = sigma(x) dx, with sigma given directly or by quadrature."""
 
@@ -136,7 +185,8 @@ class VolumeForm:
         self.sign = sign
         self.nodes = int(nodes)
         self._fields = {}
-        # (key, jet) of the last BH density: the checks of one point share it
+        # (key, jet, (nodes, change)) of the last BH density: the checks of
+        # one point share it
         self._bh_last = None
 
     @classmethod
@@ -187,12 +237,22 @@ class VolumeForm:
                 raise ConfigError("Busemann-Hausdorff volume needs a metric spray")
             key = (metric, tuple(float(v) for v in x), degree, self.nodes)
             if self._bh_last is None or self._bh_last[0] != key:
-                self._bh_last = (key, bh_density(metric, x, self.nodes, degree))
+                rules = []
+                jet = bh_density(metric, x, self.nodes, degree, rules=rules)
+                self._bh_last = (key, jet, rules[0])
             return self._bh_last[1]
         base = self.base if self.base is not None else VolumeForm.coordinate()
         xs = [ring.seed(i, float(x[i])) for i in range(n)]
         scale = self.sign * (n + 1.0) * self._field(self.f, n)(xs)
         return base.lnsigma_jet(metric, x, degree) + scale
+
+    def quadrature_rule(self, x):
+        """(nodes, change) of the last BH density, if it was taken at x, else None."""
+        if self.kind == "scaled":
+            return None if self.base is None else self.base.quadrature_rule(x)
+        if self._bh_last is None or self._bh_last[0][1] != tuple(float(v) for v in x):
+            return None
+        return self._bh_last[2]
 
     def describe(self) -> str:
         if self.kind == "explicit":

@@ -100,6 +100,9 @@ class SuiteReport:
     checks: tuple[CheckAggregate, ...]
     results: tuple[CheckResult, ...]
     passed: bool
+    # largest BH rule and last rule change over the points, for a
+    # quadrature volume in the identity suite
+    quadrature: dict | None = None
 
     def failures(self) -> list[CheckAggregate]:
         return [agg for agg in self.checks if not agg.passed]
@@ -142,7 +145,7 @@ def _aggregate(check: str, results: list[CheckResult], tolerance, floor) -> Chec
 
 
 def _suite_report(metric: str, volume: str, seed, degree: int, tol: Tolerances,
-                  groups: dict, results=None) -> SuiteReport:
+                  groups: dict, results=None, quadrature=None) -> SuiteReport:
     """A report from insertion-ordered ``{check: (tolerance, results)}`` groups.
 
     ``results`` keeps the caller's order of the per-point results; by
@@ -152,7 +155,7 @@ def _suite_report(metric: str, volume: str, seed, degree: int, tol: Tolerances,
     if results is None:
         results = [r for _, rs in groups.values() for r in rs]
     return SuiteReport(metric, volume, seed, degree, tol, checks, tuple(results),
-                       all(agg.passed for agg in checks))
+                       all(agg.passed for agg in checks), quadrature)
 
 
 def _spread(vals) -> tuple[float, float]:
@@ -606,6 +609,7 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
 
     quad = volume.uses_quadrature
     groups = {c.name: (tolerances.pick(quad and c.uses_measure), []) for c in selected}
+    rules = []
     for point in pts:
         ctx = PointContext(obj, volume, point, degree)
         for check in applicable:
@@ -617,8 +621,16 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
             except (SprayLabError, FloatingPointError):
                 residual, scale = math.inf, 1.0
             results.append(_result(check.name, point, residual, scale, tol, tolerances.floor))
+        rule = volume.quadrature_rule(point.x) if quad else None
+        if rule is not None:
+            rules.append(rule)
+    quadrature = None
+    if quad:
+        changes = [change for _, change in rules if change is not None]
+        quadrature = {"bh_nodes": max((nodes for nodes, _ in rules), default=None),
+                      "bh_change": max(changes, default=None)}
     return _suite_report(getattr(obj, "name", str(obj)), volume.describe(), seed,
-                         degree, tolerances, groups)
+                         degree, tolerances, groups, quadrature=quadrature)
 
 
 # -- theorem fixtures -------------------------------------------------------------

@@ -503,6 +503,52 @@ def test_one_bh_density_per_volume_and_point(capsys, monkeypatch, argv, densitie
     assert len(calls) == densities == len(set(keys))
 
 
+def test_bh_verify_point_stays_within_its_directions_budget(capsys, monkeypatch):
+    # a randers point needs the 16- and 32-node rules (256 + 1,024
+    # directions); a fixed 64-node rule would take 4,096
+    directions = []
+    sphere_nodes = measures.sphere_nodes
+
+    def counted(n, nodes):
+        theta, weights = sphere_nodes(n, nodes)
+        directions.append(len(weights))
+        return theta, weights
+
+    monkeypatch.setattr(measures, "sphere_nodes", counted)
+    assert run_cli(capsys, "verify", "--metric", "randers", "--volume", "bh",
+                   "--points", "1")[0] == 0
+    assert 0 < sum(directions) <= 1280
+
+
+@pytest.mark.parametrize("argv, nodes, one_rule", [
+    (("--volume", "bh"), 32, False),
+    (("--volume", "bh", "--bh-nodes", "16"), 16, True),
+])
+def test_verify_run_record_reports_the_bh_rule(capsys, argv, nodes, one_rule):
+    code, out, _ = run_cli(capsys, "verify", "--metric", "randers", "--points", "2", *argv)
+    run = json_records(out)[0]
+    assert code == 0 and run["bh_nodes"] == nodes
+    if one_rule:
+        assert run["bh_change"] is None
+    else:
+        assert 0.0 < run["bh_change"] <= 1e-5
+
+
+def test_run_record_without_quadrature_has_no_bh_fields(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--metric", "randers", "--points", "1",
+                           "--volume", "explicit:exp(x1)")
+    assert code == 0
+    assert list(json_records(out)[0]) == ["record", "subcommand", "metric", "volume", "seed",
+                                          "degree", "tol_jet", "tol_quad", "floor"]
+
+
+def test_oversized_bh_rule_exits_two(capsys):
+    code, out, err = run_cli(capsys, "verify", "--metric", "funk", "--dim", "4",
+                             "--volume", "bh", "--bh-nodes", "1024", "--points", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "1024^3 directions" in err
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(spraylab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "spraylab", "theorem", "nope"],

@@ -17,6 +17,7 @@ from spraylab.errors import AdmissibilityError, ConfigError, JetDomainError
 from spraylab.geometry import MetricFrame, TangentPoint
 from spraylab.measures import (
     VolumeForm,
+    _bh_rule,
     as_volume,
     bh_density,
     sphere_nodes,
@@ -53,6 +54,25 @@ def test_sphere_nodes_dim_and_count_limits():
         sphere_nodes(5, 24)
     with pytest.raises(ConfigError):
         sphere_nodes(3, 4)
+
+
+@pytest.mark.parametrize("n, nodes", [(4, 1024), (4, 128), (3, 1025), (3, 4)])
+def test_oversized_sphere_rule_is_refused_before_allocating(monkeypatch, n, nodes):
+    def leggauss(count):
+        raise AssertionError(f"leggauss({count}) reached")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
+    with pytest.raises(ConfigError, match="nodes per angle"):
+        sphere_nodes(n, nodes)
+    metric = build(MetricSpec("euclidean", n))
+    with pytest.raises(ConfigError, match="nodes per angle"):
+        bh_density(metric, (0.0,) * n, nodes=nodes)
+
+
+def test_sphere_rule_cap_keeps_the_documented_rules():
+    # dim 4 at the default 64 nodes and dim 3 at 128 stay buildable
+    for n, nodes in [(4, 64), (3, 128), (3, 1024), (2, 2**20)]:
+        measures._check_rule(n, nodes)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -104,10 +124,41 @@ def test_bh_density_randers_closed_form():
 
 
 def test_bh_density_node_doubling_drift():
+    # the fixed rules: the adaptive density stops at the same rule under
+    # either cap, so comparing it would measure nothing
     metric = build(MetricSpec("randers", 3))
-    a = bh_density(metric, (0.1, 0.2, -0.1), nodes=64, degree=2)
-    b = bh_density(metric, (0.1, 0.2, -0.1), nodes=128, degree=2)
+    a = _bh_rule(metric, (0.1, 0.2, -0.1), 64, 2)
+    b = _bh_rule(metric, (0.1, 0.2, -0.1), 128, 2)
     assert abs(a.value() - b.value()) < 1e-8
+
+
+def test_adaptive_bh_density_matches_a_finer_fixed_rule():
+    metric = build(MetricSpec("randers", 3))
+    for point in sample(metric, count=30, seed=0):
+        got = bh_density(metric, point.x, degree=5)
+        want = _bh_rule(metric, point.x, 96, 5)
+        bound = 1e-12 * max(1.0, np.abs(want.coeffs).max())
+        assert np.abs(got.coeffs - want.coeffs).max() <= bound
+
+
+def test_bh_node_count_depends_on_the_point():
+    metric = build(MetricSpec("square-metric", 3))
+    points = sample(metric, count=3, seed=0)
+    rules = []
+    for point in (points[0], points[2]):
+        bh_density(metric, point.x, degree=5, rules=rules)
+    (easy, easy_change), (hard, hard_change) = rules
+    assert (easy, hard) == (32, 64)
+    assert easy_change is not None and hard_change is not None
+
+
+def test_bh_density_at_sixteen_nodes_is_one_fixed_rule():
+    metric = build(MetricSpec("randers", 3))
+    x = sample(metric, count=1, seed=5)[0].x
+    rules = []
+    got = bh_density(metric, x, nodes=16, degree=5, rules=rules)
+    assert rules == [(16, None)]
+    assert np.array_equal(got.coeffs, _bh_rule(metric, x, 16, 5).coeffs)
 
 
 @pytest.mark.parametrize("family, dim", [("randers", 3), ("funk", 4)])
