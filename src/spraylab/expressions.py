@@ -57,6 +57,13 @@ class ScalarField:
     def __repr__(self):
         return f"ScalarField({self.expr!r}, nvars={self.nvars})"
 
+    def jet(self, x, degree: int) -> jets.Jet:
+        """Jet of the field at x in the x-only ring of the given degree."""
+        ring = jets.ring(self.nvars, degree)
+        value = self([ring.seed(i, float(v)) for i, v in enumerate(x)])
+        # a constant expression evaluates to a float
+        return value if isinstance(value, jets.Jet) else ring.const(value)
+
     def _validate(self, node):
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):

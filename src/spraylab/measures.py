@@ -7,11 +7,16 @@ its x-derivatives come from differentiating under the integral rather
 than from finite differences.  The quadrature is adaptive per point: the
 rule doubles from 16 nodes per angle until two successive rules agree,
 and the node count of a volume form is the largest rule it may use.
+
+A ``VolumeForm`` is a plain value that keeps no jets.  A ``MeasureStack``
+takes the ln sigma jet itself, so stacks can share one density;
+``projective.PointContext`` computes that jet and keeps it for its point.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -38,7 +43,6 @@ _BLOCK_BYTES = 128 * 1024
 BH_FIRST_NODES = 16
 BH_AGREE = 1e-5
 
-# kinds a user can name; "scaled" forms are only built in code
 VOLUME_KINDS = ("coordinate", "busemann-hausdorff", "explicit")
 
 
@@ -172,22 +176,20 @@ def bh_density(metric: FinslerMetric, x, nodes: int = 64, degree: int = 3,
     return density
 
 
+@dataclass(frozen=True)
 class VolumeForm:
     """dV = sigma(x) dx, with sigma given directly or by quadrature."""
 
-    def __init__(self, kind, sigma=None, f=None, base=None, sign=1, nodes=64):
-        if kind not in VOLUME_KINDS and kind != "scaled":
-            raise ConfigError(f"unknown volume kind {kind!r}; use one of {VOLUME_KINDS}")
-        self.kind = kind
-        self.sigma = sigma
-        self.f = f
-        self.base = base
-        self.sign = sign
-        self.nodes = int(nodes)
-        self._fields = {}
-        # (key, jet, (nodes, change)) of the last BH density: the checks of
-        # one point share it
-        self._bh_last = None
+    kind: str
+    sigma: str | None = None
+    nodes: int = 64
+
+    def __post_init__(self):
+        if self.kind not in VOLUME_KINDS:
+            raise ConfigError(f"unknown volume kind {self.kind!r}; use one of {VOLUME_KINDS}")
+        if self.kind == "explicit" and self.sigma is None:
+            raise ConfigError("explicit volume needs a sigma expression")
+        object.__setattr__(self, "nodes", int(self.nodes))
 
     @classmethod
     def coordinate(cls):
@@ -195,73 +197,38 @@ class VolumeForm:
 
     @classmethod
     def explicit(cls, sigma):
-        if sigma is None:
-            raise ConfigError("explicit volume needs a sigma expression")
         return cls("explicit", sigma=sigma)
 
     @classmethod
     def busemann_hausdorff(cls, nodes=64):
         return cls("busemann-hausdorff", nodes=nodes)
 
-    @classmethod
-    def scaled(cls, base, f, sign=1):
-        """dV = e^{sign (n+1) f} dV_base."""
-        if f is None:
-            raise ConfigError("scaled volume needs the scaling function f")
-        return cls("scaled", f=f, base=base, sign=sign)
-
     @property
     def uses_quadrature(self) -> bool:
-        """Whether ln sigma comes from quadrature, directly or through a base."""
-        if self.kind == "scaled":
-            return self.base is not None and self.base.uses_quadrature
         return self.kind == "busemann-hausdorff"
 
-    def _field(self, raw, n):
-        key = (id(raw), n)
-        if key not in self._fields:
-            self._fields[key] = as_field(raw, n)
-        return self._fields[key]
-
-    def lnsigma_jet(self, metric, x, degree: int) -> Jet:
-        """Jet of ln sigma at x in the x-only ring (metric used for BH)."""
-        n = len(x)
-        ring = jets.ring(n, degree)
-        if self.kind == "coordinate":
-            return ring.const(0.0)
+    def validate(self, n: int):
+        """Refuse a form that cannot be built in dimension n, before any point."""
         if self.kind == "explicit":
-            xs = [ring.seed(i, float(x[i])) for i in range(n)]
-            return jets.log(self._field(self.sigma, n)(xs))
-        if self.kind == "busemann-hausdorff":
-            if metric is None:
-                raise ConfigError("Busemann-Hausdorff volume needs a metric spray")
-            key = (metric, tuple(float(v) for v in x), degree, self.nodes)
-            if self._bh_last is None or self._bh_last[0] != key:
-                rules = []
-                jet = bh_density(metric, x, self.nodes, degree, rules=rules)
-                self._bh_last = (key, jet, rules[0])
-            return self._bh_last[1]
-        base = self.base if self.base is not None else VolumeForm.coordinate()
-        xs = [ring.seed(i, float(x[i])) for i in range(n)]
-        scale = self.sign * (n + 1.0) * self._field(self.f, n)(xs)
-        return base.lnsigma_jet(metric, x, degree) + scale
+            as_field(self.sigma, n)
+        elif self.kind == "busemann-hausdorff":
+            _check_rule(n, self.nodes)
 
-    def quadrature_rule(self, x):
-        """(nodes, change) of the last BH density, if it was taken at x, else None."""
-        if self.kind == "scaled":
-            return None if self.base is None else self.base.quadrature_rule(x)
-        if self._bh_last is None or self._bh_last[0][1] != tuple(float(v) for v in x):
-            return None
-        return self._bh_last[2]
+    def lnsigma_jet(self, metric, x, degree: int, rules: list | None = None) -> Jet:
+        """Jet of ln sigma at x in the x-only ring (metric and ``rules`` used for BH)."""
+        if self.kind == "coordinate":
+            return jets.ring(len(x), degree).const(0.0)
+        if self.kind == "explicit":
+            return jets.log(as_field(self.sigma, len(x)).jet(x, degree))
+        if metric is None:
+            raise ConfigError("Busemann-Hausdorff volume needs a metric spray")
+        return bh_density(metric, x, self.nodes, degree, rules=rules)
 
     def describe(self) -> str:
         if self.kind == "explicit":
             return f"explicit:{self.sigma}"
         if self.kind == "busemann-hausdorff":
             return f"busemann-hausdorff({self.nodes})"
-        if self.kind == "scaled":
-            base = (self.base or VolumeForm.coordinate()).describe()
-            return f"scaled({base}, sign={self.sign:+d}, f={self.f})"
         return self.kind
 
 
@@ -288,30 +255,37 @@ def as_volume(spec=None, nodes: int = 64) -> VolumeForm:
     if not isinstance(spec, str):
         raise ConfigError("volume must be a VolumeForm, a recognized name, or None")
     kind, sigma = split_volume("volume", spec)
-    if kind == "coordinate":
-        return VolumeForm.coordinate()
-    if kind == "busemann-hausdorff":
-        return VolumeForm.busemann_hausdorff(nodes)
-    return VolumeForm.explicit(sigma)
+    return VolumeForm(kind, sigma, nodes)
 
 
 class MeasureStack:
-    """S, tau, and chi jets of one (spray, volume) pair at one point."""
+    """S, tau, and chi jets of one spray under one volume form at one point.
+
+    ``lnsigma_x`` is the ln sigma jet in the x ring, two degrees below the
+    stack's, or a function returning it on first use (chi needs none).
+    """
 
     CHI_ROUTES = ("fromS", "fromT", "fromR")
 
-    def __init__(self, stack: SprayStack, volume: VolumeForm, metric=None):
+    def __init__(self, stack: SprayStack, lnsigma_x):
         self.stack = stack
-        self.volume = volume
-        self.metric = metric
+        self._lnsigma_x = lnsigma_x
         self.n = stack.n
         self.ring = stack.ring
 
     @cached_property
+    def lnsigma_x(self) -> Jet:
+        raw = self._lnsigma_x
+        return raw if isinstance(raw, Jet) else raw()
+
+    @cached_property
     def lnsigma(self) -> Jet:
-        xdeg = self.ring.degree - 2
-        base = self.volume.lnsigma_jet(self.metric, self.stack.point.x, xdeg)
-        return jets.lift(base, self.ring)
+        return jets.lift(self.lnsigma_x, self.ring)
+
+    def rescaled(self, f) -> MeasureStack:
+        """The stack of e^{-(n+1) f} dV on the same spray."""
+        field = as_field(f, self.n).jet(self.stack.point.x, self.lnsigma_x.ring.degree)
+        return MeasureStack(self.stack, self.lnsigma_x - (self.n + 1.0) * field)
 
     @cached_property
     def S(self) -> Jet:

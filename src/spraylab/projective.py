@@ -21,14 +21,16 @@ the base spray; both come from the same SprayStack operators.
 -> measure stack -> projective stack, built lazily.  The CLI's ``eval``,
 the identity suite, the theorem fixtures and the operations below
 (volume change, flatness residuals, the Einstein-surface check) all read
-their quantities from it.
+their quantities from it.  It computes the ln sigma jet of a volume
+form on first use and hands it on to the hat spray, a perturbed spray
+and a rescaled volume.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .geometry import (
     stack_for,
 )
 from .jets import Jet
-from .measures import MeasureStack, VolumeForm
+from .measures import MeasureStack, VolumeForm, as_volume
 
 WEYL_ROUTES = ("viaChi", "viaHat")
 WO_ROUTES = ("definition", "viaBase", "divW", "divR")
@@ -78,7 +80,7 @@ class ProjectiveStack:
 
     @cached_property
     def hat_measure(self) -> MeasureStack:
-        return MeasureStack(self.hat, self.measure.volume, self.measure.metric)
+        return MeasureStack(self.hat, self.measure.lnsigma_x)
 
     @cached_property
     def Rhat(self) -> Jet:
@@ -162,16 +164,19 @@ class PointContext:
 
     frame -> stack -> measure -> proj, each built on first use and shared
     by every quantity read afterwards.  A metric's spray reuses the
-    metric's frame, so F^2 is expanded once per point.
+    metric's frame, so F^2 is expanded once per point.  ``measure_for``
+    puts another volume form on the same stack; ``rules`` collects
+    ``(nodes, change)`` of every Busemann-Hausdorff rule the context ran.
     """
 
-    def __init__(self, obj, volume: VolumeForm, point: TangentPoint,
+    def __init__(self, obj, volume, point: TangentPoint,
                  degree: int = DEFAULT_DEGREE):
         self.spray, self.metric = spray_and_metric(obj)
-        self.volume = volume
+        self.volume = as_volume(volume)
         self.point = point
         self.degree = degree
         self.n = point.dim
+        self.rules: list[tuple[int, float | None]] = []
 
     @cached_property
     def y(self) -> np.ndarray:
@@ -187,9 +192,16 @@ class PointContext:
             return self.frame.stack
         return stack_for(self.spray, self.point, self.degree)
 
+    def measure_for(self, volume) -> MeasureStack:
+        """S, tau and chi of this point's spray under ``volume``; ln sigma on first use."""
+        xdeg = self.stack.ring.degree - 2
+        # not a closure over self: that cycle would keep the point's jets until gc runs
+        return MeasureStack(self.stack, partial(as_volume(volume).lnsigma_jet, self.metric,
+                                                self.point.x, xdeg, rules=self.rules))
+
     @cached_property
     def measure(self) -> MeasureStack:
-        return MeasureStack(self.stack, self.volume, self.metric)
+        return self.measure_for(self.volume)
 
     @cached_property
     def proj(self) -> ProjectiveStack:
@@ -219,12 +231,10 @@ class ProjectiveSpray(Spray):
 
 @dataclass(frozen=True)
 class VolumeChange:
-    """A conformal factor f between volume forms, with its contractions."""
+    """The contractions f_{x^m} y^m and f_{x^m} of a conformal factor f."""
 
-    f: object
     f0: float
     fm: np.ndarray
-    Xi: float
 
 
 @dataclass(frozen=True)
@@ -260,21 +270,11 @@ class EinsteinCheck:
 # -- public operations ---------------------------------------------------------
 
 
-def _xgradient(field, point: TangentPoint) -> np.ndarray:
-    """d f / d x^m for a function of x alone (constants have zero gradient)."""
-    ring = jets.ring(point.dim, 2)
-    xs = [ring.seed(i, point.x[i]) for i in range(point.dim)]
-    value = field(xs)
-    if isinstance(value, Jet):
-        return np.array(value.gradient(), dtype=float)
-    return np.zeros(point.dim)
-
-
 def volume_change(f, measure: MeasureStack) -> VolumeChange:
     field = as_field(f, measure.n)
-    fm = np.zeros(measure.n) if field is None else _xgradient(field, measure.stack.point)
+    fm = np.zeros(measure.n) if field is None else field.jet(measure.stack.point.x, 2).gradient()
     f0 = float(fm @ measure.stack.point.y_array())
-    return VolumeChange(f=field, f0=f0, fm=fm, Xi=measure.S.value() / (measure.n + 1.0) + f0)
+    return VolumeChange(f0=f0, fm=fm)
 
 
 def volume_change_wo(obj, volume: VolumeForm, f, point: TangentPoint, degree: int = DEFAULT_DEGREE):
@@ -283,11 +283,9 @@ def volume_change_wo(obj, volume: VolumeForm, f, point: TangentPoint, degree: in
     Returns ``(wo_tilde, residual)`` where the residual is the max-norm
     distance of the recomputed wo_tilde from the predicted W^o_k - W^m_k f_m.
     """
-    ctx = PointContext(obj, volume, point, degree)
-    ps = ctx.proj
-    change = volume_change(f, ctx.measure)
-    scaled = volume if change.f is None else VolumeForm.scaled(volume, change.f, sign=-1)
-    tilde = ProjectiveStack(MeasureStack(ctx.stack, scaled, ctx.metric))
+    ps = PointContext(obj, volume, point, degree).proj
+    change = volume_change(f, ps.measure)
+    tilde = ProjectiveStack(ps.measure if f is None else ps.measure.rescaled(f))
     wo_tilde = tilde.wo_values("definition")
     predicted = ps.wo_values("definition") - ps.weyl_values("viaHat").T @ change.fm
     return wo_tilde, float(np.max(np.abs(wo_tilde - predicted)))

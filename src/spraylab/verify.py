@@ -24,7 +24,7 @@ from . import catalog
 from .catalog import MetricSpec
 from .errors import ConfigError, SprayLabError
 from .geometry import (DEFAULT_DEGREE, PerturbedSpray, SprayStack, TangentPoint,
-                       spray_and_metric, stack_for)
+                       spray_and_metric)
 from .jets import Jet
 from .measures import MeasureStack, VolumeForm, as_volume
 from .projective import (PointContext, ProjectiveStack, einstein_wo_check,
@@ -320,8 +320,7 @@ def _chi_routes(ctx):
 def _s_volume_change(ctx):
     n = ctx.n
     change = volume_change("0.1*x1*x2", ctx.measure)
-    tilde = VolumeForm.scaled(ctx.volume, "0.1*x1*x2", sign=-1)
-    s_tilde = MeasureStack(ctx.stack, tilde, ctx.metric).S.value()
+    s_tilde = ctx.measure.rescaled("0.1*x1*x2").S.value()
     lhs = ctx.measure.S.value()
     rhs = s_tilde - (n + 1.0) * change.f0
     scale = max(abs(lhs), abs(s_tilde), (n + 1.0) * abs(change.f0))
@@ -488,7 +487,7 @@ def _perturbation_forms(n: int):
 def _projective_invariance(ctx):
     pert = PerturbedSpray(ctx.spray, _perturbation_forms(ctx.n))
     pstack = SprayStack(ctx.point, pert.perturb(ctx.stack.G, ctx.point))
-    pproj = ProjectiveStack(MeasureStack(pstack, ctx.volume, ctx.metric))
+    pproj = ProjectiveStack(MeasureStack(pstack, ctx.measure.lnsigma_x))
     w0 = ctx.proj.weyl_values("viaHat")
     w1 = pproj.weyl_values("viaHat")
     wo0 = ctx.proj.wo_values("definition")
@@ -606,6 +605,8 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
         raise ConfigError(f"checks that do not apply to {obj.name} in dimension "
                           f"{obj.dim}: {', '.join(idle)}")
     pts, seed = _resolve_points(obj, points, seed, box)
+    # a volume no selected check reads must still be one that can be built
+    volume.validate(obj.dim)
 
     quad = volume.uses_quadrature
     groups = {c.name: (tolerances.pick(quad and c.uses_measure), []) for c in selected}
@@ -621,9 +622,7 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
             except (SprayLabError, FloatingPointError):
                 residual, scale = math.inf, 1.0
             results.append(_result(check.name, point, residual, scale, tol, tolerances.floor))
-        rule = volume.quadrature_rule(point.x) if quad else None
-        if rule is not None:
-            rules.append(rule)
+        rules.extend(ctx.rules)
     quadrature = None
     if quad:
         changes = [change for _, change in rules if change is not None]
@@ -643,12 +642,11 @@ def _fixture(family, dim, opts, default_count, seed_offset=0, params=None):
     return metric, catalog.sample(metric, count=count, seed=opts["seed"] + seed_offset)
 
 
-def _wo_zero(label: str, point, ms: MeasureStack, tol, at_least=0.0) -> CheckResult:
+def _wo_zero(label: str, point, ms: MeasureStack, tol, quad: bool, at_least=0.0) -> CheckResult:
     """W^o = 0 under the volume of ``ms``, scaled by its two defining terms."""
     proj = ProjectiveStack(ms)
     return _result(label, point, _maxabs(proj.wo_values("definition")),
-                   max(_maxabs(*proj.wo_terms), at_least),
-                   tol.pick(ms.volume.uses_quadrature), tol.floor)
+                   max(_maxabs(*proj.wo_terms), at_least), tol.pick(quad), tol.floor)
 
 
 def _theorem_volumes(override, nodes):
@@ -665,14 +663,13 @@ def _thm12(opts, tol):
     """Scalar-curvature spray: W^o vanishes for every volume form."""
     metric, pts = _fixture("funk", 3, opts, 20)
     volumes = _theorem_volumes(opts["volume"], opts["nodes"])
-    # one base stack per point serves every volume; results stay grouped
-    # by volume, in point order
+    # one context per point serves every volume; results stay grouped by volume
     per_volume = [[] for _ in volumes]
     for point in pts:
-        st = stack_for(metric.spray(), point, opts["degree"])
+        ctx = PointContext(metric, None, point, opts["degree"])
         for vol, rs in zip(volumes, per_volume):
-            rs.append(_wo_zero(f"thm12:funk:{vol.kind}", point,
-                               MeasureStack(st, vol, metric), tol))
+            rs.append(_wo_zero(f"thm12:funk:{vol.kind}", point, ctx.measure_for(vol),
+                               tol, vol.uses_quadrature))
     results = [r for rs in per_volume for r in rs]
     return results, "coordinate, explicit, busemann-hausdorff"
 
@@ -691,7 +688,7 @@ def _thm15(opts, tol):
         results.append(_result("thm15:funk:constant-s", point,
                                abs(s_val - 2.0 * f_val),
                                max(abs(s_val), 2.0 * f_val), t, tol.floor))
-        results.append(_wo_zero("thm15:funk:wo-zero", point, ms, tol))
+        results.append(_wo_zero("thm15:funk:wo-zero", point, ms, tol, True))
 
     ball, pts = _fixture("hyperbolic-ball", 3, opts, 6, seed_offset=1)
     for point in pts:
@@ -700,7 +697,7 @@ def _thm15(opts, tol):
         scale_s = max(abs(float(np.trace(st.N_values))), 1.0)
         results.append(_result("thm15:hyperbolic:constant-s", point,
                                abs(ms.S.value()), scale_s, t, tol.floor))
-        results.append(_wo_zero("thm15:hyperbolic:wo-zero", point, ms, tol))
+        results.append(_wo_zero("thm15:hyperbolic:wo-zero", point, ms, tol, True))
     return results, vol.describe()
 
 
@@ -715,8 +712,8 @@ def _cor14(opts, tol):
     t = tol.pick(any(v.uses_quadrature for v in volumes))
     results = []
     for point in pts:
-        st = stack_for(metric.spray(), point, opts["degree"])
-        res, scale = _spread([ProjectiveStack(MeasureStack(st, vol, metric)).wo_values("definition")
+        ctx = PointContext(metric, None, point, opts["degree"])
+        res, scale = _spread([ProjectiveStack(ctx.measure_for(vol)).wo_values("definition")
                               for vol in volumes])
         results.append(_result("cor14:volume-independence", point, res, scale, t, tol.floor))
     return results, ", ".join(v.describe() for v in volumes)
@@ -729,11 +726,11 @@ def _cor33(opts, tol):
     for family, offset in (("round-sphere", 0), ("hyperbolic-ball", 1)):
         metric, pts = _fixture(family, 2, opts, 8, seed_offset=offset)
         for point in pts:
-            st = stack_for(metric.spray(), point, opts["degree"])
+            ctx = PointContext(metric, None, point, opts["degree"])
             for vol in volumes:
                 results.append(_wo_zero(f"cor33:{family}:{vol.kind}", point,
-                                        MeasureStack(st, vol, metric), tol,
-                                        at_least=abs(st.Rscalar.value())))
+                                        ctx.measure_for(vol), tol, vol.uses_quadrature,
+                                        at_least=abs(ctx.stack.Rscalar.value())))
     return results, "coordinate, busemann-hausdorff"
 
 
@@ -781,7 +778,7 @@ def _ex17(opts, tol):
                                1.0 + _maxabs(st.N_values), t, tol.floor))
         results.append(_result("ex17:s-zero", point, abs(ms.S.value()),
                                1.0, t, tol.floor))
-        results.append(_wo_zero("ex17:wo-zero", point, ms, tol, at_least=1.0))
+        results.append(_wo_zero("ex17:wo-zero", point, ms, tol, True, at_least=1.0))
     return results, vol.describe()
 
 
@@ -803,36 +800,30 @@ def _ex45(opts, tol):
         VolumeForm.busemann_hausdorff(nodes),
     ]
     for point in pts:
-        ctx = PointContext(metric, VolumeForm.coordinate(), point, opts["degree"])
+        ctx = PointContext(metric, None, point, opts["degree"])
         st, fsq = ctx.stack, ctx.frame.fsq.value()
         wv = ctx.proj.weyl_values("viaChi")
         results.append(_result("ex45:scalar-curvature", point, _maxabs(wv),
                                fsq, tol.pick(False), tol.floor))
-        for vol in (gate_vols[0], gate_vols[2]):
-            t = tol.pick(vol.uses_quadrature)
-            msv = MeasureStack(st, vol, metric)
-            wo = ProjectiveStack(msv).wo_values("definition")
+        projs = [ProjectiveStack(ctx.measure_for(vol)) for vol in gate_vols]
+        for vol, proj in zip(gate_vols[::2], projs[::2]):  # coordinate and BH
+            wo = proj.wo_values("definition")
             results.append(_result(f"ex45:wo-zero:{vol.kind}", point, _maxabs(wo),
-                                   fsq ** 1.5, t, tol.floor))
-        rhat_best = math.inf
-        scale_best = 1.0
-        for vol in gate_vols:
-            msv = MeasureStack(st, vol, metric)
-            rhat = abs(ProjectiveStack(msv).Rhat.value())
-            if rhat < rhat_best:
-                rhat_best = rhat
-                scale_best = max(abs(st.Rscalar.value()), abs(msv.tau.value()))
+                                   fsq ** 1.5, tol.pick(vol.uses_quadrature), tol.floor))
+        best = min(projs, key=lambda proj: abs(proj.Rhat.value()))
+        scale = max(abs(st.Rscalar.value()), abs(best.measure.tau.value()))
         results.append(_result("ex45:projective-ricci-flat-gate", point,
-                               rhat_best, scale_best, tol.pick(True), tol.floor))
+                               abs(best.Rhat.value()), scale, tol.pick(True), tol.floor))
 
     x = pts[0].x
     dirs = [(1.0, 0.4, -0.3), (-0.5, 1.0, 0.8), (0.2, -0.9, 1.0)]
     ratios = []
     # sigma_BH depends on x alone, so the three directions share one density
-    bh = VolumeForm.busemann_hausdorff(nodes)
+    degree = 4
+    lnsigma = VolumeForm.busemann_hausdorff(nodes).lnsigma_jet(metric, x, degree - 2)
     for y in dirs:
-        ctx = PointContext(metric, bh, TangentPoint(x, y), 4)
-        ratios.append(ctx.measure.S.value() / ctx.frame.F.value())
+        ctx = PointContext(metric, None, TangentPoint(x, y), degree)
+        ratios.append(MeasureStack(ctx.stack, lnsigma).S.value() / ctx.frame.F.value())
     spread = max(ratios) - min(ratios)
     results.append(_result("ex45:anisotropic-s", pts[0],
                            max(0.0, 0.01 - spread), 1.0,

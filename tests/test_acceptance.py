@@ -14,7 +14,7 @@ from spraylab import cli, jets
 from spraylab.catalog import MetricSpec, build, family_names, sample
 from spraylab.expressions import as_field
 from spraylab.geometry import MetricFrame, PerturbedSpray, TangentPoint
-from spraylab.measures import MeasureStack, VolumeForm, _bh_rule, bh_density
+from spraylab.measures import VolumeForm, _bh_rule, bh_density
 from spraylab.projective import (
     PointContext,
     einstein_wo_check,
@@ -55,8 +55,7 @@ def _fd_cases(metric):
         return MetricFrame(metric, p, 6).stack.Rscalar.value()
 
     def s_field(p):
-        frame = MetricFrame(metric, p, 4)
-        return MeasureStack(frame.stack, VolumeForm.coordinate(), metric).S.value()
+        return PointContext(metric, VolumeForm.coordinate(), p, 4).measure.S.value()
 
     cases = []
     for i in range(n):
@@ -74,9 +73,8 @@ def test_criterion_01_finite_difference_oracles():
         metric = build(name)
         n = metric.dim
         point = sample(metric, count=1, seed=3)[0]
-        frame = MetricFrame(metric, point, degree=7)
-        st = frame.stack
-        ms = MeasureStack(st, VolumeForm.coordinate(), metric)
+        ctx = PointContext(metric, VolumeForm.coordinate(), point, degree=7)
+        st, ms = ctx.stack, ctx.measure
         for label, field, jet_value in _fd_cases(metric):
             for slot in (0, 1, n, n + 1):
                 alpha = [0] * (2 * n)
@@ -256,12 +254,10 @@ def test_criterion_08_volume_change_laws():
     metric = build("randers")
     f = "0.1*x1*x2"
     base = VolumeForm.explicit("exp(0.2*x3)")
-    scaled = VolumeForm.scaled(base, as_field(f, 3), sign=-1)
     worst_s, worst_wo = 0.0, 0.0
     for point in sample(metric, count=5, seed=4):
-        frame = MetricFrame(metric, point, degree=7)
-        ms = MeasureStack(frame.stack, base, metric)
-        tilde = MeasureStack(frame.stack, scaled, metric)
+        ms = PointContext(metric, base, point, degree=7).measure
+        tilde = ms.rescaled(as_field(f, 3))
         change = volume_change(f, ms)
         worst_s = max(worst_s, abs(ms.S.value() - (tilde.S.value() - 4.0 * change.f0)))
         _, residual = volume_change_wo(metric, base, f, point)
@@ -304,10 +300,10 @@ def test_criterion_10_chi_routes_and_volumes():
     metric = build("randers")
     worst = 0.0
     for point in sample(metric, count=4, seed=6):
-        frame = MetricFrame(metric, point, degree=7)
+        ctx = PointContext(metric, None, point, degree=7)
         per_volume = []
         for volume in three_volumes(nodes=48):
-            ms = MeasureStack(frame.stack, volume, metric)
+            ms = ctx.measure_for(volume)
             chis = np.array([ms.chi_values(r) for r in ms.CHI_ROUTES])
             budget = 1e-7 * np.abs(chis).max() + 1e-9
             worst = max(worst, (chis.max(axis=0) - chis.min(axis=0)).max() / budget)

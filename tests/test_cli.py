@@ -495,6 +495,15 @@ def test_thm12_builds_one_base_stack_per_point(capsys, monkeypatch):
     (("verify", "--metric", "randers", "--volume", "bh", "--points", "3"), 3),
     # two gate points plus one base point shared by three directions
     (("theorem", "ex45", "--points", "2"), 3),
+    # one of three volumes is BH
+    (("theorem", "thm12", "--points", "2"), 2),
+    # funk and hyperbolic-ball points
+    (("theorem", "thm15", "--points", "2"), 4),
+    # round-sphere and hyperbolic-ball points
+    (("theorem", "cor33", "--points", "2"), 4),
+    (("theorem", "ex17", "--points", "2"), 2),
+    # three volume changes share the density of each point
+    (("theorem", "thm43", "--volume", "bh", "--points", "2"), 2),
 ])
 def test_one_bh_density_per_volume_and_point(capsys, monkeypatch, argv, densities):
     calls = _count_calls(monkeypatch, measures, "bh_density")
@@ -540,6 +549,42 @@ def test_run_record_without_quadrature_has_no_bh_fields(capsys):
     assert code == 0
     assert list(json_records(out)[0]) == ["record", "subcommand", "metric", "volume", "seed",
                                           "degree", "tol_jet", "tol_quad", "floor"]
+
+
+@pytest.mark.parametrize("volume", [
+    ("--volume", "explicit:1+"),
+    ("--volume", "explicit:exp(x7)"),
+    ("--volume", "bh", "--bh-nodes", "4"),
+])
+def test_bad_volume_exits_two_when_no_check_reads_it(capsys, volume):
+    code, out, err = run_cli(capsys, "verify", "--metric", "randers", "--points", "1",
+                             "--checks", "euler-spray", *volume)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_constant_explicit_density_is_the_coordinate_volume(capsys):
+    argv = ("eval", "--metric", "randers", "--points", "2", "--seed", "1")
+    code, constant, _ = run_cli(capsys, *argv, "--volume", "explicit:2")
+    assert code == 0
+    assert constant == run_cli(capsys, *argv, "--volume", "coordinate")[1]
+
+
+@pytest.mark.parametrize("sigma", ["0", "-1"])
+def test_nonpositive_constant_density(capsys, sigma):
+    code, out, err = run_cli(capsys, "eval", "--metric", "randers", "--points", "2",
+                             "--volume", f"explicit:{sigma}")
+    assert code == 2 and out == ""
+    assert "log requires a positive constant term" in err
+    # verify fails the measure checks, as for a density that is negative somewhere
+    failed = []
+    for volume in (f"explicit:{sigma}", "explicit:x1-5"):
+        code, out, err = run_cli(capsys, "verify", "--metric", "randers", "--points", "2",
+                                 "--volume", volume)
+        assert code == 1 and err == ""
+        failed.append([r["check"] for r in json_records(out)
+                       if r["record"] == "check" and not r["pass"]])
+    assert failed[0] and failed[0] == failed[1]
 
 
 def test_oversized_bh_rule_exits_two(capsys):

@@ -2,6 +2,7 @@
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,13 @@ import pytest
 import spraylab
 
 ROOT = Path(__file__).resolve().parents[1]
-README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
+# the CLI lines of the sh blocks, without their trailing comments
+CLI_LINES = [line.split(" #")[0].strip()
+             for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+             for line in block.splitlines()
+             if line.startswith(("spraylab ", "python -m spraylab "))]
 
 
 def test_readme_has_python_examples():
@@ -22,6 +29,19 @@ def test_readme_has_python_examples():
 def test_readme_python_block_runs(index):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", README_BLOCKS[index]], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_has_cli_lines():
+    assert CLI_LINES
+
+
+@pytest.mark.parametrize("line", CLI_LINES)
+def test_readme_cli_line_runs(line):
+    args = shlex.split(line.removeprefix("python -m ").removeprefix("spraylab "))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "spraylab", *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

@@ -6,7 +6,9 @@ formula); Riemannian metrics have S = 0 under their own volume; the Funk
 metric has S = (n+1) F / 2 and chi = 0.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -201,12 +203,54 @@ def test_volume_form_validation():
         as_volume("nope")
     with pytest.raises(ConfigError):
         VolumeForm.explicit(None)
-    with pytest.raises(ConfigError):
-        VolumeForm.scaled(None, None)
     vol = VolumeForm.explicit("x1")
     with pytest.raises(JetDomainError):
         vol.lnsigma_jet(None, (-0.5, 0.1), 2)
     assert as_volume("busemann-hausdorff", nodes=32).describe() == "busemann-hausdorff(32)"
+
+
+def test_volume_form_is_a_plain_value():
+    assert vars(as_volume("bh", nodes=32)) == {"kind": "busemann-hausdorff",
+                                               "sigma": None, "nodes": 32}
+    # a constant density is a constant jet, not a float
+    lnsigma = VolumeForm.explicit("2").lnsigma_jet(None, (0.1, 0.2), 2)
+    assert lnsigma.value() == math.log(2.0)
+    np.testing.assert_array_equal(lnsigma.gradient(), 0.0)
+
+
+def test_point_context_owns_the_density():
+    metric = build(MetricSpec("randers", 3))
+    point = sample(metric, count=1, seed=1)[0]
+    assert PointContext(metric, None, point).volume.kind == "coordinate"
+    ctx = PointContext(metric, "bh", point, degree=5)
+    assert ctx.volume.describe() == "busemann-hausdorff(64)"
+    # chi from curvature needs no density
+    ctx.measure.chi_values("fromR")
+    assert ctx.rules == []
+    ctx.proj.hat_measure.S
+    ctx.measure.rescaled("0.1*x1").S
+    ctx.measure_for("explicit:exp(x1)").S
+    assert [nodes for nodes, _ in ctx.rules] == [32]
+    # another volume form on the same stack runs its own rule
+    ctx.measure_for(VolumeForm.busemann_hausdorff(16)).S
+    assert ctx.rules[1] == (16, None)
+
+
+def test_point_context_is_freed_by_reference_counting():
+    # a reference cycle would keep every point's jets until the cyclic
+    # collector runs, so peak memory would grow with the points of a run
+    metric = build(MetricSpec("randers", 3))
+    point = sample(metric, count=1, seed=1)[0]
+    gc.disable()
+    try:
+        ctx = PointContext(metric, "bh", point, degree=5)
+        ctx.proj.hat_measure.S
+        ctx.measure.rescaled("0.1*x1").S
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_bh_volume_without_metric():
@@ -265,11 +309,8 @@ def test_volume_change_is_affine_in_f():
     # dV = e^{(n+1) f} dV~  ==>  S = S~ - (n+1) f_{x^m} y^m, exactly
     metric = build(MetricSpec("randers", 3))
     point = TangentPoint((0.1, -0.15, 0.2), (0.6, 0.3, -0.5))
-    base = VolumeForm.explicit("exp(x1)")
-    scaled = VolumeForm.scaled(base, "0.1*x1*x2", sign=1)
-    s_base = PointContext(metric, base, point, degree=5).measure.S
-    s_scaled = PointContext(metric, scaled, point, degree=5).measure.S
-    diff = s_scaled - s_base
+    ms = PointContext(metric, VolumeForm.explicit("exp(x1)"), point, degree=5).measure
+    diff = ms.S - ms.rescaled("0.1*x1*x2").S
     # -(n+1) f_0 for f = 0.1 x1 x2
     f0 = 0.1 * (point.x[1] * point.y[0] + point.x[0] * point.y[1])
     assert diff.value() == pytest.approx(-4.0 * f0, abs=1e-12)

@@ -23,7 +23,7 @@ from spraylab.geometry import (
     TangentPoint,
     stack_for,
 )
-from spraylab.measures import MeasureStack, VolumeForm
+from spraylab.measures import VolumeForm
 from spraylab.projective import (
     PointContext,
     ProjectiveSpray,
@@ -272,7 +272,7 @@ def test_projective_spray_field():
     volume = VolumeForm.explicit("exp(0.1*x2)")
     hat = ProjectiveSpray(metric.spray(), volume)
     assert hat.dim == 3 and hat.metric is metric
-    own = MeasureStack(stack_for(hat, PT3), volume, metric)
+    own = PointContext(hat, volume, PT3).measure
     assert abs(own.S.value()) <= 1e-12
     outside = TangentPoint((5.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert hat.admissible(PT3) and hat.admissible(outside)

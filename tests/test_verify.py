@@ -9,7 +9,8 @@ from spraylab import catalog, verify
 from spraylab.catalog import MetricSpec
 from spraylab.errors import ConfigError
 from spraylab.geometry import MetricFrame, TangentPoint, stack_for
-from spraylab.measures import MeasureStack, VolumeForm
+from spraylab.measures import VolumeForm
+from spraylab.projective import PointContext
 from spraylab.verify import (REGISTRY, Tolerances, as_volume, fd_oracle,
                              identity_suite, theorem_check, theorem_names)
 
@@ -341,9 +342,9 @@ def test_fd_bh_density_gradient():
     point = TangentPoint((0.12, -0.08, 0.1), (1.0, 0.3, -0.2))
 
     def lnsigma(p):
-        return MeasureStack(stack_for(randers.spray(), p, 4), vol, randers).lnsigma.value()
+        return PointContext(randers, vol, p, 4).measure.lnsigma.value()
 
-    jets = MeasureStack(stack_for(randers.spray(), point, 6), vol, randers).lnsigma
+    jets = PointContext(randers, vol, point, 6).measure.lnsigma
     for k in range(3):
         alpha = [0] * 6
         alpha[k] = 1
