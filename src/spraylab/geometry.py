@@ -188,7 +188,7 @@ def _assert_positive_definite(g: np.ndarray, context: str):
 
 
 class MetricFrame:
-    """Jets of one metric at one point: F^2, F, g, and G^i solved from g."""
+    """Jets of one metric at one point: F^2, F to first order, g, and G^i solved from g."""
 
     def __init__(self, metric: FinslerMetric, point: TangentPoint, degree: int = DEFAULT_DEGREE):
         metric.check_point(point)
@@ -206,7 +206,7 @@ class MetricFrame:
 
     @cached_property
     def F(self) -> Jet:
-        return jets.sqrt(self.fsq)
+        return jets.sqrt(self.fsq.truncate(1))
 
     @cached_property
     def g(self) -> Jet:

@@ -6,21 +6,24 @@ multi-index ``alpha`` is ``partial^alpha f / alpha!``, so the constant
 term is the function value and mixed partials are recovered by
 multiplying with ``alpha!``.
 
-Storage is dense: one flat float64 array per jet, indexed by a
-precomputed graded multi-index table shared by all jets of the same
-``(nvars, degree)`` ring.  Within a total degree, indices follow the
-order of ``itertools.combinations_with_replacement``, so truncating to a
-lower degree is a prefix slice.  Jets may carry leading batch axes
-(``coeffs.shape == (*batch, ring.size)``); all operations broadcast over
-them, which is what makes quadrature loops cheap.  A tensor is one jet
-whose batch axes are its indices; indexing, ``grad`` and ``einsum`` act
-on those axes only (the vector mode of forward differentiation).
+Storage is one flat float64 array per jet, indexed by a precomputed
+graded multi-index table shared by all jets of the same ``(nvars,
+degree)`` ring.  Within a total degree, indices follow the order of
+``itertools.combinations_with_replacement``, so the orders up to ``k``
+are the first ``ring.size_upto[k]`` coefficients.  Jets may carry leading
+batch axes (``coeffs.shape == (*batch, width)``); all operations
+broadcast over them, which is what makes quadrature loops cheap.  A
+tensor is one jet whose batch axes are its indices; indexing, ``grad``
+and ``einsum`` act on those axes only (the vector mode of forward
+differentiation).
 
-Each jet also records ``valid``, the number of Taylor orders that are
-still exact.  Deriving a jet from truncated data loses one order per
-derivative; ``valid`` tracks that budget and every coefficient above it
-is kept at exactly zero.  Requesting a partial beyond ``valid`` raises
-:class:`DegreeBudgetError` instead of returning noise.
+A jet stores only its exact orders: ``valid``, the number of Taylor
+orders still exact, is the ``v`` with ``width == ring.size_upto[v]``.
+Each derivative of truncated data loses one order, and a sum or product
+keeps the fewer orders of its operands.  Requesting a partial beyond
+``valid`` raises :class:`DegreeBudgetError` instead of returning noise.
+``truncate`` is a prefix view, so jets share memory and no operation
+writes into an operand.
 
 ``nzdeg`` bounds the polynomial degree of the stored coefficients: every
 coefficient of total degree above it is exactly zero.  A product therefore
@@ -71,6 +74,7 @@ class PolyRing:
             [math.comb(nvars + t, t) for t in range(degree + 1)], dtype=np.int64
         )
         self.total_degree = self.exponents.sum(axis=1)
+        self._valid_of = {int(w): t for t, w in enumerate(self.size_upto)}
 
         # mixed-radix code for O(log) index lookup; degree+1 digits suffice
         base = degree + 1
@@ -137,7 +141,7 @@ class PolyRing:
         value = np.asarray(value, dtype=np.float64)
         coeffs = np.zeros(value.shape + (self.size,))
         coeffs[..., 0] = value
-        return Jet(self, coeffs, valid=self.degree, nzdeg=0)
+        return Jet(self, coeffs, nzdeg=0)
 
     def zero(self) -> "Jet":
         return self.const(0.0)
@@ -150,13 +154,13 @@ class PolyRing:
         coeffs = np.zeros(value.shape + (self.size,))
         coeffs[..., 0] = value
         coeffs[..., 1 + var] = 1.0
-        return Jet(self, coeffs, valid=self.degree, nzdeg=1)
+        return Jet(self, coeffs, nzdeg=1)
 
     # -- raw kernels ---------------------------------------------------
 
     def _mul_coeffs(self, a: np.ndarray, b: np.ndarray, out_deg: int,
                     lo_deg: int = 0) -> np.ndarray:
-        """Orders ``lo_deg..out_deg`` of the product; every other coefficient is zero.
+        """Orders ``lo_deg..out_deg`` of the product, from operands that hold them.
 
         Pairs are sorted by output index and outputs are graded by degree,
         so the pairs of one order range are one contiguous slice.
@@ -165,9 +169,7 @@ class PolyRing:
         c1 = int(self.size_upto[out_deg])
         p0, p1 = int(self._mul_starts[c0]), int(self._pairs_upto[out_deg])
         prod = a[..., self._mul_i[p0:p1]] * b[..., self._mul_j[p0:p1]]
-        out = np.zeros(prod.shape[:-1] + (self.size,))
-        out[..., c0:c1] = np.add.reduceat(prod, self._mul_starts[c0:c1] - p0, axis=-1)
-        return out
+        return np.add.reduceat(prod, self._mul_starts[c0:c1] - p0, axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +183,11 @@ class Jet:
     __slots__ = ("ring", "coeffs", "valid", "nzdeg")
     __array_ufunc__ = None  # numpy operands on the left defer to __rmul__ etc.
 
-    def __init__(self, ring: PolyRing, coeffs: np.ndarray, valid: int, nzdeg: int):
+    def __init__(self, ring: PolyRing, coeffs: np.ndarray, nzdeg: int):
+        valid = ring._valid_of.get(coeffs.shape[-1])
+        if valid is None:
+            raise ValueError(f"width {coeffs.shape[-1]} is no order of ring({ring.nvars}, "
+                             f"{ring.degree}), whose widths are {ring.size_upto.tolist()}")
         self.ring = ring
         self.coeffs = coeffs
         self.valid = valid
@@ -198,7 +204,7 @@ class Jet:
         if not self.batch_shape:
             raise TypeError("a scalar jet is not indexable")
         idx = idx if isinstance(idx, tuple) else (idx,)
-        return Jet(self.ring, self.coeffs[idx + (Ellipsis, slice(None))], self.valid, self.nzdeg)
+        return Jet(self.ring, self.coeffs[idx + (Ellipsis, slice(None))], self.nzdeg)
 
     def __len__(self) -> int:
         if not self.batch_shape:
@@ -255,28 +261,27 @@ class Jet:
             raise ValueError(f"derivative slot {slots} out of range")
         if self.valid < 1:
             raise DegreeBudgetError("derivative would exceed the truncation budget")
-        # outputs above valid-1 read inputs above valid, which are zero
+        # the orders up to valid-1 of a partial read the orders up to valid
         keep = int(ring.size_upto[self.valid - 1])
-        part = self.coeffs[..., ring._dsrc[slots, :keep]] * ring._dmul[slots, :keep]
-        coeffs = np.zeros(part.shape[:-1] + (ring.size,))
-        coeffs[..., :keep] = part
-        return Jet(ring, coeffs, valid=self.valid - 1, nzdeg=max(self.nzdeg - 1, 0))
+        coeffs = self.coeffs[..., ring._dsrc[slots, :keep]] * ring._dmul[slots, :keep]
+        return Jet(ring, coeffs, nzdeg=max(self.nzdeg - 1, 0))
 
     def truncate(self, k: int) -> "Jet":
-        """The same jet with every order above ``k`` set to zero."""
-        valid = min(self.valid, k)
-        return Jet(self.ring, self._trim(self.coeffs.copy(), valid), valid, self.nzdeg)
+        """The orders up to ``k`` of this jet, as a view of its coefficients."""
+        return Jet(self.ring, self._upto(min(self.valid, k)), self.nzdeg)
+
+    def _upto(self, valid: int) -> np.ndarray:
+        return self.coeffs[..., : int(self.ring.size_upto[valid])]
 
     def einsum(self, spec: str) -> "Jet":
         """Linear map over the batch axes, e.g. ``"mm->"`` (trace) or ``"ik->ki"``."""
         inputs, output = spec.split("->")
-        return Jet(self.ring, np.einsum(f"{inputs}...->{output}...", self.coeffs),
-                   self.valid, self.nzdeg)
+        return Jet(self.ring, np.einsum(f"{inputs}...->{output}...", self.coeffs), self.nzdeg)
 
     def sum_batch(self, weights: np.ndarray) -> "Jet":
         """Weighted sum over the leading batch axis (quadrature reduction)."""
         coeffs = np.tensordot(np.asarray(weights, dtype=np.float64), self.coeffs, axes=(0, 0))
-        return Jet(self.ring, coeffs, valid=self.valid, nzdeg=self.nzdeg)
+        return Jet(self.ring, coeffs, self.nzdeg)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -289,19 +294,12 @@ class Jet:
             return self.ring.const(other)
         return None
 
-    def _trim(self, coeffs: np.ndarray, valid: int) -> np.ndarray:
-        keep = int(self.ring.size_upto[valid])
-        if keep < self.ring.size:
-            coeffs[..., keep:] = 0.0
-        return coeffs
-
     def __add__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
         valid = min(self.valid, b.valid)
-        coeffs = self._trim(self.coeffs + b.coeffs, valid)
-        return Jet(self.ring, coeffs, valid, max(self.nzdeg, b.nzdeg))
+        return Jet(self.ring, self._upto(valid) + b._upto(valid), max(self.nzdeg, b.nzdeg))
 
     __radd__ = __add__
 
@@ -310,8 +308,7 @@ class Jet:
         if b is None:
             return NotImplemented
         valid = min(self.valid, b.valid)
-        coeffs = self._trim(self.coeffs - b.coeffs, valid)
-        return Jet(self.ring, coeffs, valid, max(self.nzdeg, b.nzdeg))
+        return Jet(self.ring, self._upto(valid) - b._upto(valid), max(self.nzdeg, b.nzdeg))
 
     def __rsub__(self, other):
         b = self._coerce(other)
@@ -320,7 +317,7 @@ class Jet:
         return b.__sub__(self)
 
     def __neg__(self):
-        return Jet(self.ring, -self.coeffs, self.valid, self.nzdeg)
+        return Jet(self.ring, -self.coeffs, self.nzdeg)
 
     def __mul__(self, other):
         b = self._coerce(other)
@@ -329,12 +326,15 @@ class Jet:
         valid = min(self.valid, b.valid)
         if self.nzdeg == 0 or b.nzdeg == 0:
             const, full = (self, b) if self.nzdeg == 0 else (b, self)
-            coeffs = self._trim(full.coeffs * const.coeffs[..., :1], valid)
-            return Jet(self.ring, coeffs, valid, min(full.nzdeg, valid))
+            return Jet(self.ring, full._upto(valid) * const.coeffs[..., :1], full.nzdeg)
         # orders above nzdeg_a + nzdeg_b only sum products of exact zeros
         nzdeg = min(self.nzdeg + b.nzdeg, valid)
         coeffs = self.ring._mul_coeffs(self.coeffs, b.coeffs, nzdeg)
-        return Jet(self.ring, coeffs, valid, nzdeg)
+        if nzdeg < valid:
+            padded = np.zeros(coeffs.shape[:-1] + (int(self.ring.size_upto[valid]),))
+            padded[..., : coeffs.shape[-1]] = coeffs
+            coeffs = padded
+        return Jet(self.ring, coeffs, nzdeg)
 
     __rmul__ = __mul__
 
@@ -381,9 +381,7 @@ def stack(nested) -> Jet:
     if any(p.ring is not ring for p in parts):
         raise ValueError("jets belong to different rings")
     valid = min(p.valid for p in parts)
-    coeffs = np.stack([p.coeffs for p in parts])
-    coeffs[..., int(ring.size_upto[valid]):] = 0.0
-    return Jet(ring, coeffs, valid, max(p.nzdeg for p in parts))
+    return Jet(ring, np.stack([p._upto(valid) for p in parts]), max(p.nzdeg for p in parts))
 
 
 def solve(a: Jet, b) -> Jet:
@@ -401,13 +399,14 @@ def solve(a: Jet, b) -> Jet:
     except np.linalg.LinAlgError:
         raise JetDomainError("solve needs an invertible constant term") from None
     valid = min(a.valid, b.valid)
-    z = np.zeros(np.broadcast_shapes(a.batch_shape[:-1], b.batch_shape) + (ring.size,))
+    z = np.zeros(np.broadcast_shapes(a.batch_shape[:-1], b.batch_shape)
+                 + (int(ring.size_upto[valid]),))
     z[..., :1] = a0inv @ b.coeffs[..., :1]
     for k in range(1, valid + 1):
         lo, hi = int(ring.size_upto[k - 1]), int(ring.size_upto[k])
-        az = ring._mul_coeffs(a.coeffs, z[..., None, :, :], k, k)[..., lo:hi].sum(axis=-2)
+        az = ring._mul_coeffs(a.coeffs, z[..., None, :, :], k, k).sum(axis=-2)
         z[..., lo:hi] = a0inv @ (b.coeffs[..., lo:hi] - az)
-    return Jet(ring, z, valid, valid)
+    return Jet(ring, z, valid)
 
 
 # -- univariate composition ---------------------------------------------
@@ -425,13 +424,13 @@ def _compose(a: Jet, series) -> Jet:
     top = a.valid
     nil_coeffs = a.coeffs.copy()
     nil_coeffs[..., 0] = 0.0
-    nil = Jet(a.ring, nil_coeffs, a.valid, a.nzdeg)
+    nil = Jet(a.ring, nil_coeffs, a.nzdeg)
     c_top = np.broadcast_to(np.asarray(series(top, a0), dtype=np.float64), a.batch_shape)
     result = a.ring.const(np.array(c_top))
     for k in range(top - 1, -1, -1):
         result = result * nil
         result.coeffs[..., 0] += series(k, a0)
-    return Jet(a.ring, result.coeffs, a.valid, result.nzdeg)
+    return result.truncate(a.valid)
 
 
 def _require_positive(a: Jet, op: str) -> np.ndarray:
@@ -515,11 +514,10 @@ def lift(a: Jet, target: PolyRing, var_offset: int = 0) -> Jet:
     if var_offset + src.nvars > target.nvars:
         raise ValueError("lift target has too few variables")
     table = _lift_table(src.nvars, src.degree, target.nvars, target.degree, var_offset)
-    valid = min(a.valid, target.degree)
-    coeffs = np.zeros(a.batch_shape + (target.size,))
-    keep = table >= 0
+    coeffs = np.zeros(a.batch_shape + (int(target.size_upto[min(a.valid, target.degree)]),))
+    keep = np.flatnonzero(table[: a.coeffs.shape[-1]] >= 0)
     coeffs[..., table[keep]] = a.coeffs[..., keep]
-    return Jet(target, coeffs, valid, min(a.nzdeg, valid))
+    return Jet(target, coeffs, a.nzdeg)
 
 
 @lru_cache(maxsize=None)

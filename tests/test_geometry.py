@@ -267,9 +267,17 @@ def test_geodesic_coefficients_match_finite_differences(metric, point):
 
 def test_funk_spray_is_half_f_times_y():
     frame = MetricFrame(Funk(3), POINT3, degree=5)
+    F = jets.sqrt(frame.fsq)  # frame.F keeps only first order
     for i in range(3):
-        expect = 0.5 * frame.F * frame.y[i]
+        expect = 0.5 * F * frame.y[i]
         assert_jets_close(frame.spray_coefficients[i], expect, 1e-9)
+
+
+def test_frame_keeps_f_to_first_order():
+    frame = MetricFrame(Funk(3), POINT3, degree=5)
+    assert frame.F.valid == 1
+    full = jets.sqrt(frame.fsq)
+    np.testing.assert_array_equal(frame.F.coeffs, full.coeffs[: 1 + frame.ring.nvars])
 
 
 def test_funk_spray_at_origin():
