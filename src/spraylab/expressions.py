@@ -47,6 +47,7 @@ class ScalarField:
             raise ConfigError(f"cannot parse expression {expr!r}: {err.msg}") from None
         self._tree = tree.body
         self._validate(self._tree)
+        self._check_constants(self._tree)
 
     def __call__(self, xs):
         xs = list(xs)
@@ -88,6 +89,31 @@ class ScalarField:
             self._validate(node.args[0])
         else:
             raise ConfigError(f"unsupported syntax in expression: {ast.dump(node)}")
+
+    def _check_constants(self, node) -> bool:
+        """Whether ``node`` reads a coordinate, refusing undefined constants on the way.
+
+        Each sub-expression that reads none is evaluated here, once, and must
+        have a finite real value: ``sqrt(-1)`` is a configuration error, not
+        a failure at every point.
+        """
+        if isinstance(node, ast.Name):
+            return node.id not in _CONSTANTS
+        if isinstance(node, ast.Constant):
+            return False
+        children = node.args if isinstance(node, ast.Call) else [
+            child for child in ast.iter_child_nodes(node) if isinstance(child, ast.expr)]
+        # a list, not a generator: every child is checked, also after one reads x
+        if any([self._check_constants(child) for child in children]):
+            return True
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                value = self._eval(node, [])
+        except ArithmeticError:
+            value = None
+        if not isinstance(value, float) or not math.isfinite(value):
+            raise ConfigError(f"in {self.expr!r}, {ast.unparse(node)} has no finite real value")
+        return False
 
     def _slot(self, name: str):
         if name.startswith("x") and name[1:].isdigit():

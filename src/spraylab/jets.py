@@ -29,6 +29,17 @@ writes into an operand.
 coefficient of total degree above it is exactly zero.  A product therefore
 stops at ``nzdeg_a + nzdeg_b`` (or ``valid``, if lower), and step k of
 :func:`solve` computes order k of its product and no other.
+
+The elementary functions (:func:`powr`, :func:`reciprocal`, :func:`log`,
+:func:`exp`, :func:`sin`, :func:`cos`) are Taylor-mode recurrences.  The
+Euler operator E = sum_i x_i d_i multiplies the order-k coefficient by k,
+and each function satisfies a first-order equation such as a Ef = r f Ea
+for f = a**r.  Order k of that equation gives order k of the result from
+its lower orders with one order-k product, the slice :func:`solve` uses
+(Neidinger, "Directions for computing truncated multivariate Taylor
+series", Math. Comp. 74, 2005; Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13).  Orders 0 and 1 are phi(a0) and
+phi'(a0) a_1, and a constant argument gives a constant.
 """
 
 from __future__ import annotations
@@ -137,9 +148,11 @@ class PolyRing:
 
     # -- constructors -------------------------------------------------
 
-    def const(self, value) -> "Jet":
+    def const(self, value, valid: int | None = None) -> "Jet":
+        """Constant jet exact to ``valid`` orders (the ring's degree by default)."""
         value = np.asarray(value, dtype=np.float64)
-        coeffs = np.zeros(value.shape + (self.size,))
+        width = self.size if valid is None else int(self.size_upto[valid])
+        coeffs = np.zeros(value.shape + (width,))
         coeffs[..., 0] = value
         return Jet(self, coeffs, nzdeg=0)
 
@@ -291,7 +304,7 @@ class Jet:
                 raise ValueError("jets belong to different rings")
             return other
         if isinstance(other, (int, float, np.floating, np.integer, np.ndarray)):
-            return self.ring.const(other)
+            return self.ring.const(other, self.valid)
         return None
 
     def __add__(self, other):
@@ -355,7 +368,7 @@ class Jet:
             n = int(exponent)
             if n < 0:
                 return reciprocal(self) ** (-n)
-            result = self.ring.const(np.ones(self.batch_shape))
+            result = self.ring.const(np.ones(self.batch_shape), self.valid)
             base = self
             while n:
                 if n & 1:
@@ -409,28 +422,48 @@ def solve(a: Jet, b) -> Jet:
     return Jet(ring, z, valid)
 
 
-# -- univariate composition ---------------------------------------------
+# -- elementary functions ----------------------------------------------------
 
 
-def _compose(a: Jet, series) -> Jet:
-    """Horner evaluation of ``sum_k c_k (a - a0)^k`` truncated at ``a.valid``.
+def _compose(a: Jet, f0, d1, order) -> Jet:
+    """phi(a) from phi(a0) = ``f0``, phi'(a0) = ``d1`` and a Taylor-mode recurrence.
 
-    ``series(k, a0)`` must return the k-th Taylor coefficient of the map at
-    ``a0`` (array-valued for batched jets).  Order-k output coefficients
-    depend only on input coefficients up to order k, so the result keeps
-    every order of ``a`` that was exact.
+    Orders 0 and 1 are ``f0`` and ``d1 * a_1``.  For k >= 2, ``order(k, f)``
+    returns order k of the result from ``f``, which holds the orders below k
+    and zeros from order k on.  ``f0`` and ``d1`` may lead with axes of their
+    own (sin and cos stack a pair).  Order k of the result reads the orders
+    up to k of ``a``, so the result keeps every exact order of ``a``; a
+    constant ``a`` gives a constant.
     """
-    a0 = np.asarray(a.coeffs[..., 0])
-    top = a.valid
-    nil_coeffs = a.coeffs.copy()
-    nil_coeffs[..., 0] = 0.0
-    nil = Jet(a.ring, nil_coeffs, a.nzdeg)
-    c_top = np.broadcast_to(np.asarray(series(top, a0), dtype=np.float64), a.batch_shape)
-    result = a.ring.const(np.array(c_top))
-    for k in range(top - 1, -1, -1):
-        result = result * nil
-        result.coeffs[..., 0] += series(k, a0)
-    return result.truncate(a.valid)
+    ring = a.ring
+    f0, d1 = np.asarray(f0), np.asarray(d1)
+    f = np.zeros(f0.shape + a.coeffs.shape[-1:])
+    f[..., 0] = f0
+    if a.nzdeg == 0:
+        return Jet(ring, f, 0)
+    first = slice(1, 1 + ring.nvars)
+    f[..., first] = a.coeffs[..., first] * d1[..., None]
+    for k in range(2, a.valid + 1):
+        f[..., ring.size_upto[k - 1] : ring.size_upto[k]] = order(k, f)
+    return Jet(ring, f, a.valid)
+
+
+def _euler(a: Jet) -> np.ndarray:
+    """Coefficients of E a = sum_i x_i d_i a: order k of ``a`` times k."""
+    return a.coeffs * a.ring.total_degree[: a.coeffs.shape[-1]]
+
+
+def _power(a: Jet, r: float, f0, d1) -> Jet:
+    # a Ef = r f Ea gives  k a0 f_k = [((r + 1) Ea - k a) f_{<k}]_k
+    ring, a0 = a.ring, a.coeffs[..., :1]
+    scaled_degree = (r + 1.0) * ring.total_degree
+
+    def order(k, f):
+        c1 = ring.size_upto[k]
+        u = a.coeffs[..., :c1] * (scaled_degree[:c1] - k)
+        return ring._mul_coeffs(u, f, k, k) / (k * a0)
+
+    return _compose(a, f0, d1, order)
 
 
 def _require_positive(a: Jet, op: str) -> np.ndarray:
@@ -446,8 +479,9 @@ def reciprocal(a: Jet) -> Jet:
     a0 = np.asarray(a.coeffs[..., 0])
     if np.any(a0 == 0.0):
         raise JetDomainError("division by a jet with zero constant term")
-    # integer powers keep negative constant terms legal
-    return _compose(a, lambda k, x: (1.0 / x) * (-1.0 / x) ** k)
+    # the power recurrence holds for any nonzero a0, so negative ones stay legal
+    inv = 1.0 / a0
+    return _power(a, -1.0, inv, -inv * inv)
 
 
 def sqrt(a: Jet) -> Jet:
@@ -460,52 +494,65 @@ def sqrt(a: Jet) -> Jet:
 def log(a: Jet) -> Jet:
     if not isinstance(a, Jet):
         return np.log(a)
-    _require_positive(a, "log")
+    x = _require_positive(a, "log")
+    # a EL = Ea gives  k a0 L_k = k a_k - [(k a - Ea) L_{<k}]_k
+    ring, a0 = a.ring, a.coeffs[..., :1]
 
-    def series(k: int, x):
-        if k == 0:
-            return np.log(x)
-        return (-1.0) ** (k + 1) / (k * x**k)
+    def order(k, f):
+        c0, c1 = ring.size_upto[k - 1], ring.size_upto[k]
+        u = a.coeffs[..., :c1] * (k - ring.total_degree[:c1])
+        return (k * a.coeffs[..., c0:c1] - ring._mul_coeffs(u, f, k, k)) / (k * a0)
 
-    return _compose(a, series)
+    return _compose(a, np.log(x), 1.0 / x, order)
 
 
 def exp(a: Jet) -> Jet:
     if not isinstance(a, Jet):
         return np.exp(a)
-    return _compose(a, lambda k, x: np.exp(x) / math.factorial(k))
+    # Ef = f Ea gives  k f_k = [Ea f_{<k}]_k
+    ring, ea = a.ring, _euler(a)
+    value = np.exp(a.coeffs[..., 0])
+    return _compose(a, value, value, lambda k, f: ring._mul_coeffs(ea, f, k, k) / k)
 
 
 def powr(a: Jet, r: float) -> Jet:
-    """Real power with positive constant term, as one binomial series.
+    """Real power ``a**r`` of a jet with positive constant term.
 
-    The k-th Taylor coefficient of ``x -> x**r`` at ``x0`` is
-    ``binom(r, k) * x0**(r - k)``, so one composition does the work that
-    ``exp(r * log(a))`` needs two for.
+    From a Ef = r f Ea, with E the Euler operator (order k times k), each
+    order k >= 2 of f = a**r costs one order-k product (Neidinger, Math.
+    Comp. 74, 2005; Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+    ch. 13).
     """
     if not isinstance(a, Jet):
         return float(a) ** float(r)
-    _require_positive(a, "pow")
-    return _compose(a, lambda k, x: _binom(r, k) * x ** (r - k))
+    x = _require_positive(a, "pow")
+    return _power(a, r, x**r, r * x ** (r - 1))
+
+
+def _cos_sin(a: Jet) -> Jet:
+    """The pair (cos a, sin a), stacked on a new leading batch axis."""
+    # Ec = -s Ea and Es = c Ea give  k (c_k, s_k) = (-[Ea s]_k, [Ea c]_k)
+    ring, ea, x = a.ring, _euler(a), a.coeffs[..., 0]
+
+    def order(k, f):
+        ec, es = ring._mul_coeffs(ea, f, k, k) / k
+        return np.stack([-es, ec])
+
+    # order 1 as the series cos(x + k pi/2) / k! gave it, so its bits stay put
+    d1 = np.stack([np.cos(x + np.pi / 2), np.sin(x + np.pi / 2)])
+    return _compose(a, np.stack([np.cos(x), np.sin(x)]), d1, order)
 
 
 def sin(a: Jet) -> Jet:
     if not isinstance(a, Jet):
         return np.sin(a)
-    return _compose(a, lambda k, x: np.sin(x + k * np.pi / 2) / math.factorial(k))
+    return _cos_sin(a)[1]
 
 
 def cos(a: Jet) -> Jet:
     if not isinstance(a, Jet):
         return np.cos(a)
-    return _compose(a, lambda k, x: np.cos(x + k * np.pi / 2) / math.factorial(k))
-
-
-def _binom(r: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= (r - i) / (i + 1)
-    return out
+    return _cos_sin(a)[0]
 
 
 def lift(a: Jet, target: PolyRing, var_offset: int = 0) -> Jet:

@@ -563,6 +563,20 @@ def test_bad_volume_exits_two_when_no_check_reads_it(capsys, volume):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("sigma, part", [
+    ("(-1)^0.5", "(-1) ** 0.5"),  # was a TypeError traceback
+    ("sqrt(-1)", "sqrt(-1)"),     # was a RuntimeWarning and "inf" residuals
+    ("log(0)", "log(0)"),
+    ("exp(1000)", "exp(1000)"),   # was an overflow warning and exit 0
+    ("x1 + 1/0", "1 / 0"),
+])
+def test_undefined_constant_in_explicit_volume_exits_two(capsys, sigma, part):
+    code, out, err = run_cli(capsys, "verify", "--metric", "randers", "--points", "1",
+                             "--volume", f"explicit:{sigma}")
+    assert code == 2 and out == ""
+    assert err == f"error: in {sigma!r}, {part} has no finite real value\n"
+
+
 def test_constant_explicit_density_is_the_coordinate_volume(capsys):
     argv = ("eval", "--metric", "randers", "--points", "2", "--seed", "1")
     code, constant, _ = run_cli(capsys, *argv, "--volume", "explicit:2")

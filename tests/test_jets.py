@@ -465,6 +465,15 @@ def test_numpy_operand_on_the_left_gives_a_jet(left):
     np.testing.assert_allclose((left * vec).value(), np.asarray(left) * vec.value())
 
 
+def test_constant_operands_take_the_jet_width():
+    # built at the full ring width, they held 5.2 MB of zeros per funk dim-4 point
+    r = jets.ring(3, 5)
+    a = r.seed(0, np.array([1.0, 2.0])).truncate(2)
+    for const in (a._coerce(2.0), a._coerce(np.array([1.0, 3.0])), a**0):
+        assert (const.valid, const.nzdeg) == (a.valid, 0)
+        np.testing.assert_array_equal(const.coeffs[..., 1:], 0.0)
+
+
 def test_truncate_keeps_low_orders_only():
     ring = jets.ring(2, 5)
     f = (ring.seed(0, 0.3) + 2.0 * ring.seed(1, -0.1)) ** 3 + 1.0
@@ -678,3 +687,111 @@ def test_one_point_peak_memory(spec, volume, limit):
     finally:
         tracemalloc.stop()
     assert peak <= limit
+
+
+# -- elementary functions against a Horner reference ------------------------------
+
+
+def _horner(a, series):
+    """sum_k c_k (a - a0)^k by Horner's rule, with c_k = series(k, a0)."""
+    a0 = np.asarray(a.coeffs[..., 0])
+    nil_coeffs = a.coeffs.copy()
+    nil_coeffs[..., 0] = 0.0
+    nil = jets.Jet(a.ring, nil_coeffs, a.nzdeg)
+    c_top = np.broadcast_to(np.asarray(series(a.valid, a0), dtype=np.float64), a.batch_shape)
+    result = a.ring.const(np.array(c_top))
+    for k in range(a.valid - 1, -1, -1):
+        result = result * nil
+        result.coeffs[..., 0] += series(k, a0)
+    return result.truncate(a.valid)
+
+
+def _binom(r, k):
+    out = 1.0
+    for i in range(k):
+        out *= (r - i) / (i + 1)
+    return out
+
+
+def _log_series(k, x):
+    if k == 0:
+        return np.log(x)
+    return (-1.0) ** (k + 1) / (k * x**k)
+
+
+def _power_case(r):
+    return (lambda a: jets.powr(a, r), lambda x: x**r,
+            lambda k, x: _binom(r, k) * x ** (r - k))
+
+
+# name -> (jet function, numpy function, k-th Taylor coefficient of the map at x)
+ELEMENTARY = {
+    **{f"powr({r:.3g})": _power_case(r) for r in (-1.5, -1.0, -0.5, 1.0 / 3.0, 0.5, 2.5)},
+    "reciprocal": (jets.reciprocal, lambda x: 1.0 / x,
+                   lambda k, x: (1.0 / x) * (-1.0 / x) ** k),
+    "log": (jets.log, np.log, _log_series),
+    "exp": (jets.exp, np.exp, lambda k, x: np.exp(x) / math.factorial(k)),
+    "sin": (jets.sin, np.sin, lambda k, x: np.sin(x + k * np.pi / 2) / math.factorial(k)),
+    "cos": (jets.cos, np.cos, lambda k, x: np.cos(x + k * np.pi / 2) / math.factorial(k)),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(RINGS), st.sampled_from(sorted(ELEMENTARY)),
+       st.sampled_from([(), (3,), (2, 2)]), st.integers(0, 2**32 - 1))
+def test_recurrences_match_horner(shape, name, batch, seed):
+    r = jets.ring(*shape)
+    rng = np.random.default_rng(seed)
+    valid = int(rng.integers(0, r.degree + 1))
+    a = _positive_jet(r, rng, batch, valid, int(rng.integers(0, valid + 1)))
+    if name == "reciprocal" and rng.integers(2):
+        a = -a  # the reciprocal keeps negative constant terms legal
+    fn, _, series = ELEMENTARY[name]
+    got, want = fn(a), _horner(a, series)
+    assert (got.valid, got.nzdeg, got.coeffs.shape) == (want.valid, want.nzdeg,
+                                                        want.coeffs.shape)
+    err = np.abs(got.coeffs - want.coeffs)
+    assert np.all(err <= 1e-14 * np.abs(want.coeffs).max(axis=-1, keepdims=True))
+    # orders 0 and 1 are the series' own values, so a first-order F keeps its bits
+    first = int(r.size_upto[min(valid, 1)])
+    assert np.array_equal(got.coeffs[..., :first], want.coeffs[..., :first])
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTARY))
+def test_constant_input_gives_the_numpy_value(name):
+    fn, numpy_fn, _ = ELEMENTARY[name]
+    values = np.array([0.3, 1.7, 2.9])
+    got = fn(jets.ring(3, 5).const(values, 4))
+    assert (got.valid, got.nzdeg) == (4, 0)
+    assert np.array_equal(got.coeffs[..., 0], numpy_fn(values))
+    assert not got.coeffs[..., 1:].any()
+
+
+@pytest.mark.parametrize("fn, bad, message", [
+    (jets.sqrt, 0.0, "sqrt requires a positive"),
+    (jets.log, -1.0, "log requires a positive"),
+    (lambda a: jets.powr(a, 1.5), 0.0, "pow requires a positive"),
+    (jets.reciprocal, 0.0, "zero constant term"),
+])
+def test_domain_errors_reach_every_batch_entry(fn, bad, message):
+    r = jets.ring(2, 3)
+    a = r.seed(0, np.array([1.0, 2.0, bad]))
+    with pytest.raises(JetDomainError, match=message):
+        fn(a)
+
+
+def test_bh_point_reads_within_the_pair_budget(monkeypatch):
+    # pairs read from _mul_starts[c0] on, so an order-k slice counts order k
+    # only: 6.37 M per point when powr and log composed by Horner's rule
+    mul = jets.PolyRing._mul_coeffs
+    pairs = []
+
+    def counting(ring, a, b, out_deg, lo_deg=0):
+        batch = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        c0 = int(ring.size_upto[lo_deg - 1]) if lo_deg else 0
+        pairs.append((int(ring._pairs_upto[out_deg]) - int(ring._mul_starts[c0])) * batch)
+        return mul(ring, a, b, out_deg, lo_deg)
+
+    monkeypatch.setattr(jets.PolyRing, "_mul_coeffs", counting)
+    identity_suite("randers", "bh", points=1)
+    assert sum(pairs) <= 3.0e6

@@ -1,0 +1,55 @@
+"""tools/report_diff.py: the report comparison used to accept a change of numerics."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import spraylab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(spraylab.__file__).parents[1])
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("report_diff",
+                                                  ROOT / "tools" / "report_diff.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_tree_compared_with_itself_shows_no_change():
+    tool = _tool()
+    commands = [("verify", "--metric", "randers", "--points", "2", "--per-point",
+                 "--checks", "euler-metric,s-volume-change", "--volume", "explicit:exp(x1)"),
+                ("theorem", "ex45", "--points", "1", "--per-point")]
+    for argv in commands:
+        diff = tool.compare("self", tool.run(SRC, argv), tool.run(SRC, argv))
+        assert diff.agrees and diff.same_bytes
+        assert (diff.dfloat, diff.dratio, diff.moves) == (0.0, 0.0, [])
+    assert diff.codes == (1, 1)  # ex45 fails its Ricci gate
+
+
+def test_moves_float_changes_and_flags_are_reported():
+    tool = _tool()
+    run = {"record": "run", "floor": 1e-9}
+    check = {"record": "check", "check": "c", "residual": 1e-10, "scale": 2.0,
+             "tolerance": 1e-7, "floor": 1e-9, "pass": True, "worst_x": [0.1], "worst_y": [1.0]}
+    result = {"record": "result", "check": "c", "x": [0.1], "residual": 1e-10, "scale": 2.0,
+              "tolerance": 1e-7, "pass": True}
+
+    def report(*records):
+        return tool.Run(0, "".join(json.dumps(r) + "\n" for r in records), "")
+
+    old = report(run, check, result)
+    moved = dict(check, residual=3e-10, worst_x=[0.2])
+    grown = dict(result, residual=1e-10 + 2.01e-8, scale=2.0 + 4e-16)
+    diff = tool.compare("synthetic", old, report(run, moved, grown))
+    assert diff.agrees and not diff.same_bytes
+    assert [name for name, _ in diff.moves] == ["c"]
+    assert abs(diff.dfloat - 2.01e-8 / 2.0) < 1e-15
+    assert abs(diff.dratio - 2.01e-8 / (1e-7 * 2.0 + 1e-9)) < 1e-6
+    failed = tool.compare("flag", old, report(run, check, dict(result, **{"pass": False})))
+    assert not failed.agrees and not failed.same_flags

@@ -1,0 +1,191 @@
+"""Compare the reports of the acceptance commands under two source trees.
+
+Usage, from anywhere:
+
+    python tools/report_diff.py OLD_SRC NEW_SRC
+
+``OLD_SRC`` and ``NEW_SRC`` are ``src`` directories of two checkouts.  Each
+command of ``COMMANDS`` runs as ``python -m spraylab ...`` once under each
+tree, and one line per command reports:
+
+- ``exit``: the two exit codes;
+- ``stderr`` and ``bytes``: whether standard error and standard output are
+  byte-identical;
+- ``records``: whether both reports hold the same records (kind and check
+  name) in the same order, and ``flags`` whether every ``pass`` flag agrees;
+- ``dfloat``: the largest change of any number in a record, relative to
+  the largest magnitude in that record;
+- ``dratio``: the largest growth of residual / limit, where the limit is
+  ``tolerance * scale + floor``;
+- ``moves``: the checks whose worst point moved, with their new ratio.  The
+  residual and scale of such a record belong to another point, so they
+  count as the move and not in ``dfloat`` or ``dratio``.
+
+The exit status is 1 when any command differs in exit code, stderr,
+records or pass flags, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+from dataclasses import dataclass, field
+
+_VERIFY = ("verify", "--points", "3", "--per-point")
+_THEOREM = ("--points", "2", "--per-point")
+
+# (label, argv) of the report acceptance list
+COMMANDS = [
+    ("eval randers", ("eval", "--metric", "randers", "--points", "3")),
+    ("eval randers bh", ("eval", "--metric", "randers", "--volume", "bh", "--points", "3")),
+    ("eval randers explicit", ("eval", "--metric", "randers", "--volume",
+                               "explicit:exp(0.3*x1*x2)", "--points", "3")),
+    ("eval funk4", ("eval", "--metric", "funk", "--dim", "4", "--points", "3")),
+    ("eval square bh", ("eval", "--metric", "square-metric", "--volume", "bh",
+                        "--points", "3")),
+    ("verify randers", (*_VERIFY, "--metric", "randers")),
+    ("verify randers bh", (*_VERIFY, "--metric", "randers", "--volume", "bh")),
+    ("verify randers explicit", (*_VERIFY, "--metric", "randers",
+                                 "--volume", "explicit:exp(x1)")),
+    ("verify funk4", (*_VERIFY, "--metric", "funk", "--dim", "4")),
+    ("verify funk3 bh", (*_VERIFY, "--metric", "funk", "--dim", "3", "--volume", "bh")),
+    ("verify square bh", (*_VERIFY, "--metric", "square-metric", "--volume", "bh")),
+    ("verify fourth-root bh", (*_VERIFY, "--metric", "fourth-root", "--volume", "bh")),
+    ("verify round-sphere bh", (*_VERIFY, "--metric", "round-sphere", "--volume", "bh")),
+    ("verify randers bh checks", (*_VERIFY, "--metric", "randers", "--volume", "bh",
+                                  "--checks", "s-volume-change,projective-invariance")),
+    ("verify funk3 bh checks", (*_VERIFY, "--metric", "funk", "--dim", "3", "--volume", "bh",
+                                "--checks", "euler-spray,chi-y-kill")),
+    *[(f"theorem {name}", ("theorem", name, *_THEOREM))
+      for name in ("thm12", "thm15", "cor14", "cor33", "ex17", "ex45", "prop32", "thm43")],
+    ("theorem thm43 bh", ("theorem", "thm43", "--volume", "bh", *_THEOREM)),
+    ("verify funk4 bh oversized", ("verify", "--metric", "funk", "--dim", "4", "--volume", "bh",
+                                   "--bh-nodes", "1024", "--points", "1")),
+]
+
+
+@dataclass
+class Run:
+    code: int
+    out: str
+    err: str
+
+
+@dataclass
+class Diff:
+    label: str
+    codes: tuple[int, int]
+    same_err: bool
+    same_bytes: bool
+    same_records: bool
+    same_flags: bool
+    dfloat: float = 0.0
+    dratio: float = 0.0
+    moves: list[tuple[str, float]] = field(default_factory=list)
+
+    @property
+    def agrees(self) -> bool:
+        return (self.codes[0] == self.codes[1] and self.same_err and self.same_records
+                and self.same_flags)
+
+    def line(self) -> str:
+        moves = ", ".join(f"{name} ({ratio:.1e})" for name, ratio in self.moves) or "-"
+        return (f"{self.label}: exit {self.codes[0]}/{self.codes[1]}"
+                f" stderr {_word(self.same_err)} bytes {_word(self.same_bytes)}"
+                f" records {_word(self.same_records)} flags {_word(self.same_flags)}"
+                f" dfloat {self.dfloat:.1e} dratio {self.dratio:+.1e} moves {moves}")
+
+
+def _word(same: bool) -> str:
+    return "same" if same else "DIFFER"
+
+
+def run(src: str, argv) -> Run:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "spraylab", *argv], env=env,
+                          capture_output=True, text=True, timeout=1800)
+    return Run(proc.returncode, proc.stdout, proc.stderr)
+
+
+def _number(value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if value in ("inf", "-inf", "nan"):
+        return float(value)
+    return None
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _numbers(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _numbers(v)
+    elif (x := _number(value)) is not None:
+        yield x
+
+
+def _change(u: float, v: float) -> float:
+    if u == v or (math.isnan(u) and math.isnan(v)):
+        return 0.0
+    return abs(u - v) if math.isfinite(u) and math.isfinite(v) else math.inf
+
+
+def _ratio(rec: dict, floor: float) -> float | None:
+    residual, scale = _number(rec.get("residual")), _number(rec.get("scale"))
+    if residual is None or scale is None or "tolerance" not in rec:
+        return None
+    limit = rec["tolerance"] * scale + rec.get("floor", floor)
+    return residual / limit if limit else math.inf
+
+
+def compare(label: str, old: Run, new: Run) -> Diff:
+    a, b = ([json.loads(line) for line in side.out.splitlines()] for side in (old, new))
+    keys = [[(r.get("record"), r.get("check")) for r in recs] for recs in (a, b)]
+    diff = Diff(label, (old.code, new.code), old.err == new.err, old.out == new.out,
+                keys[0] == keys[1],
+                [r.get("pass") for r in a] == [r.get("pass") for r in b])
+    if not diff.same_records:
+        return diff
+    floor = next((r["floor"] for r in a if r.get("record") == "run" and "floor" in r), 0.0)
+    for ra, rb in zip(a, b):
+        moved = ("worst_x" in ra and (ra["worst_x"], ra.get("worst_y"))
+                 != (rb.get("worst_x"), rb.get("worst_y")))
+        if moved:
+            diff.moves.append((ra["check"], _ratio(rb, floor)))
+            drop = ("residual", "scale", "worst_x", "worst_y")
+            ra, rb = ({k: v for k, v in r.items() if k not in drop} for r in (ra, rb))
+        xs, ys = list(_numbers(ra)), list(_numbers(rb))
+        if len(xs) != len(ys):
+            diff.dfloat = math.inf
+            continue
+        magnitude = max((abs(x) for x in xs if math.isfinite(x)), default=0.0)
+        for x, y in zip(xs, ys):
+            change = _change(x, y)
+            if change:
+                diff.dfloat = max(diff.dfloat, change / magnitude if magnitude else math.inf)
+        old_ratio, new_ratio = _ratio(ra, floor), _ratio(rb, floor)
+        if old_ratio is not None and new_ratio is not None and new_ratio != old_ratio:
+            diff.dratio = max(diff.dratio, new_ratio - old_ratio)
+    return diff
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    old_src, new_src = argv
+    agree = True
+    for label, command in COMMANDS:
+        diff = compare(label, run(old_src, command), run(new_src, command))
+        print(diff.line(), flush=True)
+        agree &= diff.agrees
+    return 0 if agree else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
