@@ -53,12 +53,19 @@ class Riemannian(FinslerMetric):
         self.chart = chart
 
     def fsq(self, x, y):
+        return self.fsq_at(x)(y)
+
+    def fsq_at(self, x):
         m = self.matrix(x)
-        acc = 0.0
-        for i in range(self.dim):
-            for j in range(self.dim):
-                acc = m[i][j] * y[i] * y[j] + acc
-        return acc
+
+        def fsq(y):
+            acc = 0.0
+            for i in range(self.dim):
+                for j in range(self.dim):
+                    acc = m[i][j] * y[i] * y[j] + acc
+            return acc
+
+        return fsq
 
     def admissible(self, point):
         return self.chart is None or self.chart(point.x)
@@ -122,16 +129,23 @@ class Randers(FinslerMetric):
         self.default_box = box
 
     def fsq(self, x, y):
+        return self.fsq_at(x)(y)
+
+    def fsq_at(self, x):
         am = self.a(x)
         bv = self.b(x)
-        a2 = 0.0
-        beta = 0.0
-        for i in range(self.dim):
-            beta = bv[i] * y[i] + beta
-            for j in range(self.dim):
-                a2 = am[i][j] * y[i] * y[j] + a2
-        f = jets.sqrt(a2) + beta
-        return f * f
+
+        def fsq(y):
+            a2 = 0.0
+            beta = 0.0
+            for i in range(self.dim):
+                beta = bv[i] * y[i] + beta
+                for j in range(self.dim):
+                    a2 = am[i][j] * y[i] * y[j] + a2
+            f = jets.sqrt(a2) + beta
+            return f * f
+
+        return fsq
 
     def a_matrix(self, x):
         return np.array(self.a([float(v) for v in x]), dtype=float)
@@ -193,16 +207,25 @@ class Funk(FinslerMetric):
         self.default_box = ("ball", 0.6)
 
     def fsq(self, x, y):
+        return self.fsq_at(x)(y)
+
+    def fsq_at(self, x):
         x2 = 0.0
-        y2 = 0.0
-        xy = 0.0
         for i in range(self.dim):
             x2 = x[i] * x[i] + x2
-            y2 = y[i] * y[i] + y2
-            xy = x[i] * y[i] + xy
         om = 1.0 - x2
-        f = (jets.sqrt(om * y2 + xy * xy) + xy) * jets.reciprocal(om)
-        return f * f
+        rom = jets.reciprocal(om)
+
+        def fsq(y):
+            y2 = 0.0
+            xy = 0.0
+            for i in range(self.dim):
+                y2 = y[i] * y[i] + y2
+                xy = x[i] * y[i] + xy
+            f = (jets.sqrt(om * y2 + xy * xy) + xy) * rom
+            return f * f
+
+        return fsq
 
     def admissible(self, point):
         return sum(v * v for v in point.x) < 1.0
@@ -246,19 +269,28 @@ class SquareMetric(FinslerMetric):
         self.default_box = ("ball", 0.25)
 
     def fsq(self, x, y):
+        return self.fsq_at(x)(y)
+
+    def fsq_at(self, x):
         x2 = 0.0
-        y2 = 0.0
-        xy = 0.0
         for i in range(self.dim):
             x2 = x[i] * x[i] + x2
-            y2 = y[i] * y[i] + y2
-            xy = x[i] * y[i] + xy
         u = 1.0 + 4.0 * x2
-        inner = xy if self.literal_inner else xy * xy
-        a2 = u * u * y2 - 4.0 * u * inner
-        alpha = jets.sqrt(a2)
-        f = (alpha + 2.0 * xy) * (alpha + 2.0 * xy) * jets.reciprocal(alpha)
-        return f * f
+        u2 = u * u
+        four_u = 4.0 * u
+
+        def fsq(y):
+            y2 = 0.0
+            xy = 0.0
+            for i in range(self.dim):
+                y2 = y[i] * y[i] + y2
+                xy = x[i] * y[i] + xy
+            inner = xy if self.literal_inner else xy * xy
+            alpha = jets.sqrt(u2 * y2 - four_u * inner)
+            f = (alpha + 2.0 * xy) * (alpha + 2.0 * xy) * jets.reciprocal(alpha)
+            return f * f
+
+        return fsq
 
 
 # -- family registry ----------------------------------------------------------

@@ -93,6 +93,15 @@ class FinslerMetric(Chart):
         """Jet (or float) of F^2 from coordinate jets (or floats)."""
         raise NotImplementedError
 
+    def fsq_at(self, x: list):
+        """The map y -> F^2(x, y) at fixed base coordinates ``x``.
+
+        A metric whose F^2 has parts that depend on x alone computes them
+        here, once, so the Busemann-Hausdorff quadrature pays for them once
+        per rule rather than once per block of directions.
+        """
+        return lambda y: self.fsq(x, y)
+
     def spray(self) -> "MetricSpray":
         return MetricSpray(self)
 

@@ -32,11 +32,17 @@ BH_MAX_DIM = 4
 # (262,144) and 1,024 in dim 3 fit, 128 in dim 4 does not
 BH_MAX_DIRECTIONS = 2**20
 # BH quadrature runs its directions in blocks whose largest jet-multiply
-# temporary fits in this many bytes.  That is glibc's default mmap
-# threshold: larger temporaries may be mapped fresh from the OS and
-# page-faulted in on every multiply, and smaller blocks pay more Python
-# per direction.
-_BLOCK_BYTES = 128 * 1024
+# temporary fits in this many bytes (70 directions per block at degree 5
+# in dim 3, 25 in dim 4).  Each block pays a fixed cost in Python and in
+# the order steps of sqrt and powr, so wider blocks are cheaper until
+# their temporaries stop being reused by the allocator and are faulted in
+# afresh.  Measured per warmed `verify --metric randers --volume bh` point
+# (2-core x86-64, glibc, numpy 2.4; BH ms, minor faults):
+#   128 KB: 34 ms, 0.2     256 KB: 18-23 ms, 0.3     320 KB: 17-23 ms, 2-3
+#   384 KB: 20-24 ms, 1,700     512 KB: 26 ms, 2,500-2,600
+# Whether 384 and 512 KB fault depends on the heap layout (the install
+# path moves it), so the budget sits at 256 KB, below that cliff.
+_BLOCK_BYTES = 256 * 1024
 
 # the adaptive BH quadrature starts at this many nodes per angle and
 # stops doubling once two rules agree to this fraction of max(1, max|coeff|)
@@ -121,19 +127,20 @@ def _bh_rule(metric: FinslerMetric, x, nodes: int, degree: int) -> Jet:
 
     sigma_BH(x) = Vol(B^n) / Vol{y : F(x, y) < 1}, with the unit-ball
     volume computed as (1/n) * integral over S^{n-1} of F(x, theta)^{-n}.
-    The directions are summed block by block, each block sized by
-    ``_BLOCK_BYTES``.
+    The metric's x-only data is bound once (``fsq_at``); the directions
+    are then summed block by block, each block sized by ``_BLOCK_BYTES``,
+    so a block pays only for the work that depends on its directions.
     """
     n = metric.dim
     ring = jets.ring(n, degree)
-    xs = [ring.seed(i, float(x[i])) for i in range(n)]
+    fsq_of = metric.fsq_at([ring.seed(i, float(x[i])) for i in range(n)])
     theta, weights = sphere_nodes(n, nodes)
     step = max(1, _BLOCK_BYTES // (8 * int(ring._pairs_upto[degree])))
     total = None
     for start in range(0, theta.shape[0], step):
         block = slice(start, start + step)
         ys = [ring.const(np.ascontiguousarray(theta[block, i])) for i in range(n)]
-        fsq = metric.fsq(xs, ys)
+        fsq = fsq_of(ys)
         values = np.asarray(fsq.coeffs[..., 0])
         if not np.all(values > 0.0):
             raise AdmissibilityError(

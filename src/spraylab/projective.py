@@ -167,6 +167,8 @@ class PointContext:
     metric's frame, so F^2 is expanded once per point.  ``measure_for``
     puts another volume form on the same stack; ``rules`` collects
     ``(nodes, change)`` of every Busemann-Hausdorff rule the context ran.
+    A projective spray's context takes its stack, and the density of the
+    spray's own volume, from the context of its base spray (``base``).
     """
 
     def __init__(self, obj, volume, point: TangentPoint,
@@ -187,9 +189,19 @@ class PointContext:
         return MetricFrame(self.metric, self.point, self.degree)
 
     @cached_property
+    def base(self) -> PointContext:
+        """The context of a projective spray's base spray, sharing this one's ``rules``."""
+        ctx = PointContext(self.spray.base, self.spray.volume, self.point, self.degree)
+        ctx.rules = self.rules
+        return ctx
+
+    @cached_property
     def stack(self) -> SprayStack:
         if isinstance(self.spray, MetricSpray):
             return self.frame.stack
+        if isinstance(self.spray, ProjectiveSpray):
+            self.spray.check_point(self.point)
+            return self.base.proj.hat
         return stack_for(self.spray, self.point, self.degree)
 
     def measure_for(self, volume) -> MeasureStack:
@@ -201,6 +213,9 @@ class PointContext:
 
     @cached_property
     def measure(self) -> MeasureStack:
+        if isinstance(self.spray, ProjectiveSpray) and self.volume == as_volume(self.spray.volume):
+            # sigma depends on x alone, so the base context's density serves the hat spray
+            return self.base.proj.hat_measure
         return self.measure_for(self.volume)
 
     @cached_property

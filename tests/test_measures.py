@@ -8,11 +8,16 @@ metric has S = (n+1) F / 2 and chi = 0.
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spraylab
 from spraylab import jets, measures
 from spraylab.catalog import MetricSpec, build, sample
 from spraylab.errors import AdmissibilityError, ConfigError, JetDomainError
@@ -101,20 +106,31 @@ def test_bh_density_riemannian_matches_sqrt_det():
     np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-10)
 
 
+def cofactor_det(a):
+    """Determinant of a square nested list of jets, by cofactors of the first row."""
+    if len(a) == 1:
+        return a[0][0]
+    det = 0.0
+    for j, entry in enumerate(a[0]):
+        term = entry * cofactor_det([row[:j] + row[j + 1:] for row in a[1:]])
+        det = det + term if j % 2 == 0 else det - term
+    return det
+
+
 def randers_lnsigma_closed_form(metric, x, degree):
-    # ln sigma_BH = (n+1)/2 ln(1 - |b|_a^2) + ln sqrt(det a), here n = 3
-    ring = jets.ring(3, degree)
-    xs = [ring.seed(i, x[i]) for i in range(3)]
-    a = [list(row) for row in metric.a(xs)]
-    b = metric.b(xs)
-    det = (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
-    bv = jets.stack(b)
+    # dV_BH = (1 - |b|_a^2)^{(n+1)/2} dV_a (Chern & Shen, Riemann-Finsler
+    # Geometry, 2005), so ln sigma_BH = (n+1)/2 ln(1 - |b|_a^2) + ln sqrt(det a)
+    n = metric.dim
+    ring = jets.ring(n, degree)
+    xs = [ring.seed(i, x[i]) for i in range(n)]
+
+    def as_jet(entry):  # the constant preset hands back plain floats
+        return entry if isinstance(entry, jets.Jet) else ring.const(entry)
+
+    a = [[as_jet(entry) for entry in row] for row in metric.a(xs)]
+    bv = jets.stack([as_jet(entry) for entry in metric.b(xs)])
     bn2 = (bv * jets.solve(jets.stack(a), bv)).einsum("i->")
-    return 2.0 * jets.log(1.0 - bn2) + 0.5 * jets.log(det)
+    return 0.5 * (n + 1.0) * jets.log(1.0 - bn2) + 0.5 * jets.log(cofactor_det(a))
 
 
 def test_bh_density_randers_closed_form():
@@ -123,6 +139,19 @@ def test_bh_density_randers_closed_form():
         got = bh_density(metric, x, nodes=64, degree=3)
         want = randers_lnsigma_closed_form(metric, x, degree=3)
         np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-8)
+
+
+@pytest.mark.parametrize("dim, params", [(3, {}), (2, {"preset": "constant"})],
+                         ids=["generic-3", "constant-2"])
+def test_bh_density_matches_the_randers_closed_form_to_rounding(dim, params):
+    # the whole degree-5 jet of the adaptive density, not just its low orders
+    metric = build(MetricSpec("randers", dim, params))
+    for point in sample(metric, count=3, seed=7):
+        got = bh_density(metric, point.x, degree=5)
+        want = randers_lnsigma_closed_form(metric, point.x, degree=5)
+        assert got.coeffs.shape == want.coeffs.shape
+        bound = 1e-13 * max(1.0, np.abs(want.coeffs).max())
+        assert np.abs(got.coeffs - want.coeffs).max() <= bound
 
 
 def test_bh_density_node_doubling_drift():
@@ -184,6 +213,66 @@ def test_bh_density_does_not_depend_on_block_size(monkeypatch, family, dim):
         # so rounding is measured against 1 where the jet itself is smaller
         np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-13,
                                    atol=1e-13 * max(1.0, np.abs(want.coeffs).max()))
+
+
+def _randers_bh_point():
+    metric = build(MetricSpec("randers", 3))
+    return metric, sample(metric, count=1, seed=2)[0].x
+
+
+def test_bh_density_sums_directions_in_wide_blocks(monkeypatch):
+    # 38 blocks of 35 directions for the 256 + 1,024 directions of this
+    # point when blocks were sized at 128 KB
+    metric, x = _randers_bh_point()
+    blocks = []
+    sum_batch = jets.Jet.sum_batch
+    monkeypatch.setattr(jets.Jet, "sum_batch",
+                        lambda a, w: blocks.append(len(w)) or sum_batch(a, w))
+    rules = []
+    bh_density(metric, x, degree=5, rules=rules)
+    assert rules[0][0] == 32 and sum(blocks) == 16**2 + 32**2
+    assert len(blocks) <= 20
+
+
+def test_bh_rule_binds_the_metric_data_once(monkeypatch):
+    # a(x) is an exp recurrence per diagonal entry; it was rebuilt per block
+    metric, x = _randers_bh_point()
+    calls = []
+    a = metric.a
+    monkeypatch.setattr(metric, "a", lambda xs: calls.append("a") or a(xs))
+    rules = []
+    bh_rule = measures._bh_rule
+    monkeypatch.setattr(measures, "_bh_rule",
+                        lambda *args: rules.append(args[2]) or bh_rule(*args))
+    bh_density(metric, x, degree=5)
+    assert rules == [16, 32] and len(calls) == 2
+
+
+_FAULT_PROBE = """
+import resource
+from spraylab.catalog import MetricSpec, build, sample
+from spraylab.measures import bh_density
+from spraylab.verify import identity_suite
+identity_suite("randers", "bh", points=1, seed=1)
+metric = build(MetricSpec("randers", 3))
+x = sample(metric, count=1, seed=2)[0].x
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+bh_density(metric, x, degree=5)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_warm_bh_density_faults_in_no_fresh_pages():
+    # blocks whose multiply temporaries outgrow what the allocator keeps
+    # are faulted in afresh: about 1,780 minor faults per density at a
+    # 512 KB block budget, though some heap layouts (the install path alone
+    # changes it) show none.  glibc's mmap and trim thresholds follow the
+    # process's own history, so the probe runs in a fresh interpreter
+    # warmed by one verify point, as a CLI run is.
+    env = dict(os.environ, PYTHONPATH=str(Path(spraylab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) <= 500
 
 
 def test_bh_density_rejects_bad_directions():

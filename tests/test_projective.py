@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spraylab import jets
+from spraylab import jets, measures
 from spraylab.catalog import Randers, build
 from spraylab.errors import AdmissibilityError, ConfigError, DegreeBudgetError
 from spraylab.geometry import (
@@ -276,6 +276,19 @@ def test_projective_spray_field():
     assert abs(own.S.value()) <= 1e-12
     outside = TangentPoint((5.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert hat.admissible(PT3) and hat.admissible(outside)
+
+
+def test_projective_spray_reuses_the_base_density(monkeypatch):
+    # sigma_BH depends on x alone: the hat spray's context takes the density
+    # its base context computed for Ghat rather than integrating again
+    calls = []
+    density = measures.bh_density
+    monkeypatch.setattr(measures, "bh_density",
+                        lambda *args, **kwargs: calls.append(args[1]) or density(*args, **kwargs))
+    bh = VolumeForm.busemann_hausdorff()
+    ctx = PointContext(ProjectiveSpray(build("randers").spray(), bh), bh, PT3)
+    assert abs(ctx.measure.S.value()) <= 1e-12
+    assert calls == [PT3.x] and len(ctx.rules) == 1
 
 
 # -- divergence identities --------------------------------------------------------
