@@ -54,6 +54,9 @@ from .errors import ConfigError, DegreeBudgetError, JetDomainError
 
 MAX_VARS = 12
 MAX_DEGREE = 10
+# multiply pairs (alpha, beta) with |alpha| + |beta| <= degree a ring may
+# hold: ring(8, 10) has 5.3 M, ring(12, 8) 10.5 M and ring(12, 10) 131 M
+MAX_MUL_PAIRS = 2**23
 
 
 def _graded_exponents(nvars: int, degree: int) -> np.ndarray:
@@ -76,6 +79,11 @@ class PolyRing:
                               f"(dimension at most {MAX_VARS // 2}), got {nvars}")
         if not (1 <= degree <= MAX_DEGREE):
             raise ConfigError(f"jet degree must be in 1..{MAX_DEGREE}, got {degree}")
+        pairs = math.comb(2 * nvars + degree, degree)
+        if pairs > MAX_MUL_PAIRS:
+            raise ConfigError(f"jet ring({nvars}, {degree}) needs {pairs:,} multiply pairs, "
+                              f"more than the budget of {MAX_MUL_PAIRS:,}; lower the degree "
+                              f"or the dimension")
         self.nvars = nvars
         self.degree = degree
         self.exponents = _graded_exponents(nvars, degree)
@@ -96,10 +104,9 @@ class PolyRing:
 
         self._build_mul_table()
         self._build_deriv_tables()
-        self._factorials = np.array(
-            [math.prod(math.factorial(int(e)) for e in row) for row in self.exponents],
-            dtype=np.float64,
-        )
+        # alpha! = prod_i alpha_i!, each an integer <= degree!, exact in float64
+        table = np.array([math.factorial(e) for e in range(degree + 1)], dtype=np.float64)
+        self._factorials = table[self.exponents].prod(axis=1)
 
     def index_of(self, alpha) -> int:
         alpha = np.asarray(alpha, dtype=np.int64)
@@ -177,11 +184,20 @@ class PolyRing:
 
         Pairs are sorted by output index and outputs are graded by degree,
         so the pairs of one order range are one contiguous slice.
+
+        ``np.take`` gathers the operands, not fancy indexing: on numpy 2.4
+        it costs less per element along the last axis of a narrow batch
+        (one unbatched ring(8, 7) gather of 245,157 pairs: 0.33-0.43 ms
+        against 0.74-0.78 ms on a 2-core x86-64 host). The values are the
+        same, and the result is C-contiguous even for a transposed batch,
+        whose order fancy indexing kept. On the 70-row batches of ring(3, 5)
+        it is slower (0.052 against 0.028 ms), a cost this one path accepts.
         """
         c0 = int(self.size_upto[lo_deg - 1]) if lo_deg else 0
         c1 = int(self.size_upto[out_deg])
         p0, p1 = int(self._mul_starts[c0]), int(self._pairs_upto[out_deg])
-        prod = a[..., self._mul_i[p0:p1]] * b[..., self._mul_j[p0:p1]]
+        prod = (np.take(a, self._mul_i[p0:p1], axis=-1)
+                * np.take(b, self._mul_j[p0:p1], axis=-1))
         return np.add.reduceat(prod, self._mul_starts[c0:c1] - p0, axis=-1)
 
 
@@ -276,6 +292,8 @@ class Jet:
             raise DegreeBudgetError("derivative would exceed the truncation budget")
         # the orders up to valid-1 of a partial read the orders up to valid
         keep = int(ring.size_upto[self.valid - 1])
+        # fancy indexing, not np.take: take's C-contiguous layout changes how
+        # downstream einsum and @ round, and moves report bytes
         coeffs = self.coeffs[..., ring._dsrc[slots, :keep]] * ring._dmul[slots, :keep]
         return Jet(ring, coeffs, nzdeg=max(self.nzdeg - 1, 0))
 

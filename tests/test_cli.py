@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -11,11 +12,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spraylab
-from spraylab import cli, geometry, measures
+from spraylab import cli, geometry, jets, measures
 from spraylab.cli import RunConfig, main, parse_config
 from spraylab.errors import ConfigError
 from spraylab.verify import theorem_names
@@ -118,6 +119,59 @@ def test_flag_overrides_file(capsys, tmp_path):
     assert head["record"] == "run"
     assert head["seed"] == 9
     assert head["metric"] == "randers(3)"
+
+
+# field -> (config key, flag, file texts, flag texts, value of a text)
+_LAYERED = {
+    "metric_family": ("metric.family", "--metric", ["randers", "funk"],
+                      ["round-sphere", "funk"], str),
+    "metric_dim": ("metric.dim", "--dim", ["2", "3"], ["3", "5"], int),
+    "volume_spec": ("volume.kind", "--volume", ["bh", "explicit:exp(x1)"],
+                    ["coordinate", "explicit:x1*x2"], str),
+    "volume_nodes": ("volume.nodes", "--bh-nodes", ["16", "32"], ["8", "32"], int),
+    "points": ("points.count", "--points", ["3", "5"], ["1", "5"], int),
+    "seed": ("points.seed", "--seed", ["7", "11"], ["2", "11"], int),
+    "box": ("points.box", "--box", ["cube:0.3", "ball:0.5"], ["cube:0.1", "ball:0.5"],
+            lambda text: (text.split(":")[0], float(text.split(":")[1]))),
+    "degree": ("degree", "--degree", ["5", "6"], ["4", "6"], int),
+    "tol_jet": ("tol.jet", "--tol-jet", ["1e-6", "2e-7"], ["0", "2e-7"], float),
+    "tol_quad": ("tol.quad", "--tol-quad", ["1e-3", "5e-5"], ["0", "5e-5"], float),
+    "floor": ("tol.floor", "--floor", ["1e-8", "0"], ["1e-10", "0"], float),
+    "fmt": ("format", "--format", ["csv", "json-lines"], ["json-lines", "csv"], str),
+}
+# family parameter texts and the values their literals parse to
+_PARAM_TEXTS = {"1": 1, "0.5": 0.5, "true": True, "[1, 2]": [1, 2], "generic": "generic"}
+_PARAMS = st.dictionaries(st.sampled_from(["preset", "eps", "scale"]),
+                          st.sampled_from(sorted(_PARAM_TEXTS)), max_size=3)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.fixed_dictionaries({
+    name: st.tuples(st.sampled_from(["default", "file", "flag", "both"]),
+                    st.sampled_from(file_texts), st.sampled_from(flag_texts))
+    for name, (_, _, file_texts, flag_texts, _) in _LAYERED.items()
+}), _PARAMS, _PARAMS)
+def test_flags_layer_over_file_over_defaults(tmp_path, drawn, file_params, flag_params):
+    lines, argv = [], ["verify"]
+    want = vars(RunConfig())
+    for name, (source, file_text, flag_text) in drawn.items():
+        key, flag, _, _, value = _LAYERED[name]
+        if source in ("file", "both"):
+            lines.append(f"{key} = {file_text}")
+            want[name] = value(file_text)
+        if source in ("flag", "both"):
+            argv += [flag, flag_text]
+            want[name] = value(flag_text)
+    lines += [f"metric.{key} = {text}" for key, text in file_params.items()]
+    argv += [f"--param={key}={text}" for key, text in flag_params.items()]
+    want["metric_params"] = {key: _PARAM_TEXTS[text]
+                             for key, text in {**file_params, **flag_params}.items()}
+    want["points_set"] = drawn["points"][0] != "default"
+    want["volume_set"] = drawn["volume_spec"][0] != "default"
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert vars(parse_config(path, cli.build_parser().parse_args(argv))) == want
 
 
 def test_param_literals():
@@ -348,6 +402,18 @@ def test_ring_limits_exit_two(capsys, argv, limit):
     code, _, err = run_cli(capsys, *argv, "--points", "1")
     assert code == 2
     assert limit in err and len(err.splitlines()) == 1
+
+
+def test_oversized_ring_exits_two_before_it_is_built(capsys, monkeypatch):
+    # a lowered budget and a fresh ring cache, so the refused ring is one no
+    # other test has cached: ring(4, 9) has C(2*4 + 9, 9) = 24,310 pairs
+    monkeypatch.setattr(jets, "MAX_MUL_PAIRS", 24_309)
+    monkeypatch.setattr(jets, "ring", functools.lru_cache(maxsize=None)(jets.PolyRing))
+    code, out, err = run_cli(capsys, "eval", "--metric", "euclidean", "--dim", "2",
+                             "--degree", "9", "--points", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: jet ring(4, 9) needs 24,310 multiply pairs, more than the "
+                   "budget of 24,309; lower the degree or the dimension\n")
 
 
 _DRAWN_FLAGS = {

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from spraylab import cli, jets
 from spraylab.catalog import MetricSpec
-from spraylab.errors import DegreeBudgetError, JetDomainError
+from spraylab.errors import ConfigError, DegreeBudgetError, JetDomainError
 from spraylab.verify import identity_suite
 
 
@@ -192,6 +192,10 @@ def test_partial_examples():
     assert fd == pytest.approx(60.0, rel=1e-9)
     assert p.partial((3,)) == pytest.approx(fd, rel=1e-9)
 
+    r4 = jets.ring(4, 4)
+    assert r4._factorials.tolist() == [math.prod(map(math.factorial, row))
+                                       for row in r4.exponents.tolist()]
+
 
 def _jet_f(r):
     u, v, w = r.seed(0, 0.1), r.seed(1, -0.3), r.seed(2, 0.2)
@@ -317,6 +321,27 @@ def test_width_must_be_an_order_of_the_ring():
     for width in (0, 4, 11):
         with pytest.raises(ValueError, match=rf"width {width} .*ring\(2, 3\)"):
             jets.Jet(r, np.zeros((2, width)), 0)
+
+
+def test_ring_size_is_refused_before_allocating(monkeypatch):
+    # ring(3, 5) multiplies C(2*3 + 5, 5) = 462 pairs; refused rings at the
+    # real budget, such as ring(12, 10) with 131 M pairs, are never built here
+    assert [len(jets.ring(*shape)._mul_i) for shape in [(3, 5), (4, 4), (8, 7)]] == [
+        math.comb(2 * n + d, d) for n, d in [(3, 5), (4, 4), (8, 7)]]
+
+    graded = jets._graded_exponents
+
+    def no_tables(*args):
+        raise AssertionError("the ring's tables were built before the size check")
+
+    monkeypatch.setattr(jets, "MAX_MUL_PAIRS", 461)
+    monkeypatch.setattr(jets, "_graded_exponents", no_tables)
+    with pytest.raises(ConfigError, match=r"ring\(3, 5\) needs 462 multiply pairs, "
+                                          r"more than the budget of 461"):
+        jets.PolyRing(3, 5)
+    monkeypatch.setattr(jets, "MAX_MUL_PAIRS", 462)
+    monkeypatch.setattr(jets, "_graded_exponents", graded)
+    assert len(jets.PolyRing(3, 5)._mul_i) == 462
 
 
 def test_batched_jets_match_scalar_loop():
@@ -795,3 +820,43 @@ def test_bh_point_reads_within_the_pair_budget(monkeypatch):
     monkeypatch.setattr(jets.PolyRing, "_mul_coeffs", counting)
     identity_suite("randers", "bh", points=1)
     assert sum(pairs) <= 3.0e6
+
+
+# -- the multiply kernel against its fancy-index gather ---------------------------
+
+
+def _mul_coeffs_fancy(r, a, b, out_deg, lo_deg=0):
+    """The kernel as it gathered its operand pairs by fancy indexing."""
+    c0 = int(r.size_upto[lo_deg - 1]) if lo_deg else 0
+    c1 = int(r.size_upto[out_deg])
+    p0, p1 = int(r._mul_starts[c0]), int(r._pairs_upto[out_deg])
+    prod = a[..., r._mul_i[p0:p1]] * b[..., r._mul_j[p0:p1]]
+    return np.add.reduceat(prod, r._mul_starts[c0:c1] - p0, axis=-1)
+
+
+# operand batch shapes; the last pair is the (n, n, W) x (1, n, W) product of solve
+BATCHES = [((), ()), ((3,), (3,)), ((2, 2), (2, 2)), ((3, 3), (1, 3))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RINGS), st.sampled_from(BATCHES),
+       st.sampled_from(["copy", "prefix", "transposed"]), st.integers(0, 2**32 - 1))
+def test_take_kernel_equals_fancy_index_kernel(shape, batches, layout, seed):
+    r = jets.ring(*shape)
+    rng = np.random.default_rng(seed)
+    hi = int(rng.integers(0, r.degree + 1))
+    lo = int(rng.integers(0, hi + 1))
+    operands = []
+    for batch in batches:
+        # a prefix view of a batched jet, as truncate returns it, is not contiguous
+        full = rng.normal(size=batch + (r.size,))
+        x = full[..., : int(r.size_upto[int(rng.integers(hi, r.degree + 1))])]
+        if layout == "transposed" and len(batch) == 2 and batch[0] == batch[1]:
+            x = x.swapaxes(0, 1)  # as einsum("ik->ki") leaves a tensor jet
+        operands.append(np.ascontiguousarray(x) if layout == "copy" else x)
+    got = r._mul_coeffs(*operands, hi, lo)
+    want = _mul_coeffs_fancy(r, *operands, hi, lo)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+    # downstream einsum and @ round by layout, so the layout is part of the result
+    assert got.flags.c_contiguous
