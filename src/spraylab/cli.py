@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,40 +81,43 @@ class RunConfig:
         return Tolerances(jet=self.tol_jet, quad=self.tol_quad, floor=self.floor)
 
 
-# -- config parsing --------------------------------------------------------------
+# -- settings -------------------------------------------------------------------
 
 
-def _parse_int(key: str, value: str) -> int:
+def _parse_text(name: str, text: str) -> str:
+    return text
+
+
+def _parse_int(name: str, text: str) -> int:
     try:
-        return int(value)
+        return int(text)
     except ValueError:
-        raise ConfigError(f"{key} expects an integer, got {value!r}") from None
+        raise ConfigError(f"{name} expects an integer, got {text!r}") from None
 
 
-def _parse_float(key: str, value) -> float:
+def _parse_float(name: str, text: str) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} expects a number, got {value!r}") from None
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{name} expects a number, got {text!r}") from None
 
 
-def _parse_box(key: str, value: str) -> tuple[str, float]:
-    kind, sep, size = value.partition(":")
+def _parse_box(name: str, text: str) -> tuple[str, float]:
+    kind, sep, size = text.partition(":")
     if not sep:
-        raise ConfigError(f"{key} expects kind:size, for example cube:0.5")
-    return (kind.strip(), _parse_float(key, size))
+        raise ConfigError(f"{name} expects kind:size, for example cube:0.5")
+    return (kind.strip(), _parse_float(name, size))
 
 
-def _set_volume(cfg: RunConfig, key: str, value: str):
-    split_volume(key, value)  # reject a bad spec where it was given
-    cfg.volume_spec = value
-    cfg.volume_set = True
+def _parse_volume(name: str, text: str) -> str:
+    split_volume(name, text)  # reject a bad spec where it was given
+    return text
 
 
-def _parse_format(key: str, value: str) -> str:
-    if value not in _FORMATS:
-        raise ConfigError(f"{key} expects json-lines or csv, got {value!r}")
-    return value
+def _parse_format(name: str, text: str) -> str:
+    if text not in _FORMATS:
+        raise ConfigError(f"{name} expects json-lines or csv, got {text!r}")
+    return text
 
 
 def _literal(value: str):
@@ -132,96 +138,99 @@ def _literal(value: str):
     return text
 
 
-def _apply_pair(cfg: RunConfig, key: str, value: str):
-    if key == "metric.family":
-        cfg.metric_family = value
-    elif key == "metric.dim":
-        cfg.metric_dim = _parse_int(key, value)
-    elif key.startswith("metric."):
-        cfg.metric_params[key[len("metric."):]] = _literal(value)
-    elif key == "volume.kind":
-        _set_volume(cfg, key, value)
-    elif key == "volume.nodes":
-        cfg.volume_nodes = _parse_int(key, value)
-    elif key == "points.count":
-        cfg.points = _parse_int(key, value)
-        cfg.points_set = True
-    elif key == "points.seed":
-        cfg.seed = _parse_int(key, value)
-    elif key == "points.box":
-        cfg.box = _parse_box(key, value)
-    elif key == "degree":
-        cfg.degree = _parse_int(key, value)
-    elif key == "tol.jet":
-        cfg.tol_jet = _parse_float(key, value)
-    elif key == "tol.quad":
-        cfg.tol_quad = _parse_float(key, value)
-    elif key == "tol.floor":
-        cfg.floor = _parse_float(key, value)
-    elif key == "format":
-        cfg.fmt = _parse_format(key, value)
+def _parse_param(name: str, text: str) -> tuple[str, object]:
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ConfigError(f"{name} expects key=value, got {text!r}")
+    return key.strip(), _literal(value)
+
+
+class _Setting(NamedTuple):
+    flag: str
+    field: str  # of RunConfig
+    parse: Callable[[str, str], object]  # (key or flag, text) -> value
+    commands: tuple[str, ...]  # the subcommands that read it
+    metavar: str
+    help: str
+
+
+_ALL = ("list", "eval", "verify", "theorem")
+_RUNS = ("eval", "verify", "theorem")
+_SAMPLED = ("eval", "verify")  # a theorem's fixtures fix their metrics and boxes
+_CHECKED = ("verify", "theorem")  # eval compares nothing against a tolerance
+_PARAM = "metric.<name>"
+
+# config-file key -> setting.  Every file key is accepted by every subcommand;
+# a subcommand offers only the flags it reads.
+_SETTINGS = {
+    "metric.family": _Setting("--metric", "metric_family", _parse_text, _SAMPLED, "FAMILY",
+                              "catalog family name (default euclidean)"),
+    "metric.dim": _Setting("--dim", "metric_dim", _parse_int, _SAMPLED, "N",
+                           "dimension override"),
+    _PARAM: _Setting("--param", "metric_params", _parse_param, _SAMPLED, "KEY=VALUE",
+                     "family parameter (repeatable)"),
+    "volume.kind": _Setting("--volume", "volume_spec", _parse_volume, _RUNS, "SPEC",
+                            "coordinate | busemann-hausdorff | explicit:<expr>"),
+    "volume.nodes": _Setting("--bh-nodes", "volume_nodes", _parse_int, _RUNS, "N",
+                             "largest rule per angle for the BH density (default 64)"),
+    "points.count": _Setting("--points", "points", _parse_int, _RUNS, "N",
+                             "sample count (default 20)"),
+    "points.seed": _Setting("--seed", "seed", _parse_int, _RUNS, "N",
+                            "sampler seed (default 0)"),
+    "points.box": _Setting("--box", "box", _parse_box, _SAMPLED, "KIND:SIZE",
+                           "sampling box, for example cube:0.5 or ball:0.6"),
+    "degree": _Setting("--degree", "degree", _parse_int, _RUNS, "N",
+                       f"jet truncation degree (default {DEFAULT_DEGREE})"),
+    "tol.jet": _Setting("--tol-jet", "tol_jet", _parse_float, _CHECKED, "X",
+                        "jet-tier tolerance (1e-7)"),
+    "tol.quad": _Setting("--tol-quad", "tol_quad", _parse_float, _CHECKED, "X",
+                         "quadrature-tier tolerance (1e-4)"),
+    "tol.floor": _Setting("--floor", "floor", _parse_float, _CHECKED, "X",
+                          "absolute floor (1e-9)"),
+    "format": _Setting("--format", "fmt", _parse_format, _ALL, "FORMAT",
+                       "output format: json-lines (default) or csv"),
+}
+
+
+def _apply(cfg: RunConfig, key: str, name: str, text: str):
+    """Parse ``text`` for the setting ``key`` into ``cfg``; errors name ``name``."""
+    setting = _SETTINGS[key]
+    value = setting.parse(name, text)
+    if key == _PARAM:
+        cfg.metric_params.update([value])
     else:
-        raise ConfigError(f"unknown config key {key!r}")
-
-
-def _read_pairs(path) -> list[tuple[str, str]]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        pairs.append((key.strip(), value.strip()))
-    return pairs
-
-
-def _apply_flags(cfg: RunConfig, args: argparse.Namespace):
-    if args.metric is not None:
-        cfg.metric_family = args.metric
-    if args.dim is not None:
-        cfg.metric_dim = args.dim
-    for entry in args.param or []:
-        key, sep, value = entry.partition("=")
-        if not sep:
-            raise ConfigError(f"--param expects key=value, got {entry!r}")
-        cfg.metric_params[key.strip()] = _literal(value)
-    if args.volume is not None:
-        _set_volume(cfg, "--volume", args.volume)
-    if args.bh_nodes is not None:
-        cfg.volume_nodes = args.bh_nodes
-    if args.points is not None:
-        cfg.points = args.points
-        cfg.points_set = True
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.box is not None:
-        cfg.box = _parse_box("--box", args.box)
-    if args.degree is not None:
-        cfg.degree = args.degree
-    if args.tol_jet is not None:
-        cfg.tol_jet = args.tol_jet
-    if args.tol_quad is not None:
-        cfg.tol_quad = args.tol_quad
-    if args.floor is not None:
-        cfg.floor = args.floor
-    if args.format is not None:
-        cfg.fmt = _parse_format("--format", args.format)
+        setattr(cfg, setting.field, value)
+    cfg.points_set |= key == "points.count"
+    cfg.volume_set |= key == "volume.kind"
 
 
 def parse_config(path=None, args: argparse.Namespace | None = None) -> RunConfig:
-    """Layer defaults, then the config file, then command-line flags."""
+    """Layer defaults, then the config file, then command-line flags.
+
+    A file value and a flag value of one setting go through the same parser,
+    so a bad text gets the same error, naming the key or the flag.
+    """
     cfg = RunConfig()
-    if path is not None:
-        for key, value in _read_pairs(path):
-            _apply_pair(cfg, key, value)
-    if args is not None:
-        _apply_flags(cfg, args)
+    try:
+        lines = [] if path is None else Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        name, sep, text = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        if name in _SETTINGS:
+            _apply(cfg, name, name, text)
+        elif name.startswith("metric."):
+            _apply(cfg, _PARAM, name, f"{name[len('metric.'):]}={text}")
+        else:
+            raise ConfigError(f"unknown config key {name!r}")
+    flags = {} if args is None else vars(args)
+    for key, setting in _SETTINGS.items():
+        for text in flags.get(key) or ():
+            _apply(cfg, key, setting.flag, text)
     # bad tolerances are configuration errors for every subcommand, not
     # only for those that compare against them
     cfg.tolerances()
@@ -267,14 +276,10 @@ def _json(value) -> str:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _float_text(float(value))
     if isinstance(value, str):
         return value
+    if isinstance(value, (float, np.floating)):
+        return _float_text(float(value))
     return _json(value)
 
 
@@ -294,7 +299,8 @@ def _render(records: list[dict], columns: list[str], fmt: str,
 # -- subcommands ------------------------------------------------------------------
 
 
-def _report_records(subcommand: str, report, per_point: bool = False) -> list[dict]:
+def _report_output(subcommand: str, report, fmt: str, per_point: bool) -> tuple[str, int]:
+    """Render a suite report; exit 1 when any check failed."""
     records = [{
         "record": "run",
         "subcommand": subcommand,
@@ -338,27 +344,18 @@ def _report_records(subcommand: str, report, per_point: bool = False) -> list[di
         "checks": len(report.checks),
         "failures": [agg.check for agg in report.failures()],
     })
-    return records
+    csv_rows = [r for r in records if r["record"] == "check"]
+    text = _render(records, VERIFY_COLUMNS, fmt, csv_records=csv_rows)
+    return text, 0 if report.passed else 1
 
 
 def _cmd_list(args) -> tuple[str, int]:
     cfg = parse_config(args.config, args)
-    records = []
-    for name in catalog.family_names():
-        info = catalog.family_summary(name)
-        records.append({
-            "record": "family",
-            "name": name,
-            "default_dim": info["default_dim"],
-            "summary": info["summary"],
-        })
-    for name in theorem_names():
-        records.append({
-            "record": "theorem",
-            "name": name,
-            "default_dim": None,
-            "summary": theorem_summary(name),
-        })
+    families = [catalog.family_summary(name) for name in catalog.family_names()]
+    records = [{"record": "family", "name": info["family"], "default_dim": info["default_dim"],
+                "summary": info["summary"]} for info in families]
+    records += [{"record": "theorem", "name": name, "default_dim": None,
+                 "summary": theorem_summary(name)} for name in theorem_names()]
     return _render(records, LIST_COLUMNS, cfg.fmt), 0
 
 
@@ -374,27 +371,16 @@ def _cmd_verify(args) -> tuple[str, int]:
         tolerances=cfg.tolerances(), seed=cfg.seed, degree=cfg.degree,
         box=cfg.box, checks=checks,
     )
-    records = _report_records("verify", report, per_point=args.per_point)
-    csv_rows = [r for r in records if r["record"] == "check"]
-    text = _render(records, VERIFY_COLUMNS, cfg.fmt, csv_records=csv_rows)
-    return text, 0 if report.passed else 1
+    return _report_output("verify", report, cfg.fmt, args.per_point)
 
 
 def _cmd_theorem(args) -> tuple[str, int]:
     cfg = parse_config(args.config, args)
-    report = theorem_check(
-        args.name,
-        points=cfg.points if cfg.points_set else None,
-        seed=cfg.seed,
-        degree=cfg.degree,
-        nodes=cfg.volume_nodes,
-        volume=cfg.volume() if cfg.volume_set else None,
-        tolerances=cfg.tolerances(),
-    )
-    records = _report_records("theorem", report, per_point=args.per_point)
-    csv_rows = [r for r in records if r["record"] == "check"]
-    text = _render(records, VERIFY_COLUMNS, cfg.fmt, csv_records=csv_rows)
-    return text, 0 if report.passed else 1
+    report = theorem_check(args.name, points=cfg.points if cfg.points_set else None,
+                           seed=cfg.seed, degree=cfg.degree, nodes=cfg.volume_nodes,
+                           volume=cfg.volume() if cfg.volume_set else None,
+                           tolerances=cfg.tolerances())
+    return _report_output("theorem", report, cfg.fmt, args.per_point)
 
 
 def _eval_point(obj, volume, point, degree, index) -> dict:
@@ -434,83 +420,55 @@ def _cmd_eval(args) -> tuple[str, int]:
     points = catalog.sample(obj, count=cfg.points, seed=cfg.seed, box=cfg.box)
     records = [_eval_point(obj, volume, point, cfg.degree, idx)
                for idx, point in enumerate(points)]
-    if cfg.fmt == "csv":
-        flat = []
-        for rec in records:
-            row = dict(rec)
-            for route in WEYL_ROUTES:
-                row[f"W.{route}"] = rec["W"][route]
-            for route in WO_ROUTES:
-                row[f"Wo.{route}"] = rec["Wo"][route]
-            flat.append(row)
-        return _render(records, EVAL_COLUMNS, "csv", csv_records=flat), 0
-    return _render(records, EVAL_COLUMNS, "json-lines"), 0
+    # csv has one column per route
+    rows = [{**rec, **{f"{kind}.{route}": value for kind in ("W", "Wo")
+                       for route, value in rec[kind].items()}} for rec in records]
+    return _render(records, EVAL_COLUMNS, cfg.fmt, csv_records=rows), 0
 
 
 # -- argument parsing ---------------------------------------------------------------
 
 
-def _common_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", metavar="PATH",
-                        help="flat key = value config file with dotted keys")
-    parser.add_argument("--metric", metavar="FAMILY",
-                        help="catalog family name (default euclidean)")
-    parser.add_argument("--dim", type=int, help="dimension override")
-    parser.add_argument("--param", action="append", metavar="KEY=VALUE",
-                        help="family parameter (repeatable)")
-    parser.add_argument("--volume", metavar="SPEC",
-                        help="coordinate | busemann-hausdorff | explicit:<expr>")
-    parser.add_argument("--bh-nodes", type=int, metavar="N",
-                        help="largest rule per angle for the BH density (default 64)")
-    parser.add_argument("--points", type=int, help="sample count (default 20)")
-    parser.add_argument("--seed", type=int, help="sampler seed (default 0)")
-    parser.add_argument("--box", metavar="KIND:SIZE",
-                        help="sampling box, for example cube:0.5 or ball:0.6")
-    parser.add_argument("--degree", type=int,
-                        help=f"jet truncation degree (default {DEFAULT_DEGREE})")
-    parser.add_argument("--tol-jet", type=float, help="jet-tier tolerance (1e-7)")
-    parser.add_argument("--tol-quad", type=float,
-                        help="quadrature-tier tolerance (1e-4)")
-    parser.add_argument("--floor", type=float, help="absolute floor (1e-9)")
-    parser.add_argument("--format", choices=_FORMATS, help="output format")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: do not modify it.
+
+    Flags are plain strings, parsed by ``parse_config`` like file values.
+    """
     parser = argparse.ArgumentParser(
         prog="spraylab",
         description="curvature reports and identity verification for sprays",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_list = sub.add_parser("list", help="print catalog families and theorems")
-    _common_options(p_list)
-    p_list.set_defaults(handler=_cmd_list)
-
-    p_eval = sub.add_parser("eval", help="per-point curvature report")
-    _common_options(p_eval)
-    p_eval.set_defaults(handler=_cmd_eval)
-
-    p_verify = sub.add_parser("verify", help="run the identity suite")
-    _common_options(p_verify)
-    p_verify.add_argument("--checks", metavar="A,B,...",
-                          help="comma-separated subset of registered checks")
-    p_verify.add_argument("--per-point", action="store_true",
-                          help="also emit one record per point and check")
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_theorem = sub.add_parser("theorem", help="run one named conclusion")
-    p_theorem.add_argument("name", help="fixture name; see the list subcommand")
-    _common_options(p_theorem)
-    p_theorem.add_argument("--per-point", action="store_true",
+    commands = {
+        "list": ("print catalog families and theorems", _cmd_list),
+        "eval": ("per-point curvature report", _cmd_eval),
+        "verify": ("run the identity suite", _cmd_verify),
+        "theorem": ("run one named conclusion", _cmd_theorem),
+    }
+    for command, (summary, handler) in commands.items():
+        p = sub.add_parser(command, help=summary)
+        if command == "theorem":
+            p.add_argument("name", help="fixture name; see the list subcommand")
+        p.add_argument("--config", metavar="PATH",
+                       help="flat key = value config file with dotted keys")
+        for key, setting in _SETTINGS.items():
+            if command in setting.commands:
+                p.add_argument(setting.flag, dest=key, action="append",
+                               metavar=setting.metavar, help=f"{setting.help} [{key}]")
+        if command == "verify":
+            p.add_argument("--checks", metavar="A,B,...",
+                           help="comma-separated subset of registered checks")
+        if command in _CHECKED:
+            p.add_argument("--per-point", action="store_true",
                            help="also emit one record per point and check")
-    p_theorem.set_defaults(handler=_cmd_theorem)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -347,7 +347,7 @@ class SprayStack:
         """
         tensor = jets.stack(tensor)
         vals = np.asarray(tensor.value())
-        out = self.hcov_scalar_values(tensor)
+        out = self._hcov_partials(tensor)
         for pos in range(vals.ndim):
             # contravariant slot: + T^..l.. Gamma^i_lm; covariant: - T_..l.. Gamma^l_im
             conn = self.Gamma_values if pos < contra else -self.Gamma_values.transpose(1, 0, 2)
@@ -356,6 +356,10 @@ class SprayStack:
 
     def hcov_scalar_values(self, f: Jet) -> np.ndarray:
         """Values of f_{|k} = f_{x^k} - N^l_k f_{.l}, indexed [..., k], entry by entry."""
+        return self._hcov_partials(f)
+
+    def _hcov_partials(self, f: Jet) -> np.ndarray:
+        # shared by both public derivatives, so each call of either is one derivative
         grad = f.gradient()
         return grad[..., : self.n] - grad[..., self.n :] @ self.N_values
 

@@ -671,6 +671,8 @@ def _thm12(opts, tol):
             rs.append(_wo_zero(f"thm12:funk:{vol.kind}", point, ctx.measure_for(vol),
                                tol, vol.uses_quadrature))
     results = [r for rs in per_volume for r in rs]
+    if opts["volume"] is not None:
+        return results, volumes[0].describe()
     return results, "coordinate, explicit, busemann-hausdorff"
 
 
@@ -843,6 +845,10 @@ _THEOREMS: dict[str, tuple[Callable, str]] = {
 }
 
 
+# the conclusions that hold for every volume form; the others fix theirs by hypothesis
+_TAKES_VOLUME = ("thm12", "cor14", "thm43")
+
+
 def theorem_names() -> list[str]:
     return list(_THEOREMS)
 
@@ -861,8 +867,15 @@ def theorem_summary(name: str) -> str:
 
 def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
                   nodes=64, volume=None, tolerances=None) -> SuiteReport:
-    """Run one named conclusion on its designated catalog fixture(s)."""
+    """Run one named conclusion on its designated catalog fixture(s).
+
+    ``volume`` replaces the volume forms of thm12, cor14 and thm43; the other
+    conclusions fix theirs by hypothesis and refuse one with a ``ConfigError``.
+    """
     fn, _ = _theorem(name)
+    if volume is not None and name not in _TAKES_VOLUME:
+        raise ConfigError(f"theorem {name} fixes its volume forms; only "
+                          f"{', '.join(_TAKES_VOLUME)} take a volume")
     tol = tolerances if tolerances is not None else Tolerances()
     opts = {"points": points, "seed": seed, "degree": degree,
             "nodes": nodes, "volume": volume}

@@ -1,5 +1,6 @@
 """Command-line interface: config layering, output formats, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import functools
@@ -174,6 +175,87 @@ def test_flags_layer_over_file_over_defaults(tmp_path, drawn, file_params, flag_
     assert vars(parse_config(path, cli.build_parser().parse_args(argv))) == want
 
 
+# config key -> a text its parser refuses
+_BAD_TEXTS = {
+    "metric.family": "klein", "metric.dim": "three", "metric.<name>": "[oops",
+    "volume.kind": "lebesgue", "volume.nodes": "many", "points.count": "many",
+    "points.seed": "1.5", "points.box": "everywhere", "degree": "high", "tol.jet": "nan",
+    "tol.quad": "loose", "tol.floor": "-1", "format": "xml",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_BAD_TEXTS))
+def test_file_key_and_flag_share_one_parser(capsys, tmp_path, key):
+    assert set(_BAD_TEXTS) == set(cli._SETTINGS)
+    flag, text = cli._SETTINGS[key].flag, _BAD_TEXTS[key]
+    name, flag_text = key, text
+    if key == "metric.<name>":
+        name, flag_text = "metric.b", f"b={text}"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{name} = {text}\n")
+    errors = []
+    for argv, label in ((("--config", str(path)), name), ((flag, flag_text), flag)):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        errors.append(err.replace(label, "<setting>"))
+    assert errors[0] == errors[1]
+
+
+def test_points_flag_with_a_bad_count_names_the_flag(capsys):
+    code, out, err = run_cli(capsys, "verify", "--points", "many")
+    assert code == 2 and out == ""
+    assert err == "error: --points expects an integer, got 'many'\n"
+
+
+# the flags each subcommand offers: those of the settings it reads
+_EVAL_FLAGS = {"--config", "--metric", "--dim", "--param", "--volume", "--bh-nodes",
+               "--points", "--seed", "--box", "--degree", "--format"}
+_TOL_FLAGS = {"--tol-jet", "--tol-quad", "--floor"}
+_FLAGS = {
+    "list": {"--config", "--format"},
+    "eval": _EVAL_FLAGS,
+    "verify": _EVAL_FLAGS | _TOL_FLAGS | {"--checks", "--per-point"},
+    "theorem": {"--config", "--volume", "--bh-nodes", "--points", "--seed", "--degree",
+                "--format", "--per-point"} | _TOL_FLAGS,
+}
+
+
+def test_each_subcommand_offers_only_the_flags_it_reads():
+    sub, = (action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    offered = {command: {flag for action in parser._actions for flag in action.option_strings}
+               - {"-h", "--help"} for command, parser in sub.choices.items()}
+    assert offered == _FLAGS
+    assert sum(map(len, offered.values())) == 40
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ("theorem", "thm12", "--metric", "randers"),
+    ("theorem", "thm12", "--dim", "2", "--box", "ball:9"),
+    ("list", "--points", "1"),
+    ("eval", "--tol-jet", "1e-3"),
+])
+def test_flag_the_subcommand_does_not_read_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--points", "1")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err and argv[-2] in err
+
+
+@pytest.mark.parametrize("name", ["thm15", "cor33", "prop32", "ex17", "ex45"])
+def test_fixed_volume_theorem_refuses_a_volume(capsys, tmp_path, name):
+    path = tmp_path / "run.cfg"
+    path.write_text("volume.kind = coordinate\n")
+    for argv in (("--volume", "bh"), ("--config", str(path))):
+        code, out, err = run_cli(capsys, "theorem", name, "--points", "1", *argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: theorem {name} fixes its volume forms; only "
+                       "thm12, cor14, thm43 take a volume\n")
+
+
 def test_param_literals():
     assert cli._literal("true") is True
     assert cli._literal("3") == 3
@@ -339,6 +421,14 @@ def test_theorem_with_volume_override(capsys):
     assert len(checks) == 1
 
 
+@pytest.mark.parametrize("name", ["thm12", "thm43"])
+def test_theorem_takes_a_bh_volume(capsys, name):
+    code, out, _ = run_cli(capsys, "theorem", name, "--volume", "bh", "--bh-nodes", "16",
+                           "--points", "1")
+    assert code == 0
+    assert json_records(out)[0]["volume"].startswith("busemann-hausdorff(16)")
+
+
 def test_theorem_gate_failure_exits_one(capsys):
     code, out, _ = run_cli(capsys, "theorem", "ex45", "--points", "2",
                            "--bh-nodes", "16")
@@ -462,7 +552,6 @@ def test_zero_threshold_is_not_a_crash(capsys):
     ("verify", "--tol-jet", "nan"),
     ("verify", "--tol-quad", "-0.5"),
     ("verify", "--floor", "inf"),
-    ("eval", "--tol-jet", "nan"),
 ])
 def test_bad_tolerances_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--metric", "euclidean", "--points", "1")
@@ -475,6 +564,16 @@ def test_bad_tolerance_keys_exit_two(capsys, tmp_path, line):
     path = tmp_path / "run.cfg"
     path.write_text(line + "\n")
     code, out, err = run_cli(capsys, "theorem", "cor33", "--points", "1", "--config", str(path))
+    assert code == 2 and out == ""
+    assert "tolerance" in err
+
+
+def test_eval_bad_tolerance_key_exits_two(capsys, tmp_path):
+    # eval offers no tolerance flag, but the file keys are shared and checked
+    path = tmp_path / "run.cfg"
+    path.write_text("tol.jet = nan\n")
+    code, out, err = run_cli(capsys, "eval", "--metric", "euclidean", "--points", "1",
+                             "--config", str(path))
     assert code == 2 and out == ""
     assert "tolerance" in err
 

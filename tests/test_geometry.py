@@ -19,6 +19,7 @@ from spraylab.geometry import (
     FinslerMetric,
     MetricFrame,
     PerturbedSpray,
+    SprayStack,
     TangentPoint,
     stack_for,
 )
@@ -395,6 +396,16 @@ def test_hcov_scalar_values_match_jet_route():
     st = stack_for(RandersVar().spray(), POINT3, degree=6)
     np.testing.assert_allclose(st.hgrad(st.Ric).value(), st.hcov_scalar_values(st.Ric),
                                rtol=1e-12, atol=1e-12)
+
+
+def test_hcov_values_does_not_call_hcov_scalar_values(monkeypatch):
+    # a wrapper on both public derivatives counts each derivative once
+    st = stack_for(RandersVar().spray(), POINT3, degree=6)
+    calls = []
+    monkeypatch.setattr(SprayStack, "hcov_scalar_values", lambda self, f: calls.append(f))
+    st.hcov_values(st.Rik, contra=1)
+    st.hcov_values(st.T, contra=0)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
