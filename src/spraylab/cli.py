@@ -204,12 +204,16 @@ def _apply(cfg: RunConfig, key: str, name: str, text: str):
     cfg.volume_set |= key == "volume.kind"
 
 
-def parse_config(path=None, args: argparse.Namespace | None = None) -> RunConfig:
+def parse_config(path=None, args: argparse.Namespace | None = None,
+                 given: dict | None = None) -> RunConfig:
     """Layer defaults, then the config file, then command-line flags.
 
     A file value and a flag value of one setting go through the same parser,
-    so a bad text gets the same error, naming the key or the flag.
+    so a bad text gets the same error, naming the key or the flag.  When
+    ``given`` is a dict, each setting given is mapped in it to the key or
+    flag that gave it last.
     """
+    given = {} if given is None else given
     cfg = RunConfig()
     try:
         lines = [] if path is None else Path(path).read_text().splitlines()
@@ -222,15 +226,18 @@ def parse_config(path=None, args: argparse.Namespace | None = None) -> RunConfig
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         if name in _SETTINGS:
-            _apply(cfg, name, name, text)
+            key = name
         elif name.startswith("metric."):
-            _apply(cfg, _PARAM, name, f"{name[len('metric.'):]}={text}")
+            key, text = _PARAM, f"{name[len('metric.'):]}={text}"
         else:
             raise ConfigError(f"unknown config key {name!r}")
+        _apply(cfg, key, name, text)
+        given[key] = name
     flags = {} if args is None else vars(args)
     for key, setting in _SETTINGS.items():
         for text in flags.get(key) or ():
             _apply(cfg, key, setting.flag, text)
+            given[key] = setting.flag
     # bad tolerances are configuration errors for every subcommand, not
     # only for those that compare against them
     cfg.tolerances()
@@ -359,8 +366,19 @@ def _cmd_list(args) -> tuple[str, int]:
     return _render(records, LIST_COLUMNS, cfg.fmt), 0
 
 
+def _sampled_config(args) -> RunConfig:
+    """Settings of an eval or verify run, which reads --bh-nodes only for a BH volume."""
+    given = {}
+    cfg = parse_config(args.config, args, given)
+    volume = cfg.volume()
+    if "volume.nodes" in given and not volume.uses_quadrature:
+        raise ConfigError(f"{given['volume.nodes']} applies to a busemann-hausdorff volume "
+                          f"only; the volume is {volume.describe()}")
+    return cfg
+
+
 def _cmd_verify(args) -> tuple[str, int]:
-    cfg = parse_config(args.config, args)
+    cfg = _sampled_config(args)
     checks = None
     if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",")]
@@ -414,7 +432,7 @@ def _eval_point(obj, volume, point, degree, index) -> dict:
 
 
 def _cmd_eval(args) -> tuple[str, int]:
-    cfg = parse_config(args.config, args)
+    cfg = _sampled_config(args)
     obj = catalog.build(cfg.metric_spec())
     volume = cfg.volume()
     points = catalog.sample(obj, count=cfg.points, seed=cfg.seed, box=cfg.box)

@@ -6,7 +6,9 @@ by spherical quadrature with the base point carried as jet variables, so
 its x-derivatives come from differentiating under the integral rather
 than from finite differences.  The quadrature is adaptive per point: the
 rule doubles from 16 nodes per angle until two successive rules agree,
-and the node count of a volume form is the largest rule it may use.
+and the node count of a volume form is the largest rule it may use.  A
+rule of ``nodes`` per angle holds ``nodes`` directions on S^1,
+``nodes * ceil(nodes / 2)`` on S^2 and ``nodes^3`` on S^3.
 
 A ``VolumeForm`` is a plain value that keeps no jets.  A ``MeasureStack``
 takes the ln sigma jet itself, so stacks can share one density;
@@ -28,8 +30,9 @@ from .geometry import FinslerMetric, SprayStack
 from .jets import Jet
 
 BH_MAX_DIM = 4
-# most directions one sphere rule may hold: 64 nodes per angle in dim 4
-# (262,144) and 1,024 in dim 3 fit, 128 in dim 4 does not
+# cap on nodes^(n - 1), the directions of a rule on S^1 and S^3: 64 nodes
+# per angle in dim 4 (262,144) and 1,024 in dim 3 fit, 128 in dim 4 does
+# not.  The S^2 rule holds nodes * ceil(nodes / 2), about half the cap.
 BH_MAX_DIRECTIONS = 2**20
 # BH quadrature runs its directions in blocks whose largest jet-multiply
 # temporary fits in this many bytes (70 directions per block at degree 5
@@ -60,10 +63,16 @@ def unit_ball_volume(n: int) -> float:
 def sphere_nodes(n: int, nodes: int):
     """Quadrature nodes and weights for S^{n-1}; weights sum to its area.
 
-    S^1 uses the uniform trapezoid rule (spectrally accurate for periodic
-    integrands); higher spheres use tensor products of Gauss-Legendre
-    panels in the polar angles with the uniform rule in the azimuth.
-    The rules are cached, so the arrays returned are read-only.
+    S^1 uses the uniform trapezoid rule of ``nodes`` points (spectrally
+    accurate for periodic integrands).  S^2 takes ``ceil(nodes / 2)``
+    Gauss-Legendre nodes in u = cos(theta) times that trapezoid rule in
+    the azimuth, ``nodes * ceil(nodes / 2)`` directions that integrate
+    every polynomial of degree <= nodes - 1 exactly, as the square
+    ``nodes x nodes`` product would (Atkinson, J. Austral. Math. Soc. B
+    23, 1982).  S^3 takes ``nodes`` Gauss-Legendre nodes each in the
+    polar angle psi (mapped from [-1, 1]) and in u, times ``nodes`` in
+    the azimuth.  The rules are cached, so the arrays returned are
+    read-only.
     """
     theta, weights = _sphere_rule(n, nodes)
     theta.flags.writeable = False
@@ -78,8 +87,10 @@ def _check_rule(n: int, nodes: int):
     if nodes < 8:
         raise ConfigError("sphere quadrature needs at least 8 nodes per angle")
     if nodes ** (n - 1) > BH_MAX_DIRECTIONS:
-        raise ConfigError(f"sphere quadrature with {nodes} nodes per angle needs "
-                          f"{nodes}^{n - 1} directions on S^{n - 1}, more than "
+        # the S^2 rule holds nodes * ceil(nodes / 2) directions, not nodes^2
+        reason = (f"is refused on S^2: {nodes}^2 exceeds" if n == 3 else
+                  f"needs {nodes}^{n - 1} directions on S^{n - 1}, more than")
+        raise ConfigError(f"sphere quadrature with {nodes} nodes per angle {reason} "
                           f"{BH_MAX_DIRECTIONS}")
 
 
@@ -90,8 +101,11 @@ def _sphere_rule(n: int, nodes: int):
     if n == 2:
         theta = np.stack([np.cos(phi), np.sin(phi)], axis=1)
         return theta, wphi
-    u, wu = np.polynomial.legendre.leggauss(nodes)
     if n == 3:
+        # m Gauss nodes in u are exact to degree 2m - 1 and the trapezoid
+        # in phi to trigonometric degree nodes - 1, so ceil(nodes / 2)
+        # nodes in u leave the rule's degree of exactness at nodes - 1
+        u, wu = np.polynomial.legendre.leggauss((nodes + 1) // 2)
         s = np.sqrt(1.0 - u**2)
         theta = np.stack(
             [
@@ -103,6 +117,7 @@ def _sphere_rule(n: int, nodes: int):
         )
         w = np.outer(wu, wphi).ravel()
         return theta, w
+    u, wu = np.polynomial.legendre.leggauss(nodes)
     psi = 0.5 * math.pi * (u + 1.0)
     wpsi = 0.5 * math.pi * wu * np.sin(psi) ** 2
     sp, cp = np.sin(psi), np.cos(psi)

@@ -104,6 +104,23 @@ def test_volume_flag_overrides_file_explicit_volume(capsys, tmp_path):
     assert json_records(out)[0]["volume"] == "busemann-hausdorff(16)"
 
 
+@pytest.mark.parametrize("command", ["verify", "eval"])
+@pytest.mark.parametrize("volume", [None, "explicit:exp(x1)"])
+def test_bh_nodes_without_a_bh_volume_exits_two(capsys, tmp_path, command, volume):
+    # the rule size is read only by a Busemann-Hausdorff volume
+    path = tmp_path / "run.cfg"
+    path.write_text("metric.family = randers\nvolume.nodes = 8\n")
+    given = ("--volume", volume) if volume else ()
+    errors = []
+    for argv, label in (((command, "--metric", "randers", "--bh-nodes", "8"), "--bh-nodes"),
+                        ((command, "--config", str(path)), "volume.nodes")):
+        code, out, err = run_cli(capsys, *argv, *given, "--points", "1")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {label} ") and (volume or "coordinate") in err
+        errors.append(err.replace(label, "<setting>"))
+    assert errors[0] == errors[1]
+
+
 def test_config_file_rejects_type_mismatch(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("points.count = many\n")
@@ -678,8 +695,8 @@ def test_one_bh_density_per_volume_and_point(capsys, monkeypatch, argv, densitie
 
 
 def test_bh_verify_point_stays_within_its_directions_budget(capsys, monkeypatch):
-    # a randers point needs the 16- and 32-node rules (256 + 1,024
-    # directions); a fixed 64-node rule would take 4,096
+    # a randers point needs the 16- and 32-node rules, 128 + 512
+    # directions; the bound of 1,280 is that of square rules on S^2
     directions = []
     sphere_nodes = measures.sphere_nodes
 

@@ -7,6 +7,7 @@ metric has S = (n+1) F / 2 and chi = 0.
 """
 
 import gc
+import itertools
 import math
 import os
 import subprocess
@@ -18,10 +19,10 @@ import numpy as np
 import pytest
 
 import spraylab
-from spraylab import jets, measures
+from spraylab import catalog, jets, measures
 from spraylab.catalog import MetricSpec, build, sample
 from spraylab.errors import AdmissibilityError, ConfigError, JetDomainError
-from spraylab.geometry import MetricFrame, TangentPoint
+from spraylab.geometry import FinslerMetric, MetricFrame, TangentPoint
 from spraylab.measures import (
     VolumeForm,
     _bh_rule,
@@ -45,6 +46,32 @@ def test_sphere_nodes_integrate_low_moments(n):
     assert w.sum() == pytest.approx(area, rel=1e-12)
     second = np.einsum("q,qi,qj->ij", w, theta, theta)
     np.testing.assert_allclose(second, area / n * np.eye(n), atol=1e-12 * area)
+
+
+def _sphere_moment(alpha):
+    """Integral of y^alpha over S^2: 0 for an odd power, else 2 prod Gamma(b_i) / Gamma(sum b_i)."""
+    if any(k % 2 for k in alpha):
+        return 0.0
+    beta = [(k + 1) / 2 for k in alpha]
+    return 2.0 * math.prod(math.gamma(b) for b in beta) / math.gamma(sum(beta))
+
+
+@pytest.mark.parametrize("nodes", [8, 9, 16, 17, 32])
+def test_s2_rule_is_exact_to_degree_nodes_minus_one(nodes):
+    # ceil(nodes / 2) Gauss nodes in u = cos(theta) times nodes trapezoid
+    # nodes in phi; an odd count needs the ceiling to reach degree nodes - 1
+    theta, w = sphere_nodes(3, nodes)
+    assert len(w) == nodes * math.ceil(nodes / 2)
+    alphas = np.array([a for a in itertools.product(range(nodes + 1), repeat=3)
+                       if sum(a) <= nodes])
+    powers = theta[:, :, None] ** np.arange(nodes + 1)
+    got = w @ (powers[:, 0, alphas[:, 0]] * powers[:, 1, alphas[:, 1]]
+               * powers[:, 2, alphas[:, 2]])
+    error = np.abs(got - [_sphere_moment(a) for a in alphas])
+    degree = alphas.sum(axis=1)
+    tol = 1e-13 * 4.0 * math.pi
+    assert error[degree <= nodes - 1].max() <= tol
+    assert error[degree == nodes].max() > 100 * tol
 
 
 def test_sphere_nodes_are_cached_and_read_only():
@@ -172,6 +199,42 @@ def test_adaptive_bh_density_matches_a_finer_fixed_rule():
         assert np.abs(got.coeffs - want.coeffs).max() <= bound
 
 
+def _bh_specs():
+    """Every catalog family that builds a Finsler metric in dim 2 or 3, with
+    parameters where its defaults build none in that dimension."""
+    params = {
+        ("riemannian", 2): {"matrix": [["exp(0.3*x1)", "0.1*x2"], ["0.1*x2", "1"]]},
+        ("riemannian", 3): {"matrix": [["exp(0.3*x1)", "0.1*x2", "0"], ["0.1*x2", "1", "0"],
+                                       ["0", "0", "1 + x3^2"]]},
+        ("randers", 2): {"preset": "constant"},
+        ("fourth-root", 2): {"n1": 1, "n2": 1},
+        ("fourth-root", 3): {"n1": 1, "n2": 2},
+    }
+    specs = []
+    for family in catalog.family_names():
+        for dim in (2, 3):
+            spec = MetricSpec(family, dim, params.get((family, dim), {}))
+            try:
+                metric = build(spec)
+            except ConfigError:
+                continue
+            if isinstance(metric, FinslerMetric):
+                specs.append(spec)
+    return specs
+
+
+@pytest.mark.parametrize("spec", _bh_specs(), ids=lambda spec: f"{spec.family}-{spec.dim}")
+def test_adaptive_bh_density_is_within_its_reported_change(spec):
+    metric = build(spec)
+    for point in sample(metric, count=5, seed=3):
+        rules = []
+        got = bh_density(metric, point.x, degree=5, rules=rules)
+        want = _bh_rule(metric, point.x, 96, 5)
+        (_, change), = rules
+        bound = max(change, 1e-13 * max(1.0, np.abs(want.coeffs).max()))
+        assert np.abs(got.coeffs - want.coeffs).max() <= bound
+
+
 def test_bh_node_count_depends_on_the_point():
     metric = build(MetricSpec("square-metric", 3))
     points = sample(metric, count=3, seed=0)
@@ -221,8 +284,8 @@ def _randers_bh_point():
 
 
 def test_bh_density_sums_directions_in_wide_blocks(monkeypatch):
-    # 38 blocks of 35 directions for the 256 + 1,024 directions of this
-    # point when blocks were sized at 128 KB
+    # the 8 * 16 + 16 * 32 directions of this point fill 2 + 8 blocks of
+    # at most 70; blocks of 35 (128 KB) would need 4 + 15
     metric, x = _randers_bh_point()
     blocks = []
     sum_batch = jets.Jet.sum_batch
@@ -230,8 +293,8 @@ def test_bh_density_sums_directions_in_wide_blocks(monkeypatch):
                         lambda a, w: blocks.append(len(w)) or sum_batch(a, w))
     rules = []
     bh_density(metric, x, degree=5, rules=rules)
-    assert rules[0][0] == 32 and sum(blocks) == 16**2 + 32**2
-    assert len(blocks) <= 20
+    assert rules[0][0] == 32 and sum(blocks) == 8 * 16 + 16 * 32
+    assert len(blocks) <= 10
 
 
 def test_bh_rule_binds_the_metric_data_once(monkeypatch):
