@@ -418,8 +418,8 @@ def build(spec) -> FinslerMetric | Spray:
 
 def _draw_x(rng, dim, box):
     kind, size = box
-    if not size > 0:
-        raise ConfigError(f"box size must be positive, got {size}")
+    if not 0 < size < np.inf:
+        raise ConfigError(f"box size must be positive and finite, got {size}")
     if kind == "cube":
         return rng.uniform(-size, size, dim)
     if kind == "ball":
@@ -433,6 +433,8 @@ def sample(obj, count=20, seed=0, box=None) -> list[TangentPoint]:
     """Deterministic admissible sample; |y| drawn uniformly in [1/2, 2]."""
     if count < 1:
         raise ConfigError(f"point count must be at least 1, got {count}")
+    if seed < 0:
+        raise ConfigError(f"sampler seed must be at least 0, got {seed}")
     if isinstance(obj, (str, MetricSpec)):
         obj = build(obj)
     box = box if box is not None else obj.default_box

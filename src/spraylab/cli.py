@@ -32,7 +32,7 @@ from .geometry import DEFAULT_DEGREE
 from .measures import VolumeForm, as_volume, split_volume
 from .projective import WEYL_ROUTES, WO_ROUTES, PointContext
 from .verify import (Tolerances, identity_suite, theorem_check, theorem_names,
-                     theorem_summary)
+                     theorem_summary, theorem_volumes)
 
 _FORMATS = ("json-lines", "csv")
 
@@ -66,10 +66,6 @@ class RunConfig:
     tol_quad: float = 1e-4
     floor: float = 1e-9
     fmt: str = "json-lines"
-    # whether points/volume were given explicitly (theorem fixtures keep
-    # their own defaults otherwise)
-    points_set: bool = False
-    volume_set: bool = False
 
     def metric_spec(self) -> MetricSpec:
         return MetricSpec(self.metric_family, self.metric_dim, dict(self.metric_params))
@@ -172,7 +168,7 @@ _SETTINGS = {
     "volume.kind": _Setting("--volume", "volume_spec", _parse_volume, _RUNS, "SPEC",
                             "coordinate | busemann-hausdorff | explicit:<expr>"),
     "volume.nodes": _Setting("--bh-nodes", "volume_nodes", _parse_int, _RUNS, "N",
-                             "largest rule per angle for the BH density (default 64)"),
+                             "largest BH rule per angle (default 64, or the theorem's own)"),
     "points.count": _Setting("--points", "points", _parse_int, _RUNS, "N",
                              "sample count (default 20)"),
     "points.seed": _Setting("--seed", "seed", _parse_int, _RUNS, "N",
@@ -200,8 +196,6 @@ def _apply(cfg: RunConfig, key: str, name: str, text: str):
         cfg.metric_params.update([value])
     else:
         setattr(cfg, setting.field, value)
-    cfg.points_set |= key == "points.count"
-    cfg.volume_set |= key == "volume.kind"
 
 
 def parse_config(path=None, args: argparse.Namespace | None = None,
@@ -366,14 +360,18 @@ def _cmd_list(args) -> tuple[str, int]:
     return _render(records, LIST_COLUMNS, cfg.fmt), 0
 
 
+def _refuse_unread_nodes(given: dict, volumes: list[VolumeForm]):
+    """A given --bh-nodes or volume.nodes sizes a BH rule, so some volume must run one."""
+    if "volume.nodes" in given and not any(vol.uses_quadrature for vol in volumes):
+        raise ConfigError(f"{given['volume.nodes']} applies to a busemann-hausdorff volume "
+                          f"only; the volume is {', '.join(vol.describe() for vol in volumes)}")
+
+
 def _sampled_config(args) -> RunConfig:
-    """Settings of an eval or verify run, which reads --bh-nodes only for a BH volume."""
+    """Settings of an eval or verify run."""
     given = {}
     cfg = parse_config(args.config, args, given)
-    volume = cfg.volume()
-    if "volume.nodes" in given and not volume.uses_quadrature:
-        raise ConfigError(f"{given['volume.nodes']} applies to a busemann-hausdorff volume "
-                          f"only; the volume is {volume.describe()}")
+    _refuse_unread_nodes(given, [cfg.volume()])
     return cfg
 
 
@@ -393,10 +391,14 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_theorem(args) -> tuple[str, int]:
-    cfg = parse_config(args.config, args)
-    report = theorem_check(args.name, points=cfg.points if cfg.points_set else None,
-                           seed=cfg.seed, degree=cfg.degree, nodes=cfg.volume_nodes,
-                           volume=cfg.volume() if cfg.volume_set else None,
+    # a theorem keeps its own point counts, volume forms and rule size unless given
+    given = {}
+    cfg = parse_config(args.config, args, given)
+    volume = cfg.volume() if "volume.kind" in given else None
+    nodes = cfg.volume_nodes if "volume.nodes" in given else None
+    _refuse_unread_nodes(given, theorem_volumes(args.name, volume, nodes))
+    report = theorem_check(args.name, points=cfg.points if "points.count" in given else None,
+                           seed=cfg.seed, degree=cfg.degree, nodes=nodes, volume=volume,
                            tolerances=cfg.tolerances())
     return _report_output("theorem", report, cfg.fmt, args.per_point)
 

@@ -1,4 +1,4 @@
-"""Identity suite, theorem fixtures, and a finite-difference oracle.
+"""Identity suite, theorem records, and a finite-difference oracle.
 
 Every registered check recomputes one relation by two independent routes
 and reports the raw residual together with the magnitude of the compared
@@ -9,6 +9,9 @@ volume form inherits the quadrature error instead.
 
 A suite run never aborts on a failing point; domain and budget errors at
 a single point are recorded as infinite residuals and the run continues.
+
+A theorem is a record of fixtures and volume forms; one loop runs every
+record, and an error in it ends the run.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -145,16 +148,11 @@ def _aggregate(check: str, results: list[CheckResult], tolerance, floor) -> Chec
 
 
 def _suite_report(metric: str, volume: str, seed, degree: int, tol: Tolerances,
-                  groups: dict, results=None, quadrature=None) -> SuiteReport:
-    """A report from insertion-ordered ``{check: (tolerance, results)}`` groups.
-
-    ``results`` keeps the caller's order of the per-point results; by
-    default they follow the groups.
-    """
+                  groups: dict, quadrature=None) -> SuiteReport:
+    """A report from insertion-ordered ``{check: (tolerance, results)}`` groups."""
     checks = tuple(_aggregate(name, rs, t, tol.floor) for name, (t, rs) in groups.items())
-    if results is None:
-        results = [r for _, rs in groups.values() for r in rs]
-    return SuiteReport(metric, volume, seed, degree, tol, checks, tuple(results),
+    results = tuple(r for _, rs in groups.values() for r in rs)
+    return SuiteReport(metric, volume, seed, degree, tol, checks, results,
                        all(agg.passed for agg in checks), quadrature)
 
 
@@ -632,228 +630,169 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
                          degree, tolerances, groups, quadrature=quadrature)
 
 
-# -- theorem fixtures -------------------------------------------------------------
+# -- theorems ---------------------------------------------------------------------
 
 
-def _fixture(family, dim, opts, default_count, seed_offset=0, params=None):
-    """A catalog fixture and its sample points (``default_count`` unless given)."""
-    metric = catalog.build(MetricSpec(family, dim, params or {}))
-    count = default_count if opts["points"] is None else opts["points"]
-    return metric, catalog.sample(metric, count=count, seed=opts["seed"] + seed_offset)
+class Fixture(NamedTuple):
+    """A sampled catalog metric and, per point, rows (label, residual, scale, quadrature)."""
+
+    spec: MetricSpec
+    count: int  # points unless the run gives a count
+    rows: Callable[[PointContext, list[VolumeForm]], list[tuple]]
+    seed_offset: int = 0
+    fixed_count: bool = False  # a given count does not apply
 
 
-def _wo_zero(label: str, point, ms: MeasureStack, tol, quad: bool, at_least=0.0) -> CheckResult:
+class Theorem(NamedTuple):
+    """One conclusion of the paper: its fixtures and the volume forms it holds for."""
+
+    summary: str
+    fixtures: tuple[Fixture, ...]
+    volumes: tuple[str, ...]  # default volume specs
+    takes_volume: bool = False  # holds for every volume form, so a given one replaces these
+    compares_volumes: bool = False  # a given volume is paired with a default of another kind
+    nodes: int = 64  # default BH rule size
+    by_kind: bool = False  # the run record names the default volumes by kind
+
+
+def _wo_zero(label: str, ms: MeasureStack, quad: bool, at_least=0.0) -> tuple:
     """W^o = 0 under the volume of ``ms``, scaled by its two defining terms."""
     proj = ProjectiveStack(ms)
-    return _result(label, point, _maxabs(proj.wo_values("definition")),
-                   max(_maxabs(*proj.wo_terms), at_least), tol.pick(quad), tol.floor)
+    return (label, _maxabs(proj.wo_values("definition")),
+            max(_maxabs(*proj.wo_terms), at_least), quad)
 
 
-def _theorem_volumes(override, nodes):
-    if override is not None:
-        return [as_volume(override, nodes)]
-    return [
-        VolumeForm.coordinate(),
-        VolumeForm.explicit("exp(0.1*x2)"),
-        VolumeForm.busemann_hausdorff(nodes),
-    ]
+def _thm12(ctx, volumes):
+    """Scalar-curvature spray: W^o vanishes for every volume form, on one stack."""
+    return [_wo_zero(f"thm12:funk:{vol.kind}", ctx.measure_for(vol), vol.uses_quadrature)
+            for vol in volumes]
 
 
-def _thm12(opts, tol):
-    """Scalar-curvature spray: W^o vanishes for every volume form."""
-    metric, pts = _fixture("funk", 3, opts, 20)
-    volumes = _theorem_volumes(opts["volume"], opts["nodes"])
-    # one context per point serves every volume; results stay grouped by volume
-    per_volume = [[] for _ in volumes]
-    for point in pts:
-        ctx = PointContext(metric, None, point, opts["degree"])
-        for vol, rs in zip(volumes, per_volume):
-            rs.append(_wo_zero(f"thm12:funk:{vol.kind}", point, ctx.measure_for(vol),
-                               tol, vol.uses_quadrature))
-    results = [r for rs in per_volume for r in rs]
-    if opts["volume"] is not None:
-        return results, volumes[0].describe()
-    return results, "coordinate, explicit, busemann-hausdorff"
+def _thm15_funk(ctx, volumes):
+    """Funk has S = (n+1)/2 F under BH, and W^o = 0."""
+    s_val, f_val = ctx.measure.S.value(), ctx.frame.F.value()
+    return [("thm15:funk:constant-s", abs(s_val - 2.0 * f_val),
+             max(abs(s_val), 2.0 * f_val), True),
+            _wo_zero("thm15:funk:wo-zero", ctx.measure, True)]
 
 
-def _thm15(opts, tol):
-    """Einstein with constant S-curvature: W^o vanishes under the BH form."""
-    results = []
-    vol = VolumeForm.busemann_hausdorff(opts["nodes"])
-    t = tol.pick(True)
-
-    funk, pts = _fixture("funk", 3, opts, 6)
-    for point in pts:
-        ctx = PointContext(funk, vol, point, opts["degree"])
-        ms = ctx.measure
-        s_val, f_val = ms.S.value(), ctx.frame.F.value()
-        results.append(_result("thm15:funk:constant-s", point,
-                               abs(s_val - 2.0 * f_val),
-                               max(abs(s_val), 2.0 * f_val), t, tol.floor))
-        results.append(_wo_zero("thm15:funk:wo-zero", point, ms, tol, True))
-
-    ball, pts = _fixture("hyperbolic-ball", 3, opts, 6, seed_offset=1)
-    for point in pts:
-        ctx = PointContext(ball, vol, point, opts["degree"])
-        st, ms = ctx.stack, ctx.measure
-        scale_s = max(abs(float(np.trace(st.N_values))), 1.0)
-        results.append(_result("thm15:hyperbolic:constant-s", point,
-                               abs(ms.S.value()), scale_s, t, tol.floor))
-        results.append(_wo_zero("thm15:hyperbolic:wo-zero", point, ms, tol, True))
-    return results, vol.describe()
+def _thm15_ball(ctx, volumes):
+    """The hyperbolic ball has S = 0 under BH, and W^o = 0."""
+    scale_s = max(abs(float(np.trace(ctx.stack.N_values))), 1.0)
+    return [("thm15:hyperbolic:constant-s", abs(ctx.measure.S.value()), scale_s, True),
+            _wo_zero("thm15:hyperbolic:wo-zero", ctx.measure, True)]
 
 
-def _cor14(opts, tol):
+def _cor14(ctx, volumes):
     """In dimension two W^o does not depend on the volume form."""
-    metric, pts = _fixture("conformal-flat-2d", 2, opts, 12)
-    volumes = _theorem_volumes(opts["volume"], opts["nodes"])
-    if len(volumes) < 2:
-        volumes.append(VolumeForm.coordinate()
-                       if volumes[0].kind != "coordinate"
-                       else VolumeForm.explicit("exp(0.1*x2)"))
-    t = tol.pick(any(v.uses_quadrature for v in volumes))
-    results = []
-    for point in pts:
-        ctx = PointContext(metric, None, point, opts["degree"])
-        res, scale = _spread([ProjectiveStack(ctx.measure_for(vol)).wo_values("definition")
-                              for vol in volumes])
-        results.append(_result("cor14:volume-independence", point, res, scale, t, tol.floor))
-    return results, ", ".join(v.describe() for v in volumes)
+    res, scale = _spread([ProjectiveStack(ctx.measure_for(vol)).wo_values("definition")
+                          for vol in volumes])
+    return [("cor14:volume-independence", res, scale,
+             any(vol.uses_quadrature for vol in volumes))]
 
 
-def _cor33(opts, tol):
+def _cor33(ctx, volumes):
     """Constant flag curvature surfaces have W^o = 0."""
-    results = []
-    volumes = [VolumeForm.coordinate(), VolumeForm.busemann_hausdorff(opts["nodes"])]
-    for family, offset in (("round-sphere", 0), ("hyperbolic-ball", 1)):
-        metric, pts = _fixture(family, 2, opts, 8, seed_offset=offset)
-        for point in pts:
-            ctx = PointContext(metric, None, point, opts["degree"])
-            for vol in volumes:
-                results.append(_wo_zero(f"cor33:{family}:{vol.kind}", point,
-                                        ctx.measure_for(vol), tol, vol.uses_quadrature,
-                                        at_least=abs(ctx.stack.Rscalar.value())))
-    return results, "coordinate, busemann-hausdorff"
+    curvature = abs(ctx.stack.Rscalar.value())
+    return [_wo_zero(f"cor33:{ctx.metric.spec.family}:{vol.kind}", ctx.measure_for(vol),
+                     vol.uses_quadrature, at_least=curvature) for vol in volumes]
 
 
-def _prop32(opts, tol):
+def _prop32(ctx, volumes):
     """Einstein surface under BH: W^o_k = F^3 (theta/F)_{.k}."""
-    t = tol.pick(True)
-    results = []
-    for family in ("conformal-flat-2d", "round-sphere"):
-        metric, pts = _fixture(family, 2, opts, 8)
-        for point in pts:
-            check = einstein_wo_check(metric, point, degree=opts["degree"],
-                                      nodes=opts["nodes"])
-            scale = _maxabs(check.wo, check.predicted)
-            results.append(_result(f"prop32:{family}", point, check.residual,
-                                   scale, t, tol.floor))
-    return results, "busemann-hausdorff"
+    check = einstein_wo_check(ctx.metric, ctx.point, degree=ctx.degree,
+                              nodes=ctx.volume.nodes)
+    return [(f"prop32:{ctx.metric.spec.family}", check.residual,
+             _maxabs(check.wo, check.predicted), True)]
 
 
-def _thm43(opts, tol):
+def _thm43(ctx, volumes):
     """The two volume-flatness conditions fail or hold together."""
-    metric, pts = _fixture("randers", 3, opts, 6)
-    volume = as_volume(opts["volume"], opts["nodes"])
-    t = tol.pick(volume.uses_quadrature)
-    by_f: dict[str | None, list[CheckResult]] = {"0.1*x1*x2": [], "0.05*x3": [], None: []}
-    for point in pts:
-        proj = PointContext(metric, volume, point, opts["degree"]).proj
-        for f, results in by_f.items():
-            res, scale = _flatness_residual(proj, f)
-            results.append(_result(f"thm43:f={f or '0'}", point, res, scale, t, tol.floor))
-    return [r for results in by_f.values() for r in results], volume.describe()
+    return [(f"thm43:f={f or '0'}", *_flatness_residual(ctx.proj, f),
+             ctx.volume.uses_quadrature) for f in ("0.1*x1*x2", "0.05*x3", None)]
 
 
-def _ex17(opts, tol):
+def _ex17(ctx, volumes):
     """Fourth-root metric with flat factors: everything vanishes."""
-    metric, pts = _fixture("fourth-root", 4, opts, 5, params={"c": 0.5})
-    vol = VolumeForm.busemann_hausdorff(min(opts["nodes"], 16))
-    t = tol.pick(True)
-    results = []
-    for point in pts:
-        ctx = PointContext(metric, vol, point, opts["degree"])
-        st, ms = ctx.stack, ctx.measure
-        results.append(_result("ex17:berwald-flat", point, _maxabs(st.B_values),
-                               1.0 + _maxabs(st.Gamma_values), t, tol.floor))
-        results.append(_result("ex17:ricci-flat", point, _maxabs(st.Rik_values),
-                               1.0 + _maxabs(st.N_values), t, tol.floor))
-        results.append(_result("ex17:s-zero", point, abs(ms.S.value()),
-                               1.0, t, tol.floor))
-        results.append(_wo_zero("ex17:wo-zero", point, ms, tol, True, at_least=1.0))
-    return results, vol.describe()
+    st, ms = ctx.stack, ctx.measure
+    return [("ex17:berwald-flat", _maxabs(st.B_values), 1.0 + _maxabs(st.Gamma_values), True),
+            ("ex17:ricci-flat", _maxabs(st.Rik_values), 1.0 + _maxabs(st.N_values), True),
+            ("ex17:s-zero", abs(ms.S.value()), 1.0, True),
+            _wo_zero("ex17:wo-zero", ms, True, at_least=1.0)]
 
 
-def _ex45(opts, tol):
+def _ex45(ctx, volumes):
     """Square metric with the quadratic conformal factor.
 
     The metric is Ricci-flat and of scalar curvature, hence W^o vanishes
-    for every volume form, and its S-curvature is not isotropic.  The
-    stronger gate - a catalog volume form making the projective spray
-    Ricci-flat - fails at every tried volume, and that failure is
-    reported as a failing aggregate rather than suppressed.
+    for every volume form.  The stronger gate - a catalog volume form
+    making the projective spray Ricci-flat - fails at every tried volume,
+    and that failure is reported as a failing aggregate rather than
+    suppressed.
     """
-    metric, pts = _fixture("square-metric", 3, opts, 4)
-    nodes = min(opts["nodes"], 32)
-    results = []
-    gate_vols = [
-        VolumeForm.coordinate(),
-        VolumeForm.explicit("exp(0.1*x1)"),
-        VolumeForm.busemann_hausdorff(nodes),
-    ]
-    for point in pts:
-        ctx = PointContext(metric, None, point, opts["degree"])
-        st, fsq = ctx.stack, ctx.frame.fsq.value()
-        wv = ctx.proj.weyl_values("viaChi")
-        results.append(_result("ex45:scalar-curvature", point, _maxabs(wv),
-                               fsq, tol.pick(False), tol.floor))
-        projs = [ProjectiveStack(ctx.measure_for(vol)) for vol in gate_vols]
-        for vol, proj in zip(gate_vols[::2], projs[::2]):  # coordinate and BH
-            wo = proj.wo_values("definition")
-            results.append(_result(f"ex45:wo-zero:{vol.kind}", point, _maxabs(wo),
-                                   fsq ** 1.5, tol.pick(vol.uses_quadrature), tol.floor))
-        best = min(projs, key=lambda proj: abs(proj.Rhat.value()))
-        scale = max(abs(st.Rscalar.value()), abs(best.measure.tau.value()))
-        results.append(_result("ex45:projective-ricci-flat-gate", point,
-                               abs(best.Rhat.value()), scale, tol.pick(True), tol.floor))
+    fsq = ctx.frame.fsq.value()
+    rows = [("ex45:scalar-curvature", _maxabs(ctx.proj.weyl_values("viaChi")), fsq, False)]
+    projs = [ProjectiveStack(ctx.measure_for(vol)) for vol in volumes]
+    for vol, proj in zip(volumes[::2], projs[::2]):  # coordinate and BH
+        rows.append((f"ex45:wo-zero:{vol.kind}", _maxabs(proj.wo_values("definition")),
+                     fsq ** 1.5, vol.uses_quadrature))
+    best = min(projs, key=lambda proj: abs(proj.Rhat.value()))
+    scale = max(abs(ctx.stack.Rscalar.value()), abs(best.measure.tau.value()))
+    rows.append(("ex45:projective-ricci-flat-gate", abs(best.Rhat.value()), scale, True))
+    return rows
 
-    x = pts[0].x
-    dirs = [(1.0, 0.4, -0.3), (-0.5, 1.0, 0.8), (0.2, -0.9, 1.0)]
-    ratios = []
+
+def _ex45_anisotropic(ctx, volumes):
+    """The square metric's S-curvature is not isotropic: S/F depends on y."""
     # sigma_BH depends on x alone, so the three directions share one density
     degree = 4
-    lnsigma = VolumeForm.busemann_hausdorff(nodes).lnsigma_jet(metric, x, degree - 2)
-    for y in dirs:
-        ctx = PointContext(metric, None, TangentPoint(x, y), degree)
-        ratios.append(MeasureStack(ctx.stack, lnsigma).S.value() / ctx.frame.F.value())
-    spread = max(ratios) - min(ratios)
-    results.append(_result("ex45:anisotropic-s", pts[0],
-                           max(0.0, 0.01 - spread), 1.0,
-                           tol.pick(True), tol.floor))
-    return results, "coordinate, explicit, busemann-hausdorff"
+    lnsigma = volumes[-1].lnsigma_jet(ctx.metric, ctx.point.x, degree - 2)
+    ratios = []
+    for y in [(1.0, 0.4, -0.3), (-0.5, 1.0, 0.8), (0.2, -0.9, 1.0)]:
+        dctx = PointContext(ctx.metric, None, TangentPoint(ctx.point.x, y), degree)
+        ratios.append(MeasureStack(dctx.stack, lnsigma).S.value() / dctx.frame.F.value())
+    return [("ex45:anisotropic-s", max(0.0, 0.01 - (max(ratios) - min(ratios))), 1.0, True)]
 
 
-_THEOREMS: dict[str, tuple[Callable, str]] = {
-    "thm12": (_thm12, "scalar-curvature spray has W^o = 0 for every volume"),
-    "thm15": (_thm15, "Einstein + constant S under BH volume has W^o = 0"),
-    "cor14": (_cor14, "surfaces: W^o does not depend on the volume form"),
-    "cor33": (_cor33, "constant flag curvature surfaces have W^o = 0"),
-    "prop32": (_prop32, "Einstein surface: W^o matches F^3 (theta/F)_{.k}"),
-    "thm43": (_thm43, "the two volume-flatness conditions are equivalent"),
-    "ex17": (_ex17, "fourth-root metric with flat factors is fully flat"),
-    "ex45": (_ex45, "square metric is BWeyl-flat but fails the Ricci gate"),
+_EVERY_KIND = ("coordinate", "explicit:exp(0.1*x2)", "bh")
+_THEOREMS: dict[str, Theorem] = {
+    "thm12": Theorem("scalar-curvature spray has W^o = 0 for every volume",
+                     (Fixture(MetricSpec("funk", 3), 20, _thm12),),
+                     _EVERY_KIND, takes_volume=True, by_kind=True),
+    "thm15": Theorem("Einstein + constant S under BH volume has W^o = 0",
+                     (Fixture(MetricSpec("funk", 3), 6, _thm15_funk),
+                      Fixture(MetricSpec("hyperbolic-ball", 3), 6, _thm15_ball, seed_offset=1)),
+                     ("bh",)),
+    "cor14": Theorem("surfaces: W^o does not depend on the volume form",
+                     (Fixture(MetricSpec("conformal-flat-2d", 2), 12, _cor14),),
+                     _EVERY_KIND, takes_volume=True, compares_volumes=True),
+    "cor33": Theorem("constant flag curvature surfaces have W^o = 0",
+                     (Fixture(MetricSpec("round-sphere", 2), 8, _cor33),
+                      Fixture(MetricSpec("hyperbolic-ball", 2), 8, _cor33, seed_offset=1)),
+                     ("coordinate", "bh"), by_kind=True),
+    "prop32": Theorem("Einstein surface: W^o matches F^3 (theta/F)_{.k}",
+                      (Fixture(MetricSpec("conformal-flat-2d", 2), 8, _prop32),
+                       Fixture(MetricSpec("round-sphere", 2), 8, _prop32)),
+                      ("bh",), by_kind=True),
+    "thm43": Theorem("the two volume-flatness conditions are equivalent",
+                     (Fixture(MetricSpec("randers", 3), 6, _thm43),),
+                     ("coordinate",), takes_volume=True),
+    "ex17": Theorem("fourth-root metric with flat factors is fully flat",
+                    (Fixture(MetricSpec("fourth-root", 4, {"c": 0.5}), 5, _ex17),), ("bh",),
+                    nodes=16),
+    "ex45": Theorem("square metric is BWeyl-flat but fails the Ricci gate",
+                    (Fixture(MetricSpec("square-metric", 3), 4, _ex45),
+                     Fixture(MetricSpec("square-metric", 3), 1, _ex45_anisotropic,
+                             fixed_count=True)),
+                    ("coordinate", "explicit:exp(0.1*x1)", "bh"), nodes=32, by_kind=True),
 }
-
-
-# the conclusions that hold for every volume form; the others fix theirs by hypothesis
-_TAKES_VOLUME = ("thm12", "cor14", "thm43")
 
 
 def theorem_names() -> list[str]:
     return list(_THEOREMS)
 
 
-def _theorem(name: str) -> tuple[Callable, str]:
+def _theorem(name: str) -> Theorem:
     if name not in _THEOREMS:
         raise ConfigError(
             f"unknown theorem {name!r}; available: {', '.join(_THEOREMS)}"
@@ -862,28 +801,53 @@ def _theorem(name: str) -> tuple[Callable, str]:
 
 
 def theorem_summary(name: str) -> str:
-    return _theorem(name)[1]
+    return _theorem(name).summary
+
+
+def theorem_volumes(name: str, volume=None, nodes=None) -> list[VolumeForm]:
+    """The volume forms a run of theorem ``name`` puts on each point.
+
+    ``volume`` replaces the defaults where the theorem holds for every volume
+    form, and is refused elsewhere; ``nodes`` (default the theorem's) sizes BH specs.
+    """
+    thm = _theorem(name)
+    nodes = thm.nodes if nodes is None else nodes
+    defaults = [as_volume(spec, nodes) for spec in thm.volumes]
+    if volume is None:
+        return defaults
+    if not thm.takes_volume:
+        takes = [key for key, other in _THEOREMS.items() if other.takes_volume]
+        raise ConfigError(f"theorem {name} fixes its volume forms; only "
+                          f"{', '.join(takes)} take a volume")
+    volumes = [as_volume(volume, nodes)]
+    if thm.compares_volumes:
+        volumes.append(next(vol for vol in defaults if vol.kind != volumes[0].kind))
+    return volumes
 
 
 def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
-                  nodes=64, volume=None, tolerances=None) -> SuiteReport:
-    """Run one named conclusion on its designated catalog fixture(s).
+                  nodes=None, volume=None, tolerances=None) -> SuiteReport:
+    """Run one named conclusion on its catalog fixtures, one context per point.
 
-    ``volume`` replaces the volume forms of thm12, cor14 and thm43; the other
-    conclusions fix theirs by hypothesis and refuse one with a ``ConfigError``.
+    ``points`` replaces each fixture's count; ``volume`` and ``nodes`` are as
+    in ``theorem_volumes``.
     """
-    fn, _ = _theorem(name)
-    if volume is not None and name not in _TAKES_VOLUME:
-        raise ConfigError(f"theorem {name} fixes its volume forms; only "
-                          f"{', '.join(_TAKES_VOLUME)} take a volume")
+    thm = _theorem(name)
+    volumes = theorem_volumes(name, volume, nodes)
     tol = tolerances if tolerances is not None else Tolerances()
-    opts = {"points": points, "seed": seed, "degree": degree,
-            "nodes": nodes, "volume": volume}
-    results, volume_desc = fn(opts, tol)
     groups: dict[str, tuple[float, list[CheckResult]]] = {}
-    for r in results:
-        groups.setdefault(r.check, (r.tolerance, []))[1].append(r)
-    return _suite_report(name, volume_desc, seed, degree, tol, groups, results)
+    for fixture in thm.fixtures:
+        metric = catalog.build(fixture.spec)
+        count = fixture.count if points is None or fixture.fixed_count else points
+        for point in catalog.sample(metric, count=count, seed=seed + fixture.seed_offset):
+            ctx = PointContext(metric, volumes[0], point, degree)
+            for label, residual, scale, quad in fixture.rows(ctx, volumes):
+                t = tol.pick(quad)
+                groups.setdefault(label, (t, []))[1].append(
+                    _result(label, point, residual, scale, t, tol.floor))
+    named = thm.by_kind and volume is None
+    text = ", ".join(vol.kind if named else vol.describe() for vol in volumes)
+    return _suite_report(name, text, seed, degree, tol, groups)
 
 
 # -- finite-difference oracle ----------------------------------------------------

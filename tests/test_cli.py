@@ -104,16 +104,18 @@ def test_volume_flag_overrides_file_explicit_volume(capsys, tmp_path):
     assert json_records(out)[0]["volume"] == "busemann-hausdorff(16)"
 
 
-@pytest.mark.parametrize("command", ["verify", "eval"])
+@pytest.mark.parametrize("command", ["verify", "eval", "theorem"])
 @pytest.mark.parametrize("volume", [None, "explicit:exp(x1)"])
 def test_bh_nodes_without_a_bh_volume_exits_two(capsys, tmp_path, command, volume):
-    # the rule size is read only by a Busemann-Hausdorff volume
+    # the rule size is read only by a Busemann-Hausdorff volume; thm43 runs
+    # none unless given one
     path = tmp_path / "run.cfg"
     path.write_text("metric.family = randers\nvolume.nodes = 8\n")
+    head = ("theorem", "thm43") if command == "theorem" else (command, "--metric", "randers")
     given = ("--volume", volume) if volume else ()
     errors = []
-    for argv, label in (((command, "--metric", "randers", "--bh-nodes", "8"), "--bh-nodes"),
-                        ((command, "--config", str(path)), "volume.nodes")):
+    for argv, label in (((*head, "--bh-nodes", "8"), "--bh-nodes"),
+                        ((*head, "--config", str(path)), "volume.nodes")):
         code, out, err = run_cli(capsys, *argv, *given, "--points", "1")
         assert code == 2 and out == "" and len(err.splitlines()) == 1
         assert err.startswith(f"error: {label} ") and (volume or "coordinate") in err
@@ -185,11 +187,15 @@ def test_flags_layer_over_file_over_defaults(tmp_path, drawn, file_params, flag_
     argv += [f"--param={key}={text}" for key, text in flag_params.items()]
     want["metric_params"] = {key: _PARAM_TEXTS[text]
                              for key, text in {**file_params, **flag_params}.items()}
-    want["points_set"] = drawn["points"][0] != "default"
-    want["volume_set"] = drawn["volume_spec"][0] != "default"
     path = tmp_path / "run.cfg"
     path.write_text("".join(line + "\n" for line in lines))
-    assert vars(parse_config(path, cli.build_parser().parse_args(argv))) == want
+    given = {}
+    assert vars(parse_config(path, cli.build_parser().parse_args(argv), given)) == want
+    # a theorem keeps its own count and volumes unless one is given
+    for name in ("points", "volume_spec"):
+        key, flag = _LAYERED[name][:2]
+        last = {"default": None, "file": key, "flag": flag, "both": flag}[drawn[name][0]]
+        assert given.get(key) == last
 
 
 # config key -> a text its parser refuses
@@ -446,6 +452,22 @@ def test_theorem_takes_a_bh_volume(capsys, name):
     assert json_records(out)[0]["volume"].startswith("busemann-hausdorff(16)")
 
 
+def test_theorem_uses_a_given_rule_size(capsys):
+    # ex17 and ex45 default to smaller rules, but a given size is not capped
+    code, out, _ = run_cli(capsys, "theorem", "ex17", "--bh-nodes", "32", "--points", "1")
+    assert code == 0
+    assert json_records(out)[0]["volume"] == "busemann-hausdorff(32)"
+
+
+def test_theorem_results_follow_their_checks(capsys):
+    code, out, _ = run_cli(capsys, "theorem", "thm15", "--points", "2", "--per-point")
+    records = json_records(out)
+    checks = [r for r in records if r["record"] == "check"]
+    results = [r["check"] for r in records if r["record"] == "result"]
+    assert code == 0 and len(checks) == 4
+    assert results == [c["check"] for c in checks for _ in range(c["points"])]
+
+
 def test_theorem_gate_failure_exits_one(capsys):
     code, out, _ = run_cli(capsys, "theorem", "ex45", "--points", "2",
                            "--bh-nodes", "16")
@@ -482,11 +504,20 @@ def test_unknown_subcommand_exits_two(capsys):
     assert err
 
 
-def test_bad_flag_values_exit_two(capsys):
+def test_bad_flag_values_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "verify", "--box", "everywhere")[0] == 2
     assert run_cli(capsys, "verify", "--box", "cube:-1")[0] == 2
     assert run_cli(capsys, "verify", "--param", "oops")[0] == 2
     assert run_cli(capsys, "verify", "--volume", "lebesgue")[0] == 2
+    # a negative seed and an unbounded box were numpy tracebacks
+    path = tmp_path / "run.cfg"
+    path.write_text("points.seed = -1\n")
+    for argv in (("eval", "--seed", "-1"), ("verify", "--seed", "-1"),
+                 ("theorem", "thm43", "--seed", "-1"), ("eval", "--config", str(path)),
+                 ("eval", "--box", "cube:inf"), ("verify", "--box", "ball:inf")):
+        code, out, err = run_cli(capsys, *argv, "--points", "1")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+        assert "seed" in err or "box size" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -288,6 +288,18 @@ def test_square_metric_gate_fails_conclusions_hold():
         assert agg.passed, agg
 
 
+def test_only_every_volume_theorems_take_a_volume():
+    takes = ["thm12", "cor14", "thm43"]
+    for name in theorem_names():
+        if name in takes:
+            assert theorem_check(name, points=1, volume="coordinate").passed
+            continue
+        with pytest.raises(ConfigError) as err:
+            theorem_check(name, points=1, volume="coordinate")
+        assert str(err.value) == (f"theorem {name} fixes its volume forms; only "
+                                  "thm12, cor14, thm43 take a volume")
+
+
 def test_theorem_reports_are_deterministic():
     a = theorem_check("thm43", points=2)
     b = theorem_check("thm43", points=2)

@@ -62,6 +62,10 @@ COMMANDS = [
     *[(f"theorem {name}", ("theorem", name, *_THEOREM))
       for name in ("thm12", "thm15", "cor14", "cor33", "ex17", "ex45", "prop32", "thm43")],
     ("theorem thm43 bh", ("theorem", "thm43", "--volume", "bh", *_THEOREM)),
+    # a rule size for a theorem that runs no BH rule exits 2; one that runs
+    # a rule uses the size as given
+    ("theorem thm43 bh-nodes", ("theorem", "thm43", "--bh-nodes", "8", "--points", "1")),
+    ("theorem ex17 bh-nodes", ("theorem", "ex17", "--bh-nodes", "32", "--points", "1")),
     ("verify funk4 bh oversized", ("verify", "--metric", "funk", "--dim", "4", "--volume", "bh",
                                    "--bh-nodes", "1024", "--points", "1")),
 ]
