@@ -32,10 +32,8 @@ from .projective import (
     PointContext,
     ProjectiveSpray,
     ProjectiveStack,
-    bweyl_residual,
-    einstein_wo_check,
+    einstein_wo,
     volume_change,
-    volume_change_wo,
 )
 from .verify import (
     REGISTRY,
@@ -81,9 +79,8 @@ __all__ = [
     "as_volume",
     "bh_density",
     "build",
-    "bweyl_residual",
     "check_names",
-    "einstein_wo_check",
+    "einstein_wo",
     "family_names",
     "family_summary",
     "fd_oracle",
@@ -94,6 +91,5 @@ __all__ = [
     "theorem_names",
     "theorem_summary",
     "volume_change",
-    "volume_change_wo",
     "__version__",
 ]

@@ -278,10 +278,6 @@ class Jet:
             raise JetDomainError(f"{what} has non-finite coefficients")
         return self
 
-    def deriv(self, var: int) -> "Jet":
-        """Partial-derivative jet with respect to ring variable ``var``."""
-        return self.grad(var)
-
     def grad(self, slots) -> "Jet":
         """Partials along a sequence of ``slots``, stacked on a new trailing batch axis."""
         ring = self.ring

@@ -19,17 +19,15 @@ the base spray; both come from the same SprayStack operators.
 
 ``PointContext`` is the one per-point chain, metric frame -> spray stack
 -> measure stack -> projective stack, built lazily.  The CLI's ``eval``,
-the identity suite, the theorem fixtures and the operations below
-(volume change, flatness residuals, the Einstein-surface check) all read
-their quantities from it.  It computes the ln sigma jet of a volume
-form on first use and hands it on to the hat spray, a perturbed spray
-and a rescaled volume.
+the identity suite, the theorem records and the Einstein-surface formula
+all read their quantities from it.  It computes the ln sigma jet of a
+volume form on first use and hands it on to the hat spray, a perturbed
+spray and a rescaled volume.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -165,7 +163,8 @@ class PointContext:
     frame -> stack -> measure -> proj, each built on first use and shared
     by every quantity read afterwards.  A metric's spray reuses the
     metric's frame, so F^2 is expanded once per point.  ``measure_for``
-    puts another volume form on the same stack; ``rules`` collects
+    and ``proj_for`` put another volume form on the same stack, and give
+    ``measure`` and ``proj`` for the context's own volume; ``rules`` collects
     ``(nodes, change)`` of every Busemann-Hausdorff rule the context ran.
     A projective spray's context takes its stack, and the density of the
     spray's own volume, from the context of its base spray (``base``).
@@ -206,9 +205,18 @@ class PointContext:
 
     def measure_for(self, volume) -> MeasureStack:
         """S, tau and chi of this point's spray under ``volume``; ln sigma on first use."""
+        volume = as_volume(volume)
+        return self.measure if volume == self.volume else self._measure(volume)
+
+    def proj_for(self, volume) -> ProjectiveStack:
+        """The projective stack of this point's spray under ``volume``."""
+        volume = as_volume(volume)
+        return self.proj if volume == self.volume else ProjectiveStack(self._measure(volume))
+
+    def _measure(self, volume: VolumeForm) -> MeasureStack:
         xdeg = self.stack.ring.degree - 2
         # not a closure over self: that cycle would keep the point's jets until gc runs
-        return MeasureStack(self.stack, partial(as_volume(volume).lnsigma_jet, self.metric,
+        return MeasureStack(self.stack, partial(volume.lnsigma_jet, self.metric,
                                                 self.point.x, xdeg, rules=self.rules))
 
     @cached_property
@@ -216,7 +224,7 @@ class PointContext:
         if isinstance(self.spray, ProjectiveSpray) and self.volume == as_volume(self.spray.volume):
             # sigma depends on x alone, so the base context's density serves the hat spray
             return self.base.proj.hat_measure
-        return self.measure_for(self.volume)
+        return self._measure(self.volume)
 
     @cached_property
     def proj(self) -> ProjectiveStack:
@@ -241,88 +249,10 @@ class ProjectiveSpray(Spray):
         return self.base.admissible(point)
 
 
-# -- result bundles -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VolumeChange:
-    """The contractions f_{x^m} y^m and f_{x^m} of a conformal factor f."""
-
-    f0: float
-    fm: np.ndarray
-
-
-@dataclass(frozen=True)
-class BWeylResidual:
-    """Residuals of the two equivalent flatness conditions for one f.
-
-    ``b_residual`` is max |W^o_k - W^m_k f_m| and ``c_residual`` is
-    max |W^m_{k|m} - (n-2) W^m_k Xi_{.m}|; the scales are the largest
-    magnitudes among the compared terms, for relative thresholds.
-    """
-
-    b_residual: float
-    c_residual: float
-    b_scale: float
-    c_scale: float
-
-    def __float__(self) -> float:
-        return self.c_residual
-
-
-@dataclass(frozen=True)
-class EinsteinCheck:
-    """W^o against the closed form F^3 (theta/F)_{.k} on an Einstein surface."""
-
-    wo: np.ndarray
-    predicted: np.ndarray
-    residual: float
-
-    def __float__(self) -> float:
-        return self.residual
-
-
-# -- public operations ---------------------------------------------------------
-
-
-def volume_change(f, measure: MeasureStack) -> VolumeChange:
+def volume_change(f, measure: MeasureStack) -> np.ndarray:
+    """f_{x^m} of a conformal factor f at the point of ``measure``; zeros for no f."""
     field = as_field(f, measure.n)
-    fm = np.zeros(measure.n) if field is None else field.jet(measure.stack.point.x, 2).gradient()
-    f0 = float(fm @ measure.stack.point.y_array())
-    return VolumeChange(f0=f0, fm=fm)
-
-
-def volume_change_wo(obj, volume: VolumeForm, f, point: TangentPoint, degree: int = DEFAULT_DEGREE):
-    """W^o under the rescaled volume e^{-(n+1) f} dV, with the transfer gap.
-
-    Returns ``(wo_tilde, residual)`` where the residual is the max-norm
-    distance of the recomputed wo_tilde from the predicted W^o_k - W^m_k f_m.
-    """
-    ps = PointContext(obj, volume, point, degree).proj
-    change = volume_change(f, ps.measure)
-    tilde = ProjectiveStack(ps.measure if f is None else ps.measure.rescaled(f))
-    wo_tilde = tilde.wo_values("definition")
-    predicted = ps.wo_values("definition") - ps.weyl_values("viaHat").T @ change.fm
-    return wo_tilde, float(np.max(np.abs(wo_tilde - predicted)))
-
-
-def bweyl_residual(obj, volume: VolumeForm, f, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> BWeylResidual:
-    """Both flatness conditions for the witness f at one point.
-
-    Condition (b) compares W^o with W^m_k f_m; condition (c) compares the
-    base-connection divergence W^m_{k|m} with (n-2) W^m_k Xi_{.m} where
-    Xi = S/(n+1) + f_0.  Conversion to float yields the (c) residual.
-    """
-    ps = PointContext(obj, volume, point, degree).proj
-    if ps.n < 3:
-        raise ConfigError("flatness conditions divide by n - 2 and need dimension >= 3")
-    (b, c), (wo, wf, div, wxi) = ps.flatness_gaps(volume_change(f, ps.measure).fm)
-    return BWeylResidual(
-        b_residual=float(np.max(np.abs(b))),
-        c_residual=float(np.max(np.abs(c))),
-        b_scale=float(max(np.abs(wo).max(), np.abs(wf).max())),
-        c_scale=float(max(np.abs(div).max(), np.abs(wxi).max())),
-    )
+    return np.zeros(measure.n) if field is None else field.jet(measure.stack.point.x, 2).gradient()
 
 
 def _reject_non_einstein(metric, point: TangentPoint):
@@ -340,22 +270,20 @@ def _reject_non_einstein(metric, point: TangentPoint):
         )
 
 
-def einstein_wo_check(metric, point: TangentPoint, degree: int = DEFAULT_DEGREE, nodes: int = 64) -> EinsteinCheck:
-    """Check W^o_k = F^3 (theta/F)_{.k} on a surface with x-only Ricci factor.
+def einstein_wo(ctx: PointContext) -> np.ndarray:
+    """The closed form F^3 (theta/F)_{.k} of W^o_k on an Einstein surface.
 
     Applies to 2-dimensional metrics whose Ricci scalar factors as K(x) F^2
     and whose S-curvature under the intrinsic volume form is constant; any
-    Riemannian surface qualifies.  theta = K_{x^m} y^m.
+    Riemannian surface qualifies.  theta = K_{x^m} y^m.  In dimension two
+    W^o does not depend on the volume form, so ``ctx.proj.wo_values()``
+    is the side to compare, whatever the context's volume.
     """
-    if metric.dim != 2:
+    if ctx.metric is None or ctx.n != 2:
         raise ConfigError("the Einstein surface check needs a 2-dimensional metric")
-    _reject_non_einstein(metric, point)
-    ctx = PointContext(metric, VolumeForm.busemann_hausdorff(nodes=nodes), point, degree)
-    frame, st = ctx.frame, ctx.stack
-    n = metric.dim
+    _reject_non_einstein(ctx.metric, ctx.point)
+    frame, st = ctx.frame, ctx.frame.stack
     sigma = st.Rscalar * jets.reciprocal(frame.fsq)
     theta = (sigma.grad(st.xs) * st.y_jets).einsum("m->")
     ratio = theta * jets.reciprocal(frame.F)
-    predicted = frame.F.value() ** 3 * ratio.gradient()[n:]
-    wo = ctx.proj.wo_values("definition")
-    return EinsteinCheck(wo=wo, predicted=predicted, residual=float(np.max(np.abs(wo - predicted))))
+    return frame.F.value() ** 3 * ratio.gradient()[ctx.n:]

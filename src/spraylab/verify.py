@@ -26,12 +26,11 @@ import numpy as np
 from . import catalog
 from .catalog import MetricSpec
 from .errors import ConfigError, SprayLabError
-from .geometry import (DEFAULT_DEGREE, PerturbedSpray, SprayStack, TangentPoint,
-                       spray_and_metric)
+from .geometry import (DEFAULT_DEGREE, MetricFrame, PerturbedSpray, SprayStack,
+                       TangentPoint, spray_and_metric)
 from .jets import Jet
 from .measures import MeasureStack, VolumeForm, as_volume
-from .projective import (PointContext, ProjectiveStack, einstein_wo_check,
-                         volume_change)
+from .projective import PointContext, ProjectiveStack, einstein_wo, volume_change
 
 __all__ = [
     "Tolerances",
@@ -317,11 +316,11 @@ def _chi_routes(ctx):
 
 def _s_volume_change(ctx):
     n = ctx.n
-    change = volume_change("0.1*x1*x2", ctx.measure)
+    f0 = float(volume_change("0.1*x1*x2", ctx.measure) @ ctx.y)
     s_tilde = ctx.measure.rescaled("0.1*x1*x2").S.value()
     lhs = ctx.measure.S.value()
-    rhs = s_tilde - (n + 1.0) * change.f0
-    scale = max(abs(lhs), abs(s_tilde), (n + 1.0) * abs(change.f0))
+    rhs = s_tilde - (n + 1.0) * f0
+    scale = max(abs(lhs), abs(s_tilde), (n + 1.0) * abs(f0))
     return abs(lhs - rhs), scale
 
 
@@ -497,7 +496,7 @@ def _projective_invariance(ctx):
 def _flatness_residual(proj: ProjectiveStack, f) -> tuple[float, float]:
     # W^o_k = W^m_k f_m  iff  W^m_{k|m} = (n-2) W^m_k Xi_{.m}
     # with Xi_{.m} = S_{.m}/(n+1) + f_m; the gaps are proportional by n-2.
-    (b, c), (_, _, div, wxi) = proj.flatness_gaps(volume_change(f, proj.measure).fm)
+    (b, c), (_, _, div, wxi) = proj.flatness_gaps(volume_change(f, proj.measure))
     nb = (proj.n - 2.0) * b
     return _maxabs(c - nb), _maxabs(div, wxi, nb)
 
@@ -593,9 +592,9 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
     selected = list(REGISTRY if checks is None else
                     [c for c in REGISTRY if c.name in set(checks)])
     if checks is not None and len(selected) < len(set(checks)):
-        known = {c.name for c in REGISTRY}
-        missing = sorted(set(checks) - known)
-        raise ConfigError(f"unknown checks: {', '.join(missing)}")
+        missing = sorted(set(checks) - set(check_names()))
+        raise ConfigError(f"unknown checks: {', '.join(missing)}; "
+                          f"available: {', '.join(check_names())}")
     applicable = [c for c in selected if c.applies(metric, obj.dim)]
     if checks is not None and len(applicable) < len(selected):
         # a selected check that never runs would pass with zero points
@@ -655,16 +654,15 @@ class Theorem(NamedTuple):
     by_kind: bool = False  # the run record names the default volumes by kind
 
 
-def _wo_zero(label: str, ms: MeasureStack, quad: bool, at_least=0.0) -> tuple:
-    """W^o = 0 under the volume of ``ms``, scaled by its two defining terms."""
-    proj = ProjectiveStack(ms)
+def _wo_zero(label: str, proj: ProjectiveStack, quad: bool, at_least=0.0) -> tuple:
+    """W^o = 0 under the volume of ``proj``, scaled by its two defining terms."""
     return (label, _maxabs(proj.wo_values("definition")),
             max(_maxabs(*proj.wo_terms), at_least), quad)
 
 
 def _thm12(ctx, volumes):
     """Scalar-curvature spray: W^o vanishes for every volume form, on one stack."""
-    return [_wo_zero(f"thm12:funk:{vol.kind}", ctx.measure_for(vol), vol.uses_quadrature)
+    return [_wo_zero(f"thm12:funk:{vol.kind}", ctx.proj_for(vol), vol.uses_quadrature)
             for vol in volumes]
 
 
@@ -673,20 +671,19 @@ def _thm15_funk(ctx, volumes):
     s_val, f_val = ctx.measure.S.value(), ctx.frame.F.value()
     return [("thm15:funk:constant-s", abs(s_val - 2.0 * f_val),
              max(abs(s_val), 2.0 * f_val), True),
-            _wo_zero("thm15:funk:wo-zero", ctx.measure, True)]
+            _wo_zero("thm15:funk:wo-zero", ctx.proj, True)]
 
 
 def _thm15_ball(ctx, volumes):
     """The hyperbolic ball has S = 0 under BH, and W^o = 0."""
     scale_s = max(abs(float(np.trace(ctx.stack.N_values))), 1.0)
     return [("thm15:hyperbolic:constant-s", abs(ctx.measure.S.value()), scale_s, True),
-            _wo_zero("thm15:hyperbolic:wo-zero", ctx.measure, True)]
+            _wo_zero("thm15:hyperbolic:wo-zero", ctx.proj, True)]
 
 
 def _cor14(ctx, volumes):
     """In dimension two W^o does not depend on the volume form."""
-    res, scale = _spread([ProjectiveStack(ctx.measure_for(vol)).wo_values("definition")
-                          for vol in volumes])
+    res, scale = _spread([ctx.proj_for(vol).wo_values("definition") for vol in volumes])
     return [("cor14:volume-independence", res, scale,
              any(vol.uses_quadrature for vol in volumes))]
 
@@ -694,16 +691,16 @@ def _cor14(ctx, volumes):
 def _cor33(ctx, volumes):
     """Constant flag curvature surfaces have W^o = 0."""
     curvature = abs(ctx.stack.Rscalar.value())
-    return [_wo_zero(f"cor33:{ctx.metric.spec.family}:{vol.kind}", ctx.measure_for(vol),
+    return [_wo_zero(f"cor33:{ctx.metric.spec.family}:{vol.kind}", ctx.proj_for(vol),
                      vol.uses_quadrature, at_least=curvature) for vol in volumes]
 
 
 def _prop32(ctx, volumes):
     """Einstein surface under BH: W^o_k = F^3 (theta/F)_{.k}."""
-    check = einstein_wo_check(ctx.metric, ctx.point, degree=ctx.degree,
-                              nodes=ctx.volume.nodes)
-    return [(f"prop32:{ctx.metric.spec.family}", check.residual,
-             _maxabs(check.wo, check.predicted), True)]
+    predicted = einstein_wo(ctx)
+    wo = ctx.proj.wo_values("definition")
+    return [(f"prop32:{ctx.metric.spec.family}", _maxabs(wo - predicted),
+             _maxabs(wo, predicted), True)]
 
 
 def _thm43(ctx, volumes):
@@ -718,7 +715,7 @@ def _ex17(ctx, volumes):
     return [("ex17:berwald-flat", _maxabs(st.B_values), 1.0 + _maxabs(st.Gamma_values), True),
             ("ex17:ricci-flat", _maxabs(st.Rik_values), 1.0 + _maxabs(st.N_values), True),
             ("ex17:s-zero", abs(ms.S.value()), 1.0, True),
-            _wo_zero("ex17:wo-zero", ms, True, at_least=1.0)]
+            _wo_zero("ex17:wo-zero", ctx.proj, True, at_least=1.0)]
 
 
 def _ex45(ctx, volumes):
@@ -732,7 +729,7 @@ def _ex45(ctx, volumes):
     """
     fsq = ctx.frame.fsq.value()
     rows = [("ex45:scalar-curvature", _maxabs(ctx.proj.weyl_values("viaChi")), fsq, False)]
-    projs = [ProjectiveStack(ctx.measure_for(vol)) for vol in volumes]
+    projs = [ctx.proj_for(vol) for vol in volumes]
     for vol, proj in zip(volumes[::2], projs[::2]):  # coordinate and BH
         rows.append((f"ex45:wo-zero:{vol.kind}", _maxabs(proj.wo_values("definition")),
                      fsq ** 1.5, vol.uses_quadrature))
@@ -749,8 +746,8 @@ def _ex45_anisotropic(ctx, volumes):
     lnsigma = volumes[-1].lnsigma_jet(ctx.metric, ctx.point.x, degree - 2)
     ratios = []
     for y in [(1.0, 0.4, -0.3), (-0.5, 1.0, 0.8), (0.2, -0.9, 1.0)]:
-        dctx = PointContext(ctx.metric, None, TangentPoint(ctx.point.x, y), degree)
-        ratios.append(MeasureStack(dctx.stack, lnsigma).S.value() / dctx.frame.F.value())
+        frame = MetricFrame(ctx.metric, TangentPoint(ctx.point.x, y), degree)
+        ratios.append(MeasureStack(frame.stack, lnsigma).S.value() / frame.F.value())
     return [("ex45:anisotropic-s", max(0.0, 0.01 - (max(ratios) - min(ratios))), 1.0, True)]
 
 

@@ -15,12 +15,7 @@ from spraylab.catalog import MetricSpec, build, family_names, sample
 from spraylab.expressions import as_field
 from spraylab.geometry import MetricFrame, PerturbedSpray, TangentPoint
 from spraylab.measures import VolumeForm, _bh_rule, bh_density
-from spraylab.projective import (
-    PointContext,
-    einstein_wo_check,
-    volume_change,
-    volume_change_wo,
-)
+from spraylab.projective import PointContext, ProjectiveStack, einstein_wo, volume_change
 from spraylab.verify import fd_oracle, identity_suite, theorem_check
 
 
@@ -59,10 +54,10 @@ def _fd_cases(metric):
 
     cases = []
     for i in range(n):
-        cases.append((f"G^{i}", g_field(i), lambda st, ms, k, i=i: st.G[i].deriv(k).value()))
-    cases.append(("N^0_1", n_field(0, 1), lambda st, ms, k: st.N[0][1].deriv(k).value()))
-    cases.append(("R", r_field, lambda st, ms, k: st.Rscalar.deriv(k).value()))
-    cases.append(("S", s_field, lambda st, ms, k: ms.S.deriv(k).value()))
+        cases.append((f"G^{i}", g_field(i), lambda st, ms, k, i=i: st.G[i].grad(k).value()))
+    cases.append(("N^0_1", n_field(0, 1), lambda st, ms, k: st.N[0][1].grad(k).value()))
+    cases.append(("R", r_field, lambda st, ms, k: st.Rscalar.grad(k).value()))
+    cases.append(("S", s_field, lambda st, ms, k: ms.S.grad(k).value()))
     return cases
 
 
@@ -87,7 +82,7 @@ def test_criterion_01_finite_difference_oracles():
         # one mixed second derivative of the spray coefficients
         alpha = [0] * (2 * n)
         alpha[0] = alpha[n] = 1
-        want = st.G[0].deriv(0).deriv(n).value()
+        want = st.G[0].grad(0).grad(n).value()
         got = fd_oracle(lambda p: MetricFrame(metric, p, 3).stack.G[0].value(), point, alpha)
         ratio = abs(got - want) / (tol * abs(want) + floor)
         if ratio > worst:
@@ -211,13 +206,18 @@ def test_criterion_06_einstein_surface_formula():
     worst = 0.0
     for point in sample(metric, count=2, seed=5):
         predicted = _gauss_oracle_prediction(metric, point)
-        wo = einstein_wo_check(metric, point).wo
+        ctx = PointContext(metric, VolumeForm.busemann_hausdorff(), point)
+        einstein_wo(ctx)  # the surface must pass the Einstein guards
+        wo = ctx.proj.wo_values()
         scale = np.abs(predicted).max()
         assert scale > 1e-3
         worst = max(worst, np.abs(wo - predicted).max() / (1e-6 * scale + 1e-9))
     sphere_worst = 0.0
-    for point in sample(build("round-sphere"), count=2, seed=5):
-        sphere_worst = max(sphere_worst, np.abs(einstein_wo_check(build("round-sphere"), point).wo).max())
+    sphere = build("round-sphere")
+    for point in sample(sphere, count=2, seed=5):
+        ctx = PointContext(sphere, VolumeForm.busemann_hausdorff(), point)
+        einstein_wo(ctx)
+        sphere_worst = max(sphere_worst, np.abs(ctx.proj.wo_values()).max())
     ok = worst <= 1.0 and sphere_worst <= 1e-8
     report_line(6, ok, f"wo vs Gauss oracle ratio {worst:.3e}, sphere |wo| {sphere_worst:.3e}")
 
@@ -258,10 +258,12 @@ def test_criterion_08_volume_change_laws():
     for point in sample(metric, count=5, seed=4):
         ms = PointContext(metric, base, point, degree=7).measure
         tilde = ms.rescaled(as_field(f, 3))
-        change = volume_change(f, ms)
-        worst_s = max(worst_s, abs(ms.S.value() - (tilde.S.value() - 4.0 * change.f0)))
-        _, residual = volume_change_wo(metric, base, f, point)
-        worst_wo = max(worst_wo, residual)
+        fm = volume_change(f, ms)
+        worst_s = max(worst_s, abs(ms.S.value() - (tilde.S.value() - 4.0 * (fm @ point.y_array()))))
+        ps = PointContext(metric, base, point).proj
+        wo_tilde = ProjectiveStack(ps.measure.rescaled(f)).wo_values()
+        predicted = ps.wo_values() - ps.weyl_values().T @ volume_change(f, ps.measure)
+        worst_wo = max(worst_wo, np.abs(wo_tilde - predicted).max())
     ok = worst_s <= 1e-10 and worst_wo <= 1e-6
     report_line(8, ok, f"S shift residual {worst_s:.3e}, wo transfer residual {worst_wo:.3e}")
 

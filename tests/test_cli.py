@@ -20,7 +20,7 @@ import spraylab
 from spraylab import cli, geometry, jets, measures
 from spraylab.cli import RunConfig, main, parse_config
 from spraylab.errors import ConfigError
-from spraylab.verify import theorem_names
+from spraylab.verify import check_names, theorem_names
 
 
 def run_cli(capsys, *argv):
@@ -827,6 +827,12 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "unknown theorem" in proc.stderr
+
+
+def test_unknown_check_lists_the_available_names(capsys):
+    code, out, err = run_cli(capsys, "verify", "--checks", "nope", "--points", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: unknown checks: nope; available: {', '.join(check_names())}\n"
 
 
 def test_missing_config_file_exits_two(capsys):

@@ -1,5 +1,6 @@
 """The documentation runs against the library as shipped."""
 
+import ast
 import os
 import re
 import shlex
@@ -50,3 +51,18 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from spraylab import *", namespace)
     assert [name for name in spraylab.__all__ if name not in namespace] == []
+
+
+def test_every_public_name_has_a_caller_in_the_library():
+    # fd_oracle is the tests' finite-difference reference and has no library caller
+    used = set()
+    for path in (ROOT / "src" / "spraylab").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exempt = {"__version__", "fd_oracle"}
+    assert [name for name in spraylab.__all__ if name not in used | exempt] == []

@@ -164,7 +164,7 @@ def test_powr_matches_exp_log(r):
     coeffs = 0.3 * rng.normal(size=(4, ring.size))
     coeffs[:, 0] = [0.6, 1.0, 2.0, 3.5]
     a = jets.Jet(ring, coeffs, nzdeg=5)
-    for jet in (a, a.deriv(1) + 2.0):
+    for jet in (a, a.grad(1) + 2.0):
         got = jets.powr(jet, r)
         want = jets.exp(r * jets.log(jet))
         assert got.valid == jet.valid
@@ -275,22 +275,22 @@ def test_truncation_closure():
     rng = np.random.default_rng(0)
     a, b = _random_jet(r, rng), _random_jet(r, rng)
     assert (a * b).coeffs.shape == (r.size,)
-    d = a.deriv(0)
+    d = a.grad(0)
     assert d.valid == 2
     top = int(r.size_upto[2])
-    for jet in (d, a.deriv(0) + b, a.deriv(0) * b):
+    for jet in (d, a.grad(0) + b, a.grad(0) * b):
         assert (jet.valid, jet.coeffs.shape) == (2, (top,))
 
 
 def test_valid_budget_tracking_and_errors():
     r = jets.ring(2, 3)
     a = r.seed(0, 1.5)
-    d3 = a.deriv(0).deriv(0).deriv(0)
+    d3 = a.grad(0).grad(0).grad(0)
     assert d3.valid == 0
     with pytest.raises(DegreeBudgetError):
-        d3.deriv(0)
+        d3.grad(0)
     with pytest.raises(DegreeBudgetError):
-        (a.deriv(0)).partial((3, 0))
+        (a.grad(0)).partial((3, 0))
     with pytest.raises(DegreeBudgetError):
         a.partial((4, 0))
 
@@ -381,7 +381,7 @@ def test_lift_places_coefficients_at_offset():
 
 def test_lift_tracks_validity():
     small = jets.ring(2, 4)
-    a = (small.seed(0, 1.0) * small.seed(1, 2.0)).deriv(0)
+    a = (small.seed(0, 1.0) * small.seed(1, 2.0)).grad(0)
     lifted = jets.lift(a, jets.ring(3, 6))
     assert lifted.valid == 3
 
@@ -406,7 +406,7 @@ def _tensor_jet():
     x = [ring.seed(v, 0.3 * v - 0.2) for v in range(3)]
     entries = [[jets.exp(x[0] * (i + 1)) * x[1] + x[2] ** (k + 2) for k in range(3)]
                for i in range(2)]
-    return jets.stack(entries).deriv(2)
+    return jets.stack(entries).grad(2)
 
 
 def test_grad_matches_stacked_derivs_bitwise():
@@ -414,7 +414,7 @@ def test_grad_matches_stacked_derivs_bitwise():
     slots = [2, 0, 1]
     g = t.grad(slots)
     assert g.batch_shape == t.batch_shape + (3,)
-    want = np.stack([t.deriv(s).coeffs for s in slots], axis=-2)
+    want = np.stack([t.grad(s).coeffs for s in slots], axis=-2)
     np.testing.assert_array_equal(g.coeffs, want)
     assert (g.valid, g.nzdeg) == (t.valid - 1, max(t.nzdeg - 1, 0))
 
@@ -428,7 +428,7 @@ def test_grad_keeps_the_valid_invariant_and_budget():
     with pytest.raises(DegreeBudgetError):
         g.grad([0])
     with pytest.raises(DegreeBudgetError):
-        g.deriv(0)
+        g.grad(0)
     with pytest.raises(ValueError):
         f.grad([2])
 
@@ -465,7 +465,7 @@ def test_einsum_maps_batch_axes():
 def test_stack_takes_fewest_orders_and_one_ring():
     ring = jets.ring(2, 4)
     a = ring.seed(0, 0.3) ** 3
-    b = a.deriv(0).deriv(0)
+    b = a.grad(0).grad(0)
     s = jets.stack([a, b, ring.const(2.0)])
     assert s.batch_shape == (3,) and s.valid == b.valid == 2
     assert s.nzdeg == 2  # the largest nonzero degree, capped by the budget

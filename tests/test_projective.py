@@ -27,9 +27,9 @@ from spraylab.measures import VolumeForm
 from spraylab.projective import (
     PointContext,
     ProjectiveSpray,
-    bweyl_residual,
-    einstein_wo_check,
-    volume_change_wo,
+    ProjectiveStack,
+    einstein_wo,
+    volume_change,
 )
 
 PT3 = TangentPoint((0.11, -0.07, 0.15), (0.9, -0.4, 0.7))
@@ -67,7 +67,7 @@ def rik_array(stack):
 
 def s_vderivs(measure):
     n = measure.n
-    return np.array([measure.S.deriv(n + m).value() for m in range(n)])
+    return np.array([measure.S.grad(n + m).value() for m in range(n)])
 
 
 # -- hat spray ------------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_hat_berwald_connection_formula():
     n, y = ps.n, ps.point.y_array()
     sm = s_vderivs(ps.measure)
     svv = np.array(
-        [[ps.measure.S.deriv(n + k).deriv(n + j).value() for k in range(n)] for j in range(n)]
+        [[ps.measure.S.grad(n + k).grad(n + j).value() for k in range(n)] for j in range(n)]
     )
     frac = 1.0 / (n + 1.0)
     expected = np.array(ps.base.Gamma_values)
@@ -125,7 +125,7 @@ def test_hat_horizontal_derivative_transfer():
     sval = ps.measure.S.value()
     yf = ps.base.euler_field(f).value()
     frac = 1.0 / (n + 1.0)
-    fv = np.array([f.deriv(n + k).value() for k in range(n)])
+    fv = np.array([f.grad(n + k).value() for k in range(n)])
     want = ps.base.hcov_scalar_values(f) + frac * yf * sm + frac * sval * fv
     np.testing.assert_allclose(ps.hat.hcov_scalar_values(f), want, rtol=0.0, atol=1e-10)
 
@@ -145,7 +145,7 @@ def test_hat_curvature_tensor_decomposition():
     ps = randers_stack(VolumeForm.explicit("exp(0.1*x2)"))
     n, y = ps.n, ps.point.y_array()
     tau = ps.measure.tau
-    tau_v = np.array([tau.deriv(n + k).value() for k in range(n)])
+    tau_v = np.array([tau.grad(n + k).value() for k in range(n)])
     chi = ps.measure.chi_values("fromR")
     expected = (
         ps.base.Rik_values
@@ -299,7 +299,7 @@ def base_wo_pieces(ps):
     st = ps.base
     n, y = ps.n, ps.point.y_array()
     first = st.hcov_scalar_values(st.Rscalar)
-    rv = oneform([st.Rscalar.deriv(n + k) for k in range(n)])
+    rv = oneform([st.Rscalar.grad(n + k) for k in range(n)])
     second = st.hcov_values(rv, contra=0) @ y
     third = st.hcov_values(oneform(ps.measure.chi_jets), contra=0) @ y
     return first, second, third
@@ -340,11 +340,26 @@ def test_identity_bianchi_contracted():
 # -- volume change and flatness conditions ----------------------------------------
 
 
+def wo_transfer(metric, volume, f, point):
+    """W^o under e^{-(n+1) f} dV and its distance from the law W^o - W^m_k f_m."""
+    ps = PointContext(metric, volume, point).proj
+    wo_tilde = ProjectiveStack(ps.measure if f is None else ps.measure.rescaled(f)).wo_values()
+    predicted = ps.wo_values() - ps.weyl_values().T @ volume_change(f, ps.measure)
+    return wo_tilde, float(np.max(np.abs(wo_tilde - predicted)))
+
+
+def bweyl_gaps(metric, f, point):
+    """Max |b| and |c| of the two flatness conditions under the coordinate volume."""
+    ctx = PointContext(metric, VolumeForm.coordinate(), point)
+    (b, c), _ = ctx.proj.flatness_gaps(volume_change(f, ctx.measure))
+    return np.abs(b).max(), np.abs(c).max()
+
+
 def test_volume_change_transfer():
     metric = build("randers")
     volume = VolumeForm.explicit("exp(0.1*x2)")
     wo = PointContext(metric, volume, PT3).proj.wo_values()
-    wo_tilde, residual = volume_change_wo(metric, volume, "0.1*x1*x2", PT3)
+    wo_tilde, residual = wo_transfer(metric, volume, "0.1*x1*x2", PT3)
     scale = np.abs(wo_tilde).max() + 1e-12
     assert residual <= 1e-9 * scale
     assert np.abs(wo_tilde - wo).max() > 1e-7  # the rescale actually moves W^o
@@ -355,14 +370,14 @@ def test_volume_change_constant_and_absent_f():
     volume = VolumeForm.coordinate()
     wo = PointContext(metric, volume, PT3).proj.wo_values()
     for f in ("0.25", None):
-        wo_tilde, residual = volume_change_wo(metric, volume, f, PT3)
+        wo_tilde, residual = wo_transfer(metric, volume, f, PT3)
         np.testing.assert_allclose(wo_tilde, wo, atol=1e-12)
         assert residual <= 1e-12
 
 
 def test_volume_change_scalar_curvature_fixed_point():
     # W = 0: any rescale leaves W^o untouched (and zero for Funk)
-    wo_tilde, residual = volume_change_wo(
+    wo_tilde, residual = wo_transfer(
         build("funk"), VolumeForm.coordinate(), "0.3*x1-0.2*x3", PT_FUNK
     )
     np.testing.assert_allclose(wo_tilde, 0.0, atol=1e-10)
@@ -372,20 +387,16 @@ def test_volume_change_scalar_curvature_fixed_point():
 def test_bweyl_residual_equivalence():
     # by the divergence identity the two condition gaps are proportional:
     # c-gap = (n-2) * b-gap, so one vanishes exactly when the other does
-    metric = build("randers")
-    res = bweyl_residual(metric, VolumeForm.coordinate(), "0.1*x1*x2", PT3)
+    b, c = bweyl_gaps(build("randers"), "0.1*x1*x2", PT3)
     n = 3
-    assert res.b_residual > 1e-6  # generic f is not a witness
-    assert res.c_residual == pytest.approx((n - 2.0) * res.b_residual, rel=1e-6)
-    assert float(res) == res.c_residual
-    trivial = bweyl_residual(build("funk"), VolumeForm.coordinate(), None, PT_FUNK)
-    assert trivial.b_residual <= 1e-10 and trivial.c_residual <= 1e-10
+    assert b > 1e-6  # generic f is not a witness
+    assert c == pytest.approx((n - 2.0) * b, rel=1e-6)
+    b, c = bweyl_gaps(build("funk"), None, PT_FUNK)
+    assert b <= 1e-10 and c <= 1e-10
 
 
 def test_bweyl_dimension_guards():
     surface = build("conformal-flat-2d")
-    with pytest.raises(ConfigError):
-        bweyl_residual(surface, VolumeForm.coordinate(), "x1", PT2)
     with pytest.raises(ConfigError):
         PointContext(surface, VolumeForm.coordinate(), PT2).proj.wo_values("divW")
 
@@ -405,41 +416,47 @@ def conformal_gauss_oracle(pt):
     return K, dK, F, dF
 
 
+def einstein_sides(metric, pt):
+    """W^o under the BH volume and its Einstein-surface closed form at ``pt``."""
+    ctx = PointContext(metric, VolumeForm.busemann_hausdorff(), pt)
+    predicted = einstein_wo(ctx)
+    return ctx.proj.wo_values(), predicted
+
+
 def test_einstein_surface_matches_gauss_oracle():
     metric = build("conformal-flat-2d")
     for pt in (PT2, TangentPoint((0.4, 0.1), (-0.3, 0.9))):
-        check = einstein_wo_check(metric, pt)
+        wo, predicted = einstein_sides(metric, pt)
         _, dK, F, dF = conformal_gauss_oracle(pt)
         y = pt.y_array()
         theta = dK @ y
         # F^3 (theta/F)_{.k} = F^2 theta_{.k} - F theta F_{.k}
         want = F * F * dK - F * theta * dF
-        np.testing.assert_allclose(check.predicted, want, atol=1e-8 * (np.abs(want).max() + 1e-12))
-        scale = np.abs(check.predicted).max() + 1e-12
-        assert np.abs(check.predicted).max() > 1e-3
-        assert check.residual <= 1e-6 * scale
+        np.testing.assert_allclose(predicted, want, atol=1e-8 * (np.abs(want).max() + 1e-12))
+        scale = np.abs(predicted).max() + 1e-12
+        assert np.abs(predicted).max() > 1e-3
+        assert np.abs(wo - predicted).max() <= 1e-6 * scale
 
 
 def test_einstein_round_sphere_both_sides_vanish():
-    check = einstein_wo_check(build("round-sphere"), TangentPoint((0.3, -0.1), (0.8, 0.5)))
-    np.testing.assert_allclose(check.wo, 0.0, atol=1e-10)
-    np.testing.assert_allclose(check.predicted, 0.0, atol=1e-10)
-    assert float(check) == check.residual
+    wo, predicted = einstein_sides(build("round-sphere"), TangentPoint((0.3, -0.1), (0.8, 0.5)))
+    np.testing.assert_allclose(wo, 0.0, atol=1e-10)
+    np.testing.assert_allclose(predicted, 0.0, atol=1e-10)
 
 
 def test_einstein_check_guards():
     with pytest.raises(ConfigError):
-        einstein_wo_check(build("randers"), PT3)
+        einstein_wo(PointContext(build("randers"), None, PT3))
     bumpy = Randers(
         2,
         lambda xs: [[1.0 + 0.0 * xs[0], 0.0 * xs[0]], [0.0 * xs[0], 1.0 + 0.3 * xs[0] * xs[0]]],
         lambda xs: [0.3 + 0.1 * xs[1], 0.2 * xs[0]],
     )
     with pytest.raises(AdmissibilityError):
-        einstein_wo_check(bumpy, TangentPoint((0.1, 0.2), (1.0, 0.3)))
+        einstein_wo(PointContext(bumpy, None, TangentPoint((0.1, 0.2), (1.0, 0.3))))
 
 
-# -- bundles, validation, degrees ----------------------------------------------------
+# -- tensors, validation, degrees ----------------------------------------------------
 
 
 def test_weyl_tensor_is_one_jet():
@@ -459,6 +476,14 @@ def test_point_context_hat_quantities():
     np.testing.assert_array_equal(ps.W.value(), ps.weyl_values("viaHat"))
     assert ps.wo_values().shape == (3,)
     assert ps.Rhat.value() == pytest.approx(np.trace(hat.Rik_values) / 2.0, rel=1e-12)
+
+
+def test_own_volume_reuses_the_context_stacks():
+    ctx = PointContext(build("randers"), "bh", PT3)
+    assert ctx.measure_for(VolumeForm.busemann_hausdorff()) is ctx.measure
+    assert ctx.proj_for("bh") is ctx.proj
+    other = ctx.proj_for(VolumeForm.busemann_hausdorff(nodes=48))
+    assert other is not ctx.proj and other.base is ctx.stack
 
 
 def test_route_validation():

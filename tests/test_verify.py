@@ -10,7 +10,7 @@ from spraylab.catalog import MetricSpec
 from spraylab.errors import ConfigError
 from spraylab.geometry import MetricFrame, TangentPoint, stack_for
 from spraylab.measures import VolumeForm
-from spraylab.projective import PointContext
+from spraylab.projective import PointContext, ProjectiveStack
 from spraylab.verify import (REGISTRY, Tolerances, as_volume, fd_oracle,
                              identity_suite, theorem_check, theorem_names)
 
@@ -37,6 +37,21 @@ def test_identity_suite_builds_one_metric_frame_per_point(monkeypatch):
     monkeypatch.setattr(MetricFrame, "__init__", counting_init)
     identity_suite("randers", points=3)
     assert len(built) == 3 and len(set(built)) == 3
+
+
+@pytest.mark.parametrize("name, built", [("ex45", 3), ("thm12", 3)])
+def test_theorem_rows_reuse_the_point_context_stacks(monkeypatch, name, built):
+    # ex45 reads ctx.proj for its first gate volume; thm12 builds one stack per volume
+    inits = []
+    init = ProjectiveStack.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProjectiveStack, "__init__", counting_init)
+    theorem_check(name, points=1)
+    assert len(inits) == built
 
 
 def test_registry_dimension_gates():
@@ -332,7 +347,7 @@ def test_fd_spray_first_partials():
             alpha = [0] * 6
             alpha[slot] = 1
             got = fd_oracle(field, PT3, alpha)
-            want = st.G[i].deriv(slot).value()
+            want = st.G[i].grad(slot).value()
             assert got == pytest.approx(want, rel=1e-5, abs=1e-8)
 
 
@@ -341,10 +356,10 @@ def test_fd_mixed_second_partial():
     st = stack_for(spray, PT3, 6)
     field = lambda p: spray.coefficients(p, 2)[0].value()
     got = fd_oracle(field, PT3, [0, 1, 0, 0, 0, 1])
-    want = st.G[0].deriv(1).deriv(5).value()
+    want = st.G[0].grad(1).grad(5).value()
     assert got == pytest.approx(want, rel=1e-5)
     got = fd_oracle(field, PT3, [0, 0, 0, 0, 0, 2])
-    want = st.G[0].deriv(5).deriv(5).value()
+    want = st.G[0].grad(5).grad(5).value()
     assert got == pytest.approx(want, rel=1e-5)
 
 
@@ -361,7 +376,7 @@ def test_fd_bh_density_gradient():
         alpha = [0] * 6
         alpha[k] = 1
         got = fd_oracle(lnsigma, point, alpha, step=2e-2)
-        assert got == pytest.approx(jets.deriv(k).value(), abs=1e-4)
+        assert got == pytest.approx(jets.grad(k).value(), abs=1e-4)
 
 
 def test_fd_rejects_bad_multi_indices():
