@@ -30,7 +30,6 @@ from .projective import (
     WEYL_ROUTES,
     WO_ROUTES,
     PointContext,
-    ProjectiveSpray,
     ProjectiveStack,
     einstein_wo,
     volume_change,
@@ -62,7 +61,6 @@ __all__ = [
     "MetricSpray",
     "PerturbedSpray",
     "PointContext",
-    "ProjectiveSpray",
     "ProjectiveStack",
     "REGISTRY",
     "ScalarField",

@@ -1,13 +1,14 @@
 """Built-in metric and spray families used as fixtures.
 
-Every family builds a concrete object from a MetricSpec.  The classes
-keep their defining data (matrix and covector callables, coupling
-constants) accessible so tests can evaluate closed-form oracles against
-the jet pipeline.
+Every family builds a concrete object from a MetricSpec; a family
+parameter of the wrong shape or type is a ``ConfigError`` that names it.
+The classes keep the data F^2 is built from (matrix and covector
+callables, factor dimensions, coupling constant).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,9 +71,6 @@ class Riemannian(FinslerMetric):
     def admissible(self, point):
         return self.chart is None or self.chart(point.x)
 
-    def a_matrix(self, x):
-        return np.array(self.matrix([float(v) for v in x]), dtype=float)
-
 
 def round_sphere():
     """Stereographic chart of the unit 2-sphere, Gauss curvature +1."""
@@ -113,9 +111,7 @@ def conformal_flat_2d(lam="x1^2"):
         f = jets.exp(2.0 * lam_field(x))
         return [[f, 0.0 * f], [0.0 * f, f]]
 
-    metric = Riemannian(2, matrix, name="conformal-flat-2d")
-    metric.lam_field = lam_field
-    return metric
+    return Riemannian(2, matrix, name="conformal-flat-2d")
 
 
 class Randers(FinslerMetric):
@@ -147,15 +143,9 @@ class Randers(FinslerMetric):
 
         return fsq
 
-    def a_matrix(self, x):
-        return np.array(self.a([float(v) for v in x]), dtype=float)
-
-    def b_covector(self, x):
-        return np.array(self.b([float(v) for v in x]), dtype=float)
-
     def admissible(self, point):
-        a = self.a_matrix(point.x)
-        b = self.b_covector(point.x)
+        x = [float(v) for v in point.x]
+        a, b = np.array(self.a(x), dtype=float), np.array(self.b(x), dtype=float)
         return float(b @ np.linalg.solve(a, b)) < 1.0
 
 
@@ -177,25 +167,22 @@ def randers_generic():
     return Randers(3, a, b, name="randers(3)")
 
 
-def randers_constant(dim, a=None, b=None):
-    a_mat = np.eye(dim) if a is None else np.asarray(a, dtype=float)
-    b_vec = np.zeros(dim) if b is None else np.asarray(b, dtype=float)
-    if b is None:
-        b_vec[0] = 0.3
-    norm2 = float(b_vec @ np.linalg.solve(a_mat, b_vec))
+def randers_constant(dim, a, b):
+    a_mat, b_vec = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    try:
+        norm2 = float(b_vec @ np.linalg.solve(a_mat, b_vec))
+    except np.linalg.LinAlgError:
+        raise ConfigError("randers parameter 'a' is a singular matrix") from None
     if norm2 >= 1.0:
         raise ConfigError(
             f"randers data violates |b|_a < 1: |b|_a^2 = {norm2:.6g}"
         )
-    metric = Randers(
+    return Randers(
         dim,
         lambda x: [[a_mat[i, j] for j in range(dim)] for i in range(dim)],
         lambda x: list(b_vec),
         name=f"randers-constant({dim})",
     )
-    metric.const_a = a_mat
-    metric.const_b = b_vec
-    return metric
 
 
 class Funk(FinslerMetric):
@@ -235,8 +222,6 @@ class FourthRoot(FinslerMetric):
     """F^4 = a1^4 + 2c a1^2 a2^2 + a2^4 for flat factor norms a1, a2."""
 
     def __init__(self, n1, n2, c):
-        if not 0.0 < c <= 1.0:
-            raise ConfigError(f"fourth-root coupling must satisfy 0 < c <= 1, got {c}")
         self.n1 = n1
         self.n2 = n2
         self.c = float(c)
@@ -296,6 +281,28 @@ class SquareMetric(FinslerMetric):
 # -- family registry ----------------------------------------------------------
 
 
+def _param(family, params, key, want, ok, default=None):
+    """``params[key]``, which must pass ``ok``; ``default`` if absent, required without one."""
+    if key not in params and default is None:
+        raise ConfigError(f"{family} needs a {key!r} parameter")
+    value = params.get(key, default)
+    if not ok(value):
+        raise ConfigError(f"{family} parameter {key!r} must be {want}, got {value!r}")
+    return value
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _nested(shape, entry=lambda v: True):
+    """Whether a value is nested lists of ``shape`` whose entries pass ``entry``."""
+    if not shape:
+        return entry
+    inner = _nested(shape[1:], entry)
+    return lambda v: isinstance(v, (list, tuple)) and len(v) == shape[0] and all(map(inner, v))
+
+
 def _build_euclidean(dim, params):
     return Euclidean(dim)
 
@@ -303,17 +310,12 @@ def _build_euclidean(dim, params):
 def _build_riemannian(dim, params):
     if dim is None:
         raise ConfigError("riemannian family needs an explicit dim")
-    matrix = params.get("matrix")
-    if matrix is None:
-        raise ConfigError("riemannian family needs a 'matrix' parameter")
-    if not callable(matrix):
-        rows = [[as_field(entry, dim) for entry in row] for row in matrix]
-
-        def matrix_fn(x, rows=rows):
-            return [[entry(x) for entry in row] for row in rows]
-
-        return Riemannian(dim, matrix_fn)
-    return Riemannian(dim, matrix)
+    matrix = _param("riemannian", params, "matrix", f"a {dim} x {dim} list of expressions",
+                    lambda m: callable(m) or _nested((dim, dim))(m))
+    if callable(matrix):
+        return Riemannian(dim, matrix)
+    rows = [[as_field(entry, dim) for entry in row] for row in matrix]
+    return Riemannian(dim, lambda x: [[entry(x) for entry in row] for row in rows])
 
 
 def _build_round_sphere(dim, params):
@@ -341,7 +343,11 @@ def _build_randers(dim, params):
             raise ConfigError("the generic randers preset is defined for dim 3")
         return randers_generic()
     if preset == "constant":
-        return randers_constant(dim, params.get("a"), params.get("b"))
+        a = _param("randers", params, "a", f"a {dim} x {dim} list of numbers",
+                   _nested((dim, dim), _number), np.eye(dim).tolist())
+        b = _param("randers", params, "b", f"a list of {dim} numbers",
+                   _nested((dim,), _number), [0.3] + [0.0] * (dim - 1))
+        return randers_constant(dim, a, b)
     raise ConfigError(f"unknown randers preset {preset!r}")
 
 
@@ -350,28 +356,30 @@ def _build_funk(dim, params):
 
 
 def _build_fourth_root(dim, params):
-    n1 = int(params.get("n1", 2))
-    n2 = int(params.get("n2", 2))
+    n1, n2 = (_param("fourth-root", params, key, "an integer >= 1",
+                     lambda v: _number(v) and isinstance(v, int) and v >= 1, 2)
+              for key in ("n1", "n2"))
     if dim != n1 + n2:
         raise ConfigError(f"fourth-root dim must equal n1 + n2 = {n1 + n2}, got {dim}")
-    return FourthRoot(n1, n2, float(params.get("c", 0.5)))
+    c = _param("fourth-root", params, "c", "a number with 0 < c <= 1",
+               lambda v: _number(v) and 0.0 < v <= 1.0, 0.5)
+    return FourthRoot(n1, n2, float(c))
 
 
 def _build_square(dim, params):
-    return SquareMetric(dim, literal_inner=bool(params.get("literal_inner", False)))
+    return SquareMetric(dim, _param("square-metric", params, "literal_inner", "true or false",
+                                    lambda v: isinstance(v, bool), False))
 
 
 def _build_perturbation(dim, params):
-    base = params.get("base")
-    if base is None:
-        raise ConfigError("projective-perturbation needs a 'base' spec")
+    base = _param("projective-perturbation", params, "base", "a family name",
+                  lambda b: isinstance(b, (str, MetricSpec, FinslerMetric, Spray)))
     if isinstance(base, (str, MetricSpec)):
         base = build(base if isinstance(base, MetricSpec) else MetricSpec(base, dim))
     if isinstance(base, FinslerMetric):
         base = base.spray()
-    oneform = params.get("oneform")
-    if oneform is None:
-        raise ConfigError("projective-perturbation needs a 'oneform' parameter")
+    oneform = _param("projective-perturbation", params, "oneform",
+                     f"a list of {base.dim} expressions", _nested((base.dim,)))
     forms = [as_field(entry, base.dim) for entry in oneform]
     return PerturbedSpray(base, forms)
 

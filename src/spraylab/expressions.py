@@ -17,12 +17,13 @@ import numpy as np
 from . import jets
 from .errors import ConfigError
 
+# each takes a jet or a float
 _FUNCTIONS = {
-    "exp": (np.exp, jets.exp),
-    "log": (np.log, jets.log),
-    "sqrt": (np.sqrt, jets.sqrt),
-    "sin": (np.sin, jets.sin),
-    "cos": (np.cos, jets.cos),
+    "exp": jets.exp,
+    "log": jets.log,
+    "sqrt": jets.sqrt,
+    "sin": jets.sin,
+    "cos": jets.cos,
 }
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -139,9 +140,7 @@ class ScalarField:
             operand = self._eval(node.operand, xs)
             return -operand if isinstance(node.op, ast.USub) else operand
         if isinstance(node, ast.Call):
-            arg = self._eval(node.args[0], xs)
-            plain, jetted = _FUNCTIONS[node.func.id]
-            return jetted(arg) if isinstance(arg, jets.Jet) else plain(arg)
+            return _FUNCTIONS[node.func.id](self._eval(node.args[0], xs))
         raise AssertionError("unreachable: expression was validated")
 
     @staticmethod

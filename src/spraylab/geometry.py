@@ -87,7 +87,6 @@ class FinslerMetric(Chart):
     """Base class: a positively 1-homogeneous norm given through F^2 jets."""
 
     name: str = "metric"
-    params: dict = {}
 
     def fsq(self, x: list, y: list):
         """Jet (or float) of F^2 from coordinate jets (or floats)."""

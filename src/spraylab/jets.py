@@ -569,12 +569,12 @@ def cos(a: Jet) -> Jet:
     return _cos_sin(a)[0]
 
 
-def lift(a: Jet, target: PolyRing, var_offset: int = 0) -> Jet:
-    """Embed a jet into a larger ring; its variables land at ``var_offset``."""
+def lift(a: Jet, target: PolyRing) -> Jet:
+    """Embed a jet into a larger ring; its variables become the leading ones."""
     src = a.ring
-    if var_offset + src.nvars > target.nvars:
+    if src.nvars > target.nvars:
         raise ValueError("lift target has too few variables")
-    table = _lift_table(src.nvars, src.degree, target.nvars, target.degree, var_offset)
+    table = _lift_table(src.nvars, src.degree, target.nvars, target.degree)
     coeffs = np.zeros(a.batch_shape + (int(target.size_upto[min(a.valid, target.degree)]),))
     keep = np.flatnonzero(table[: a.coeffs.shape[-1]] >= 0)
     coeffs[..., table[keep]] = a.coeffs[..., keep]
@@ -582,7 +582,7 @@ def lift(a: Jet, target: PolyRing, var_offset: int = 0) -> Jet:
 
 
 @lru_cache(maxsize=None)
-def _lift_table(src_nvars, src_degree, dst_nvars, dst_degree, var_offset) -> np.ndarray:
+def _lift_table(src_nvars, src_degree, dst_nvars, dst_degree) -> np.ndarray:
     src = ring(src_nvars, src_degree)
     dst = ring(dst_nvars, dst_degree)
     table = np.full(src.size, -1, dtype=np.intp)
@@ -590,6 +590,6 @@ def _lift_table(src_nvars, src_degree, dst_nvars, dst_degree, var_offset) -> np.
         if row.sum() > dst.degree:
             continue
         alpha = np.zeros(dst.nvars, dtype=np.int64)
-        alpha[var_offset : var_offset + src.nvars] = row
+        alpha[: src.nvars] = row
         table[i] = dst.index_of(alpha)
     return table

@@ -21,8 +21,8 @@ the base spray; both come from the same SprayStack operators.
 -> measure stack -> projective stack, built lazily.  The CLI's ``eval``,
 the identity suite, the theorem records and the Einstein-surface formula
 all read their quantities from it.  It computes the ln sigma jet of a
-volume form on first use and hands it on to the hat spray, a perturbed
-spray and a rescaled volume.
+volume form on first use and hands it on to the hat spray
+(``ctx.proj.hat_measure``), a perturbed spray and a rescaled volume.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .geometry import (
     DEFAULT_DEGREE,
     MetricFrame,
     MetricSpray,
-    Spray,
     SprayStack,
     TangentPoint,
     spray_and_metric,
@@ -65,7 +64,6 @@ class ProjectiveStack:
         self.base = measure.stack
         self.point = self.base.point
         self.n = self.base.n
-        self.ring = self.base.ring
 
     @cached_property
     def Ghat(self) -> Jet:
@@ -166,8 +164,6 @@ class PointContext:
     and ``proj_for`` put another volume form on the same stack, and give
     ``measure`` and ``proj`` for the context's own volume; ``rules`` collects
     ``(nodes, change)`` of every Busemann-Hausdorff rule the context ran.
-    A projective spray's context takes its stack, and the density of the
-    spray's own volume, from the context of its base spray (``base``).
     """
 
     def __init__(self, obj, volume, point: TangentPoint,
@@ -188,19 +184,9 @@ class PointContext:
         return MetricFrame(self.metric, self.point, self.degree)
 
     @cached_property
-    def base(self) -> PointContext:
-        """The context of a projective spray's base spray, sharing this one's ``rules``."""
-        ctx = PointContext(self.spray.base, self.spray.volume, self.point, self.degree)
-        ctx.rules = self.rules
-        return ctx
-
-    @cached_property
     def stack(self) -> SprayStack:
         if isinstance(self.spray, MetricSpray):
             return self.frame.stack
-        if isinstance(self.spray, ProjectiveSpray):
-            self.spray.check_point(self.point)
-            return self.base.proj.hat
         return stack_for(self.spray, self.point, self.degree)
 
     def measure_for(self, volume) -> MeasureStack:
@@ -221,32 +207,11 @@ class PointContext:
 
     @cached_property
     def measure(self) -> MeasureStack:
-        if isinstance(self.spray, ProjectiveSpray) and self.volume == as_volume(self.spray.volume):
-            # sigma depends on x alone, so the base context's density serves the hat spray
-            return self.base.proj.hat_measure
         return self._measure(self.volume)
 
     @cached_property
     def proj(self) -> ProjectiveStack:
         return ProjectiveStack(self.measure)
-
-
-class ProjectiveSpray(Spray):
-    """The spray G^i - S y^i/(n+1) for a fixed volume form."""
-
-    def __init__(self, base: Spray, volume: VolumeForm):
-        self.base = base
-        self.volume = volume
-        self.dim = base.dim
-        self.name = f"projective({base.name})"
-        self.metric = base.metric
-        self.default_box = base.default_box
-
-    def coefficients(self, point: TangentPoint, degree: int) -> Jet:
-        return PointContext(self.base, self.volume, point, degree).proj.Ghat
-
-    def admissible(self, point: TangentPoint) -> bool:
-        return self.base.admissible(point)
 
 
 def volume_change(f, measure: MeasureStack) -> np.ndarray:

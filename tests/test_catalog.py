@@ -6,8 +6,6 @@ import pytest
 from spraylab import catalog
 from spraylab.catalog import MetricSpec, build, sample
 from spraylab.errors import AdmissibilityError, ConfigError
-from spraylab.measures import VolumeForm
-from spraylab.projective import ProjectiveSpray
 from spraylab.geometry import (
     MetricFrame,
     PerturbedSpray,
@@ -181,7 +179,7 @@ def test_sampler_respects_box():
 
 
 def test_derived_sprays_keep_the_base_box():
-    base = ProjectiveSpray(build(MetricSpec("square-metric", 3)).spray(), VolumeForm.coordinate())
+    base = build(MetricSpec("square-metric", 3)).spray()
     pert = PerturbedSpray(base, [lambda xs: 0.1 + 0.0 * xs[0]] * 3)
     for point in sample(pert, count=20, seed=4):
         assert np.linalg.norm(point.x_array()) <= 0.25

@@ -491,6 +491,33 @@ def test_unknown_family_exits_two(capsys):
     assert "unknown family" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (("eval", "--metric", "riemannian", "--dim", "2", "--param", "matrix=3"), "matrix"),
+    (("eval", "--metric", "riemannian", "--dim", "2", "--param", 'matrix=[["1","0"]]'), "matrix"),
+    (("eval", "--metric", "randers", "--dim", "3", "--param", "preset=constant",
+      "--param", "b=[0.5,0.5]"), "b"),
+    (("eval", "--metric", "randers", "--dim", "3", "--param", "preset=constant",
+      "--param", "a=[[1,0],[0,1]]"), "a"),
+    (("verify", "--metric", "projective-perturbation", "--param", "base=funk",
+      "--param", 'oneform=["x1","0"]'), "oneform"),
+    (("eval", "--metric", "fourth-root", "--param", "n1=x"), "n1"),
+    (("eval", "--metric", "fourth-root", "--param", "c=abc"), "c"),
+    (("verify", "--metric", "fourth-root", "--param", "n1=-1", "--param", "n2=3",
+      "--dim", "2"), "n1"),
+    (("eval", "--metric", "fourth-root", "--param", "n1=2", "--param", "n2=1.5",
+      "--dim", "4"), "n2"),
+    (("eval", "--metric", "square-metric", "--param", "literal_inner=3"), "literal_inner"),
+])
+def test_bad_family_parameter_exits_two(tmp_path, argv, key):
+    env = dict(os.environ, PYTHONPATH=str(Path(spraylab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spraylab", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and f"parameter {key!r}" in line
+
+
 def test_invalid_randers_names_invariant(capsys):
     code, _, err = run_cli(capsys, "verify", "--metric", "randers", "--dim", "3",
                            "--param", "preset=constant", "--param", "b=[1.2,0,0]")

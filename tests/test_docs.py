@@ -54,12 +54,20 @@ def test_star_import_binds_every_public_name():
 
 
 def test_every_public_name_has_a_caller_in_the_library():
-    # fd_oracle is the tests' finite-difference reference and has no library caller
+    # fd_oracle is the tests' finite-difference reference and has no library caller;
+    # a class named only as the type argument of isinstance has no caller either
     used = set()
     for path in (ROOT / "src" / "spraylab").glob("*.py"):
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        type_args = {id(arg) for call in ast.walk(tree)
+                     if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                     and call.func.id == "isinstance" and len(call.args) == 2
+                     for arg in ast.walk(call.args[1])}
+        for node in ast.walk(tree):
+            if id(node) in type_args:
+                continue
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):

@@ -370,12 +370,12 @@ def test_lift_places_coefficients_at_offset():
     small = jets.ring(2, 3)
     a = small.seed(0, 1.0) * small.seed(1, 2.0)
     big = jets.ring(4, 5)
-    lifted = jets.lift(a, big, var_offset=1)
-    assert lifted.coeff((0, 1, 1, 0)) == a.coeff((1, 1))
-    assert lifted.coeff((0, 1, 0, 0)) == a.coeff((1, 0))
+    lifted = jets.lift(a, big)
+    assert lifted.coeff((1, 1, 0, 0)) == a.coeff((1, 1))
+    assert lifted.coeff((1, 0, 0, 0)) == a.coeff((1, 0))
     assert lifted.value() == a.value()
     # variables outside the embedded block carry nothing
-    assert lifted.coeff((1, 0, 0, 0)) == 0.0
+    assert lifted.coeff((0, 0, 1, 0)) == 0.0
     assert lifted.valid == 3
 
 

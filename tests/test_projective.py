@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spraylab import jets, measures
+from spraylab import jets
 from spraylab.catalog import Randers, build
 from spraylab.errors import AdmissibilityError, ConfigError, DegreeBudgetError
 from spraylab.geometry import (
@@ -26,7 +26,6 @@ from spraylab.geometry import (
 from spraylab.measures import VolumeForm
 from spraylab.projective import (
     PointContext,
-    ProjectiveSpray,
     ProjectiveStack,
     einstein_wo,
     volume_change,
@@ -265,30 +264,6 @@ def test_projective_invariance():
     wo0, wo1 = p0.wo_values(), p1.wo_values()
     assert np.abs(w0 - w1).max() <= 1e-10 * (np.abs(w0).max() + 1e-12)
     assert np.abs(wo0 - wo1).max() <= 1e-10 * (np.abs(wo0).max() + 1e-12)
-
-
-def test_projective_spray_field():
-    metric = build("randers")
-    volume = VolumeForm.explicit("exp(0.1*x2)")
-    hat = ProjectiveSpray(metric.spray(), volume)
-    assert hat.dim == 3 and hat.metric is metric
-    own = PointContext(hat, volume, PT3).measure
-    assert abs(own.S.value()) <= 1e-12
-    outside = TangentPoint((5.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    assert hat.admissible(PT3) and hat.admissible(outside)
-
-
-def test_projective_spray_reuses_the_base_density(monkeypatch):
-    # sigma_BH depends on x alone: the hat spray's context takes the density
-    # its base context computed for Ghat rather than integrating again
-    calls = []
-    density = measures.bh_density
-    monkeypatch.setattr(measures, "bh_density",
-                        lambda *args, **kwargs: calls.append(args[1]) or density(*args, **kwargs))
-    bh = VolumeForm.busemann_hausdorff()
-    ctx = PointContext(ProjectiveSpray(build("randers").spray(), bh), bh, PT3)
-    assert abs(ctx.measure.S.value()) <= 1e-12
-    assert calls == [PT3.x] and len(ctx.rules) == 1
 
 
 # -- divergence identities --------------------------------------------------------

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 _VERIFY = ("verify", "--points", "3", "--per-point")
 _THEOREM = ("--points", "2", "--per-point")
+_ONEFORM = ("--param", 'oneform=["0.1*x1","0","0.05*x2"]')
 
 # (label, argv) of the report acceptance list
 COMMANDS = [
@@ -68,6 +69,11 @@ COMMANDS = [
     ("theorem ex17 bh-nodes", ("theorem", "ex17", "--bh-nodes", "32", "--points", "1")),
     ("verify funk4 bh oversized", ("verify", "--metric", "funk", "--dim", "4", "--volume", "bh",
                                    "--bh-nodes", "1024", "--points", "1")),
+    # a spray that is not a metric's own goes through stack_for
+    ("verify perturbed funk", (*_VERIFY, "--metric", "projective-perturbation",
+                               "--param", "base=funk", *_ONEFORM)),
+    ("eval perturbed randers bh", ("eval", "--points", "3", "--metric", "projective-perturbation",
+                                   "--param", "base=randers", *_ONEFORM, "--volume", "bh")),
 ]
 
 
