@@ -18,7 +18,6 @@ from .geometry import (
     DEFAULT_DEGREE,
     FinslerMetric,
     MetricFrame,
-    MetricSpray,
     PerturbedSpray,
     Spray,
     SprayStack,
@@ -58,7 +57,6 @@ __all__ = [
     "MeasureStack",
     "MetricFrame",
     "MetricSpec",
-    "MetricSpray",
     "PerturbedSpray",
     "PointContext",
     "ProjectiveStack",

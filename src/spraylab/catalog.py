@@ -1,21 +1,21 @@
 """Built-in metric and spray families used as fixtures.
 
 Every family builds a concrete object from a MetricSpec; a family
-parameter of the wrong shape or type is a ``ConfigError`` that names it.
+parameter of the wrong shape or type, or one the family does not read,
+is a ``ConfigError`` that names it.
 The classes keep the data F^2 is built from (matrix and covector
 callables, factor dimensions, coupling constant).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jets
 from .errors import AdmissibilityError, ConfigError
-from .expressions import as_field
+from .expressions import ScalarField, as_field, finite_number
 from .geometry import FinslerMetric, PerturbedSpray, Spray, TangentPoint
 
 
@@ -52,9 +52,6 @@ class Riemannian(FinslerMetric):
         self.name = name
         self.default_box = box
         self.chart = chart
-
-    def fsq(self, x, y):
-        return self.fsq_at(x)(y)
 
     def fsq_at(self, x):
         m = self.matrix(x)
@@ -124,9 +121,6 @@ class Randers(FinslerMetric):
         self.name = name
         self.default_box = box
 
-    def fsq(self, x, y):
-        return self.fsq_at(x)(y)
-
     def fsq_at(self, x):
         am = self.a(x)
         bv = self.b(x)
@@ -193,9 +187,6 @@ class Funk(FinslerMetric):
         self.name = f"funk({dim})"
         self.default_box = ("ball", 0.6)
 
-    def fsq(self, x, y):
-        return self.fsq_at(x)(y)
-
     def fsq_at(self, x):
         x2 = 0.0
         for i in range(self.dim):
@@ -253,9 +244,6 @@ class SquareMetric(FinslerMetric):
         self.name = f"square-metric({dim})"
         self.default_box = ("ball", 0.25)
 
-    def fsq(self, x, y):
-        return self.fsq_at(x)(y)
-
     def fsq_at(self, x):
         x2 = 0.0
         for i in range(self.dim):
@@ -291,11 +279,11 @@ def _param(family, params, key, want, ok, default=None):
     return value
 
 
-def _number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+def _expression(v):
+    return isinstance(v, (str, ScalarField)) or finite_number(v)
 
 
-def _nested(shape, entry=lambda v: True):
+def _nested(shape, entry):
     """Whether a value is nested lists of ``shape`` whose entries pass ``entry``."""
     if not shape:
         return entry
@@ -310,8 +298,9 @@ def _build_euclidean(dim, params):
 def _build_riemannian(dim, params):
     if dim is None:
         raise ConfigError("riemannian family needs an explicit dim")
-    matrix = _param("riemannian", params, "matrix", f"a {dim} x {dim} list of expressions",
-                    lambda m: callable(m) or _nested((dim, dim))(m))
+    matrix = _param("riemannian", params, "matrix",
+                    f"a {dim} x {dim} list of expressions or numbers",
+                    lambda m: callable(m) or _nested((dim, dim), _expression)(m))
     if callable(matrix):
         return Riemannian(dim, matrix)
     rows = [[as_field(entry, dim) for entry in row] for row in matrix]
@@ -333,20 +322,24 @@ def _build_hyperbolic(dim, params):
 def _build_conformal(dim, params):
     if dim != 2:
         raise ConfigError("conformal-flat-2d is 2-dimensional")
-    return conformal_flat_2d(params.get("lam", "x1^2"))
+    return conformal_flat_2d(_param("conformal-flat-2d", params, "lam",
+                                    "an expression or a number", _expression, "x1^2"))
 
 
 def _build_randers(dim, params):
     preset = params.get("preset", "generic")
     if preset == "generic":
+        for key in ("a", "b"):
+            if key in params:
+                raise ConfigError(f"randers parameter {key!r} needs preset=constant")
         if dim != 3:
             raise ConfigError("the generic randers preset is defined for dim 3")
         return randers_generic()
     if preset == "constant":
         a = _param("randers", params, "a", f"a {dim} x {dim} list of numbers",
-                   _nested((dim, dim), _number), np.eye(dim).tolist())
+                   _nested((dim, dim), finite_number), np.eye(dim).tolist())
         b = _param("randers", params, "b", f"a list of {dim} numbers",
-                   _nested((dim,), _number), [0.3] + [0.0] * (dim - 1))
+                   _nested((dim,), finite_number), [0.3] + [0.0] * (dim - 1))
         return randers_constant(dim, a, b)
     raise ConfigError(f"unknown randers preset {preset!r}")
 
@@ -357,12 +350,12 @@ def _build_funk(dim, params):
 
 def _build_fourth_root(dim, params):
     n1, n2 = (_param("fourth-root", params, key, "an integer >= 1",
-                     lambda v: _number(v) and isinstance(v, int) and v >= 1, 2)
+                     lambda v: finite_number(v) and isinstance(v, int) and v >= 1, 2)
               for key in ("n1", "n2"))
     if dim != n1 + n2:
         raise ConfigError(f"fourth-root dim must equal n1 + n2 = {n1 + n2}, got {dim}")
     c = _param("fourth-root", params, "c", "a number with 0 < c <= 1",
-               lambda v: _number(v) and 0.0 < v <= 1.0, 0.5)
+               lambda v: finite_number(v) and 0.0 < v <= 1.0, 0.5)
     return FourthRoot(n1, n2, float(c))
 
 
@@ -373,28 +366,34 @@ def _build_square(dim, params):
 
 def _build_perturbation(dim, params):
     base = _param("projective-perturbation", params, "base", "a family name",
-                  lambda b: isinstance(b, (str, MetricSpec, FinslerMetric, Spray)))
+                  lambda b: isinstance(b, (str, MetricSpec, Spray)))
     if isinstance(base, (str, MetricSpec)):
         base = build(base if isinstance(base, MetricSpec) else MetricSpec(base, dim))
-    if isinstance(base, FinslerMetric):
-        base = base.spray()
     oneform = _param("projective-perturbation", params, "oneform",
-                     f"a list of {base.dim} expressions", _nested((base.dim,)))
+                     f"a list of {base.dim} expressions or numbers",
+                     _nested((base.dim,), _expression))
     forms = [as_field(entry, base.dim) for entry in oneform]
     return PerturbedSpray(base, forms)
 
 
+# family -> (builder, default dim, summary, parameter keys)
 _FAMILIES = {
-    "euclidean": (_build_euclidean, 3, "flat metric |y|"),
-    "riemannian": (_build_riemannian, None, "F^2 = a_ij(x) y^i y^j from a matrix parameter"),
-    "round-sphere": (_build_round_sphere, 2, "stereographic 2-sphere, curvature +1"),
-    "hyperbolic-ball": (_build_hyperbolic, 2, "Poincare ball, curvature -1 (dim 2 or 3)"),
-    "conformal-flat-2d": (_build_conformal, 2, "e^{2 lam(x)} (dx^2), param lam (default x1^2)"),
-    "randers": (_build_randers, 3, "sqrt(a_ij y^i y^j) + b_i y^i; presets generic | constant"),
-    "funk": (_build_funk, 3, "Funk metric of the unit ball"),
-    "fourth-root": (_build_fourth_root, 4, "(a1^4 + 2c a1^2 a2^2 + a2^4)^{1/4}, params n1, n2, c"),
-    "square-metric": (_build_square, 3, "(alpha + beta)^2 / alpha on the quadratic chart"),
-    "projective-perturbation": (_build_perturbation, None, "base spray plus (a_m(x) y^m) y^i"),
+    "euclidean": (_build_euclidean, 3, "flat metric |y|", ()),
+    "riemannian": (_build_riemannian, None, "F^2 = a_ij(x) y^i y^j from a matrix parameter",
+                   ("matrix",)),
+    "round-sphere": (_build_round_sphere, 2, "stereographic 2-sphere, curvature +1", ()),
+    "hyperbolic-ball": (_build_hyperbolic, 2, "Poincare ball, curvature -1 (dim 2 or 3)", ()),
+    "conformal-flat-2d": (_build_conformal, 2, "e^{2 lam(x)} (dx^2), param lam (default x1^2)",
+                          ("lam",)),
+    "randers": (_build_randers, 3, "sqrt(a_ij y^i y^j) + b_i y^i; presets generic | constant",
+                ("preset", "a", "b")),
+    "funk": (_build_funk, 3, "Funk metric of the unit ball", ()),
+    "fourth-root": (_build_fourth_root, 4, "(a1^4 + 2c a1^2 a2^2 + a2^4)^{1/4}, params n1, n2, c",
+                    ("n1", "n2", "c")),
+    "square-metric": (_build_square, 3, "(alpha + beta)^2 / alpha on the quadratic chart",
+                      ("literal_inner",)),
+    "projective-perturbation": (_build_perturbation, None, "base spray plus (a_m(x) y^m) y^i",
+                                ("base", "oneform")),
 }
 
 
@@ -403,11 +402,11 @@ def family_names():
 
 
 def family_summary(name):
-    builder, default_dim, summary = _FAMILIES[name]
+    builder, default_dim, summary, _ = _FAMILIES[name]
     return {"family": name, "default_dim": default_dim, "summary": summary}
 
 
-def build(spec) -> FinslerMetric | Spray:
+def build(spec) -> Spray:
     """Build the metric or spray described by a MetricSpec (or family name)."""
     if isinstance(spec, str):
         spec = MetricSpec(spec)
@@ -415,7 +414,11 @@ def build(spec) -> FinslerMetric | Spray:
         raise ConfigError(
             f"unknown family {spec.family!r}; available: {', '.join(_FAMILIES)}"
         )
-    builder, default_dim, _ = _FAMILIES[spec.family]
+    builder, default_dim, _, keys = _FAMILIES[spec.family]
+    for key in spec.params:
+        if key not in keys:
+            raise ConfigError(f"{spec.family} takes no parameter {key!r}; it takes "
+                              f"{', '.join(keys) or 'none'}")
     dim = spec.dim if spec.dim is not None else default_dim
     if dim is not None and dim < 2:
         raise ConfigError("dim must be at least 2")

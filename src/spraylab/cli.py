@@ -27,7 +27,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import MetricSpec
-from .errors import ConfigError, SprayLabError
+from .errors import ConfigError, DegreeBudgetError, SprayLabError
 from .geometry import DEFAULT_DEGREE
 from .measures import VolumeForm, as_volume, split_volume
 from .projective import WEYL_ROUTES, WO_ROUTES, PointContext
@@ -438,8 +438,11 @@ def _cmd_eval(args) -> tuple[str, int]:
     obj = catalog.build(cfg.metric_spec())
     volume = cfg.volume()
     points = catalog.sample(obj, count=cfg.points, seed=cfg.seed, box=cfg.box)
-    records = [_eval_point(obj, volume, point, cfg.degree, idx)
-               for idx, point in enumerate(points)]
+    try:
+        records = [_eval_point(obj, volume, point, cfg.degree, idx)
+                   for idx, point in enumerate(points)]
+    except DegreeBudgetError as exc:
+        raise ConfigError(f"degree {cfg.degree} is too low for eval: {exc}") from None
     # csv has one column per route
     rows = [{**rec, **{f"{kind}.{route}": value for kind in ("W", "Wo")
                        for route, value in rec[kind].items()}} for rec in records]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import math
+import sys
 
 import numpy as np
 
@@ -152,10 +153,19 @@ class ScalarField:
         return base**exponent
 
 
+def finite_number(v) -> bool:
+    """Whether ``v`` is an int or float, not a bool, with a finite float value."""
+    # exact for an int of any size, and false for nan
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
 def as_field(spec, nvars: int) -> ScalarField | None:
-    """Accept a ScalarField, an expression string, or None."""
+    """Accept a ScalarField, an expression string, a finite number as its constant, or None."""
     if spec is None or isinstance(spec, ScalarField):
         return spec
     if isinstance(spec, str):
         return ScalarField(spec, nvars)
+    if finite_number(spec):
+        return ScalarField(repr(float(spec)), nvars)
     raise ConfigError(f"expected an expression string, got {type(spec).__name__}")

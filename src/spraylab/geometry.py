@@ -64,12 +64,21 @@ class TangentPoint:
         return np.array(self.y)
 
 
-class Chart:
-    """The chart protocol shared by metrics and sprays: which points are admissible."""
+class Spray:
+    """Base class: second-order vector field with 2-homogeneous coefficients.
+
+    It also holds the chart: the dimension, the name, the default sampling
+    box, and which points are admissible.
+    """
 
     dim: int
-    name: str
+    name: str = "spray"
     default_box: tuple[str, float] = ("cube", 0.5)
+    metric: FinslerMetric | None = None
+
+    def coefficients(self, point: TangentPoint, degree: int) -> Jet:
+        """The jets G^i, as one jet with batch shape (n,)."""
+        raise NotImplementedError
 
     def admissible(self, point: TangentPoint) -> bool:
         return True
@@ -83,14 +92,22 @@ class Chart:
             raise AdmissibilityError(f"point {point} is outside the chart of {self.name}")
 
 
-class FinslerMetric(Chart):
-    """Base class: a positively 1-homogeneous norm given through F^2 jets."""
+class FinslerMetric(Spray):
+    """Base class: a positively 1-homogeneous norm given through F^2 jets.
+
+    A metric is its own geodesic spray.  A subclass defines ``fsq`` or
+    ``fsq_at``; each defaults to the other.
+    """
 
     name: str = "metric"
 
+    @property
+    def metric(self) -> FinslerMetric:
+        return self
+
     def fsq(self, x: list, y: list):
         """Jet (or float) of F^2 from coordinate jets (or floats)."""
-        raise NotImplementedError
+        return self.fsq_at(x)(y)
 
     def fsq_at(self, x: list):
         """The map y -> F^2(x, y) at fixed base coordinates ``x``.
@@ -101,35 +118,8 @@ class FinslerMetric(Chart):
         """
         return lambda y: self.fsq(x, y)
 
-    def spray(self) -> "MetricSpray":
-        return MetricSpray(self)
-
-
-class Spray(Chart):
-    """Base class: second-order vector field with 2-homogeneous coefficients."""
-
-    name: str = "spray"
-    metric: FinslerMetric | None = None
-
     def coefficients(self, point: TangentPoint, degree: int) -> Jet:
-        """The jets G^i, as one jet with batch shape (n,)."""
-        raise NotImplementedError
-
-
-class MetricSpray(Spray):
-    """The geodesic spray induced by a Finsler metric."""
-
-    def __init__(self, metric: FinslerMetric):
-        self.metric = metric
-        self.dim = metric.dim
-        self.name = f"spray({metric.name})"
-        self.default_box = metric.default_box
-
-    def coefficients(self, point: TangentPoint, degree: int) -> Jet:
-        return MetricFrame(self.metric, point, degree).spray_coefficients
-
-    def admissible(self, point: TangentPoint) -> bool:
-        return self.metric.admissible(point)
+        return MetricFrame(self, point, degree).spray_coefficients
 
 
 class PerturbedSpray(Spray):
@@ -162,12 +152,10 @@ class PerturbedSpray(Spray):
         return self.base.admissible(point)
 
 
-def spray_and_metric(obj) -> tuple[Spray, FinslerMetric | None]:
-    """The spray of a metric or spray, with the metric it comes from (if any)."""
-    if isinstance(obj, FinslerMetric):
-        return obj.spray(), obj
+def as_spray(obj) -> Spray:
+    """``obj`` itself, which must be a spray; a metric is one."""
     if isinstance(obj, Spray):
-        return obj, obj.metric
+        return obj
     raise ConfigError(f"expected a metric or spray, got {type(obj).__name__}")
 
 

@@ -38,10 +38,9 @@ from .expressions import as_field
 from .geometry import (
     DEFAULT_DEGREE,
     MetricFrame,
-    MetricSpray,
     SprayStack,
     TangentPoint,
-    spray_and_metric,
+    as_spray,
     stack_for,
 )
 from .jets import Jet
@@ -159,16 +158,18 @@ class PointContext:
     """The lazy chain at one (metric or spray, volume, point).
 
     frame -> stack -> measure -> proj, each built on first use and shared
-    by every quantity read afterwards.  A metric's spray reuses the
-    metric's frame, so F^2 is expanded once per point.  ``measure_for``
-    and ``proj_for`` put another volume form on the same stack, and give
-    ``measure`` and ``proj`` for the context's own volume; ``rules`` collects
-    ``(nodes, change)`` of every Busemann-Hausdorff rule the context ran.
+    by every quantity read afterwards.  A metric is its own spray, and its
+    stack is read off its frame, so F^2 is expanded once per point.
+    ``measure_for`` and ``proj_for`` put another volume form on the same
+    stack, and give ``measure`` and ``proj`` for the context's own volume;
+    ``rules`` collects ``(nodes, change)`` of every Busemann-Hausdorff rule
+    the context ran.
     """
 
     def __init__(self, obj, volume, point: TangentPoint,
                  degree: int = DEFAULT_DEGREE):
-        self.spray, self.metric = spray_and_metric(obj)
+        self.spray = as_spray(obj)
+        self.metric = self.spray.metric
         self.volume = as_volume(volume)
         self.point = point
         self.degree = degree
@@ -185,7 +186,7 @@ class PointContext:
 
     @cached_property
     def stack(self) -> SprayStack:
-        if isinstance(self.spray, MetricSpray):
+        if self.spray is self.metric:
             return self.frame.stack
         return stack_for(self.spray, self.point, self.degree)
 

@@ -7,8 +7,9 @@ quantities that vanish identically.  Tolerances come in two tiers: jet
 identities hold to rounding, while anything that feeds on a quadrature
 volume form inherits the quadrature error instead.
 
-A suite run never aborts on a failing point; domain and budget errors at
-a single point are recorded as infinite residuals and the run continues.
+A suite run never aborts on a failing point; domain errors at a single
+point are recorded as infinite residuals and the run continues.  A degree
+too low for a check or theorem is a configuration error that names it.
 
 A theorem is a record of fixtures and volume forms; one loop runs every
 record, and an error in it ends the run.
@@ -25,9 +26,9 @@ import numpy as np
 
 from . import catalog
 from .catalog import MetricSpec
-from .errors import ConfigError, SprayLabError
+from .errors import ConfigError, DegreeBudgetError, SprayLabError
 from .geometry import (DEFAULT_DEGREE, MetricFrame, PerturbedSpray, SprayStack,
-                       TangentPoint, spray_and_metric)
+                       TangentPoint, as_spray)
 from .jets import Jet
 from .measures import MeasureStack, VolumeForm, as_volume
 from .projective import PointContext, ProjectiveStack, einstein_wo, volume_change
@@ -224,11 +225,6 @@ def _rik_y_kill(ctx):
     return _maxabs(st.Rik_values @ ctx.y), _maxabs(st.Rik_values) * _maxabs(ctx.y) * ctx.n
 
 
-def _r3_antisymmetric(ctx):
-    r3 = ctx.stack.R3.value()
-    return _maxabs(r3 + r3.transpose(0, 2, 1)), _maxabs(r3)
-
-
 def _r3_contract(ctx):
     st = ctx.stack
     lhs = np.einsum("ikl,l->ik", st.R3.value(), ctx.y)
@@ -350,15 +346,6 @@ def _chi_compact_form(ctx):
     lhs = 0.5 * (ctx.measure.S0.gradient()[ctx.n:] - 2.0 * sk)
     rhs = ctx.measure.chi_values("fromR")
     return _maxabs(lhs - rhs), _maxabs(lhs, rhs, sk)
-
-
-def _chi_curvature_trace(ctx):
-    n = ctx.n
-    st = ctx.stack
-    lhs = np.einsum("mim->i", st.Rik.gradient()[..., n:])
-    chi = ctx.measure.chi_values("fromR")
-    rhs = -3.0 * chi - 0.5 * (n - 1.0) * st.Rscalar_v.value()
-    return _maxabs(lhs - rhs), _maxabs(lhs, rhs)
 
 
 def _hat_s_zero(ctx):
@@ -512,7 +499,6 @@ REGISTRY: tuple[IdentityCheck, ...] = (
     IdentityCheck("euler-nonlinear", _euler_nonlinear),
     IdentityCheck("berwald-y-kill", _berwald_y_kill),
     IdentityCheck("rik-y-kill", _rik_y_kill),
-    IdentityCheck("r3-antisymmetric", _r3_antisymmetric),
     IdentityCheck("r3-contract", _r3_contract),
     IdentityCheck("r4-contract", _r4_contract),
     IdentityCheck("t-traceless", _t_traceless),
@@ -532,7 +518,6 @@ REGISTRY: tuple[IdentityCheck, ...] = (
     IdentityCheck("hat-ricci-scalar", _hat_ricci_scalar, uses_measure=True),
     IdentityCheck("hat-ricci-tensor", _hat_ricci_tensor, uses_measure=True),
     IdentityCheck("chi-compact-form", _chi_compact_form, uses_measure=True),
-    IdentityCheck("chi-curvature-trace", _chi_curvature_trace),
     IdentityCheck("hat-s-zero", _hat_s_zero, uses_measure=True),
     IdentityCheck("hat-chi-zero", _hat_chi_zero, uses_measure=True),
     IdentityCheck("hat-nonlinear", _hat_nonlinear, uses_measure=True),
@@ -570,7 +555,7 @@ def _resolve_points(obj, points, seed, box):
     for p in pts:
         if p.dim != obj.dim:
             raise ConfigError(f"point x={p.x} has dimension {p.dim} but "
-                              f"{getattr(obj, 'name', obj)} has dimension {obj.dim}")
+                              f"{obj.name} has dimension {obj.dim}")
     return pts, None
 
 
@@ -581,12 +566,13 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
 
     ``spec`` may be a family name, a MetricSpec, a metric, or a spray;
     ``points`` is a sample count or an explicit list of tangent points.
-    A failing point never aborts the run: domain or budget errors are
-    recorded as infinite residuals on the affected checks.  The default
-    jet degree is the smallest that feeds every registered identity.
+    A failing point never aborts the run: domain errors are recorded as
+    infinite residuals on the affected checks.  The default jet degree is
+    the smallest that feeds every registered identity; a lower one that
+    starves a check is a ConfigError naming it.
     """
-    obj = catalog.build(spec) if isinstance(spec, (str, MetricSpec)) else spec
-    metric = spray_and_metric(obj)[1]
+    obj = as_spray(catalog.build(spec) if isinstance(spec, (str, MetricSpec)) else spec)
+    metric = obj.metric
     volume = as_volume(volume)
     tolerances = tolerances if tolerances is not None else Tolerances()
     selected = list(REGISTRY if checks is None else
@@ -616,6 +602,9 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
                 residual, scale = check.fn(ctx)
             except ConfigError:
                 raise
+            except DegreeBudgetError as exc:
+                raise ConfigError(f"degree {degree} is too low for check {check.name}: "
+                                  f"{exc}") from None
             except (SprayLabError, FloatingPointError):
                 residual, scale = math.inf, 1.0
             results.append(_result(check.name, point, residual, scale, tol, tolerances.floor))
@@ -625,8 +614,8 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
         changes = [change for _, change in rules if change is not None]
         quadrature = {"bh_nodes": max((nodes for nodes, _ in rules), default=None),
                       "bh_change": max(changes, default=None)}
-    return _suite_report(getattr(obj, "name", str(obj)), volume.describe(), seed,
-                         degree, tolerances, groups, quadrature=quadrature)
+    return _suite_report(obj.name, volume.describe(), seed, degree, tolerances, groups,
+                         quadrature=quadrature)
 
 
 # -- theorems ---------------------------------------------------------------------
@@ -838,7 +827,12 @@ def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
         count = fixture.count if points is None or fixture.fixed_count else points
         for point in catalog.sample(metric, count=count, seed=seed + fixture.seed_offset):
             ctx = PointContext(metric, volumes[0], point, degree)
-            for label, residual, scale, quad in fixture.rows(ctx, volumes):
+            try:
+                rows = fixture.rows(ctx, volumes)
+            except DegreeBudgetError as exc:
+                raise ConfigError(f"degree {degree} is too low for theorem {name}: "
+                                  f"{exc}") from None
+            for label, residual, scale, quad in rows:
                 t = tol.pick(quad)
                 groups.setdefault(label, (t, []))[1].append(
                     _result(label, point, residual, scale, t, tol.floor))

@@ -278,7 +278,7 @@ def test_criterion_09_projective_invariance():
         metric = build(name)
         n = metric.dim
         forms = [as_field(e, n) for e in ("0.04*x1 + 0.01", "0.02*x2", "-0.03*x3")[:n]]
-        perturbed = PerturbedSpray(metric.spray(), forms)
+        perturbed = PerturbedSpray(metric, forms)
         for point in sample(metric, count=3, seed=5):
             ps = PointContext(metric, volume, point).proj
             qs = PointContext(perturbed, volume, point).proj

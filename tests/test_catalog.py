@@ -85,7 +85,7 @@ def test_fourth_root_riemannian_at_c_one():
 def test_fourth_root_is_berwald_and_ricci_flat():
     metric = build(MetricSpec("fourth-root", 4, {"c": 0.5}))
     for point in sample(metric, count=3, seed=5):
-        st = stack_for(metric.spray(), point, degree=6)
+        st = stack_for(metric, point, degree=6)
         np.testing.assert_allclose(st.Rik_values, 0.0, atol=1e-11)
         assert st.Ric.value() == pytest.approx(0.0, abs=1e-11)
         np.testing.assert_allclose(st.B_values, 0.0, atol=1e-11)
@@ -179,7 +179,7 @@ def test_sampler_respects_box():
 
 
 def test_derived_sprays_keep_the_base_box():
-    base = build(MetricSpec("square-metric", 3)).spray()
+    base = build(MetricSpec("square-metric", 3))
     pert = PerturbedSpray(base, [lambda xs: 0.1 + 0.0 * xs[0]] * 3)
     for point in sample(pert, count=20, seed=4):
         assert np.linalg.norm(point.x_array()) <= 0.25
@@ -200,3 +200,18 @@ def test_family_listing():
     assert "funk" in names and "square-metric" in names
     info = catalog.family_summary("randers")
     assert info["default_dim"] == 3
+
+
+@pytest.mark.parametrize("family, dim, given, text", [
+    ("riemannian", 2, {"matrix": [["1 + x1^2", 0], [0, 2.5]]},
+     {"matrix": [["1 + x1^2", "0"], ["0", "2.5"]]}),
+    ("conformal-flat-2d", 2, {"lam": 3}, {"lam": "3"}),
+    ("projective-perturbation", 3, {"base": "funk", "oneform": [0.1, 0, "0.05*x2"]},
+     {"base": "funk", "oneform": ["0.1", "0", "0.05*x2"]}),
+])
+def test_a_number_parameter_is_its_constant_expression(family, dim, given, text):
+    point = TangentPoint((0.1, -0.2, 0.15)[:dim], (0.9, -0.4, 0.7)[:dim])
+    a, b = (build(MetricSpec(family, dim, params)) for params in (given, text))
+    np.testing.assert_array_equal(a.coefficients(point, 4).coeffs,
+                                  b.coefficients(point, 4).coeffs)
+    assert a.metric.fsq(point.x, point.y) == b.metric.fsq(point.x, point.y)

@@ -370,7 +370,7 @@ def test_verify_euclidean_passes(capsys):
     assert code == 0
     records = json_records(out)
     assert records[0]["record"] == "run"
-    assert records[-1] == {"record": "summary", "pass": True, "checks": 43,
+    assert records[-1] == {"record": "summary", "pass": True, "checks": 41,
                            "failures": []}
     for rec in records:
         if rec["record"] == "check" and rec["points"]:
@@ -421,7 +421,7 @@ def test_verify_csv_table(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == cli.VERIFY_COLUMNS
-    assert len(rows) == 44
+    assert len(rows) == 42
 
 
 def test_verify_byte_identical_reruns(capsys):
@@ -491,6 +491,18 @@ def test_unknown_family_exits_two(capsys):
     assert "unknown family" in err
 
 
+def _config_error_line(tmp_path, argv) -> str:
+    """The one stderr line of a ``python -m spraylab`` run that must exit 2 with no report."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spraylab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spraylab", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
 @pytest.mark.parametrize("argv, key", [
     (("eval", "--metric", "riemannian", "--dim", "2", "--param", "matrix=3"), "matrix"),
     (("eval", "--metric", "riemannian", "--dim", "2", "--param", 'matrix=[["1","0"]]'), "matrix"),
@@ -507,15 +519,40 @@ def test_unknown_family_exits_two(capsys):
     (("eval", "--metric", "fourth-root", "--param", "n1=2", "--param", "n2=1.5",
       "--dim", "4"), "n2"),
     (("eval", "--metric", "square-metric", "--param", "literal_inner=3"), "literal_inner"),
+    # a parameter the family does not read, and an expression that is not a number
+    (("eval", "--metric", "funk", "--param", "nonsense=1"), "nonsense"),
+    (("eval", "--metric", "randers", "--param", "b=[0.5,0,0]"), "b"),
+    (("eval", "--metric", "conformal-flat-2d", "--param", "lam=true"), "lam"),
+    (("eval", "--metric", "riemannian", "--dim", "2", "--param", "matrix=[[1,0],[false,1]]"),
+     "matrix"),
+    (("eval", "--metric", "projective-perturbation", "--param", "base=funk",
+      "--param", 'oneform=["x1",0,{"c":1}]'), "oneform"),
+    (("eval", "--metric", "fourth-root", "--param", "c=1" + "0" * 400), "c"),
 ])
 def test_bad_family_parameter_exits_two(tmp_path, argv, key):
-    env = dict(os.environ, PYTHONPATH=str(Path(spraylab.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "spraylab", *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    [line] = proc.stderr.splitlines()
-    assert line.startswith("error: ") and f"parameter {key!r}" in line
+    line = _config_error_line(tmp_path, argv)
+    assert f"parameter {key!r}" in line
+    assert argv[argv.index("--metric") + 1] in line
+
+
+@pytest.mark.parametrize("argv, starved", [
+    (("verify", "--metric", "funk", "--dim", "4", "--points", "1", "--degree", "6"),
+     "degree 6 is too low for check wo-routes: "),
+    (("theorem", "thm12", "--points", "1", "--degree", "6"),
+     "degree 6 is too low for theorem thm12: "),
+    (("eval", "--metric", "funk", "--dim", "3", "--points", "1", "--degree", "5"),
+     "degree 5 is too low for eval: "),
+])
+def test_degree_too_low_exits_two(tmp_path, argv, starved):
+    # a starved check is a configuration error, not a failed check with an
+    # "inf" residual, and the line names the degree and what ran out
+    assert _config_error_line(tmp_path, argv).startswith(f"error: {starved}")
+
+
+def test_unread_family_parameter_names_the_ones_it_takes(capsys):
+    code, out, err = run_cli(capsys, "eval", "--metric", "fourth-root", "--param", "n=3")
+    assert code == 2 and out == ""
+    assert err == "error: fourth-root takes no parameter 'n'; it takes n1, n2, c\n"
 
 
 def test_invalid_randers_names_invariant(capsys):

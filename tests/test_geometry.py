@@ -180,7 +180,7 @@ def test_indefinite_metric_rejected():
 
 
 def test_degree_budget_error_surfaces():
-    st = stack_for(RandersVar().spray(), POINT3, degree=2)
+    st = stack_for(RandersVar(), POINT3, degree=2)
     with pytest.raises(DegreeBudgetError):
         st.N
 
@@ -317,7 +317,7 @@ def fd_christoffel(matrix, x, h=0.01):
 )
 def test_riemannian_connection_is_christoffel(matrix, point):
     metric = MatrixRiemannian(point.dim, matrix)
-    st = stack_for(metric.spray(), point, degree=5)
+    st = stack_for(metric, point, degree=5)
     want = fd_christoffel(matrix, point.x)
     np.testing.assert_allclose(st.Gamma_values, want, rtol=1e-6, atol=1e-9)
     # quadratic sprays have no Berwald curvature
@@ -328,7 +328,7 @@ def test_riemannian_connection_is_christoffel(matrix, point):
 
 
 def test_connection_symmetry():
-    st = stack_for(RandersVar().spray(), POINT3, degree=6)
+    st = stack_for(RandersVar(), POINT3, degree=6)
     np.testing.assert_allclose(st.Gamma_values, st.Gamma_values.transpose(0, 2, 1), atol=1e-12)
     for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)):
         np.testing.assert_allclose(st.B_values, st.B_values.transpose(perm), atol=1e-12)
@@ -352,7 +352,7 @@ def test_sphere_curvature_scalar_is_fsq():
 
 
 def test_curvature_traces_and_y_kill():
-    st = stack_for(RandersVar().spray(), POINT3, degree=6)
+    st = stack_for(RandersVar(), POINT3, degree=6)
     y = POINT3.y_array()
     np.testing.assert_allclose(st.Rik_values @ y, 0.0, atol=1e-10)
     t = st.T_values
@@ -361,7 +361,7 @@ def test_curvature_traces_and_y_kill():
 
 
 def test_r3_antisymmetry_and_contraction():
-    st = stack_for(RandersVar().spray(), POINT3, degree=6)
+    st = stack_for(RandersVar(), POINT3, degree=6)
     r3 = st.R3.value()
     np.testing.assert_allclose(r3, -r3.transpose(0, 2, 1), atol=1e-12)
     got = np.einsum("ikl,l->ik", r3, POINT3.y_array())
@@ -372,8 +372,8 @@ def test_homogeneity_degrees():
     metric = Funk(3)
     lam = 1.7
     scaled = TangentPoint(POINT3.x, tuple(lam * v for v in POINT3.y))
-    a = stack_for(metric.spray(), POINT3, degree=5)
-    b = stack_for(metric.spray(), scaled, degree=5)
+    a = stack_for(metric, POINT3, degree=5)
+    b = stack_for(metric, scaled, degree=5)
     g_a = np.array([gi.value() for gi in a.G])
     g_b = np.array([gi.value() for gi in b.G])
     np.testing.assert_allclose(g_b, lam**2 * g_a, rtol=1e-11)
@@ -387,20 +387,20 @@ def test_homogeneity_degrees():
 
 
 def test_y_is_horizontally_parallel():
-    st = stack_for(RandersVar().spray(), POINT3, degree=5)
+    st = stack_for(RandersVar(), POINT3, degree=5)
     ytensor = np.array(st.y_jets, dtype=object)
     np.testing.assert_allclose(st.hcov_values(ytensor, contra=1), 0.0, atol=1e-11)
 
 
 def test_hcov_scalar_values_match_jet_route():
-    st = stack_for(RandersVar().spray(), POINT3, degree=6)
+    st = stack_for(RandersVar(), POINT3, degree=6)
     np.testing.assert_allclose(st.hgrad(st.Ric).value(), st.hcov_scalar_values(st.Ric),
                                rtol=1e-12, atol=1e-12)
 
 
 def test_hcov_values_does_not_call_hcov_scalar_values(monkeypatch):
     # a wrapper on both public derivatives counts each derivative once
-    st = stack_for(RandersVar().spray(), POINT3, degree=6)
+    st = stack_for(RandersVar(), POINT3, degree=6)
     calls = []
     monkeypatch.setattr(SprayStack, "hcov_scalar_values", lambda self, f: calls.append(f))
     st.hcov_values(st.Rik, contra=1)
@@ -417,7 +417,7 @@ def test_hcov_values_does_not_call_hcov_scalar_values(monkeypatch):
 )
 def test_exchange_identity_for_scalars(metric, point):
     # f_{|k|0} - f_{|0|k} = f_{.l} R^l_k with f the Ricci trace
-    st = stack_for(metric.spray(), point, degree=7)
+    st = stack_for(metric, point, degree=7)
     n = point.dim
     y = point.y_array()
     f = st.Ric
@@ -437,7 +437,7 @@ def test_exchange_identity_for_scalars(metric, point):
 
 
 def test_perturbed_spray_coefficients():
-    base = RandersVar().spray()
+    base = RandersVar()
     oneform = [
         lambda xs: 0.1 * xs[0] * xs[1],
         lambda xs: 0.05 + 0.0 * xs[0],
@@ -458,7 +458,7 @@ def test_perturbed_spray_coefficients():
 
 
 def test_stack_tensors_are_jets_with_index_batch_axes():
-    st = stack_for(RandersVar().spray(), POINT3, degree=6)
+    st = stack_for(RandersVar(), POINT3, degree=6)
     for name, rank in (("G", 1), ("N", 2), ("Gamma", 3), ("Rik", 2), ("R3", 3), ("T", 2)):
         tensor = getattr(st, name)
         assert isinstance(tensor, jets.Jet), name
@@ -467,7 +467,7 @@ def test_stack_tensors_are_jets_with_index_batch_axes():
 
 
 def test_hcov_values_matches_reference_loop():
-    st = stack_for(RandersVar().spray(), POINT3, degree=6)
+    st = stack_for(RandersVar(), POINT3, degree=6)
     n = st.n
     Nv, Gv = st.N_values, st.Gamma_values
     for tensor, contra in ((st.Rik, 1), (st.T, 0), (st.Rik, 2)):

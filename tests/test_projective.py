@@ -235,7 +235,7 @@ def test_wo_vanishes_constant_curvature_surfaces(family):
     metric = build(family)
     pt = TangentPoint((0.25, -0.15), (0.7, 1.1))
     for volume in (VolumeForm.coordinate(), VolumeForm.busemann_hausdorff(nodes=32)):
-        scale = abs(stack_for(metric.spray(), pt).Rscalar.value())
+        scale = abs(stack_for(metric, pt).Rscalar.value())
         wo = PointContext(metric, volume, pt).proj.wo_values()
         np.testing.assert_allclose(wo, 0.0, atol=1e-10 * scale)
 
@@ -253,7 +253,7 @@ def test_wo_volume_independent_in_dimension_two():
 
 
 def test_projective_invariance():
-    spray = build("randers").spray()
+    spray = build("randers")
     pert = PerturbedSpray(
         spray,
         [lambda xs: 0.2 * xs[0], lambda xs: xs[1] * xs[2], lambda xs: 0.1 + 0.0 * xs[0]],
@@ -461,6 +461,21 @@ def test_own_volume_reuses_the_context_stacks():
     assert other is not ctx.proj and other.base is ctx.stack
 
 
+def test_a_metric_is_its_own_spray():
+    metric = build("randers")
+    ctx = PointContext(metric, "coordinate", PT3)
+    assert ctx.spray is ctx.metric is metric
+    assert ctx.stack is ctx.frame.stack
+    pert = PerturbedSpray(metric, [lambda xs: 0.1 + 0.0 * xs[0]] * 3)
+    assert pert.metric is metric
+    assert PointContext(pert, "coordinate", PT3).metric is metric
+
+
+def test_point_context_refuses_what_is_not_a_spray():
+    with pytest.raises(ConfigError, match="expected a metric or spray, got int"):
+        PointContext(42, None, PT3)
+
+
 def test_route_validation():
     metric = build("euclidean")
     volume = VolumeForm.coordinate()
@@ -485,7 +500,7 @@ def test_square_metric_is_scalar_curvature():
     # volume; S/F is not constant in y (not isotropic)
     metric = build("square-metric")
     pt = TangentPoint((0.05, -0.08, 0.06), (0.9, -0.4, 0.7))
-    st = stack_for(metric.spray(), pt)
+    st = stack_for(metric, pt)
     f2 = MetricFrame(metric, pt, 3).fsq.value()
     assert abs(st.Rscalar.value()) <= 1e-10 * f2
     for volume in (VolumeForm.coordinate(), VolumeForm.busemann_hausdorff(nodes=32)):

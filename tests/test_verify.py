@@ -1,13 +1,14 @@
 """Identity suite, theorem fixtures, and the finite-difference oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spraylab import catalog, verify
 from spraylab.catalog import MetricSpec
-from spraylab.errors import ConfigError
+from spraylab.errors import ConfigError, JetDomainError
 from spraylab.geometry import MetricFrame, TangentPoint, stack_for
 from spraylab.measures import VolumeForm
 from spraylab.projective import PointContext, ProjectiveStack
@@ -22,7 +23,7 @@ PT3 = TangentPoint((0.1, -0.2, 0.15), (0.9, -0.4, 0.7))
 
 def test_registry_size_and_unique_names():
     names = verify.check_names()
-    assert len(REGISTRY) == 43
+    assert len(REGISTRY) == 41
     assert len(set(names)) == len(names)
 
 
@@ -114,16 +115,29 @@ def test_perturbed_spray_suite_passes():
     assert report.passed
 
 
-def test_suite_never_aborts_on_budget_exhaustion():
-    # degree 5 starves the deeper identities; they must fail with infinite
-    # residuals while the rest of the suite still completes
-    report = identity_suite("randers", points=2, degree=5)
-    assert not report.passed
+def test_suite_refuses_what_is_not_a_spray():
+    with pytest.raises(ConfigError, match="expected a metric or spray, got int"):
+        identity_suite(42)
+
+
+def test_suite_refuses_a_degree_too_low_for_a_check():
+    # degree 5 starves the deeper identities: that is a configuration error
+    # naming the check and the degree, not a failed check
+    with pytest.raises(ConfigError, match=r"^degree 5 is too low for check [a-z0-9-]+: "):
+        identity_suite("randers", points=2, degree=5)
+
+
+def test_suite_never_aborts_on_a_failing_point(monkeypatch):
+    # a domain error at a point is an infinite residual on its check, and
+    # the rest of the suite still completes
+    def fails(ctx):
+        raise JetDomainError("sqrt of a non-positive constant term")
+
+    monkeypatch.setattr(verify, "REGISTRY", (replace(REGISTRY[0], fn=fails), *REGISTRY[1:]))
+    report = identity_suite("randers", points=2)
     assert len(report.checks) == len(REGISTRY)
-    starved = [a for a in report.checks if a.points and math.isinf(a.max_residual)]
-    survived = [a for a in report.checks if a.points and a.passed]
-    assert starved and survived
-    assert all(not a.passed for a in starved)
+    assert report.failures() == [report.checks[0]]
+    assert report.checks[0].points == 2 and math.isinf(report.checks[0].max_residual)
 
 
 def test_pass_flag_matches_threshold_rule():
@@ -339,7 +353,7 @@ def test_fd_order_zero_returns_value():
 
 
 def test_fd_spray_first_partials():
-    spray = catalog.build("funk").spray()
+    spray = catalog.build("funk")
     st = stack_for(spray, PT3, 6)
     for i in range(3):
         field = lambda p, i=i: spray.coefficients(p, 2)[i].value()
@@ -352,7 +366,7 @@ def test_fd_spray_first_partials():
 
 
 def test_fd_mixed_second_partial():
-    spray = catalog.build("funk").spray()
+    spray = catalog.build("funk")
     st = stack_for(spray, PT3, 6)
     field = lambda p: spray.coefficients(p, 2)[0].value()
     got = fd_oracle(field, PT3, [0, 1, 0, 0, 0, 1])

@@ -74,6 +74,14 @@ COMMANDS = [
                                "--param", "base=funk", *_ONEFORM)),
     ("eval perturbed randers bh", ("eval", "--points", "3", "--metric", "projective-perturbation",
                                    "--param", "base=randers", *_ONEFORM, "--volume", "bh")),
+    # a degree that starves a check, and a parameter the family does not read,
+    # exit 2; a number given for an expression is its constant
+    ("verify funk4 degree 6", ("verify", "--metric", "funk", "--dim", "4", "--points", "1",
+                               "--degree", "6")),
+    ("eval funk unread param", ("eval", "--metric", "funk", "--points", "1",
+                                "--param", "nonsense=1")),
+    ("eval conformal number lam", ("eval", "--metric", "conformal-flat-2d", "--points", "1",
+                                   "--param", "lam=3")),
 ]
 
 
