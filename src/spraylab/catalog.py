@@ -69,48 +69,6 @@ class Riemannian(FinslerMetric):
         return self.chart is None or self.chart(point.x)
 
 
-def round_sphere():
-    """Stereographic chart of the unit 2-sphere, Gauss curvature +1."""
-
-    def matrix(x):
-        s = 1.0 + x[0] * x[0] + x[1] * x[1]
-        f = 4.0 * jets.reciprocal(s * s)
-        return [[f, 0.0 * f], [0.0 * f, f]]
-
-    return Riemannian(2, matrix, name="round-sphere")
-
-
-def hyperbolic_ball(dim):
-    """Poincare ball model, sectional curvature -1."""
-
-    def matrix(x):
-        s = 1.0
-        for v in x:
-            s = s - v * v
-        f = 4.0 * jets.reciprocal(s * s)
-        zero = 0.0 * f
-        return [[f if i == j else zero for j in range(dim)] for i in range(dim)]
-
-    return Riemannian(
-        dim,
-        matrix,
-        name=f"hyperbolic-ball({dim})",
-        box=("ball", 0.6),
-        chart=lambda x: sum(v * v for v in x) < 1.0,
-    )
-
-
-def conformal_flat_2d(lam="x1^2"):
-    """Metric e^{2 lam(x)} (dx1^2 + dx2^2) on the plane."""
-    lam_field = as_field(lam, 2)
-
-    def matrix(x):
-        f = jets.exp(2.0 * lam_field(x))
-        return [[f, 0.0 * f], [0.0 * f, f]]
-
-    return Riemannian(2, matrix, name="conformal-flat-2d")
-
-
 class Randers(FinslerMetric):
     """F = sqrt(a_ij(x) y^i y^j) + b_i(x) y^i."""
 
@@ -141,42 +99,6 @@ class Randers(FinslerMetric):
         x = [float(v) for v in point.x]
         a, b = np.array(self.a(x), dtype=float), np.array(self.b(x), dtype=float)
         return float(b @ np.linalg.solve(a, b)) < 1.0
-
-
-def randers_generic():
-    """x-dependent Randers data on n = 3 with non-closed b, |b|_a < 1."""
-
-    def a(x):
-        d0 = jets.exp(0.2 * x[0])
-        d1 = jets.exp(-0.15 * x[2])
-        c = 0.1 * x[1]
-        zero = 0.0 * c
-        one = 1.0 + zero
-        return [[d0, c, zero], [c, d1, zero], [zero, zero, one]]
-
-    def b(x):
-        zero = 0.0 * x[0]
-        return [0.2 + 0.1 * x[1] + zero, 0.05 * x[0] + zero, -0.1 + zero]
-
-    return Randers(3, a, b, name="randers(3)")
-
-
-def randers_constant(dim, a, b):
-    a_mat, b_vec = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    try:
-        norm2 = float(b_vec @ np.linalg.solve(a_mat, b_vec))
-    except np.linalg.LinAlgError:
-        raise ConfigError("randers parameter 'a' is a singular matrix") from None
-    if norm2 >= 1.0:
-        raise ConfigError(
-            f"randers data violates |b|_a < 1: |b|_a^2 = {norm2:.6g}"
-        )
-    return Randers(
-        dim,
-        lambda x: [[a_mat[i, j] for j in range(dim)] for i in range(dim)],
-        lambda x: list(b_vec),
-        name=f"randers-constant({dim})",
-    )
 
 
 class Funk(FinslerMetric):
@@ -308,22 +230,62 @@ def _build_riemannian(dim, params):
 
 
 def _build_round_sphere(dim, params):
+    """Stereographic chart of the unit 2-sphere, Gauss curvature +1."""
     if dim != 2:
         raise ConfigError("round-sphere is a 2-dimensional chart")
-    return round_sphere()
+
+    def matrix(x):
+        s = 1.0 + x[0] * x[0] + x[1] * x[1]
+        f = 4.0 * jets.reciprocal(s * s)
+        return [[f, 0.0 * f], [0.0 * f, f]]
+
+    return Riemannian(2, matrix, name="round-sphere")
 
 
 def _build_hyperbolic(dim, params):
+    """Poincare ball model, sectional curvature -1."""
     if dim not in (2, 3):
         raise ConfigError("hyperbolic-ball supports dim 2 or 3")
-    return hyperbolic_ball(dim)
+
+    def matrix(x):
+        s = 1.0
+        for v in x:
+            s = s - v * v
+        f = 4.0 * jets.reciprocal(s * s)
+        zero = 0.0 * f
+        return [[f if i == j else zero for j in range(dim)] for i in range(dim)]
+
+    return Riemannian(dim, matrix, name=f"hyperbolic-ball({dim})", box=("ball", 0.6),
+                      chart=lambda x: sum(v * v for v in x) < 1.0)
 
 
 def _build_conformal(dim, params):
+    """Metric e^{2 lam(x)} (dx1^2 + dx2^2) on the plane."""
     if dim != 2:
         raise ConfigError("conformal-flat-2d is 2-dimensional")
-    return conformal_flat_2d(_param("conformal-flat-2d", params, "lam",
-                                    "an expression or a number", _expression, "x1^2"))
+    lam = as_field(_param("conformal-flat-2d", params, "lam", "an expression or a number",
+                          _expression, "x1^2"), 2)
+
+    def matrix(x):
+        f = jets.exp(2.0 * lam(x))
+        return [[f, 0.0 * f], [0.0 * f, f]]
+
+    return Riemannian(2, matrix, name="conformal-flat-2d")
+
+
+def _generic_a(x):
+    # x-dependent Randers data on n = 3 with non-closed b, |b|_a < 1
+    d0 = jets.exp(0.2 * x[0])
+    d1 = jets.exp(-0.15 * x[2])
+    c = 0.1 * x[1]
+    zero = 0.0 * c
+    one = 1.0 + zero
+    return [[d0, c, zero], [c, d1, zero], [zero, zero, one]]
+
+
+def _generic_b(x):
+    zero = 0.0 * x[0]
+    return [0.2 + 0.1 * x[1] + zero, 0.05 * x[0] + zero, -0.1 + zero]
 
 
 def _build_randers(dim, params):
@@ -334,14 +296,22 @@ def _build_randers(dim, params):
                 raise ConfigError(f"randers parameter {key!r} needs preset=constant")
         if dim != 3:
             raise ConfigError("the generic randers preset is defined for dim 3")
-        return randers_generic()
-    if preset == "constant":
-        a = _param("randers", params, "a", f"a {dim} x {dim} list of numbers",
-                   _nested((dim, dim), finite_number), np.eye(dim).tolist())
-        b = _param("randers", params, "b", f"a list of {dim} numbers",
-                   _nested((dim,), finite_number), [0.3] + [0.0] * (dim - 1))
-        return randers_constant(dim, a, b)
-    raise ConfigError(f"unknown randers preset {preset!r}")
+        return Randers(3, _generic_a, _generic_b, name="randers(3)")
+    if preset != "constant":
+        raise ConfigError(f"unknown randers preset {preset!r}")
+    a = np.asarray(_param("randers", params, "a", f"a {dim} x {dim} list of numbers",
+                          _nested((dim, dim), finite_number), np.eye(dim).tolist()), dtype=float)
+    b = np.asarray(_param("randers", params, "b", f"a list of {dim} numbers",
+                          _nested((dim,), finite_number), [0.3] + [0.0] * (dim - 1)),
+                   dtype=float)
+    try:
+        norm2 = float(b @ np.linalg.solve(a, b))
+    except np.linalg.LinAlgError:
+        raise ConfigError("randers parameter 'a' is a singular matrix") from None
+    if norm2 >= 1.0:
+        raise ConfigError(f"randers data violates |b|_a < 1: |b|_a^2 = {norm2:.6g}")
+    return Randers(dim, lambda x: [[a[i, j] for j in range(dim)] for i in range(dim)],
+                   lambda x: list(b), name=f"randers-constant({dim})")
 
 
 def _build_funk(dim, params):

@@ -426,7 +426,7 @@ def _eval_point(obj, volume, point, degree, index) -> dict:
         "T": st.T_values,
         "S": ms.S.value(),
         "tau": ms.tau.value(),
-        "chi": ms.chi_values("fromR"),
+        "chi": st.chi.value(),
         "Ghat": ps.Ghat.value(),
         "W": {route: ps.weyl_values(route) for route in WEYL_ROUTES},
         "Wo": wo,

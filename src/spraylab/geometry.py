@@ -13,10 +13,11 @@ are y^1..y^n.  A tensor is one batched jet whose batch axes are its
 indices, all contravariant indices first; ``.value()`` reads its values.
 
 This module holds the first two links of the per-point chain: the metric
-frame (F^2, g, G^i) and the spray stack (N, Gamma, B, R and horizontal
-derivatives).  ``projective.PointContext`` strings them together with the
-measure and projective layers; quantities are read from those objects,
-not through one-call helpers.
+frame (F^2, g, G^i) and the spray stack (N, Gamma, B, R, horizontal
+derivatives, and the projective invariants that need no volume form: chi,
+the Weyl tensor via chi and its divergence).  ``projective.PointContext``
+strings them together with the measure and projective layers; quantities
+are read from those objects, not through one-call helpers.
 """
 
 from __future__ import annotations
@@ -374,6 +375,36 @@ class SprayStack:
     def Rik_hcov(self) -> np.ndarray:
         """R^i_{k|m}, indexed [i, k, m]."""
         return self.hcov_values(self.Rik, contra=1)
+
+    # -- projective invariants of the spray alone -----------------------------
+
+    @cached_property
+    def chi(self) -> Jet:
+        """chi_k as jets via the curvature-only expression (keeps most orders)."""
+        trace = self.Rik.grad(self.ys).einsum("mim->i")
+        return (-1.0 / 6.0) * (2.0 * trace + (self.n - 1.0) * self.Rscalar_v)
+
+    @cached_property
+    def chi_from_T(self) -> np.ndarray:
+        """chi_k = -T^m_{k.m} / 3."""
+        return -np.einsum("mim->i", self.T.gradient()[..., self.n:]) / 3.0
+
+    @cached_property
+    def weyl(self) -> Jet:
+        """Weyl tensor as jets: the trace-adjusted curvature plus chi."""
+        return self.T + (3.0 / (self.n + 1.0)) * self.y_jets[:, None] * self.chi[None, :]
+
+    @cached_property
+    def weyl_div(self) -> np.ndarray:
+        """W^m_{k|m}, the divergence of the Weyl tensor."""
+        return np.einsum("mkm->k", self.hcov_values(self.weyl, contra=1))
+
+    @cached_property
+    def wo_pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """R_{|k}, R_{.k|m} y^m and chi_{k|m} y^m, the spray's part of W^o_k."""
+        y = self.point.y_array()
+        chi_cov = self.hcov_values(self.chi, contra=0)
+        return self.Rscalar_hcov, self.Rscalar_vhcov @ y, chi_cov @ y
 
 
 def stack_for(spray: Spray, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> SprayStack:

@@ -1,4 +1,4 @@
-"""Volume forms and the measure-level curvatures S, tau, and chi.
+"""Volume forms and the measure-level curvatures S and tau.
 
 A volume form dV = sigma(x) dx enters every formula only through jets of
 ln sigma in the x variables.  The Busemann-Hausdorff density is computed
@@ -12,7 +12,9 @@ rule of ``nodes`` per angle holds ``nodes`` directions on S^1,
 
 A ``VolumeForm`` is a plain value that keeps no jets.  A ``MeasureStack``
 takes the ln sigma jet itself, so stacks can share one density;
-``projective.PointContext`` computes that jet and keeps it for its point.
+``projective.PointContext`` computes that jet when its measure is first
+read and keeps it for its point.  chi reads no density and lives on the
+spray stack; ``MeasureStack.chi_from_S`` is its route through S.
 """
 
 from __future__ import annotations
@@ -281,24 +283,17 @@ def as_volume(spec=None, nodes: int = 64) -> VolumeForm:
 
 
 class MeasureStack:
-    """S, tau, and chi jets of one spray under one volume form at one point.
+    """S and tau jets of one spray under one volume form at one point, and chi from S.
 
     ``lnsigma_x`` is the ln sigma jet in the x ring, two degrees below the
-    stack's, or a function returning it on first use (chi needs none).
+    stack's.  chi itself depends on the spray alone (``SprayStack.chi``).
     """
 
-    CHI_ROUTES = ("fromS", "fromT", "fromR")
-
-    def __init__(self, stack: SprayStack, lnsigma_x):
+    def __init__(self, stack: SprayStack, lnsigma_x: Jet):
         self.stack = stack
-        self._lnsigma_x = lnsigma_x
+        self.lnsigma_x = lnsigma_x
         self.n = stack.n
         self.ring = stack.ring
-
-    @cached_property
-    def lnsigma_x(self) -> Jet:
-        raw = self._lnsigma_x
-        return raw if isinstance(raw, Jet) else raw()
 
     @cached_property
     def lnsigma(self) -> Jet:
@@ -334,23 +329,11 @@ class MeasureStack:
         k = 1.0 / (self.n + 1.0)
         return (k * self.S) ** 2 + k * self.S0
 
-    def chi_values(self, route: str = "fromT") -> np.ndarray:
-        st = self.stack
-        if route == "fromS":
-            # S_{.i|m} is the covariant derivative of the one-form S_{.i};
-            # contracted with y^m its connection term is -S_{.l} N^l_i
-            s_vh = st.hcov_scalar_values(self.S.grad(st.ys)) @ st.point.y_array()
-            return 0.5 * (s_vh - self.S_v @ st.N_values - st.hcov_scalar_values(self.S))
-        if route == "fromT":
-            return -np.einsum("mim->i", st.T.gradient()[..., self.n:]) / 3.0
-        if route == "fromR":
-            return self.chi_jets.value()
-        raise ConfigError(f"unknown chi route {route!r}; use one of {self.CHI_ROUTES}")
-
     @cached_property
-    def chi_jets(self) -> Jet:
-        """chi as jets via the curvature-only expression (keeps most orders)."""
+    def chi_from_S(self) -> np.ndarray:
+        """chi_k = (S_{.k|m} y^m - S_{|k}) / 2, which no volume form changes."""
         st = self.stack
-        trace = st.Rik.grad(st.ys).einsum("mim->i")
-        return (-1.0 / 6.0) * (2.0 * trace + (self.n - 1.0) * st.Rscalar_v)
-
+        # S_{.i|m} is the covariant derivative of the one-form S_{.i};
+        # contracted with y^m its connection term is -S_{.l} N^l_i
+        s_vh = st.hcov_scalar_values(self.S.grad(st.ys)) @ st.point.y_array()
+        return 0.5 * (s_vh - self.S_v @ st.N_values - st.hcov_scalar_values(self.S))

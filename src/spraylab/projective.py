@@ -4,7 +4,9 @@ Subtracting the S-curvature trace from a spray gives a second spray with
 vanishing S-curvature and chi; its trace-adjusted Riemann curvature is the
 Weyl tensor W^i_k, and horizontal derivatives of its Ricci scalar give the
 one-form W^o_k.  Both admit several equivalent expressions, kept here as
-separate routes so they can serve as mutual oracles.
+separate routes so they can serve as mutual oracles.  W is a projective
+invariant of the spray alone: the base spray's stack holds it via chi,
+with its divergence and the spray's part of the viaBase route.
 
 Routes for W^o_k (hat marks the projective spray, n the dimension):
 
@@ -21,14 +23,15 @@ the base spray; both come from the same SprayStack operators.
 -> measure stack -> projective stack, built lazily.  The CLI's ``eval``,
 the identity suite, the theorem records and the Einstein-surface formula
 all read their quantities from it.  It computes the ln sigma jet of a
-volume form on first use and hands it on to the hat spray
-(``ctx.proj.hat_measure``), a perturbed spray and a rescaled volume.
+volume form when that form's measure stack is built, and hands it on to
+the hat spray (``ctx.proj.hat_measure``), a perturbed spray and a
+rescaled volume.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -91,31 +94,11 @@ class ProjectiveStack:
         """Rhat_{||k} and (1/2) (Rhat_{.k})_{||m} y^m; W^o by definition is their difference."""
         return self.hat.Rscalar_hcov, 0.5 * (self.hat.Rscalar_vhcov @ self.point.y_array())
 
-    @cached_property
-    def base_pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """R_{|k}, R_{.k|m} y^m, chi_{k|m} y^m along the base spray."""
-        st = self.base
-        y = self.point.y_array()
-        chi_cov = st.hcov_values(self.measure.chi_jets, contra=0)
-        return st.Rscalar_hcov, st.Rscalar_vhcov @ y, chi_cov @ y
-
-    @cached_property
-    def weyl_base(self) -> Jet:
-        """Weyl tensor as base-ring jets (trace-adjusted curvature plus chi)."""
-        st = self.base
-        chi = self.measure.chi_jets
-        return st.T + (3.0 / (self.n + 1.0)) * st.y_jets[:, None] * chi[None, :]
-
-    @cached_property
-    def weyl_div(self) -> np.ndarray:
-        """W^m_{k|m}, the divergence of the Weyl tensor along the base spray."""
-        return np.einsum("mkm->k", self.base.hcov_values(self.weyl_base, contra=1))
-
     def weyl_values(self, route: str = "viaHat") -> np.ndarray:
         if route == "viaHat":
             return self.W.value()
         if route == "viaChi":
-            chi = self.measure.chi_values("fromR")
+            chi = self.base.chi.value()
             y = self.point.y_array()
             return self.base.T_values + (3.0 / (self.n + 1.0)) * np.outer(y, chi)
         raise ConfigError(f"unknown weyl route {route!r}; use one of {WEYL_ROUTES}")
@@ -126,7 +109,7 @@ class ProjectiveStack:
             first, half = self.wo_terms
             return first - half
         if route == "viaBase":
-            first, second, third = self.base_pieces
+            first, second, third = self.base.wo_pieces
             fourth = self.weyl_values("viaHat").T @ self.measure.S_v
             frac = 1.0 / (n + 1.0)
             return first - 0.5 * second - frac * third - frac * fourth
@@ -151,7 +134,8 @@ class ProjectiveStack:
         wf = wt @ fm
         xi = self.measure.S_v / (self.n + 1.0) + fm
         wxi = (self.n - 2.0) * (wt @ xi)
-        return (wo - wf, self.weyl_div - wxi), (wo, wf, self.weyl_div, wxi)
+        div = self.base.weyl_div
+        return (wo - wf, div - wxi), (wo, wf, div, wxi)
 
 
 class PointContext:
@@ -191,7 +175,7 @@ class PointContext:
         return stack_for(self.spray, self.point, self.degree)
 
     def measure_for(self, volume) -> MeasureStack:
-        """S, tau and chi of this point's spray under ``volume``; ln sigma on first use."""
+        """S and tau of this point's spray under ``volume``; ln sigma is computed here."""
         volume = as_volume(volume)
         return self.measure if volume == self.volume else self._measure(volume)
 
@@ -202,9 +186,8 @@ class PointContext:
 
     def _measure(self, volume: VolumeForm) -> MeasureStack:
         xdeg = self.stack.ring.degree - 2
-        # not a closure over self: that cycle would keep the point's jets until gc runs
-        return MeasureStack(self.stack, partial(volume.lnsigma_jet, self.metric,
-                                                self.point.x, xdeg, rules=self.rules))
+        return MeasureStack(self.stack, volume.lnsigma_jet(self.metric, self.point.x, xdeg,
+                                                           rules=self.rules))
 
     @cached_property
     def measure(self) -> MeasureStack:
@@ -215,10 +198,10 @@ class PointContext:
         return ProjectiveStack(self.measure)
 
 
-def volume_change(f, measure: MeasureStack) -> np.ndarray:
-    """f_{x^m} of a conformal factor f at the point of ``measure``; zeros for no f."""
-    field = as_field(f, measure.n)
-    return np.zeros(measure.n) if field is None else field.jet(measure.stack.point.x, 2).gradient()
+def volume_change(f, point: TangentPoint) -> np.ndarray:
+    """f_{x^m} of a conformal factor f at ``point``; zeros for no f."""
+    field = as_field(f, point.dim)
+    return np.zeros(point.dim) if field is None else field.jet(point.x, 2).gradient()
 
 
 def _reject_non_einstein(metric, point: TangentPoint):

@@ -302,17 +302,17 @@ def _tau_homogeneous(ctx):
 
 
 def _chi_y_kill(ctx):
-    chi = ctx.measure.chi_values("fromR")
+    chi = ctx.stack.chi.value()
     return abs(float(chi @ ctx.y)), _maxabs(chi) * _maxabs(ctx.y) * ctx.n
 
 
 def _chi_routes(ctx):
-    return _spread([ctx.measure.chi_values(route) for route in MeasureStack.CHI_ROUTES])
+    return _spread([ctx.measure.chi_from_S, ctx.stack.chi_from_T, ctx.stack.chi.value()])
 
 
 def _s_volume_change(ctx):
     n = ctx.n
-    f0 = float(volume_change("0.1*x1*x2", ctx.measure) @ ctx.y)
+    f0 = float(volume_change("0.1*x1*x2", ctx.point) @ ctx.y)
     s_tilde = ctx.measure.rescaled("0.1*x1*x2").S.value()
     lhs = ctx.measure.S.value()
     rhs = s_tilde - (n + 1.0) * f0
@@ -331,7 +331,7 @@ def _hat_ricci_tensor(ctx):
     n = ctx.n
     tau = ctx.measure.tau
     taud = tau.gradient()[n:]
-    chi = ctx.measure.chi_values("fromR")
+    chi = ctx.stack.chi.value()
     rhs = (
         ctx.stack.Rik_values
         + tau.value() * np.eye(n)
@@ -344,7 +344,7 @@ def _hat_ricci_tensor(ctx):
 def _chi_compact_form(ctx):
     sk = ctx.stack.hcov_scalar_values(ctx.measure.S)
     lhs = 0.5 * (ctx.measure.S0.gradient()[ctx.n:] - 2.0 * sk)
-    rhs = ctx.measure.chi_values("fromR")
+    rhs = ctx.stack.chi.value()
     return _maxabs(lhs - rhs), _maxabs(lhs, rhs, sk)
 
 
@@ -355,7 +355,7 @@ def _hat_s_zero(ctx):
 
 
 def _hat_chi_zero(ctx):
-    chi_hat = ctx.proj.hat_measure.chi_values("fromR")
+    chi_hat = ctx.proj.hat.chi.value()
     return _maxabs(chi_hat), _maxabs(ctx.proj.hat.Rik_values)
 
 
@@ -446,7 +446,7 @@ def _wo_y_kill(ctx):
 
 def _ricci_divergence(ctx):
     n = ctx.n
-    first, second, third = ctx.proj.base_pieces
+    first, second, third = ctx.stack.wo_pieces
     rik_div = np.einsum("mkm->k", ctx.stack.Rik_hcov)
     lhs = first - 0.5 * second - (third + rik_div) / (n - 1.0)
     return _maxabs(lhs), _maxabs(first, 0.5 * second, third / (n - 1.0),
@@ -455,8 +455,8 @@ def _ricci_divergence(ctx):
 
 def _weyl_divergence(ctx):
     n = ctx.n
-    lhs = ctx.proj.weyl_div
-    first, second, third = ctx.proj.base_pieces
+    lhs = ctx.stack.weyl_div
+    first, second, third = ctx.stack.wo_pieces
     rhs = (n - 2.0) * (first - 0.5 * second - third / (n + 1.0))
     return _maxabs(lhs - rhs), _maxabs(lhs, rhs)
 
@@ -483,7 +483,7 @@ def _projective_invariance(ctx):
 def _flatness_residual(proj: ProjectiveStack, f) -> tuple[float, float]:
     # W^o_k = W^m_k f_m  iff  W^m_{k|m} = (n-2) W^m_k Xi_{.m}
     # with Xi_{.m} = S_{.m}/(n+1) + f_m; the gaps are proportional by n-2.
-    (b, c), (_, _, div, wxi) = proj.flatness_gaps(volume_change(f, proj.measure))
+    (b, c), (_, _, div, wxi) = proj.flatness_gaps(volume_change(f, proj.point))
     nb = (proj.n - 2.0) * b
     return _maxabs(c - nb), _maxabs(div, wxi, nb)
 

@@ -258,11 +258,11 @@ def test_criterion_08_volume_change_laws():
     for point in sample(metric, count=5, seed=4):
         ms = PointContext(metric, base, point, degree=7).measure
         tilde = ms.rescaled(as_field(f, 3))
-        fm = volume_change(f, ms)
+        fm = volume_change(f, point)
         worst_s = max(worst_s, abs(ms.S.value() - (tilde.S.value() - 4.0 * (fm @ point.y_array()))))
         ps = PointContext(metric, base, point).proj
         wo_tilde = ProjectiveStack(ps.measure.rescaled(f)).wo_values()
-        predicted = ps.wo_values() - ps.weyl_values().T @ volume_change(f, ps.measure)
+        predicted = ps.wo_values() - ps.weyl_values().T @ volume_change(f, point)
         worst_wo = max(worst_wo, np.abs(wo_tilde - predicted).max())
     ok = worst_s <= 1e-10 and worst_wo <= 1e-6
     report_line(8, ok, f"S shift residual {worst_s:.3e}, wo transfer residual {worst_wo:.3e}")
@@ -306,7 +306,7 @@ def test_criterion_10_chi_routes_and_volumes():
         per_volume = []
         for volume in three_volumes(nodes=48):
             ms = ctx.measure_for(volume)
-            chis = np.array([ms.chi_values(r) for r in ms.CHI_ROUTES])
+            chis = np.array([ms.chi_from_S, ms.stack.chi_from_T, ms.stack.chi.value()])
             budget = 1e-7 * np.abs(chis).max() + 1e-9
             worst = max(worst, (chis.max(axis=0) - chis.min(axis=0)).max() / budget)
             per_volume.append(chis[0])

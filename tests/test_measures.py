@@ -376,8 +376,8 @@ def test_point_context_owns_the_density():
     assert PointContext(metric, None, point).volume.kind == "coordinate"
     ctx = PointContext(metric, "bh", point, degree=5)
     assert ctx.volume.describe() == "busemann-hausdorff(64)"
-    # chi from curvature needs no density
-    ctx.measure.chi_values("fromR")
+    # chi depends on the spray alone and needs no density
+    ctx.stack.chi.value()
     assert ctx.rules == []
     ctx.proj.hat_measure.S
     ctx.measure.rescaled("0.1*x1").S
@@ -434,7 +434,7 @@ def test_riemannian_s_vanishes_under_own_volume(spec):
         assert abs(ms.S.value()) < 1e-8
         grad = ms.S.gradient()
         np.testing.assert_allclose(grad, 0.0, atol=1e-7)
-        np.testing.assert_allclose(ms.chi_values("fromT"), 0.0, atol=1e-9)
+        np.testing.assert_allclose(ms.stack.chi_from_T, 0.0, atol=1e-9)
 
 
 def test_funk_s_curvature_closed_form():
@@ -499,7 +499,8 @@ def test_chi_routes_agree():
     vol = VolumeForm.explicit("exp(0.5*x1)")
     for point in sample(metric, count=4, seed=3):
         ms = PointContext(metric, vol, point, degree=6).measure
-        routes = {r: ms.chi_values(r) for r in ("fromS", "fromT", "fromR")}
+        routes = {"fromS": ms.chi_from_S, "fromT": ms.stack.chi_from_T,
+                  "fromR": ms.stack.chi.value()}
         scale = max(np.abs(v).max() for v in routes.values()) + 1e-12
         for a in routes.values():
             for b in routes.values():
@@ -510,7 +511,7 @@ def test_chi_independent_of_volume():
     metric = build(MetricSpec("randers", 3))
     point = TangentPoint((0.05, -0.1, 0.2), (0.7, 0.2, -0.4))
     values = [
-        PointContext(metric, vol, point, degree=6).measure.chi_values("fromS")
+        PointContext(metric, vol, point, degree=6).measure.chi_from_S
         for vol in (
             VolumeForm.coordinate(),
             VolumeForm.explicit("exp(x1*x2)"),
@@ -526,16 +527,9 @@ def test_chi_kills_y_and_vanishes_on_funk():
     metric = build(MetricSpec("funk", 3))
     vol = VolumeForm.busemann_hausdorff(nodes=32)
     for point in sample(metric, count=3, seed=4):
-        values = PointContext(metric, vol, point, degree=6).measure.chi_values("fromS")
+        values = PointContext(metric, vol, point, degree=6).measure.chi_from_S
         assert abs(values @ point.y_array()) < 1e-8
         np.testing.assert_allclose(values, 0.0, atol=1e-7)
-
-
-def test_chi_route_validation():
-    metric = build(MetricSpec("euclidean", 3))
-    point = TangentPoint((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    with pytest.raises(ConfigError):
-        PointContext(metric, VolumeForm.coordinate(), point, degree=6).measure.chi_values("bogus")
 
 
 def test_unit_ball_volumes():

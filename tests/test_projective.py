@@ -83,7 +83,7 @@ def test_hat_s_curvature_and_chi_vanish(volume):
     ps = randers_stack(volume)
     scale = abs(ps.measure.S.value()) + 1.0
     assert abs(ps.hat_measure.S.value()) <= 1e-12 * scale
-    np.testing.assert_allclose(ps.hat_measure.chi_values("fromR"), 0.0, atol=1e-12)
+    np.testing.assert_allclose(ps.hat.chi.value(), 0.0, atol=1e-12)
 
 
 def test_hat_nonlinear_connection_formula():
@@ -145,7 +145,7 @@ def test_hat_curvature_tensor_decomposition():
     n, y = ps.n, ps.point.y_array()
     tau = ps.measure.tau
     tau_v = np.array([tau.grad(n + k).value() for k in range(n)])
-    chi = ps.measure.chi_values("fromR")
+    chi = ps.base.chi.value()
     expected = (
         ps.base.Rik_values
         + tau.value() * np.eye(n)
@@ -276,7 +276,7 @@ def base_wo_pieces(ps):
     first = st.hcov_scalar_values(st.Rscalar)
     rv = oneform([st.Rscalar.grad(n + k) for k in range(n)])
     second = st.hcov_values(rv, contra=0) @ y
-    third = st.hcov_values(oneform(ps.measure.chi_jets), contra=0) @ y
+    third = st.hcov_values(oneform(ps.base.chi), contra=0) @ y
     return first, second, third
 
 
@@ -319,14 +319,14 @@ def wo_transfer(metric, volume, f, point):
     """W^o under e^{-(n+1) f} dV and its distance from the law W^o - W^m_k f_m."""
     ps = PointContext(metric, volume, point).proj
     wo_tilde = ProjectiveStack(ps.measure if f is None else ps.measure.rescaled(f)).wo_values()
-    predicted = ps.wo_values() - ps.weyl_values().T @ volume_change(f, ps.measure)
+    predicted = ps.wo_values() - ps.weyl_values().T @ volume_change(f, ps.point)
     return wo_tilde, float(np.max(np.abs(wo_tilde - predicted)))
 
 
 def bweyl_gaps(metric, f, point):
     """Max |b| and |c| of the two flatness conditions under the coordinate volume."""
     ctx = PointContext(metric, VolumeForm.coordinate(), point)
-    (b, c), _ = ctx.proj.flatness_gaps(volume_change(f, ctx.measure))
+    (b, c), _ = ctx.proj.flatness_gaps(volume_change(f, ctx.point))
     return np.abs(b).max(), np.abs(c).max()
 
 
@@ -437,8 +437,8 @@ def test_einstein_check_guards():
 def test_weyl_tensor_is_one_jet():
     ps = randers_stack(VolumeForm.coordinate())
     assert isinstance(ps.W, jets.Jet) and ps.W.batch_shape == (3, 3)
-    assert isinstance(ps.weyl_base, jets.Jet) and ps.weyl_base.batch_shape == (3, 3)
-    assert ps.Ghat.batch_shape == (3,) and ps.measure.chi_jets.batch_shape == (3,)
+    assert isinstance(ps.base.weyl, jets.Jet) and ps.base.weyl.batch_shape == (3, 3)
+    assert ps.Ghat.batch_shape == (3,) and ps.base.chi.batch_shape == (3,)
 
 
 def test_point_context_hat_quantities():
@@ -447,7 +447,7 @@ def test_point_context_hat_quantities():
     assert ps.Ghat.batch_shape == (3,) and hat.N_values.shape == (3, 3)
     assert hat.Gamma_values.shape == (3, 3, 3) and hat.Rik_values.shape == (3, 3)
     assert abs(ps.hat_measure.S.value()) <= 1e-12
-    np.testing.assert_allclose(ps.hat_measure.chi_values("fromR"), 0.0, atol=1e-12)
+    np.testing.assert_allclose(ps.hat.chi.value(), 0.0, atol=1e-12)
     np.testing.assert_array_equal(ps.W.value(), ps.weyl_values("viaHat"))
     assert ps.wo_values().shape == (3,)
     assert ps.Rhat.value() == pytest.approx(np.trace(hat.Rik_values) / 2.0, rel=1e-12)

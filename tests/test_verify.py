@@ -158,6 +158,15 @@ def test_tolerance_tiers_follow_volume():
     assert quad_by["chi-y-kill"].tolerance == 1e-7
 
 
+@pytest.mark.parametrize("check", REGISTRY, ids=lambda c: c.name)
+def test_uses_measure_flag_matches_what_a_check_reads(check):
+    # a check computes the density exactly when it is flagged as reading the volume
+    dim = 2 if check.name == "weyl-2d" else 3
+    report = identity_suite(MetricSpec("hyperbolic-ball", dim), "bh", points=1,
+                            checks=[check.name])
+    assert (report.quadrature["bh_nodes"] is not None) == check.uses_measure
+
+
 def test_suite_is_deterministic():
     a = identity_suite("randers", points=4, seed=11)
     b = identity_suite("randers", points=4, seed=11)

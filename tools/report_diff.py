@@ -60,6 +60,9 @@ COMMANDS = [
                                   "--checks", "s-volume-change,projective-invariance")),
     ("verify funk3 bh checks", (*_VERIFY, "--metric", "funk", "--dim", "3", "--volume", "bh",
                                 "--checks", "euler-spray,chi-y-kill")),
+    # checks of the spray alone compute no density, so bh_nodes stays null
+    ("verify funk3 bh spray-only", (*_VERIFY, "--metric", "funk", "--dim", "3", "--volume", "bh",
+                                    "--checks", "chi-y-kill,ricci-divergence,weyl-divergence")),
     *[(f"theorem {name}", ("theorem", name, *_THEOREM))
       for name in ("thm12", "thm15", "cor14", "cor33", "ex17", "ex45", "prop32", "thm43")],
     ("theorem thm43 bh", ("theorem", "thm43", "--volume", "bh", *_THEOREM)),
