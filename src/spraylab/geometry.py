@@ -217,7 +217,7 @@ class MetricFrame:
 
     @cached_property
     def ylow(self) -> np.ndarray:
-        return 0.5 * self.fsq.gradient()[self.n:]
+        return 0.5 * self.fsq.gradient(self.ys)
 
     @cached_property
     def spray_coefficients(self) -> Jet:
@@ -276,7 +276,7 @@ class SprayStack:
 
     Gamma_values = cached_property(lambda self: self.Gamma.value())
 
-    B_values = cached_property(lambda self: self.Gamma.gradient()[..., self.n:])
+    B_values = cached_property(lambda self: self.Gamma.gradient(self.ys))
 
     # -- curvature ----------------------------------------------------------
 
@@ -303,7 +303,7 @@ class SprayStack:
     @cached_property
     def R4_values(self) -> np.ndarray:
         """R^i_{jkl}, the full curvature tensor, indexed [j, i, k, l]."""
-        return np.moveaxis(self.R3.gradient()[..., self.n:], -1, 0)
+        return np.moveaxis(self.R3.gradient(self.ys), -1, 0)
 
     @cached_property
     def Ric(self) -> Jet:
@@ -387,7 +387,7 @@ class SprayStack:
     @cached_property
     def chi_from_T(self) -> np.ndarray:
         """chi_k = -T^m_{k.m} / 3."""
-        return -np.einsum("mim->i", self.T.gradient()[..., self.n:]) / 3.0
+        return -np.einsum("mim->i", self.T.gradient(self.ys)) / 3.0
 
     @cached_property
     def weyl(self) -> Jet:

@@ -25,6 +25,20 @@ keeps the fewer orders of its operands.  Requesting a partial beyond
 ``truncate`` is a prefix view, so jets share memory and no operation
 writes into an operand.
 
+``xvalid`` counts the exact orders in the x variables, the leading half
+of the ring's variables as in the doubled (x, y) ring of ``geometry``:
+a coefficient is exact when its total degree is at most ``valid`` and
+its degree in x at most ``xvalid``, which is never above ``valid``.  A
+jet of x alone does not depend on y, so :func:`lift` with ``valid`` pads
+it with y-orders that are exact zeros and keeps its own orders as
+``xvalid``.  The coefficients above ``xvalid`` in x are still stored and
+computed, but are not exact.  Sums and products keep the fewer of each
+count, an x-derivative lowers both and a y-derivative ``valid`` only,
+``truncate`` caps both, and reading a partial above ``xvalid`` in x
+raises :class:`DegreeBudgetError`.  Only such a lift and what is
+computed from it has ``xvalid`` below ``valid``; for any other jet the
+two counts move together.
+
 ``nzdeg`` bounds the polynomial degree of the stored coefficients: every
 coefficient of total degree above it is exactly zero.  A product therefore
 stops at ``nzdeg_a + nzdeg_b`` (or ``valid``, if lower), and step k of
@@ -209,10 +223,11 @@ def ring(nvars: int, degree: int) -> PolyRing:
 class Jet:
     """One truncated Taylor expansion (or a tensor of them); treat as immutable."""
 
-    __slots__ = ("ring", "coeffs", "valid", "nzdeg")
+    __slots__ = ("ring", "coeffs", "valid", "nzdeg", "xvalid")
     __array_ufunc__ = None  # numpy operands on the left defer to __rmul__ etc.
 
-    def __init__(self, ring: PolyRing, coeffs: np.ndarray, nzdeg: int):
+    def __init__(self, ring: PolyRing, coeffs: np.ndarray, nzdeg: int,
+                 xvalid: int | None = None):
         valid = ring._valid_of.get(coeffs.shape[-1])
         if valid is None:
             raise ValueError(f"width {coeffs.shape[-1]} is no order of ring({ring.nvars}, "
@@ -221,6 +236,7 @@ class Jet:
         self.coeffs = coeffs
         self.valid = valid
         self.nzdeg = min(nzdeg, valid)
+        self.xvalid = valid if xvalid is None else xvalid
 
     # -- inspection ----------------------------------------------------
 
@@ -233,7 +249,8 @@ class Jet:
         if not self.batch_shape:
             raise TypeError("a scalar jet is not indexable")
         idx = idx if isinstance(idx, tuple) else (idx,)
-        return Jet(self.ring, self.coeffs[idx + (Ellipsis, slice(None))], self.nzdeg)
+        return Jet(self.ring, self.coeffs[idx + (Ellipsis, slice(None))], self.nzdeg,
+                   self.xvalid)
 
     def __len__(self) -> int:
         if not self.batch_shape:
@@ -260,18 +277,29 @@ class Jet:
 
     def _checked_index(self, alpha) -> int:
         idx = self.ring.index_of(alpha)
+        shown = tuple(int(a) for a in np.atleast_1d(alpha))
         if int(self.ring.total_degree[idx]) > self.valid:
             raise DegreeBudgetError(
-                f"partial {tuple(int(a) for a in np.atleast_1d(alpha))} needs order "
-                f"{int(self.ring.total_degree[idx])} but only {self.valid} orders are exact"
+                f"partial {shown} needs order {int(self.ring.total_degree[idx])} "
+                f"but only {self.valid} orders are exact"
+            )
+        xdeg = sum(shown[: self.ring.nvars // 2])
+        if xdeg > self.xvalid:
+            raise DegreeBudgetError(
+                f"partial {shown} needs x-order {xdeg} but only {self.xvalid} x-orders are exact"
             )
         return idx
 
-    def gradient(self):
-        """First-order partials with respect to every ring variable."""
+    def gradient(self, slots: range | None = None):
+        """Values of the first-order partials along a range of variables (default: all)."""
+        nvars = self.ring.nvars
+        slots = range(nvars) if slots is None else slots
         if self.valid < 1:
             raise DegreeBudgetError("no exact first-order coefficients left")
-        return np.array(self.coeffs[..., 1 : 1 + self.ring.nvars])
+        if self.xvalid < 1 and min(slots) < nvars // 2:
+            raise DegreeBudgetError("no exact first-order x coefficients left")
+        first = np.array(self.coeffs[..., 1 : 1 + nvars])
+        return first[..., slots.start : slots.stop : slots.step]
 
     def assert_finite(self, what: str = "jet"):
         if not np.isfinite(self.coeffs).all():
@@ -286,16 +314,22 @@ class Jet:
             raise ValueError(f"derivative slot {slots} out of range")
         if self.valid < 1:
             raise DegreeBudgetError("derivative would exceed the truncation budget")
+        xvalid = self.xvalid
+        # only a jet short of x-orders keeps them under a y-derivative
+        if xvalid == self.valid or (slots < ring.nvars // 2).any():
+            if xvalid < 1:
+                raise DegreeBudgetError("x-derivative would exceed the exact x-orders")
+            xvalid -= 1
         # the orders up to valid-1 of a partial read the orders up to valid
         keep = int(ring.size_upto[self.valid - 1])
         # fancy indexing, not np.take: take's C-contiguous layout changes how
         # downstream einsum and @ round, and moves report bytes
         coeffs = self.coeffs[..., ring._dsrc[slots, :keep]] * ring._dmul[slots, :keep]
-        return Jet(ring, coeffs, nzdeg=max(self.nzdeg - 1, 0))
+        return Jet(ring, coeffs, max(self.nzdeg - 1, 0), xvalid)
 
     def truncate(self, k: int) -> "Jet":
         """The orders up to ``k`` of this jet, as a view of its coefficients."""
-        return Jet(self.ring, self._upto(min(self.valid, k)), self.nzdeg)
+        return Jet(self.ring, self._upto(min(self.valid, k)), self.nzdeg, min(self.xvalid, k))
 
     def _upto(self, valid: int) -> np.ndarray:
         return self.coeffs[..., : int(self.ring.size_upto[valid])]
@@ -303,12 +337,13 @@ class Jet:
     def einsum(self, spec: str) -> "Jet":
         """Linear map over the batch axes, e.g. ``"mm->"`` (trace) or ``"ik->ki"``."""
         inputs, output = spec.split("->")
-        return Jet(self.ring, np.einsum(f"{inputs}...->{output}...", self.coeffs), self.nzdeg)
+        return Jet(self.ring, np.einsum(f"{inputs}...->{output}...", self.coeffs), self.nzdeg,
+                   self.xvalid)
 
     def sum_batch(self, weights: np.ndarray) -> "Jet":
         """Weighted sum over the leading batch axis (quadrature reduction)."""
         coeffs = np.tensordot(np.asarray(weights, dtype=np.float64), self.coeffs, axes=(0, 0))
-        return Jet(self.ring, coeffs, self.nzdeg)
+        return Jet(self.ring, coeffs, self.nzdeg, self.xvalid)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -326,7 +361,8 @@ class Jet:
         if b is None:
             return NotImplemented
         valid = min(self.valid, b.valid)
-        return Jet(self.ring, self._upto(valid) + b._upto(valid), max(self.nzdeg, b.nzdeg))
+        return Jet(self.ring, self._upto(valid) + b._upto(valid), max(self.nzdeg, b.nzdeg),
+                   min(self.xvalid, b.xvalid))
 
     __radd__ = __add__
 
@@ -335,7 +371,8 @@ class Jet:
         if b is None:
             return NotImplemented
         valid = min(self.valid, b.valid)
-        return Jet(self.ring, self._upto(valid) - b._upto(valid), max(self.nzdeg, b.nzdeg))
+        return Jet(self.ring, self._upto(valid) - b._upto(valid), max(self.nzdeg, b.nzdeg),
+                   min(self.xvalid, b.xvalid))
 
     def __rsub__(self, other):
         b = self._coerce(other)
@@ -344,16 +381,16 @@ class Jet:
         return b.__sub__(self)
 
     def __neg__(self):
-        return Jet(self.ring, -self.coeffs, self.nzdeg)
+        return Jet(self.ring, -self.coeffs, self.nzdeg, self.xvalid)
 
     def __mul__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        valid = min(self.valid, b.valid)
+        valid, xvalid = min(self.valid, b.valid), min(self.xvalid, b.xvalid)
         if self.nzdeg == 0 or b.nzdeg == 0:
             const, full = (self, b) if self.nzdeg == 0 else (b, self)
-            return Jet(self.ring, full._upto(valid) * const.coeffs[..., :1], full.nzdeg)
+            return Jet(self.ring, full._upto(valid) * const.coeffs[..., :1], full.nzdeg, xvalid)
         # orders above nzdeg_a + nzdeg_b only sum products of exact zeros
         nzdeg = min(self.nzdeg + b.nzdeg, valid)
         coeffs = self.ring._mul_coeffs(self.coeffs, b.coeffs, nzdeg)
@@ -361,7 +398,7 @@ class Jet:
             padded = np.zeros(coeffs.shape[:-1] + (int(self.ring.size_upto[valid]),))
             padded[..., : coeffs.shape[-1]] = coeffs
             coeffs = padded
-        return Jet(self.ring, coeffs, nzdeg)
+        return Jet(self.ring, coeffs, nzdeg, xvalid)
 
     __rmul__ = __mul__
 
@@ -408,7 +445,8 @@ def stack(nested) -> Jet:
     if any(p.ring is not ring for p in parts):
         raise ValueError("jets belong to different rings")
     valid = min(p.valid for p in parts)
-    return Jet(ring, np.stack([p._upto(valid) for p in parts]), max(p.nzdeg for p in parts))
+    return Jet(ring, np.stack([p._upto(valid) for p in parts]), max(p.nzdeg for p in parts),
+               min(p.xvalid for p in parts))
 
 
 def solve(a: Jet, b) -> Jet:
@@ -433,7 +471,7 @@ def solve(a: Jet, b) -> Jet:
         lo, hi = int(ring.size_upto[k - 1]), int(ring.size_upto[k])
         az = ring._mul_coeffs(a.coeffs, z[..., None, :, :], k, k).sum(axis=-2)
         z[..., lo:hi] = a0inv @ (b.coeffs[..., lo:hi] - az)
-    return Jet(ring, z, valid)
+    return Jet(ring, z, valid, min(a.xvalid, b.xvalid))
 
 
 # -- elementary functions ----------------------------------------------------
@@ -446,20 +484,20 @@ def _compose(a: Jet, f0, d1, order) -> Jet:
     returns order k of the result from ``f``, which holds the orders below k
     and zeros from order k on.  ``f0`` and ``d1`` may lead with axes of their
     own (sin and cos stack a pair).  Order k of the result reads the orders
-    up to k of ``a``, so the result keeps every exact order of ``a``; a
-    constant ``a`` gives a constant.
+    up to k of ``a``, so the result keeps every exact order of ``a``, in
+    total and in x; a constant ``a`` gives a constant.
     """
     ring = a.ring
     f0, d1 = np.asarray(f0), np.asarray(d1)
     f = np.zeros(f0.shape + a.coeffs.shape[-1:])
     f[..., 0] = f0
     if a.nzdeg == 0:
-        return Jet(ring, f, 0)
+        return Jet(ring, f, 0, a.xvalid)
     first = slice(1, 1 + ring.nvars)
     f[..., first] = a.coeffs[..., first] * d1[..., None]
     for k in range(2, a.valid + 1):
         f[..., ring.size_upto[k - 1] : ring.size_upto[k]] = order(k, f)
-    return Jet(ring, f, a.valid)
+    return Jet(ring, f, a.valid, a.xvalid)
 
 
 def _euler(a: Jet) -> np.ndarray:
@@ -569,16 +607,23 @@ def cos(a: Jet) -> Jet:
     return _cos_sin(a)[0]
 
 
-def lift(a: Jet, target: PolyRing) -> Jet:
-    """Embed a jet into a larger ring; its variables become the leading ones."""
+def lift(a: Jet, target: PolyRing, valid: int | None = None) -> Jet:
+    """Embed a jet into a larger ring; its variables become the leading ones.
+
+    The result keeps the exact orders of ``a``.  With ``valid``, ``a`` is a
+    jet of x alone and its variables become the x variables of ``target``:
+    the result does not depend on the rest, so it is exact to ``valid``
+    orders in total, and to the orders of ``a`` in x (``xvalid``).
+    """
     src = a.ring
-    if src.nvars > target.nvars:
+    if src.nvars > (target.nvars if valid is None else target.nvars // 2):
         raise ValueError("lift target has too few variables")
+    top = min(a.valid if valid is None else valid, target.degree)
     table = _lift_table(src.nvars, src.degree, target.nvars, target.degree)
-    coeffs = np.zeros(a.batch_shape + (int(target.size_upto[min(a.valid, target.degree)]),))
-    keep = np.flatnonzero(table[: a.coeffs.shape[-1]] >= 0)
+    coeffs = np.zeros(a.batch_shape + (int(target.size_upto[top]),))
+    keep = np.flatnonzero(table[: int(src.size_upto[min(a.valid, top)])] >= 0)
     coeffs[..., table[keep]] = a.coeffs[..., keep]
-    return Jet(target, coeffs, a.nzdeg)
+    return Jet(target, coeffs, a.nzdeg, min(a.xvalid, top))
 
 
 @lru_cache(maxsize=None)

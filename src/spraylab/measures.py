@@ -13,8 +13,11 @@ rule of ``nodes`` per angle holds ``nodes`` directions on S^1,
 A ``VolumeForm`` is a plain value that keeps no jets.  A ``MeasureStack``
 takes the ln sigma jet itself, so stacks can share one density;
 ``projective.PointContext`` computes that jet when its measure is first
-read and keeps it for its point.  chi reads no density and lives on the
-spray stack; ``MeasureStack.chi_from_S`` is its route through S.
+read, to the x-degree that reports read, and keeps it for its point.
+ln sigma does not depend on y, so its lift into the (x, y) ring is exact
+in y to any order and in x to its own degree (``xvalid`` in ``jets``).
+chi reads no density and lives on the spray stack;
+``MeasureStack.chi_from_S`` is its route through S.
 """
 
 from __future__ import annotations
@@ -37,16 +40,19 @@ BH_MAX_DIM = 4
 # not.  The S^2 rule holds nodes * ceil(nodes / 2), about half the cap.
 BH_MAX_DIRECTIONS = 2**20
 # BH quadrature runs its directions in blocks whose largest jet-multiply
-# temporary fits in this many bytes (70 directions per block at degree 5
-# in dim 3, 25 in dim 4).  Each block pays a fixed cost in Python and in
-# the order steps of sqrt and powr, so wider blocks are cheaper until
+# temporary fits in this many bytes (390 directions per block in dim 3 and
+# 198 in dim 4 at x-degree 3).  Each block pays a fixed cost in Python and
+# in the order steps of sqrt and powr, so wider blocks are cheaper until
 # their temporaries stop being reused by the allocator and are faulted in
 # afresh.  Measured per warmed `verify --metric randers --volume bh` point
-# (2-core x86-64, glibc, numpy 2.4; BH ms, minor faults):
-#   128 KB: 34 ms, 0.2     256 KB: 18-23 ms, 0.3     320 KB: 17-23 ms, 2-3
-#   384 KB: 20-24 ms, 1,700     512 KB: 26 ms, 2,500-2,600
-# Whether 384 and 512 KB fault depends on the heap layout (the install
-# path moves it), so the budget sits at 256 KB, below that cliff.
+# (10 points in a fresh process; 2-core x86-64, glibc, numpy 2.4; BH ms,
+# median minor faults):
+#   128 KB: 2.7 ms, 0     192-320 KB: 2.5 ms, 0     384-1024 KB: 2.3 ms, 0
+# and per `--metric funk --dim 4` point: 128 KB 206 ms, 256 and 512 KB
+# 180 ms, no faults.  A fresh process that computes densities alone faults
+# from 192 KB up (352 pages per dim-3 density at 256 KB, 17,460 per dim-4
+# one) and is still faster there than at 128 KB (3.0 against 4.2 ms, 209
+# against 227 ms), so the budget stays at 256 KB.
 _BLOCK_BYTES = 256 * 1024
 
 # the adaptive BH quadrature starts at this many nodes per angle and
@@ -285,8 +291,9 @@ def as_volume(spec=None, nodes: int = 64) -> VolumeForm:
 class MeasureStack:
     """S and tau jets of one spray under one volume form at one point, and chi from S.
 
-    ``lnsigma_x`` is the ln sigma jet in the x ring, two degrees below the
-    stack's.  chi itself depends on the spray alone (``SprayStack.chi``).
+    ``lnsigma_x`` is the ln sigma jet in the x ring, of any degree; its
+    lift keeps that degree as its exact x-orders.  chi itself depends on
+    the spray alone (``SprayStack.chi``).
     """
 
     def __init__(self, stack: SprayStack, lnsigma_x: Jet):
@@ -297,7 +304,8 @@ class MeasureStack:
 
     @cached_property
     def lnsigma(self) -> Jet:
-        return jets.lift(self.lnsigma_x, self.ring)
+        # S differentiates it once in x beside N, so it needs one order more
+        return jets.lift(self.lnsigma_x, self.ring, self.stack.N.valid + 1)
 
     def rescaled(self, f) -> MeasureStack:
         """The stack of e^{-(n+1) f} dV on the same spray."""
@@ -312,7 +320,7 @@ class MeasureStack:
     @cached_property
     def S_v(self) -> np.ndarray:
         """Values of S_{.k}."""
-        return self.S.gradient()[self.n:]
+        return self.S.gradient(self.stack.ys)
 
     @cached_property
     def S_hderiv(self) -> Jet:

@@ -49,6 +49,13 @@ from .geometry import (
 from .jets import Jet
 from .measures import MeasureStack, VolumeForm, as_volume
 
+# x-orders of ln sigma that a report reads, whatever the degree of the
+# (x, y) ring.  ln sigma enters through S (one x-derivative); the hat
+# spray's curvature differentiates S in x once more, and W^o takes a
+# horizontal derivative of that curvature.  With one order fewer, W^o runs
+# out of exact x-orders and raises DegreeBudgetError.
+LNSIGMA_XDEGREE = 3
+
 WEYL_ROUTES = ("viaChi", "viaHat")
 WO_ROUTES = ("definition", "viaBase", "divW", "divR")
 
@@ -185,9 +192,8 @@ class PointContext:
         return self.proj if volume == self.volume else ProjectiveStack(self._measure(volume))
 
     def _measure(self, volume: VolumeForm) -> MeasureStack:
-        xdeg = self.stack.ring.degree - 2
-        return MeasureStack(self.stack, volume.lnsigma_jet(self.metric, self.point.x, xdeg,
-                                                           rules=self.rules))
+        return MeasureStack(self.stack, volume.lnsigma_jet(self.metric, self.point.x,
+                                                           LNSIGMA_XDEGREE, rules=self.rules))
 
     @cached_property
     def measure(self) -> MeasureStack:
@@ -235,4 +241,4 @@ def einstein_wo(ctx: PointContext) -> np.ndarray:
     sigma = st.Rscalar * jets.reciprocal(frame.fsq)
     theta = (sigma.grad(st.xs) * st.y_jets).einsum("m->")
     ratio = theta * jets.reciprocal(frame.F)
-    return frame.F.value() ** 3 * ratio.gradient()[ctx.n:]
+    return frame.F.value() ** 3 * ratio.gradient(st.ys)

@@ -12,12 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spraylab
-from spraylab import cli, geometry, jets, measures
+from spraylab import cli, geometry, jets, measures, projective
 from spraylab.cli import RunConfig, main, parse_config
 from spraylab.errors import ConfigError
 from spraylab.verify import check_names, theorem_names
@@ -547,6 +548,49 @@ def test_degree_too_low_exits_two(tmp_path, argv, starved):
     # a starved check is a configuration error, not a failed check with an
     # "inf" residual, and the line names the degree and what ran out
     assert _config_error_line(tmp_path, argv).startswith(f"error: {starved}")
+
+
+_LNSIGMA_RUNS = {
+    "verify-bh": ("verify", "--metric", "randers", "--dim", "3", "--volume", "bh",
+                  "--points", "2", "--per-point"),
+    "eval-bh": ("eval", "--metric", "randers", "--dim", "3", "--volume", "bh", "--points", "1"),
+    "verify-explicit": ("verify", "--metric", "randers", "--dim", "3",
+                        "--volume", "explicit:exp(0.3*x1*x2+x3^3)", "--points", "2",
+                        "--per-point"),
+}
+
+
+@pytest.mark.parametrize("name", list(_LNSIGMA_RUNS))
+def test_lnsigma_orders_above_the_asked_x_degree_are_never_read(monkeypatch, capsys, name):
+    # unit normal noise in two more x-orders of ln sigma, which the lifted jet
+    # then calls exact, leaves the report byte-identical
+    argv = _LNSIGMA_RUNS[name]
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lnsigma_jet = measures.VolumeForm.lnsigma_jet
+    rng = np.random.default_rng(0)
+    asked = []
+
+    def noisy(self, metric, x, degree, rules=None):
+        jet = lnsigma_jet(self, metric, x, degree, rules)
+        asked.append(degree)
+        wide = jets.ring(jet.ring.nvars, degree + 2)
+        noise = rng.normal(size=wide.size - jet.coeffs.shape[-1])
+        return jets.Jet(wide, np.concatenate([jet.coeffs, noise]), wide.degree)
+
+    monkeypatch.setattr(measures.VolumeForm, "lnsigma_jet", noisy)
+    assert run_cli(capsys, *argv)[:2] == (0, want)
+    assert asked and set(asked) == {projective.LNSIGMA_XDEGREE}
+
+
+@pytest.mark.parametrize("name, starved", [("verify-bh", "check wo-routes"), ("eval-bh", "eval"),
+                                           ("verify-explicit", "check wo-routes")])
+def test_one_x_order_fewer_of_lnsigma_exits_two(monkeypatch, capsys, name, starved):
+    monkeypatch.setattr(projective, "LNSIGMA_XDEGREE", projective.LNSIGMA_XDEGREE - 1)
+    code, out, err = run_cli(capsys, *_LNSIGMA_RUNS[name])
+    assert (code, out) == (2, "")
+    assert err == (f"error: degree 7 is too low for {starved}: "
+                   "no exact first-order x coefficients left\n")
 
 
 def test_unread_family_parameter_names_the_ones_it_takes(capsys):

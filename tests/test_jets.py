@@ -633,8 +633,8 @@ def test_nzdeg_bounds_every_stored_coefficient(monkeypatch, capsys):
     init = jets.Jet.__init__
     bad, built = [], []
 
-    def checked_init(self, ring, coeffs, nzdeg):
-        init(self, ring, coeffs, nzdeg)
+    def checked_init(self, ring, coeffs, nzdeg, xvalid=None):
+        init(self, ring, coeffs, nzdeg, xvalid)
         built.append(1)
         if coeffs[..., ring.total_degree[: coeffs.shape[-1]] > self.nzdeg].any():
             bad.append((self.valid, self.nzdeg))
@@ -860,3 +860,132 @@ def test_take_kernel_equals_fancy_index_kernel(shape, batches, layout, seed):
     assert got.tobytes() == want.tobytes()
     # downstream einsum and @ round by layout, so the layout is part of the result
     assert got.flags.c_contiguous
+
+
+# -- exact orders in x ----------------------------------------------------------------
+
+
+def _x_jet(rng, degree=3):
+    """A random jet of x alone in ring(2, degree), lifted onto the x of ring(4, 6)."""
+    small = _random_jet(jets.ring(2, degree), rng)
+    return small, jets.lift(small, jets.ring(4, 6), 6)
+
+
+def _counts(jet):
+    return jet.valid, jet.xvalid
+
+
+def test_lift_of_an_x_jet_is_exact_in_y_and_keeps_its_x_orders():
+    small, f = _x_jet(np.random.default_rng(1))
+    assert _counts(f) == (6, 3)
+    assert f.coeff((2, 1, 0, 0)) == small.coeff((2, 1))
+    assert f.coeff((0, 0, 4, 2)) == 0.0 and f.coeff((3, 0, 3, 0)) == 0.0
+    with pytest.raises(DegreeBudgetError, match="x-order 4 but only 3 x-orders"):
+        f.coeff((3, 1, 0, 0))
+    with pytest.raises(DegreeBudgetError):
+        f.partial((0, 4, 1, 0))
+    # without padding a lift keeps the jet's orders, and more variables than
+    # the target's x half cannot be padded in y
+    assert _counts(jets.lift(small, jets.ring(4, 6))) == (3, 3)
+    with pytest.raises(ValueError):
+        jets.lift(_random_jet(jets.ring(3, 3), np.random.default_rng(2)), jets.ring(4, 6), 6)
+
+
+def test_sums_and_products_keep_the_fewer_orders_of_each_count():
+    rng = np.random.default_rng(3)
+    _, f = _x_jet(rng)
+    g = _random_jet(jets.ring(4, 6), rng)
+    short = g.truncate(2)
+    for jet in (f + g, g - f, f * g, g * f, f * 2.0, f + 1.0, 3.0 - f, -f):
+        assert _counts(jet) == (6, 3)
+    for jet in (f + short, f * short):
+        assert _counts(jet) == (2, 2)
+    assert _counts(f * g.truncate(0)) == (0, 0)
+
+
+def test_x_derivative_lowers_both_counts_and_y_derivative_only_valid():
+    _, f = _x_jet(np.random.default_rng(4))
+    assert _counts(f.grad(0)) == (5, 2)
+    assert _counts(f.grad(3)) == (5, 3)
+    assert _counts(f.grad(range(4))) == (5, 2)
+    assert _counts(f.grad([2, 3])) == (5, 3)
+    flat = f.grad(0).grad(1).grad(0)
+    assert _counts(flat) == (3, 0)
+    with pytest.raises(DegreeBudgetError, match="x-derivative"):
+        flat.grad(1)
+    assert _counts(flat.grad(2)) == (2, 0)
+    # first partials: the y ones are still exact, the x ones are not
+    assert flat.gradient(range(2, 4)).shape == (2,)
+    with pytest.raises(DegreeBudgetError, match="first-order x"):
+        flat.gradient()
+
+
+def test_truncate_caps_both_counts():
+    _, f = _x_jet(np.random.default_rng(5))
+    assert _counts(f.truncate(5)) == (5, 3)
+    assert _counts(f.truncate(2)) == (2, 2)
+
+
+def test_solve_powr_log_stack_and_batch_maps_carry_both_counts():
+    rng = np.random.default_rng(6)
+    _, f = _x_jet(rng)
+    r = f.ring
+    eye = jets.stack([[r.const(2.0), r.zero()], [r.zero(), r.const(2.0)]])
+    a = eye + 0.1 * jets.stack([[f, r.seed(2, 0.3)], [r.seed(3, 0.1), f]])
+    b = jets.stack([r.seed(2, 1.0), f])
+    assert _counts(a) == (6, 3)
+    assert _counts(jets.solve(a, b)) == (6, 3)
+    positive = 2.0 + 0.1 * f
+    for jet in (jets.powr(positive, -1.5), jets.log(positive), jets.exp(f), jets.sin(f),
+                jets.reciprocal(positive), positive ** 2, positive / r.seed(2, 1.0)):
+        assert _counts(jet) == (6, 3)
+    pair = jets.stack([f, r.seed(2, 1.0)])
+    assert _counts(pair) == (6, 3)
+    assert _counts(pair[1]) == (6, 3)
+    assert _counts(pair.einsum("i->")) == (6, 3)
+    assert _counts(pair.sum_batch(np.array([0.5, 0.5]))) == (6, 3)
+    constant = jets.Jet(r, r.const(2.0).coeffs, 0, 3)
+    assert _counts(jets.log(constant)) == (6, 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_coefficients_the_counts_call_exact_equal_those_from_all_x_orders(seed):
+    # ln sigma known to x-order 3, and to x-order 6: every coefficient the
+    # counts call exact is the same, through every kind of operation
+    rng = np.random.default_rng(seed)
+    full, f_full = _x_jet(rng, degree=6)
+    small = jets.ring(2, 3)
+    f_short = jets.lift(jets.Jet(small, full.coeffs[: small.size], small.degree),
+                        f_full.ring, 6)
+    g = _random_jet(f_full.ring, rng, scale=0.2)
+    r = g.ring
+    ys = range(2, 4)
+
+    def chain(f):
+        s = (jets.stack([r.seed(2, 0.4), r.seed(3, -0.7)]) * f.grad(range(2))).einsum("m->")
+        h = jets.log(3.0 + s * g) + jets.powr(2.0 + 0.1 * f, 0.5) * g.grad(ys)[0]
+        return h.grad(0) * g.grad(ys)[1] - h.grad(ys)[0]
+
+    got, want = chain(f_short), chain(f_full)
+    assert _counts(got) == (4, 1) and _counts(want) == (4, 4)
+    exps = r.exponents[: got.coeffs.shape[-1]]
+    exact = exps[:, :2].sum(axis=1) <= got.xvalid
+    assert not exact.all()
+    np.testing.assert_array_equal(got.coeffs[exact], want.coeffs[exact])
+    assert np.abs(got.coeffs[~exact] - want.coeffs[~exact]).max() > 0.0
+
+
+def test_a_jet_exact_in_x_to_its_valid_behaves_as_before():
+    # with xvalid == valid an x- and a y-derivative lower the same count, and
+    # every coefficient up to valid can be read
+    rng = np.random.default_rng(7)
+    r = jets.ring(4, 5)
+    a, b = _random_jet(r, rng), _random_jet(r, rng, scale=0.1)
+    for jet in (a, a * b, a.grad(0), a.grad(3), jets.exp(b), jets.lift(_random_jet(
+            jets.ring(2, 4), rng), r), a.truncate(3), jets.stack([a, b.grad(1)])):
+        assert jet.xvalid == jet.valid
+        assert _counts(jet.grad(0)) == _counts(jet.grad(3)) == (jet.valid - 1, jet.valid - 1)
+        top = tuple([jet.valid, 0, 0, 0])
+        assert np.shape(jet.coeff(top)) == jet.batch_shape
+        assert jet.gradient().shape == jet.batch_shape + (4,)

@@ -31,7 +31,7 @@ from spraylab.measures import (
     sphere_nodes,
     unit_ball_volume,
 )
-from spraylab.projective import PointContext
+from spraylab.projective import LNSIGMA_XDEGREE, PointContext
 
 SPHERE_AREAS = {2: 2.0 * math.pi, 3: 4.0 * math.pi, 4: 2.0 * math.pi**2}
 
@@ -230,6 +230,19 @@ def test_adaptive_bh_density_is_within_its_reported_change(spec):
         rules = []
         got = bh_density(metric, point.x, degree=5, rules=rules)
         want = _bh_rule(metric, point.x, 96, 5)
+        (_, change), = rules
+        bound = max(change, 1e-13 * max(1.0, np.abs(want.coeffs).max()))
+        assert np.abs(got.coeffs - want.coeffs).max() <= bound
+
+
+@pytest.mark.parametrize("spec", _bh_specs(), ids=lambda spec: f"{spec.family}-{spec.dim}")
+def test_adaptive_bh_density_at_the_read_x_degree_is_within_its_reported_change(spec):
+    # the degree the pipeline asks for, held to the bound of the degree-5 test
+    metric = build(spec)
+    for point in sample(metric, count=5, seed=3):
+        rules = []
+        got = bh_density(metric, point.x, degree=LNSIGMA_XDEGREE, rules=rules)
+        want = _bh_rule(metric, point.x, 96, LNSIGMA_XDEGREE)
         (_, change), = rules
         bound = max(change, 1e-13 * max(1.0, np.abs(want.coeffs).max()))
         assert np.abs(got.coeffs - want.coeffs).max() <= bound

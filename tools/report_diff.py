@@ -70,6 +70,9 @@ COMMANDS = [
     # a rule uses the size as given
     ("theorem thm43 bh-nodes", ("theorem", "thm43", "--bh-nodes", "8", "--points", "1")),
     ("theorem ex17 bh-nodes", ("theorem", "ex17", "--bh-nodes", "32", "--points", "1")),
+    # a dim-4 Busemann-Hausdorff point at the default rule
+    ("verify funk4 bh", ("verify", "--points", "1", "--per-point", "--metric", "funk", "--dim", "4",
+                         "--volume", "bh")),
     ("verify funk4 bh oversized", ("verify", "--metric", "funk", "--dim", "4", "--volume", "bh",
                                    "--bh-nodes", "1024", "--points", "1")),
     # a spray that is not a metric's own goes through stack_for
