@@ -36,11 +36,14 @@ class Euclidean(FinslerMetric):
         self.dim = dim
         self.name = f"euclidean({dim})"
 
-    def fsq(self, x, y):
-        acc = y[0] * y[0]
-        for i in range(1, self.dim):
-            acc = acc + y[i] * y[i]
-        return acc
+    def fsq_at(self, x):
+        def fsq(y):
+            acc = y[0] * y[0]
+            for i in range(1, self.dim):
+                acc = acc + y[i] * y[i]
+            return acc
+
+        return fsq
 
 
 class Riemannian(FinslerMetric):
@@ -141,15 +144,18 @@ class FourthRoot(FinslerMetric):
         self.dim = n1 + n2
         self.name = f"fourth-root({n1}+{n2}, c={c})"
 
-    def fsq(self, x, y):
-        u2 = 0.0
-        v2 = 0.0
-        for i in range(self.n1):
-            u2 = y[i] * y[i] + u2
-        for i in range(self.n1, self.dim):
-            v2 = y[i] * y[i] + v2
-        quartic = u2 * u2 + 2.0 * self.c * u2 * v2 + v2 * v2
-        return jets.sqrt(quartic)
+    def fsq_at(self, x):
+        def fsq(y):
+            u2 = 0.0
+            v2 = 0.0
+            for i in range(self.n1):
+                u2 = y[i] * y[i] + u2
+            for i in range(self.n1, self.dim):
+                v2 = y[i] * y[i] + v2
+            quartic = u2 * u2 + 2.0 * self.c * u2 * v2 + v2 * v2
+            return jets.sqrt(quartic)
+
+        return fsq
 
 
 class SquareMetric(FinslerMetric):

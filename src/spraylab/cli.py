@@ -27,7 +27,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import MetricSpec
-from .errors import ConfigError, DegreeBudgetError, SprayLabError
+from .errors import ConfigError, DegreeBudgetError, SprayLabError, degree_too_low
 from .geometry import DEFAULT_DEGREE
 from .measures import VolumeForm, as_volume, split_volume
 from .projective import WEYL_ROUTES, WO_ROUTES, PointContext
@@ -407,9 +407,8 @@ def _eval_point(obj, volume, point, degree, index) -> dict:
     ctx = PointContext(obj, volume, point, degree)
     st, ms, ps = ctx.stack, ctx.measure, ctx.proj
     # F is a plain float read: a spray that is not a metric's own builds no frame
-    fsq = None if ctx.metric is None else ctx.metric.fsq(list(point.x), list(point.y))
-    wo = {route: None if route == "divW" and point.dim < 3 else ps.wo_values(route)
-          for route in WO_ROUTES}
+    fsq = None if ctx.metric is None else ctx.metric.fsq_at(list(point.x))(list(point.y))
+    wo = {route: ps.wo_values(route) if route in ps.wo_routes else None for route in WO_ROUTES}
     return {
         "record": "eval",
         "index": index,
@@ -417,13 +416,13 @@ def _eval_point(obj, volume, point, degree, index) -> dict:
         "y": list(point.y),
         "F": None if fsq is None else math.sqrt(fsq),
         "G": st.G.value(),
-        "N": st.N_values,
-        "Gamma": st.Gamma_values,
+        "N": st.N.value(),
+        "Gamma": st.Gamma.value(),
         "B": st.B_values,
-        "Rik": st.Rik_values,
+        "Rik": st.Rik.value(),
         "Ric": st.Ric.value(),
         "R": st.Rscalar.value(),
-        "T": st.T_values,
+        "T": st.T.value(),
         "S": ms.S.value(),
         "tau": ms.tau.value(),
         "chi": st.chi.value(),
@@ -442,7 +441,7 @@ def _cmd_eval(args) -> tuple[str, int]:
         records = [_eval_point(obj, volume, point, cfg.degree, idx)
                    for idx, point in enumerate(points)]
     except DegreeBudgetError as exc:
-        raise ConfigError(f"degree {cfg.degree} is too low for eval: {exc}") from None
+        raise degree_too_low(cfg.degree, "eval", exc) from None
     # csv has one column per route
     rows = [{**rec, **{f"{kind}.{route}": value for kind in ("W", "Wo")
                        for route, value in rec[kind].items()}} for rec in records]

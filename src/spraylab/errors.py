@@ -30,3 +30,8 @@ class AdmissibilityError(SprayLabError, ValueError):
 
 class ConfigError(SprayLabError, ValueError):
     """Invalid user-facing configuration (CLI flags, config file, params)."""
+
+
+def degree_too_low(degree: int, what: str, exc: DegreeBudgetError) -> ConfigError:
+    """The configuration error for a ``degree`` whose orders ran out in ``what``."""
+    return ConfigError(f"degree {degree} is too low for {what}: {exc}")

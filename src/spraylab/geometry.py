@@ -14,10 +14,11 @@ indices, all contravariant indices first; ``.value()`` reads its values.
 
 This module holds the first two links of the per-point chain: the metric
 frame (F^2, g, G^i) and the spray stack (N, Gamma, B, R, horizontal
-derivatives, and the projective invariants that need no volume form: chi,
-the Weyl tensor via chi and its divergence).  ``projective.PointContext``
-strings them together with the measure and projective layers; quantities
-are read from those objects, not through one-call helpers.
+derivatives, the two defining terms of W^o, and the projective invariants
+that need no volume form: chi, the Weyl tensor via chi and its
+divergence).  ``projective.PointContext`` strings them together with the
+measure and projective layers; quantities are read from those objects,
+each under one name, not through one-call helpers or value aliases.
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ class TangentPoint:
     def dim(self) -> int:
         return len(self.x)
 
-    def x_array(self) -> np.ndarray:
-        return np.array(self.x)
-
     def y_array(self) -> np.ndarray:
         return np.array(self.y)
 
@@ -96,8 +94,7 @@ class Spray:
 class FinslerMetric(Spray):
     """Base class: a positively 1-homogeneous norm given through F^2 jets.
 
-    A metric is its own geodesic spray.  A subclass defines ``fsq`` or
-    ``fsq_at``; each defaults to the other.
+    A metric is its own geodesic spray.  A subclass defines ``fsq_at``.
     """
 
     name: str = "metric"
@@ -106,18 +103,15 @@ class FinslerMetric(Spray):
     def metric(self) -> FinslerMetric:
         return self
 
-    def fsq(self, x: list, y: list):
-        """Jet (or float) of F^2 from coordinate jets (or floats)."""
-        return self.fsq_at(x)(y)
-
     def fsq_at(self, x: list):
         """The map y -> F^2(x, y) at fixed base coordinates ``x``.
 
-        A metric whose F^2 has parts that depend on x alone computes them
-        here, once, so the Busemann-Hausdorff quadrature pays for them once
-        per rule rather than once per block of directions.
+        Coordinates are jets or floats, and so is F^2.  A metric whose F^2
+        has parts that depend on x alone computes them here, once, so the
+        Busemann-Hausdorff quadrature pays for them once per rule rather
+        than once per block of directions.
         """
-        return lambda y: self.fsq(x, y)
+        raise NotImplementedError(f"{type(self).__name__} defines no fsq_at")
 
     def coefficients(self, point: TangentPoint, degree: int) -> Jet:
         return MetricFrame(self, point, degree).spray_coefficients
@@ -196,7 +190,7 @@ class MetricFrame:
         self.x = [self.ring.seed(i, point.x[i]) for i in range(self.n)]
         self.y = _seeds(self.ring, self.n, point.y)
         self.ys = range(self.n, 2 * self.n)
-        self.fsq = metric.fsq(self.x, list(self.y))
+        self.fsq = metric.fsq_at(self.x)(list(self.y))
         self.fsq.assert_finite(f"F^2 of {metric.name}")
         if self.fsq.value() <= 0.0:
             raise AdmissibilityError(f"F^2 <= 0 at {point} for {metric.name}")
@@ -241,9 +235,9 @@ class SprayStack:
     B and the full curvature tensor are kept as values only.
     """
 
-    def __init__(self, point: TangentPoint, G):
+    def __init__(self, point: TangentPoint, G: Jet):
         self.point = point
-        self.G = jets.stack(G)
+        self.G = G
         self.ring = self.G.ring
         self.n = point.dim
         if self.ring.nvars != 2 * self.n:
@@ -268,13 +262,9 @@ class SprayStack:
     def N(self) -> Jet:
         return self.G.grad(self.ys)
 
-    N_values = cached_property(lambda self: self.N.value())
-
     @cached_property
     def Gamma(self) -> Jet:
         return self.N.grad(self.ys)
-
-    Gamma_values = cached_property(lambda self: self.Gamma.value())
 
     B_values = cached_property(lambda self: self.Gamma.gradient(self.ys))
 
@@ -292,8 +282,6 @@ class SprayStack:
             acc = acc + 2.0 * G[j] * self.Gamma[:, j]
             acc = acc - N[:, j, None] * N[None, j]
         return acc
-
-    Rik_values = cached_property(lambda self: self.Rik.value())
 
     @cached_property
     def R3(self) -> Jet:
@@ -323,22 +311,20 @@ class SprayStack:
         return (self.Rik + (0.5 * self.Rscalar_v)[None, :] * self.y_jets[:, None]
                 - self.Rscalar * np.eye(self.n))
 
-    T_values = cached_property(lambda self: self.T.value())
-
     # -- covariant derivatives -------------------------------------------
 
-    def hcov_values(self, tensor, contra: int) -> np.ndarray:
+    def hcov_values(self, tensor: Jet, contra: int) -> np.ndarray:
         """Horizontal covariant derivative, one extra lower index, values only.
 
-        ``tensor`` is a tensor jet (or nested jets, see :func:`jets.stack`) whose
-        first ``contra`` axes are contravariant; it must keep one exact order.
+        ``tensor`` is a tensor jet whose first ``contra`` axes are
+        contravariant; it must keep one exact order.
         """
-        tensor = jets.stack(tensor)
         vals = np.asarray(tensor.value())
+        gamma = self.Gamma.value()
         out = self._hcov_partials(tensor)
         for pos in range(vals.ndim):
             # contravariant slot: + T^..l.. Gamma^i_lm; covariant: - T_..l.. Gamma^l_im
-            conn = self.Gamma_values if pos < contra else -self.Gamma_values.transpose(1, 0, 2)
+            conn = gamma if pos < contra else -gamma.transpose(1, 0, 2)
             out += np.moveaxis(np.tensordot(vals, conn, axes=([pos], [1])), -2, pos)
         return out
 
@@ -349,12 +335,7 @@ class SprayStack:
     def _hcov_partials(self, f: Jet) -> np.ndarray:
         # shared by both public derivatives, so each call of either is one derivative
         grad = f.gradient()
-        return grad[..., : self.n] - grad[..., self.n :] @ self.N_values
-
-    @cached_property
-    def Rscalar_hcov(self) -> np.ndarray:
-        """R_{|k}."""
-        return self.hcov_scalar_values(self.Rscalar)
+        return grad[..., : self.n] - grad[..., self.n :] @ self.N.value()
 
     @cached_property
     def Rscalar_h(self) -> Jet:
@@ -375,6 +356,12 @@ class SprayStack:
     def Rik_hcov(self) -> np.ndarray:
         """R^i_{k|m}, indexed [i, k, m]."""
         return self.hcov_values(self.Rik, contra=1)
+
+    @cached_property
+    def wo_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """R_{|k} and (1/2) R_{.k|m} y^m; on the hat stack W^o_k is their difference."""
+        first = self.hcov_scalar_values(self.Rscalar)
+        return first, 0.5 * (self.Rscalar_vhcov @ self.point.y_array())
 
     # -- projective invariants of the spray alone -----------------------------
 
@@ -400,11 +387,9 @@ class SprayStack:
         return np.einsum("mkm->k", self.hcov_values(self.weyl, contra=1))
 
     @cached_property
-    def wo_pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """R_{|k}, R_{.k|m} y^m and chi_{k|m} y^m, the spray's part of W^o_k."""
-        y = self.point.y_array()
-        chi_cov = self.hcov_values(self.chi, contra=0)
-        return self.Rscalar_hcov, self.Rscalar_vhcov @ y, chi_cov @ y
+    def chi_hcov_y(self) -> np.ndarray:
+        """chi_{k|m} y^m."""
+        return self.hcov_values(self.chi, contra=0) @ self.point.y_array()
 
 
 def stack_for(spray: Spray, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> SprayStack:

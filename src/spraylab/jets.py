@@ -29,10 +29,10 @@ writes into an operand.
 of the ring's variables as in the doubled (x, y) ring of ``geometry``:
 a coefficient is exact when its total degree is at most ``valid`` and
 its degree in x at most ``xvalid``, which is never above ``valid``.  A
-jet of x alone does not depend on y, so :func:`lift` with ``valid`` pads
-it with y-orders that are exact zeros and keeps its own orders as
-``xvalid``.  The coefficients above ``xvalid`` in x are still stored and
-computed, but are not exact.  Sums and products keep the fewer of each
+jet of x alone does not depend on y, so :func:`lift` pads it with
+y-orders that are exact zeros and keeps its own orders as ``xvalid``.
+The coefficients above ``xvalid`` in x are still stored and computed,
+but are not exact.  Sums and products keep the fewer of each
 count, an x-derivative lowers both and a y-derivative ``valid`` only,
 ``truncate`` caps both, and reading a partial above ``xvalid`` in x
 raises :class:`DegreeBudgetError`.  Only such a lift and what is
@@ -436,11 +436,8 @@ class Jet:
         )
 
 
-def stack(nested) -> Jet:
-    """One tensor jet from nested jets, keeping the fewest exact orders among them."""
-    if isinstance(nested, Jet):
-        return nested
-    parts = [stack(entry) for entry in nested]
+def stack(parts) -> Jet:
+    """One tensor jet from jets of one batch shape, keeping the fewest exact orders among them."""
     ring = parts[0].ring
     if any(p.ring is not ring for p in parts):
         raise ValueError("jets belong to different rings")
@@ -607,18 +604,17 @@ def cos(a: Jet) -> Jet:
     return _cos_sin(a)[0]
 
 
-def lift(a: Jet, target: PolyRing, valid: int | None = None) -> Jet:
-    """Embed a jet into a larger ring; its variables become the leading ones.
+def lift(a: Jet, target: PolyRing, valid: int) -> Jet:
+    """Embed a jet of x alone into ``target``; its variables become the x variables.
 
-    The result keeps the exact orders of ``a``.  With ``valid``, ``a`` is a
-    jet of x alone and its variables become the x variables of ``target``:
-    the result does not depend on the rest, so it is exact to ``valid``
-    orders in total, and to the orders of ``a`` in x (``xvalid``).
+    The result does not depend on the rest (the y variables), so it is
+    exact to ``valid`` orders in total, and to the orders of ``a`` in x
+    (``xvalid``).
     """
     src = a.ring
-    if src.nvars > (target.nvars if valid is None else target.nvars // 2):
+    if src.nvars > target.nvars // 2:
         raise ValueError("lift target has too few variables")
-    top = min(a.valid if valid is None else valid, target.degree)
+    top = min(valid, target.degree)
     table = _lift_table(src.nvars, src.degree, target.nvars, target.degree)
     coeffs = np.zeros(a.batch_shape + (int(target.size_upto[top]),))
     keep = np.flatnonzero(table[: int(src.size_upto[min(a.valid, top)])] >= 0)

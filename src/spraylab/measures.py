@@ -208,7 +208,11 @@ def bh_density(metric: FinslerMetric, x, nodes: int = 64, degree: int = 3,
 
 @dataclass(frozen=True)
 class VolumeForm:
-    """dV = sigma(x) dx, with sigma given directly or by quadrature."""
+    """dV = sigma(x) dx, with sigma given directly or by quadrature.
+
+    ``kind`` is one of ``VOLUME_KINDS``; ``sigma`` is the expression of an
+    explicit form, ``nodes`` the largest rule per angle of a BH form.
+    """
 
     kind: str
     sigma: str | None = None
@@ -220,18 +224,6 @@ class VolumeForm:
         if self.kind == "explicit" and self.sigma is None:
             raise ConfigError("explicit volume needs a sigma expression")
         object.__setattr__(self, "nodes", int(self.nodes))
-
-    @classmethod
-    def coordinate(cls):
-        return cls("coordinate")
-
-    @classmethod
-    def explicit(cls, sigma):
-        return cls("explicit", sigma=sigma)
-
-    @classmethod
-    def busemann_hausdorff(cls, nodes=64):
-        return cls("busemann-hausdorff", nodes=nodes)
 
     @property
     def uses_quadrature(self) -> bool:
@@ -279,7 +271,7 @@ def split_volume(key: str, spec: str) -> tuple[str, str | None]:
 def as_volume(spec=None, nodes: int = 64) -> VolumeForm:
     """Coerce a volume description (None, a form, or a spec) to a form."""
     if spec is None:
-        return VolumeForm.coordinate()
+        return VolumeForm("coordinate")
     if isinstance(spec, VolumeForm):
         return spec
     if not isinstance(spec, str):
@@ -344,4 +336,4 @@ class MeasureStack:
         # S_{.i|m} is the covariant derivative of the one-form S_{.i};
         # contracted with y^m its connection term is -S_{.l} N^l_i
         s_vh = st.hcov_scalar_values(self.S.grad(st.ys)) @ st.point.y_array()
-        return 0.5 * (s_vh - self.S_v @ st.N_values - st.hcov_scalar_values(self.S))
+        return 0.5 * (s_vh - self.S_v @ st.N.value() - st.hcov_scalar_values(self.S))

@@ -6,7 +6,8 @@ Weyl tensor W^i_k, and horizontal derivatives of its Ricci scalar give the
 one-form W^o_k.  Both admit several equivalent expressions, kept here as
 separate routes so they can serve as mutual oracles.  W is a projective
 invariant of the spray alone: the base spray's stack holds it via chi,
-with its divergence and the spray's part of the viaBase route.
+with its divergence.  The definition and viaBase routes both start from
+``SprayStack.wo_terms``, of the hat and the base stack.
 
 Routes for W^o_k (hat marks the projective spray, n the dimension):
 
@@ -18,6 +19,7 @@ Routes for W^o_k (hat marks the projective spray, n the dimension):
 
 "||" is the horizontal covariant derivative of the hat spray, "|" that of
 the base spray; both come from the same SprayStack operators.
+``ProjectiveStack.wo_routes`` names the routes of its dimension.
 
 ``PointContext`` is the one per-point chain, metric frame -> spray stack
 -> measure stack -> projective stack, built lazily.  The CLI's ``eval``,
@@ -73,6 +75,8 @@ class ProjectiveStack:
         self.base = measure.stack
         self.point = self.base.point
         self.n = self.base.n
+        # divW divides by n - 2
+        self.wo_routes = WO_ROUTES if self.n >= 3 else tuple(r for r in WO_ROUTES if r != "divW")
 
     @cached_property
     def Ghat(self) -> Jet:
@@ -87,47 +91,32 @@ class ProjectiveStack:
     def hat_measure(self) -> MeasureStack:
         return MeasureStack(self.hat, self.measure.lnsigma_x)
 
-    @cached_property
-    def Rhat(self) -> Jet:
-        return self.hat.Rscalar
-
-    @cached_property
-    def W(self) -> Jet:
-        """Weyl tensor as jets: the trace-adjusted hat curvature."""
-        return self.hat.T
-
-    @cached_property
-    def wo_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rhat_{||k} and (1/2) (Rhat_{.k})_{||m} y^m; W^o by definition is their difference."""
-        return self.hat.Rscalar_hcov, 0.5 * (self.hat.Rscalar_vhcov @ self.point.y_array())
-
     def weyl_values(self, route: str = "viaHat") -> np.ndarray:
         if route == "viaHat":
-            return self.W.value()
+            return self.hat.T.value()
         if route == "viaChi":
             chi = self.base.chi.value()
             y = self.point.y_array()
-            return self.base.T_values + (3.0 / (self.n + 1.0)) * np.outer(y, chi)
+            return self.base.T.value() + (3.0 / (self.n + 1.0)) * np.outer(y, chi)
         raise ConfigError(f"unknown weyl route {route!r}; use one of {WEYL_ROUTES}")
 
     def wo_values(self, route: str = "definition") -> np.ndarray:
         n = self.n
+        if route not in self.wo_routes:
+            why = "needs dimension >= 3" if route in WO_ROUTES else "is unknown"
+            raise ConfigError(f"berwald-weyl route {route!r} {why}; use one of {self.wo_routes}")
         if route == "definition":
-            first, half = self.wo_terms
+            first, half = self.hat.wo_terms
             return first - half
         if route == "viaBase":
-            first, second, third = self.base.wo_pieces
+            first, half = self.base.wo_terms
             fourth = self.weyl_values("viaHat").T @ self.measure.S_v
             frac = 1.0 / (n + 1.0)
-            return first - 0.5 * second - frac * third - frac * fourth
+            return first - half - frac * self.base.chi_hcov_y - frac * fourth
         if route == "divW":
-            if n < 3:
-                raise ConfigError("route 'divW' divides by n - 2 and needs dimension >= 3")
-            cov = self.hat.hcov_values(self.W, contra=1)
+            cov = self.hat.hcov_values(self.hat.T, contra=1)
             return np.einsum("mkm->k", cov) / (n - 2.0)
-        if route == "divR":
-            return np.einsum("mkm->k", self.hat.Rik_hcov) / (n - 1.0)
-        raise ConfigError(f"unknown berwald-weyl route {route!r}; use one of {WO_ROUTES}")
+        return np.einsum("mkm->k", self.hat.Rik_hcov) / (n - 1.0)
 
     def flatness_gaps(self, fm: np.ndarray):
         """Gaps of the two BWeyl-flatness conditions for a volume change f.
@@ -151,10 +140,10 @@ class PointContext:
     frame -> stack -> measure -> proj, each built on first use and shared
     by every quantity read afterwards.  A metric is its own spray, and its
     stack is read off its frame, so F^2 is expanded once per point.
-    ``measure_for`` and ``proj_for`` put another volume form on the same
-    stack, and give ``measure`` and ``proj`` for the context's own volume;
-    ``rules`` collects ``(nodes, change)`` of every Busemann-Hausdorff rule
-    the context ran.
+    ``proj_for`` puts another volume form on the same stack, and gives
+    ``proj`` for the context's own volume; its ``.measure`` holds S and
+    tau.  ``rules`` collects ``(nodes, change)`` of every
+    Busemann-Hausdorff rule the context ran.
     """
 
     def __init__(self, obj, volume, point: TangentPoint,
@@ -180,11 +169,6 @@ class PointContext:
         if self.spray is self.metric:
             return self.frame.stack
         return stack_for(self.spray, self.point, self.degree)
-
-    def measure_for(self, volume) -> MeasureStack:
-        """S and tau of this point's spray under ``volume``; ln sigma is computed here."""
-        volume = as_volume(volume)
-        return self.measure if volume == self.volume else self._measure(volume)
 
     def proj_for(self, volume) -> ProjectiveStack:
         """The projective stack of this point's spray under ``volume``."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import MetricSpec
-from .errors import ConfigError, DegreeBudgetError, SprayLabError
+from .errors import ConfigError, DegreeBudgetError, SprayLabError, degree_too_low
 from .geometry import (DEFAULT_DEGREE, MetricFrame, PerturbedSpray, SprayStack,
                        TangentPoint, as_spray)
 from .jets import Jet
@@ -204,14 +204,14 @@ def _euler_fundamental(ctx):
 def _euler_spray(ctx):
     st = ctx.stack
     G = st.G.value()
-    lhs = st.N_values @ ctx.y
+    lhs = st.N.value() @ ctx.y
     return _maxabs(lhs - 2.0 * G), _maxabs(lhs, 2.0 * G)
 
 
 def _euler_nonlinear(ctx):
     st = ctx.stack
-    lhs = np.einsum("ijk,k->ij", st.Gamma_values, ctx.y)
-    return _maxabs(lhs - st.N_values), _maxabs(lhs, st.N_values)
+    lhs = np.einsum("ijk,k->ij", st.Gamma.value(), ctx.y)
+    return _maxabs(lhs - st.N.value()), _maxabs(lhs, st.N.value())
 
 
 def _berwald_y_kill(ctx):
@@ -221,14 +221,14 @@ def _berwald_y_kill(ctx):
 
 
 def _rik_y_kill(ctx):
-    st = ctx.stack
-    return _maxabs(st.Rik_values @ ctx.y), _maxabs(st.Rik_values) * _maxabs(ctx.y) * ctx.n
+    rik = ctx.stack.Rik.value()
+    return _maxabs(rik @ ctx.y), _maxabs(rik) * _maxabs(ctx.y) * ctx.n
 
 
 def _r3_contract(ctx):
     st = ctx.stack
     lhs = np.einsum("ikl,l->ik", st.R3.value(), ctx.y)
-    return _maxabs(lhs - st.Rik_values), _maxabs(lhs, st.Rik_values)
+    return _maxabs(lhs - st.Rik.value()), _maxabs(lhs, st.Rik.value())
 
 
 def _r4_contract(ctx):
@@ -239,24 +239,24 @@ def _r4_contract(ctx):
 
 
 def _t_traceless(ctx):
-    tv = ctx.stack.T_values
+    tv = ctx.stack.T.value()
     return abs(float(np.trace(tv))), _maxabs(tv) * ctx.n
 
 
 def _t_y_kill(ctx):
-    tv = ctx.stack.T_values
+    tv = ctx.stack.T.value()
     return _maxabs(tv @ ctx.y), _maxabs(tv) * _maxabs(ctx.y) * ctx.n
 
 
 def _riemannian_berwald(ctx):
     st = ctx.stack
-    return _maxabs(st.B_values), 1.0 + _maxabs(st.Gamma_values)
+    return _maxabs(st.B_values), 1.0 + _maxabs(st.Gamma.value())
 
 
 def _y_parallel(ctx):
     st = ctx.stack
     cov = st.hcov_values(st.y_jets, contra=1)
-    return _maxabs(cov), _maxabs(st.N_values) + _maxabs(ctx.y)
+    return _maxabs(cov), _maxabs(st.N.value()) + _maxabs(ctx.y)
 
 
 def _ricci_exchange_1(ctx):
@@ -276,7 +276,7 @@ def _ricci_exchange_3(ctx):
     st = ctx.stack
     lhs = st.Rscalar_hh @ ctx.y
     mid = st.hcov_scalar_values((st.Rscalar_h * st.y_jets).einsum("m->"))
-    rhs = st.Rscalar_v.value() @ st.Rik_values
+    rhs = st.Rscalar_v.value() @ st.Rik.value()
     return _maxabs(lhs - mid - rhs), _maxabs(lhs, mid, rhs)
 
 
@@ -321,7 +321,7 @@ def _s_volume_change(ctx):
 
 
 def _hat_ricci_scalar(ctx):
-    lhs = ctx.proj.Rhat.value()
+    lhs = ctx.proj.hat.Rscalar.value()
     rhs = ctx.stack.Rscalar.value() + ctx.measure.tau.value()
     return abs(lhs - rhs), max(abs(lhs), abs(ctx.stack.Rscalar.value()),
                                abs(ctx.measure.tau.value()))
@@ -333,12 +333,12 @@ def _hat_ricci_tensor(ctx):
     taud = tau.gradient(ctx.stack.ys)
     chi = ctx.stack.chi.value()
     rhs = (
-        ctx.stack.Rik_values
+        ctx.stack.Rik.value()
         + tau.value() * np.eye(n)
         + np.outer(ctx.y, -0.5 * taud + (3.0 / (n + 1.0)) * chi)
     )
-    lhs = ctx.proj.hat.Rik_values
-    return _maxabs(lhs - rhs), _maxabs(lhs, ctx.stack.Rik_values) + abs(tau.value())
+    lhs = ctx.proj.hat.Rik.value()
+    return _maxabs(lhs - rhs), _maxabs(lhs, ctx.stack.Rik.value()) + abs(tau.value())
 
 
 def _chi_compact_form(ctx):
@@ -350,23 +350,23 @@ def _chi_compact_form(ctx):
 
 def _hat_s_zero(ctx):
     s_hat = ctx.proj.hat_measure.S.value()
-    scale = max(abs(ctx.measure.S.value()), abs(float(np.trace(ctx.stack.N_values))))
+    scale = max(abs(ctx.measure.S.value()), abs(float(np.trace(ctx.stack.N.value()))))
     return abs(s_hat), scale
 
 
 def _hat_chi_zero(ctx):
     chi_hat = ctx.proj.hat.chi.value()
-    return _maxabs(chi_hat), _maxabs(ctx.proj.hat.Rik_values)
+    return _maxabs(chi_hat), _maxabs(ctx.proj.hat.Rik.value())
 
 
 def _hat_nonlinear(ctx):
     n = ctx.n
     S = ctx.measure.S
-    rhs = ctx.stack.N_values - (
+    rhs = ctx.stack.N.value() - (
         S.value() * np.eye(n) + np.outer(ctx.y, ctx.measure.S_v)
     ) / (n + 1.0)
-    lhs = ctx.proj.hat.N_values
-    return _maxabs(lhs - rhs), _maxabs(lhs, ctx.stack.N_values)
+    lhs = ctx.proj.hat.N.value()
+    return _maxabs(lhs - rhs), _maxabs(lhs, ctx.stack.N.value())
 
 
 def _hat_berwald(ctx):
@@ -377,9 +377,9 @@ def _hat_berwald(ctx):
     # sd_k d^i_j + sd_j d^i_k + sdd_jk y^i
     corr = (np.einsum("ij,k->ijk", eye, sd) + np.einsum("ik,j->ijk", eye, sd)
             + np.einsum("i,kj->ijk", ctx.y, sdd))
-    rhs = ctx.stack.Gamma_values - corr / (n + 1.0)
-    lhs = ctx.proj.hat.Gamma_values
-    return _maxabs(lhs - rhs), _maxabs(lhs, ctx.stack.Gamma_values)
+    rhs = ctx.stack.Gamma.value() - corr / (n + 1.0)
+    lhs = ctx.proj.hat.Gamma.value()
+    return _maxabs(lhs - rhs), _maxabs(lhs, ctx.stack.Gamma.value())
 
 
 def _transfer_residual(ctx, f: Jet) -> tuple[float, float]:
@@ -419,20 +419,17 @@ def _weyl_y_kill(ctx):
 
 def _weyl_2d(ctx):
     wv = ctx.proj.weyl_values("viaHat")
-    return _maxabs(wv), _maxabs(ctx.stack.Rik_values) + abs(ctx.stack.Rscalar.value())
+    return _maxabs(wv), _maxabs(ctx.stack.Rik.value()) + abs(ctx.stack.Rscalar.value())
 
 
 def _wo_routes(ctx):
-    routes = ["definition", "viaBase", "divR"]
-    if ctx.n >= 3:
-        routes.append("divW")
-    return _spread([ctx.proj.wo_values(route) for route in routes])
+    return _spread([ctx.proj.wo_values(route) for route in ctx.proj.wo_routes])
 
 
 def _wo_rewrite(ctx):
     # W^o_k = (3 Rhat_{||k} - (Rhat_{||m} y^m)_{.k}) / 2
     hat = ctx.proj.hat
-    hk = hat.hgrad(ctx.proj.Rhat)
+    hk = hat.Rscalar_h
     h0 = (hk * hat.y_jets).einsum("m->")
     alt = 0.5 * (3.0 * hk.value() - h0.gradient(hat.ys))
     wo = ctx.proj.wo_values("definition")
@@ -446,18 +443,19 @@ def _wo_y_kill(ctx):
 
 def _ricci_divergence(ctx):
     n = ctx.n
-    first, second, third = ctx.stack.wo_pieces
+    first, half = ctx.stack.wo_terms
+    chi_y = ctx.stack.chi_hcov_y
     rik_div = np.einsum("mkm->k", ctx.stack.Rik_hcov)
-    lhs = first - 0.5 * second - (third + rik_div) / (n - 1.0)
-    return _maxabs(lhs), _maxabs(first, 0.5 * second, third / (n - 1.0),
+    lhs = first - half - (chi_y + rik_div) / (n - 1.0)
+    return _maxabs(lhs), _maxabs(first, half, chi_y / (n - 1.0),
                                  rik_div / (n - 1.0))
 
 
 def _weyl_divergence(ctx):
     n = ctx.n
     lhs = ctx.stack.weyl_div
-    first, second, third = ctx.stack.wo_pieces
-    rhs = (n - 2.0) * (first - 0.5 * second - third / (n + 1.0))
+    first, half = ctx.stack.wo_terms
+    rhs = (n - 2.0) * (first - half - ctx.stack.chi_hcov_y / (n + 1.0))
     return _maxabs(lhs - rhs), _maxabs(lhs, rhs)
 
 
@@ -603,8 +601,7 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
             except ConfigError:
                 raise
             except DegreeBudgetError as exc:
-                raise ConfigError(f"degree {degree} is too low for check {check.name}: "
-                                  f"{exc}") from None
+                raise degree_too_low(degree, f"check {check.name}", exc) from None
             except (SprayLabError, FloatingPointError):
                 residual, scale = math.inf, 1.0
             results.append(_result(check.name, point, residual, scale, tol, tolerances.floor))
@@ -646,7 +643,7 @@ class Theorem(NamedTuple):
 def _wo_zero(label: str, proj: ProjectiveStack, quad: bool, at_least=0.0) -> tuple:
     """W^o = 0 under the volume of ``proj``, scaled by its two defining terms."""
     return (label, _maxabs(proj.wo_values("definition")),
-            max(_maxabs(*proj.wo_terms), at_least), quad)
+            max(_maxabs(*proj.hat.wo_terms), at_least), quad)
 
 
 def _thm12(ctx, volumes):
@@ -665,7 +662,7 @@ def _thm15_funk(ctx, volumes):
 
 def _thm15_ball(ctx, volumes):
     """The hyperbolic ball has S = 0 under BH, and W^o = 0."""
-    scale_s = max(abs(float(np.trace(ctx.stack.N_values))), 1.0)
+    scale_s = max(abs(float(np.trace(ctx.stack.N.value()))), 1.0)
     return [("thm15:hyperbolic:constant-s", abs(ctx.measure.S.value()), scale_s, True),
             _wo_zero("thm15:hyperbolic:wo-zero", ctx.proj, True)]
 
@@ -701,8 +698,8 @@ def _thm43(ctx, volumes):
 def _ex17(ctx, volumes):
     """Fourth-root metric with flat factors: everything vanishes."""
     st, ms = ctx.stack, ctx.measure
-    return [("ex17:berwald-flat", _maxabs(st.B_values), 1.0 + _maxabs(st.Gamma_values), True),
-            ("ex17:ricci-flat", _maxabs(st.Rik_values), 1.0 + _maxabs(st.N_values), True),
+    return [("ex17:berwald-flat", _maxabs(st.B_values), 1.0 + _maxabs(st.Gamma.value()), True),
+            ("ex17:ricci-flat", _maxabs(st.Rik.value()), 1.0 + _maxabs(st.N.value()), True),
             ("ex17:s-zero", abs(ms.S.value()), 1.0, True),
             _wo_zero("ex17:wo-zero", ctx.proj, True, at_least=1.0)]
 
@@ -722,9 +719,9 @@ def _ex45(ctx, volumes):
     for vol, proj in zip(volumes[::2], projs[::2]):  # coordinate and BH
         rows.append((f"ex45:wo-zero:{vol.kind}", _maxabs(proj.wo_values("definition")),
                      fsq ** 1.5, vol.uses_quadrature))
-    best = min(projs, key=lambda proj: abs(proj.Rhat.value()))
+    best = min(projs, key=lambda proj: abs(proj.hat.Rscalar.value()))
     scale = max(abs(ctx.stack.Rscalar.value()), abs(best.measure.tau.value()))
-    rows.append(("ex45:projective-ricci-flat-gate", abs(best.Rhat.value()), scale, True))
+    rows.append(("ex45:projective-ricci-flat-gate", abs(best.hat.Rscalar.value()), scale, True))
     return rows
 
 
@@ -830,8 +827,7 @@ def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
             try:
                 rows = fixture.rows(ctx, volumes)
             except DegreeBudgetError as exc:
-                raise ConfigError(f"degree {degree} is too low for theorem {name}: "
-                                  f"{exc}") from None
+                raise degree_too_low(degree, f"theorem {name}", exc) from None
             for label, residual, scale, quad in rows:
                 t = tol.pick(quad)
                 groups.setdefault(label, (t, []))[1].append(

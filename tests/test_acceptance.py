@@ -27,9 +27,9 @@ def report_line(number, ok, detail):
 
 def three_volumes(nodes=64):
     return (
-        VolumeForm.coordinate(),
-        VolumeForm.explicit("exp(0.1*x2)"),
-        VolumeForm.busemann_hausdorff(nodes=nodes),
+        VolumeForm("coordinate"),
+        VolumeForm("explicit", "exp(0.1*x2)"),
+        VolumeForm("busemann-hausdorff", nodes=nodes),
     )
 
 
@@ -44,13 +44,13 @@ def _fd_cases(metric):
         return lambda p: MetricFrame(metric, p, 3).stack.G[i].value()
 
     def n_field(i, j):
-        return lambda p: float(MetricFrame(metric, p, 4).stack.N_values[i][j])
+        return lambda p: float(MetricFrame(metric, p, 4).stack.N.value()[i][j])
 
     def r_field(p):
         return MetricFrame(metric, p, 6).stack.Rscalar.value()
 
     def s_field(p):
-        return PointContext(metric, VolumeForm.coordinate(), p, 4).measure.S.value()
+        return PointContext(metric, VolumeForm("coordinate"), p, 4).measure.S.value()
 
     cases = []
     for i in range(n):
@@ -68,7 +68,7 @@ def test_criterion_01_finite_difference_oracles():
         metric = build(name)
         n = metric.dim
         point = sample(metric, count=1, seed=3)[0]
-        ctx = PointContext(metric, VolumeForm.coordinate(), point, degree=7)
+        ctx = PointContext(metric, VolumeForm("coordinate"), point, degree=7)
         st, ms = ctx.stack, ctx.measure
         for label, field, jet_value in _fd_cases(metric):
             for slot in (0, 1, n, n + 1):
@@ -143,8 +143,8 @@ def test_criterion_04_fourth_root_flatness():
 
 def test_criterion_05_surface_volume_independence():
     metric = build("conformal-flat-2d")
-    vol_a = VolumeForm.explicit("exp(0.3*x1)")
-    vol_b = VolumeForm.busemann_hausdorff(nodes=48)
+    vol_a = VolumeForm("explicit", "exp(0.3*x1)")
+    vol_b = VolumeForm("busemann-hausdorff", nodes=48)
     worst = 0.0
     for point in sample(metric, count=6, seed=1):
         wo_a = PointContext(metric, vol_a, point).proj.wo_values("definition")
@@ -171,7 +171,7 @@ def _fsq_value(metric, x, y):
     ring = jets.ring(2 * metric.dim, 1)
     xs = [ring.seed(i, float(v)) for i, v in enumerate(x)]
     ys = [ring.seed(metric.dim + i, float(v)) for i, v in enumerate(y)]
-    return metric.fsq(xs, ys).value()
+    return metric.fsq_at(xs)(ys).value()
 
 
 def _gauss_oracle_prediction(metric, point, step=1.25e-2):
@@ -187,7 +187,7 @@ def _gauss_oracle_prediction(metric, point, step=1.25e-2):
         )
         return -math.exp(-2.0 * lam(x)) * trace
 
-    x, y = point.x_array(), point.y_array()
+    x, y = np.array(point.x), point.y_array()
     dK = np.array([
         _d1(lambda t, m=m: gauss([t if i == m else x[i] for i in range(2)]), x[m], step)
         for m in range(2)
@@ -206,7 +206,7 @@ def test_criterion_06_einstein_surface_formula():
     worst = 0.0
     for point in sample(metric, count=2, seed=5):
         predicted = _gauss_oracle_prediction(metric, point)
-        ctx = PointContext(metric, VolumeForm.busemann_hausdorff(), point)
+        ctx = PointContext(metric, VolumeForm("busemann-hausdorff"), point)
         einstein_wo(ctx)  # the surface must pass the Einstein guards
         wo = ctx.proj.wo_values()
         scale = np.abs(predicted).max()
@@ -215,7 +215,7 @@ def test_criterion_06_einstein_surface_formula():
     sphere_worst = 0.0
     sphere = build("round-sphere")
     for point in sample(sphere, count=2, seed=5):
-        ctx = PointContext(sphere, VolumeForm.busemann_hausdorff(), point)
+        ctx = PointContext(sphere, VolumeForm("busemann-hausdorff"), point)
         einstein_wo(ctx)
         sphere_worst = max(sphere_worst, np.abs(ctx.proj.wo_values()).max())
     ok = worst <= 1.0 and sphere_worst <= 1e-8
@@ -253,7 +253,7 @@ def test_criterion_07_identity_suite_all_fixtures():
 def test_criterion_08_volume_change_laws():
     metric = build("randers")
     f = "0.1*x1*x2"
-    base = VolumeForm.explicit("exp(0.2*x3)")
+    base = VolumeForm("explicit", "exp(0.2*x3)")
     worst_s, worst_wo = 0.0, 0.0
     for point in sample(metric, count=5, seed=4):
         ms = PointContext(metric, base, point, degree=7).measure
@@ -272,7 +272,7 @@ def test_criterion_08_volume_change_laws():
 
 
 def test_criterion_09_projective_invariance():
-    volume = VolumeForm.explicit("exp(0.1*x1)")
+    volume = VolumeForm("explicit", "exp(0.1*x1)")
     worst = 0.0
     for name in ("funk", "randers", "square-metric"):
         metric = build(name)
@@ -305,7 +305,7 @@ def test_criterion_10_chi_routes_and_volumes():
         ctx = PointContext(metric, None, point, degree=7)
         per_volume = []
         for volume in three_volumes(nodes=48):
-            ms = ctx.measure_for(volume)
+            ms = ctx.proj_for(volume).measure
             chis = np.array([ms.chi_from_S, ms.stack.chi_from_T, ms.stack.chi.value()])
             budget = 1e-7 * np.abs(chis).max() + 1e-9
             worst = max(worst, (chis.max(axis=0) - chis.min(axis=0)).max() / budget)

@@ -6,7 +6,9 @@ import re
 import shlex
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -53,9 +55,9 @@ def test_star_import_binds_every_public_name():
     assert [name for name in spraylab.__all__ if name not in namespace] == []
 
 
-def test_every_public_name_has_a_caller_in_the_library():
-    # fd_oracle is the tests' finite-difference reference and has no library caller;
-    # a class named only as the type argument of isinstance has no caller either
+def _names_used_in_the_library() -> set[str]:
+    """Names and attribute names the library's modules read, outside ``__init__``."""
+    # a class named only as the type argument of isinstance has no caller
     used = set()
     for path in (ROOT / "src" / "spraylab").glob("*.py"):
         if path.name == "__init__.py":
@@ -72,5 +74,22 @@ def test_every_public_name_has_a_caller_in_the_library():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def test_every_public_name_has_a_caller_in_the_library():
+    # fd_oracle is the tests' finite-difference reference and has no library caller
     exempt = {"__version__", "fd_oracle"}
+    used = _names_used_in_the_library()
     assert [name for name in spraylab.__all__ if name not in used | exempt] == []
+
+
+def test_every_public_member_of_an_exported_class_has_a_caller_in_the_library():
+    # methods, properties and cached properties; fields and dunders are not members here
+    kinds = (FunctionType, property, cached_property, classmethod, staticmethod)
+    used = _names_used_in_the_library()
+    uncalled = [f"{name}.{attr}" for name in spraylab.__all__
+                if isinstance(cls := getattr(spraylab, name), type)
+                for attr, member in vars(cls).items()
+                if not attr.startswith("_") and isinstance(member, kinds) and attr not in used]
+    assert uncalled == []

@@ -33,11 +33,14 @@ class Euclidean(FinslerMetric):
         self.dim = dim
         self.name = f"euclidean({dim})"
 
-    def fsq(self, x, y):
-        acc = y[0] * y[0]
-        for i in range(1, self.dim):
-            acc = acc + y[i] * y[i]
-        return acc
+    def fsq_at(self, x):
+        def fsq(y):
+            acc = y[0] * y[0]
+            for i in range(1, self.dim):
+                acc = acc + y[i] * y[i]
+            return acc
+
+        return fsq
 
 
 class MatrixRiemannian(FinslerMetric):
@@ -48,13 +51,16 @@ class MatrixRiemannian(FinslerMetric):
         self.matrix = matrix
         self.name = name
 
-    def fsq(self, x, y):
-        m = self.matrix(x)
-        acc = 0.0
-        for i in range(self.dim):
-            for j in range(self.dim):
-                acc = m[i][j] * y[i] * y[j] + acc
-        return acc
+    def fsq_at(self, x):
+        def fsq(y):
+            m = self.matrix(x)
+            acc = 0.0
+            for i in range(self.dim):
+                for j in range(self.dim):
+                    acc = m[i][j] * y[i] * y[j] + acc
+            return acc
+
+        return fsq
 
 
 def sphere_matrix(x):
@@ -81,15 +87,18 @@ class RandersConst(FinslerMetric):
         self.dim = self.b.size
         self.name = f"randers-const({self.dim})"
 
-    def fsq(self, x, y):
-        a2 = 0.0
-        beta = 0.0
-        for i in range(self.dim):
-            beta = self.b[i] * y[i] + beta
-            for j in range(self.dim):
-                a2 = self.a[i, j] * y[i] * y[j] + a2
-        f = jets.sqrt(a2) + beta
-        return f * f
+    def fsq_at(self, x):
+        def fsq(y):
+            a2 = 0.0
+            beta = 0.0
+            for i in range(self.dim):
+                beta = self.b[i] * y[i] + beta
+                for j in range(self.dim):
+                    a2 = self.a[i, j] * y[i] * y[j] + a2
+            f = jets.sqrt(a2) + beta
+            return f * f
+
+        return fsq
 
 
 class RandersVar(FinslerMetric):
@@ -98,14 +107,17 @@ class RandersVar(FinslerMetric):
     dim = 3
     name = "randers-var"
 
-    def fsq(self, x, y):
-        d0 = jets.exp(0.2 * x[0])
-        d1 = jets.exp(-0.15 * x[2])
-        c = 0.1 * x[1]
-        a2 = d0 * y[0] * y[0] + d1 * y[1] * y[1] + y[2] * y[2] + 2.0 * c * y[0] * y[1]
-        beta = (0.2 + 0.1 * x[1]) * y[0] + 0.05 * x[0] * y[1] - 0.1 * y[2]
-        f = jets.sqrt(a2) + beta
-        return f * f
+    def fsq_at(self, x):
+        def fsq(y):
+            d0 = jets.exp(0.2 * x[0])
+            d1 = jets.exp(-0.15 * x[2])
+            c = 0.1 * x[1]
+            a2 = d0 * y[0] * y[0] + d1 * y[1] * y[1] + y[2] * y[2] + 2.0 * c * y[0] * y[1]
+            beta = (0.2 + 0.1 * x[1]) * y[0] + 0.05 * x[0] * y[1] - 0.1 * y[2]
+            f = jets.sqrt(a2) + beta
+            return f * f
+
+        return fsq
 
     def admissible(self, point):
         return max(abs(v) for v in point.x) < 1.0
@@ -118,17 +130,20 @@ class Funk(FinslerMetric):
         self.dim = dim
         self.name = f"funk({dim})"
 
-    def fsq(self, x, y):
-        x2 = 0.0
-        y2 = 0.0
-        xy = 0.0
-        for i in range(self.dim):
-            x2 = x[i] * x[i] + x2
-            y2 = y[i] * y[i] + y2
-            xy = x[i] * y[i] + xy
-        om = 1.0 - x2
-        f = (jets.sqrt(om * y2 + xy * xy) + xy) * jets.reciprocal(om)
-        return f * f
+    def fsq_at(self, x):
+        def fsq(y):
+            x2 = 0.0
+            y2 = 0.0
+            xy = 0.0
+            for i in range(self.dim):
+                x2 = x[i] * x[i] + x2
+                y2 = y[i] * y[i] + y2
+                xy = x[i] * y[i] + xy
+            om = 1.0 - x2
+            f = (jets.sqrt(om * y2 + xy * xy) + xy) * jets.reciprocal(om)
+            return f * f
+
+        return fsq
 
     def admissible(self, point):
         return sum(v * v for v in point.x) < 1.0
@@ -166,13 +181,25 @@ def test_chart_boundary_rejected():
         MetricFrame(Funk(2), outside, degree=3)
 
 
+def test_a_metric_without_fsq_at_names_its_class():
+    class Bare(FinslerMetric):
+        dim = 2
+        name = "bare"
+
+    with pytest.raises(NotImplementedError, match="Bare defines no fsq_at"):
+        MetricFrame(Bare(), TangentPoint((0.0, 0.0), (1.0, 0.5)), degree=3)
+
+
 def test_indefinite_metric_rejected():
     class Lorentz(FinslerMetric):
         dim = 2
         name = "lorentz"
 
-        def fsq(self, x, y):
-            return y[0] * y[0] - y[1] * y[1]
+        def fsq_at(self, x):
+            def fsq(y):
+                return y[0] * y[0] - y[1] * y[1]
+
+            return fsq
 
     point = TangentPoint((0.0, 0.0), (1.0, 0.5))
     with pytest.raises(AdmissibilityError):
@@ -194,10 +221,10 @@ def test_euclidean_is_flat():
     np.testing.assert_allclose(frame.g_values, np.eye(3), atol=1e-14)
     np.testing.assert_allclose(frame.ylow, POINT3.y_array(), atol=1e-14)
     st = frame.stack
-    for field in (st.Rik_values, st.R3.value(), st.R4_values, st.T_values):
+    for field in (st.Rik.value(), st.R3.value(), st.R4_values, st.T.value()):
         np.testing.assert_allclose(field, 0.0, atol=1e-13)
     assert st.Ric.value() == pytest.approx(0.0, abs=1e-13)
-    np.testing.assert_allclose(st.N_values, 0.0, atol=1e-13)
+    np.testing.assert_allclose(st.N.value(), 0.0, atol=1e-13)
     np.testing.assert_allclose(st.B_values, 0.0, atol=1e-13)
 
 
@@ -227,10 +254,10 @@ def test_ylow_is_g_contracted_with_y():
 def fd_spray(metric, point, h=0.01):
     """Assemble G^i from finite differences of float evaluations of F^2."""
     n = point.dim
-    z0 = np.concatenate([point.x_array(), point.y_array()])
+    z0 = np.concatenate([point.x, point.y_array()])
 
     def fsq(z):
-        return metric.fsq(list(z[:n]), list(z[n:]))
+        return metric.fsq_at(list(z[:n]))(list(z[n:]))
 
     g = np.zeros((n, n))
     for i in range(n):
@@ -319,17 +346,17 @@ def test_riemannian_connection_is_christoffel(matrix, point):
     metric = MatrixRiemannian(point.dim, matrix)
     st = stack_for(metric, point, degree=5)
     want = fd_christoffel(matrix, point.x)
-    np.testing.assert_allclose(st.Gamma_values, want, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(st.Gamma.value(), want, rtol=1e-6, atol=1e-9)
     # quadratic sprays have no Berwald curvature
     np.testing.assert_allclose(st.B_values, 0.0, atol=1e-9)
     np.testing.assert_allclose(
-        st.N_values, np.einsum("ijk,k->ij", st.Gamma_values, point.y_array()), rtol=1e-10
+        st.N.value(), np.einsum("ijk,k->ij", st.Gamma.value(), point.y_array()), rtol=1e-10
     )
 
 
 def test_connection_symmetry():
     st = stack_for(RandersVar(), POINT3, degree=6)
-    np.testing.assert_allclose(st.Gamma_values, st.Gamma_values.transpose(0, 2, 1), atol=1e-12)
+    np.testing.assert_allclose(st.Gamma.value(), st.Gamma.value().transpose(0, 2, 1), atol=1e-12)
     for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)):
         np.testing.assert_allclose(st.B_values, st.B_values.transpose(perm), atol=1e-12)
 
@@ -348,14 +375,14 @@ def test_sphere_curvature_scalar_is_fsq():
         # constant curvature 1: R^i_k = F^2 d^i_k - y^i y_k
         ylow = frame.ylow
         want = fsq * np.eye(2) - np.outer(point.y_array(), ylow)
-        np.testing.assert_allclose(cur.Rik_values, want, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(cur.Rik.value(), want, rtol=1e-8, atol=1e-10)
 
 
 def test_curvature_traces_and_y_kill():
     st = stack_for(RandersVar(), POINT3, degree=6)
     y = POINT3.y_array()
-    np.testing.assert_allclose(st.Rik_values @ y, 0.0, atol=1e-10)
-    t = st.T_values
+    np.testing.assert_allclose(st.Rik.value() @ y, 0.0, atol=1e-10)
+    t = st.T.value()
     assert np.trace(t) == pytest.approx(0.0, abs=1e-10)
     np.testing.assert_allclose(t @ y, 0.0, atol=1e-10)
 
@@ -365,7 +392,7 @@ def test_r3_antisymmetry_and_contraction():
     r3 = st.R3.value()
     np.testing.assert_allclose(r3, -r3.transpose(0, 2, 1), atol=1e-12)
     got = np.einsum("ikl,l->ik", r3, POINT3.y_array())
-    np.testing.assert_allclose(got, st.Rik_values, rtol=1e-9, atol=1e-10)
+    np.testing.assert_allclose(got, st.Rik.value(), rtol=1e-9, atol=1e-10)
 
 
 def test_homogeneity_degrees():
@@ -377,10 +404,10 @@ def test_homogeneity_degrees():
     g_a = np.array([gi.value() for gi in a.G])
     g_b = np.array([gi.value() for gi in b.G])
     np.testing.assert_allclose(g_b, lam**2 * g_a, rtol=1e-11)
-    np.testing.assert_allclose(b.N_values, lam * a.N_values, rtol=1e-11)
-    np.testing.assert_allclose(b.Gamma_values, a.Gamma_values, rtol=1e-10, atol=1e-13)
+    np.testing.assert_allclose(b.N.value(), lam * a.N.value(), rtol=1e-11)
+    np.testing.assert_allclose(b.Gamma.value(), a.Gamma.value(), rtol=1e-10, atol=1e-13)
     np.testing.assert_allclose(b.B_values, a.B_values / lam, rtol=1e-9, atol=1e-13)
-    np.testing.assert_allclose(b.Rik_values, lam**2 * a.Rik_values, rtol=1e-10)
+    np.testing.assert_allclose(b.Rik.value(), lam**2 * a.Rik.value(), rtol=1e-10)
 
 
 # -- covariant derivatives ----------------------------------------------------
@@ -388,8 +415,7 @@ def test_homogeneity_degrees():
 
 def test_y_is_horizontally_parallel():
     st = stack_for(RandersVar(), POINT3, degree=5)
-    ytensor = np.array(st.y_jets, dtype=object)
-    np.testing.assert_allclose(st.hcov_values(ytensor, contra=1), 0.0, atol=1e-11)
+    np.testing.assert_allclose(st.hcov_values(st.y_jets, contra=1), 0.0, atol=1e-11)
 
 
 def test_hcov_scalar_values_match_jet_route():
@@ -428,7 +454,7 @@ def test_exchange_identity_for_scalars(metric, point):
         f0 = f0 + fk[m] * st.y_jets[m]
     lhs2 = st.hcov_scalar_values(f0)
     grad_y = f.gradient()[n:]
-    rhs = grad_y @ st.Rik_values
+    rhs = grad_y @ st.Rik.value()
     scale = max(np.abs(lhs1).max(), np.abs(lhs2).max(), np.abs(rhs).max(), 1e-12)
     np.testing.assert_allclose(lhs1 - lhs2, rhs, atol=1e-7 * scale + 1e-9)
 
@@ -469,7 +495,7 @@ def test_stack_tensors_are_jets_with_index_batch_axes():
 def test_hcov_values_matches_reference_loop():
     st = stack_for(RandersVar(), POINT3, degree=6)
     n = st.n
-    Nv, Gv = st.N_values, st.Gamma_values
+    Nv, Gv = st.N.value(), st.Gamma.value()
     for tensor, contra in ((st.Rik, 1), (st.T, 0), (st.Rik, 2)):
         vals = tensor.value()
         want = np.zeros((n, n, n))
@@ -485,5 +511,3 @@ def test_hcov_values_matches_reference_loop():
                 want[i, k, m] = val
         got = st.hcov_values(tensor, contra=contra)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
-        nested = [[tensor[i, k] for k in range(n)] for i in range(n)]
-        np.testing.assert_array_equal(st.hcov_values(nested, contra=contra), got)

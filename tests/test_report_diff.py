@@ -53,3 +53,16 @@ def test_moves_float_changes_and_flags_are_reported():
     assert abs(diff.dratio - 2.01e-8 / (1e-7 * 2.0 + 1e-9)) < 1e-6
     failed = tool.compare("flag", old, report(run, check, dict(result, **{"pass": False})))
     assert not failed.agrees and not failed.same_flags
+
+
+def test_csv_reports_are_compared_by_bytes_stderr_and_exit_code():
+    tool = _tool()
+    argv = ("verify", "--metric", "randers", "--points", "1", "--checks", "euler-metric",
+            "--format", "csv")
+    old = tool.run(SRC, argv)
+    assert old.code == 0 and old.out.startswith("record,check,")
+    same = tool.compare("csv", old, tool.run(SRC, argv))
+    assert same.agrees and same.same_bytes and (same.dfloat, same.moves) == (0.0, [])
+    edited = tool.Run(old.code, old.out.replace("euler-metric", "euler-metrix"), old.err)
+    differ = tool.compare("csv", old, edited)
+    assert not differ.agrees and not differ.same_bytes and differ.same_err

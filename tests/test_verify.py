@@ -96,13 +96,13 @@ def test_euclidean_coordinate_residuals_vanish():
 
 
 def test_funk_bh_suite_passes():
-    report = identity_suite("funk", VolumeForm.busemann_hausdorff(32), points=5)
+    report = identity_suite("funk", VolumeForm("busemann-hausdorff", nodes=32), points=5)
     assert report.passed
     assert report.volume == "busemann-hausdorff(32)"
 
 
 def test_randers_explicit_suite_passes():
-    report = identity_suite("randers", VolumeForm.explicit("exp(x1)"), points=5)
+    report = identity_suite("randers", VolumeForm("explicit", "exp(x1)"), points=5)
     assert report.passed
 
 
@@ -141,14 +141,14 @@ def test_suite_never_aborts_on_a_failing_point(monkeypatch):
 
 
 def test_pass_flag_matches_threshold_rule():
-    report = identity_suite("randers", VolumeForm.busemann_hausdorff(24), points=3)
+    report = identity_suite("randers", VolumeForm("busemann-hausdorff", nodes=24), points=3)
     for r in report.results:
         assert r.passed == (r.residual <= r.tolerance * r.scale + r.floor)
 
 
 def test_tolerance_tiers_follow_volume():
     jet_only = identity_suite("randers", points=1)
-    quad = identity_suite("randers", VolumeForm.busemann_hausdorff(16), points=1)
+    quad = identity_suite("randers", VolumeForm("busemann-hausdorff", nodes=16), points=1)
     jet_by = {a.check: a for a in jet_only.checks}
     quad_by = {a.check: a for a in quad.checks}
     assert jet_by["wo-routes"].tolerance == 1e-7
@@ -388,7 +388,7 @@ def test_fd_mixed_second_partial():
 
 def test_fd_bh_density_gradient():
     randers = catalog.build("randers")
-    vol = VolumeForm.busemann_hausdorff(48)
+    vol = VolumeForm("busemann-hausdorff", nodes=48)
     point = TangentPoint((0.12, -0.08, 0.1), (1.0, 0.3, -0.2))
 
     def lnsigma(p):

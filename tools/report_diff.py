@@ -21,6 +21,10 @@ tree, and one line per command reports:
   residual and scale of such a record belong to another point, so they
   count as the move and not in ``dfloat`` or ``dratio``.
 
+A report that is not JSON lines (``--format csv``) is compared by its
+bytes, stderr and exit code only: ``records`` and ``flags`` then say
+whether the bytes agree.
+
 The exit status is 1 when any command differs in exit code, stderr,
 records or pass flags, and 0 otherwise.
 """
@@ -42,6 +46,7 @@ _ONEFORM = ("--param", 'oneform=["0.1*x1","0","0.05*x2"]')
 COMMANDS = [
     ("eval randers", ("eval", "--metric", "randers", "--points", "3")),
     ("eval randers bh", ("eval", "--metric", "randers", "--volume", "bh", "--points", "3")),
+    ("eval randers csv", ("eval", "--metric", "randers", "--points", "3", "--format", "csv")),
     ("eval randers explicit", ("eval", "--metric", "randers", "--volume",
                                "explicit:exp(0.3*x1*x2)", "--points", "3")),
     ("eval funk4", ("eval", "--metric", "funk", "--dim", "4", "--points", "3")),
@@ -49,6 +54,7 @@ COMMANDS = [
                         "--points", "3")),
     ("verify randers", (*_VERIFY, "--metric", "randers")),
     ("verify randers bh", (*_VERIFY, "--metric", "randers", "--volume", "bh")),
+    ("verify randers csv", (*_VERIFY, "--metric", "randers", "--format", "csv")),
     ("verify randers explicit", (*_VERIFY, "--metric", "randers",
                                  "--volume", "explicit:exp(x1)")),
     ("verify funk4", (*_VERIFY, "--metric", "funk", "--dim", "4")),
@@ -167,8 +173,19 @@ def _ratio(rec: dict, floor: float) -> float | None:
     return residual / limit if limit else math.inf
 
 
+def _records(out: str) -> list[dict] | None:
+    """The records of a JSON-lines report; None for any other output."""
+    try:
+        return [json.loads(line) for line in out.splitlines()]
+    except json.JSONDecodeError:
+        return None
+
+
 def compare(label: str, old: Run, new: Run) -> Diff:
-    a, b = ([json.loads(line) for line in side.out.splitlines()] for side in (old, new))
+    a, b = _records(old.out), _records(new.out)
+    if a is None or b is None:
+        same = old.out == new.out
+        return Diff(label, (old.code, new.code), old.err == new.err, same, same, same)
     keys = [[(r.get("record"), r.get("check")) for r in recs] for recs in (a, b)]
     diff = Diff(label, (old.code, new.code), old.err == new.err, old.out == new.out,
                 keys[0] == keys[1],
