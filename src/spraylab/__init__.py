@@ -38,7 +38,6 @@ from .verify import (
     SuiteReport,
     Tolerances,
     check_names,
-    fd_oracle,
     identity_suite,
     theorem_check,
     theorem_names,
@@ -79,7 +78,6 @@ __all__ = [
     "einstein_wo",
     "family_names",
     "family_summary",
-    "fd_oracle",
     "identity_suite",
     "sample",
     "stack_for",

@@ -29,7 +29,7 @@ from . import catalog
 from .catalog import MetricSpec
 from .errors import ConfigError, DegreeBudgetError, SprayLabError, degree_too_low
 from .geometry import DEFAULT_DEGREE
-from .measures import VolumeForm, as_volume, split_volume
+from .measures import BH_NODES, VolumeForm, as_volume, split_volume
 from .projective import WEYL_ROUTES, WO_ROUTES, PointContext
 from .verify import (Tolerances, identity_suite, theorem_check, theorem_names,
                      theorem_summary, theorem_volumes)
@@ -57,14 +57,14 @@ class RunConfig:
     metric_dim: int | None = None
     metric_params: dict = field(default_factory=dict)
     volume_spec: str = "coordinate"
-    volume_nodes: int = 64
+    volume_nodes: int = BH_NODES
     points: int = 20
     seed: int = 0
     box: tuple[str, float] | None = None
     degree: int = DEFAULT_DEGREE
-    tol_jet: float = 1e-7
-    tol_quad: float = 1e-4
-    floor: float = 1e-9
+    tol_jet: float = Tolerances.jet
+    tol_quad: float = Tolerances.quad
+    floor: float = Tolerances.floor
     fmt: str = "json-lines"
 
     def metric_spec(self) -> MetricSpec:
@@ -168,21 +168,22 @@ _SETTINGS = {
     "volume.kind": _Setting("--volume", "volume_spec", _parse_volume, _RUNS, "SPEC",
                             "coordinate | busemann-hausdorff | explicit:<expr>"),
     "volume.nodes": _Setting("--bh-nodes", "volume_nodes", _parse_int, _RUNS, "N",
-                             "largest BH rule per angle (default 64, or the theorem's own)"),
+                             f"largest BH rule per angle (default {BH_NODES}, "
+                             "or the theorem's own)"),
     "points.count": _Setting("--points", "points", _parse_int, _RUNS, "N",
-                             "sample count (default 20)"),
+                             f"sample count (default {RunConfig.points})"),
     "points.seed": _Setting("--seed", "seed", _parse_int, _RUNS, "N",
-                            "sampler seed (default 0)"),
+                            f"sampler seed (default {RunConfig.seed})"),
     "points.box": _Setting("--box", "box", _parse_box, _SAMPLED, "KIND:SIZE",
                            "sampling box, for example cube:0.5 or ball:0.6"),
     "degree": _Setting("--degree", "degree", _parse_int, _RUNS, "N",
                        f"jet truncation degree (default {DEFAULT_DEGREE})"),
     "tol.jet": _Setting("--tol-jet", "tol_jet", _parse_float, _CHECKED, "X",
-                        "jet-tier tolerance (1e-7)"),
+                        f"jet-tier tolerance (default {Tolerances.jet:g})"),
     "tol.quad": _Setting("--tol-quad", "tol_quad", _parse_float, _CHECKED, "X",
-                         "quadrature-tier tolerance (1e-4)"),
+                         f"quadrature-tier tolerance (default {Tolerances.quad:g})"),
     "tol.floor": _Setting("--floor", "floor", _parse_float, _CHECKED, "X",
-                          "absolute floor (1e-9)"),
+                          f"absolute floor (default {Tolerances.floor:g})"),
     "format": _Setting("--format", "fmt", _parse_format, _ALL, "FORMAT",
                        "output format: json-lines (default) or csv"),
 }
@@ -319,13 +320,13 @@ def _report_output(subcommand: str, report, fmt: str, per_point: bool) -> tuple[
             "record": "check",
             "check": agg.check,
             "points": agg.points,
-            "residual": agg.max_residual,
+            "residual": agg.residual,
             "scale": agg.scale,
             "tolerance": agg.tolerance,
             "floor": agg.floor,
             "pass": agg.passed,
-            "worst_x": list(agg.worst_point.x) if agg.worst_point else None,
-            "worst_y": list(agg.worst_point.y) if agg.worst_point else None,
+            "worst_x": list(agg.worst_point.x),
+            "worst_y": list(agg.worst_point.y),
         })
     if per_point:
         for r in report.results:

@@ -55,6 +55,8 @@ BH_MAX_DIRECTIONS = 2**20
 # against 227 ms), so the budget stays at 256 KB.
 _BLOCK_BYTES = 256 * 1024
 
+# the largest BH rule per angle, unless a volume form gives its own
+BH_NODES = 64
 # the adaptive BH quadrature starts at this many nodes per angle and
 # stops doubling once two rules agree to this fraction of max(1, max|coeff|)
 BH_FIRST_NODES = 16
@@ -176,7 +178,7 @@ def _bh_rule(metric: FinslerMetric, x, nodes: int, degree: int) -> Jet:
     return math.log(unit_ball_volume(n)) - jets.log(volume)
 
 
-def bh_density(metric: FinslerMetric, x, nodes: int = 64, degree: int = 3,
+def bh_density(metric: FinslerMetric, x, nodes: int = BH_NODES, degree: int = 3,
                rules: list | None = None) -> Jet:
     """Jet of ln sigma_BH at x, in the n-variable x-ring of the given degree.
 
@@ -216,7 +218,7 @@ class VolumeForm:
 
     kind: str
     sigma: str | None = None
-    nodes: int = 64
+    nodes: int = BH_NODES
 
     def __post_init__(self):
         if self.kind not in VOLUME_KINDS:
@@ -268,7 +270,7 @@ def split_volume(key: str, spec: str) -> tuple[str, str | None]:
     return kind, None
 
 
-def as_volume(spec=None, nodes: int = 64) -> VolumeForm:
+def as_volume(spec=None, nodes: int = BH_NODES) -> VolumeForm:
     """Coerce a volume description (None, a form, or a spec) to a form."""
     if spec is None:
         return VolumeForm("coordinate")

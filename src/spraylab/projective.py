@@ -92,12 +92,11 @@ class ProjectiveStack:
         return MeasureStack(self.hat, self.measure.lnsigma_x)
 
     def weyl_values(self, route: str = "viaHat") -> np.ndarray:
+        """W^i_k as the hat spray's T (viaHat) or as the base spray's W via chi (viaChi)."""
         if route == "viaHat":
             return self.hat.T.value()
         if route == "viaChi":
-            chi = self.base.chi.value()
-            y = self.point.y_array()
-            return self.base.T.value() + (3.0 / (self.n + 1.0)) * np.outer(y, chi)
+            return self.base.weyl.value()
         raise ConfigError(f"unknown weyl route {route!r}; use one of {WEYL_ROUTES}")
 
     def wo_values(self, route: str = "definition") -> np.ndarray:

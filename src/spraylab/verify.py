@@ -1,4 +1,4 @@
-"""Identity suite, theorem records, and a finite-difference oracle.
+"""Identity suite and theorem records.
 
 Every registered check recomputes one relation by two independent routes
 and reports the raw residual together with the magnitude of the compared
@@ -6,6 +6,11 @@ terms, so thresholds are relative with a small absolute floor for
 quantities that vanish identically.  Tolerances come in two tiers: jet
 identities hold to rounding, while anything that feeds on a quadrature
 volume form inherits the quadrature error instead.
+
+A report holds one aggregate per check that ran, with the residual and
+scale of its worst point, the one of largest residual / (tolerance * scale
++ floor).  A ratio of at most ``RANK_RATIO`` is rounding noise and ranks no
+point, so among such points the first in sample order is reported.
 
 A suite run never aborts on a failing point; domain errors at a single
 point are recorded as infinite residuals and the run continues.  A degree
@@ -30,7 +35,7 @@ from .errors import ConfigError, DegreeBudgetError, SprayLabError, degree_too_lo
 from .geometry import (DEFAULT_DEGREE, MetricFrame, PerturbedSpray, SprayStack,
                        TangentPoint, as_spray)
 from .jets import Jet
-from .measures import MeasureStack, VolumeForm, as_volume
+from .measures import BH_NODES, MeasureStack, VolumeForm, as_volume
 from .projective import PointContext, ProjectiveStack, einstein_wo, volume_change
 
 __all__ = [
@@ -43,8 +48,11 @@ __all__ = [
     "identity_suite",
     "theorem_check",
     "theorem_names",
-    "fd_oracle",
 ]
+
+# a residual of at most this fraction of its limit is rounding noise; in the
+# catalog's reports rounding reaches about 1e-4 of the limit
+RANK_RATIO = 1e-2
 
 
 @dataclass(frozen=True)
@@ -81,15 +89,15 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CheckAggregate:
-    """One check over many points, reduced to its worst offender."""
+    """One check over its points, reduced to its worst point (see the module docstring)."""
 
     check: str
     points: int
-    max_residual: float
+    residual: float
     scale: float
     tolerance: float
     floor: float
-    worst_point: TangentPoint | None
+    worst_point: TangentPoint
     passed: bool
 
 
@@ -103,9 +111,9 @@ class SuiteReport:
     checks: tuple[CheckAggregate, ...]
     results: tuple[CheckResult, ...]
     passed: bool
-    # largest BH rule and last rule change over the points, for a
-    # quadrature volume in the identity suite
-    quadrature: dict | None = None
+    # bh_nodes and bh_change, the largest BH rule and last rule change over
+    # the points, when a volume of the run is Busemann-Hausdorff
+    quadrature: dict | None
 
     def failures(self) -> list[CheckAggregate]:
         return [agg for agg in self.checks if not agg.passed]
@@ -127,33 +135,35 @@ def _result(check: str, point, residual, scale, tolerance, floor) -> CheckResult
     return CheckResult(check, point, residual, scale, tolerance, floor, passed)
 
 
-def _ratio(r: CheckResult) -> float:
-    """Residual over its threshold; a non-finite ratio ranks worst."""
-    if r.residual == 0.0:
-        return 0.0
+def _rank(r: CheckResult) -> float:
+    """Residual over its limit, 0 up to RANK_RATIO; a NaN or infinite ratio ranks worst."""
     limit = r.tolerance * r.scale + r.floor
-    ratio = r.residual / limit if limit else math.inf
-    return ratio if math.isfinite(ratio) else math.inf
+    ratio = r.residual / limit if limit else (math.inf if r.residual else 0.0)
+    if math.isnan(ratio):
+        return math.inf
+    return ratio if ratio > RANK_RATIO else 0.0
 
 
-def _aggregate(check: str, results: list[CheckResult], tolerance, floor) -> CheckAggregate:
-    if not results:
-        return CheckAggregate(check, 0, 0.0, 0.0, tolerance, floor, None, True)
-    worst = max(results, key=_ratio)
-    passed = all(r.passed for r in results)
-    return CheckAggregate(
-        check, len(results), worst.residual, worst.scale, tolerance, floor,
-        worst.point, passed,
-    )
+def _aggregate(results: list[CheckResult]) -> CheckAggregate:
+    """One check's results, which share its tolerance and floor."""
+    worst = max(results, key=_rank)  # the first of equal ranks
+    return CheckAggregate(worst.check, len(results), worst.residual, worst.scale,
+                          worst.tolerance, worst.floor, worst.point,
+                          all(r.passed for r in results))
 
 
-def _suite_report(metric: str, volume: str, seed, degree: int, tol: Tolerances,
-                  groups: dict, quadrature=None) -> SuiteReport:
-    """A report from insertion-ordered ``{check: (tolerance, results)}`` groups."""
-    checks = tuple(_aggregate(name, rs, t, tol.floor) for name, (t, rs) in groups.items())
-    results = tuple(r for _, rs in groups.values() for r in rs)
-    return SuiteReport(metric, volume, seed, degree, tol, checks, results,
-                       all(agg.passed for agg in checks), quadrature)
+def _suite_report(metric: str, volumes: list[VolumeForm], seed, degree: int,
+                  tol: Tolerances, groups: dict, rules: list) -> SuiteReport:
+    """A report from ``{check: results}`` groups and the ``(nodes, change)`` of BH rules."""
+    checks = tuple(_aggregate(rs) for rs in groups.values())
+    results = tuple(r for rs in groups.values() for r in rs)
+    quadrature = None
+    if any(vol.uses_quadrature for vol in volumes):
+        changes = [change for _, change in rules if change is not None]
+        quadrature = {"bh_nodes": max((nodes for nodes, _ in rules), default=None),
+                      "bh_change": max(changes, default=None)}
+    return SuiteReport(metric, ", ".join(vol.describe() for vol in volumes), seed, degree,
+                       tol, checks, results, all(agg.passed for agg in checks), quadrature)
 
 
 def _spread(vals) -> tuple[float, float]:
@@ -590,12 +600,11 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
     volume.validate(obj.dim)
 
     quad = volume.uses_quadrature
-    groups = {c.name: (tolerances.pick(quad and c.uses_measure), []) for c in selected}
+    groups = {c.name: [] for c in applicable}
     rules = []
     for point in pts:
         ctx = PointContext(obj, volume, point, degree)
         for check in applicable:
-            tol, results = groups[check.name]
             try:
                 residual, scale = check.fn(ctx)
             except ConfigError:
@@ -604,15 +613,11 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
                 raise degree_too_low(degree, f"check {check.name}", exc) from None
             except (SprayLabError, FloatingPointError):
                 residual, scale = math.inf, 1.0
-            results.append(_result(check.name, point, residual, scale, tol, tolerances.floor))
+            tol = tolerances.pick(quad and check.uses_measure)
+            groups[check.name].append(
+                _result(check.name, point, residual, scale, tol, tolerances.floor))
         rules.extend(ctx.rules)
-    quadrature = None
-    if quad:
-        changes = [change for _, change in rules if change is not None]
-        quadrature = {"bh_nodes": max((nodes for nodes, _ in rules), default=None),
-                      "bh_change": max(changes, default=None)}
-    return _suite_report(obj.name, volume.describe(), seed, degree, tolerances, groups,
-                         quadrature=quadrature)
+    return _suite_report(obj.name, [volume], seed, degree, tolerances, groups, rules)
 
 
 # -- theorems ---------------------------------------------------------------------
@@ -625,7 +630,6 @@ class Fixture(NamedTuple):
     count: int  # points unless the run gives a count
     rows: Callable[[PointContext, list[VolumeForm]], list[tuple]]
     seed_offset: int = 0
-    fixed_count: bool = False  # a given count does not apply
 
 
 class Theorem(NamedTuple):
@@ -636,8 +640,7 @@ class Theorem(NamedTuple):
     volumes: tuple[str, ...]  # default volume specs
     takes_volume: bool = False  # holds for every volume form, so a given one replaces these
     compares_volumes: bool = False  # a given volume is paired with a default of another kind
-    nodes: int = 64  # default BH rule size
-    by_kind: bool = False  # the run record names the default volumes by kind
+    nodes: int = BH_NODES  # default BH rule size
 
 
 def _wo_zero(label: str, proj: ProjectiveStack, quad: bool, at_least=0.0) -> tuple:
@@ -729,7 +732,7 @@ def _ex45_anisotropic(ctx, volumes):
     """The square metric's S-curvature is not isotropic: S/F depends on y."""
     # sigma_BH depends on x alone, so the three directions share one density
     degree = 4
-    lnsigma = volumes[-1].lnsigma_jet(ctx.metric, ctx.point.x, degree - 2)
+    lnsigma = volumes[-1].lnsigma_jet(ctx.metric, ctx.point.x, degree - 2, rules=ctx.rules)
     ratios = []
     for y in [(1.0, 0.4, -0.3), (-0.5, 1.0, 0.8), (0.2, -0.9, 1.0)]:
         frame = MetricFrame(ctx.metric, TangentPoint(ctx.point.x, y), degree)
@@ -741,7 +744,7 @@ _EVERY_KIND = ("coordinate", "explicit:exp(0.1*x2)", "bh")
 _THEOREMS: dict[str, Theorem] = {
     "thm12": Theorem("scalar-curvature spray has W^o = 0 for every volume",
                      (Fixture(MetricSpec("funk", 3), 20, _thm12),),
-                     _EVERY_KIND, takes_volume=True, by_kind=True),
+                     _EVERY_KIND, takes_volume=True),
     "thm15": Theorem("Einstein + constant S under BH volume has W^o = 0",
                      (Fixture(MetricSpec("funk", 3), 6, _thm15_funk),
                       Fixture(MetricSpec("hyperbolic-ball", 3), 6, _thm15_ball, seed_offset=1)),
@@ -752,11 +755,11 @@ _THEOREMS: dict[str, Theorem] = {
     "cor33": Theorem("constant flag curvature surfaces have W^o = 0",
                      (Fixture(MetricSpec("round-sphere", 2), 8, _cor33),
                       Fixture(MetricSpec("hyperbolic-ball", 2), 8, _cor33, seed_offset=1)),
-                     ("coordinate", "bh"), by_kind=True),
+                     ("coordinate", "bh")),
     "prop32": Theorem("Einstein surface: W^o matches F^3 (theta/F)_{.k}",
                       (Fixture(MetricSpec("conformal-flat-2d", 2), 8, _prop32),
                        Fixture(MetricSpec("round-sphere", 2), 8, _prop32)),
-                      ("bh",), by_kind=True),
+                      ("bh",)),
     "thm43": Theorem("the two volume-flatness conditions are equivalent",
                      (Fixture(MetricSpec("randers", 3), 6, _thm43),),
                      ("coordinate",), takes_volume=True),
@@ -765,9 +768,8 @@ _THEOREMS: dict[str, Theorem] = {
                     nodes=16),
     "ex45": Theorem("square metric is BWeyl-flat but fails the Ricci gate",
                     (Fixture(MetricSpec("square-metric", 3), 4, _ex45),
-                     Fixture(MetricSpec("square-metric", 3), 1, _ex45_anisotropic,
-                             fixed_count=True)),
-                    ("coordinate", "explicit:exp(0.1*x1)", "bh"), nodes=32, by_kind=True),
+                     Fixture(MetricSpec("square-metric", 3), 1, _ex45_anisotropic)),
+                    ("coordinate", "explicit:exp(0.1*x1)", "bh"), nodes=32),
 }
 
 
@@ -818,10 +820,11 @@ def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
     thm = _theorem(name)
     volumes = theorem_volumes(name, volume, nodes)
     tol = tolerances if tolerances is not None else Tolerances()
-    groups: dict[str, tuple[float, list[CheckResult]]] = {}
+    groups: dict[str, list[CheckResult]] = {}
+    rules = []
     for fixture in thm.fixtures:
         metric = catalog.build(fixture.spec)
-        count = fixture.count if points is None or fixture.fixed_count else points
+        count = fixture.count if points is None else points
         for point in catalog.sample(metric, count=count, seed=seed + fixture.seed_offset):
             ctx = PointContext(metric, volumes[0], point, degree)
             try:
@@ -829,61 +832,7 @@ def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
             except DegreeBudgetError as exc:
                 raise degree_too_low(degree, f"theorem {name}", exc) from None
             for label, residual, scale, quad in rows:
-                t = tol.pick(quad)
-                groups.setdefault(label, (t, []))[1].append(
-                    _result(label, point, residual, scale, t, tol.floor))
-    named = thm.by_kind and volume is None
-    text = ", ".join(vol.kind if named else vol.describe() for vol in volumes)
-    return _suite_report(name, text, seed, degree, tol, groups)
-
-
-# -- finite-difference oracle ----------------------------------------------------
-
-# fourth-order central stencils on offsets -2h .. 2h
-_C1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
-_C2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))
-
-
-def fd_oracle(field, point: TangentPoint, alpha, step: float = 1e-2) -> float:
-    """Central finite difference of ``field`` at ``point``.
-
-    ``field`` maps a tangent point to a float; ``alpha`` is a multi-index
-    of length 2n over the slots (x^1..x^n, y^1..y^n) with total order at
-    most two.  Fourth-order stencils keep the truncation error near
-    step^4 so jet values can be checked to 1e-5 relative at step 1e-2.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    n = point.dim
-    if len(alpha) != 2 * n:
-        raise ConfigError(f"alpha must have length {2 * n} (x then y slots)")
-    if any(a < 0 for a in alpha):
-        raise ConfigError("alpha entries must be non-negative")
-    order = sum(alpha)
-    if order > 2:
-        raise ConfigError("finite-difference oracle supports total order <= 2")
-
-    def shifted(offsets: dict) -> float:
-        xs = list(point.x)
-        ys = list(point.y)
-        for slot, off in offsets.items():
-            if slot < n:
-                xs[slot] += off
-            else:
-                ys[slot - n] += off
-        return float(field(TangentPoint(tuple(xs), tuple(ys))))
-
-    if order == 0:
-        return shifted({})
-    slots = [i for i, a in enumerate(alpha) for _ in range(a)]
-    if order == 1:
-        (a,) = slots
-        return sum(c * shifted({a: k * step}) for k, c in _C1) / (12.0 * step)
-    a, b = slots
-    if a == b:
-        total = sum(c * shifted({a: k * step}) for k, c in _C2)
-        return total / (12.0 * step * step)
-    acc = 0.0
-    for ka, ca in _C1:
-        for kb, cb in _C1:
-            acc += ca * cb * shifted({a: ka * step, b: kb * step})
-    return acc / (144.0 * step * step)
+                groups.setdefault(label, []).append(
+                    _result(label, point, residual, scale, tol.pick(quad), tol.floor))
+            rules.extend(ctx.rules)
+    return _suite_report(name, volumes, seed, degree, tol, groups, rules)

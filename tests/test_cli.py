@@ -21,7 +21,7 @@ import spraylab
 from spraylab import cli, geometry, jets, measures, projective
 from spraylab.cli import RunConfig, main, parse_config
 from spraylab.errors import ConfigError
-from spraylab.verify import check_names, theorem_names
+from spraylab.verify import Tolerances, check_names, theorem_names
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +45,21 @@ def test_defaults():
     assert cfg.volume_nodes == 64
     assert (cfg.tol_jet, cfg.tol_quad, cfg.floor) == (1e-7, 1e-4, 1e-9)
     assert cfg.fmt == "json-lines"
+
+
+def test_defaults_have_one_home_and_the_help_names_them(capsys):
+    assert RunConfig().tolerances() == Tolerances()
+    assert RunConfig().volume_nodes == measures.BH_NODES == measures.as_volume("bh").nodes
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    text = " ".join(out.split())  # argparse wraps help lines
+    assert code == 0
+    for phrase in (f"largest BH rule per angle (default {measures.BH_NODES},",
+                   f"sample count (default {RunConfig.points})",
+                   f"sampler seed (default {RunConfig.seed})",
+                   f"jet-tier tolerance (default {Tolerances.jet:g})",
+                   f"quadrature-tier tolerance (default {Tolerances.quad:g})",
+                   f"absolute floor (default {Tolerances.floor:g})"):
+        assert phrase in text
 
 
 def test_config_file_keys(tmp_path):
@@ -367,15 +382,30 @@ def test_eval_csv_columns(capsys):
 
 def test_verify_euclidean_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--metric", "euclidean", "--dim", "3",
-                           "--volume", "coordinate", "--points", "10", "--seed", "7")
+                           "--volume", "coordinate", "--points", "10", "--seed", "7",
+                           "--per-point")
     assert code == 0
     records = json_records(out)
     assert records[0]["record"] == "run"
-    assert records[-1] == {"record": "summary", "pass": True, "checks": 41,
+    # every check but weyl-2d, which applies to surfaces only
+    assert records[-1] == {"record": "summary", "pass": True, "checks": 40,
                            "failures": []}
-    for rec in records:
-        if rec["record"] == "check" and rec["points"]:
-            assert rec["residual"] <= 1e-11
+    results = [rec for rec in records if rec["record"] == "result"]
+    assert len(results) == 400 and all(rec["residual"] <= 1e-11 for rec in results)
+    assert all(rec["points"] == 10 for rec in records if rec["record"] == "check")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (("--metric", "conformal-flat-2d"), {"weyl-divergence", "flatness-equivalence"}),
+    (("--metric", "funk", "--dim", "4"), {"riemannian-berwald", "weyl-2d"}),
+])
+def test_verify_prints_records_only_for_checks_that_ran(capsys, argv, absent):
+    code, out, _ = run_cli(capsys, "verify", *argv, "--points", "2")
+    records = json_records(out)
+    checks = [r for r in records if r["record"] == "check"]
+    assert code == 0 and absent.isdisjoint(r["check"] for r in checks)
+    assert all(r["points"] == 2 for r in checks)
+    assert records[-1]["checks"] == len(checks) == len(check_names()) - len(absent)
 
 
 def test_verify_exit_one_on_failed_check(capsys):
@@ -422,7 +452,7 @@ def test_verify_csv_table(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == cli.VERIFY_COLUMNS
-    assert len(rows) == 42
+    assert len(rows) == 1 + 40  # the header and the checks that apply in dim 3
 
 
 def test_verify_byte_identical_reruns(capsys):
@@ -458,6 +488,20 @@ def test_theorem_uses_a_given_rule_size(capsys):
     code, out, _ = run_cli(capsys, "theorem", "ex17", "--bh-nodes", "32", "--points", "1")
     assert code == 0
     assert json_records(out)[0]["volume"] == "busemann-hausdorff(32)"
+
+
+@pytest.mark.parametrize("name, volume, bh", [
+    ("thm12", "coordinate, explicit:exp(0.1*x2), busemann-hausdorff(64)", True),
+    ("thm15", "busemann-hausdorff(64)", True),
+    ("thm43", "coordinate", False),
+])
+def test_theorem_run_record_names_its_volumes_and_bh_rule(capsys, name, volume, bh):
+    code, out, _ = run_cli(capsys, "theorem", name, "--points", "1")
+    run = json_records(out)[0]
+    assert code == 0 and run["volume"] == volume
+    assert ("bh_nodes" in run) == ("bh_change" in run) == bh
+    if bh:
+        assert 16 <= run["bh_nodes"] <= 64
 
 
 def test_theorem_results_follow_their_checks(capsys):
@@ -814,8 +858,8 @@ def test_thm12_builds_one_base_stack_per_point(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, densities", [
     (("verify", "--metric", "randers", "--volume", "bh", "--points", "3"), 3),
-    # two gate points plus one base point shared by three directions
-    (("theorem", "ex45", "--points", "2"), 3),
+    # two gate points plus two base points, each shared by three directions
+    (("theorem", "ex45", "--points", "2"), 4),
     # one of three volumes is BH
     (("theorem", "thm12", "--points", "2"), 2),
     # funk and hyperbolic-ball points

@@ -78,8 +78,7 @@ def _names_used_in_the_library() -> set[str]:
 
 
 def test_every_public_name_has_a_caller_in_the_library():
-    # fd_oracle is the tests' finite-difference reference and has no library caller
-    exempt = {"__version__", "fd_oracle"}
+    exempt = {"__version__"}
     used = _names_used_in_the_library()
     assert [name for name in spraylab.__all__ if name not in used | exempt] == []
 

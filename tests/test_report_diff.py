@@ -55,6 +55,28 @@ def test_moves_float_changes_and_flags_are_reported():
     assert not failed.agrees and not failed.same_flags
 
 
+def test_dropped_records_and_fields_are_named_and_the_rest_compared():
+    tool = _tool()
+    run = {"record": "run", "volume": "bh", "floor": 1e-9}
+    checks = [{"record": "check", "check": name, "points": points, "residual": 1e-10,
+               "scale": 2.0, "tolerance": 1e-7, "floor": 1e-9, "pass": True,
+               "worst_x": [0.1], "worst_y": [1.0]} for name, points in (("a", 0), ("b", 2))]
+
+    def report(*records):
+        return tool.Run(0, "".join(json.dumps(r) + "\n" for r in records), "")
+
+    summary = {"record": "summary", "pass": True, "checks": 2}
+    new_run = dict(run, volume="busemann-hausdorff(64)", bh_nodes=32)
+    grown = dict(checks[1], residual=1e-10 * (1 + 1e-6))
+    diff = tool.compare("dropped", report(run, *checks, summary),
+                        report(new_run, grown, dict(summary, checks=1)))
+    assert not diff.agrees and not diff.same_records and diff.same_flags
+    assert (diff.dropped, diff.added, diff.moves) == (["check:a"], [], [])
+    assert diff.changed == {"run.volume", "+run.bh_nodes", "check.residual", "summary.checks"}
+    assert abs(diff.dfloat - 1e-16 / 2.0) < 1e-20  # the count of checks is no float
+    assert "records DIFFER -check:a flags same" in diff.line()
+
+
 def test_csv_reports_are_compared_by_bytes_stderr_and_exit_code():
     tool = _tool()
     argv = ("verify", "--metric", "randers", "--points", "1", "--checks", "euler-metric",

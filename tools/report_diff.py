@@ -12,14 +12,20 @@ tree, and one line per command reports:
 - ``stderr`` and ``bytes``: whether standard error and standard output are
   byte-identical;
 - ``records``: whether both reports hold the same records (kind and check
-  name) in the same order, and ``flags`` whether every ``pass`` flag agrees;
-- ``dfloat``: the largest change of any number in a record, relative to
-  the largest magnitude in that record;
+  name) in the same order, followed by the records that only the old (-)
+  or only the new (+) report holds; the others are matched by kind, check
+  and rank among their namesakes, and compared;
+- ``flags``: whether every ``pass`` flag of a matched record agrees;
+- ``changed``: the fields (``kind.key``) whose values differ between
+  matched records, and those that only the old (-) or new (+) record has;
+- ``dfloat``: the largest change of any non-integer number in a matched
+  record, relative to the largest magnitude in that record; integers are
+  counts, and show only under ``changed``;
 - ``dratio``: the largest growth of residual / limit, where the limit is
   ``tolerance * scale + floor``;
 - ``moves``: the checks whose worst point moved, with their new ratio.  The
   residual and scale of such a record belong to another point, so they
-  count as the move and not in ``dfloat`` or ``dratio``.
+  count as the move and not in ``changed``, ``dfloat`` or ``dratio``.
 
 A report that is not JSON lines (``--format csv``) is compared by its
 bytes, stderr and exit code only: ``records`` and ``flags`` then say
@@ -36,6 +42,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 _VERIFY = ("verify", "--points", "3", "--per-point")
@@ -57,6 +64,8 @@ COMMANDS = [
     ("verify randers csv", (*_VERIFY, "--metric", "randers", "--format", "csv")),
     ("verify randers explicit", (*_VERIFY, "--metric", "randers",
                                  "--volume", "explicit:exp(x1)")),
+    # a surface, where weyl-divergence and flatness-equivalence do not apply
+    ("verify conformal-flat-2d", (*_VERIFY, "--metric", "conformal-flat-2d")),
     ("verify funk4", (*_VERIFY, "--metric", "funk", "--dim", "4")),
     ("verify funk3 bh", (*_VERIFY, "--metric", "funk", "--dim", "3", "--volume", "bh")),
     ("verify square bh", (*_VERIFY, "--metric", "square-metric", "--volume", "bh")),
@@ -112,6 +121,9 @@ class Diff:
     same_bytes: bool
     same_records: bool
     same_flags: bool
+    dropped: list[str] = field(default_factory=list)
+    added: list[str] = field(default_factory=list)
+    changed: set[str] = field(default_factory=set)
     dfloat: float = 0.0
     dratio: float = 0.0
     moves: list[tuple[str, float]] = field(default_factory=list)
@@ -122,10 +134,13 @@ class Diff:
                 and self.same_flags)
 
     def line(self) -> str:
+        records = _word(self.same_records) + "".join(
+            f" -{name}" for name in self.dropped) + "".join(f" +{name}" for name in self.added)
+        changed = ", ".join(sorted(self.changed)) or "-"
         moves = ", ".join(f"{name} ({ratio:.1e})" for name, ratio in self.moves) or "-"
         return (f"{self.label}: exit {self.codes[0]}/{self.codes[1]}"
                 f" stderr {_word(self.same_err)} bytes {_word(self.same_bytes)}"
-                f" records {_word(self.same_records)} flags {_word(self.same_flags)}"
+                f" records {records} flags {_word(self.same_flags)} changed {changed}"
                 f" dfloat {self.dfloat:.1e} dratio {self.dratio:+.1e} moves {moves}")
 
 
@@ -149,13 +164,14 @@ def _number(value):
 
 
 def _numbers(value):
+    """The non-integer numbers of a value, depth first."""
     if isinstance(value, dict):
         for v in value.values():
             yield from _numbers(v)
     elif isinstance(value, list):
         for v in value:
             yield from _numbers(v)
-    elif (x := _number(value)) is not None:
+    elif not isinstance(value, int) and (x := _number(value)) is not None:
         yield x
 
 
@@ -181,25 +197,48 @@ def _records(out: str) -> list[dict] | None:
         return None
 
 
+def _keyed(records: list[dict]) -> dict:
+    """Records by (kind, check, rank among the records of that kind and check)."""
+    seen = Counter()
+    keyed = {}
+    for rec in records:
+        name = (rec.get("record"), rec.get("check"))
+        keyed[(*name, seen[name])] = rec
+        seen[name] += 1
+    return keyed
+
+
+def _name(key) -> str:
+    kind, check, _ = key
+    return kind if check is None else f"{kind}:{check}"
+
+
 def compare(label: str, old: Run, new: Run) -> Diff:
     a, b = _records(old.out), _records(new.out)
     if a is None or b is None:
         same = old.out == new.out
         return Diff(label, (old.code, new.code), old.err == new.err, same, same, same)
-    keys = [[(r.get("record"), r.get("check")) for r in recs] for recs in (a, b)]
+    ka, kb = _keyed(a), _keyed(b)
+    common = [key for key in ka if key in kb]
     diff = Diff(label, (old.code, new.code), old.err == new.err, old.out == new.out,
-                keys[0] == keys[1],
-                [r.get("pass") for r in a] == [r.get("pass") for r in b])
-    if not diff.same_records:
-        return diff
+                list(ka) == list(kb),
+                all(ka[key].get("pass") == kb[key].get("pass") for key in common),
+                dropped=[_name(key) for key in ka if key not in kb],
+                added=[_name(key) for key in kb if key not in ka])
     floor = next((r["floor"] for r in a if r.get("record") == "run" and "floor" in r), 0.0)
-    for ra, rb in zip(a, b):
+    for key in common:
+        ra, rb = ka[key], kb[key]
         moved = ("worst_x" in ra and (ra["worst_x"], ra.get("worst_y"))
                  != (rb.get("worst_x"), rb.get("worst_y")))
         if moved:
             diff.moves.append((ra["check"], _ratio(rb, floor)))
             drop = ("residual", "scale", "worst_x", "worst_y")
             ra, rb = ({k: v for k, v in r.items() if k not in drop} for r in (ra, rb))
+        kind = key[0]
+        diff.changed |= {f"-{kind}.{k}" for k in ra if k not in rb}
+        diff.changed |= {f"+{kind}.{k}" for k in rb if k not in ra}
+        diff.changed |= {f"{kind}.{k}" for k in ra if k in rb and ra[k] != rb[k]}
+        ra, rb = ({k: v for k, v in r.items() if k in ra and k in rb} for r in (ra, rb))
         xs, ys = list(_numbers(ra)), list(_numbers(rb))
         if len(xs) != len(ys):
             diff.dfloat = math.inf
