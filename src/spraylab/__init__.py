@@ -26,7 +26,6 @@ from .geometry import (
 )
 from .measures import MeasureStack, VolumeForm, as_volume, bh_density
 from .projective import (
-    WEYL_ROUTES,
     WO_ROUTES,
     PointContext,
     ProjectiveStack,
@@ -68,7 +67,6 @@ __all__ = [
     "TangentPoint",
     "Tolerances",
     "VolumeForm",
-    "WEYL_ROUTES",
     "WO_ROUTES",
     "as_field",
     "as_volume",

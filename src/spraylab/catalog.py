@@ -31,21 +31,6 @@ class MetricSpec:
 # -- metric classes -----------------------------------------------------------
 
 
-class Euclidean(FinslerMetric):
-    def __init__(self, dim):
-        self.dim = dim
-        self.name = f"euclidean({dim})"
-
-    def fsq_at(self, x):
-        def fsq(y):
-            acc = y[0] * y[0]
-            for i in range(1, self.dim):
-                acc = acc + y[i] * y[i]
-            return acc
-
-        return fsq
-
-
 class Riemannian(FinslerMetric):
     """F^2 = a_ij(x) y^i y^j for a callable symmetric matrix a(x)."""
 
@@ -220,7 +205,8 @@ def _nested(shape, entry):
 
 
 def _build_euclidean(dim, params):
-    return Euclidean(dim)
+    identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
+    return Riemannian(dim, lambda x: identity, name=f"euclidean({dim})")
 
 
 def _build_riemannian(dim, params):

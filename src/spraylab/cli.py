@@ -30,7 +30,7 @@ from .catalog import MetricSpec
 from .errors import ConfigError, DegreeBudgetError, SprayLabError, degree_too_low
 from .geometry import DEFAULT_DEGREE
 from .measures import BH_NODES, VolumeForm, as_volume, split_volume
-from .projective import WEYL_ROUTES, WO_ROUTES, PointContext
+from .projective import WO_ROUTES, PointContext
 from .verify import (Tolerances, identity_suite, theorem_check, theorem_names,
                      theorem_summary, theorem_volumes)
 
@@ -428,7 +428,7 @@ def _eval_point(obj, volume, point, degree, index) -> dict:
         "tau": ms.tau.value(),
         "chi": st.chi.value(),
         "Ghat": ps.Ghat.value(),
-        "W": {route: ps.weyl_values(route) for route in WEYL_ROUTES},
+        "W": {"viaChi": st.weyl.value(), "viaHat": ps.hat.T.value()},
         "Wo": wo,
     }
 

@@ -252,10 +252,6 @@ class SprayStack:
         """Horizontal derivatives f_{|k} = f_{x^k} - N^l_k f_{.l} of a scalar jet."""
         return f.grad(self.xs) - (self.N * f.grad(self.ys)[:, None]).einsum("lk->k")
 
-    def euler_field(self, f: Jet) -> Jet:
-        """Y(f) = y^m f_{.m}."""
-        return (self.y_jets * f.grad(self.ys)).einsum("m->")
-
     # -- connection -------------------------------------------------------
 
     @cached_property
@@ -313,29 +309,22 @@ class SprayStack:
 
     # -- covariant derivatives -------------------------------------------
 
-    def hcov_values(self, tensor: Jet, contra: int) -> np.ndarray:
+    def hcov_values(self, tensor: Jet, contra: int = 0) -> np.ndarray:
         """Horizontal covariant derivative, one extra lower index, values only.
 
         ``tensor`` is a tensor jet whose first ``contra`` axes are
-        contravariant; it must keep one exact order.
+        contravariant; it must keep one exact order.  A scalar gets
+        f_{|k} = f_{x^k} - N^l_k f_{.l}.
         """
         vals = np.asarray(tensor.value())
         gamma = self.Gamma.value()
-        out = self._hcov_partials(tensor)
+        grad = tensor.gradient()
+        out = grad[..., : self.n] - grad[..., self.n :] @ self.N.value()
         for pos in range(vals.ndim):
             # contravariant slot: + T^..l.. Gamma^i_lm; covariant: - T_..l.. Gamma^l_im
             conn = gamma if pos < contra else -gamma.transpose(1, 0, 2)
             out += np.moveaxis(np.tensordot(vals, conn, axes=([pos], [1])), -2, pos)
         return out
-
-    def hcov_scalar_values(self, f: Jet) -> np.ndarray:
-        """Values of f_{|k} = f_{x^k} - N^l_k f_{.l}, indexed [..., k], entry by entry."""
-        return self._hcov_partials(f)
-
-    def _hcov_partials(self, f: Jet) -> np.ndarray:
-        # shared by both public derivatives, so each call of either is one derivative
-        grad = f.gradient()
-        return grad[..., : self.n] - grad[..., self.n :] @ self.N.value()
 
     @cached_property
     def Rscalar_h(self) -> Jet:
@@ -360,7 +349,7 @@ class SprayStack:
     @cached_property
     def wo_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """R_{|k} and (1/2) R_{.k|m} y^m; on the hat stack W^o_k is their difference."""
-        first = self.hcov_scalar_values(self.Rscalar)
+        first = self.hcov_values(self.Rscalar)
         return first, 0.5 * (self.Rscalar_vhcov @ self.point.y_array())
 
     # -- projective invariants of the spray alone -----------------------------

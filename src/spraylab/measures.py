@@ -317,14 +317,9 @@ class MeasureStack:
         return self.S.gradient(self.stack.ys)
 
     @cached_property
-    def S_hderiv(self) -> Jet:
-        """S_{|m}."""
-        return self.stack.hgrad(self.S)
-
-    @cached_property
     def S0(self) -> Jet:
         """S_{|m} y^m."""
-        return (self.S_hderiv * self.stack.y_jets).einsum("m->")
+        return (self.stack.hgrad(self.S) * self.stack.y_jets).einsum("m->")
 
     @cached_property
     def tau(self) -> Jet:
@@ -335,7 +330,5 @@ class MeasureStack:
     def chi_from_S(self) -> np.ndarray:
         """chi_k = (S_{.k|m} y^m - S_{|k}) / 2, which no volume form changes."""
         st = self.stack
-        # S_{.i|m} is the covariant derivative of the one-form S_{.i};
-        # contracted with y^m its connection term is -S_{.l} N^l_i
-        s_vh = st.hcov_scalar_values(self.S.grad(st.ys)) @ st.point.y_array()
-        return 0.5 * (s_vh - self.S_v @ st.N.value() - st.hcov_scalar_values(self.S))
+        s_vh = st.hcov_values(self.S.grad(st.ys)) @ st.point.y_array()
+        return 0.5 * (s_vh - st.hcov_values(self.S))

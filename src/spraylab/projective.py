@@ -5,9 +5,10 @@ vanishing S-curvature and chi; its trace-adjusted Riemann curvature is the
 Weyl tensor W^i_k, and horizontal derivatives of its Ricci scalar give the
 one-form W^o_k.  Both admit several equivalent expressions, kept here as
 separate routes so they can serve as mutual oracles.  W is a projective
-invariant of the spray alone: the base spray's stack holds it via chi,
-with its divergence.  The definition and viaBase routes both start from
-``SprayStack.wo_terms``, of the hat and the base stack.
+invariant of the spray alone, read as the hat stack's ``T`` or as the base
+stack's ``weyl`` via chi, which also holds its divergence.  The definition
+and viaBase routes of W^o both start from ``SprayStack.wo_terms``, of the
+hat and the base stack.
 
 Routes for W^o_k (hat marks the projective spray, n the dimension):
 
@@ -58,7 +59,6 @@ from .measures import MeasureStack, VolumeForm, as_volume
 # out of exact x-orders and raises DegreeBudgetError.
 LNSIGMA_XDEGREE = 3
 
-WEYL_ROUTES = ("viaChi", "viaHat")
 WO_ROUTES = ("definition", "viaBase", "divW", "divR")
 
 
@@ -91,14 +91,6 @@ class ProjectiveStack:
     def hat_measure(self) -> MeasureStack:
         return MeasureStack(self.hat, self.measure.lnsigma_x)
 
-    def weyl_values(self, route: str = "viaHat") -> np.ndarray:
-        """W^i_k as the hat spray's T (viaHat) or as the base spray's W via chi (viaChi)."""
-        if route == "viaHat":
-            return self.hat.T.value()
-        if route == "viaChi":
-            return self.base.weyl.value()
-        raise ConfigError(f"unknown weyl route {route!r}; use one of {WEYL_ROUTES}")
-
     def wo_values(self, route: str = "definition") -> np.ndarray:
         n = self.n
         if route not in self.wo_routes:
@@ -109,7 +101,7 @@ class ProjectiveStack:
             return first - half
         if route == "viaBase":
             first, half = self.base.wo_terms
-            fourth = self.weyl_values("viaHat").T @ self.measure.S_v
+            fourth = self.hat.T.value().T @ self.measure.S_v
             frac = 1.0 / (n + 1.0)
             return first - half - frac * self.base.chi_hcov_y - frac * fourth
         if route == "divW":
@@ -124,7 +116,7 @@ class ProjectiveStack:
         b = W^o_k - W^m_k f_m and c = W^m_{k|m} - (n-2) W^m_k Xi_{.m},
         Xi_{.m} = S_{.m}/(n+1) + f_m, followed by the four compared terms.
         """
-        wt = self.weyl_values("viaHat").T
+        wt = self.hat.T.value().T
         wo = self.wo_values("definition")
         wf = wt @ fm
         xi = self.measure.S_v / (self.n + 1.0) + fm

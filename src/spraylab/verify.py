@@ -120,11 +120,15 @@ class SuiteReport:
 
 
 def _maxabs(*arrays) -> float:
+    """The largest magnitude over all entries, 0.0 for none; a NaN entry gives NaN."""
+    # reduced in Python: np.max over a list costs 4 us more per call, 77 calls a funk-4 point
     out = 0.0
     for a in arrays:
         a = np.asarray(a, dtype=float)
         if a.size:
-            out = max(out, float(np.abs(a).max()))
+            peak = float(np.abs(a).max())
+            if peak > out or math.isnan(peak):
+                out = peak
     return out
 
 
@@ -193,9 +197,7 @@ class IdentityCheck:
             return False
         if self.only_dim is not None and n != self.only_dim:
             return False
-        if self.riemannian_only and not isinstance(
-            metric, (catalog.Euclidean, catalog.Riemannian)
-        ):
+        if self.riemannian_only and not isinstance(metric, catalog.Riemannian):
             return False
         return True
 
@@ -285,7 +287,7 @@ def _ricci_exchange_2(ctx):
 def _ricci_exchange_3(ctx):
     st = ctx.stack
     lhs = st.Rscalar_hh @ ctx.y
-    mid = st.hcov_scalar_values((st.Rscalar_h * st.y_jets).einsum("m->"))
+    mid = st.hcov_values((st.Rscalar_h * st.y_jets).einsum("m->"))
     rhs = st.Rscalar_v.value() @ st.Rik.value()
     return _maxabs(lhs - mid - rhs), _maxabs(lhs, mid, rhs)
 
@@ -352,7 +354,7 @@ def _hat_ricci_tensor(ctx):
 
 
 def _chi_compact_form(ctx):
-    sk = ctx.stack.hcov_scalar_values(ctx.measure.S)
+    sk = ctx.stack.hcov_values(ctx.measure.S)
     lhs = 0.5 * (ctx.measure.S0.gradient(ctx.stack.ys) - 2.0 * sk)
     rhs = ctx.stack.chi.value()
     return _maxabs(lhs - rhs), _maxabs(lhs, rhs, sk)
@@ -396,10 +398,10 @@ def _transfer_residual(ctx, f: Jet) -> tuple[float, float]:
     # f_{||k} = f_{|k} + Y(f) S_{.k}/(n+1) + S f_{.k}/(n+1)
     n = ctx.n
     st = ctx.stack
-    Yf = st.euler_field(f).value()
+    fv = f.gradient(st.ys)
     lhs = ctx.proj.hat.hgrad(f).value()
-    rhs = st.hcov_scalar_values(f) + (
-        Yf * ctx.measure.S_v + ctx.measure.S.value() * f.gradient(st.ys)) / (n + 1.0)
+    rhs = st.hcov_values(f) + (
+        float(ctx.y @ fv) * ctx.measure.S_v + ctx.measure.S.value() * fv) / (n + 1.0)
     return _maxabs(lhs - rhs), _maxabs(lhs, rhs)
 
 
@@ -412,23 +414,23 @@ def _hat_frame_transfer(ctx):
 
 
 def _weyl_routes(ctx):
-    a = ctx.proj.weyl_values("viaHat")
-    b = ctx.proj.weyl_values("viaChi")
+    a = ctx.proj.hat.T.value()
+    b = ctx.stack.weyl.value()
     return _maxabs(a - b), _maxabs(a, b)
 
 
 def _weyl_traceless(ctx):
-    wv = ctx.proj.weyl_values("viaHat")
+    wv = ctx.proj.hat.T.value()
     return abs(float(np.trace(wv))), _maxabs(wv) * ctx.n
 
 
 def _weyl_y_kill(ctx):
-    wv = ctx.proj.weyl_values("viaHat")
+    wv = ctx.proj.hat.T.value()
     return _maxabs(wv @ ctx.y), _maxabs(wv) * _maxabs(ctx.y) * ctx.n
 
 
 def _weyl_2d(ctx):
-    wv = ctx.proj.weyl_values("viaHat")
+    wv = ctx.proj.hat.T.value()
     return _maxabs(wv), _maxabs(ctx.stack.Rik.value()) + abs(ctx.stack.Rscalar.value())
 
 
@@ -480,8 +482,8 @@ def _projective_invariance(ctx):
     pert = PerturbedSpray(ctx.spray, _perturbation_forms(ctx.n))
     pstack = SprayStack(ctx.point, pert.perturb(ctx.stack.G, ctx.point))
     pproj = ProjectiveStack(MeasureStack(pstack, ctx.measure.lnsigma_x))
-    w0 = ctx.proj.weyl_values("viaHat")
-    w1 = pproj.weyl_values("viaHat")
+    w0 = ctx.proj.hat.T.value()
+    w1 = pproj.hat.T.value()
     wo0 = ctx.proj.wo_values("definition")
     wo1 = pproj.wo_values("definition")
     res = max(_maxabs(w1 - w0), _maxabs(wo1 - wo0))
@@ -717,7 +719,7 @@ def _ex45(ctx, volumes):
     suppressed.
     """
     fsq = ctx.frame.fsq.value()
-    rows = [("ex45:scalar-curvature", _maxabs(ctx.proj.weyl_values("viaChi")), fsq, False)]
+    rows = [("ex45:scalar-curvature", _maxabs(ctx.stack.weyl.value()), fsq, False)]
     projs = [ctx.proj_for(vol) for vol in volumes]
     for vol, proj in zip(volumes[::2], projs[::2]):  # coordinate and BH
         rows.append((f"ex45:wo-zero:{vol.kind}", _maxabs(proj.wo_values("definition")),

@@ -266,7 +266,7 @@ def test_criterion_08_volume_change_laws():
         worst_s = max(worst_s, abs(ms.S.value() - (tilde.S.value() - 4.0 * (fm @ point.y_array()))))
         ps = PointContext(metric, base, point).proj
         wo_tilde = ProjectiveStack(ps.measure.rescaled(f)).wo_values()
-        predicted = ps.wo_values() - ps.weyl_values().T @ volume_change(f, point)
+        predicted = ps.wo_values() - ps.hat.T.value().T @ volume_change(f, point)
         worst_wo = max(worst_wo, np.abs(wo_tilde - predicted).max())
     ok = worst_s <= 1e-10 and worst_wo <= 1e-6
     report_line(8, ok, f"S shift residual {worst_s:.3e}, wo transfer residual {worst_wo:.3e}")
@@ -286,7 +286,7 @@ def test_criterion_09_projective_invariance():
         for point in sample(metric, count=3, seed=5):
             ps = PointContext(metric, volume, point).proj
             qs = PointContext(perturbed, volume, point).proj
-            w_a, w_b = ps.weyl_values("viaHat"), qs.weyl_values("viaHat")
+            w_a, w_b = ps.hat.T.value(), qs.hat.T.value()
             wo_a, wo_b = ps.wo_values("definition"), qs.wo_values("definition")
             w_budget = 1e-6 * max(np.abs(w_a).max(), np.abs(w_b).max()) + 1e-9
             wo_budget = 1e-6 * max(np.abs(wo_a).max(), np.abs(wo_b).max()) + 1e-9

@@ -187,12 +187,12 @@ def test_derived_sprays_keep_the_base_box():
 
 
 def test_sampler_rejection_error():
-    class Never(catalog.Euclidean):
+    class Never(catalog.Riemannian):
         def admissible(self, point):
             return False
 
     with pytest.raises(AdmissibilityError):
-        sample(Never(3), count=5, seed=0)
+        sample(Never(3, lambda x: np.eye(3).tolist()), count=5, seed=0)
 
 
 def test_family_listing():

@@ -19,7 +19,6 @@ from spraylab.geometry import (
     FinslerMetric,
     MetricFrame,
     PerturbedSpray,
-    SprayStack,
     TangentPoint,
     stack_for,
 )
@@ -418,20 +417,10 @@ def test_y_is_horizontally_parallel():
     np.testing.assert_allclose(st.hcov_values(st.y_jets, contra=1), 0.0, atol=1e-11)
 
 
-def test_hcov_scalar_values_match_jet_route():
+def test_hcov_values_of_a_scalar_match_jet_route():
     st = stack_for(RandersVar(), POINT3, degree=6)
-    np.testing.assert_allclose(st.hgrad(st.Ric).value(), st.hcov_scalar_values(st.Ric),
+    np.testing.assert_allclose(st.hgrad(st.Ric).value(), st.hcov_values(st.Ric),
                                rtol=1e-12, atol=1e-12)
-
-
-def test_hcov_values_does_not_call_hcov_scalar_values(monkeypatch):
-    # a wrapper on both public derivatives counts each derivative once
-    st = stack_for(RandersVar(), POINT3, degree=6)
-    calls = []
-    monkeypatch.setattr(SprayStack, "hcov_scalar_values", lambda self, f: calls.append(f))
-    st.hcov_values(st.Rik, contra=1)
-    st.hcov_values(st.T, contra=0)
-    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -452,7 +441,7 @@ def test_exchange_identity_for_scalars(metric, point):
     f0 = st.ring.zero()
     for m in range(n):
         f0 = f0 + fk[m] * st.y_jets[m]
-    lhs2 = st.hcov_scalar_values(f0)
+    lhs2 = st.hcov_values(f0)
     grad_y = f.gradient()[n:]
     rhs = grad_y @ st.Rik.value()
     scale = max(np.abs(lhs1).max(), np.abs(lhs2).max(), np.abs(rhs).max(), 1e-12)

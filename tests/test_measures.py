@@ -352,7 +352,9 @@ def test_warm_bh_density_faults_in_no_fresh_pages():
 
 
 def test_bh_density_rejects_bad_directions():
-    class Half(build(MetricSpec("euclidean", 2)).__class__):
+    class Half(FinslerMetric):
+        dim = 2
+
         def fsq_at(self, x):
             def fsq(y):
                 return y[0] * y[0] - 0.5 * (y[1] * y[1])
@@ -360,7 +362,7 @@ def test_bh_density_rejects_bad_directions():
             return fsq
 
     with pytest.raises(AdmissibilityError):
-        bh_density(Half(2), (0.0, 0.0), nodes=24, degree=2)
+        bh_density(Half(), (0.0, 0.0), nodes=24, degree=2)
 
 
 # -- volume forms -------------------------------------------------------------
@@ -521,6 +523,27 @@ def test_chi_routes_agree():
         for a in routes.values():
             for b in routes.values():
                 np.testing.assert_allclose(a, b, atol=1e-7 * scale + 1e-9)
+
+
+@pytest.mark.parametrize("spec", [MetricSpec("randers", 3), MetricSpec("funk", 4)],
+                         ids=lambda spec: f"{spec.family}-{spec.dim}")
+def test_s_one_form_derivative_along_y(spec):
+    # S_{.k|m} y^m = ((S_{.k})_{x^m} - N^l_m (S_{.k})_{.l}) y^m - S_{.l} N^l_k,
+    # the partials taken entry by entry
+    metric = build(spec)
+    vol = VolumeForm("explicit", "exp(0.5*x1)")
+    for point in sample(metric, count=3, seed=5):
+        ms = PointContext(metric, vol, point).measure
+        st, n, y = ms.stack, spec.dim, point.y_array()
+        N = st.N.value()
+        sv = ms.S.grad(st.ys)
+        grads = [sv[k].gradient() for k in range(n)]
+        partials = np.array([(g[:n] - g[n:] @ N) @ y for g in grads])
+        connection = ms.S_v @ N
+        got = st.hcov_values(sv) @ y
+        scale = max(np.abs(partials).max(), np.abs(connection).max())
+        assert scale > 1e-3  # the connection term is not vacuous
+        np.testing.assert_allclose(got, partials - connection, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_chi_independent_of_volume():

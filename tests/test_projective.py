@@ -112,11 +112,11 @@ def test_hat_horizontal_derivative_transfer():
     f = ps.base.Ric
     sm = s_vderivs(ps.measure)
     sval = ps.measure.S.value()
-    yf = ps.base.euler_field(f).value()
-    frac = 1.0 / (n + 1.0)
     fv = np.array([f.grad(n + k).value() for k in range(n)])
-    want = ps.base.hcov_scalar_values(f) + frac * yf * sm + frac * sval * fv
-    np.testing.assert_allclose(ps.hat.hcov_scalar_values(f), want, rtol=0.0, atol=1e-10)
+    yf = float(fv @ ps.point.y_array())
+    frac = 1.0 / (n + 1.0)
+    want = ps.base.hcov_values(f) + frac * yf * sm + frac * sval * fv
+    np.testing.assert_allclose(ps.hat.hcov_values(f), want, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("volume", volumes3(), ids=lambda v: v.kind)
@@ -155,8 +155,8 @@ def test_weyl_routes_and_volume_independence():
     values = []
     for volume in volumes3():
         ps = randers_stack(volume)
-        via_hat = ps.weyl_values("viaHat")
-        via_chi = ps.weyl_values("viaChi")
+        via_hat = ps.hat.T.value()
+        via_chi = ps.base.weyl.value()
         scale = np.abs(via_hat).max() + 1e-12
         assert np.abs(via_hat - via_chi).max() <= 1e-7 * scale
         values.append(via_hat)
@@ -167,7 +167,7 @@ def test_weyl_routes_and_volume_independence():
 
 def test_weyl_trace_and_y_contraction():
     ps = randers_stack(VolumeForm("coordinate"))
-    w = ps.weyl_values()
+    w = ps.hat.T.value()
     scale = np.abs(w).max()
     assert abs(np.trace(w)) <= 1e-12 * scale
     np.testing.assert_allclose(w @ ps.point.y_array(), 0.0, atol=1e-12 * scale)
@@ -175,12 +175,12 @@ def test_weyl_trace_and_y_contraction():
 
 @pytest.mark.parametrize("family", ["conformal-flat-2d", "round-sphere"])
 def test_weyl_vanishes_in_dimension_two(family):
-    w = PointContext(build(family), VolumeForm("coordinate"), PT2).proj.weyl_values()
+    w = PointContext(build(family), VolumeForm("coordinate"), PT2).proj.hat.T.value()
     np.testing.assert_allclose(w, 0.0, atol=1e-10)
 
 
 def test_weyl_vanishes_for_funk():
-    w = PointContext(build("funk"), VolumeForm("coordinate"), PT_FUNK).proj.weyl_values()
+    w = PointContext(build("funk"), VolumeForm("coordinate"), PT_FUNK).proj.hat.T.value()
     np.testing.assert_allclose(w, 0.0, atol=1e-10)
 
 
@@ -250,7 +250,7 @@ def test_projective_invariance():
     )
     volume = VolumeForm("explicit", "exp(0.1*x2)")
     p0, p1 = PointContext(spray, volume, PT3).proj, PointContext(pert, volume, PT3).proj
-    w0, w1 = p0.weyl_values(), p1.weyl_values()
+    w0, w1 = p0.hat.T.value(), p1.hat.T.value()
     wo0, wo1 = p0.wo_values(), p1.wo_values()
     assert np.abs(w0 - w1).max() <= 1e-10 * (np.abs(w0).max() + 1e-12)
     assert np.abs(wo0 - wo1).max() <= 1e-10 * (np.abs(wo0).max() + 1e-12)
@@ -263,7 +263,7 @@ def base_wo_pieces(ps):
     """R_{|k}, R_{.k|m} y^m, chi_{k|m} y^m on the base connection."""
     st = ps.base
     n, y = ps.n, ps.point.y_array()
-    first = st.hcov_scalar_values(st.Rscalar)
+    first = st.hcov_values(st.Rscalar)
     rv = jets.stack([st.Rscalar.grad(n + k) for k in range(n)])
     second = st.hcov_values(rv, contra=0) @ y
     third = st.hcov_values(jets.stack(ps.base.chi), contra=0) @ y
@@ -309,7 +309,7 @@ def wo_transfer(metric, volume, f, point):
     """W^o under e^{-(n+1) f} dV and its distance from the law W^o - W^m_k f_m."""
     ps = PointContext(metric, volume, point).proj
     wo_tilde = ProjectiveStack(ps.measure if f is None else ps.measure.rescaled(f)).wo_values()
-    predicted = ps.wo_values() - ps.weyl_values().T @ volume_change(f, ps.point)
+    predicted = ps.wo_values() - ps.hat.T.value().T @ volume_change(f, ps.point)
     return wo_tilde, float(np.max(np.abs(wo_tilde - predicted)))
 
 
@@ -438,7 +438,6 @@ def test_point_context_hat_quantities():
     assert hat.Gamma.value().shape == (3, 3, 3) and hat.Rik.value().shape == (3, 3)
     assert abs(ps.hat_measure.S.value()) <= 1e-12
     np.testing.assert_allclose(ps.hat.chi.value(), 0.0, atol=1e-12)
-    np.testing.assert_array_equal(ps.hat.T.value(), ps.weyl_values("viaHat"))
     assert ps.wo_values().shape == (3,)
     assert hat.Rscalar.value() == pytest.approx(np.trace(hat.Rik.value()) / 2.0, rel=1e-12)
 
@@ -470,8 +469,6 @@ def test_route_validation():
     metric = build("euclidean")
     volume = VolumeForm("coordinate")
     with pytest.raises(ConfigError):
-        PointContext(metric, volume, PT3).proj.weyl_values("sideways")
-    with pytest.raises(ConfigError):
         PointContext(metric, volume, PT3).proj.wo_values("sideways")
 
 
@@ -495,7 +492,7 @@ def test_square_metric_is_scalar_curvature():
     assert abs(st.Rscalar.value()) <= 1e-10 * f2
     for volume in (VolumeForm("coordinate"), VolumeForm("busemann-hausdorff", nodes=32)):
         ps = PointContext(metric, volume, pt).proj
-        assert np.abs(ps.weyl_values()).max() <= 1e-10 * f2
+        assert np.abs(ps.hat.T.value()).max() <= 1e-10 * f2
         assert np.abs(ps.wo_values()).max() <= 1e-8 * f2
     ratios = []
     bh = VolumeForm("busemann-hausdorff", nodes=32)

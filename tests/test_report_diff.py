@@ -77,7 +77,7 @@ def test_dropped_records_and_fields_are_named_and_the_rest_compared():
     assert "records DIFFER -check:a flags same" in diff.line()
 
 
-def test_csv_reports_are_compared_by_bytes_stderr_and_exit_code():
+def test_csv_reports_are_compared_as_records():
     tool = _tool()
     argv = ("verify", "--metric", "randers", "--points", "1", "--checks", "euler-metric",
             "--format", "csv")
@@ -85,6 +85,23 @@ def test_csv_reports_are_compared_by_bytes_stderr_and_exit_code():
     assert old.code == 0 and old.out.startswith("record,check,")
     same = tool.compare("csv", old, tool.run(SRC, argv))
     assert same.agrees and same.same_bytes and (same.dfloat, same.moves) == (0.0, [])
-    edited = tool.Run(old.code, old.out.replace("euler-metric", "euler-metrix"), old.err)
-    differ = tool.compare("csv", old, edited)
-    assert not differ.agrees and not differ.same_bytes and differ.same_err
+    header, row = old.out.splitlines()
+    cells = row.split(",")
+    residual = float(cells[3])
+    cells[3] = repr(2.0 * residual)
+    edited = tool.compare("csv", old, tool.Run(old.code, f"{header}\n{','.join(cells)}\n",
+                                               old.err))
+    assert edited.agrees and not edited.same_bytes
+    assert "records same flags same changed check.residual dfloat" in edited.line()
+    assert edited.dfloat == residual / float(cells[4])  # the scale is the record's largest
+    renamed = tool.compare("csv", old, tool.Run(
+        old.code, old.out.replace("euler-metric", "euler-metrix"), old.err))
+    assert not renamed.agrees and renamed.same_err
+    assert "records DIFFER -check:euler-metric +check:euler-metrix flags same" in renamed.line()
+
+
+def test_csv_cells_read_as_json_values_or_strings():
+    tool = _tool()
+    out = 'record,check,residual,pass,worst_x,note\ncheck,c,nan,true,"[0.5,-1]",\n'
+    assert tool._records(out) == [{"record": "check", "check": "c", "residual": "nan",
+                                   "pass": True, "worst_x": [0.5, -1]}]

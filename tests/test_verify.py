@@ -1,5 +1,6 @@
 """Identity suite, theorem fixtures, and the finite-difference oracle."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from helpers import fd_oracle
 
 from spraylab import catalog, verify
 from spraylab.catalog import MetricSpec
+from spraylab.cli import main
 from spraylab.errors import ConfigError, JetDomainError
 from spraylab.geometry import MetricFrame, TangentPoint, stack_for
 from spraylab.measures import VolumeForm
@@ -205,6 +207,37 @@ def test_non_finite_residual_ranks_worst():
     assert not agg.passed
     assert math.isnan(agg.residual)
     assert agg.worst_point == pts[1]
+
+
+def test_maxabs_propagates_nan():
+    assert math.isnan(verify._maxabs(np.array([1.0, np.nan])))
+    assert math.isnan(verify._maxabs(np.array([np.nan]), np.array([2.0])))
+    assert verify._maxabs() == 0.0
+    assert verify._maxabs(np.array([-3.0, 1.0]), np.array([])) == 3.0
+
+
+def test_a_nan_in_compared_values_fails_ranks_worst_and_exits_one(monkeypatch, capsys):
+    # a check whose two compared routes hold a NaN at the second point only
+    seen = []
+
+    def nan_at_second_point(ctx):
+        seen.append(ctx.point)
+        route = np.array([1.0, math.nan if len(seen) % 3 == 2 else 0.5])
+        return verify._spread([route, np.array([1.0, 0.5])])
+
+    check = replace(REGISTRY[2], fn=nan_at_second_point)
+    monkeypatch.setattr(verify, "REGISTRY", (*REGISTRY[:2], check, *REGISTRY[3:]))
+    report = identity_suite("randers", points=3)
+    agg = next(a for a in report.checks if a.check == check.name)
+    assert report.failures() == [agg]
+    assert agg.points == 3 and math.isnan(agg.residual)
+    assert agg.worst_point == seen[1]
+
+    code = main(["verify", "--metric", "randers", "--points", "3"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    rec = next(r for r in records if r.get("check") == check.name)
+    assert code == 1
+    assert not rec["pass"] and rec["worst_x"] == list(seen[4].x)
 
 
 def _noise_results(ratios):

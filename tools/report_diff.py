@@ -27,9 +27,10 @@ tree, and one line per command reports:
   residual and scale of such a record belong to another point, so they
   count as the move and not in ``changed``, ``dfloat`` or ``dratio``.
 
-A report that is not JSON lines (``--format csv``) is compared by its
-bytes, stderr and exit code only: ``records`` and ``flags`` then say
-whether the bytes agree.
+A ``--format csv`` report is read as records too: one per row, keyed by
+its header.  A cell that parses as JSON becomes that value, any other
+(``nan``, a check name) stays a string, as in JSON reports, and an empty
+cell is left out.
 
 The exit status is 1 when any command differs in exit code, stderr,
 records or pass flags, and 0 otherwise.
@@ -37,6 +38,8 @@ records or pass flags, and 0 otherwise.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -189,12 +192,19 @@ def _ratio(rec: dict, floor: float) -> float | None:
     return residual / limit if limit else math.inf
 
 
-def _records(out: str) -> list[dict] | None:
-    """The records of a JSON-lines report; None for any other output."""
+def _cell(text: str):
     try:
-        return [json.loads(line) for line in out.splitlines()]
+        return json.loads(text)
     except json.JSONDecodeError:
-        return None
+        return text
+
+
+def _records(out: str) -> list[dict]:
+    """The records of a csv report (its header starts ``record,``) or of JSON lines."""
+    if out.startswith("record,"):
+        return [{key: _cell(cell) for key, cell in row.items() if cell}
+                for row in csv.DictReader(io.StringIO(out))]
+    return [json.loads(line) for line in out.splitlines()]
 
 
 def _keyed(records: list[dict]) -> dict:
@@ -215,9 +225,6 @@ def _name(key) -> str:
 
 def compare(label: str, old: Run, new: Run) -> Diff:
     a, b = _records(old.out), _records(new.out)
-    if a is None or b is None:
-        same = old.out == new.out
-        return Diff(label, (old.code, new.code), old.err == new.err, same, same, same)
     ka, kb = _keyed(a), _keyed(b)
     common = [key for key in ka if key in kb]
     diff = Diff(label, (old.code, new.code), old.err == new.err, old.out == new.out,
