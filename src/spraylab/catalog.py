@@ -1,10 +1,11 @@
 """Built-in metric and spray families used as fixtures.
 
 Every family builds a concrete object from a MetricSpec; a family
-parameter of the wrong shape or type, or one the family does not read,
-is a ``ConfigError`` that names it.
-The classes keep the data F^2 is built from (matrix and covector
-callables, factor dimensions, coupling constant).
+parameter of the wrong shape or type, one the family does not read, or a
+Randers ``a`` that is not symmetric positive definite is a ``ConfigError``
+that names it.  The classes keep the data F^2 is built from (matrix and
+covector callables, factor dimensions, coupling constant); matrix data may
+mix jets and plain numbers, and a float 0.0 entry costs no jet product.
 """
 
 from __future__ import annotations
@@ -31,6 +32,24 @@ class MetricSpec:
 # -- metric classes -----------------------------------------------------------
 
 
+def _dot(u, v):
+    """sum_i u_i v_i, accumulated in index order."""
+    acc = 0.0
+    for ui, vi in zip(u, v):
+        acc = ui * vi + acc
+    return acc
+
+
+def _quad(m, y):
+    """sum_ij m_ij y^i y^j in index order, skipping entries that are the float 0.0."""
+    acc = 0.0
+    for i, row in enumerate(m):
+        for j, mij in enumerate(row):
+            if not (isinstance(mij, float) and mij == 0.0):
+                acc = mij * y[i] * y[j] + acc
+    return acc
+
+
 class Riemannian(FinslerMetric):
     """F^2 = a_ij(x) y^i y^j for a callable symmetric matrix a(x)."""
 
@@ -43,15 +62,7 @@ class Riemannian(FinslerMetric):
 
     def fsq_at(self, x):
         m = self.matrix(x)
-
-        def fsq(y):
-            acc = 0.0
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    acc = m[i][j] * y[i] * y[j] + acc
-            return acc
-
-        return fsq
+        return lambda y: _quad(m, y)
 
     def admissible(self, point):
         return self.chart is None or self.chart(point.x)
@@ -72,13 +83,7 @@ class Randers(FinslerMetric):
         bv = self.b(x)
 
         def fsq(y):
-            a2 = 0.0
-            beta = 0.0
-            for i in range(self.dim):
-                beta = bv[i] * y[i] + beta
-                for j in range(self.dim):
-                    a2 = am[i][j] * y[i] * y[j] + a2
-            f = jets.sqrt(a2) + beta
+            f = jets.sqrt(_quad(am, y)) + _dot(bv, y)
             return f * f
 
         return fsq
@@ -98,19 +103,12 @@ class Funk(FinslerMetric):
         self.default_box = ("ball", 0.6)
 
     def fsq_at(self, x):
-        x2 = 0.0
-        for i in range(self.dim):
-            x2 = x[i] * x[i] + x2
-        om = 1.0 - x2
+        om = 1.0 - _dot(x, x)
         rom = jets.reciprocal(om)
 
         def fsq(y):
-            y2 = 0.0
-            xy = 0.0
-            for i in range(self.dim):
-                y2 = y[i] * y[i] + y2
-                xy = x[i] * y[i] + xy
-            f = (jets.sqrt(om * y2 + xy * xy) + xy) * rom
+            xy = _dot(x, y)
+            f = (jets.sqrt(om * _dot(y, y) + xy * xy) + xy) * rom
             return f * f
 
         return fsq
@@ -131,12 +129,7 @@ class FourthRoot(FinslerMetric):
 
     def fsq_at(self, x):
         def fsq(y):
-            u2 = 0.0
-            v2 = 0.0
-            for i in range(self.n1):
-                u2 = y[i] * y[i] + u2
-            for i in range(self.n1, self.dim):
-                v2 = y[i] * y[i] + v2
+            u2, v2 = _dot(y[:self.n1], y[:self.n1]), _dot(y[self.n1:], y[self.n1:])
             quartic = u2 * u2 + 2.0 * self.c * u2 * v2 + v2 * v2
             return jets.sqrt(quartic)
 
@@ -158,21 +151,14 @@ class SquareMetric(FinslerMetric):
         self.default_box = ("ball", 0.25)
 
     def fsq_at(self, x):
-        x2 = 0.0
-        for i in range(self.dim):
-            x2 = x[i] * x[i] + x2
-        u = 1.0 + 4.0 * x2
+        u = 1.0 + 4.0 * _dot(x, x)
         u2 = u * u
         four_u = 4.0 * u
 
         def fsq(y):
-            y2 = 0.0
-            xy = 0.0
-            for i in range(self.dim):
-                y2 = y[i] * y[i] + y2
-                xy = x[i] * y[i] + xy
+            xy = _dot(x, y)
             inner = xy if self.literal_inner else xy * xy
-            alpha = jets.sqrt(u2 * y2 - four_u * inner)
+            alpha = jets.sqrt(u2 * _dot(y, y) - four_u * inner)
             f = (alpha + 2.0 * xy) * (alpha + 2.0 * xy) * jets.reciprocal(alpha)
             return f * f
 
@@ -204,8 +190,12 @@ def _nested(shape, entry):
     return lambda v: isinstance(v, (list, tuple)) and len(v) == shape[0] and all(map(inner, v))
 
 
+def _diagonal(dim, f):
+    return [[f if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+
+
 def _build_euclidean(dim, params):
-    identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
+    identity = _diagonal(dim, 1.0)
     return Riemannian(dim, lambda x: identity, name=f"euclidean({dim})")
 
 
@@ -214,9 +204,7 @@ def _build_riemannian(dim, params):
         raise ConfigError("riemannian family needs an explicit dim")
     matrix = _param("riemannian", params, "matrix",
                     f"a {dim} x {dim} list of expressions or numbers",
-                    lambda m: callable(m) or _nested((dim, dim), _expression)(m))
-    if callable(matrix):
-        return Riemannian(dim, matrix)
+                    _nested((dim, dim), _expression))
     rows = [[as_field(entry, dim) for entry in row] for row in matrix]
     return Riemannian(dim, lambda x: [[entry(x) for entry in row] for row in rows])
 
@@ -228,8 +216,7 @@ def _build_round_sphere(dim, params):
 
     def matrix(x):
         s = 1.0 + x[0] * x[0] + x[1] * x[1]
-        f = 4.0 * jets.reciprocal(s * s)
-        return [[f, 0.0 * f], [0.0 * f, f]]
+        return _diagonal(2, 4.0 * jets.reciprocal(s * s))
 
     return Riemannian(2, matrix, name="round-sphere")
 
@@ -243,9 +230,7 @@ def _build_hyperbolic(dim, params):
         s = 1.0
         for v in x:
             s = s - v * v
-        f = 4.0 * jets.reciprocal(s * s)
-        zero = 0.0 * f
-        return [[f if i == j else zero for j in range(dim)] for i in range(dim)]
+        return _diagonal(dim, 4.0 * jets.reciprocal(s * s))
 
     return Riemannian(dim, matrix, name=f"hyperbolic-ball({dim})", box=("ball", 0.6),
                       chart=lambda x: sum(v * v for v in x) < 1.0)
@@ -259,8 +244,7 @@ def _build_conformal(dim, params):
                           _expression, "x1^2"), 2)
 
     def matrix(x):
-        f = jets.exp(2.0 * lam(x))
-        return [[f, 0.0 * f], [0.0 * f, f]]
+        return _diagonal(2, jets.exp(2.0 * lam(x)))
 
     return Riemannian(2, matrix, name="conformal-flat-2d")
 
@@ -270,14 +254,11 @@ def _generic_a(x):
     d0 = jets.exp(0.2 * x[0])
     d1 = jets.exp(-0.15 * x[2])
     c = 0.1 * x[1]
-    zero = 0.0 * c
-    one = 1.0 + zero
-    return [[d0, c, zero], [c, d1, zero], [zero, zero, one]]
+    return [[d0, c, 0.0], [c, d1, 0.0], [0.0, 0.0, 1.0]]
 
 
 def _generic_b(x):
-    zero = 0.0 * x[0]
-    return [0.2 + 0.1 * x[1] + zero, 0.05 * x[0] + zero, -0.1 + zero]
+    return [0.2 + 0.1 * x[1], 0.05 * x[0], -0.1]
 
 
 def _build_randers(dim, params):
@@ -297,10 +278,15 @@ def _build_randers(dim, params):
                           _nested((dim,), finite_number), [0.3] + [0.0] * (dim - 1)),
                    dtype=float)
     try:
-        norm2 = float(b @ np.linalg.solve(a, b))
+        if not np.array_equal(a, a.T):
+            raise np.linalg.LinAlgError("not symmetric")
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise ConfigError("randers parameter 'a' is a singular matrix") from None
-    if norm2 >= 1.0:
+        raise ConfigError("randers parameter 'a' must be a symmetric positive definite matrix, "
+                          f"got {params['a']!r}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = float(b @ np.linalg.solve(a, b))
+    if not norm2 < 1.0:
         raise ConfigError(f"randers data violates |b|_a < 1: |b|_a^2 = {norm2:.6g}")
     return Randers(dim, lambda x: [[a[i, j] for j in range(dim)] for i in range(dim)],
                    lambda x: list(b), name=f"randers-constant({dim})")

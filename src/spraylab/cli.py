@@ -121,7 +121,7 @@ def _literal(value: str):
     text = value.strip()
     if text.lower() in ("true", "false"):
         return text.lower() == "true"
-    if text[:1] in "[{":
+    if text.startswith(("[", "{")):
         try:
             return json.loads(text)
         except json.JSONDecodeError:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spraylab import catalog
+from spraylab import catalog, jets
 from spraylab.catalog import MetricSpec, build, sample
 from spraylab.errors import AdmissibilityError, ConfigError
 from spraylab.geometry import (
@@ -66,6 +66,34 @@ def test_randers_validation():
     frame = MetricFrame(metric, point, degree=2)
     want = (norm + 0.3 * point.y[0]) ** 2
     assert frame.fsq.value() == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_euclidean_fsq_skips_the_zero_entries(monkeypatch, n):
+    # one product y^i y^i per diagonal entry; the n^2 - n float zeros cost none
+    metric = build(MetricSpec("euclidean", n))
+    point = sample(metric, count=1, seed=3)[0]
+    mul = jets.PolyRing._mul_coeffs
+    calls = []
+
+    def counting(ring, *args):
+        calls.append(ring)
+        return mul(ring, *args)
+
+    monkeypatch.setattr(jets.PolyRing, "_mul_coeffs", counting)
+    MetricFrame(metric, point)
+    assert len(calls) == n
+
+
+def test_quad_float_zeros_match_zero_jets_bit_for_bit():
+    ring = jets.ring(6, 4)
+    x = [ring.seed(i, v) for i, v in enumerate((0.3, -0.2, 0.1))]
+    y = [ring.seed(3 + i, v) for i, v in enumerate((0.7, -1.1, 0.4))]
+    d, c = jets.exp(x[0] * x[1]), 0.2 * x[2] - 0.1 * x[0]
+    zero = 0.0 * d
+    with_floats = catalog._quad([[d, c, 0.0], [c, 2.0, 0.0], [0.0, 0.0, d]], y)
+    with_jets = catalog._quad([[d, c, zero], [c, 2.0 + zero, zero], [zero, zero, d]], y)
+    assert with_floats.coeffs.tobytes() == with_jets.coeffs.tobytes()
 
 
 def test_fourth_root_coupling_validation():

@@ -301,6 +301,7 @@ def test_param_literals():
     assert cli._literal("0.5") == 0.5
     assert cli._literal("[1.2,0,0]") == [1.2, 0, 0]
     assert cli._literal("generic") == "generic"
+    assert cli._literal("") == ""
     with pytest.raises(ConfigError):
         cli._literal("[oops")
 
@@ -573,6 +574,11 @@ def _config_error_line(tmp_path, argv) -> str:
     (("eval", "--metric", "projective-perturbation", "--param", "base=funk",
       "--param", 'oneform=["x1",0,{"c":1}]'), "oneform"),
     (("eval", "--metric", "fourth-root", "--param", "c=1" + "0" * 400), "c"),
+    # constant data that is no metric: an indefinite and an asymmetric a
+    (("verify", "--metric", "randers", "--dim", "2", "--param", "preset=constant",
+      "--param", "a=[[1,0],[0,-1]]"), "a"),
+    (("verify", "--metric", "randers", "--dim", "2", "--param", "preset=constant",
+      "--param", "a=[[1,2],[0,1]]"), "a"),
 ])
 def test_bad_family_parameter_exits_two(tmp_path, argv, key):
     line = _config_error_line(tmp_path, argv)
@@ -643,11 +649,14 @@ def test_unread_family_parameter_names_the_ones_it_takes(capsys):
     assert err == "error: fourth-root takes no parameter 'n'; it takes n1, n2, c\n"
 
 
-def test_invalid_randers_names_invariant(capsys):
+@pytest.mark.parametrize("b", ["b=[1.2,0,0]", "b=[1e308,0,0]"])
+def test_invalid_randers_names_invariant(capsys, b):
+    # |b|_a^2 that overflows is refused on one line, with no numpy warning
     code, _, err = run_cli(capsys, "verify", "--metric", "randers", "--dim", "3",
-                           "--param", "preset=constant", "--param", "b=[1.2,0,0]")
+                           "--param", "preset=constant", "--param", b)
     assert code == 2
-    assert "|b|_a < 1" in err
+    [line] = err.splitlines()
+    assert "|b|_a < 1" in line
 
 
 def test_unknown_subcommand_exits_two(capsys):

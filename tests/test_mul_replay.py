@@ -37,7 +37,7 @@ def _run(capsys, old: Path, new: Path) -> tuple[int, str]:
 def test_a_tree_replayed_against_itself_agrees(capsys):
     code, out = _run(capsys, ROOT, ROOT)
     assert code == 0
-    assert "71 calls, 1 replays per tree" in out
+    assert "61 calls, 1 replays per tree" in out
     assert "outputs: values differ in 0 calls, layout in 0" in out
     assert "via exp" in out  # call sites name the jet function they went through
 
@@ -50,4 +50,4 @@ def test_a_kernel_that_moves_one_coefficient_is_caught(tmp_path, capsys):
     jets_py.write_text(jets_py.read_text() + PERTURB)
     code, out = _run(capsys, ROOT, fake)
     assert code == 1
-    assert "outputs: values differ in 71 calls, layout in 0" in out
+    assert "outputs: values differ in 61 calls, layout in 0" in out

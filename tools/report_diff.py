@@ -106,6 +106,13 @@ COMMANDS = [
                                 "--param", "nonsense=1")),
     ("eval conformal number lam", ("eval", "--metric", "conformal-flat-2d", "--points", "1",
                                    "--param", "lam=3")),
+    # families whose F^2 skips zero matrix entries and that no command above runs
+    ("eval euclidean", ("eval", "--metric", "euclidean", "--points", "3")),
+    ("verify riemannian3", (*_VERIFY, "--metric", "riemannian", "--dim", "3", "--param",
+                            'matrix=[["exp(0.3*x1)","0.1*x2","0"],["0.1*x2","1","0"],'
+                            '["0","0","1"]]')),
+    ("verify randers constant bh", (*_VERIFY, "--metric", "randers", "--param", "preset=constant",
+                                    "--volume", "bh")),
 ]
 
 
