@@ -190,6 +190,17 @@ def _nested(shape, entry):
     return lambda v: isinstance(v, (list, tuple)) and len(v) == shape[0] and all(map(inner, v))
 
 
+def _require_spd(family, key, a, given):
+    """Refuse a constant matrix ``a`` that is not symmetric positive definite."""
+    try:
+        if not np.array_equal(a, a.T):
+            raise np.linalg.LinAlgError("not symmetric")
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise ConfigError(f"{family} parameter {key!r} must be a symmetric positive definite "
+                          f"matrix, got {given!r}") from None
+
+
 def _diagonal(dim, f):
     return [[f if i == j else 0.0 for j in range(dim)] for i in range(dim)]
 
@@ -205,6 +216,9 @@ def _build_riemannian(dim, params):
     matrix = _param("riemannian", params, "matrix",
                     f"a {dim} x {dim} list of expressions or numbers",
                     _nested((dim, dim), _expression))
+    # expression entries can only be checked per point
+    if _nested((dim, dim), finite_number)(matrix):
+        _require_spd("riemannian", "matrix", np.asarray(matrix, dtype=float), matrix)
     rows = [[as_field(entry, dim) for entry in row] for row in matrix]
     return Riemannian(dim, lambda x: [[entry(x) for entry in row] for row in rows])
 
@@ -277,13 +291,7 @@ def _build_randers(dim, params):
     b = np.asarray(_param("randers", params, "b", f"a list of {dim} numbers",
                           _nested((dim,), finite_number), [0.3] + [0.0] * (dim - 1)),
                    dtype=float)
-    try:
-        if not np.array_equal(a, a.T):
-            raise np.linalg.LinAlgError("not symmetric")
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise ConfigError("randers parameter 'a' must be a symmetric positive definite matrix, "
-                          f"got {params['a']!r}") from None
+    _require_spd("randers", "a", a, params.get("a"))
     with np.errstate(over="ignore", invalid="ignore"):
         norm2 = float(b @ np.linalg.solve(a, b))
     if not norm2 < 1.0:

@@ -495,7 +495,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text, code = args.handler(args)
+        # a non-finite jet is refused by its assert_finite gate, so numpy's
+        # warnings on the way there would only precede the error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            text, code = args.handler(args)
     except SprayLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

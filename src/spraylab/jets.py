@@ -17,6 +17,16 @@ tensor is one jet whose batch axes are its indices; indexing, ``grad``
 and ``einsum`` act on those axes only (the vector mode of forward
 differentiation).
 
+A product sums, for each output coefficient, the products of its operand
+pairs, which the ring's pair table lists contiguously (the output's
+segment), sorted by output index.  A product whose gathered operands fit
+in ``_DIRECT_BYTES`` (128 KiB) gathers all its pairs at once into fresh
+arrays.  A larger one runs in blocks of whole segments, at most
+``_BLOCK_BYTES`` (1 MiB) per operand, in two scratch arrays that the ring
+keeps and grows by doubling up to one block.  So no product allocates a
+temporary of its full pair count, and each coefficient is the same sum in
+the same order either way.
+
 A jet stores only its exact orders: ``valid``, the number of Taylor
 orders still exact, is the ``v`` with ``width == ring.size_upto[v]``.
 Each derivative of truncated data loses one order, and a sum or product
@@ -58,7 +68,6 @@ phi'(a0) a_1, and a constant argument gives a constant.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -72,16 +81,40 @@ MAX_DEGREE = 10
 # hold: ring(8, 10) has 5.3 M, ring(12, 8) 10.5 M and ring(12, 10) 131 M
 MAX_MUL_PAIRS = 2**23
 
+# A multiply whose product of gathered operands fits in this many bytes
+# gathers into fresh arrays; 128 KiB is glibc's default mmap threshold, so
+# they come from the heap.  Measured on a 2-core x86-64 host (glibc, numpy
+# 2.4): sending every call through the scratch arrays cost 12-13% of the
+# multiply time of one eval-randers3, verify-randers3-bh or verify-funk4
+# point, the blocked path's overhead on small products; sending only calls
+# above 1 MiB there faulted in about 1,790 fresh pages per warmed
+# verify-randers3-bh point, whose 262-435 KB gathers were mmapped anew.
+_DIRECT_BYTES = 128 * 1024
+# A larger multiply runs in blocks of whole output segments whose gathered
+# operands take at most this many bytes each.  One block splits funk-4's
+# 245,157-pair products in two; 256 KiB blocks cost 3.5% of its multiply
+# time.
+_BLOCK_BYTES = 1024 * 1024
+
 
 def _graded_exponents(nvars: int, degree: int) -> np.ndarray:
-    rows = []
-    for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(nvars), total):
-            exp = [0] * nvars
-            for v in combo:
-                exp[v] += 1
-            rows.append(exp)
-    return np.array(rows, dtype=np.int64)
+    """Multi-indices by total degree, each degree in combinations-with-replacement order.
+
+    A combination of degree t is one of degree t - 1 followed by a variable
+    no lower than its last, so each row of degree t - 1 yields, in order,
+    one row per variable from its highest nonzero one (0 for the zero row) up.
+    """
+    rows = np.zeros((1, nvars), dtype=np.int64)
+    degrees = [rows]
+    last = np.zeros(1, dtype=np.int64)
+    for _ in range(degree):
+        counts = nvars - last
+        rows = np.repeat(rows, counts, axis=0)
+        first = np.cumsum(counts) - counts
+        last = np.arange(len(rows)) - np.repeat(first - last, counts)
+        rows[np.arange(len(rows)), last] += 1
+        degrees.append(rows)
+    return np.concatenate(degrees)
 
 
 class PolyRing:
@@ -116,8 +149,10 @@ class PolyRing:
         self._order = np.argsort(self._codes, kind="stable")
         self._codes_sorted = self._codes[self._order]
 
-        self._build_mul_table()
         self._build_deriv_tables()
+        self._build_mul_table()
+        # the gathered operand pairs of a blocked multiply, grown on first use
+        self._scratch = np.empty((2, 0))
         # alpha! = prod_i alpha_i!, each an integer <= degree!, exact in float64
         table = np.array([math.factorial(e) for e in range(degree + 1)], dtype=np.float64)
         self._factorials = table[self.exponents].prod(axis=1)
@@ -137,24 +172,53 @@ class PolyRing:
         return self._order[pos]
 
     def _build_mul_table(self):
-        deg_starts = np.concatenate(([0], self.size_upto))
-        chunks_i, chunks_j = [], []
-        for ta in range(self.degree + 1):
-            ia = np.arange(deg_starts[ta], deg_starts[ta + 1])
-            for tb in range(self.degree + 1 - ta):
-                jb = np.arange(deg_starts[tb], deg_starts[tb + 1])
-                chunks_i.append(np.repeat(ia, len(jb)))
-                chunks_j.append(np.tile(jb, len(ia)))
-        mi = np.concatenate(chunks_i)
-        mj = np.concatenate(chunks_j)
-        mk = self._lookup(self._codes[mi] + self._codes[mj])
-        order = np.argsort(mk, kind="stable")
-        self._mul_i = mi[order].astype(np.intp)
-        self._mul_j = mj[order].astype(np.intp)
-        mk_sorted = mk[order]
-        self._mul_starts = np.searchsorted(mk_sorted, np.arange(self.size)).astype(np.intp)
+        """Multiply pairs (i, j), sorted by output index k and, within one k, by i.
+
+        One output degree t at a time: the output of (i, j), for i of degree
+        ta and j of degree t - ta, is i stepped up j's variables through
+        ``_dsrc``.  The pairs come in order of (ta, i, j), and a stable sort
+        on k's offset within degree t (below 2**16 in any ring the pair
+        budget admits; ring(11, 8) has the widest degree, 43,758) writes
+        them into the final tables in order of (k, i).
+        """
+        starts = np.concatenate(([0], self.size_upto))
+        npairs = math.comb(2 * self.nvars + self.degree, self.degree)
+        self._mul_i = np.empty(npairs, dtype=np.intp)
+        self._mul_j = np.empty(npairs, dtype=np.intp)
+        counts = np.zeros(self.size, dtype=np.intp)
+        # row r holds the variables of index r of degree t, repeats included, ascending
+        steps = [np.repeat(np.tile(np.arange(self.nvars), starts[t + 1] - starts[t]),
+                           self.exponents[starts[t]:starts[t + 1]].ravel())
+                 .reshape(starts[t + 1] - starts[t], t)
+                 for t in range(self.degree + 1)]
+        done = 0
+        for t in range(self.degree + 1):
+            total = math.comb(2 * self.nvars + t - 1, t)
+            mi = np.empty(total, dtype=np.intp)
+            mj = np.empty(total, dtype=np.intp)
+            key = np.empty(total, dtype=np.uint16)
+            pos = 0
+            for ta in range(t + 1):
+                ia = np.arange(starts[ta], starts[ta + 1])
+                jb = np.arange(starts[t - ta], starts[t - ta + 1])
+                shape = (len(ia), len(jb))
+                k = np.broadcast_to(ia[:, None], shape)
+                for var in steps[t - ta].T:
+                    k = self._dsrc[var, k]
+                block = slice(pos, pos + k.size)
+                mi[block].reshape(shape)[...] = ia[:, None]
+                mj[block].reshape(shape)[...] = jb
+                key[block].reshape(shape)[...] = k - starts[t]
+                pos += k.size
+            order = np.argsort(key, kind="stable")
+            np.take(mi, order, out=self._mul_i[done:done + total], mode="clip")
+            np.take(mj, order, out=self._mul_j[done:done + total], mode="clip")
+            counts[starts[t]:starts[t + 1]] = np.bincount(key, minlength=starts[t + 1] - starts[t])
+            done += total
+        ends = np.cumsum(counts)
+        self._mul_starts = ends - counts
         # pairs contributing to outputs of degree <= t form a prefix
-        self._pairs_upto = np.searchsorted(mk_sorted, self.size_upto).astype(np.intp)
+        self._pairs_upto = ends[self.size_upto - 1]
 
     def _build_deriv_tables(self):
         self._dsrc = np.zeros((self.nvars, self.size), dtype=np.intp)
@@ -197,7 +261,28 @@ class PolyRing:
         """Orders ``lo_deg..out_deg`` of the product, from operands that hold them.
 
         Pairs are sorted by output index and outputs are graded by degree,
-        so the pairs of one order range are one contiguous slice.
+        so the pairs of one order range are one contiguous slice, and the
+        pairs of one output (its segment) a contiguous slice within it.
+
+        A call whose product of gathered operands fits in ``_DIRECT_BYTES``
+        gathers, multiplies and reduces the whole slice at once.  A larger
+        one does the same for blocks of whole segments, each operand's
+        gather at most ``_BLOCK_BYTES``, in the ring's two scratch arrays,
+        and reduces each block into its slice of the output; so no call
+        allocates a temporary of the full pair count, and each output is the
+        same ``np.add.reduceat`` sum over the same pairs.  Gathers into the
+        scratch take ``mode="clip"`` (every index is in range), since
+        ``mode="raise"`` would buffer the output.
+
+        The scratch grows by doubling from its first use up to one block
+        (past it only for one segment too large for a block at the call's
+        batch), so a ring of small products keeps a small one.  The arrays
+        it outgrows are freed early and once, and that is what keeps glibc
+        from trimming the heap a Busemann-Hausdorff point works in: with one
+        block allocated at first use, each warmed verify-randers3-bh point
+        faulted in about 95 pages, against 0.5 with the doubling scratch, as
+        many as when every multiply gathered into fresh arrays (2-core
+        x86-64, glibc, numpy 2.4).
 
         ``np.take`` gathers the operands, not fancy indexing: on numpy 2.4
         it costs less per element along the last axis of a narrow batch
@@ -210,9 +295,43 @@ class PolyRing:
         c0 = int(self.size_upto[lo_deg - 1]) if lo_deg else 0
         c1 = int(self.size_upto[out_deg])
         p0, p1 = int(self._mul_starts[c0]), int(self._pairs_upto[out_deg])
-        prod = (np.take(a, self._mul_i[p0:p1], axis=-1)
-                * np.take(b, self._mul_j[p0:p1], axis=-1))
-        return np.add.reduceat(prod, self._mul_starts[c0:c1] - p0, axis=-1)
+        # rows of the product, or more where both operands broadcast
+        sa, sb = a.shape, b.shape
+        rows = a.size // sa[-1]
+        if sa[:-1] != sb[:-1]:
+            rows *= b.size // sb[-1]
+        if 8 * rows * (p1 - p0) <= _DIRECT_BYTES:
+            prod = (np.take(a, self._mul_i[p0:p1], axis=-1)
+                    * np.take(b, self._mul_j[p0:p1], axis=-1))
+            return np.add.reduceat(prod, self._mul_starts[c0:c1] - p0, axis=-1)
+        batch = sa[:-1]
+        if batch != sb[:-1]:
+            batch = np.broadcast_shapes(batch, sb[:-1])
+            a = np.broadcast_to(a, batch + sa[-1:])
+        rows = math.prod(batch)
+        out = np.empty(batch + (c1 - c0,))
+        starts, limit = self._mul_starts, max(_BLOCK_BYTES // (8 * rows), 1)
+        c = c0
+        while c < c1:
+            q0 = int(starts[c])
+            if p1 - q0 <= limit:
+                e = c1
+            else:
+                e = c + max(int(np.searchsorted(starts[c + 1:c1], q0 + limit, side="right")), 1)
+            q1 = int(starts[e]) if e < c1 else p1
+            width = self._scratch.shape[1]
+            if rows * (q1 - q0) > width:
+                # doubling up to one block, or one segment past it
+                width = max(rows * (q1 - q0), min(2 * width, _BLOCK_BYTES // 8))
+                self._scratch = np.empty((2, width))
+            ga = self._scratch[0, : rows * (q1 - q0)].reshape(batch + (q1 - q0,))
+            gb = self._scratch[1, : b.size // sb[-1] * (q1 - q0)].reshape(sb[:-1] + (q1 - q0,))
+            np.take(a, self._mul_i[q0:q1], axis=-1, out=ga, mode="clip")
+            np.take(b, self._mul_j[q0:q1], axis=-1, out=gb, mode="clip")
+            np.multiply(ga, gb, out=ga)
+            np.add.reduceat(ga, starts[c:e] - q0, axis=-1, out=out[..., c - c0:e - c0])
+            c = e
+        return out
 
 
 @lru_cache(maxsize=None)

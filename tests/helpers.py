@@ -4,8 +4,13 @@ The 9-point central stencils are exact on polynomials through degree 8,
 so with steps around 1e-2 the truncation error sits far below the
 tolerances used in the tests.  ``fd_oracle`` differentiates a field of
 tangent points with fourth-order stencils.
+
+``reference_ring_tables`` builds a jet ring's index tables the way
+``jets.PolyRing`` first built them, one full-size array per step, as the
+reference the ring's own tables must equal.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -102,3 +107,57 @@ def fd_oracle(field, point: TangentPoint, alpha, step: float = 1e-2) -> float:
         for kb, cb in _C1:
             acc += ca * cb * shifted({a: ka * step, b: kb * step})
     return acc / (144.0 * step * step)
+
+
+def reference_ring_tables(nvars: int, degree: int) -> dict:
+    """A ring's tables from combinations, dense pair lists and one sort of all pairs."""
+    rows = []
+    for total in range(degree + 1):
+        for combo in itertools.combinations_with_replacement(range(nvars), total):
+            exp = [0] * nvars
+            for v in combo:
+                exp[v] += 1
+            rows.append(exp)
+    exponents = np.array(rows, dtype=np.int64)
+    size = len(exponents)
+    size_upto = np.array([math.comb(nvars + t, t) for t in range(degree + 1)], dtype=np.int64)
+    total_degree = exponents.sum(axis=1)
+    pow_ = (degree + 1) ** np.arange(nvars, dtype=np.int64)
+    codes = exponents @ pow_
+    order = np.argsort(codes, kind="stable")
+    codes_sorted = codes[order]
+
+    def lookup(c):
+        return order[np.searchsorted(codes_sorted, c)]
+
+    deg_starts = np.concatenate(([0], size_upto))
+    chunks_i, chunks_j = [], []
+    for ta in range(degree + 1):
+        ia = np.arange(deg_starts[ta], deg_starts[ta + 1])
+        for tb in range(degree + 1 - ta):
+            jb = np.arange(deg_starts[tb], deg_starts[tb + 1])
+            chunks_i.append(np.repeat(ia, len(jb)))
+            chunks_j.append(np.tile(jb, len(ia)))
+    mi = np.concatenate(chunks_i)
+    mj = np.concatenate(chunks_j)
+    mk = lookup(codes[mi] + codes[mj])
+    by_output = np.argsort(mk, kind="stable")
+    mk_sorted = mk[by_output]
+
+    dsrc = np.zeros((nvars, size), dtype=np.intp)
+    dmul = np.zeros((nvars, size), dtype=np.float64)
+    for v in range(nvars):
+        shifted = exponents.copy()
+        shifted[:, v] += 1
+        ok = total_degree + 1 <= degree
+        dsrc[v, ok] = lookup(shifted[ok] @ pow_)
+        dmul[v, ok] = shifted[ok, v].astype(np.float64)
+    return {
+        "exponents": exponents,
+        "_dsrc": dsrc,
+        "_dmul": dmul,
+        "_mul_i": mi[by_output].astype(np.intp),
+        "_mul_j": mj[by_output].astype(np.intp),
+        "_mul_starts": np.searchsorted(mk_sorted, np.arange(size)).astype(np.intp),
+        "_pairs_upto": np.searchsorted(mk_sorted, size_upto).astype(np.intp),
+    }

@@ -579,6 +579,10 @@ def _config_error_line(tmp_path, argv) -> str:
       "--param", "a=[[1,0],[0,-1]]"), "a"),
     (("verify", "--metric", "randers", "--dim", "2", "--param", "preset=constant",
       "--param", "a=[[1,2],[0,1]]"), "a"),
+    (("verify", "--metric", "riemannian", "--dim", "2", "--param", "matrix=[[1,0],[0,-1]]",
+      "--points", "2"), "matrix"),
+    (("verify", "--metric", "riemannian", "--dim", "2", "--param", "matrix=[[2,1],[0,2]]",
+      "--points", "2"), "matrix"),
 ])
 def test_bad_family_parameter_exits_two(tmp_path, argv, key):
     line = _config_error_line(tmp_path, argv)
@@ -657,6 +661,15 @@ def test_invalid_randers_names_invariant(capsys, b):
     assert code == 2
     [line] = err.splitlines()
     assert "|b|_a < 1" in line
+
+
+def test_overflowing_metric_exits_two_without_numpy_warnings(capsys):
+    # the suite turns RuntimeWarning into an error, so a warning would raise here
+    code, out, err = run_cli(capsys, "eval", "--metric", "conformal-flat-2d",
+                             "--param", "lam=1000", "--points", "1")
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line == "error: F^2 of conformal-flat-2d has non-finite coefficients"
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -20,6 +20,8 @@ from spraylab.catalog import MetricSpec
 from spraylab.errors import ConfigError, DegreeBudgetError, JetDomainError
 from spraylab.verify import identity_suite
 
+from helpers import reference_ring_tables
+
 
 def _stencil(order: int, h: float):
     # 9-point central stencil: exact on polynomials of degree <= 8
@@ -342,6 +344,16 @@ def test_ring_size_is_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(jets, "MAX_MUL_PAIRS", 462)
     monkeypatch.setattr(jets, "_graded_exponents", graded)
     assert len(jets.PolyRing(3, 5)._mul_i) == 462
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2), (3, 5), (4, 4), (5, 6), (6, 7), (8, 7),
+                                   (4, 10)])
+def test_ring_tables_equal_the_reference_construction(shape):
+    r = jets.PolyRing(*shape)
+    for name, want in reference_ring_tables(*shape).items():
+        got = getattr(r, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert np.array_equal(got, want), name
 
 
 def test_batched_jets_match_scalar_loop():
@@ -698,8 +710,9 @@ def test_operations_never_write_into_operands(shape, seed):
         assert x.coeffs.tobytes() == snap.tobytes()
 
 
-@pytest.mark.parametrize("spec, volume, limit", [(FUNK4, None, 10e6), ("randers", "bh", 2e6)],
-                         ids=["funk4", "randers-bh"])
+@pytest.mark.parametrize("spec, volume, limit", [(FUNK4, None, 10e6), ("randers", "bh", 2e6),
+                                                 (MetricSpec("funk", 5), None, 10e6)],
+                         ids=["funk4", "randers-bh", "funk5"])
 def test_one_point_peak_memory(spec, volume, limit):
     # 30.6 MiB (funk4) and 4.3 MiB (randers under BH) when every jet was
     # stored at the full ring width
@@ -837,10 +850,21 @@ def _mul_coeffs_fancy(r, a, b, out_deg, lo_deg=0):
 BATCHES = [((), ()), ((3,), (3,)), ((2, 2), (2, 2)), ((3, 3), (1, 3))]
 
 
+# (direct, block) bytes of the kernel: as shipped, or small enough that
+# every call runs blocked, across several blocks and past one segment a block
+@pytest.mark.parametrize("sizes", [None, (64, 256)], ids=["shipped", "tiny-blocks"])
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(RINGS), st.sampled_from(BATCHES),
        st.sampled_from(["copy", "prefix", "transposed"]), st.integers(0, 2**32 - 1))
-def test_take_kernel_equals_fancy_index_kernel(shape, batches, layout, seed):
+def test_take_kernel_equals_fancy_index_kernel(sizes, shape, batches, layout, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        if sizes is not None:
+            mp.setattr(jets, "_DIRECT_BYTES", sizes[0])
+            mp.setattr(jets, "_BLOCK_BYTES", sizes[1])
+        _check_take_kernel(shape, batches, layout, seed)
+
+
+def _check_take_kernel(shape, batches, layout, seed):
     r = jets.ring(*shape)
     rng = np.random.default_rng(seed)
     hi = int(rng.integers(0, r.degree + 1))

@@ -70,6 +70,8 @@ COMMANDS = [
     # a surface, where weyl-divergence and flatness-equivalence do not apply
     ("verify conformal-flat-2d", (*_VERIFY, "--metric", "conformal-flat-2d")),
     ("verify funk4", (*_VERIFY, "--metric", "funk", "--dim", "4")),
+    # multiplies of ring(10, 7) run in several blocks of the kernel's scratch
+    ("verify funk5", ("verify", "--metric", "funk", "--dim", "5", "--points", "1")),
     ("verify funk3 bh", (*_VERIFY, "--metric", "funk", "--dim", "3", "--volume", "bh")),
     ("verify square bh", (*_VERIFY, "--metric", "square-metric", "--volume", "bh")),
     ("verify fourth-root bh", (*_VERIFY, "--metric", "fourth-root", "--volume", "bh")),
