@@ -10,12 +10,13 @@ Storage is one flat float64 array per jet, indexed by a precomputed
 graded multi-index table shared by all jets of the same ``(nvars,
 degree)`` ring.  Within a total degree, indices follow the order of
 ``itertools.combinations_with_replacement``, so the orders up to ``k``
-are the first ``ring.size_upto[k]`` coefficients.  Jets may carry leading
-batch axes (``coeffs.shape == (*batch, width)``); all operations
-broadcast over them, which is what makes quadrature loops cheap.  A
-tensor is one jet whose batch axes are its indices; indexing, ``grad``
-and ``einsum`` act on those axes only (the vector mode of forward
-differentiation).
+are the first ``ring.size_upto[k]`` coefficients.  Every index is a walk
+up the ring's successor table from the zero row: row ``i`` plus one unit
+of variable ``v`` is row ``_dsrc[v, i]``.  Jets may carry leading batch
+axes (``coeffs.shape == (*batch, width)``); all operations broadcast over
+them, which is what makes quadrature loops cheap.  A tensor is one jet
+whose batch axes are its indices; indexing, ``grad`` and ``einsum`` act on
+those axes only (the vector mode of forward differentiation).
 
 A product sums, for each output coefficient, the products of its operand
 pairs, which the ring's pair table lists contiguously (the output's
@@ -97,24 +98,39 @@ _DIRECT_BYTES = 128 * 1024
 _BLOCK_BYTES = 1024 * 1024
 
 
-def _graded_exponents(nvars: int, degree: int) -> np.ndarray:
-    """Multi-indices by total degree, each degree in combinations-with-replacement order.
+def _graded_exponents(nvars: int, degree: int):
+    """Multi-indices by total degree, the successor table and each row's variables.
 
-    A combination of degree t is one of degree t - 1 followed by a variable
-    no lower than its last, so each row of degree t - 1 yields, in order,
-    one row per variable from its highest nonzero one (0 for the zero row) up.
+    Within a degree, rows follow combinations-with-replacement order: a
+    combination of degree t + 1 is one of degree t followed by a variable no
+    lower than its last, L (0 for the zero row), so row r of degree t yields,
+    in order, its children r + e_v for v from L up, and those are
+    ``dsrc[v, r]``.  For v < L, r is its parent p plus e_L, so r + e_v is
+    the child for L of row ``dsrc[v, p]``, whose last variable is at most L.
+    Rows of the top degree keep 0.  ``steps[t]`` holds the variables of each
+    row of degree t, repeats included, ascending.
     """
-    rows = np.zeros((1, nvars), dtype=np.int64)
-    degrees = [rows]
-    last = np.zeros(1, dtype=np.int64)
+    size = math.comb(nvars + degree, degree)
+    exponents = np.zeros((size, nvars), dtype=np.int64)
+    dsrc = np.zeros((nvars, size), dtype=np.intp)
+    steps = [np.zeros((1, 0), dtype=np.intp)]
+    v = np.arange(nvars)
+    # the rows of degree t are lo..hi, with their parents and last variables
+    lo, hi = 0, 1
+    parent = last = np.zeros(1, dtype=np.intp)
     for _ in range(degree):
-        counts = nvars - last
-        rows = np.repeat(rows, counts, axis=0)
-        first = np.cumsum(counts) - counts
-        last = np.arange(len(rows)) - np.repeat(first - last, counts)
-        rows[np.arange(len(rows)), last] += 1
-        degrees.append(rows)
-    return np.concatenate(degrees)
+        lead = v >= last[:, None]
+        child = hi + np.cumsum(lead).reshape(lead.shape) - 1
+        dsrc[:, lo:hi] = child.T
+        down = dsrc[last[:, None], dsrc[:, parent].T]
+        dsrc[:, lo:hi] = np.where(lead, child, down).T
+        r, last = np.nonzero(lead)
+        parent = r + lo
+        lo, hi = hi, hi + len(r)
+        exponents[lo:hi] = exponents[parent]
+        exponents[np.arange(lo, hi), last] += 1
+        steps.append(np.column_stack((steps[-1][r], last)))
+    return exponents, dsrc, steps
 
 
 class PolyRing:
@@ -133,7 +149,7 @@ class PolyRing:
                               f"or the dimension")
         self.nvars = nvars
         self.degree = degree
-        self.exponents = _graded_exponents(nvars, degree)
+        self.exponents, self._dsrc, steps = _graded_exponents(nvars, degree)
         self.size = len(self.exponents)
         # number of indices of total degree <= t, for prefix slicing
         self.size_upto = np.array(
@@ -142,15 +158,11 @@ class PolyRing:
         self.total_degree = self.exponents.sum(axis=1)
         self._valid_of = {int(w): t for t, w in enumerate(self.size_upto)}
 
-        # mixed-radix code for O(log) index lookup; degree+1 digits suffice
-        base = degree + 1
-        self._pow = base ** np.arange(nvars, dtype=np.int64)
-        self._codes = self.exponents @ self._pow
-        self._order = np.argsort(self._codes, kind="stable")
-        self._codes_sorted = self._codes[self._order]
-
-        self._build_deriv_tables()
-        self._build_mul_table()
+        # d/dx_v of x^(alpha + e_v) is (alpha_v + 1) x^alpha, none from the top degree;
+        # in C order, since each derivative reads rows of it, and strided rows cost 2x
+        self._dmul = np.ascontiguousarray(
+            np.where(self.total_degree < degree, self.exponents.T + 1.0, 0.0))
+        self._build_mul_table(steps)
         # the gathered operand pairs of a blocked multiply, grown on first use
         self._scratch = np.empty((2, 0))
         # alpha! = prod_i alpha_i!, each an integer <= degree!, exact in float64
@@ -165,13 +177,13 @@ class PolyRing:
             raise DegreeBudgetError(
                 f"multi-index {tuple(int(a) for a in alpha)} exceeds degree {self.degree}"
             )
-        return int(self._lookup(np.array([alpha @ self._pow]))[0])
+        k = 0
+        for v, e in enumerate(alpha.tolist()):
+            for _ in range(e):
+                k = int(self._dsrc[v, k])
+        return k
 
-    def _lookup(self, codes: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self._codes_sorted, codes)
-        return self._order[pos]
-
-    def _build_mul_table(self):
+    def _build_mul_table(self, steps):
         """Multiply pairs (i, j), sorted by output index k and, within one k, by i.
 
         One output degree t at a time: the output of (i, j), for i of degree
@@ -186,11 +198,6 @@ class PolyRing:
         self._mul_i = np.empty(npairs, dtype=np.intp)
         self._mul_j = np.empty(npairs, dtype=np.intp)
         counts = np.zeros(self.size, dtype=np.intp)
-        # row r holds the variables of index r of degree t, repeats included, ascending
-        steps = [np.repeat(np.tile(np.arange(self.nvars), starts[t + 1] - starts[t]),
-                           self.exponents[starts[t]:starts[t + 1]].ravel())
-                 .reshape(starts[t + 1] - starts[t], t)
-                 for t in range(self.degree + 1)]
         done = 0
         for t in range(self.degree + 1):
             total = math.comb(2 * self.nvars + t - 1, t)
@@ -219,17 +226,6 @@ class PolyRing:
         self._mul_starts = ends - counts
         # pairs contributing to outputs of degree <= t form a prefix
         self._pairs_upto = ends[self.size_upto - 1]
-
-    def _build_deriv_tables(self):
-        self._dsrc = np.zeros((self.nvars, self.size), dtype=np.intp)
-        self._dmul = np.zeros((self.nvars, self.size), dtype=np.float64)
-        for v in range(self.nvars):
-            shifted = self.exponents.copy()
-            shifted[:, v] += 1
-            ok = self.total_degree + 1 <= self.degree
-            codes = shifted[ok] @ self._pow
-            self._dsrc[v, ok] = self._lookup(codes)
-            self._dmul[v, ok] = shifted[ok, v].astype(np.float64)
 
     # -- constructors -------------------------------------------------
 
@@ -745,11 +741,12 @@ def lift(a: Jet, target: PolyRing, valid: int) -> Jet:
 def _lift_table(src_nvars, src_degree, dst_nvars, dst_degree) -> np.ndarray:
     src = ring(src_nvars, src_degree)
     dst = ring(dst_nvars, dst_degree)
-    table = np.full(src.size, -1, dtype=np.intp)
-    for i, row in enumerate(src.exponents):
-        if row.sum() > dst.degree:
-            continue
-        alpha = np.zeros(dst.nvars, dtype=np.int64)
-        alpha[: src.nvars] = row
-        table[i] = dst.index_of(alpha)
+    # each row walks the successor table of dst from its zero row
+    table = np.zeros(src.size, dtype=np.intp)
+    fits = src.total_degree <= dst.degree
+    for v in range(src.nvars):
+        for e in range(dst.degree):
+            walk = fits & (src.exponents[:, v] > e)
+            table[walk] = dst._dsrc[v, table[walk]]
+    table[~fits] = -1
     return table

@@ -14,7 +14,10 @@ point, so among such points the first in sample order is reported.
 
 A suite run never aborts on a failing point; domain errors at a single
 point are recorded as infinite residuals and the run continues.  A degree
-too low for a check or theorem is a configuration error that names it.
+too low for a check or theorem is a configuration error that names it, and
+a point that fails the metric's own gates (its chart, F^2 > 0, a positive
+definite fundamental tensor) ends the run with that admissibility error,
+since the input is no metric there.
 
 A theorem is a record of fixtures and volume forms; one loop runs every
 record, and an error in it ends the run.
@@ -31,9 +34,10 @@ import numpy as np
 
 from . import catalog
 from .catalog import MetricSpec
-from .errors import ConfigError, DegreeBudgetError, SprayLabError, degree_too_low
-from .geometry import (DEFAULT_DEGREE, MetricFrame, PerturbedSpray, SprayStack,
-                       TangentPoint, as_spray)
+from .errors import (AdmissibilityError, ConfigError, DegreeBudgetError, SprayLabError,
+                     degree_too_low)
+from .geometry import (DEFAULT_DEGREE, FinslerMetric, MetricFrame, PerturbedSpray,
+                       SprayStack, TangentPoint, as_spray)
 from .jets import Jet
 from .measures import BH_NODES, MeasureStack, VolumeForm, as_volume
 from .projective import PointContext, ProjectiveStack, einstein_wo, volume_change
@@ -184,20 +188,18 @@ class IdentityCheck:
     name: str
     fn: Callable[[PointContext], tuple[float, float]]
     uses_measure: bool = False
-    needs_metric: bool = False
+    # the class the context's metric must be, if the check reads one
+    needs: type | None = None
     min_dim: int = 2
     only_dim: int | None = None
-    riemannian_only: bool = False
 
     def applies(self, metric, n: int) -> bool:
         """Whether the check is defined for this metric (or None) in dimension n."""
-        if self.needs_metric and metric is None:
+        if self.needs is not None and not isinstance(metric, self.needs):
             return False
         if n < self.min_dim:
             return False
         if self.only_dim is not None and n != self.only_dim:
-            return False
-        if self.riemannian_only and not isinstance(metric, catalog.Riemannian):
             return False
         return True
 
@@ -258,6 +260,13 @@ def _t_traceless(ctx):
 def _t_y_kill(ctx):
     tv = ctx.stack.T.value()
     return _maxabs(tv @ ctx.y), _maxabs(tv) * _maxabs(ctx.y) * ctx.n
+
+
+def _geodesic_spray(ctx):
+    # F_{|k} = F_{x^k} - N^l_k F_{.l} = 0 for the spray of F (Shen 2001)
+    st, F = ctx.frame.stack, ctx.frame.F
+    nfy = F.gradient(st.ys) @ st.N.value()
+    return _maxabs(st.hgrad(F).value()), _maxabs(F.gradient(st.xs), nfy)
 
 
 def _riemannian_berwald(ctx):
@@ -503,8 +512,8 @@ def _flatness_equivalence(ctx):
 
 
 REGISTRY: tuple[IdentityCheck, ...] = (
-    IdentityCheck("euler-metric", _euler_metric, needs_metric=True),
-    IdentityCheck("euler-fundamental", _euler_fundamental, needs_metric=True),
+    IdentityCheck("euler-metric", _euler_metric, needs=FinslerMetric),
+    IdentityCheck("euler-fundamental", _euler_fundamental, needs=FinslerMetric),
     IdentityCheck("euler-spray", _euler_spray),
     IdentityCheck("euler-nonlinear", _euler_nonlinear),
     IdentityCheck("berwald-y-kill", _berwald_y_kill),
@@ -513,8 +522,7 @@ REGISTRY: tuple[IdentityCheck, ...] = (
     IdentityCheck("r4-contract", _r4_contract),
     IdentityCheck("t-traceless", _t_traceless),
     IdentityCheck("t-y-kill", _t_y_kill),
-    IdentityCheck("riemannian-berwald", _riemannian_berwald,
-                  needs_metric=True, riemannian_only=True),
+    IdentityCheck("riemannian-berwald", _riemannian_berwald, needs=catalog.Riemannian),
     IdentityCheck("y-parallel", _y_parallel),
     IdentityCheck("ricci-exchange-1", _ricci_exchange_1),
     IdentityCheck("ricci-exchange-2", _ricci_exchange_2),
@@ -546,6 +554,7 @@ REGISTRY: tuple[IdentityCheck, ...] = (
     IdentityCheck("projective-invariance", _projective_invariance, uses_measure=True),
     IdentityCheck("flatness-equivalence", _flatness_equivalence,
                   uses_measure=True, min_dim=3),
+    IdentityCheck("geodesic-spray", _geodesic_spray, needs=FinslerMetric),
 )
 
 
@@ -576,10 +585,11 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
 
     ``spec`` may be a family name, a MetricSpec, a metric, or a spray;
     ``points`` is a sample count or an explicit list of tangent points.
-    A failing point never aborts the run: domain errors are recorded as
-    infinite residuals on the affected checks.  The default jet degree is
-    the smallest that feeds every registered identity; a lower one that
-    starves a check is a ConfigError naming it.
+    A failing check never aborts the run: domain errors are recorded as
+    infinite residuals on the affected checks.  A point where the metric
+    fails its admissibility gates raises AdmissibilityError.  The default
+    jet degree is the smallest that feeds every registered identity; a
+    lower one that starves a check is a ConfigError naming it.
     """
     obj = as_spray(catalog.build(spec) if isinstance(spec, (str, MetricSpec)) else spec)
     metric = obj.metric
@@ -609,7 +619,7 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
         for check in applicable:
             try:
                 residual, scale = check.fn(ctx)
-            except ConfigError:
+            except (ConfigError, AdmissibilityError):
                 raise
             except DegreeBudgetError as exc:
                 raise degree_too_low(degree, f"check {check.name}", exc) from None

@@ -7,7 +7,8 @@ tangent points with fourth-order stencils.
 
 ``reference_ring_tables`` builds a jet ring's index tables the way
 ``jets.PolyRing`` first built them, one full-size array per step, as the
-reference the ring's own tables must equal.
+reference the ring's own tables must equal; ``reference_lift_table``
+finds each lifted row the same way.
 """
 
 import itertools
@@ -109,8 +110,8 @@ def fd_oracle(field, point: TangentPoint, alpha, step: float = 1e-2) -> float:
     return acc / (144.0 * step * step)
 
 
-def reference_ring_tables(nvars: int, degree: int) -> dict:
-    """A ring's tables from combinations, dense pair lists and one sort of all pairs."""
+def _reference_index(nvars: int, degree: int):
+    """A ring's multi-indices from combinations, and a mixed-radix lookup of their rows."""
     rows = []
     for total in range(degree + 1):
         for combo in itertools.combinations_with_replacement(range(nvars), total):
@@ -119,9 +120,6 @@ def reference_ring_tables(nvars: int, degree: int) -> dict:
                 exp[v] += 1
             rows.append(exp)
     exponents = np.array(rows, dtype=np.int64)
-    size = len(exponents)
-    size_upto = np.array([math.comb(nvars + t, t) for t in range(degree + 1)], dtype=np.int64)
-    total_degree = exponents.sum(axis=1)
     pow_ = (degree + 1) ** np.arange(nvars, dtype=np.int64)
     codes = exponents @ pow_
     order = np.argsort(codes, kind="stable")
@@ -129,6 +127,16 @@ def reference_ring_tables(nvars: int, degree: int) -> dict:
 
     def lookup(c):
         return order[np.searchsorted(codes_sorted, c)]
+
+    return exponents, pow_, codes, lookup
+
+
+def reference_ring_tables(nvars: int, degree: int) -> dict:
+    """A ring's tables from combinations, dense pair lists and one sort of all pairs."""
+    exponents, pow_, codes, lookup = _reference_index(nvars, degree)
+    size = len(exponents)
+    size_upto = np.array([math.comb(nvars + t, t) for t in range(degree + 1)], dtype=np.int64)
+    total_degree = exponents.sum(axis=1)
 
     deg_starts = np.concatenate(([0], size_upto))
     chunks_i, chunks_j = [], []
@@ -161,3 +169,17 @@ def reference_ring_tables(nvars: int, degree: int) -> dict:
         "_mul_starts": np.searchsorted(mk_sorted, np.arange(size)).astype(np.intp),
         "_pairs_upto": np.searchsorted(mk_sorted, size_upto).astype(np.intp),
     }
+
+
+def reference_lift_table(src_nvars, src_degree, dst_nvars, dst_degree) -> np.ndarray:
+    """``jets._lift_table`` as one lookup per source row, -1 past the target's degree."""
+    src, _, _, _ = _reference_index(src_nvars, src_degree)
+    _, dst_pow, _, dst_lookup = _reference_index(dst_nvars, dst_degree)
+    table = np.full(len(src), -1, dtype=np.intp)
+    for i, row in enumerate(src):
+        if row.sum() > dst_degree:
+            continue
+        alpha = np.zeros(dst_nvars, dtype=np.int64)
+        alpha[:src_nvars] = row
+        table[i] = dst_lookup(np.array([alpha @ dst_pow]))[0]
+    return table

@@ -389,10 +389,10 @@ def test_verify_euclidean_passes(capsys):
     records = json_records(out)
     assert records[0]["record"] == "run"
     # every check but weyl-2d, which applies to surfaces only
-    assert records[-1] == {"record": "summary", "pass": True, "checks": 40,
+    assert records[-1] == {"record": "summary", "pass": True, "checks": 41,
                            "failures": []}
     results = [rec for rec in records if rec["record"] == "result"]
-    assert len(results) == 400 and all(rec["residual"] <= 1e-11 for rec in results)
+    assert len(results) == 410 and all(rec["residual"] <= 1e-11 for rec in results)
     assert all(rec["points"] == 10 for rec in records if rec["record"] == "check")
 
 
@@ -453,7 +453,7 @@ def test_verify_csv_table(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == cli.VERIFY_COLUMNS
-    assert len(rows) == 1 + 40  # the header and the checks that apply in dim 3
+    assert len(rows) == 1 + 41  # the header and the checks that apply in dim 3
 
 
 def test_verify_byte_identical_reruns(capsys):
@@ -670,6 +670,15 @@ def test_overflowing_metric_exits_two_without_numpy_warnings(capsys):
     assert (code, out) == (2, "")
     [line] = err.splitlines()
     assert line == "error: F^2 of conformal-flat-2d has non-finite coefficients"
+
+
+def test_a_point_where_the_metric_is_no_metric_exits_two(capsys):
+    # as in eval, the metric's failed gate ends the run; it is no failed check
+    code, out, err = run_cli(capsys, "verify", "--metric", "riemannian", "--dim", "2",
+                             "--param", 'matrix=[["1","0"],["0","x1"]]', "--points", "4")
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert "not positive definite" in line
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -20,7 +20,7 @@ from spraylab.catalog import MetricSpec
 from spraylab.errors import ConfigError, DegreeBudgetError, JetDomainError
 from spraylab.verify import identity_suite
 
-from helpers import reference_ring_tables
+from helpers import reference_lift_table, reference_ring_tables
 
 
 def _stencil(order: int, h: float):
@@ -354,6 +354,36 @@ def test_ring_tables_equal_the_reference_construction(shape):
         got = getattr(r, name)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert np.array_equal(got, want), name
+
+
+def test_ring_tables_are_c_contiguous():
+    # each derivative reads rows of _dsrc and _dmul, which Fortran order would stride
+    r = jets.PolyRing(3, 5)
+    for name in ("exponents", "_dsrc", "_dmul", "_mul_i", "_mul_j", "_mul_starts"):
+        assert getattr(r, name).flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("shapes", [((3, 3), (6, 7)), ((4, 3), (8, 7)), ((3, 5), (6, 7)),
+                                    ((2, 7), (4, 3)), ((3, 2), (6, 7))])
+def test_lift_table_equals_one_lookup_per_row(shapes):
+    got = jets._lift_table(*shapes[0], *shapes[1])
+    want = reference_lift_table(*shapes[0], *shapes[1])
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 5), (6, 7), (8, 7), (4, 10)])
+def test_index_of_round_trips_every_monomial(shape):
+    r = jets.ring(*shape)
+    assert [r.index_of(row) for row in r.exponents] == list(range(r.size))
+    nvars, degree = shape
+    with pytest.raises(ValueError, match=rf"bad multi-index .* for {nvars} variables"):
+        r.index_of([0] * (nvars + 1))
+    with pytest.raises(ValueError, match=rf"bad multi-index .* for {nvars} variables"):
+        r.index_of([-1] + [0] * (nvars - 1))
+    with pytest.raises(DegreeBudgetError, match=rf"multi-index \({degree + 1},.*\) exceeds "
+                                                rf"degree {degree}"):
+        r.index_of([degree + 1] + [0] * (nvars - 1))
 
 
 def test_batched_jets_match_scalar_loop():

@@ -27,7 +27,7 @@ PT3 = TangentPoint((0.1, -0.2, 0.15), (0.9, -0.4, 0.7))
 
 def test_registry_size_and_unique_names():
     names = verify.check_names()
-    assert len(REGISTRY) == 41
+    assert len(REGISTRY) == 42
     assert len(set(names)) == len(names)
 
 
@@ -140,9 +140,38 @@ def test_suite_never_aborts_on_a_failing_point(monkeypatch):
     monkeypatch.setattr(verify, "REGISTRY", (replace(REGISTRY[0], fn=fails), *REGISTRY[1:]))
     report = identity_suite("randers", points=2)
     randers = catalog.build("randers")
-    assert len(report.checks) == sum(c.applies(randers, 3) for c in REGISTRY) == 39
+    assert len(report.checks) == sum(c.applies(randers, 3) for c in REGISTRY) == 40
     assert report.failures() == [report.checks[0]]
     assert report.checks[0].points == 2 and math.isinf(report.checks[0].residual)
+
+
+# every catalog family, with an expression matrix and a perturbed Randers spray
+GEODESIC_SPECS = [
+    *[MetricSpec(name) for name in catalog.family_names()
+      if name not in ("riemannian", "projective-perturbation")],
+    MetricSpec("riemannian", 3, {"matrix": [["exp(0.3*x1)", "0.1*x2", "0"],
+                                            ["0.1*x2", "1", "0"], ["0", "0", "1"]]}),
+    MetricSpec("projective-perturbation",
+               params={"base": "randers", "oneform": ["0.1*x1", "0", "0.05*x2"]}),
+]
+
+
+@pytest.mark.parametrize("spec", GEODESIC_SPECS, ids=lambda spec: spec.family)
+def test_geodesic_spray_holds_on_every_family(spec):
+    report = identity_suite(spec, points=20, checks=["geodesic-spray"])
+    assert report.passed and report.checks[0].points == 20
+
+
+@pytest.mark.parametrize("family, dim", [("funk", 3), ("randers", 3), ("square-metric", 3),
+                                         ("hyperbolic-ball", 2)])
+def test_geodesic_spray_fails_a_scaled_spray(monkeypatch, family, dim):
+    spray = MetricFrame.spray_coefficients.func
+    monkeypatch.setattr(MetricFrame, "spray_coefficients",
+                        property(lambda frame: 1.001 * spray(frame)))
+    report = identity_suite(MetricSpec(family, dim), points=20, checks=["geodesic-spray"])
+    [agg] = report.checks
+    assert not agg.passed
+    assert agg.residual == pytest.approx(1e-3 * agg.scale, rel=0.01)
 
 
 def test_pass_flag_matches_threshold_rule():

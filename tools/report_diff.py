@@ -115,6 +115,9 @@ COMMANDS = [
                             '["0","0","1"]]')),
     ("verify randers constant bh", (*_VERIFY, "--metric", "randers", "--param", "preset=constant",
                                     "--volume", "bh")),
+    # an expression matrix that is not positive definite at a sampled point exits 2
+    ("verify riemannian indefinite", ("verify", "--metric", "riemannian", "--dim", "2", "--param",
+                                      'matrix=[["1","0"],["0","x1"]]', "--points", "4")),
 ]
 
 
