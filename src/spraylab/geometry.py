@@ -106,8 +106,11 @@ class FinslerMetric(Spray):
     def fsq_at(self, x: list):
         """The map y -> F^2(x, y) at fixed base coordinates ``x``.
 
-        Coordinates are jets or floats, and so is F^2.  A metric whose F^2
-        has parts that depend on x alone computes them here, once, so the
+        Coordinates may be jets, floats or float arrays.  F^2 is a jet when
+        it reads a jet, and a float or array otherwise: an F^2 that does
+        not depend on x comes back as an array at the float-array
+        directions of the Busemann-Hausdorff quadrature.  A metric whose
+        F^2 has parts that depend on x alone computes them here, once, so the
         Busemann-Hausdorff quadrature pays for them once per rule rather
         than once per block of directions.
         """
@@ -140,7 +143,7 @@ class PerturbedSpray(Spray):
         n = self.dim
         xs = [G.ring.seed(i, point.x[i]) for i in range(n)]
         ys = _seeds(G.ring, n, point.y)
-        p = sum((self.oneform[m](xs) * ys[m] for m in range(n)), G.ring.zero())
+        p = sum((self.oneform[m](xs) * ys[m] for m in range(n)), G.ring.const(0.0))
         return G + p.truncate(G.valid) * ys
 
     def admissible(self, point: TangentPoint) -> bool:

@@ -31,10 +31,10 @@ the same order either way.
 A jet stores only its exact orders: ``valid``, the number of Taylor
 orders still exact, is the ``v`` with ``width == ring.size_upto[v]``.
 Each derivative of truncated data loses one order, and a sum or product
-keeps the fewer orders of its operands.  Requesting a partial beyond
-``valid`` raises :class:`DegreeBudgetError` instead of returning noise.
-``truncate`` is a prefix view, so jets share memory and no operation
-writes into an operand.
+keeps the fewer orders of its operands.  A derivative (``grad``,
+``gradient``) beyond ``valid`` raises :class:`DegreeBudgetError` instead
+of returning noise.  ``truncate`` is a prefix view, so jets share memory
+and no operation writes into an operand.
 
 ``xvalid`` counts the exact orders in the x variables, the leading half
 of the ring's variables as in the doubled (x, y) ring of ``geometry``:
@@ -43,12 +43,12 @@ its degree in x at most ``xvalid``, which is never above ``valid``.  A
 jet of x alone does not depend on y, so :func:`lift` pads it with
 y-orders that are exact zeros and keeps its own orders as ``xvalid``.
 The coefficients above ``xvalid`` in x are still stored and computed,
-but are not exact.  Sums and products keep the fewer of each
-count, an x-derivative lowers both and a y-derivative ``valid`` only,
-``truncate`` caps both, and reading a partial above ``xvalid`` in x
-raises :class:`DegreeBudgetError`.  Only such a lift and what is
-computed from it has ``xvalid`` below ``valid``; for any other jet the
-two counts move together.
+but are not exact.  Sums and products keep the fewer of each count, an
+x-derivative lowers both and a y-derivative ``valid`` only, ``truncate``
+caps both, and an x-derivative (``grad``, ``gradient``) beyond
+``xvalid`` raises :class:`DegreeBudgetError`.  Only such a lift and what
+is computed from it has ``xvalid`` below ``valid``; for any other jet
+the two counts move together.
 
 ``nzdeg`` bounds the polynomial degree of the stored coefficients: every
 coefficient of total degree above it is exactly zero.  A product therefore
@@ -96,6 +96,9 @@ _DIRECT_BYTES = 128 * 1024
 # 245,157-pair products in two; 256 KiB blocks cost 3.5% of its multiply
 # time.
 _BLOCK_BYTES = 1024 * 1024
+
+# operands that act as constant jets
+_NUMBERS = (int, float, np.floating, np.integer, np.ndarray)
 
 
 def _graded_exponents(nvars: int, degree: int):
@@ -165,23 +168,6 @@ class PolyRing:
         self._build_mul_table(steps)
         # the gathered operand pairs of a blocked multiply, grown on first use
         self._scratch = np.empty((2, 0))
-        # alpha! = prod_i alpha_i!, each an integer <= degree!, exact in float64
-        table = np.array([math.factorial(e) for e in range(degree + 1)], dtype=np.float64)
-        self._factorials = table[self.exponents].prod(axis=1)
-
-    def index_of(self, alpha) -> int:
-        alpha = np.asarray(alpha, dtype=np.int64)
-        if alpha.shape != (self.nvars,) or (alpha < 0).any():
-            raise ValueError(f"bad multi-index {alpha!r} for {self.nvars} variables")
-        if alpha.sum() > self.degree:
-            raise DegreeBudgetError(
-                f"multi-index {tuple(int(a) for a in alpha)} exceeds degree {self.degree}"
-            )
-        k = 0
-        for v, e in enumerate(alpha.tolist()):
-            for _ in range(e):
-                k = int(self._dsrc[v, k])
-        return k
 
     def _build_mul_table(self, steps):
         """Multiply pairs (i, j), sorted by output index k and, within one k, by i.
@@ -236,9 +222,6 @@ class PolyRing:
         coeffs = np.zeros(value.shape + (width,))
         coeffs[..., 0] = value
         return Jet(self, coeffs, nzdeg=0)
-
-    def zero(self) -> "Jet":
-        return self.const(0.0)
 
     def seed(self, var: int, value) -> "Jet":
         """Jet of the coordinate function ``var`` expanded about ``value``."""
@@ -379,32 +362,6 @@ class Jet:
         v = self.coeffs[..., 0]
         return float(v) if v.ndim == 0 else v
 
-    def coeff(self, alpha):
-        idx = self._checked_index(alpha)
-        c = self.coeffs[..., idx]
-        return float(c) if c.ndim == 0 else c
-
-    def partial(self, alpha):
-        """Mixed partial ``d^alpha`` at the expansion point (``alpha! * coeff``)."""
-        idx = self._checked_index(alpha)
-        p = self.coeffs[..., idx] * self.ring._factorials[idx]
-        return float(p) if p.ndim == 0 else p
-
-    def _checked_index(self, alpha) -> int:
-        idx = self.ring.index_of(alpha)
-        shown = tuple(int(a) for a in np.atleast_1d(alpha))
-        if int(self.ring.total_degree[idx]) > self.valid:
-            raise DegreeBudgetError(
-                f"partial {shown} needs order {int(self.ring.total_degree[idx])} "
-                f"but only {self.valid} orders are exact"
-            )
-        xdeg = sum(shown[: self.ring.nvars // 2])
-        if xdeg > self.xvalid:
-            raise DegreeBudgetError(
-                f"partial {shown} needs x-order {xdeg} but only {self.xvalid} x-orders are exact"
-            )
-        return idx
-
     def gradient(self, slots: range | None = None):
         """Values of the first-order partials along a range of variables (default: all)."""
         nvars = self.ring.nvars
@@ -467,7 +424,7 @@ class Jet:
             if other.ring is not self.ring:
                 raise ValueError("jets belong to different rings")
             return other
-        if isinstance(other, (int, float, np.floating, np.integer, np.ndarray)):
+        if isinstance(other, _NUMBERS):
             return self.ring.const(other, self.valid)
         return None
 
@@ -499,6 +456,9 @@ class Jet:
         return Jet(self.ring, -self.coeffs, self.nzdeg, self.xvalid)
 
     def __mul__(self, other):
+        if isinstance(other, _NUMBERS):  # self * ring.const(other), without building it
+            return Jet(self.ring, self.coeffs * np.asarray(other, float)[..., None], self.nzdeg,
+                       self.xvalid)
         b = self._coerce(other)
         if b is None:
             return NotImplemented

@@ -164,8 +164,9 @@ def _bh_rule(metric: FinslerMetric, x, nodes: int, degree: int) -> Jet:
     total = None
     for start in range(0, theta.shape[0], step):
         block = slice(start, start + step)
-        ys = [ring.const(np.ascontiguousarray(theta[block, i])) for i in range(n)]
-        fsq = fsq_of(ys)
+        fsq = fsq_of([np.ascontiguousarray(theta[block, i]) for i in range(n)])
+        if not isinstance(fsq, Jet):
+            fsq = ring.const(fsq)  # an F^2 that does not depend on x
         values = np.asarray(fsq.coeffs[..., 0])
         if not np.all(values > 0.0):
             raise AdmissibilityError(

@@ -5,6 +5,10 @@ so with steps around 1e-2 the truncation error sits far below the
 tolerances used in the tests.  ``fd_oracle`` differentiates a field of
 tangent points with fourth-order stencils.
 
+``coeff`` and ``partial`` read one coefficient of a jet by matching its
+multi-index against the ring's exponent rows, so they share no table with
+the kernel they check.
+
 ``reference_ring_tables`` builds a jet ring's index tables the way
 ``jets.PolyRing`` first built them, one full-size array per step, as the
 reference the ring's own tables must equal; ``reference_lift_table``
@@ -108,6 +112,19 @@ def fd_oracle(field, point: TangentPoint, alpha, step: float = 1e-2) -> float:
         for kb, cb in _C1:
             acc += ca * cb * shifted({a: ka * step, b: kb * step})
     return acc / (144.0 * step * step)
+
+
+def coeff(jet, alpha):
+    """Coefficient of the multi-index ``alpha`` in ``jet``, batch axes kept."""
+    exponents = jet.ring.exponents[: jet.coeffs.shape[-1]]
+    (row,) = np.flatnonzero((exponents == np.asarray(alpha)).all(axis=1))
+    c = jet.coeffs[..., row]
+    return float(c) if c.ndim == 0 else c
+
+
+def partial(jet, alpha):
+    """Mixed partial d^alpha of ``jet`` at its expansion point: alpha! times the coefficient."""
+    return coeff(jet, alpha) * math.prod(math.factorial(a) for a in alpha)
 
 
 def _reference_index(nvars: int, degree: int):

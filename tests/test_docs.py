@@ -84,12 +84,24 @@ def test_every_public_name_has_a_caller_in_the_library():
     assert [name for name in spraylab.__all__ if name not in used | exempt] == []
 
 
+def _library_classes() -> list[type]:
+    """The public classes the library's modules define, exported or not."""
+    modules = [importlib.import_module(f"spraylab.{path.stem}")
+               for path in sorted((ROOT / "src" / "spraylab").glob("*.py"))]
+    return [obj for module in modules for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+            and not name.startswith("_")]
+
+
 def test_every_public_member_of_an_exported_class_has_a_caller_in_the_library():
-    # methods, properties and cached properties; fields and dunders are not members here
+    # every public class of every module, exported or not (Jet, PolyRing,
+    # IdentityCheck, ...); methods, properties and cached properties count,
+    # fields and dunders are not members here
     kinds = (FunctionType, property, cached_property, classmethod, staticmethod)
     used = _names_used_in_the_library()
-    uncalled = [f"{name}.{attr}" for name in spraylab.__all__
-                if isinstance(cls := getattr(spraylab, name), type)
+    classes = _library_classes()
+    assert {"Jet", "PolyRing", "IdentityCheck"} <= {cls.__name__ for cls in classes}
+    uncalled = [f"{cls.__name__}.{attr}" for cls in classes
                 for attr, member in vars(cls).items()
                 if not attr.startswith("_") and isinstance(member, kinds) and attr not in used]
     assert uncalled == []

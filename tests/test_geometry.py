@@ -438,7 +438,7 @@ def test_exchange_identity_for_scalars(metric, point):
     f = st.Ric
     fk = st.hgrad(f)
     lhs1 = st.hcov_values(fk, contra=0) @ y
-    f0 = st.ring.zero()
+    f0 = st.ring.const(0.0)
     for m in range(n):
         f0 = f0 + fk[m] * st.y_jets[m]
     lhs2 = st.hcov_values(f0)

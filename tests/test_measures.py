@@ -116,6 +116,14 @@ def test_bh_density_euclidean_is_unity(n):
     np.testing.assert_allclose(density.coeffs, 0.0, atol=1e-10)
 
 
+def test_bh_density_of_an_f2_without_x_is_one_constant_jet():
+    # the directions are arrays, so an F^2 that does not depend on x is one too
+    density = bh_density(build("euclidean"), (0.1, -0.2, 0.3))
+    assert (density.nzdeg, density.valid) == (0, 3)
+    assert not density.coeffs[1:].any()
+    assert abs(density.value()) <= 1e-14
+
+
 def test_bh_density_riemannian_matches_sqrt_det():
     spec = MetricSpec(
         "riemannian",

@@ -360,6 +360,13 @@ def test_theorem_names_complete():
         theorem_check("thm99")
 
 
+def test_ex17_holds_its_jet_identities_to_the_jet_tier():
+    # B and R^i_k read no density; S and W^o read the BH one
+    tiers = {agg.check: agg.tolerance for agg in theorem_check("ex17", points=1).checks}
+    assert tiers["ex17:berwald-flat"] == tiers["ex17:ricci-flat"] == Tolerances().jet
+    assert tiers["ex17:s-zero"] == tiers["ex17:wo-zero"] == Tolerances().quad
+
+
 def test_scalar_curvature_conclusion():
     report = theorem_check("thm12", points=5, nodes=16)
     assert report.passed
