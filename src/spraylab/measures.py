@@ -7,8 +7,9 @@ its x-derivatives come from differentiating under the integral rather
 than from finite differences.  The quadrature is adaptive per point: the
 rule doubles from 16 nodes per angle until two successive rules agree,
 and the node count of a volume form is the largest rule it may use.  A
-rule of ``nodes`` per angle holds ``nodes`` directions on S^1,
-``nodes * ceil(nodes / 2)`` on S^2 and ``nodes^3`` on S^3.
+rule of ``nodes`` per angle holds ``nodes * ceil(nodes / 2)^(n - 2)``
+directions on S^{n-1}: ``nodes`` on S^1, ``nodes * ceil(nodes / 2)`` on
+S^2 and ``nodes * ceil(nodes / 2)^2`` on S^3.
 
 A ``VolumeForm`` is a plain value that keeps no jets.  A ``MeasureStack``
 takes the ln sigma jet itself, so stacks can share one density;
@@ -35,9 +36,9 @@ from .geometry import FinslerMetric, SprayStack
 from .jets import Jet
 
 BH_MAX_DIM = 4
-# cap on nodes^(n - 1), the directions of a rule on S^1 and S^3: 64 nodes
-# per angle in dim 4 (262,144) and 1,024 in dim 3 fit, 128 in dim 4 does
-# not.  The S^2 rule holds nodes * ceil(nodes / 2), about half the cap.
+# cap on nodes^(n - 1): 64 nodes per angle in dim 4 and 1,024 in dim 3
+# fit, 128 in dim 4 does not.  A rule holds nodes * ceil(nodes / 2)^(n - 2)
+# directions, so 64 nodes in dim 4 are 65,536 of them.
 BH_MAX_DIRECTIONS = 2**20
 # BH quadrature runs its directions in blocks whose largest jet-multiply
 # temporary fits in this many bytes (390 directions per block in dim 3 and
@@ -73,16 +74,17 @@ def unit_ball_volume(n: int) -> float:
 def sphere_nodes(n: int, nodes: int):
     """Quadrature nodes and weights for S^{n-1}; weights sum to its area.
 
-    S^1 uses the uniform trapezoid rule of ``nodes`` points (spectrally
-    accurate for periodic integrands).  S^2 takes ``ceil(nodes / 2)``
-    Gauss-Legendre nodes in u = cos(theta) times that trapezoid rule in
-    the azimuth, ``nodes * ceil(nodes / 2)`` directions that integrate
-    every polynomial of degree <= nodes - 1 exactly, as the square
-    ``nodes x nodes`` product would (Atkinson, J. Austral. Math. Soc. B
-    23, 1982).  S^3 takes ``nodes`` Gauss-Legendre nodes each in the
-    polar angle psi (mapped from [-1, 1]) and in u, times ``nodes`` in
-    the azimuth.  The rules are cached, so the arrays returned are
-    read-only.
+    One product rule serves every sphere (Stroud, Approximate
+    Calculation of Multiple Integrals, 1971).  S^1 uses the uniform
+    trapezoid rule of ``nodes`` points (spectrally accurate for periodic
+    integrands).  S^{k-1} takes ``ceil(nodes / 2)`` Gauss nodes in its
+    last coordinate t for the weight (1 - t^2)^((k - 3) / 2), Legendre on
+    S^2 and Chebyshev of the second kind on S^3, times the rule on
+    S^{k-2} scaled by sqrt(1 - t^2).  The ``nodes * ceil(nodes / 2)^(n -
+    2)`` directions integrate every polynomial of degree <= nodes - 1
+    exactly in every dimension, as the square product of ``nodes`` per
+    angle would (Atkinson, J. Austral. Math. Soc. B 23, 1982).  The rules
+    are cached, so the arrays returned are read-only.
     """
     theta, weights = _sphere_rule(n, nodes)
     theta.flags.writeable = False
@@ -97,53 +99,31 @@ def _check_rule(n: int, nodes: int):
     if nodes < 8:
         raise ConfigError("sphere quadrature needs at least 8 nodes per angle")
     if nodes ** (n - 1) > BH_MAX_DIRECTIONS:
-        # the S^2 rule holds nodes * ceil(nodes / 2) directions, not nodes^2
-        reason = (f"is refused on S^2: {nodes}^2 exceeds" if n == 3 else
-                  f"needs {nodes}^{n - 1} directions on S^{n - 1}, more than")
-        raise ConfigError(f"sphere quadrature with {nodes} nodes per angle {reason} "
-                          f"{BH_MAX_DIRECTIONS}")
+        # a rule holds nodes * ceil(nodes / 2)^(n - 2) directions, less than
+        # the capped nodes^(n - 1)
+        raise ConfigError(f"sphere quadrature with {nodes} nodes per angle is refused on "
+                          f"S^{n - 1}: {nodes}^{n - 1} exceeds {BH_MAX_DIRECTIONS}")
 
 
 def _sphere_rule(n: int, nodes: int):
     _check_rule(n, nodes)
     phi = 2.0 * math.pi * np.arange(nodes) / nodes
-    wphi = np.full(nodes, 2.0 * math.pi / nodes)
-    if n == 2:
-        theta = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        return theta, wphi
-    if n == 3:
-        # m Gauss nodes in u are exact to degree 2m - 1 and the trapezoid
-        # in phi to trigonometric degree nodes - 1, so ceil(nodes / 2)
-        # nodes in u leave the rule's degree of exactness at nodes - 1
-        u, wu = np.polynomial.legendre.leggauss((nodes + 1) // 2)
-        s = np.sqrt(1.0 - u**2)
-        theta = np.stack(
-            [
-                np.outer(s, np.cos(phi)).ravel(),
-                np.outer(s, np.sin(phi)).ravel(),
-                np.outer(u, np.ones(nodes)).ravel(),
-            ],
-            axis=1,
-        )
-        w = np.outer(wu, wphi).ravel()
-        return theta, w
-    u, wu = np.polynomial.legendre.leggauss(nodes)
-    psi = 0.5 * math.pi * (u + 1.0)
-    wpsi = 0.5 * math.pi * wu * np.sin(psi) ** 2
-    sp, cp = np.sin(psi), np.cos(psi)
-    s = np.sqrt(1.0 - u**2)
-    grid = np.meshgrid(np.arange(nodes), np.arange(nodes), np.arange(nodes), indexing="ij")
-    a, b, c = (g.ravel() for g in grid)
-    theta = np.stack(
-        [
-            sp[a] * s[b] * np.cos(phi[c]),
-            sp[a] * s[b] * np.sin(phi[c]),
-            sp[a] * u[b],
-            cp[a],
-        ],
-        axis=1,
-    )
-    w = wpsi[a] * wu[b] * wphi[c]
+    theta = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    w = np.full(nodes, 2.0 * math.pi / nodes)
+    # m Gauss nodes in t are exact to degree 2m - 1 and the trapezoid in
+    # phi to trigonometric degree nodes - 1, so ceil(nodes / 2) nodes in t
+    # leave the rule's degree of exactness at nodes - 1
+    m = (nodes + 1) // 2
+    for k in range(3, n + 1):
+        if k == 3:
+            t, wt = np.polynomial.legendre.leggauss(m)
+        else:  # Gauss-Chebyshev of the second kind, for sqrt(1 - t^2)
+            angle = math.pi * np.arange(1, m + 1) / (m + 1)
+            t, wt = np.cos(angle), math.pi / (m + 1) * np.sin(angle) ** 2
+        s = np.sqrt(1.0 - t**2)
+        theta = np.column_stack([(s[:, None, None] * theta).reshape(-1, k - 1),
+                                 np.repeat(t, len(w))])
+        w = np.outer(wt, w).ravel()
     return theta, w
 
 

@@ -212,20 +212,20 @@ def _euler_metric(ctx):
 
 def _euler_fundamental(ctx):
     lhs = ctx.frame.g_values @ ctx.y
-    return _maxabs(lhs - ctx.frame.ylow), _maxabs(lhs, ctx.frame.ylow)
+    return _spread([lhs, ctx.frame.ylow])
 
 
 def _euler_spray(ctx):
     st = ctx.stack
     G = st.G.value()
     lhs = st.N.value() @ ctx.y
-    return _maxabs(lhs - 2.0 * G), _maxabs(lhs, 2.0 * G)
+    return _spread([lhs, 2.0 * G])
 
 
 def _euler_nonlinear(ctx):
     st = ctx.stack
     lhs = np.einsum("ijk,k->ij", st.Gamma.value(), ctx.y)
-    return _maxabs(lhs - st.N.value()), _maxabs(lhs, st.N.value())
+    return _spread([lhs, st.N.value()])
 
 
 def _kills_y(ctx, t, t_y):
@@ -251,14 +251,14 @@ def _rik_y_kill(ctx):
 def _r3_contract(ctx):
     st = ctx.stack
     lhs = np.einsum("ikl,l->ik", st.R3.value(), ctx.y)
-    return _maxabs(lhs - st.Rik.value()), _maxabs(lhs, st.Rik.value())
+    return _spread([lhs, st.Rik.value()])
 
 
 def _r4_contract(ctx):
     st = ctx.stack
     r3 = st.R3.value()
     lhs = np.einsum("jikl,j->ikl", st.R4_values, ctx.y)
-    return _maxabs(lhs - r3), _maxabs(lhs, r3)
+    return _spread([lhs, r3])
 
 
 def _t_traceless(ctx):
@@ -291,7 +291,7 @@ def _y_parallel(ctx):
 def _ricci_exchange_1(ctx):
     lhs = ctx.stack.Rscalar_h.gradient(ctx.stack.ys)
     rhs = ctx.stack.Rscalar_vhcov
-    return _maxabs(lhs - rhs.T), _maxabs(lhs, rhs)
+    return _spread([lhs, rhs.T])
 
 
 def _ricci_exchange_2(ctx):
@@ -419,7 +419,7 @@ def _transfer_residual(ctx, f: Jet) -> tuple[float, float]:
     lhs = ctx.proj.hat.hgrad(f).value()
     rhs = st.hcov_values(f) + (
         float(ctx.y @ fv) * ctx.measure.S_v + ctx.measure.S.value() * fv) / (n + 1.0)
-    return _maxabs(lhs - rhs), _maxabs(lhs, rhs)
+    return _spread([lhs, rhs])
 
 
 def _hat_scalar_transfer(ctx):
@@ -431,9 +431,7 @@ def _hat_frame_transfer(ctx):
 
 
 def _weyl_routes(ctx):
-    a = ctx.proj.hat.T.value()
-    b = ctx.stack.weyl.value()
-    return _maxabs(a - b), _maxabs(a, b)
+    return _spread([ctx.proj.hat.T.value(), ctx.stack.weyl.value()])
 
 
 def _weyl_traceless(ctx):
@@ -461,7 +459,7 @@ def _wo_rewrite(ctx):
     h0 = (hk * hat.y_jets).einsum("m->")
     alt = 0.5 * (3.0 * hk.value() - h0.gradient(hat.ys))
     wo = ctx.proj.wo_values("definition")
-    return _maxabs(alt - wo), _maxabs(alt, wo)
+    return _spread([alt, wo])
 
 
 def _wo_y_kill(ctx):
@@ -484,7 +482,7 @@ def _weyl_divergence(ctx):
     lhs = ctx.stack.weyl_div
     first, half = ctx.stack.wo_terms
     rhs = (n - 2.0) * (first - half - ctx.stack.chi_hcov_y / (n + 1.0))
-    return _maxabs(lhs - rhs), _maxabs(lhs, rhs)
+    return _spread([lhs, rhs])
 
 
 def _perturbation_forms(n: int):
@@ -707,8 +705,7 @@ def _prop32(ctx, volumes):
     """Einstein surface under BH: W^o_k = F^3 (theta/F)_{.k}."""
     predicted = einstein_wo(ctx)
     wo = ctx.proj.wo_values("definition")
-    return [(f"prop32:{ctx.metric.spec.family}", _maxabs(wo - predicted),
-             _maxabs(wo, predicted), True)]
+    return [(f"prop32:{ctx.metric.spec.family}", *_spread([wo, predicted]), True)]
 
 
 def _thm43(ctx, volumes):

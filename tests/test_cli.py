@@ -1001,7 +1001,7 @@ def test_oversized_bh_rule_exits_two(capsys):
     code, out, err = run_cli(capsys, "verify", "--metric", "funk", "--dim", "4",
                              "--volume", "bh", "--bh-nodes", "1024", "--points", "1")
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "1024^3 directions" in err
+    assert err.startswith("error: ") and "S^3: 1024^3 exceeds" in err
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -49,27 +49,31 @@ def test_sphere_nodes_integrate_low_moments(n):
 
 
 def _sphere_moment(alpha):
-    """Integral of y^alpha over S^2: 0 for an odd power, else 2 prod Gamma(b_i) / Gamma(sum b_i)."""
+    """Integral of y^alpha over S^{n-1}: 0 for an odd power, else 2 prod Gamma(b_i) / Gamma(sum b_i)."""
     if any(k % 2 for k in alpha):
         return 0.0
     beta = [(k + 1) / 2 for k in alpha]
     return 2.0 * math.prod(math.gamma(b) for b in beta) / math.gamma(sum(beta))
 
 
-@pytest.mark.parametrize("nodes", [8, 9, 16, 17, 32])
-def test_s2_rule_is_exact_to_degree_nodes_minus_one(nodes):
-    # ceil(nodes / 2) Gauss nodes in u = cos(theta) times nodes trapezoid
-    # nodes in phi; an odd count needs the ceiling to reach degree nodes - 1
-    theta, w = sphere_nodes(3, nodes)
-    assert len(w) == nodes * math.ceil(nodes / 2)
-    alphas = np.array([a for a in itertools.product(range(nodes + 1), repeat=3)
+# 32 nodes in dim 4 would need a 3.9 GB monomial matrix
+@pytest.mark.parametrize("n, nodes", [(3, 8), (3, 9), (3, 16), (3, 17), (3, 32),
+                                      (4, 8), (4, 9), (4, 16), (4, 17)])
+def test_sphere_rule_is_exact_to_degree_nodes_minus_one(n, nodes):
+    # ceil(nodes / 2) Gauss nodes in each polar coordinate times nodes
+    # trapezoid nodes in phi; an odd count needs the ceiling to reach
+    # degree nodes - 1
+    theta, w = sphere_nodes(n, nodes)
+    assert len(w) == nodes * math.ceil(nodes / 2) ** (n - 2)
+    alphas = np.array([a for a in itertools.product(range(nodes + 1), repeat=n)
                        if sum(a) <= nodes])
     powers = theta[:, :, None] ** np.arange(nodes + 1)
-    got = w @ (powers[:, 0, alphas[:, 0]] * powers[:, 1, alphas[:, 1]]
-               * powers[:, 2, alphas[:, 2]])
-    error = np.abs(got - [_sphere_moment(a) for a in alphas])
+    monomials = powers[:, 0, alphas[:, 0]]
+    for i in range(1, n):
+        monomials *= powers[:, i, alphas[:, i]]
+    error = np.abs(w @ monomials - [_sphere_moment(a) for a in alphas])
     degree = alphas.sum(axis=1)
-    tol = 1e-13 * 4.0 * math.pi
+    tol = 1e-13 * SPHERE_AREAS[n]
     assert error[degree <= nodes - 1].max() <= tol
     assert error[degree == nodes].max() > 100 * tol
 
@@ -204,6 +208,52 @@ def test_adaptive_bh_density_matches_a_finer_fixed_rule():
         got = bh_density(metric, point.x, degree=5)
         want = _bh_rule(metric, point.x, 96, 5)
         bound = 1e-12 * max(1.0, np.abs(want.coeffs).max())
+        assert np.abs(got.coeffs - want.coeffs).max() <= bound
+
+
+# S^2 x S^2: a = diag(p, p, q, q), with p and q the stereographic factors
+# of two unit spheres
+_P, _Q = "4/(1+x1^2+x2^2)^2", "4/(1+x3^2+x4^2)^2"
+_DIM4_BH_SPECS = [
+    MetricSpec("riemannian", 4, {"matrix": [[_P, "0", "0", "0"], ["0", _P, "0", "0"],
+                                            ["0", "0", _Q, "0"], ["0", "0", "0", _Q]]}),
+    MetricSpec("riemannian", 4, {"matrix": [
+        ["exp(0.3*x1)", "0.1*x2", "0", "0.05*x3"], ["0.1*x2", "1 + x4^2", "0.1*x1*x3", "0"],
+        ["0", "0.1*x1*x3", "1 + 0.2*x2^2", "0.1*x4"], ["0.05*x3", "0", "0.1*x4", "1"]]}),
+    MetricSpec("randers", 4, {"preset": "constant",
+                              "a": [[2, 0.3, 0, 0.1], [0.3, 1.5, 0.2, 0], [0, 0.2, 1, 0.1],
+                                    [0.1, 0, 0.1, 1.2]],
+                              "b": [0.2, -0.1, 0.15, 0.05]}),
+    MetricSpec("funk", 4),
+    MetricSpec("fourth-root", 4),
+]
+
+
+def _dim4_bh_reference(metric, x):
+    """ln sigma_BH at x from its closed form, or from a fine fixed rule where there is none."""
+    ring = jets.ring(4, LNSIGMA_XDEGREE)
+    family = metric.spec.family
+    if family == "riemannian":
+        return 0.5 * jets.log(cofactor_det(metric.matrix([ring.seed(i, x[i]) for i in range(4)])))
+    if family == "randers":
+        return randers_lnsigma_closed_form(metric, x, LNSIGMA_XDEGREE)
+    if family == "funk":  # its indicatrices are translates of the domain
+        return ring.const(0.0)
+    return _bh_rule(metric, x, 96, LNSIGMA_XDEGREE)
+
+
+@pytest.mark.parametrize("spec", _DIM4_BH_SPECS,
+                         ids=["s2xs2", "riemannian-coupled", "randers-constant", "funk",
+                              "fourth-root"])
+def test_adaptive_bh_density_matches_closed_forms_in_dim_4(spec):
+    metric = build(spec)
+    for point in sample(metric, count=5, seed=3):
+        rules = []
+        got = bh_density(metric, point.x, degree=LNSIGMA_XDEGREE, rules=rules)
+        want = _dim4_bh_reference(metric, point.x)
+        (_, change), = rules
+        assert got.coeffs.shape == want.coeffs.shape
+        bound = max(change, 1e-13 * max(1.0, np.abs(want.coeffs).max()))
         assert np.abs(got.coeffs - want.coeffs).max() <= bound
 
 

@@ -51,6 +51,8 @@ from dataclasses import dataclass, field
 _VERIFY = ("verify", "--points", "3", "--per-point")
 _THEOREM = ("--points", "2", "--per-point")
 _ONEFORM = ("--param", 'oneform=["0.1*x1","0","0.05*x2"]')
+_S2XS2 = ('matrix=[["4/(1+x1^2+x2^2)^2","0","0","0"],["0","4/(1+x1^2+x2^2)^2","0","0"],'
+          '["0","0","4/(1+x3^2+x4^2)^2","0"],["0","0","0","4/(1+x3^2+x4^2)^2"]]')
 
 # (label, argv) of the report acceptance list
 COMMANDS = [
@@ -115,6 +117,10 @@ COMMANDS = [
                             '["0","0","1"]]')),
     ("verify randers constant bh", (*_VERIFY, "--metric", "randers", "--param", "preset=constant",
                                     "--volume", "bh")),
+    # S^2 x S^2 as a dim-4 riemannian matrix: both points run the 64-node rule
+    ("verify s2xs2 bh", ("verify", "--points", "2", "--seed", "1", "--per-point",
+                         "--metric", "riemannian", "--dim", "4", "--param", _S2XS2,
+                         "--volume", "bh")),
     # an expression matrix that is not positive definite at a sampled point exits 2
     ("verify riemannian indefinite", ("verify", "--metric", "riemannian", "--dim", "2", "--param",
                                       'matrix=[["1","0"],["0","x1"]]', "--points", "4")),
