@@ -224,7 +224,11 @@ class VolumeForm:
         if self.kind == "coordinate":
             return jets.ring(len(x), degree).const(0.0)
         if self.kind == "explicit":
-            return jets.log(as_field(self.sigma, len(x)).jet(x, degree))
+            sigma = as_field(self.sigma, len(x)).jet(x, degree)
+            if not sigma.value() > 0.0:
+                raise AdmissibilityError(f"volume {self.describe()} is not positive at "
+                                         f"x = {tuple(x)}: sigma = {sigma.value()!r}")
+            return jets.log(sigma)
         if metric is None:
             raise ConfigError("Busemann-Hausdorff volume needs a metric spray")
         return bh_density(metric, x, self.nodes, degree, rules=rules)

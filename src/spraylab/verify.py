@@ -12,15 +12,15 @@ scale of its worst point, the one of largest residual / (tolerance * scale
 + floor).  A ratio of at most ``RANK_RATIO`` is rounding noise and ranks no
 point, so among such points the first in sample order is reported.
 
-A suite run never aborts on a failing point; domain errors at a single
-point are recorded as infinite residuals and the run continues.  A degree
-too low for a check or theorem is a configuration error that names it, and
-a point that fails the metric's own gates (its chart, F^2 > 0, a positive
-definite fundamental tensor) ends the run with that admissibility error,
-since the input is no metric there.
-
-A theorem is a record of fixtures and volume forms; one loop runs every
-record, and an error in it ends the run.
+``verify`` and ``theorem`` share one point loop and one error policy.  At
+each point every source, a registered check or a theorem's fixture, gives
+its rows; a domain error in a source (a SprayLabError not named below, or a
+FloatingPointError) gives one infinite residual under its label, and the
+run continues.  A ConfigError ends the run, and so does an
+AdmissibilityError: a point outside the metric's own gates (its chart,
+F^2 > 0, a positive definite fundamental tensor) or where the volume's sigma
+is not positive.  A DegreeBudgetError becomes a ConfigError naming the
+degree and the check or theorem it starved.
 """
 
 from __future__ import annotations
@@ -158,20 +158,6 @@ def _aggregate(results: list[CheckResult]) -> CheckAggregate:
     return CheckAggregate(worst.check, len(results), worst.residual, worst.scale,
                           worst.tolerance, worst.floor, worst.point,
                           all(r.passed for r in results))
-
-
-def _suite_report(metric: str, volumes: list[VolumeForm], seed, degree: int,
-                  tol: Tolerances, groups: dict, rules: list) -> SuiteReport:
-    """A report from ``{check: results}`` groups and the ``(nodes, change)`` of BH rules."""
-    checks = tuple(_aggregate(rs) for rs in groups.values())
-    results = tuple(r for rs in groups.values() for r in rs)
-    quadrature = None
-    if any(vol.uses_quadrature for vol in volumes):
-        changes = [change for _, change in rules if change is not None]
-        quadrature = {"bh_nodes": max((nodes for nodes, _ in rules), default=None),
-                      "bh_change": max(changes, default=None)}
-    return SuiteReport(metric, ", ".join(vol.describe() for vol in volumes), seed, degree,
-                       tol, checks, results, all(agg.passed for agg in checks), quadrature)
 
 
 def _spread(vals) -> tuple[float, float]:
@@ -589,24 +575,21 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
     """Run every applicable registered identity at sampled points.
 
     ``spec`` may be a family name, a MetricSpec, a metric, or a spray;
-    ``points`` is a sample count or an explicit list of tangent points.
-    A failing check never aborts the run: domain errors are recorded as
-    infinite residuals on the affected checks.  A point where the metric
-    fails its admissibility gates raises AdmissibilityError.  The default
-    jet degree is the smallest that feeds every registered identity; a
-    lower one that starves a check is a ConfigError naming it.
+    ``points`` is a sample count or an explicit list of tangent points, and
+    ``checks`` a non-empty selection of registered names.  Errors at a point
+    follow the policy of the module docstring.  The default jet degree is
+    the smallest that feeds every registered identity.
     """
     obj = as_spray(catalog.build(spec) if isinstance(spec, (str, MetricSpec)) else spec)
-    metric = obj.metric
     volume = as_volume(volume)
-    tolerances = tolerances if tolerances is not None else Tolerances()
     selected = list(REGISTRY if checks is None else
                     [c for c in REGISTRY if c.name in set(checks)])
-    if checks is not None and len(selected) < len(set(checks)):
+    if checks is not None and (not selected or len(selected) < len(set(checks))):
+        # an empty selection would pass with zero checks
         missing = sorted(set(checks) - set(check_names()))
-        raise ConfigError(f"unknown checks: {', '.join(missing)}; "
-                          f"available: {', '.join(check_names())}")
-    applicable = [c for c in selected if c.applies(metric, obj.dim)]
+        what = f"unknown checks: {', '.join(missing)}" if missing else "no checks selected"
+        raise ConfigError(f"{what}; available: {', '.join(check_names())}")
+    applicable = [c for c in selected if c.applies(obj.metric, obj.dim)]
     if checks is not None and len(applicable) < len(selected):
         # a selected check that never runs would pass with zero points
         idle = [c.name for c in selected if c not in applicable]
@@ -615,26 +598,49 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
     pts, seed = _resolve_points(obj, points, seed, box)
     # a volume no selected check reads must still be one that can be built
     volume.validate(obj.dim)
+    sources = [_check_source(c, volume.uses_quadrature and c.uses_measure)
+               for c in applicable]
+    return _run(obj.name, [volume], seed, degree, tolerances, [(obj, pts, sources)], "check")
 
-    quad = volume.uses_quadrature
-    groups = {c.name: [] for c in applicable}
+
+def _check_source(check: IdentityCheck, quad: bool) -> tuple:
+    """A registered check as a source of one row per point."""
+    return check.name, quad, lambda ctx: [(check.name, *check.fn(ctx), quad)]
+
+
+def _run(name: str, volumes: list[VolumeForm], seed, degree: int, tol: Tolerances | None,
+         fixtures, kind: str) -> SuiteReport:
+    """The report of every source ``(label, quad, rows)`` at every point of each
+    ``(spray, points, sources)``; ``rows(ctx)`` gives (label, residual, scale, quad)
+    rows, and ``kind`` with the label names a source in a degree error."""
+    tol = tol if tol is not None else Tolerances()
+    groups: dict[str, list[CheckResult]] = {}
     rules = []
-    for point in pts:
-        ctx = PointContext(obj, volume, point, degree)
-        for check in applicable:
-            try:
-                residual, scale = check.fn(ctx)
-            except (ConfigError, AdmissibilityError):
-                raise
-            except DegreeBudgetError as exc:
-                raise degree_too_low(degree, f"check {check.name}", exc) from None
-            except (SprayLabError, FloatingPointError):
-                residual, scale = math.inf, 1.0
-            tol = tolerances.pick(quad and check.uses_measure)
-            groups[check.name].append(
-                _result(check.name, point, residual, scale, tol, tolerances.floor))
-        rules.extend(ctx.rules)
-    return _suite_report(obj.name, [volume], seed, degree, tolerances, groups, rules)
+    for spray, points, sources in fixtures:
+        for point in points:
+            ctx = PointContext(spray, volumes[0], point, degree)
+            for label, quad, rows in sources:
+                try:
+                    found = rows(ctx)
+                except (ConfigError, AdmissibilityError):
+                    raise
+                except DegreeBudgetError as exc:
+                    raise degree_too_low(degree, f"{kind} {label}", exc) from None
+                except (SprayLabError, FloatingPointError):
+                    found = [(label, math.inf, 1.0, quad)]
+                for row, residual, scale, row_quad in found:
+                    groups.setdefault(row, []).append(
+                        _result(row, point, residual, scale, tol.pick(row_quad), tol.floor))
+            rules.extend(ctx.rules)
+    checks = tuple(_aggregate(rs) for rs in groups.values())
+    results = tuple(r for rs in groups.values() for r in rs)
+    quadrature = None
+    if any(vol.uses_quadrature for vol in volumes):
+        changes = [change for _, change in rules if change is not None]
+        quadrature = {"bh_nodes": max((nodes for nodes, _ in rules), default=None),
+                      "bh_change": max(changes, default=None)}
+    return SuiteReport(name, ", ".join(vol.describe() for vol in volumes), seed, degree,
+                       tol, checks, results, all(agg.passed for agg in checks), quadrature)
 
 
 # -- theorems ---------------------------------------------------------------------
@@ -836,20 +842,12 @@ def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
     """
     thm = _theorem(name)
     volumes = theorem_volumes(name, volume, nodes)
-    tol = tolerances if tolerances is not None else Tolerances()
-    groups: dict[str, list[CheckResult]] = {}
-    rules = []
+    quad = any(vol.uses_quadrature for vol in volumes)
+    fixtures = []
     for fixture in thm.fixtures:
         metric = catalog.build(fixture.spec)
         count = fixture.count if points is None else points
-        for point in catalog.sample(metric, count=count, seed=seed + fixture.seed_offset):
-            ctx = PointContext(metric, volumes[0], point, degree)
-            try:
-                rows = fixture.rows(ctx, volumes)
-            except DegreeBudgetError as exc:
-                raise degree_too_low(degree, f"theorem {name}", exc) from None
-            for label, residual, scale, quad in rows:
-                groups.setdefault(label, []).append(
-                    _result(label, point, residual, scale, tol.pick(quad), tol.floor))
-            rules.extend(ctx.rules)
-    return _suite_report(name, volumes, seed, degree, tol, groups, rules)
+        pts = catalog.sample(metric, count=count, seed=seed + fixture.seed_offset)
+        source = (name, quad, lambda ctx, rows=fixture.rows: rows(ctx, volumes))
+        fixtures.append((metric, pts, [source]))
+    return _run(name, volumes, seed, degree, tolerances, fixtures, "theorem")

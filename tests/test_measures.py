@@ -21,7 +21,7 @@ import pytest
 import spraylab
 from spraylab import catalog, jets, measures
 from spraylab.catalog import MetricSpec, build, sample
-from spraylab.errors import AdmissibilityError, ConfigError, JetDomainError
+from spraylab.errors import AdmissibilityError, ConfigError
 from spraylab.geometry import FinslerMetric, MetricFrame, TangentPoint
 from spraylab.measures import (
     VolumeForm,
@@ -432,7 +432,9 @@ def test_volume_form_validation():
     with pytest.raises(ConfigError):
         VolumeForm("explicit")
     vol = VolumeForm("explicit", "x1")
-    with pytest.raises(JetDomainError):
+    with pytest.raises(AdmissibilityError,
+                       match=r"^volume explicit:x1 is not positive at x = \(-0\.5, 0\.1\): "
+                             r"sigma = -0\.5$"):
         vol.lnsigma_jet(None, (-0.5, 0.1), 2)
     assert as_volume("busemann-hausdorff", nodes=32).describe() == "busemann-hausdorff(32)"
 

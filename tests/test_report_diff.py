@@ -105,3 +105,20 @@ def test_csv_cells_read_as_json_values_or_strings():
     out = 'record,check,residual,pass,worst_x,note\ncheck,c,nan,true,"[0.5,-1]",\n'
     assert tool._records(out) == [{"record": "check", "check": "c", "residual": "nan",
                                    "pass": True, "worst_x": [0.5, -1]}]
+
+
+def test_an_integer_against_a_float_is_compared_as_a_float():
+    # an exactly-zero residual prints as 0, and its move to rounding is a float change
+    tool = _tool()
+    check = {"record": "check", "check": "s-volume-change", "points": 2, "residual": 0,
+             "scale": 2.0, "tolerance": 1e-4, "floor": 1e-9, "pass": True,
+             "worst_x": [0.1], "worst_y": [1.0]}
+
+    def report(*records):
+        return tool.Run(0, "".join(json.dumps(r) + "\n" for r in records), "")
+
+    diff = tool.compare("zero", report(check),
+                        report(dict(check, residual=8.8817841970012523e-16)))
+    assert diff.agrees and diff.changed == {"check.residual"}
+    assert diff.dfloat == 8.8817841970012523e-16 / 2.0
+    assert diff.dratio == 8.8817841970012523e-16 / (1e-4 * 2.0 + 1e-9)

@@ -12,7 +12,8 @@ from helpers import fd_oracle
 from spraylab import catalog, verify
 from spraylab.catalog import MetricSpec
 from spraylab.cli import main
-from spraylab.errors import ConfigError, JetDomainError
+from spraylab.errors import (AdmissibilityError, ConfigError, DegreeBudgetError,
+                             JetDomainError)
 from spraylab.geometry import MetricFrame, TangentPoint, stack_for
 from spraylab.measures import VolumeForm
 from spraylab.projective import PointContext, ProjectiveStack
@@ -131,18 +132,68 @@ def test_suite_refuses_a_degree_too_low_for_a_check():
         identity_suite("randers", points=2, degree=5)
 
 
-def test_suite_never_aborts_on_a_failing_point(monkeypatch):
-    # a domain error at a point is an infinite residual on its check, and
-    # the rest of the suite still completes
-    def fails(ctx):
-        raise JetDomainError("sqrt of a non-positive constant term")
+def _raise_at_second_point(fn, exc):
+    calls = []
 
-    monkeypatch.setattr(verify, "REGISTRY", (replace(REGISTRY[0], fn=fails), *REGISTRY[1:]))
-    report = identity_suite("randers", points=2)
-    randers = catalog.build("randers")
-    assert len(report.checks) == sum(c.applies(randers, 3) for c in REGISTRY) == 40
-    assert report.failures() == [report.checks[0]]
-    assert report.checks[0].points == 2 and math.isinf(report.checks[0].residual)
+    def wrapped(ctx, *args):
+        calls.append(ctx.point)
+        if len(calls) == 2:
+            raise exc
+        return fn(ctx, *args)
+
+    return wrapped
+
+
+def _fail_check(monkeypatch, exc):
+    check = replace(REGISTRY[0], fn=_raise_at_second_point(REGISTRY[0].fn, exc))
+    monkeypatch.setattr(verify, "REGISTRY", (check, *REGISTRY[1:]))
+
+
+def _fail_theorem(monkeypatch, exc):
+    thm = verify._THEOREMS["thm12"]
+    [fixture] = thm.fixtures
+    fixture = fixture._replace(rows=_raise_at_second_point(fixture.rows, exc))
+    monkeypatch.setitem(verify._THEOREMS, "thm12", thm._replace(fixtures=(fixture,)))
+
+
+# runner -> (run, make its source raise at the second point, the source's label,
+# the points every other row keeps)
+RUNNERS = {
+    "check": (lambda: identity_suite("randers", points=2), _fail_check, "euler-metric", 2),
+    # a theorem's fixture is one source, so its rows skip the failing point
+    "theorem": (lambda: theorem_check("thm12", points=2), _fail_theorem, "thm12", 1),
+}
+# the error a source raises -> the error the run raises (None: it completes)
+ERROR_POLICY = [
+    (JetDomainError("log requires a positive constant term"), None, None),
+    (FloatingPointError("overflow encountered in multiply"), None, None),
+    (ConfigError("a bad setting"), ConfigError, r"^a bad setting$"),
+    (AdmissibilityError("a point outside the chart"), AdmissibilityError,
+     r"^a point outside the chart$"),
+    (DegreeBudgetError("no orders left"), ConfigError,
+     r"^degree \d+ is too low for (check|theorem) [a-z0-9-]+: no orders left$"),
+]
+
+
+@pytest.mark.parametrize("exc, raised, match", ERROR_POLICY,
+                         ids=[type(exc).__name__ for exc, _, _ in ERROR_POLICY])
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_suite_never_aborts_on_a_failing_point(monkeypatch, runner, exc, raised, match):
+    # a domain error at a point is one infinite residual under its source's
+    # label, and the run completes; an error about the input ends it
+    run, fail, label, others = RUNNERS[runner]
+    clean = run()
+    fail(monkeypatch, exc)
+    if raised is not None:
+        with pytest.raises(raised, match=match):
+            run()
+        return
+    report = run()
+    [errored] = [r for r in report.results if math.isinf(r.residual)]
+    assert (errored.check, errored.point) == (label, clean.results[-1].point)
+    assert [agg.check for agg in report.failures()] == [label]
+    assert {agg.check: agg.points for agg in report.checks if agg.check != label} == {
+        agg.check: others for agg in clean.checks if agg.check != label}
 
 
 # every catalog family, with an expression matrix and a perturbed Randers spray
@@ -311,6 +362,9 @@ def test_check_subset_and_unknown_names():
     assert len(report.checks) == 2
     with pytest.raises(ConfigError):
         identity_suite("euclidean", points=1, checks=["no-such-check"])
+    # an empty selection would pass with zero checks
+    with pytest.raises(ConfigError, match=r"^no checks selected; available: euler-metric, "):
+        identity_suite("euclidean", points=1, checks=[])
 
 
 def test_worst_point_is_recorded():

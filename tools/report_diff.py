@@ -18,8 +18,10 @@ tree, and one line per command reports:
 - ``flags``: whether every ``pass`` flag of a matched record agrees;
 - ``changed``: the fields (``kind.key``) whose values differ between
   matched records, and those that only the old (-) or new (+) record has;
-- ``dfloat``: the largest change of any non-integer number in a matched
-  record, relative to the largest magnitude in that record; integers are
+- ``dfloat``: the largest change of any number in a matched record,
+  relative to the largest magnitude in that record.  Numbers pair by key
+  path, and an integer at a path where the other record holds a float (a
+  residual printed as ``0``) is read as a float; integers at both ends are
   counts, and show only under ``changed``;
 - ``dratio``: the largest growth of residual / limit, where the limit is
   ``tolerance * scale + floor``;
@@ -124,6 +126,9 @@ COMMANDS = [
     # an expression matrix that is not positive definite at a sampled point exits 2
     ("verify riemannian indefinite", ("verify", "--metric", "riemannian", "--dim", "2", "--param",
                                       'matrix=[["1","0"],["0","x1"]]', "--points", "4")),
+    # a volume form that is not positive at a sampled point exits 2
+    ("verify funk explicit:x1", ("verify", "--metric", "funk", "--volume", "explicit:x1",
+                                 "--points", "2")),
 ]
 
 
@@ -184,16 +189,29 @@ def _number(value):
     return None
 
 
-def _numbers(value):
-    """The non-integer numbers of a value, depth first."""
-    if isinstance(value, dict):
-        for v in value.values():
-            yield from _numbers(v)
-    elif isinstance(value, list):
-        for v in value:
-            yield from _numbers(v)
-    elif not isinstance(value, int) and (x := _number(value)) is not None:
-        yield x
+def _leaves(value, path=()):
+    """(key path, leaf) of every leaf of a value, depth first."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _leaves(item, (*path, key))
+    else:
+        yield path, value
+
+
+def _floats(a: dict, b: dict) -> list[tuple[float, float]] | None:
+    """The numbers of two records paired by key path, leaving out counts (an
+    integer at both ends); None when a path holds a number in one record only."""
+    xs, ys = dict(_leaves(a)), dict(_leaves(b))
+    pairs = []
+    for path in xs.keys() | ys.keys():
+        x, y = xs.get(path), ys.get(path)
+        u, v = _number(x), _number(y)
+        if (u is None and v is None) or type(x) is type(y) is int:
+            continue
+        if u is None or v is None:
+            return None
+        pairs.append((u, v))
+    return pairs
 
 
 def _change(u: float, v: float) -> float:
@@ -264,12 +282,12 @@ def compare(label: str, old: Run, new: Run) -> Diff:
         diff.changed |= {f"+{kind}.{k}" for k in rb if k not in ra}
         diff.changed |= {f"{kind}.{k}" for k in ra if k in rb and ra[k] != rb[k]}
         ra, rb = ({k: v for k, v in r.items() if k in ra and k in rb} for r in (ra, rb))
-        xs, ys = list(_numbers(ra)), list(_numbers(rb))
-        if len(xs) != len(ys):
+        pairs = _floats(ra, rb)
+        if pairs is None:
             diff.dfloat = math.inf
             continue
-        magnitude = max((abs(x) for x in xs if math.isfinite(x)), default=0.0)
-        for x, y in zip(xs, ys):
+        magnitude = max((abs(x) for x, _ in pairs if math.isfinite(x)), default=0.0)
+        for x, y in pairs:
             change = _change(x, y)
             if change:
                 diff.dfloat = max(diff.dfloat, change / magnitude if magnitude else math.inf)
