@@ -29,10 +29,9 @@ from . import catalog
 from .catalog import MetricSpec
 from .errors import ConfigError, DegreeBudgetError, SprayLabError, degree_too_low
 from .geometry import DEFAULT_DEGREE
-from .measures import BH_NODES, VolumeForm, as_volume, split_volume
+from .measures import VolumeForm, as_volume, split_volume
 from .projective import WO_ROUTES, PointContext
-from .verify import (Tolerances, identity_suite, theorem_check, theorem_names,
-                     theorem_summary, theorem_volumes)
+from .verify import Tolerances, identity_suite, theorem_check, theorem_names, theorem_summary
 
 _FORMATS = ("json-lines", "csv")
 
@@ -57,7 +56,6 @@ class RunConfig:
     metric_dim: int | None = None
     metric_params: dict = field(default_factory=dict)
     volume_spec: str = "coordinate"
-    volume_nodes: int = BH_NODES
     points: int = 20
     seed: int = 0
     box: tuple[str, float] | None = None
@@ -71,7 +69,7 @@ class RunConfig:
         return MetricSpec(self.metric_family, self.metric_dim, dict(self.metric_params))
 
     def volume(self) -> VolumeForm:
-        return as_volume(self.volume_spec, self.volume_nodes)
+        return as_volume(self.volume_spec)
 
     def tolerances(self) -> Tolerances:
         return Tolerances(jet=self.tol_jet, quad=self.tol_quad, floor=self.floor)
@@ -167,9 +165,6 @@ _SETTINGS = {
                      "family parameter (repeatable)"),
     "volume.kind": _Setting("--volume", "volume_spec", _parse_volume, _RUNS, "SPEC",
                             "coordinate | busemann-hausdorff | explicit:<expr>"),
-    "volume.nodes": _Setting("--bh-nodes", "volume_nodes", _parse_int, _RUNS, "N",
-                             f"largest BH rule per angle (default {BH_NODES}, "
-                             "or the theorem's own)"),
     "points.count": _Setting("--points", "points", _parse_int, _RUNS, "N",
                              f"sample count (default {RunConfig.points})"),
     "points.seed": _Setting("--seed", "seed", _parse_int, _RUNS, "N",
@@ -361,23 +356,8 @@ def _cmd_list(args) -> tuple[str, int]:
     return _render(records, LIST_COLUMNS, cfg.fmt), 0
 
 
-def _refuse_unread_nodes(given: dict, volumes: list[VolumeForm]):
-    """A given --bh-nodes or volume.nodes sizes a BH rule, so some volume must run one."""
-    if "volume.nodes" in given and not any(vol.uses_quadrature for vol in volumes):
-        raise ConfigError(f"{given['volume.nodes']} applies to a busemann-hausdorff volume "
-                          f"only; the volume is {', '.join(vol.describe() for vol in volumes)}")
-
-
-def _sampled_config(args) -> RunConfig:
-    """Settings of an eval or verify run."""
-    given = {}
-    cfg = parse_config(args.config, args, given)
-    _refuse_unread_nodes(given, [cfg.volume()])
-    return cfg
-
-
 def _cmd_verify(args) -> tuple[str, int]:
-    cfg = _sampled_config(args)
+    cfg = parse_config(args.config, args)
     checks = None
     if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",")]
@@ -392,14 +372,12 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_theorem(args) -> tuple[str, int]:
-    # a theorem keeps its own point counts, volume forms and rule size unless given
+    # a theorem keeps its own point counts and volume forms unless given
     given = {}
     cfg = parse_config(args.config, args, given)
     volume = cfg.volume() if "volume.kind" in given else None
-    nodes = cfg.volume_nodes if "volume.nodes" in given else None
-    _refuse_unread_nodes(given, theorem_volumes(args.name, volume, nodes))
     report = theorem_check(args.name, points=cfg.points if "points.count" in given else None,
-                           seed=cfg.seed, degree=cfg.degree, nodes=nodes, volume=volume,
+                           seed=cfg.seed, degree=cfg.degree, volume=volume,
                            tolerances=cfg.tolerances())
     return _report_output("theorem", report, cfg.fmt, args.per_point)
 
@@ -434,7 +412,7 @@ def _eval_point(obj, volume, point, degree, index) -> dict:
 
 
 def _cmd_eval(args) -> tuple[str, int]:
-    cfg = _sampled_config(args)
+    cfg = parse_config(args.config, args)
     obj = catalog.build(cfg.metric_spec())
     volume = cfg.volume()
     points = catalog.sample(obj, count=cfg.points, seed=cfg.seed, box=cfg.box)

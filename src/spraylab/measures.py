@@ -6,10 +6,10 @@ by spherical quadrature with the base point carried as jet variables, so
 its x-derivatives come from differentiating under the integral rather
 than from finite differences.  The quadrature is adaptive per point: the
 rule doubles from 16 nodes per angle until two successive rules agree,
-and the node count of a volume form is the largest rule it may use.  A
-rule of ``nodes`` per angle holds ``nodes * ceil(nodes / 2)^(n - 2)``
-directions on S^{n-1}: ``nodes`` on S^1, ``nodes * ceil(nodes / 2)`` on
-S^2 and ``nodes * ceil(nodes / 2)^2`` on S^3.
+up to the fixed cap of ``BH_NODES`` per angle.  A rule of ``nodes`` per
+angle holds ``nodes * ceil(nodes / 2)^(n - 2)`` directions on S^{n-1}:
+``nodes`` on S^1, ``nodes * ceil(nodes / 2)`` on S^2 and
+``nodes * ceil(nodes / 2)^2`` on S^3.
 
 A ``VolumeForm`` is a plain value that keeps no jets.  A ``MeasureStack``
 takes the ln sigma jet itself, so stacks can share one density;
@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import jets
-from .errors import AdmissibilityError, ConfigError
+from .errors import AdmissibilityError, ConfigError, JetDomainError
 from .expressions import as_field
 from .geometry import FinslerMetric, SprayStack
 from .jets import Jet
@@ -56,7 +56,7 @@ BH_MAX_DIRECTIONS = 2**20
 # against 227 ms), so the budget stays at 256 KB.
 _BLOCK_BYTES = 256 * 1024
 
-# the largest BH rule per angle, unless a volume form gives its own
+# the largest BH rule per angle
 BH_NODES = 64
 # the adaptive BH quadrature starts at this many nodes per angle and
 # stops doubling once two rules agree to this fraction of max(1, max|coeff|)
@@ -194,19 +194,17 @@ class VolumeForm:
     """dV = sigma(x) dx, with sigma given directly or by quadrature.
 
     ``kind`` is one of ``VOLUME_KINDS``; ``sigma`` is the expression of an
-    explicit form, ``nodes`` the largest rule per angle of a BH form.
+    explicit form.  A BH form's rule is sized per point by ``bh_density``.
     """
 
     kind: str
     sigma: str | None = None
-    nodes: int = BH_NODES
 
     def __post_init__(self):
         if self.kind not in VOLUME_KINDS:
             raise ConfigError(f"unknown volume kind {self.kind!r}; use one of {VOLUME_KINDS}")
         if self.kind == "explicit" and self.sigma is None:
             raise ConfigError("explicit volume needs a sigma expression")
-        object.__setattr__(self, "nodes", int(self.nodes))
 
     @property
     def uses_quadrature(self) -> bool:
@@ -217,27 +215,29 @@ class VolumeForm:
         if self.kind == "explicit":
             as_field(self.sigma, n)
         elif self.kind == "busemann-hausdorff":
-            _check_rule(n, self.nodes)
+            _check_rule(n, BH_NODES)
 
     def lnsigma_jet(self, metric, x, degree: int, rules: list | None = None) -> Jet:
         """Jet of ln sigma at x in the x-only ring (metric and ``rules`` used for BH)."""
         if self.kind == "coordinate":
             return jets.ring(len(x), degree).const(0.0)
         if self.kind == "explicit":
-            sigma = as_field(self.sigma, len(x)).jet(x, degree)
+            try:
+                sigma = as_field(self.sigma, len(x)).jet(x, degree)
+            except JetDomainError as exc:
+                raise AdmissibilityError(f"volume {self.describe()} is not defined at "
+                                         f"x = {tuple(x)}: {exc}") from None
             if not sigma.value() > 0.0:
                 raise AdmissibilityError(f"volume {self.describe()} is not positive at "
                                          f"x = {tuple(x)}: sigma = {sigma.value()!r}")
             return jets.log(sigma)
         if metric is None:
             raise ConfigError("Busemann-Hausdorff volume needs a metric spray")
-        return bh_density(metric, x, self.nodes, degree, rules=rules)
+        return bh_density(metric, x, degree=degree, rules=rules)
 
     def describe(self) -> str:
         if self.kind == "explicit":
             return f"explicit:{self.sigma}"
-        if self.kind == "busemann-hausdorff":
-            return f"busemann-hausdorff({self.nodes})"
         return self.kind
 
 
@@ -255,7 +255,7 @@ def split_volume(key: str, spec: str) -> tuple[str, str | None]:
     return kind, None
 
 
-def as_volume(spec=None, nodes: int = BH_NODES) -> VolumeForm:
+def as_volume(spec=None) -> VolumeForm:
     """Coerce a volume description (None, a form, or a spec) to a form."""
     if spec is None:
         return VolumeForm("coordinate")
@@ -264,7 +264,7 @@ def as_volume(spec=None, nodes: int = BH_NODES) -> VolumeForm:
     if not isinstance(spec, str):
         raise ConfigError("volume must be a VolumeForm, a recognized name, or None")
     kind, sigma = split_volume("volume", spec)
-    return VolumeForm(kind, sigma, nodes)
+    return VolumeForm(kind, sigma)
 
 
 class MeasureStack:

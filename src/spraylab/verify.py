@@ -39,7 +39,7 @@ from .errors import (AdmissibilityError, ConfigError, DegreeBudgetError, SprayLa
 from .geometry import (DEFAULT_DEGREE, FinslerMetric, MetricFrame, PerturbedSpray,
                        SprayStack, TangentPoint, as_spray)
 from .jets import Jet
-from .measures import BH_NODES, MeasureStack, VolumeForm, as_volume
+from .measures import MeasureStack, VolumeForm, as_volume
 from .projective import PointContext, ProjectiveStack, einstein_wo, volume_change
 
 __all__ = [
@@ -663,7 +663,6 @@ class Theorem(NamedTuple):
     volumes: tuple[str, ...]  # default volume specs
     takes_volume: bool = False  # holds for every volume form, so a given one replaces these
     compares_volumes: bool = False  # a given volume is paired with a default of another kind
-    nodes: int = BH_NODES  # default BH rule size
 
 
 def _wo_zero(label: str, proj: ProjectiveStack, quad: bool, at_least=0.0) -> tuple:
@@ -787,12 +786,11 @@ _THEOREMS: dict[str, Theorem] = {
                      (Fixture(MetricSpec("randers", 3), 6, _thm43),),
                      ("coordinate",), takes_volume=True),
     "ex17": Theorem("fourth-root metric with flat factors is fully flat",
-                    (Fixture(MetricSpec("fourth-root", 4, {"c": 0.5}), 5, _ex17),), ("bh",),
-                    nodes=16),
+                    (Fixture(MetricSpec("fourth-root", 4, {"c": 0.5}), 5, _ex17),), ("bh",)),
     "ex45": Theorem("square metric is BWeyl-flat but fails the Ricci gate",
                     (Fixture(MetricSpec("square-metric", 3), 4, _ex45),
                      Fixture(MetricSpec("square-metric", 3), 1, _ex45_anisotropic)),
-                    ("coordinate", "explicit:exp(0.1*x1)", "bh"), nodes=32),
+                    ("coordinate", "explicit:exp(0.1*x1)", "bh")),
 }
 
 
@@ -812,36 +810,24 @@ def theorem_summary(name: str) -> str:
     return _theorem(name).summary
 
 
-def theorem_volumes(name: str, volume=None, nodes=None) -> list[VolumeForm]:
-    """The volume forms a run of theorem ``name`` puts on each point.
-
-    ``volume`` replaces the defaults where the theorem holds for every volume
-    form, and is refused elsewhere; ``nodes`` (default the theorem's) sizes BH specs.
-    """
-    thm = _theorem(name)
-    nodes = thm.nodes if nodes is None else nodes
-    defaults = [as_volume(spec, nodes) for spec in thm.volumes]
-    if volume is None:
-        return defaults
-    if not thm.takes_volume:
-        takes = [key for key, other in _THEOREMS.items() if other.takes_volume]
-        raise ConfigError(f"theorem {name} fixes its volume forms; only "
-                          f"{', '.join(takes)} take a volume")
-    volumes = [as_volume(volume, nodes)]
-    if thm.compares_volumes:
-        volumes.append(next(vol for vol in defaults if vol.kind != volumes[0].kind))
-    return volumes
-
-
 def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
-                  nodes=None, volume=None, tolerances=None) -> SuiteReport:
+                  volume=None, tolerances=None) -> SuiteReport:
     """Run one named conclusion on its catalog fixtures, one context per point.
 
-    ``points`` replaces each fixture's count; ``volume`` and ``nodes`` are as
-    in ``theorem_volumes``.
+    ``points`` replaces each fixture's count.  ``volume`` replaces the default
+    volume forms where the theorem holds for every volume form, and is refused
+    elsewhere.
     """
     thm = _theorem(name)
-    volumes = theorem_volumes(name, volume, nodes)
+    volumes = [as_volume(spec) for spec in thm.volumes]
+    if volume is not None:
+        if not thm.takes_volume:
+            takes = [key for key, other in _THEOREMS.items() if other.takes_volume]
+            raise ConfigError(f"theorem {name} fixes its volume forms; only "
+                              f"{', '.join(takes)} take a volume")
+        given = as_volume(volume)
+        others = [vol for vol in volumes if vol.kind != given.kind]
+        volumes = [given, *others[:1]] if thm.compares_volumes else [given]
     quad = any(vol.uses_quadrature for vol in volumes)
     fixtures = []
     for fixture in thm.fixtures:

@@ -27,11 +27,11 @@ def report_line(number, ok, detail):
     assert ok, line
 
 
-def three_volumes(nodes=64):
+def three_volumes():
     return (
         VolumeForm("coordinate"),
         VolumeForm("explicit", "exp(0.1*x2)"),
-        VolumeForm("busemann-hausdorff", nodes=nodes),
+        VolumeForm("busemann-hausdorff"),
     )
 
 
@@ -148,7 +148,7 @@ def test_criterion_04_fourth_root_flatness():
 def test_criterion_05_surface_volume_independence():
     metric = build("conformal-flat-2d")
     vol_a = VolumeForm("explicit", "exp(0.3*x1)")
-    vol_b = VolumeForm("busemann-hausdorff", nodes=48)
+    vol_b = VolumeForm("busemann-hausdorff")
     worst = 0.0
     for point in sample(metric, count=6, seed=1):
         wo_a = PointContext(metric, vol_a, point).proj.wo_values("definition")
@@ -308,7 +308,7 @@ def test_criterion_10_chi_routes_and_volumes():
     for point in sample(metric, count=4, seed=6):
         ctx = PointContext(metric, None, point, degree=7)
         per_volume = []
-        for volume in three_volumes(nodes=48):
+        for volume in three_volumes():
             ms = ctx.proj_for(volume).measure
             chis = np.array([ms.chi_from_S, ms.stack.chi_from_T, ms.stack.chi.value()])
             budget = 1e-7 * np.abs(chis).max() + 1e-9
@@ -349,7 +349,7 @@ def test_criterion_11_bh_quadrature():
 
 def test_criterion_12_byte_identical_reports(capsys):
     argv = ["verify", "--metric", "randers", "--points", "3", "--seed", "11",
-            "--volume", "bh", "--bh-nodes", "24"]
+            "--volume", "bh"]
     code_a = cli.main(list(argv))
     out_a = capsys.readouterr().out
     code_b = cli.main(list(argv))

@@ -43,19 +43,16 @@ def test_defaults():
     assert cfg.metric_family == "euclidean"
     assert cfg.points == 20 and cfg.seed == 0
     assert cfg.degree == 7
-    assert cfg.volume_nodes == 64
     assert (cfg.tol_jet, cfg.tol_quad, cfg.floor) == (1e-7, 1e-4, 1e-9)
     assert cfg.fmt == "json-lines"
 
 
 def test_defaults_have_one_home_and_the_help_names_them(capsys):
     assert RunConfig().tolerances() == Tolerances()
-    assert RunConfig().volume_nodes == measures.BH_NODES == measures.as_volume("bh").nodes
     code, out, _ = run_cli(capsys, "verify", "--help")
     text = " ".join(out.split())  # argparse wraps help lines
     assert code == 0
-    for phrase in (f"largest BH rule per angle (default {measures.BH_NODES},",
-                   f"sample count (default {RunConfig.points})",
+    for phrase in (f"sample count (default {RunConfig.points})",
                    f"sampler seed (default {RunConfig.seed})",
                    f"jet-tier tolerance (default {Tolerances.jet:g})",
                    f"quadrature-tier tolerance (default {Tolerances.quad:g})",
@@ -71,7 +68,6 @@ def test_config_file_keys(tmp_path):
         "metric.dim = 3\n"
         "metric.preset = generic\n"
         "volume.kind = bh\n"
-        "volume.nodes = 32\n"
         "points.count = 5\n"
         "points.seed = 7\n"
         "points.box = cube:0.3\n"
@@ -82,7 +78,7 @@ def test_config_file_keys(tmp_path):
     cfg = parse_config(path)
     assert cfg.metric_family == "randers"
     assert cfg.metric_params == {"preset": "generic"}
-    assert cfg.volume().kind == "busemann-hausdorff" and cfg.volume().nodes == 32
+    assert cfg.volume().kind == "busemann-hausdorff"
     assert cfg.points == 5 and cfg.seed == 7
     assert cfg.box == ("cube", 0.3)
     assert cfg.degree == 6 and cfg.tol_jet == 1e-6
@@ -97,12 +93,14 @@ def test_config_file_rejects_unknown_key(tmp_path):
 
 
 def test_volume_sigma_key_is_not_a_volume_spelling(capsys, tmp_path):
-    # explicit densities are spelled volume.kind = explicit:<expr> only
+    # explicit densities are spelled volume.kind = explicit:<expr> only, and
+    # the adaptive quadrature sizes every Busemann-Hausdorff rule itself
     path = tmp_path / "run.cfg"
-    path.write_text("metric.family = randers\nvolume.sigma = exp(x1)\n")
-    code, out, err = run_cli(capsys, "eval", "--config", str(path), "--points", "1")
-    assert code == 2 and out == ""
-    assert "unknown config key 'volume.sigma'" in err
+    for line in ("volume.sigma = exp(x1)", "volume.nodes = 32"):
+        path.write_text(f"metric.family = randers\n{line}\n")
+        code, out, err = run_cli(capsys, "eval", "--config", str(path), "--points", "1")
+        assert code == 2 and out == ""
+        assert f"unknown config key {line.split(' = ')[0]!r}" in err
 
 
 def test_bare_explicit_volume_exits_two(capsys):
@@ -116,28 +114,9 @@ def test_volume_flag_overrides_file_explicit_volume(capsys, tmp_path):
     path.write_text("metric.family = randers\nvolume.kind = explicit:exp(x1)\n")
     assert parse_config(path).volume().describe() == "explicit:exp(x1)"
     code, out, _ = run_cli(capsys, "verify", "--config", str(path), "--volume", "bh",
-                           "--bh-nodes", "16", "--points", "1", "--checks", "s-homogeneous")
+                           "--points", "1", "--checks", "s-homogeneous")
     assert code == 0
-    assert json_records(out)[0]["volume"] == "busemann-hausdorff(16)"
-
-
-@pytest.mark.parametrize("command", ["verify", "eval", "theorem"])
-@pytest.mark.parametrize("volume", [None, "explicit:exp(x1)"])
-def test_bh_nodes_without_a_bh_volume_exits_two(capsys, tmp_path, command, volume):
-    # the rule size is read only by a Busemann-Hausdorff volume; thm43 runs
-    # none unless given one
-    path = tmp_path / "run.cfg"
-    path.write_text("metric.family = randers\nvolume.nodes = 8\n")
-    head = ("theorem", "thm43") if command == "theorem" else (command, "--metric", "randers")
-    given = ("--volume", volume) if volume else ()
-    errors = []
-    for argv, label in (((*head, "--bh-nodes", "8"), "--bh-nodes"),
-                        ((*head, "--config", str(path)), "volume.nodes")):
-        code, out, err = run_cli(capsys, *argv, *given, "--points", "1")
-        assert code == 2 and out == "" and len(err.splitlines()) == 1
-        assert err.startswith(f"error: {label} ") and (volume or "coordinate") in err
-        errors.append(err.replace(label, "<setting>"))
-    assert errors[0] == errors[1]
+    assert json_records(out)[0]["volume"] == "busemann-hausdorff"
 
 
 def test_config_file_rejects_type_mismatch(tmp_path):
@@ -165,7 +144,6 @@ _LAYERED = {
     "metric_dim": ("metric.dim", "--dim", ["2", "3"], ["3", "5"], int),
     "volume_spec": ("volume.kind", "--volume", ["bh", "explicit:exp(x1)"],
                     ["coordinate", "explicit:x1*x2"], str),
-    "volume_nodes": ("volume.nodes", "--bh-nodes", ["16", "32"], ["8", "32"], int),
     "points": ("points.count", "--points", ["3", "5"], ["1", "5"], int),
     "seed": ("points.seed", "--seed", ["7", "11"], ["2", "11"], int),
     "box": ("points.box", "--box", ["cube:0.3", "ball:0.5"], ["cube:0.1", "ball:0.5"],
@@ -218,7 +196,7 @@ def test_flags_layer_over_file_over_defaults(tmp_path, drawn, file_params, flag_
 # config key -> a text its parser refuses
 _BAD_TEXTS = {
     "metric.family": "klein", "metric.dim": "three", "metric.<name>": "[oops",
-    "volume.kind": "lebesgue", "volume.nodes": "many", "points.count": "many",
+    "volume.kind": "lebesgue", "points.count": "many",
     "points.seed": "1.5", "points.box": "everywhere", "degree": "high", "tol.jet": "nan",
     "tol.quad": "loose", "tol.floor": "-1", "format": "xml",
 }
@@ -248,14 +226,14 @@ def test_points_flag_with_a_bad_count_names_the_flag(capsys):
 
 
 # the flags each subcommand offers: those of the settings it reads
-_EVAL_FLAGS = {"--config", "--metric", "--dim", "--param", "--volume", "--bh-nodes",
-               "--points", "--seed", "--box", "--degree", "--format"}
+_EVAL_FLAGS = {"--config", "--metric", "--dim", "--param", "--volume", "--points",
+               "--seed", "--box", "--degree", "--format"}
 _TOL_FLAGS = {"--tol-jet", "--tol-quad", "--floor"}
 _FLAGS = {
     "list": {"--config", "--format"},
     "eval": _EVAL_FLAGS,
     "verify": _EVAL_FLAGS | _TOL_FLAGS | {"--checks", "--per-point"},
-    "theorem": {"--config", "--volume", "--bh-nodes", "--points", "--seed", "--degree",
+    "theorem": {"--config", "--volume", "--points", "--seed", "--degree",
                 "--format", "--per-point"} | _TOL_FLAGS,
 }
 
@@ -266,7 +244,7 @@ def test_each_subcommand_offers_only_the_flags_it_reads():
     offered = {command: {flag for action in parser._actions for flag in action.option_strings}
                - {"-h", "--help"} for command, parser in sub.choices.items()}
     assert offered == _FLAGS
-    assert sum(map(len, offered.values())) == 40
+    assert sum(map(len, offered.values())) == 37
 
 
 def test_parser_is_built_once():
@@ -278,6 +256,10 @@ def test_parser_is_built_once():
     ("theorem", "thm12", "--dim", "2", "--box", "ball:9"),
     ("list", "--points", "1"),
     ("eval", "--tol-jet", "1e-3"),
+    # the adaptive quadrature sizes every Busemann-Hausdorff rule
+    ("eval", "--bh-nodes", "16"),
+    ("verify", "--bh-nodes", "16"),
+    ("theorem", "thm12", "--bh-nodes", "16"),
 ])
 def test_flag_the_subcommand_does_not_read_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--points", "1")
@@ -479,31 +461,29 @@ def test_theorem_with_volume_override(capsys):
 
 @pytest.mark.parametrize("name", ["thm12", "thm43"])
 def test_theorem_takes_a_bh_volume(capsys, name):
-    code, out, _ = run_cli(capsys, "theorem", name, "--volume", "bh", "--bh-nodes", "16",
-                           "--points", "1")
+    code, out, _ = run_cli(capsys, "theorem", name, "--volume", "bh", "--points", "1")
     assert code == 0
-    assert json_records(out)[0]["volume"].startswith("busemann-hausdorff(16)")
-
-
-def test_theorem_uses_a_given_rule_size(capsys):
-    # ex17 and ex45 default to smaller rules, but a given size is not capped
-    code, out, _ = run_cli(capsys, "theorem", "ex17", "--bh-nodes", "32", "--points", "1")
-    assert code == 0
-    assert json_records(out)[0]["volume"] == "busemann-hausdorff(32)"
+    assert json_records(out)[0]["volume"] == "busemann-hausdorff"
 
 
 @pytest.mark.parametrize("name, volume, bh", [
-    ("thm12", "coordinate, explicit:exp(0.1*x2), busemann-hausdorff(64)", True),
-    ("thm15", "busemann-hausdorff(64)", True),
+    ("thm12", "coordinate, explicit:exp(0.1*x2), busemann-hausdorff", True),
+    ("thm15", "busemann-hausdorff", True),
     ("thm43", "coordinate", False),
+    ("ex17", "busemann-hausdorff", True),
+    ("ex45", "coordinate, explicit:exp(0.1*x1), busemann-hausdorff", True),
 ])
 def test_theorem_run_record_names_its_volumes_and_bh_rule(capsys, name, volume, bh):
+    # every density a theorem computes is measured: its last rule change is
+    # within the stop rule of the adaptive quadrature
     code, out, _ = run_cli(capsys, "theorem", name, "--points", "1")
     run = json_records(out)[0]
-    assert code == 0 and run["volume"] == volume
+    assert code == (1 if name == "ex45" else 0)  # ex45 fails its Ricci gate
+    assert run["volume"] == volume
     assert ("bh_nodes" in run) == ("bh_change" in run) == bh
     if bh:
-        assert 16 <= run["bh_nodes"] <= 64
+        assert 32 <= run["bh_nodes"] <= measures.BH_NODES
+        assert run["bh_change"] is not None and run["bh_change"] <= measures.BH_AGREE
 
 
 def test_theorem_results_follow_their_checks(capsys):
@@ -516,8 +496,7 @@ def test_theorem_results_follow_their_checks(capsys):
 
 
 def test_theorem_gate_failure_exits_one(capsys):
-    code, out, _ = run_cli(capsys, "theorem", "ex45", "--points", "2",
-                           "--bh-nodes", "16")
+    code, out, _ = run_cli(capsys, "theorem", "ex45", "--points", "2")
     assert code == 1
     summary = json_records(out)[-1]
     assert summary["failures"] == ["ex45:projective-ricci-flat-gate"]
@@ -750,8 +729,7 @@ _DRAWN_FLAGS = {
 def _argv(draw):
     command = draw(st.sampled_from(["list", "eval", "verify", "theorem"]))
     if command == "theorem":
-        argv = [command, draw(st.sampled_from(theorem_names())),
-                "--points", "1", "--bh-nodes", "8"]
+        argv = [command, draw(st.sampled_from(theorem_names())), "--points", "1"]
     else:
         argv = [command, "--points", draw(st.sampled_from(["-1", "0", "1"]))]
     for flag, values in _DRAWN_FLAGS.items():
@@ -926,18 +904,12 @@ def test_bh_verify_point_stays_within_its_directions_budget(capsys, monkeypatch)
     assert 0 < sum(directions) <= 1280
 
 
-@pytest.mark.parametrize("argv, nodes, one_rule", [
-    (("--volume", "bh"), 32, False),
-    (("--volume", "bh", "--bh-nodes", "16"), 16, True),
-])
-def test_verify_run_record_reports_the_bh_rule(capsys, argv, nodes, one_rule):
-    code, out, _ = run_cli(capsys, "verify", "--metric", "randers", "--points", "2", *argv)
+def test_verify_run_record_reports_the_bh_rule(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--metric", "randers", "--points", "2",
+                           "--volume", "bh")
     run = json_records(out)[0]
-    assert code == 0 and run["bh_nodes"] == nodes
-    if one_rule:
-        assert run["bh_change"] is None
-    else:
-        assert 0.0 < run["bh_change"] <= 1e-5
+    assert code == 0 and run["bh_nodes"] == 32
+    assert 0.0 < run["bh_change"] <= measures.BH_AGREE
 
 
 def test_run_record_without_quadrature_has_no_bh_fields(capsys):
@@ -951,7 +923,7 @@ def test_run_record_without_quadrature_has_no_bh_fields(capsys):
 @pytest.mark.parametrize("volume", [
     ("--volume", "explicit:1+"),
     ("--volume", "explicit:exp(x7)"),
-    ("--volume", "bh", "--bh-nodes", "4"),
+    ("--metric", "funk", "--dim", "5", "--volume", "bh"),
 ])
 def test_bad_volume_exits_two_when_no_check_reads_it(capsys, volume):
     code, out, err = run_cli(capsys, "verify", "--metric", "randers", "--points", "1",
@@ -984,21 +956,18 @@ def test_constant_explicit_density_is_the_coordinate_volume(capsys):
 @pytest.mark.parametrize("sigma", ["0", "-1"])
 def test_nonpositive_constant_density(capsys, sigma):
     # a density that is not positive at a sampled point is no volume form
-    # there, for every command, as for one negative somewhere
+    # there, for every command, as for one negative somewhere, and as for one
+    # whose expression is undefined there
+    point = r"x = \(\S+, \S+, \S+\)"
     for command in (("eval", "--metric", "randers"), ("verify", "--metric", "randers"),
                     ("theorem", "thm12")):
-        for volume in (f"explicit:{sigma}", "explicit:x1-5"):
+        for volume, why in ((f"explicit:{sigma}", rf"not positive at {point}: sigma = -?[0-9.e-]+"),
+                            ("explicit:x1-5", rf"not positive at {point}: sigma = -?[0-9.e-]+"),
+                            ("explicit:sqrt(x1-5)", rf"not defined at {point}: "
+                                                    r"sqrt requires a positive constant term")):
             code, out, err = run_cli(capsys, *command, "--points", "2", "--volume", volume)
             assert code == 2 and out == ""
-            assert re.fullmatch(rf"error: volume {re.escape(volume)} is not positive at "
-                                rf"x = \(\S+, \S+, \S+\): sigma = -?[0-9.e-]+\n", err), err
-
-
-def test_oversized_bh_rule_exits_two(capsys):
-    code, out, err = run_cli(capsys, "verify", "--metric", "funk", "--dim", "4",
-                             "--volume", "bh", "--bh-nodes", "1024", "--points", "1")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "S^3: 1024^3 exceeds" in err
+            assert re.fullmatch(rf"error: volume {re.escape(volume)} is {why}\n", err), err
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

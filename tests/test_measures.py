@@ -436,12 +436,15 @@ def test_volume_form_validation():
                        match=r"^volume explicit:x1 is not positive at x = \(-0\.5, 0\.1\): "
                              r"sigma = -0\.5$"):
         vol.lnsigma_jet(None, (-0.5, 0.1), 2)
-    assert as_volume("busemann-hausdorff", nodes=32).describe() == "busemann-hausdorff(32)"
+    # a form's description is its spec, so a run record's volume reads back
+    for spec in ("coordinate", "bh", "explicit:exp(x1)"):
+        vol = as_volume(spec)
+        assert as_volume(vol.describe()) == vol
+    assert as_volume("bh").describe() == "busemann-hausdorff"
 
 
 def test_volume_form_is_a_plain_value():
-    assert vars(as_volume("bh", nodes=32)) == {"kind": "busemann-hausdorff",
-                                               "sigma": None, "nodes": 32}
+    assert vars(as_volume("bh")) == {"kind": "busemann-hausdorff", "sigma": None}
     # a constant density is a constant jet, not a float
     lnsigma = VolumeForm("explicit", "2").lnsigma_jet(None, (0.1, 0.2), 2)
     assert lnsigma.value() == math.log(2.0)
@@ -453,7 +456,7 @@ def test_point_context_owns_the_density():
     point = sample(metric, count=1, seed=1)[0]
     assert PointContext(metric, None, point).volume.kind == "coordinate"
     ctx = PointContext(metric, "bh", point, degree=5)
-    assert ctx.volume.describe() == "busemann-hausdorff(64)"
+    assert ctx.volume.describe() == "busemann-hausdorff"
     # chi depends on the spray alone and needs no density
     ctx.stack.chi.value()
     assert ctx.rules == []
@@ -461,9 +464,9 @@ def test_point_context_owns_the_density():
     ctx.measure.rescaled("0.1*x1").S
     ctx.proj_for("explicit:exp(x1)").measure.S
     assert [nodes for nodes, _ in ctx.rules] == [32]
-    # another volume form on the same stack runs its own rule
-    ctx.proj_for(VolumeForm("busemann-hausdorff", nodes=16)).measure.S
-    assert ctx.rules[1] == (16, None)
+    # the context's own form, asked for again, runs no second rule
+    ctx.proj_for(VolumeForm("busemann-hausdorff")).measure.S
+    assert len(ctx.rules) == 1
 
 
 def test_point_context_is_freed_by_reference_counting():
@@ -506,7 +509,7 @@ def test_s_vanishes_flat_coordinate():
 )
 def test_riemannian_s_vanishes_under_own_volume(spec):
     metric = build(spec)
-    vol = VolumeForm("busemann-hausdorff", nodes=32)
+    vol = VolumeForm("busemann-hausdorff")
     for point in sample(metric, count=3, seed=1):
         ms = PointContext(metric, vol, point, degree=6).measure
         assert abs(ms.S.value()) < 1e-8
@@ -517,7 +520,7 @@ def test_riemannian_s_vanishes_under_own_volume(spec):
 
 def test_funk_s_curvature_closed_form():
     metric = build(MetricSpec("funk", 3))
-    vol = VolumeForm("busemann-hausdorff", nodes=48)
+    vol = VolumeForm("busemann-hausdorff")
     for point in sample(metric, count=3, seed=2):
         frame = MetricFrame(metric, point, degree=5)
         want = 2.0 * math.sqrt(frame.fsq.value())
@@ -561,7 +564,7 @@ def test_tau_zero_on_flat():
 
 def test_tau_is_two_homogeneous():
     metric = build(MetricSpec("funk", 3))
-    vol = VolumeForm("busemann-hausdorff", nodes=32)
+    vol = VolumeForm("busemann-hausdorff")
     point = TangentPoint((0.1, 0.15, -0.2), (0.5, -0.3, 0.4))
     doubled = TangentPoint(point.x, tuple(2.0 * v for v in point.y))
     t1 = PointContext(metric, vol, point, degree=5).measure.tau.value()
@@ -614,7 +617,7 @@ def test_chi_independent_of_volume():
         for vol in (
             VolumeForm("coordinate"),
             VolumeForm("explicit", "exp(x1*x2)"),
-            VolumeForm("busemann-hausdorff", nodes=32),
+            VolumeForm("busemann-hausdorff"),
         )
     ]
     scale = max(np.abs(v).max() for v in values) + 1e-12
@@ -624,7 +627,7 @@ def test_chi_independent_of_volume():
 
 def test_chi_kills_y_and_vanishes_on_funk():
     metric = build(MetricSpec("funk", 3))
-    vol = VolumeForm("busemann-hausdorff", nodes=32)
+    vol = VolumeForm("busemann-hausdorff")
     for point in sample(metric, count=3, seed=4):
         values = PointContext(metric, vol, point, degree=6).measure.chi_from_S
         assert abs(values @ point.y_array()) < 1e-8

@@ -40,7 +40,7 @@ def volumes3():
     return [
         VolumeForm("coordinate"),
         VolumeForm("explicit", "exp(0.1*x2)"),
-        VolumeForm("busemann-hausdorff", nodes=48),
+        VolumeForm("busemann-hausdorff"),
     ]
 
 
@@ -216,7 +216,7 @@ def test_wo_vanishes_for_scalar_curvature():
 def test_wo_vanishes_fourth_root():
     metric = build("fourth-root")
     pt = TangentPoint((0.1, -0.2, 0.15, 0.05), (0.8, 0.5, -0.6, 0.9))
-    wo = PointContext(metric, VolumeForm("busemann-hausdorff", nodes=16), pt).proj.wo_values()
+    wo = PointContext(metric, VolumeForm("busemann-hausdorff"), pt).proj.wo_values()
     np.testing.assert_allclose(wo, 0.0, atol=1e-12)
 
 
@@ -224,7 +224,7 @@ def test_wo_vanishes_fourth_root():
 def test_wo_vanishes_constant_curvature_surfaces(family):
     metric = build(family)
     pt = TangentPoint((0.25, -0.15), (0.7, 1.1))
-    for volume in (VolumeForm("coordinate"), VolumeForm("busemann-hausdorff", nodes=32)):
+    for volume in (VolumeForm("coordinate"), VolumeForm("busemann-hausdorff")):
         scale = abs(stack_for(metric, pt).Rscalar.value())
         wo = PointContext(metric, volume, pt).proj.wo_values()
         np.testing.assert_allclose(wo, 0.0, atol=1e-10 * scale)
@@ -236,7 +236,7 @@ def test_wo_volume_independent_in_dimension_two():
     assert np.abs(base).max() > 1e-3  # nontrivial surface
     for volume in (
         VolumeForm("explicit", "exp(x1-0.5*x2)"),
-        VolumeForm("busemann-hausdorff", nodes=48),
+        VolumeForm("busemann-hausdorff"),
     ):
         other = PointContext(metric, volume, PT2).proj.wo_values()
         np.testing.assert_allclose(other, base, atol=1e-8 * np.abs(base).max())
@@ -446,7 +446,7 @@ def test_own_volume_reuses_the_context_stacks():
     ctx = PointContext(build("randers"), "bh", PT3)
     assert ctx.proj_for(VolumeForm("busemann-hausdorff")).measure is ctx.measure
     assert ctx.proj_for("bh") is ctx.proj
-    other = ctx.proj_for(VolumeForm("busemann-hausdorff", nodes=48))
+    other = ctx.proj_for(VolumeForm("explicit", "exp(0.1*x2)"))
     assert other is not ctx.proj and other.base is ctx.stack
 
 
@@ -490,12 +490,12 @@ def test_square_metric_is_scalar_curvature():
     st = stack_for(metric, pt)
     f2 = MetricFrame(metric, pt, 3).fsq.value()
     assert abs(st.Rscalar.value()) <= 1e-10 * f2
-    for volume in (VolumeForm("coordinate"), VolumeForm("busemann-hausdorff", nodes=32)):
+    for volume in (VolumeForm("coordinate"), VolumeForm("busemann-hausdorff")):
         ps = PointContext(metric, volume, pt).proj
         assert np.abs(ps.hat.T.value()).max() <= 1e-10 * f2
         assert np.abs(ps.wo_values()).max() <= 1e-8 * f2
     ratios = []
-    bh = VolumeForm("busemann-hausdorff", nodes=32)
+    bh = VolumeForm("busemann-hausdorff")
     for yy in ((1.0, 0.2, -0.3), (0.1, 1.0, 0.4), (-0.5, 0.3, 1.0)):
         q = TangentPoint(pt.x, yy)
         ms = PointContext(metric, bh, q).measure

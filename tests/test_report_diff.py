@@ -66,7 +66,7 @@ def test_dropped_records_and_fields_are_named_and_the_rest_compared():
         return tool.Run(0, "".join(json.dumps(r) + "\n" for r in records), "")
 
     summary = {"record": "summary", "pass": True, "checks": 2}
-    new_run = dict(run, volume="busemann-hausdorff(64)", bh_nodes=32)
+    new_run = dict(run, volume="busemann-hausdorff", bh_nodes=32)
     grown = dict(checks[1], residual=1e-10 * (1 + 1e-6))
     diff = tool.compare("dropped", report(run, *checks, summary),
                         report(new_run, grown, dict(summary, checks=1)))

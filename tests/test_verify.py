@@ -15,7 +15,7 @@ from spraylab.cli import main
 from spraylab.errors import (AdmissibilityError, ConfigError, DegreeBudgetError,
                              JetDomainError)
 from spraylab.geometry import MetricFrame, TangentPoint, stack_for
-from spraylab.measures import VolumeForm
+from spraylab.measures import BH_AGREE, VolumeForm
 from spraylab.projective import PointContext, ProjectiveStack
 from spraylab.verify import (REGISTRY, Tolerances, as_volume,
                              identity_suite, theorem_check, theorem_names)
@@ -101,9 +101,9 @@ def test_euclidean_coordinate_residuals_vanish():
 
 
 def test_funk_bh_suite_passes():
-    report = identity_suite("funk", VolumeForm("busemann-hausdorff", nodes=32), points=5)
+    report = identity_suite("funk", VolumeForm("busemann-hausdorff"), points=5)
     assert report.passed
-    assert report.volume == "busemann-hausdorff(32)"
+    assert report.volume == "busemann-hausdorff"
 
 
 def test_randers_explicit_suite_passes():
@@ -226,14 +226,14 @@ def test_geodesic_spray_fails_a_scaled_spray(monkeypatch, family, dim):
 
 
 def test_pass_flag_matches_threshold_rule():
-    report = identity_suite("randers", VolumeForm("busemann-hausdorff", nodes=24), points=3)
+    report = identity_suite("randers", VolumeForm("busemann-hausdorff"), points=3)
     for r in report.results:
         assert r.passed == (r.residual <= r.tolerance * r.scale + r.floor)
 
 
 def test_tolerance_tiers_follow_volume():
     jet_only = identity_suite("randers", points=1)
-    quad = identity_suite("randers", VolumeForm("busemann-hausdorff", nodes=16), points=1)
+    quad = identity_suite("randers", VolumeForm("busemann-hausdorff"), points=1)
     jet_by = {a.check: a for a in jet_only.checks}
     quad_by = {a.check: a for a in quad.checks}
     assert jet_by["wo-routes"].tolerance == 1e-7
@@ -393,7 +393,7 @@ def test_tolerances_reject_negative_and_non_finite():
 def test_as_volume_variants():
     assert as_volume(None).kind == "coordinate"
     assert as_volume("coordinate").kind == "coordinate"
-    assert as_volume("bh", nodes=24).nodes == 24
+    assert as_volume("bh").kind == "busemann-hausdorff"
     vol = as_volume("explicit:exp(x1)")
     assert vol.kind == "explicit" and vol.sigma == "exp(x1)"
     assert as_volume(vol) is vol
@@ -422,7 +422,7 @@ def test_ex17_holds_its_jet_identities_to_the_jet_tier():
 
 
 def test_scalar_curvature_conclusion():
-    report = theorem_check("thm12", points=5, nodes=16)
+    report = theorem_check("thm12", points=5)
     assert report.passed
     kinds = {agg.check.rsplit(":", 1)[1] for agg in report.checks}
     assert kinds == {"coordinate", "explicit", "busemann-hausdorff"}
@@ -435,7 +435,7 @@ def test_thm12_single_volume_override():
 
 
 def test_einstein_constant_s_conclusion():
-    report = theorem_check("thm15", points=3, nodes=24)
+    report = theorem_check("thm15", points=3)
     assert report.passed
     labels = {agg.check for agg in report.checks}
     assert "thm15:funk:constant-s" in labels
@@ -443,7 +443,7 @@ def test_einstein_constant_s_conclusion():
 
 
 def test_surface_volume_independence():
-    report = theorem_check("cor14", points=6, nodes=16)
+    report = theorem_check("cor14", points=6)
     assert report.passed
     agg = report.checks[0]
     assert agg.check == "cor14:volume-independence"
@@ -451,13 +451,13 @@ def test_surface_volume_independence():
 
 
 def test_constant_curvature_surfaces():
-    report = theorem_check("cor33", points=4, nodes=16)
+    report = theorem_check("cor33", points=4)
     assert report.passed
     assert len(report.checks) == 4
 
 
 def test_einstein_surface_closed_form():
-    report = theorem_check("prop32", points=4, nodes=32)
+    report = theorem_check("prop32", points=4)
     assert report.passed
     conformal = [a for a in report.checks if a.check.endswith("conformal-flat-2d")]
     assert conformal and conformal[0].scale > 1e-3
@@ -472,14 +472,16 @@ def test_flatness_equivalence_theorem():
 
 
 def test_fourth_root_flatness():
-    report = theorem_check("ex17", points=3, nodes=16)
+    report = theorem_check("ex17", points=3)
     assert report.passed
     for result in report.results:
         assert result.residual <= 1e-10
 
 
 def test_square_metric_gate_fails_conclusions_hold():
-    report = theorem_check("ex45", points=2, nodes=24)
+    # at its default points, two densities stop only at the 64-node rule
+    report = theorem_check("ex45")
+    assert report.quadrature["bh_change"] <= BH_AGREE
     assert not report.passed
     by_name = {agg.check: agg for agg in report.checks}
     gate = by_name.pop("ex45:projective-ricci-flat-gate")
@@ -551,7 +553,7 @@ def test_fd_mixed_second_partial():
 
 def test_fd_bh_density_gradient():
     randers = catalog.build("randers")
-    vol = VolumeForm("busemann-hausdorff", nodes=48)
+    vol = VolumeForm("busemann-hausdorff")
     point = TangentPoint((0.12, -0.08, 0.1), (1.0, 0.3, -0.2))
 
     def lnsigma(p):

@@ -90,15 +90,9 @@ COMMANDS = [
     *[(f"theorem {name}", ("theorem", name, *_THEOREM))
       for name in ("thm12", "thm15", "cor14", "cor33", "ex17", "ex45", "prop32", "thm43")],
     ("theorem thm43 bh", ("theorem", "thm43", "--volume", "bh", *_THEOREM)),
-    # a rule size for a theorem that runs no BH rule exits 2; one that runs
-    # a rule uses the size as given
-    ("theorem thm43 bh-nodes", ("theorem", "thm43", "--bh-nodes", "8", "--points", "1")),
-    ("theorem ex17 bh-nodes", ("theorem", "ex17", "--bh-nodes", "32", "--points", "1")),
     # a dim-4 Busemann-Hausdorff point at the default rule
     ("verify funk4 bh", ("verify", "--points", "1", "--per-point", "--metric", "funk", "--dim", "4",
                          "--volume", "bh")),
-    ("verify funk4 bh oversized", ("verify", "--metric", "funk", "--dim", "4", "--volume", "bh",
-                                   "--bh-nodes", "1024", "--points", "1")),
     # a spray that is not a metric's own goes through stack_for
     ("verify perturbed funk", (*_VERIFY, "--metric", "projective-perturbation",
                                "--param", "base=funk", *_ONEFORM)),
@@ -129,6 +123,9 @@ COMMANDS = [
     # a volume form that is not positive at a sampled point exits 2
     ("verify funk explicit:x1", ("verify", "--metric", "funk", "--volume", "explicit:x1",
                                  "--points", "2")),
+    # and so does one whose expression is undefined at a sampled point
+    ("verify funk explicit:sqrt(x1)", ("verify", "--metric", "funk", "--volume",
+                                       "explicit:sqrt(x1)", "--points", "2")),
 ]
 
 
