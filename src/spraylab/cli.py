@@ -31,7 +31,7 @@ from .errors import ConfigError, DegreeBudgetError, SprayLabError, degree_too_lo
 from .geometry import DEFAULT_DEGREE
 from .measures import VolumeForm, as_volume, split_volume
 from .projective import WO_ROUTES, PointContext
-from .verify import Tolerances, identity_suite, theorem_check, theorem_names, theorem_summary
+from .verify import identity_suite, theorem_check, theorem_names, theorem_summary
 
 _FORMATS = ("json-lines", "csv")
 
@@ -60,9 +60,6 @@ class RunConfig:
     seed: int = 0
     box: tuple[str, float] | None = None
     degree: int = DEFAULT_DEGREE
-    tol_jet: float = Tolerances.jet
-    tol_quad: float = Tolerances.quad
-    floor: float = Tolerances.floor
     fmt: str = "json-lines"
 
     def metric_spec(self) -> MetricSpec:
@@ -70,9 +67,6 @@ class RunConfig:
 
     def volume(self) -> VolumeForm:
         return as_volume(self.volume_spec)
-
-    def tolerances(self) -> Tolerances:
-        return Tolerances(jet=self.tol_jet, quad=self.tol_quad, floor=self.floor)
 
 
 # -- settings -------------------------------------------------------------------
@@ -166,19 +160,14 @@ _SETTINGS = {
     "volume.kind": _Setting("--volume", "volume_spec", _parse_volume, _RUNS, "SPEC",
                             "coordinate | busemann-hausdorff | explicit:<expr>"),
     "points.count": _Setting("--points", "points", _parse_int, _RUNS, "N",
-                             f"sample count (default {RunConfig.points})"),
+                             f"sample count (eval, verify: default {RunConfig.points}; "
+                             "theorem: each fixture's own)"),
     "points.seed": _Setting("--seed", "seed", _parse_int, _RUNS, "N",
                             f"sampler seed (default {RunConfig.seed})"),
     "points.box": _Setting("--box", "box", _parse_box, _SAMPLED, "KIND:SIZE",
                            "sampling box, for example cube:0.5 or ball:0.6"),
     "degree": _Setting("--degree", "degree", _parse_int, _RUNS, "N",
                        f"jet truncation degree (default {DEFAULT_DEGREE})"),
-    "tol.jet": _Setting("--tol-jet", "tol_jet", _parse_float, _CHECKED, "X",
-                        f"jet-tier tolerance (default {Tolerances.jet:g})"),
-    "tol.quad": _Setting("--tol-quad", "tol_quad", _parse_float, _CHECKED, "X",
-                         f"quadrature-tier tolerance (default {Tolerances.quad:g})"),
-    "tol.floor": _Setting("--floor", "floor", _parse_float, _CHECKED, "X",
-                          f"absolute floor (default {Tolerances.floor:g})"),
     "format": _Setting("--format", "fmt", _parse_format, _ALL, "FORMAT",
                        "output format: json-lines (default) or csv"),
 }
@@ -228,9 +217,9 @@ def parse_config(path=None, args: argparse.Namespace | None = None,
         for text in flags.get(key) or ():
             _apply(cfg, key, setting.flag, text)
             given[key] = setting.flag
-    # bad tolerances are configuration errors for every subcommand, not
-    # only for those that compare against them
-    cfg.tolerances()
+    if flags.get("per_point") and cfg.fmt == "csv":
+        raise ConfigError("--per-point needs json-lines output; a csv report holds "
+                          "one row per check")
     return cfg
 
 
@@ -364,9 +353,8 @@ def _cmd_verify(args) -> tuple[str, int]:
         if "" in checks:
             raise ConfigError(f"--checks list has an empty entry: {args.checks!r}")
     report = identity_suite(
-        cfg.metric_spec(), cfg.volume(), points=cfg.points,
-        tolerances=cfg.tolerances(), seed=cfg.seed, degree=cfg.degree,
-        box=cfg.box, checks=checks,
+        cfg.metric_spec(), cfg.volume(), points=cfg.points, seed=cfg.seed,
+        degree=cfg.degree, box=cfg.box, checks=checks,
     )
     return _report_output("verify", report, cfg.fmt, args.per_point)
 
@@ -377,8 +365,7 @@ def _cmd_theorem(args) -> tuple[str, int]:
     cfg = parse_config(args.config, args, given)
     volume = cfg.volume() if "volume.kind" in given else None
     report = theorem_check(args.name, points=cfg.points if "points.count" in given else None,
-                           seed=cfg.seed, degree=cfg.degree, volume=volume,
-                           tolerances=cfg.tolerances())
+                           seed=cfg.seed, degree=cfg.degree, volume=volume)
     return _report_output("theorem", report, cfg.fmt, args.per_point)
 
 

@@ -29,6 +29,10 @@ _FUNCTIONS = {
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
+# nodes from the root to a leaf: the parser's own nesting limit, well within
+# the recursion limit of the walks below
+MAX_DEPTH = 200
+
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
@@ -47,7 +51,11 @@ class ScalarField:
             tree = ast.parse(expr.replace("^", "**"), mode="eval")
         except SyntaxError as err:
             raise ConfigError(f"cannot parse expression {expr!r}: {err.msg}") from None
+        except RecursionError:
+            raise ConfigError(f"expression {expr!r} is nested too deeply to parse") from None
         self._tree = tree.body
+        if _depth(self._tree) > MAX_DEPTH:
+            raise ConfigError(f"expression {expr!r} is nested more than {MAX_DEPTH} levels deep")
         self._validate(self._tree)
         self._check_constants(self._tree)
 
@@ -151,6 +159,15 @@ class ScalarField:
         if isinstance(base, jets.Jet):
             return base ** (int(exponent) if float(exponent).is_integer() else exponent)
         return base**exponent
+
+
+def _depth(tree: ast.expr) -> int:
+    """Nodes on the longest path from ``tree`` to a leaf, counted level by level."""
+    depth, level = 0, [tree]
+    while level:
+        depth, level = depth + 1, [child for node in level for child in
+                                   ast.iter_child_nodes(node) if isinstance(child, ast.expr)]
+    return depth
 
 
 def finite_number(v) -> bool:

@@ -61,20 +61,11 @@ RANK_RATIO = 1e-2
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative thresholds per tier plus the shared absolute floor."""
+    """Relative thresholds per tier plus the shared absolute floor, the same for every run."""
 
     jet: float = 1e-7
     quad: float = 1e-4
     floor: float = 1e-9
-
-    def __post_init__(self):
-        # a negative or NaN threshold fails every check, an infinite one
-        # passes every check; neither is a verdict about the geometry
-        for name in ("jet", "quad", "floor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ConfigError(f"tolerance {name} must be a finite number >= 0, "
-                                  f"got {value!r}")
 
     def pick(self, quadrature: bool) -> float:
         return self.quad if quadrature else self.jet
@@ -569,8 +560,7 @@ def _resolve_points(obj, points, seed, box):
     return pts, None
 
 
-def identity_suite(spec, volume=None, points=20, tolerances=None, *,
-                   seed=0, degree=DEFAULT_DEGREE, box=None,
+def identity_suite(spec, volume=None, points=20, *, seed=0, degree=DEFAULT_DEGREE, box=None,
                    checks=None) -> SuiteReport:
     """Run every applicable registered identity at sampled points.
 
@@ -600,7 +590,7 @@ def identity_suite(spec, volume=None, points=20, tolerances=None, *,
     volume.validate(obj.dim)
     sources = [_check_source(c, volume.uses_quadrature and c.uses_measure)
                for c in applicable]
-    return _run(obj.name, [volume], seed, degree, tolerances, [(obj, pts, sources)], "check")
+    return _run(obj.name, [volume], seed, degree, [(obj, pts, sources)], "check")
 
 
 def _check_source(check: IdentityCheck, quad: bool) -> tuple:
@@ -608,12 +598,12 @@ def _check_source(check: IdentityCheck, quad: bool) -> tuple:
     return check.name, quad, lambda ctx: [(check.name, *check.fn(ctx), quad)]
 
 
-def _run(name: str, volumes: list[VolumeForm], seed, degree: int, tol: Tolerances | None,
-         fixtures, kind: str) -> SuiteReport:
+def _run(name: str, volumes: list[VolumeForm], seed, degree: int, fixtures,
+         kind: str) -> SuiteReport:
     """The report of every source ``(label, quad, rows)`` at every point of each
     ``(spray, points, sources)``; ``rows(ctx)`` gives (label, residual, scale, quad)
     rows, and ``kind`` with the label names a source in a degree error."""
-    tol = tol if tol is not None else Tolerances()
+    tol = Tolerances()
     groups: dict[str, list[CheckResult]] = {}
     rules = []
     for spray, points, sources in fixtures:
@@ -811,7 +801,7 @@ def theorem_summary(name: str) -> str:
 
 
 def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
-                  volume=None, tolerances=None) -> SuiteReport:
+                  volume=None) -> SuiteReport:
     """Run one named conclusion on its catalog fixtures, one context per point.
 
     ``points`` replaces each fixture's count.  ``volume`` replaces the default
@@ -836,4 +826,4 @@ def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
         pts = catalog.sample(metric, count=count, seed=seed + fixture.seed_offset)
         source = (name, quad, lambda ctx, rows=fixture.rows: rows(ctx, volumes))
         fixtures.append((metric, pts, [source]))
-    return _run(name, volumes, seed, degree, tolerances, fixtures, "theorem")
+    return _run(name, volumes, seed, degree, fixtures, "theorem")

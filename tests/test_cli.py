@@ -22,7 +22,7 @@ import spraylab
 from spraylab import cli, geometry, jets, measures, projective
 from spraylab.cli import RunConfig, main, parse_config
 from spraylab.errors import ConfigError
-from spraylab.verify import Tolerances, check_names, theorem_names
+from spraylab.verify import check_names, theorem_names
 
 
 def run_cli(capsys, *argv):
@@ -43,21 +43,20 @@ def test_defaults():
     assert cfg.metric_family == "euclidean"
     assert cfg.points == 20 and cfg.seed == 0
     assert cfg.degree == 7
-    assert (cfg.tol_jet, cfg.tol_quad, cfg.floor) == (1e-7, 1e-4, 1e-9)
     assert cfg.fmt == "json-lines"
 
 
 def test_defaults_have_one_home_and_the_help_names_them(capsys):
-    assert RunConfig().tolerances() == Tolerances()
-    code, out, _ = run_cli(capsys, "verify", "--help")
-    text = " ".join(out.split())  # argparse wraps help lines
-    assert code == 0
-    for phrase in (f"sample count (default {RunConfig.points})",
-                   f"sampler seed (default {RunConfig.seed})",
-                   f"jet-tier tolerance (default {Tolerances.jet:g})",
-                   f"quadrature-tier tolerance (default {Tolerances.quad:g})",
-                   f"absolute floor (default {Tolerances.floor:g})"):
-        assert phrase in text
+    # a theorem runs its fixtures' own point counts, so the help says so
+    for argv in (("verify", "--help"), ("theorem", "--help")):
+        code, out, _ = run_cli(capsys, *argv)
+        text = " ".join(out.split())  # argparse wraps help lines
+        assert code == 0
+        for phrase in (f"sample count (eval, verify: default {RunConfig.points}; "
+                       "theorem: each fixture's own)",
+                       f"sampler seed (default {RunConfig.seed})",
+                       f"jet truncation degree (default {RunConfig.degree})"):
+            assert phrase in text
 
 
 def test_config_file_keys(tmp_path):
@@ -72,7 +71,6 @@ def test_config_file_keys(tmp_path):
         "points.seed = 7\n"
         "points.box = cube:0.3\n"
         "degree = 6\n"
-        "tol.jet = 1e-6\n"
         "format = csv\n"
     )
     cfg = parse_config(path)
@@ -81,15 +79,17 @@ def test_config_file_keys(tmp_path):
     assert cfg.volume().kind == "busemann-hausdorff"
     assert cfg.points == 5 and cfg.seed == 7
     assert cfg.box == ("cube", 0.3)
-    assert cfg.degree == 6 and cfg.tol_jet == 1e-6
+    assert cfg.degree == 6
     assert cfg.fmt == "csv"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
+    # the pass thresholds are constants of the library, so no key sets them
     path = tmp_path / "run.cfg"
-    path.write_text("volume.shape = round\n")
-    with pytest.raises(ConfigError, match="volume.shape"):
-        parse_config(path)
+    for key, value in (("volume.shape", "round"), ("tol.jet", "1e-7")):
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^unknown config key {key!r}$"):
+            parse_config(path)
 
 
 def test_volume_sigma_key_is_not_a_volume_spelling(capsys, tmp_path):
@@ -149,9 +149,6 @@ _LAYERED = {
     "box": ("points.box", "--box", ["cube:0.3", "ball:0.5"], ["cube:0.1", "ball:0.5"],
             lambda text: (text.split(":")[0], float(text.split(":")[1]))),
     "degree": ("degree", "--degree", ["5", "6"], ["4", "6"], int),
-    "tol_jet": ("tol.jet", "--tol-jet", ["1e-6", "2e-7"], ["0", "2e-7"], float),
-    "tol_quad": ("tol.quad", "--tol-quad", ["1e-3", "5e-5"], ["0", "5e-5"], float),
-    "floor": ("tol.floor", "--floor", ["1e-8", "0"], ["1e-10", "0"], float),
     "fmt": ("format", "--format", ["csv", "json-lines"], ["json-lines", "csv"], str),
 }
 # family parameter texts and the values their literals parse to
@@ -197,8 +194,7 @@ def test_flags_layer_over_file_over_defaults(tmp_path, drawn, file_params, flag_
 _BAD_TEXTS = {
     "metric.family": "klein", "metric.dim": "three", "metric.<name>": "[oops",
     "volume.kind": "lebesgue", "points.count": "many",
-    "points.seed": "1.5", "points.box": "everywhere", "degree": "high", "tol.jet": "nan",
-    "tol.quad": "loose", "tol.floor": "-1", "format": "xml",
+    "points.seed": "1.5", "points.box": "everywhere", "degree": "high", "format": "xml",
 }
 
 
@@ -228,13 +224,12 @@ def test_points_flag_with_a_bad_count_names_the_flag(capsys):
 # the flags each subcommand offers: those of the settings it reads
 _EVAL_FLAGS = {"--config", "--metric", "--dim", "--param", "--volume", "--points",
                "--seed", "--box", "--degree", "--format"}
-_TOL_FLAGS = {"--tol-jet", "--tol-quad", "--floor"}
 _FLAGS = {
     "list": {"--config", "--format"},
     "eval": _EVAL_FLAGS,
-    "verify": _EVAL_FLAGS | _TOL_FLAGS | {"--checks", "--per-point"},
+    "verify": _EVAL_FLAGS | {"--checks", "--per-point"},
     "theorem": {"--config", "--volume", "--points", "--seed", "--degree",
-                "--format", "--per-point"} | _TOL_FLAGS,
+                "--format", "--per-point"},
 }
 
 
@@ -244,7 +239,7 @@ def test_each_subcommand_offers_only_the_flags_it_reads():
     offered = {command: {flag for action in parser._actions for flag in action.option_strings}
                - {"-h", "--help"} for command, parser in sub.choices.items()}
     assert offered == _FLAGS
-    assert sum(map(len, offered.values())) == 37
+    assert sum(map(len, offered.values())) == 31
 
 
 def test_parser_is_built_once():
@@ -260,6 +255,11 @@ def test_parser_is_built_once():
     ("eval", "--bh-nodes", "16"),
     ("verify", "--bh-nodes", "16"),
     ("theorem", "thm12", "--bh-nodes", "16"),
+    # the pass thresholds are constants of the library
+    ("verify", "--tol-jet", "1e300"),
+    ("verify", "--tol-quad", "1e300"),
+    ("verify", "--floor", "1e300"),
+    ("theorem", "thm12", "--floor", "1e300"),
 ])
 def test_flag_the_subcommand_does_not_read_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--points", "1")
@@ -393,11 +393,13 @@ def test_verify_prints_records_only_for_checks_that_ran(capsys, argv, absent):
 
 
 def test_verify_exit_one_on_failed_check(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--metric", "randers", "--points", "2",
-                           "--tol-jet", "1e-30", "--floor", "1e-30")
+    # the literal inner product makes square-metric's F^2 no longer homogeneous
+    code, out, _ = run_cli(capsys, "verify", "--metric", "square-metric",
+                           "--param", "literal_inner=true", "--points", "3")
     assert code == 1
     summary = json_records(out)[-1]
-    assert summary["pass"] is False and summary["failures"]
+    assert summary["pass"] is False and len(summary["failures"]) == 31
+    assert "euler-metric" in summary["failures"]
 
 
 def test_verify_checks_subset_and_per_point(capsys):
@@ -428,6 +430,20 @@ def test_verify_empty_checks_entry_exits_two(capsys, checks):
                              "--checks", checks)
     assert code == 2 and out == ""
     assert "--checks list has an empty entry" in err
+
+
+def test_per_point_csv_exits_two_before_any_point_runs(capsys, monkeypatch, tmp_path):
+    # a csv report has one row per check and no place for per-point records
+    contexts = _count_calls(monkeypatch, projective.PointContext, "__init__")
+    path = tmp_path / "run.cfg"
+    path.write_text("format = csv\n")
+    for command in (("verify", "--metric", "euclidean"), ("theorem", "thm43")):
+        for fmt in (("--format", "csv"), ("--config", str(path))):
+            code, out, err = run_cli(capsys, *command, "--points", "2", "--per-point", *fmt)
+            assert (code, out) == (2, "")
+            assert err == ("error: --per-point needs json-lines output; a csv report holds "
+                           "one row per check\n")
+    assert contexts == []
 
 
 def test_verify_csv_table(capsys):
@@ -750,44 +766,6 @@ def test_exit_contract_on_random_arguments(argv):
         assert err.getvalue().strip()
 
 
-def test_zero_threshold_is_not_a_crash(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--metric", "euclidean", "--points", "1",
-                           "--tol-jet", "0", "--floor", "0")
-    assert code == 0
-    assert json_records(out)[-1]["pass"]
-
-
-@pytest.mark.parametrize("argv", [
-    ("verify", "--tol-jet", "-1", "--floor", "-1"),
-    ("verify", "--tol-jet", "nan"),
-    ("verify", "--tol-quad", "-0.5"),
-    ("verify", "--floor", "inf"),
-])
-def test_bad_tolerances_exit_two(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--metric", "euclidean", "--points", "1")
-    assert code == 2 and out == ""
-    assert "tolerance" in err
-
-
-@pytest.mark.parametrize("line", ["tol.jet = -1e-7", "tol.quad = nan", "tol.floor = inf"])
-def test_bad_tolerance_keys_exit_two(capsys, tmp_path, line):
-    path = tmp_path / "run.cfg"
-    path.write_text(line + "\n")
-    code, out, err = run_cli(capsys, "theorem", "cor33", "--points", "1", "--config", str(path))
-    assert code == 2 and out == ""
-    assert "tolerance" in err
-
-
-def test_eval_bad_tolerance_key_exits_two(capsys, tmp_path):
-    # eval offers no tolerance flag, but the file keys are shared and checked
-    path = tmp_path / "run.cfg"
-    path.write_text("tol.jet = nan\n")
-    code, out, err = run_cli(capsys, "eval", "--metric", "euclidean", "--points", "1",
-                             "--config", str(path))
-    assert code == 2 and out == ""
-    assert "tolerance" in err
-
-
 def _count_calls(monkeypatch, owner, attr):
     calls = []
     fn = getattr(owner, attr)
@@ -944,6 +922,22 @@ def test_undefined_constant_in_explicit_volume_exits_two(capsys, sigma, part):
                              "--volume", f"explicit:{sigma}")
     assert code == 2 and out == ""
     assert err == f"error: in {sigma!r}, {part} has no finite real value\n"
+
+
+def test_deeply_nested_expression_exits_two(capsys):
+    # 600 sums were a RecursionError traceback and 3,000 one from the parser
+    # itself; 200 levels, the parser's own limit for nested parentheses, run
+    for terms, code in ((200, 0), (600, 2), (3000, 2)):
+        chain = "+".join(["x1"] * terms)
+        for argv in (("eval", "--metric", "funk", "--volume", f"explicit:{chain}"),
+                     ("verify", "--metric", "funk", "--volume", f"explicit:{chain}"),
+                     ("theorem", "thm12", "--volume", f"explicit:{chain}"),
+                     ("eval", "--metric", "conformal-flat-2d", "--param", f"lam={chain}")):
+            got, out, err = run_cli(capsys, *argv, "--points", "1")
+            assert got == code, (terms, argv[0])
+            if code == 2:
+                assert out == "" and len(err.splitlines()) == 1
+                assert err.startswith(f"error: expression {chain!r} is nested ")
 
 
 def test_constant_explicit_density_is_the_coordinate_volume(capsys):

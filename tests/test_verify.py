@@ -374,17 +374,12 @@ def test_worst_point_is_recorded():
 
 
 def test_custom_tolerances_gate_pass():
-    strict = Tolerances(jet=1e-30, quad=1e-30, floor=1e-30)
-    report = identity_suite("randers", points=1, tolerances=strict)
-    assert not report.passed
-
-
-def test_tolerances_reject_negative_and_non_finite():
-    for field in ("jet", "quad", "floor"):
-        for bad in (-1e-7, math.nan, math.inf):
-            with pytest.raises(ConfigError, match=field):
-                Tolerances(**{field: bad})
-    assert Tolerances(jet=0.0, quad=0.0, floor=0.0).pick(True) == 0.0
+    # the pinned thresholds fail a metric whose F^2 is not homogeneous: the
+    # literal inner product of square-metric
+    spec = MetricSpec("square-metric", None, {"literal_inner": True})
+    report = identity_suite(spec, points=1)
+    assert report.tolerances == Tolerances()
+    assert not report.passed and "euler-metric" in {agg.check for agg in report.failures()}
 
 
 # -- volume coercion -----------------------------------------------------------

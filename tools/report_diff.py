@@ -68,7 +68,9 @@ COMMANDS = [
                         "--points", "3")),
     ("verify randers", (*_VERIFY, "--metric", "randers")),
     ("verify randers bh", (*_VERIFY, "--metric", "randers", "--volume", "bh")),
-    ("verify randers csv", (*_VERIFY, "--metric", "randers", "--format", "csv")),
+    # csv has no rows for per-point records, so --per-point is refused with it
+    ("verify randers csv", ("verify", "--points", "3", "--metric", "randers",
+                            "--format", "csv")),
     ("verify randers explicit", (*_VERIFY, "--metric", "randers",
                                  "--volume", "explicit:exp(x1)")),
     # a surface, where weyl-divergence and flatness-equivalence do not apply
@@ -126,6 +128,15 @@ COMMANDS = [
     # and so does one whose expression is undefined at a sampled point
     ("verify funk explicit:sqrt(x1)", ("verify", "--metric", "funk", "--volume",
                                        "explicit:sqrt(x1)", "--points", "2")),
+    # a metric whose F^2 is not homogeneous fails its checks at the pinned thresholds,
+    # and no flag moves them
+    ("verify square literal", (*_VERIFY, "--metric", "square-metric",
+                               "--param", "literal_inner=true")),
+    ("verify randers tol-jet", ("verify", "--metric", "randers", "--tol-jet", "1e300",
+                                "--points", "1")),
+    # an expression nested deeper than the parser's own limit exits 2
+    ("eval funk deep explicit", ("eval", "--metric", "funk", "--points", "1", "--volume",
+                                 "explicit:" + "+".join(["x1"] * 600))),
 ]
 
 
