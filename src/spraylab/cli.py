@@ -27,8 +27,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import MetricSpec
-from .errors import ConfigError, DegreeBudgetError, SprayLabError, degree_too_low
-from .geometry import DEFAULT_DEGREE
+from .errors import ConfigError, SprayLabError
 from .measures import VolumeForm, as_volume, split_volume
 from .projective import WO_ROUTES, PointContext
 from .verify import identity_suite, theorem_check, theorem_names, theorem_summary
@@ -59,7 +58,6 @@ class RunConfig:
     points: int = 20
     seed: int = 0
     box: tuple[str, float] | None = None
-    degree: int = DEFAULT_DEGREE
     fmt: str = "json-lines"
 
     def metric_spec(self) -> MetricSpec:
@@ -166,8 +164,6 @@ _SETTINGS = {
                             f"sampler seed (default {RunConfig.seed})"),
     "points.box": _Setting("--box", "box", _parse_box, _SAMPLED, "KIND:SIZE",
                            "sampling box, for example cube:0.5 or ball:0.6"),
-    "degree": _Setting("--degree", "degree", _parse_int, _RUNS, "N",
-                       f"jet truncation degree (default {DEFAULT_DEGREE})"),
     "format": _Setting("--format", "fmt", _parse_format, _ALL, "FORMAT",
                        "output format: json-lines (default) or csv"),
 }
@@ -354,7 +350,7 @@ def _cmd_verify(args) -> tuple[str, int]:
             raise ConfigError(f"--checks list has an empty entry: {args.checks!r}")
     report = identity_suite(
         cfg.metric_spec(), cfg.volume(), points=cfg.points, seed=cfg.seed,
-        degree=cfg.degree, box=cfg.box, checks=checks,
+        box=cfg.box, checks=checks,
     )
     return _report_output("verify", report, cfg.fmt, args.per_point)
 
@@ -365,12 +361,13 @@ def _cmd_theorem(args) -> tuple[str, int]:
     cfg = parse_config(args.config, args, given)
     volume = cfg.volume() if "volume.kind" in given else None
     report = theorem_check(args.name, points=cfg.points if "points.count" in given else None,
-                           seed=cfg.seed, degree=cfg.degree, volume=volume)
+                           seed=cfg.seed, volume=volume)
     return _report_output("theorem", report, cfg.fmt, args.per_point)
 
 
-def _eval_point(obj, volume, point, degree, index) -> dict:
-    ctx = PointContext(obj, volume, point, degree)
+def _eval_point(obj, volume, point, index) -> dict:
+    # every W^o route is read, so the jets are of the default degree
+    ctx = PointContext(obj, volume, point)
     st, ms, ps = ctx.stack, ctx.measure, ctx.proj
     # F is a plain float read: a spray that is not a metric's own builds no frame
     fsq = None if ctx.metric is None else ctx.metric.fsq_at(list(point.x))(list(point.y))
@@ -403,11 +400,7 @@ def _cmd_eval(args) -> tuple[str, int]:
     obj = catalog.build(cfg.metric_spec())
     volume = cfg.volume()
     points = catalog.sample(obj, count=cfg.points, seed=cfg.seed, box=cfg.box)
-    try:
-        records = [_eval_point(obj, volume, point, cfg.degree, idx)
-                   for idx, point in enumerate(points)]
-    except DegreeBudgetError as exc:
-        raise degree_too_low(cfg.degree, "eval", exc) from None
+    records = [_eval_point(obj, volume, point, idx) for idx, point in enumerate(points)]
     # csv has one column per route
     rows = [{**rec, **{f"{kind}.{route}": value for kind in ("W", "Wo")
                        for route, value in rec[kind].items()}} for rec in records]

@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import jets
-from .errors import AdmissibilityError, ConfigError, JetDomainError
+from .errors import AdmissibilityError, ConfigError, JetDomainError, SprayLabError
 from .expressions import as_field
 from .geometry import FinslerMetric, SprayStack
 from .jets import Jet
@@ -169,23 +169,29 @@ def bh_density(metric: FinslerMetric, x, nodes: int = BH_NODES, degree: int = 3,
     ``BH_AGREE * max(1, max|coeff|)``; the finer rule is returned.  The
     rules converge spectrally (Trefethen & Weideman, SIAM Review 56(3),
     2014), so the returned rule's error is of the order of the square of
-    that change.  When
-    ``rules`` is a list, ``(nodes, change)`` of the returned rule is
-    appended to it; ``change`` is None when only one rule ran.
+    that change.  When ``rules`` is a list, ``(nodes, change)`` of the last
+    rule is appended to it; ``change`` is None when only one rule ran.  A
+    rule that reaches ``nodes`` with its change still above the stop then
+    raises SprayLabError, since its error has no bound.
     """
     _check_rule(metric.dim, nodes)
     used = min(BH_FIRST_NODES, nodes)
     density = _bh_rule(metric, x, used, degree)
-    change = None
+    change = limit = None
     while used < nodes:
         used = min(2 * used, nodes)
         finer = _bh_rule(metric, x, used, degree)
         change = float(np.abs(finer.coeffs - density.coeffs).max())
         density = finer
-        if change <= BH_AGREE * max(1.0, float(np.abs(finer.coeffs).max())):
+        limit = BH_AGREE * max(1.0, float(np.abs(finer.coeffs).max()))
+        if change <= limit:
             break
     if rules is not None:
         rules.append((used, change))
+    if change is not None and change > limit:
+        raise SprayLabError(f"{metric.name}: the Busemann-Hausdorff density did not converge at "
+                            f"x = {tuple(x)}: its {used}-node rule changed ln sigma by "
+                            f"{change:.3g}, above the stop {limit:.3g}")
     return density
 
 
@@ -227,10 +233,16 @@ class VolumeForm:
             except JetDomainError as exc:
                 raise AdmissibilityError(f"volume {self.describe()} is not defined at "
                                          f"x = {tuple(x)}: {exc}") from None
-            if not sigma.value() > 0.0:
-                raise AdmissibilityError(f"volume {self.describe()} is not positive at "
-                                         f"x = {tuple(x)}: sigma = {sigma.value()!r}")
-            return jets.log(sigma)
+            value = sigma.value()
+            lnsigma = jets.log(sigma) if value > 0.0 and np.isfinite(sigma.coeffs).all() else None
+            # a finite positive sigma can still have derivatives that overflow in ln sigma
+            if lnsigma is None or not np.isfinite(lnsigma.coeffs).all():
+                why = ("has no finite value" if not math.isfinite(value)
+                       else "is not positive" if not value > 0.0
+                       else "has no finite jet of ln sigma")
+                raise AdmissibilityError(f"volume {self.describe()} {why} at "
+                                         f"x = {tuple(x)}: sigma = {value!r}")
+            return lnsigma
         if metric is None:
             raise ConfigError("Busemann-Hausdorff volume needs a metric spray")
         return bh_density(metric, x, degree=degree, rules=rules)

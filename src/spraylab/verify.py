@@ -19,8 +19,9 @@ FloatingPointError) gives one infinite residual under its label, and the
 run continues.  A ConfigError ends the run, and so does an
 AdmissibilityError: a point outside the metric's own gates (its chart,
 F^2 > 0, a positive definite fundamental tensor) or where the volume's sigma
-is not positive.  A DegreeBudgetError becomes a ConfigError naming the
-degree and the check or theorem it starved.
+is not finite and positive.  Jets are of the largest ``degree`` the checks
+declare, or ``DEFAULT_DEGREE`` for a theorem, so a DegreeBudgetError is a
+declaration too low: a domain error of its source.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import MetricSpec
-from .errors import (AdmissibilityError, ConfigError, DegreeBudgetError, SprayLabError,
-                     degree_too_low)
+from .errors import AdmissibilityError, ConfigError, SprayLabError
 from .geometry import (DEFAULT_DEGREE, FinslerMetric, MetricFrame, PerturbedSpray,
                        SprayStack, TangentPoint, as_spray)
 from .jets import Jet
@@ -164,6 +164,8 @@ def _spread(vals) -> tuple[float, float]:
 class IdentityCheck:
     name: str
     fn: Callable[[PointContext], tuple[float, float]]
+    # the lowest input degree whose jets keep every order ``fn`` reads
+    degree: int
     uses_measure: bool = False
     # the class the context's metric must be, if the check reads one
     needs: type | None = None
@@ -494,49 +496,49 @@ def _flatness_equivalence(ctx):
 
 
 REGISTRY: tuple[IdentityCheck, ...] = (
-    IdentityCheck("euler-metric", _euler_metric, needs=FinslerMetric),
-    IdentityCheck("euler-fundamental", _euler_fundamental, needs=FinslerMetric),
-    IdentityCheck("euler-spray", _euler_spray),
-    IdentityCheck("euler-nonlinear", _euler_nonlinear),
-    IdentityCheck("berwald-y-kill", _berwald_y_kill),
-    IdentityCheck("rik-y-kill", _rik_y_kill),
-    IdentityCheck("r3-contract", _r3_contract),
-    IdentityCheck("r4-contract", _r4_contract),
-    IdentityCheck("t-traceless", _t_traceless),
-    IdentityCheck("t-y-kill", _t_y_kill),
-    IdentityCheck("riemannian-berwald", _riemannian_berwald, needs=catalog.Riemannian),
-    IdentityCheck("y-parallel", _y_parallel),
-    IdentityCheck("ricci-exchange-1", _ricci_exchange_1),
-    IdentityCheck("ricci-exchange-2", _ricci_exchange_2),
-    IdentityCheck("ricci-exchange-3", _ricci_exchange_3),
-    IdentityCheck("bianchi-contracted", _bianchi_contracted),
-    IdentityCheck("s-homogeneous", _s_homogeneous, uses_measure=True),
-    IdentityCheck("tau-homogeneous", _tau_homogeneous, uses_measure=True),
-    IdentityCheck("chi-y-kill", _chi_y_kill),
-    IdentityCheck("chi-routes", _chi_routes, uses_measure=True),
-    IdentityCheck("s-volume-change", _s_volume_change, uses_measure=True),
-    IdentityCheck("hat-ricci-scalar", _hat_ricci_scalar, uses_measure=True),
-    IdentityCheck("hat-ricci-tensor", _hat_ricci_tensor, uses_measure=True),
-    IdentityCheck("chi-compact-form", _chi_compact_form, uses_measure=True),
-    IdentityCheck("hat-s-zero", _hat_s_zero, uses_measure=True),
-    IdentityCheck("hat-chi-zero", _hat_chi_zero, uses_measure=True),
-    IdentityCheck("hat-nonlinear", _hat_nonlinear, uses_measure=True),
-    IdentityCheck("hat-berwald", _hat_berwald, uses_measure=True),
-    IdentityCheck("hat-scalar-transfer", _hat_scalar_transfer, uses_measure=True),
-    IdentityCheck("hat-frame-transfer", _hat_frame_transfer, uses_measure=True),
-    IdentityCheck("weyl-routes", _weyl_routes, uses_measure=True),
-    IdentityCheck("weyl-traceless", _weyl_traceless, uses_measure=True),
-    IdentityCheck("weyl-y-kill", _weyl_y_kill, uses_measure=True),
-    IdentityCheck("weyl-2d", _weyl_2d, uses_measure=True, only_dim=2),
-    IdentityCheck("wo-routes", _wo_routes, uses_measure=True),
-    IdentityCheck("wo-rewrite", _wo_rewrite, uses_measure=True),
-    IdentityCheck("wo-y-kill", _wo_y_kill, uses_measure=True),
-    IdentityCheck("ricci-divergence", _ricci_divergence),
-    IdentityCheck("weyl-divergence", _weyl_divergence, min_dim=3),
-    IdentityCheck("projective-invariance", _projective_invariance, uses_measure=True),
-    IdentityCheck("flatness-equivalence", _flatness_equivalence,
+    IdentityCheck("euler-metric", _euler_metric, 1, needs=FinslerMetric),
+    IdentityCheck("euler-fundamental", _euler_fundamental, 2, needs=FinslerMetric),
+    IdentityCheck("euler-spray", _euler_spray, 3),
+    IdentityCheck("euler-nonlinear", _euler_nonlinear, 4),
+    IdentityCheck("berwald-y-kill", _berwald_y_kill, 5),
+    IdentityCheck("rik-y-kill", _rik_y_kill, 4),
+    IdentityCheck("r3-contract", _r3_contract, 5),
+    IdentityCheck("r4-contract", _r4_contract, 6),
+    IdentityCheck("t-traceless", _t_traceless, 5),
+    IdentityCheck("t-y-kill", _t_y_kill, 5),
+    IdentityCheck("riemannian-berwald", _riemannian_berwald, 5, needs=catalog.Riemannian),
+    IdentityCheck("y-parallel", _y_parallel, 4),
+    IdentityCheck("ricci-exchange-1", _ricci_exchange_1, 6),
+    IdentityCheck("ricci-exchange-2", _ricci_exchange_2, 6),
+    IdentityCheck("ricci-exchange-3", _ricci_exchange_3, 6),
+    IdentityCheck("bianchi-contracted", _bianchi_contracted, 6),
+    IdentityCheck("s-homogeneous", _s_homogeneous, 4, uses_measure=True),
+    IdentityCheck("tau-homogeneous", _tau_homogeneous, 5, uses_measure=True),
+    IdentityCheck("chi-y-kill", _chi_y_kill, 5),
+    IdentityCheck("chi-routes", _chi_routes, 6, uses_measure=True),
+    IdentityCheck("s-volume-change", _s_volume_change, 3, uses_measure=True),
+    IdentityCheck("hat-ricci-scalar", _hat_ricci_scalar, 5, uses_measure=True),
+    IdentityCheck("hat-ricci-tensor", _hat_ricci_tensor, 5, uses_measure=True),
+    IdentityCheck("chi-compact-form", _chi_compact_form, 5, uses_measure=True),
+    IdentityCheck("hat-s-zero", _hat_s_zero, 4, uses_measure=True),
+    IdentityCheck("hat-chi-zero", _hat_chi_zero, 6, uses_measure=True),
+    IdentityCheck("hat-nonlinear", _hat_nonlinear, 4, uses_measure=True),
+    IdentityCheck("hat-berwald", _hat_berwald, 5, uses_measure=True),
+    IdentityCheck("hat-scalar-transfer", _hat_scalar_transfer, 5, uses_measure=True),
+    IdentityCheck("hat-frame-transfer", _hat_frame_transfer, 4, uses_measure=True),
+    IdentityCheck("weyl-routes", _weyl_routes, 6, uses_measure=True),
+    IdentityCheck("weyl-traceless", _weyl_traceless, 6, uses_measure=True),
+    IdentityCheck("weyl-y-kill", _weyl_y_kill, 6, uses_measure=True),
+    IdentityCheck("weyl-2d", _weyl_2d, 6, uses_measure=True, only_dim=2),
+    IdentityCheck("wo-routes", _wo_routes, 7, uses_measure=True),
+    IdentityCheck("wo-rewrite", _wo_rewrite, 7, uses_measure=True),
+    IdentityCheck("wo-y-kill", _wo_y_kill, 7, uses_measure=True),
+    IdentityCheck("ricci-divergence", _ricci_divergence, 6),
+    IdentityCheck("weyl-divergence", _weyl_divergence, 6, min_dim=3),
+    IdentityCheck("projective-invariance", _projective_invariance, 7, uses_measure=True),
+    IdentityCheck("flatness-equivalence", _flatness_equivalence, 7,
                   uses_measure=True, min_dim=3),
-    IdentityCheck("geodesic-spray", _geodesic_spray, needs=FinslerMetric),
+    IdentityCheck("geodesic-spray", _geodesic_spray, 3, needs=FinslerMetric),
 )
 
 
@@ -560,15 +562,15 @@ def _resolve_points(obj, points, seed, box):
     return pts, None
 
 
-def identity_suite(spec, volume=None, points=20, *, seed=0, degree=DEFAULT_DEGREE, box=None,
+def identity_suite(spec, volume=None, points=20, *, seed=0, box=None,
                    checks=None) -> SuiteReport:
     """Run every applicable registered identity at sampled points.
 
     ``spec`` may be a family name, a MetricSpec, a metric, or a spray;
     ``points`` is a sample count or an explicit list of tangent points, and
     ``checks`` a non-empty selection of registered names.  Errors at a point
-    follow the policy of the module docstring.  The default jet degree is
-    the smallest that feeds every registered identity.
+    follow the policy of the module docstring.  The jets are computed at
+    the largest degree that the checks which apply declare.
     """
     obj = as_spray(catalog.build(spec) if isinstance(spec, (str, MetricSpec)) else spec)
     volume = as_volume(volume)
@@ -590,7 +592,8 @@ def identity_suite(spec, volume=None, points=20, *, seed=0, degree=DEFAULT_DEGRE
     volume.validate(obj.dim)
     sources = [_check_source(c, volume.uses_quadrature and c.uses_measure)
                for c in applicable]
-    return _run(obj.name, [volume], seed, degree, [(obj, pts, sources)], "check")
+    degree = max(c.degree for c in applicable)
+    return _run(obj.name, [volume], seed, degree, [(obj, pts, sources)])
 
 
 def _check_source(check: IdentityCheck, quad: bool) -> tuple:
@@ -598,11 +601,10 @@ def _check_source(check: IdentityCheck, quad: bool) -> tuple:
     return check.name, quad, lambda ctx: [(check.name, *check.fn(ctx), quad)]
 
 
-def _run(name: str, volumes: list[VolumeForm], seed, degree: int, fixtures,
-         kind: str) -> SuiteReport:
+def _run(name: str, volumes: list[VolumeForm], seed, degree: int, fixtures) -> SuiteReport:
     """The report of every source ``(label, quad, rows)`` at every point of each
-    ``(spray, points, sources)``; ``rows(ctx)`` gives (label, residual, scale, quad)
-    rows, and ``kind`` with the label names a source in a degree error."""
+    ``(spray, points, sources)``, with jets of input ``degree``; ``rows(ctx)`` gives
+    (label, residual, scale, quad) rows."""
     tol = Tolerances()
     groups: dict[str, list[CheckResult]] = {}
     rules = []
@@ -614,8 +616,6 @@ def _run(name: str, volumes: list[VolumeForm], seed, degree: int, fixtures,
                     found = rows(ctx)
                 except (ConfigError, AdmissibilityError):
                     raise
-                except DegreeBudgetError as exc:
-                    raise degree_too_low(degree, f"{kind} {label}", exc) from None
                 except (SprayLabError, FloatingPointError):
                     found = [(label, math.inf, 1.0, quad)]
                 for row, residual, scale, row_quad in found:
@@ -800,8 +800,7 @@ def theorem_summary(name: str) -> str:
     return _theorem(name).summary
 
 
-def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
-                  volume=None) -> SuiteReport:
+def theorem_check(name: str, *, points=None, seed=0, volume=None) -> SuiteReport:
     """Run one named conclusion on its catalog fixtures, one context per point.
 
     ``points`` replaces each fixture's count.  ``volume`` replaces the default
@@ -826,4 +825,4 @@ def theorem_check(name: str, *, points=None, seed=0, degree=DEFAULT_DEGREE,
         pts = catalog.sample(metric, count=count, seed=seed + fixture.seed_offset)
         source = (name, quad, lambda ctx, rows=fixture.rows: rows(ctx, volumes))
         fixtures.append((metric, pts, [source]))
-    return _run(name, volumes, seed, degree, fixtures, "theorem")
+    return _run(name, volumes, seed, DEFAULT_DEGREE, fixtures)

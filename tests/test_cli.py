@@ -22,7 +22,7 @@ import spraylab
 from spraylab import cli, geometry, jets, measures, projective
 from spraylab.cli import RunConfig, main, parse_config
 from spraylab.errors import ConfigError
-from spraylab.verify import check_names, theorem_names
+from spraylab.verify import REGISTRY, check_names, theorem_names
 
 
 def run_cli(capsys, *argv):
@@ -42,7 +42,6 @@ def test_defaults():
     cfg = parse_config()
     assert cfg.metric_family == "euclidean"
     assert cfg.points == 20 and cfg.seed == 0
-    assert cfg.degree == 7
     assert cfg.fmt == "json-lines"
 
 
@@ -54,8 +53,7 @@ def test_defaults_have_one_home_and_the_help_names_them(capsys):
         assert code == 0
         for phrase in (f"sample count (eval, verify: default {RunConfig.points}; "
                        "theorem: each fixture's own)",
-                       f"sampler seed (default {RunConfig.seed})",
-                       f"jet truncation degree (default {RunConfig.degree})"):
+                       f"sampler seed (default {RunConfig.seed})"):
             assert phrase in text
 
 
@@ -70,7 +68,6 @@ def test_config_file_keys(tmp_path):
         "points.count = 5\n"
         "points.seed = 7\n"
         "points.box = cube:0.3\n"
-        "degree = 6\n"
         "format = csv\n"
     )
     cfg = parse_config(path)
@@ -79,14 +76,14 @@ def test_config_file_keys(tmp_path):
     assert cfg.volume().kind == "busemann-hausdorff"
     assert cfg.points == 5 and cfg.seed == 7
     assert cfg.box == ("cube", 0.3)
-    assert cfg.degree == 6
     assert cfg.fmt == "csv"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
-    # the pass thresholds are constants of the library, so no key sets them
+    # the pass thresholds are constants of the library, and a run's jet degree
+    # is the largest its checks declare, so no key sets them
     path = tmp_path / "run.cfg"
-    for key, value in (("volume.shape", "round"), ("tol.jet", "1e-7")):
+    for key, value in (("volume.shape", "round"), ("tol.jet", "1e-7"), ("degree", "7")):
         path.write_text(f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"^unknown config key {key!r}$"):
             parse_config(path)
@@ -148,7 +145,6 @@ _LAYERED = {
     "seed": ("points.seed", "--seed", ["7", "11"], ["2", "11"], int),
     "box": ("points.box", "--box", ["cube:0.3", "ball:0.5"], ["cube:0.1", "ball:0.5"],
             lambda text: (text.split(":")[0], float(text.split(":")[1]))),
-    "degree": ("degree", "--degree", ["5", "6"], ["4", "6"], int),
     "fmt": ("format", "--format", ["csv", "json-lines"], ["json-lines", "csv"], str),
 }
 # family parameter texts and the values their literals parse to
@@ -194,7 +190,7 @@ def test_flags_layer_over_file_over_defaults(tmp_path, drawn, file_params, flag_
 _BAD_TEXTS = {
     "metric.family": "klein", "metric.dim": "three", "metric.<name>": "[oops",
     "volume.kind": "lebesgue", "points.count": "many",
-    "points.seed": "1.5", "points.box": "everywhere", "degree": "high", "format": "xml",
+    "points.seed": "1.5", "points.box": "everywhere", "format": "xml",
 }
 
 
@@ -223,13 +219,12 @@ def test_points_flag_with_a_bad_count_names_the_flag(capsys):
 
 # the flags each subcommand offers: those of the settings it reads
 _EVAL_FLAGS = {"--config", "--metric", "--dim", "--param", "--volume", "--points",
-               "--seed", "--box", "--degree", "--format"}
+               "--seed", "--box", "--format"}
 _FLAGS = {
     "list": {"--config", "--format"},
     "eval": _EVAL_FLAGS,
     "verify": _EVAL_FLAGS | {"--checks", "--per-point"},
-    "theorem": {"--config", "--volume", "--points", "--seed", "--degree",
-                "--format", "--per-point"},
+    "theorem": {"--config", "--volume", "--points", "--seed", "--format", "--per-point"},
 }
 
 
@@ -239,7 +234,7 @@ def test_each_subcommand_offers_only_the_flags_it_reads():
     offered = {command: {flag for action in parser._actions for flag in action.option_strings}
                - {"-h", "--help"} for command, parser in sub.choices.items()}
     assert offered == _FLAGS
-    assert sum(map(len, offered.values())) == 31
+    assert sum(map(len, offered.values())) == 28
 
 
 def test_parser_is_built_once():
@@ -260,6 +255,10 @@ def test_parser_is_built_once():
     ("verify", "--tol-quad", "1e300"),
     ("verify", "--floor", "1e300"),
     ("theorem", "thm12", "--floor", "1e300"),
+    # a run's jet degree is the largest its checks declare
+    ("eval", "--degree", "7"),
+    ("verify", "--degree", "7"),
+    ("theorem", "thm12", "--degree", "7"),
 ])
 def test_flag_the_subcommand_does_not_read_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--points", "1")
@@ -586,20 +585,6 @@ def test_bad_family_parameter_exits_two(tmp_path, argv, key):
     assert argv[argv.index("--metric") + 1] in line
 
 
-@pytest.mark.parametrize("argv, starved", [
-    (("verify", "--metric", "funk", "--dim", "4", "--points", "1", "--degree", "6"),
-     "degree 6 is too low for check wo-routes: "),
-    (("theorem", "thm12", "--points", "1", "--degree", "6"),
-     "degree 6 is too low for theorem thm12: "),
-    (("eval", "--metric", "funk", "--dim", "3", "--points", "1", "--degree", "5"),
-     "degree 5 is too low for eval: "),
-])
-def test_degree_too_low_exits_two(tmp_path, argv, starved):
-    # a starved check is a configuration error, not a failed check with an
-    # "inf" residual, and the line names the degree and what ran out
-    assert _config_error_line(tmp_path, argv).startswith(f"error: {starved}")
-
-
 _LNSIGMA_RUNS = {
     "verify-bh": ("verify", "--metric", "randers", "--dim", "3", "--volume", "bh",
                   "--points", "2", "--per-point"),
@@ -633,14 +618,21 @@ def test_lnsigma_orders_above_the_asked_x_degree_are_never_read(monkeypatch, cap
     assert asked and set(asked) == {projective.LNSIGMA_XDEGREE}
 
 
-@pytest.mark.parametrize("name, starved", [("verify-bh", "check wo-routes"), ("eval-bh", "eval"),
-                                           ("verify-explicit", "check wo-routes")])
-def test_one_x_order_fewer_of_lnsigma_exits_two(monkeypatch, capsys, name, starved):
+@pytest.mark.parametrize("name", list(_LNSIGMA_RUNS))
+def test_one_x_order_fewer_of_lnsigma_starves_w_o(monkeypatch, capsys, name):
+    # a starved jet is a domain error: verify fails the checks that read W^o
+    # with an infinite residual, and eval, which prints W^o, exits 2
     monkeypatch.setattr(projective, "LNSIGMA_XDEGREE", projective.LNSIGMA_XDEGREE - 1)
     code, out, err = run_cli(capsys, *_LNSIGMA_RUNS[name])
-    assert (code, out) == (2, "")
-    assert err == (f"error: degree 7 is too low for {starved}: "
-                   "no exact first-order x coefficients left\n")
+    if name.startswith("eval"):
+        assert (code, out) == (2, "")
+        assert err == "error: no exact first-order x coefficients left\n"
+        return
+    assert (code, err) == (1, "")
+    failed = {rec["check"]: rec for rec in json_records(out)
+              if rec["record"] == "check" and not rec["pass"]}
+    assert {"wo-routes", "wo-rewrite", "wo-y-kill"} <= set(failed)
+    assert all(rec["residual"] == "inf" for rec in failed.values())
 
 
 def test_unread_family_parameter_names_the_ones_it_takes(capsys):
@@ -712,8 +704,8 @@ def test_point_count_below_one_exits_two(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, limit", [
-    (("eval", "--degree", "11"), "degree"),
     (("eval", "--dim", "7"), "variables"),
+    (("verify", "--dim", "7"), "variables"),
 ])
 def test_ring_limits_exit_two(capsys, argv, limit):
     code, _, err = run_cli(capsys, *argv, "--points", "1")
@@ -723,20 +715,19 @@ def test_ring_limits_exit_two(capsys, argv, limit):
 
 def test_oversized_ring_exits_two_before_it_is_built(capsys, monkeypatch):
     # a lowered budget and a fresh ring cache, so the refused ring is one no
-    # other test has cached: ring(4, 9) has C(2*4 + 9, 9) = 24,310 pairs
-    monkeypatch.setattr(jets, "MAX_MUL_PAIRS", 24_309)
+    # other test has cached: ring(4, 7) has C(2*4 + 7, 7) = 6,435 pairs
+    monkeypatch.setattr(jets, "MAX_MUL_PAIRS", 6_434)
     monkeypatch.setattr(jets, "ring", functools.lru_cache(maxsize=None)(jets.PolyRing))
     code, out, err = run_cli(capsys, "eval", "--metric", "euclidean", "--dim", "2",
-                             "--degree", "9", "--points", "1")
+                             "--points", "1")
     assert code == 2 and out == ""
-    assert err == ("error: jet ring(4, 9) needs 24,310 multiply pairs, more than the "
-                   "budget of 24,309; lower the degree or the dimension\n")
+    assert err == ("error: jet ring(4, 7) needs 6,435 multiply pairs, more than the "
+                   "budget of 6,434; lower the degree or the dimension\n")
 
 
 _DRAWN_FLAGS = {
     "--metric": ["euclidean", "round-sphere", "randers", "klein"],
     "--dim": ["2", "3", "7"],
-    "--degree": ["0", "3", "7", "11"],
     "--volume": ["coordinate", "bh", "explicit:x1", "lebesgue"],
 }
 
@@ -962,6 +953,47 @@ def test_nonpositive_constant_density(capsys, sigma):
             code, out, err = run_cli(capsys, *command, "--points", "2", "--volume", volume)
             assert code == 2 and out == ""
             assert re.fullmatch(rf"error: volume {re.escape(volume)} is {why}\n", err), err
+
+
+@pytest.mark.parametrize("sigma, why", [
+    # sigma overflows to inf, and inf - inf is NaN; both were printed as "nan"
+    # curvatures or read "not positive"
+    ("exp(exp(exp(exp(exp(x1+3)))))", r"has no finite value at {x}: sigma = inf"),
+    ("exp(exp(exp(exp(exp(x1+3)))))-exp(exp(exp(exp(exp(x1+3)))))",
+     r"has no finite value at {x}: sigma = nan"),
+    # a finite sigma whose third derivative overflows
+    ("2+sin(1e110*x1)", r"has no finite jet of ln sigma at {x}: sigma = 2\.\d+"),
+], ids=["inf", "nan", "overflowing-jet"])
+def test_explicit_density_with_no_finite_jet_exits_two(capsys, sigma, why):
+    x = r"x = \(\S+, \S+, \S+\)"
+    volume = f"explicit:{sigma}"
+    for command in (("eval", "--metric", "funk"), ("verify", "--metric", "funk"),
+                    ("theorem", "thm12")):
+        code, out, err = run_cli(capsys, *command, "--points", "1", "--volume", volume)
+        assert code == 2 and out == ""
+        assert re.fullmatch(rf"error: volume {re.escape(volume)} {why.format(x=x)}\n", err), err
+
+
+_UNCONVERGED_BH = ("--metric", "riemannian", "--dim", "3", "--volume", "bh", "--points", "3",
+                   "--param", 'matrix=[["1","0","0"],["0","1","0"],["0","0","100*(1+x1)"]]')
+
+
+def test_an_unconverged_bh_density_fails_the_run(capsys):
+    # the 64-node rule of this anisotropic metric still moves ln sigma by 0.26:
+    # every check that reads the density fails, and the run record shows the rule
+    code, out, err = run_cli(capsys, "verify", *_UNCONVERGED_BH)
+    assert (code, err) == (1, "")
+    records = json_records(out)
+    assert records[0]["bh_nodes"] == measures.BH_NODES
+    assert records[0]["bh_change"] > 1e3 * measures.BH_AGREE
+    reads = {check.name for check in REGISTRY if check.uses_measure and check.applies(None, 3)}
+    failed = {rec["check"] for rec in records if rec["record"] == "check" and not rec["pass"]}
+    assert failed == reads
+    code, out, err = run_cli(capsys, "eval", *_UNCONVERGED_BH)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: riemannian: the Busemann-Hausdorff density did not converge "
+                        r"at x = \(\S+, \S+, \S+\): its 64-node rule changed ln sigma by "
+                        r"0\.\d+, above the stop \S+\n", err), err
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -1,5 +1,6 @@
 """The documentation runs against the library as shipped."""
 
+import argparse
 import ast
 import importlib.util
 import os
@@ -14,6 +15,7 @@ from types import FunctionType
 import pytest
 
 import spraylab
+from spraylab.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -48,6 +50,29 @@ def test_readme_cli_line_runs(line):
     proc = subprocess.run([sys.executable, "-m", "spraylab", *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_flag_table_is_the_parser():
+    # each row's flag under "yes" for every subcommand that offers it, and the count
+    header = "| flag | config key | `list` | `eval` | `verify` | `theorem` |"
+    lines = README[README.index(header):].splitlines()
+    commands = [cell.strip(" `") for cell in header.strip("|").split("|")][2:]
+    documented = {command: set() for command in commands}
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line.strip("|"))]
+        flag = re.match(r"`(--[a-z-]+)", cells[0]).group(1)
+        for command, cell in zip(commands, cells[2:]):
+            if cell == "yes":
+                documented[command].add(flag)
+    sub, = (action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    offered = {command: {flag for action in parser._actions for flag in action.option_strings}
+               - {"-h", "--help"} for command, parser in sub.choices.items()}
+    assert documented == offered
+    count = int(re.search(r"offers only the flags it reads \((\d+) in all\)", README).group(1))
+    assert count == sum(map(len, offered.values()))
 
 
 def test_star_import_binds_every_public_name():

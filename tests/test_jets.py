@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -318,6 +319,16 @@ def test_width_must_be_an_order_of_the_ring():
     for width in (0, 4, 11):
         with pytest.raises(ValueError, match=rf"width {width} .*ring\(2, 3\)"):
             jets.Jet(r, np.zeros((2, width)), 0)
+
+
+@pytest.mark.parametrize("nvars, degree, limit", [
+    (2, 0, "degree"), (2, 11, "degree"), (0, 3, "variables"), (13, 1, "variables"),
+])
+def test_ring_outside_its_limits_is_refused(nvars, degree, limit):
+    message = {"degree": f"jet degree must be in 1..{jets.MAX_DEGREE}, got {degree}",
+               "variables": f"jet ring needs 1..{jets.MAX_VARS} variables"}[limit]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        jets.PolyRing(nvars, degree)
 
 
 def test_ring_size_is_refused_before_allocating(monkeypatch):

@@ -21,7 +21,7 @@ import pytest
 import spraylab
 from spraylab import catalog, jets, measures
 from spraylab.catalog import MetricSpec, build, sample
-from spraylab.errors import AdmissibilityError, ConfigError
+from spraylab.errors import AdmissibilityError, ConfigError, SprayLabError
 from spraylab.geometry import FinslerMetric, MetricFrame, TangentPoint
 from spraylab.measures import (
     VolumeForm,
@@ -324,6 +324,20 @@ def test_bh_density_at_sixteen_nodes_is_one_fixed_rule():
     got = bh_density(metric, x, nodes=16, degree=5, rules=rules)
     assert rules == [(16, None)]
     assert np.array_equal(got.coeffs, _bh_rule(metric, x, 16, 5).coeffs)
+
+
+def test_an_unconverged_bh_density_raises_after_it_reports_its_rule():
+    # g_33 = 100 (1 + x1) makes the indicatrix a needle that 64 nodes per
+    # angle do not resolve; a density with no error bound is a domain error
+    metric = build(MetricSpec("riemannian", 3, {
+        "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "100*(1+x1)"]]}))
+    x = sample(metric, count=1, seed=0)[0].x
+    rules = []
+    with pytest.raises(SprayLabError, match="did not converge") as info:
+        bh_density(metric, x, degree=LNSIGMA_XDEGREE, rules=rules)
+    assert not isinstance(info.value, (ConfigError, AdmissibilityError))
+    [(nodes, change)] = rules
+    assert nodes == measures.BH_NODES and change > 1e3 * measures.BH_AGREE
 
 
 @pytest.mark.parametrize("family, dim", [("randers", 3), ("funk", 4)])

@@ -14,7 +14,7 @@ from spraylab.catalog import MetricSpec
 from spraylab.cli import main
 from spraylab.errors import (AdmissibilityError, ConfigError, DegreeBudgetError,
                              JetDomainError)
-from spraylab.geometry import MetricFrame, TangentPoint, stack_for
+from spraylab.geometry import DEFAULT_DEGREE, MetricFrame, TangentPoint, as_spray, stack_for
 from spraylab.measures import BH_AGREE, VolumeForm
 from spraylab.projective import PointContext, ProjectiveStack
 from spraylab.verify import (REGISTRY, Tolerances, as_volume,
@@ -125,11 +125,77 @@ def test_suite_refuses_what_is_not_a_spray():
         identity_suite(42)
 
 
-def test_suite_refuses_a_degree_too_low_for_a_check():
-    # degree 5 starves the deeper identities: that is a configuration error
-    # naming the check and the degree, not a failed check
-    with pytest.raises(ConfigError, match=r"^degree 5 is too low for check [a-z0-9-]+: "):
-        identity_suite("randers", points=2, degree=5)
+# (metric or spray, volume) fixtures that between them run every registered check
+DEMAND_FIXTURES = {
+    "funk3-coordinate": (MetricSpec("funk", 3), "coordinate"),
+    "randers3-bh": (MetricSpec("randers", 3), "bh"),
+    "hyperbolic-ball3-explicit": (MetricSpec("hyperbolic-ball", 3), "explicit:exp(0.1*x1)"),
+    "perturbed-randers3-explicit": (
+        MetricSpec("projective-perturbation", 3,
+                   {"base": "randers", "oneform": ["0.1*x1", "0", "0.05*x2"]}),
+        "explicit:exp(0.1*x1)"),
+    "conformal-flat-2d-bh": (MetricSpec("conformal-flat-2d", 2), "bh"),
+}
+
+
+def _demand_fixture(name):
+    spec, volume = DEMAND_FIXTURES[name]
+    spray = as_spray(catalog.build(spec))
+    [point] = catalog.sample(spray, count=1, seed=0)
+    return spray, as_volume(volume), point
+
+
+def test_the_demand_fixtures_run_every_check():
+    fixtures = [_demand_fixture(name)[0] for name in DEMAND_FIXTURES]
+    assert {check.name for check in REGISTRY for spray in fixtures
+            if check.applies(spray.metric, spray.dim)} == set(verify.check_names())
+
+
+@pytest.mark.parametrize("name", DEMAND_FIXTURES)
+def test_each_check_reads_exactly_the_orders_it_declares(name):
+    # a check passes on jets of its declared degree and starves one degree
+    # lower, so a run at the largest declared degree computes no order in vain
+    spray, volume, point = _demand_fixture(name)
+    tol = Tolerances()
+    # a failed read caches nothing, so one context per degree serves every check
+    contexts = {degree: PointContext(spray, volume, point, degree)
+                for degree in range(1, DEFAULT_DEGREE + 1)}
+    for check in REGISTRY:
+        if not check.applies(spray.metric, spray.dim):
+            continue
+        residual, scale = check.fn(contexts[check.degree])
+        quad = check.uses_measure and volume.uses_quadrature
+        assert residual <= tol.pick(quad) * scale + tol.floor, check.name
+        if check.degree > 1:
+            with pytest.raises(DegreeBudgetError):
+                check.fn(contexts[check.degree - 1])
+
+
+@pytest.mark.parametrize("name", theorem_names())
+def test_every_theorem_reads_the_default_degree(name):
+    # each fixture starves one degree lower, or reads nothing of the degree
+    thm = verify._THEOREMS[name]
+    volumes = [as_volume(spec) for spec in thm.volumes]
+    starved = []
+    for fixture in thm.fixtures:
+        metric = catalog.build(fixture.spec)
+        [point] = catalog.sample(metric, count=1, seed=fixture.seed_offset)
+        rows = fixture.rows(PointContext(metric, volumes[0], point), volumes)
+        try:
+            lower = fixture.rows(PointContext(metric, volumes[0], point, DEFAULT_DEGREE - 1),
+                                 volumes)
+        except DegreeBudgetError:
+            starved.append(fixture)
+            continue
+        assert lower == rows
+    assert starved
+
+
+def test_a_check_subset_runs_at_the_largest_degree_it_declares():
+    for checks, degree in ((["euler-metric"], 1), (["euler-spray", "chi-y-kill"], 5),
+                           (["chi-y-kill", "ricci-divergence"], 6),
+                           (["s-volume-change", "wo-routes"], 7), (None, DEFAULT_DEGREE)):
+        assert identity_suite("funk", points=1, checks=checks).degree == degree
 
 
 def _raise_at_second_point(fn, exc):
@@ -170,8 +236,8 @@ ERROR_POLICY = [
     (ConfigError("a bad setting"), ConfigError, r"^a bad setting$"),
     (AdmissibilityError("a point outside the chart"), AdmissibilityError,
      r"^a point outside the chart$"),
-    (DegreeBudgetError("no orders left"), ConfigError,
-     r"^degree \d+ is too low for (check|theorem) [a-z0-9-]+: no orders left$"),
+    # a declared degree too low for what its source reads
+    (DegreeBudgetError("no orders left"), None, None),
 ]
 
 

@@ -100,10 +100,10 @@ COMMANDS = [
                                "--param", "base=funk", *_ONEFORM)),
     ("eval perturbed randers bh", ("eval", "--points", "3", "--metric", "projective-perturbation",
                                    "--param", "base=randers", *_ONEFORM, "--volume", "bh")),
-    # a degree that starves a check, and a parameter the family does not read,
-    # exit 2; a number given for an expression is its constant
-    ("verify funk4 degree 6", ("verify", "--metric", "funk", "--dim", "4", "--points", "1",
-                               "--degree", "6")),
+    # the retired --degree, and a parameter the family does not read, exit 2;
+    # a number given for an expression is its constant
+    ("verify funk4 --degree 7", ("verify", "--metric", "funk", "--dim", "4", "--points", "1",
+                                 "--degree", "7")),
     ("eval funk unread param", ("eval", "--metric", "funk", "--points", "1",
                                 "--param", "nonsense=1")),
     ("eval conformal number lam", ("eval", "--metric", "conformal-flat-2d", "--points", "1",
@@ -134,6 +134,14 @@ COMMANDS = [
                                "--param", "literal_inner=true")),
     ("verify randers tol-jet", ("verify", "--metric", "randers", "--tol-jet", "1e300",
                                 "--points", "1")),
+    # a Busemann-Hausdorff density unconverged at 64 nodes fails the checks that read it
+    ("verify riemannian bh unconverged", ("verify", "--metric", "riemannian", "--dim", "3",
+                                          "--param", 'matrix=[["1","0","0"],["0","1","0"],'
+                                          '["0","0","100*(1+x1)"]]', "--volume", "bh",
+                                          "--points", "3")),
+    # an explicit sigma with no finite value at a sampled point exits 2
+    ("eval funk explicit non-finite", ("eval", "--metric", "funk", "--points", "1", "--volume",
+                                       "explicit:exp(exp(exp(exp(exp(x1+3)))))")),
     # an expression nested deeper than the parser's own limit exits 2
     ("eval funk deep explicit", ("eval", "--metric", "funk", "--points", "1", "--volume",
                                  "explicit:" + "+".join(["x1"] * 600))),
