@@ -29,7 +29,7 @@ from . import catalog
 from .catalog import MetricSpec
 from .errors import ConfigError, SprayLabError
 from .measures import VolumeForm, as_volume, split_volume
-from .projective import WO_ROUTES, PointContext
+from .projective import LNSIGMA_XDEGREE, WO_ROUTES, PointContext
 from .verify import identity_suite, theorem_check, theorem_names, theorem_summary
 
 _FORMATS = ("json-lines", "csv")
@@ -230,7 +230,20 @@ def _float_text(v: float) -> str:
     return format(v, ".17g")
 
 
+def _json_float(v: float) -> str:
+    return format(v, ".17g") if math.isfinite(v) else f'"{_float_text(v)}"'
+
+
+def _json_rows(nested, depth: int) -> str:
+    """Nested lists of floats ``depth`` deep, each innermost list one flat join."""
+    if depth == 1:
+        return "[" + ",".join(map(_json_float, nested)) + "]"
+    return "[" + ",".join(_json_rows(row, depth - 1) for row in nested) + "]"
+
+
 def _json(value) -> str:
+    if type(value) is float:  # the most common value, first
+        return _json_float(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -238,13 +251,12 @@ def _json(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v) or math.isinf(v):
-            return f'"{_float_text(v)}"'
-        return _float_text(v)
+        return _json_float(float(value))
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.ndim:
+            return _json_rows(value.tolist(), value.ndim)
         return _json(value.tolist())
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_json(v) for v in value) + "]"
@@ -366,8 +378,9 @@ def _cmd_theorem(args) -> tuple[str, int]:
 
 
 def _eval_point(obj, volume, point, index) -> dict:
-    # every W^o route is read, so the jets are of the default degree
-    ctx = PointContext(obj, volume, point)
+    # every W^o route is read, so the jets are of the default degree, and
+    # none reads more x-orders than ln sigma holds
+    ctx = PointContext(obj, volume, point, xcap=LNSIGMA_XDEGREE)
     st, ms, ps = ctx.stack, ctx.measure, ctx.proj
     # F is a plain float read: a spray that is not a metric's own builds no frame
     fsq = None if ctx.metric is None else ctx.metric.fsq_at(list(point.x))(list(point.y))

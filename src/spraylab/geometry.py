@@ -75,8 +75,8 @@ class Spray:
     default_box: tuple[str, float] = ("cube", 0.5)
     metric: FinslerMetric | None = None
 
-    def coefficients(self, point: TangentPoint, degree: int) -> Jet:
-        """The jets G^i, as one jet with batch shape (n,)."""
+    def coefficients(self, point: TangentPoint, degree: int, xcap: int | None = None) -> Jet:
+        """The jets G^i, as one jet with batch shape (n,), in ``jets.ring(2n, degree, xcap)``."""
         raise NotImplementedError
 
     def admissible(self, point: TangentPoint) -> bool:
@@ -116,8 +116,8 @@ class FinslerMetric(Spray):
         """
         raise NotImplementedError(f"{type(self).__name__} defines no fsq_at")
 
-    def coefficients(self, point: TangentPoint, degree: int) -> Jet:
-        return MetricFrame(self, point, degree).spray_coefficients
+    def coefficients(self, point: TangentPoint, degree: int, xcap: int | None = None) -> Jet:
+        return MetricFrame(self, point, degree, xcap).spray_coefficients
 
 
 class PerturbedSpray(Spray):
@@ -135,13 +135,13 @@ class PerturbedSpray(Spray):
         self.metric = base.metric
         self.default_box = base.default_box
 
-    def coefficients(self, point: TangentPoint, degree: int) -> Jet:
-        return self.perturb(self.base.coefficients(point, degree), point)
+    def coefficients(self, point: TangentPoint, degree: int, xcap: int | None = None) -> Jet:
+        return self.perturb(self.base.coefficients(point, degree, xcap), point)
 
     def perturb(self, G: Jet, point: TangentPoint) -> Jet:
         """G^i + p y^i for the base spray's coefficients G at ``point``."""
         n = self.dim
-        xs = [G.ring.seed(i, point.x[i]) for i in range(n)]
+        xs = [G.ring.xring.seed(i, point.x[i]) for i in range(n)]
         ys = _seeds(G.ring, n, point.y)
         p = sum((self.oneform[m](xs) * ys[m] for m in range(n)), G.ring.const(0.0))
         return G + p.truncate(G.valid) * ys
@@ -182,15 +182,21 @@ def _assert_positive_definite(g: np.ndarray, context: str):
 
 
 class MetricFrame:
-    """Jets of one metric at one point: F^2, F to first order, g, and G^i solved from g."""
+    """Jets of one metric at one point: F^2, F to first order, g, and G^i solved from g.
 
-    def __init__(self, metric: FinslerMetric, point: TangentPoint, degree: int = DEFAULT_DEGREE):
+    The jets live in ``jets.ring(2n, degree, xcap)``.  The base coordinates
+    are seeded in its x ring, so the metric's data of x alone is expanded
+    there and lifted into the (x, y) ring where it meets y.
+    """
+
+    def __init__(self, metric: FinslerMetric, point: TangentPoint, degree: int = DEFAULT_DEGREE,
+                 xcap: int | None = None):
         metric.check_point(point)
         self.metric = metric
         self.point = point
         self.n = metric.dim
-        self.ring = jets.ring(2 * self.n, degree)
-        self.x = [self.ring.seed(i, point.x[i]) for i in range(self.n)]
+        self.ring = jets.ring(2 * self.n, degree, xcap)
+        self.x = [self.ring.xring.seed(i, point.x[i]) for i in range(self.n)]
         self.y = _seeds(self.ring, self.n, point.y)
         self.ys = range(self.n, 2 * self.n)
         self.fsq = metric.fsq_at(self.x)(list(self.y))
@@ -384,7 +390,8 @@ class SprayStack:
         return self.hcov_values(self.chi, contra=0) @ self.point.y_array()
 
 
-def stack_for(spray: Spray, point: TangentPoint, degree: int = DEFAULT_DEGREE) -> SprayStack:
+def stack_for(spray: Spray, point: TangentPoint, degree: int = DEFAULT_DEGREE,
+              xcap: int | None = None) -> SprayStack:
     """The connection and curvature stack of any spray at an admissible point."""
     spray.check_point(point)
-    return SprayStack(point, spray.coefficients(point, degree))
+    return SprayStack(point, spray.coefficients(point, degree, xcap))

@@ -46,14 +46,35 @@ The coefficients above ``xvalid`` in x are still stored and computed,
 but are not exact.  Sums and products keep the fewer of each count, an
 x-derivative lowers both and a y-derivative ``valid`` only, ``truncate``
 caps both, and an x-derivative (``grad``, ``gradient``) beyond
-``xvalid`` raises :class:`DegreeBudgetError`.  Only such a lift and what
-is computed from it has ``xvalid`` below ``valid``; for any other jet
-the two counts move together.
+``xvalid`` raises :class:`DegreeBudgetError`.
+
+``ring(nvars, degree, xcap)`` keeps only the monomials of degree at most
+``xcap`` in x, for a reader that never needs more x-orders: eval's W^o
+differentiates F^2 three times in x, and the (x, y) ring of degree 7
+holds 658 of its 1,716 monomials above that.  Its rows are the full
+ring's in the same order, less those, and its pair table keeps the pairs
+of the outputs it has, so each kept coefficient of a product is the same
+sum, in the same order, as in the full ring.  ``xvalid`` of its jets is
+at most ``xcap``, so a reader of more x-orders raises
+:class:`DegreeBudgetError` rather than reading a coefficient the ring
+does not hold.  Without a cap, ``xcap`` is ``degree``.
+
+An (x, y) ring's ``xring`` is the ring of x alone at its x-degree, where
+``geometry`` expands a metric's data of x alone (a(x), 1 - |x|^2, ...).
+A jet of it that meets a jet of the (x, y) ring in a sum or product is
+lifted into that ring on contact; jets of any other two rings raise.
+Each output of x alone reads only pairs of x alone, so the data keeps the
+bits it had when it was expanded in the (x, y) ring.
 
 ``nzdeg`` bounds the polynomial degree of the stored coefficients: every
 coefficient of total degree above it is exactly zero.  A product therefore
 stops at ``nzdeg_a + nzdeg_b`` (or ``valid``, if lower), and step k of
-:func:`solve` computes order k of its product and no other.
+:func:`solve` computes order k of its product and no other.  A product
+with a coordinate seed, or with a stack of them (each row a constant plus
+at most one first-order coefficient), is b0 a plus one shift of a along
+``_dsrc`` per variable (``PolyRing._shift_coeffs``): the other pairs of
+each output multiply exact zeros, so it sums the same two terms.  A small
+product stays on the pair table, which is faster there.
 
 The elementary functions (:func:`powr`, :func:`reciprocal`, :func:`log`,
 :func:`exp`, :func:`sin`, :func:`cos`) are Taylor-mode recurrences.  The
@@ -97,11 +118,29 @@ _DIRECT_BYTES = 128 * 1024
 # time.
 _BLOCK_BYTES = 1024 * 1024
 
+# A product with a stack of seeds (see ``PolyRing._shift_coeffs``) runs on
+# the pair table unless its rows times pairs exceed this many for each
+# variable the seeds move.  Timed per call on the seed products of one
+# eval-randers3, verify-funk4 and verify-randers3-bh point (2-core x86-64,
+# numpy 2.4): with one variable, 1,694 rows x pairs took 14 us on the table
+# and 13 us as a shift, 2,448 took 23 and 16 us, and 15,504 took 74 and
+# 19 us; with three, 5,082 took 28 and 40 us, and with four, 3,876 took 31
+# and 46 us, and 19,380 took 88 and 67 us.
+_SHIFT_PAIRS = 2000
+
 # operands that act as constant jets
 _NUMBERS = (int, float, np.floating, np.integer, np.ndarray)
 
 
-def _graded_exponents(nvars: int, degree: int):
+def _monomials(nx: int, ny: int, t: int, xcap: int) -> int:
+    """Monomials of degree t in nx x and ny y variables, of degree <= xcap in x."""
+    def count(m, a):  # monomials of degree a in m variables
+        return math.comb(m + a - 1, a) if m else int(a == 0)
+
+    return sum(count(nx, a) * count(ny, t - a) for a in range(min(t, xcap) + 1))
+
+
+def _graded_exponents(nvars: int, degree: int, xcap: int | None = None):
     """Multi-indices by total degree, the successor table and each row's variables.
 
     Within a degree, rows follow combinations-with-replacement order: a
@@ -110,66 +149,101 @@ def _graded_exponents(nvars: int, degree: int):
     in order, its children r + e_v for v from L up, and those are
     ``dsrc[v, r]``.  For v < L, r is its parent p plus e_L, so r + e_v is
     the child for L of row ``dsrc[v, p]``, whose last variable is at most L.
-    Rows of the top degree keep 0.  ``steps[t]`` holds the variables of each
+    With ``xcap``, a row whose degree in the leading half of the variables
+    (x) would pass it is no child, so the rows are those of the full ring
+    in the same order, less the ones above the cap.  A successor that is
+    no row (the top degree, or above the cap) is row 0, whose entry
+    ``PolyRing._dmul`` zeroes.  ``steps[t]`` holds the variables of each
     row of degree t, repeats included, ascending.
     """
-    size = math.comb(nvars + degree, degree)
+    nx = 0 if xcap is None else nvars // 2
+    xcap = degree if xcap is None else xcap
+    size = sum(_monomials(nx, nvars - nx, t, xcap) for t in range(degree + 1))
     exponents = np.zeros((size, nvars), dtype=np.int64)
-    dsrc = np.zeros((nvars, size), dtype=np.intp)
+    # -1 marks a successor above the cap while the rows are built; the top
+    # degree's entries are never written, so their zero pages stay untouched
+    dsrc = np.zeros((nvars, size), dtype=np.intp) if nx == 0 else np.full((nvars, size), -1)
     steps = [np.zeros((1, 0), dtype=np.intp)]
     v = np.arange(nvars)
-    # the rows of degree t are lo..hi, with their parents and last variables
+    counts_x = v < nx
+    # the rows of degree t are lo..hi, with their parents, last variables and x-degrees
     lo, hi = 0, 1
-    parent = last = np.zeros(1, dtype=np.intp)
+    parent = last = xdeg = np.zeros(1, dtype=np.intp)
     for _ in range(degree):
         lead = v >= last[:, None]
-        child = hi + np.cumsum(lead).reshape(lead.shape) - 1
-        dsrc[:, lo:hi] = child.T
-        down = dsrc[last[:, None], dsrc[:, parent].T]
-        dsrc[:, lo:hi] = np.where(lead, child, down).T
-        r, last = np.nonzero(lead)
+        child = lead & (~counts_x | (xdeg[:, None] < xcap))
+        index = hi + np.cumsum(child).reshape(child.shape) - 1
+        dsrc[:, lo:hi] = np.where(child, index, -1).T
+        up = dsrc[:, parent].T
+        down = np.where(up >= 0, dsrc[last[:, None], up], -1)
+        dsrc[:, lo:hi] = np.where(lead, dsrc[:, lo:hi].T, down).T
+        r, last = np.nonzero(child)
         parent = r + lo
+        xdeg = xdeg[r] + counts_x[last]
         lo, hi = hi, hi + len(r)
         exponents[lo:hi] = exponents[parent]
         exponents[np.arange(lo, hi), last] += 1
         steps.append(np.column_stack((steps[-1][r], last)))
-    return exponents, dsrc, steps
+    return exponents, np.maximum(dsrc, 0, out=dsrc), steps
 
 
 class PolyRing:
-    """Shared tables for one (nvars, degree) truncation; obtain via :func:`ring`."""
+    """Shared tables for one (nvars, degree) truncation; obtain via :func:`ring`.
 
-    def __init__(self, nvars: int, degree: int):
+    With ``xcap``, the ring keeps only the monomials of degree at most
+    ``xcap`` in its leading half of variables (x), and ``xcap`` bounds the
+    exact x-orders of its jets.  Without it, ``xcap`` is ``degree``.
+    """
+
+    def __init__(self, nvars: int, degree: int, xcap: int | None = None):
         if not (1 <= nvars <= MAX_VARS):
             raise ConfigError(f"jet ring needs 1..{MAX_VARS} variables "
                               f"(dimension at most {MAX_VARS // 2}), got {nvars}")
         if not (1 <= degree <= MAX_DEGREE):
             raise ConfigError(f"jet degree must be in 1..{MAX_DEGREE}, got {degree}")
-        pairs = math.comb(2 * nvars + degree, degree)
+        if xcap is not None and not (nvars % 2 == 0 and 1 <= xcap < degree):
+            raise ValueError(f"an x-degree cap needs an even number of variables and "
+                             f"1 <= cap < degree, got ring({nvars}, {degree}) at {xcap}")
+        # the pairs are the monomials of the doubled variables, x-degree <= cap
+        nx = 0 if xcap is None else nvars // 2
+        self.xcap = degree if xcap is None else xcap
+        pairs = sum(_monomials(2 * nx, 2 * (nvars - nx), t, self.xcap) for t in range(degree + 1))
         if pairs > MAX_MUL_PAIRS:
-            raise ConfigError(f"jet ring({nvars}, {degree}) needs {pairs:,} multiply pairs, "
+            at = "" if xcap is None else f" at x-degree {xcap}"
+            raise ConfigError(f"jet ring({nvars}, {degree}){at} needs {pairs:,} multiply pairs, "
                               f"more than the budget of {MAX_MUL_PAIRS:,}; lower the degree "
                               f"or the dimension")
         self.nvars = nvars
         self.degree = degree
-        self.exponents, self._dsrc, steps = _graded_exponents(nvars, degree)
+        self.exponents, self._dsrc, steps = _graded_exponents(nvars, degree, xcap)
         self.size = len(self.exponents)
-        # number of indices of total degree <= t, for prefix slicing
-        self.size_upto = np.array(
-            [math.comb(nvars + t, t) for t in range(degree + 1)], dtype=np.int64
-        )
         self.total_degree = self.exponents.sum(axis=1)
+        # number of indices of total degree <= t, for prefix slicing
+        self.size_upto = np.cumsum(np.bincount(self.total_degree, minlength=degree + 1))
         self._valid_of = {int(w): t for t, w in enumerate(self.size_upto)}
+        self._build_mul_table(steps, pairs, nx)
 
-        # d/dx_v of x^(alpha + e_v) is (alpha_v + 1) x^alpha, none from the top degree;
-        # in C order, since each derivative reads rows of it, and strided rows cost 2x
-        self._dmul = np.ascontiguousarray(
-            np.where(self.total_degree < degree, self.exponents.T + 1.0, 0.0))
-        self._build_mul_table(steps)
+        # d/dx_v of x^(alpha + e_v) is (alpha_v + 1) x^alpha, none from the top
+        # degree or past the cap; in C order, since each derivative reads rows
+        # of it, and strided rows cost 2x
+        xdeg = self.exponents[:, :nx].sum(axis=1)
+        has = (self.total_degree < degree) & ((np.arange(nvars) >= nx)[:, None]
+                                              | (xdeg < self.xcap))
+        self._dmul = np.ascontiguousarray(np.where(has, self.exponents.T + 1.0, 0.0))
         # the gathered operand pairs of a blocked multiply, grown on first use
         self._scratch = np.empty((2, 0))
+        # (variable, output degree) -> rows of a seed shift, filled on first use
+        self._shifts = {}
+        self._xring = None
 
-    def _build_mul_table(self, steps):
+    @property
+    def xring(self) -> "PolyRing | None":
+        """The ring of jets of x alone that meet this (x, y) ring's jets; None if odd."""
+        if self._xring is None and self.nvars % 2 == 0:
+            self._xring = ring(self.nvars // 2, self.xcap)
+        return self._xring
+
+    def _build_mul_table(self, steps, npairs: int, nx: int):
         """Multiply pairs (i, j), sorted by output index k and, within one k, by i.
 
         One output degree t at a time: the output of (i, j), for i of degree
@@ -177,16 +251,18 @@ class PolyRing:
         ``_dsrc``.  The pairs come in order of (ta, i, j), and a stable sort
         on k's offset within degree t (below 2**16 in any ring the pair
         budget admits; ring(11, 8) has the widest degree, 43,758) writes
-        them into the final tables in order of (k, i).
+        them into the final tables in order of (k, i).  A ring with an
+        x-degree cap keeps the pairs whose x-degrees sum to at most the
+        cap, so each output has the pairs of the full ring, in their order.
         """
         starts = np.concatenate(([0], self.size_upto))
-        npairs = math.comb(2 * self.nvars + self.degree, self.degree)
+        xdeg = self.exponents[:, :nx].sum(axis=1) if nx else None
         self._mul_i = np.empty(npairs, dtype=np.intp)
         self._mul_j = np.empty(npairs, dtype=np.intp)
         counts = np.zeros(self.size, dtype=np.intp)
         done = 0
         for t in range(self.degree + 1):
-            total = math.comb(2 * self.nvars + t - 1, t)
+            total = _monomials(2 * nx, 2 * (self.nvars - nx), t, self.xcap)
             mi = np.empty(total, dtype=np.intp)
             mj = np.empty(total, dtype=np.intp)
             key = np.empty(total, dtype=np.uint16)
@@ -198,11 +274,18 @@ class PolyRing:
                 k = np.broadcast_to(ia[:, None], shape)
                 for var in steps[t - ta].T:
                     k = self._dsrc[var, k]
-                block = slice(pos, pos + k.size)
-                mi[block].reshape(shape)[...] = ia[:, None]
-                mj[block].reshape(shape)[...] = jb
-                key[block].reshape(shape)[...] = k - starts[t]
-                pos += k.size
+                if nx:
+                    kept = xdeg[ia][:, None] + xdeg[jb] <= self.xcap
+                    block = slice(pos, pos + int(kept.sum()))
+                    mi[block] = np.broadcast_to(ia[:, None], shape)[kept]
+                    mj[block] = np.broadcast_to(jb, shape)[kept]
+                    key[block] = k[kept] - starts[t]
+                else:
+                    block = slice(pos, pos + k.size)
+                    mi[block].reshape(shape)[...] = ia[:, None]
+                    mj[block].reshape(shape)[...] = jb
+                    key[block].reshape(shape)[...] = k - starts[t]
+                pos = block.stop
             order = np.argsort(key, kind="stable")
             np.take(mi, order, out=self._mul_i[done:done + total], mode="clip")
             np.take(mj, order, out=self._mul_j[done:done + total], mode="clip")
@@ -312,10 +395,51 @@ class PolyRing:
             c = e
         return out
 
+    def _shift_coeffs(self, a: np.ndarray, s: np.ndarray, out_deg: int) -> np.ndarray:
+        """Orders up to ``out_deg`` of the product of ``a`` and a stack of seeds ``s``.
+
+        Each row of ``s`` is a constant plus at most one first-order
+        coefficient, so output k is s_0 a_k plus c_v a_{k - e_v}: the pair
+        table's sum over the segment of k, whose other pairs multiply
+        exact zeros.  Each variable a row of ``s`` moves costs one gather
+        of ``a`` along ``_dsrc`` and one scatter.
+        """
+        # C order, as the pair table's output: the layout moves later rounding
+        out = np.multiply(a[..., : int(self.size_upto[out_deg])], s[..., :1], order="C")
+        first = s[..., 1 : 1 + self.nvars]
+        for v in np.flatnonzero(first.reshape(-1, self.nvars).any(axis=0)):
+            src, dst = self._shift_table(int(v), out_deg)
+            out[..., dst] += first[..., v, None] * a[..., src]
+        return out
+
+    def _shift_table(self, v: int, out_deg: int) -> tuple:
+        """Rows i of degree below ``out_deg`` with a row i + e_v, and those rows.
+
+        Every such row has one unless the cap cuts variable v, so the rows are
+        a slice and their successors a view of ``_dsrc``, which cost no memory.
+        """
+        table = self._shifts.get((v, out_deg))
+        if table is None:
+            rows = int(self.size_upto[out_deg - 1])
+            src = np.flatnonzero(self._dmul[v, :rows])
+            if len(src) == rows:
+                src = slice(0, rows)
+            table = self._shifts[v, out_deg] = (src, self._dsrc[v, src])
+        return table
+
+
+def ring(nvars: int, degree: int, xcap: int | None = None) -> PolyRing:
+    """The shared ring of ``nvars`` variables truncated at ``degree``.
+
+    ``xcap`` keeps the monomials of degree at most ``xcap`` in the leading
+    half of the variables; a cap at or above ``degree`` is no cap.
+    """
+    return _ring(nvars, degree, None if xcap is None or xcap >= degree else xcap)
+
 
 @lru_cache(maxsize=None)
-def ring(nvars: int, degree: int) -> PolyRing:
-    return PolyRing(nvars, degree)
+def _ring(nvars: int, degree: int, xcap: int | None) -> PolyRing:
+    return PolyRing(nvars, degree, xcap)
 
 
 class Jet:
@@ -334,7 +458,7 @@ class Jet:
         self.coeffs = coeffs
         self.valid = valid
         self.nzdeg = min(nzdeg, valid)
-        self.xvalid = valid if xvalid is None else xvalid
+        self.xvalid = min(valid if xvalid is None else xvalid, ring.xcap)
 
     # -- inspection ----------------------------------------------------
 
@@ -420,37 +544,54 @@ class Jet:
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
+        """``other`` as a jet of this ring, or None when it is no jet or number.
+
+        A number becomes a constant jet, and a jet of this ring's ``xring``
+        is lifted into it; a jet of any other ring raises.
+        """
         if isinstance(other, Jet):
-            if other.ring is not self.ring:
-                raise ValueError("jets belong to different rings")
-            return other
+            if other.ring is self.ring:
+                return other
+            if self.ring.nvars == 2 * other.ring.nvars and self.ring.xring is other.ring:
+                return lift(other, self.ring, self.ring.degree)
+            raise ValueError("jets belong to different rings")
         if isinstance(other, _NUMBERS):
             return self.ring.const(other, self.valid)
         return None
 
-    def __add__(self, other):
+    def _pair(self, other):
+        """``(self, other)`` as jets of one ring, lifting whichever is of x alone."""
+        if (isinstance(other, Jet) and other.ring.nvars == 2 * self.ring.nvars
+                and other.ring.xring is self.ring):
+            return lift(self, other.ring, other.ring.degree), other
         b = self._coerce(other)
-        if b is None:
+        return None if b is None else (self, b)
+
+    def __add__(self, other):
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        valid = min(self.valid, b.valid)
-        return Jet(self.ring, self._upto(valid) + b._upto(valid), max(self.nzdeg, b.nzdeg),
-                   min(self.xvalid, b.xvalid))
+        a, b = pair
+        valid = min(a.valid, b.valid)
+        return Jet(a.ring, a._upto(valid) + b._upto(valid), max(a.nzdeg, b.nzdeg),
+                   min(a.xvalid, b.xvalid))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        b = self._coerce(other)
-        if b is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        valid = min(self.valid, b.valid)
-        return Jet(self.ring, self._upto(valid) - b._upto(valid), max(self.nzdeg, b.nzdeg),
-                   min(self.xvalid, b.xvalid))
+        a, b = pair
+        valid = min(a.valid, b.valid)
+        return Jet(a.ring, a._upto(valid) - b._upto(valid), max(a.nzdeg, b.nzdeg),
+                   min(a.xvalid, b.xvalid))
 
     def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return b.__sub__(self)
+        return pair[1].__sub__(pair[0])
 
     def __neg__(self):
         return Jet(self.ring, -self.coeffs, self.nzdeg, self.xvalid)
@@ -459,35 +600,45 @@ class Jet:
         if isinstance(other, _NUMBERS):  # self * ring.const(other), without building it
             return Jet(self.ring, self.coeffs * np.asarray(other, float)[..., None], self.nzdeg,
                        self.xvalid)
-        b = self._coerce(other)
-        if b is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        valid, xvalid = min(self.valid, b.valid), min(self.xvalid, b.xvalid)
-        if self.nzdeg == 0 or b.nzdeg == 0:
-            const, full = (self, b) if self.nzdeg == 0 else (b, self)
-            return Jet(self.ring, full._upto(valid) * const.coeffs[..., :1], full.nzdeg, xvalid)
+        a, b = pair
+        ring = a.ring
+        valid, xvalid = min(a.valid, b.valid), min(a.xvalid, b.xvalid)
+        if a.nzdeg == 0 or b.nzdeg == 0:
+            const, full = (a, b) if a.nzdeg == 0 else (b, a)
+            return Jet(ring, full._upto(valid) * const.coeffs[..., :1], full.nzdeg, xvalid)
         # orders above nzdeg_a + nzdeg_b only sum products of exact zeros
-        nzdeg = min(self.nzdeg + b.nzdeg, valid)
-        coeffs = self.ring._mul_coeffs(self.coeffs, b.coeffs, nzdeg)
+        nzdeg = min(a.nzdeg + b.nzdeg, valid)
+        seed = b if b.nzdeg == 1 else a if a.nzdeg == 1 else None
+        # rows times pairs of the product on the pair table (rows as _mul_coeffs counts them)
+        work = a.coeffs.size // a.coeffs.shape[-1] * int(ring._pairs_upto[nzdeg])
+        if a.batch_shape != b.batch_shape:
+            work *= b.coeffs.size // b.coeffs.shape[-1]
+        if seed is not None and work > _SHIFT_PAIRS and work > _SHIFT_PAIRS * _seed_moves(seed):
+            coeffs = ring._shift_coeffs((a if seed is b else b).coeffs, seed.coeffs, nzdeg)
+        else:
+            coeffs = ring._mul_coeffs(a.coeffs, b.coeffs, nzdeg)
         if nzdeg < valid:
-            padded = np.zeros(coeffs.shape[:-1] + (int(self.ring.size_upto[valid]),))
+            padded = np.zeros(coeffs.shape[:-1] + (int(ring.size_upto[valid]),))
             padded[..., : coeffs.shape[-1]] = coeffs
             coeffs = padded
-        return Jet(self.ring, coeffs, nzdeg, xvalid)
+        return Jet(ring, coeffs, nzdeg, xvalid)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return self.__mul__(reciprocal(b))
+        return pair[0].__mul__(reciprocal(pair[1]))
 
     def __rtruediv__(self, other):
-        b = self._coerce(other)
-        if b is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return b.__mul__(reciprocal(self))
+        return pair[1].__mul__(reciprocal(pair[0]))
 
     def __pow__(self, exponent):
         if isinstance(exponent, (int, np.integer)):
@@ -519,6 +670,14 @@ def stack(parts) -> Jet:
     valid = min(p.valid for p in parts)
     return Jet(ring, np.stack([p._upto(valid) for p in parts]), max(p.nzdeg for p in parts),
                min(p.xvalid for p in parts))
+
+
+def _seed_moves(s: Jet) -> float:
+    """How many variables a stack of seeds moves; inf for a jet that is no such stack."""
+    first = s.coeffs[..., 1 : 1 + s.ring.nvars] != 0
+    if (first.sum(axis=-1) > 1).any():
+        return math.inf
+    return int(first.reshape(-1, s.ring.nvars).any(axis=0).sum())
 
 
 def solve(a: Jet, b) -> Jet:
@@ -684,26 +843,27 @@ def lift(a: Jet, target: PolyRing, valid: int) -> Jet:
 
     The result does not depend on the rest (the y variables), so it is
     exact to ``valid`` orders in total, and to the orders of ``a`` in x
-    (``xvalid``).
+    (``xvalid``, at most the target's cap).  The coefficients of ``a``
+    above the target's cap have no row there and are dropped.
     """
     src = a.ring
     if src.nvars > target.nvars // 2:
         raise ValueError("lift target has too few variables")
     top = min(valid, target.degree)
-    table = _lift_table(src.nvars, src.degree, target.nvars, target.degree)
+    table = _lift_table(src.nvars, src.degree, target.nvars, target.degree, target.xcap)
     coeffs = np.zeros(a.batch_shape + (int(target.size_upto[top]),))
     keep = np.flatnonzero(table[: int(src.size_upto[min(a.valid, top)])] >= 0)
     coeffs[..., table[keep]] = a.coeffs[..., keep]
-    return Jet(target, coeffs, a.nzdeg, min(a.xvalid, top))
+    return Jet(target, coeffs, min(a.nzdeg, target.xcap), min(a.xvalid, top))
 
 
 @lru_cache(maxsize=None)
-def _lift_table(src_nvars, src_degree, dst_nvars, dst_degree) -> np.ndarray:
+def _lift_table(src_nvars, src_degree, dst_nvars, dst_degree, dst_xcap=None) -> np.ndarray:
     src = ring(src_nvars, src_degree)
-    dst = ring(dst_nvars, dst_degree)
+    dst = ring(dst_nvars, dst_degree, dst_xcap)
     # each row walks the successor table of dst from its zero row
     table = np.zeros(src.size, dtype=np.intp)
-    fits = src.total_degree <= dst.degree
+    fits = src.total_degree <= min(dst.degree, dst.xcap)
     for v in range(src.nvars):
         for e in range(dst.degree):
             walk = fits & (src.exponents[:, v] > e)

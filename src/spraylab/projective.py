@@ -56,7 +56,9 @@ from .measures import MeasureStack, VolumeForm, as_volume
 # (x, y) ring.  ln sigma enters through S (one x-derivative); the hat
 # spray's curvature differentiates S in x once more, and W^o takes a
 # horizontal derivative of that curvature.  With one order fewer, W^o runs
-# out of exact x-orders and raises DegreeBudgetError.
+# out of exact x-orders and raises DegreeBudgetError.  F^2 is read to the
+# same x-order, for the same three x-derivatives (G^i, its curvature, and
+# W^o's horizontal derivative), so it caps eval's (x, y) ring.
 LNSIGMA_XDEGREE = 3
 
 WO_ROUTES = ("definition", "viaBase", "divW", "divR")
@@ -134,16 +136,19 @@ class PointContext:
     ``proj_for`` puts another volume form on the same stack, and gives
     ``proj`` for the context's own volume; its ``.measure`` holds S and
     tau.  ``rules`` collects ``(nodes, change)`` of every
-    Busemann-Hausdorff rule the context ran.
+    Busemann-Hausdorff rule the context ran.  The jets live in
+    ``jets.ring(2n, degree, xcap)``: a reader of more x-orders than
+    ``xcap`` raises DegreeBudgetError.
     """
 
     def __init__(self, obj, volume, point: TangentPoint,
-                 degree: int = DEFAULT_DEGREE):
+                 degree: int = DEFAULT_DEGREE, xcap: int | None = None):
         self.spray = as_spray(obj)
         self.metric = self.spray.metric
         self.volume = as_volume(volume)
         self.point = point
         self.degree = degree
+        self.xcap = xcap
         self.n = point.dim
         self.rules: list[tuple[int, float | None]] = []
 
@@ -153,13 +158,13 @@ class PointContext:
 
     @cached_property
     def frame(self) -> MetricFrame:
-        return MetricFrame(self.metric, self.point, self.degree)
+        return MetricFrame(self.metric, self.point, self.degree, self.xcap)
 
     @cached_property
     def stack(self) -> SprayStack:
         if self.spray is self.metric:
             return self.frame.stack
-        return stack_for(self.spray, self.point, self.degree)
+        return stack_for(self.spray, self.point, self.degree, self.xcap)
 
     def proj_for(self, volume) -> ProjectiveStack:
         """The projective stack of this point's spray under ``volume``."""

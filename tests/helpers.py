@@ -127,15 +127,20 @@ def partial(jet, alpha):
     return coeff(jet, alpha) * math.prod(math.factorial(a) for a in alpha)
 
 
-def _reference_index(nvars: int, degree: int):
-    """A ring's multi-indices from combinations, and a mixed-radix lookup of their rows."""
+def _reference_index(nvars: int, degree: int, xcap: int | None = None):
+    """A ring's multi-indices from combinations, and a mixed-radix lookup of their rows.
+
+    With ``xcap``, the rows of degree above it in the first half of the
+    variables are left out.
+    """
     rows = []
     for total in range(degree + 1):
         for combo in itertools.combinations_with_replacement(range(nvars), total):
             exp = [0] * nvars
             for v in combo:
                 exp[v] += 1
-            rows.append(exp)
+            if xcap is None or sum(exp[: nvars // 2]) <= xcap:
+                rows.append(exp)
     exponents = np.array(rows, dtype=np.int64)
     pow_ = (degree + 1) ** np.arange(nvars, dtype=np.int64)
     codes = exponents @ pow_
@@ -148,12 +153,18 @@ def _reference_index(nvars: int, degree: int):
     return exponents, pow_, codes, lookup
 
 
-def reference_ring_tables(nvars: int, degree: int) -> dict:
-    """A ring's tables from combinations, dense pair lists and one sort of all pairs."""
-    exponents, pow_, codes, lookup = _reference_index(nvars, degree)
+def reference_ring_tables(nvars: int, degree: int, xcap: int | None = None) -> dict:
+    """A ring's tables from combinations, dense pair lists and one sort of all pairs.
+
+    With ``xcap``, pairs whose product has no row are dropped, and so is a
+    successor that has none.
+    """
+    exponents, pow_, codes, lookup = _reference_index(nvars, degree, xcap)
     size = len(exponents)
-    size_upto = np.array([math.comb(nvars + t, t) for t in range(degree + 1)], dtype=np.int64)
     total_degree = exponents.sum(axis=1)
+    size_upto = np.array([(total_degree <= t).sum() for t in range(degree + 1)], dtype=np.int64)
+    xdeg = exponents[:, : nvars // 2].sum(axis=1) if xcap is not None else 0 * total_degree
+    cap = degree if xcap is None else xcap
 
     deg_starts = np.concatenate(([0], size_upto))
     chunks_i, chunks_j = [], []
@@ -165,6 +176,8 @@ def reference_ring_tables(nvars: int, degree: int) -> dict:
             chunks_j.append(np.tile(jb, len(ia)))
     mi = np.concatenate(chunks_i)
     mj = np.concatenate(chunks_j)
+    kept = xdeg[mi] + xdeg[mj] <= cap
+    mi, mj = mi[kept], mj[kept]
     mk = lookup(codes[mi] + codes[mj])
     by_output = np.argsort(mk, kind="stable")
     mk_sorted = mk[by_output]
@@ -174,7 +187,7 @@ def reference_ring_tables(nvars: int, degree: int) -> dict:
     for v in range(nvars):
         shifted = exponents.copy()
         shifted[:, v] += 1
-        ok = total_degree + 1 <= degree
+        ok = (total_degree + 1 <= degree) & (xdeg + (v < nvars // 2) * (xcap is not None) <= cap)
         dsrc[v, ok] = lookup(shifted[ok] @ pow_)
         dmul[v, ok] = shifted[ok, v].astype(np.float64)
     return {

@@ -2,8 +2,11 @@
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -78,3 +81,67 @@ def test_a_worse_or_incorrect_tree_is_reported(tmp_path, monkeypatch, capsys):
     bench = json.loads((tmp_path / "BENCH_w.json").read_text())
     assert not bench["correct"] and not bench["metrics"]["point_p50_ms"]["within_bound"]
     assert "bound EXCEEDED" in capsys.readouterr().out
+
+
+# a stand-in for perfbench/run.py in worker mode: point i takes a canned time
+FAKE_WORKER_RUN = """
+from pathlib import Path
+NAME, SECONDS = {name!r}, {seconds!r}
+WARM_UP = -2
+WORKLOADS = {{"w": "w"}}
+LOG = Path(__file__).resolve().parents[2] / "points.log"
+
+
+class Result:
+    def __init__(self, seconds, error):
+        self.seconds, self.error = seconds, error
+
+
+def check_source():
+    pass
+
+
+def setup(wl, seed):
+    return (seed,), None, 0.0
+
+
+def run_op(wl, inputs, i):
+    with LOG.open("a") as fh:
+        fh.write(f"{{NAME}} {{i}}\\n")
+    return Result(0.0 if i == WARM_UP else SECONDS[i], None if i != 3 else {error!r})
+"""
+
+
+def _worker_tree(base: Path, name: str, seconds: list[float], error=None) -> Path:
+    root = base / name
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(FAKE_WORKER_RUN.format(
+        name=name, seconds=seconds, error=error))
+    return root
+
+
+def test_points_interleave_abba_and_bootstrap_the_median_ratio(tmp_path, capsys):
+    tool = _tool()
+    old = _worker_tree(tmp_path, "old", [0.010, 0.020, 0.010, 0.040])
+    new = _worker_tree(tmp_path, "new", [0.005, 0.030, 0.008, 0.020])
+    result = tool.interleave({"old": old, "new": new}, "w", 1, 4)
+    log = (tmp_path / "points.log").read_text().split("\n")
+    answers = [entry for entry in log if entry and not entry.endswith("-2")]
+    assert answers == ["old 0", "new 0", "new 0", "old 0", "new 1", "old 1", "old 1", "new 1",
+                       "old 2", "new 2", "new 2", "old 2", "new 3", "old 3", "old 3", "new 3"]
+    assert result["ratios"] == pytest.approx([0.5, 1.5, 0.8, 0.5])
+    assert result["ratio_median"] == pytest.approx(0.65)
+    assert 0.5 <= result["ratio_low"] <= result["ratio_median"] <= result["ratio_high"] <= 1.5
+    assert result["old_ms"] == pytest.approx([10.0, 20.0, 10.0, 40.0])
+    assert result["errors"] == []
+    bad = _worker_tree(tmp_path / "bad", "new", [0.005, 0.030, 0.008, 0.020], error="exit 2")
+    assert tool.main([str(old), str(bad), "--workload", "w", "--points", "4"]) == 1
+    assert "FAILED new point 3: exit 2" in capsys.readouterr().out
+
+
+def test_a_tree_against_itself_gives_an_interval_that_holds_one(capsys):
+    assert _tool().main([str(ROOT), str(ROOT), "--workload", "eval-randers3",
+                         "--points", "16"]) == 0
+    out = capsys.readouterr().out
+    low, high = map(float, re.search(r"95% interval \[([0-9.]+), ([0-9.]+)\]", out).groups())
+    assert low <= 1.0 <= high

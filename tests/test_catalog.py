@@ -243,3 +243,40 @@ def test_a_number_parameter_is_its_constant_expression(family, dim, given, text)
     np.testing.assert_array_equal(a.coefficients(point, 4).coeffs,
                                   b.coefficients(point, 4).coeffs)
     assert a.metric.fsq_at(point.x)(point.y) == b.metric.fsq_at(point.x)(point.y)
+
+
+_RIEMANNIAN3 = MetricSpec("riemannian", 3, {"matrix": [["exp(0.3*x1)", "0.1*x2", "0"],
+                                                      ["0.1*x2", "1+x3^2", "0"],
+                                                      ["0", "0", "1"]]})
+
+
+@pytest.mark.parametrize("spec", ALL_METRIC_SPECS + [_RIEMANNIAN3],
+                         ids=lambda s: s.family + str(s.dim))
+def test_fsq_from_x_ring_seeds_equals_fsq_from_xy_ring_seeds(spec):
+    # the frame expands data of x alone in ring(n, 7) and lifts it where it
+    # meets y; every output of x alone reads only pairs of x alone
+    metric = build(spec)
+    n = metric.dim
+    for point in sample(metric, count=3, seed=5):
+        frame = MetricFrame(metric, point)
+        assert frame.x[0].ring is jets.ring(n, 7) is frame.ring.xring
+        ring = jets.ring(2 * n, 7)
+        xs = [ring.seed(i, v) for i, v in enumerate(point.x)]
+        ys = [ring.seed(n + i, v) for i, v in enumerate(point.y)]
+        want = metric.fsq_at(xs)(ys)
+        got = frame.fsq
+        assert (got.valid, got.xvalid) == (want.valid, want.xvalid)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_perturbation_from_x_ring_seeds_equals_xy_ring_seeds():
+    spray = build(MetricSpec("projective-perturbation", 3,
+                             {"base": "randers", "oneform": ["0.1*x1*x2", "exp(x3)", "0.05"]}))
+    point = sample(spray, count=1, seed=2)[0]
+    G = spray.base.coefficients(point, 7)
+    ring = G.ring
+    xs = [ring.seed(i, v) for i, v in enumerate(point.x)]
+    ys = jets.stack([ring.seed(3 + i, v) for i, v in enumerate(point.y)])
+    p = sum((spray.oneform[m](xs) * ys[m] for m in range(3)), ring.const(0.0))
+    want = G + p.truncate(G.valid) * ys
+    assert spray.perturb(G, point).coeffs.tobytes() == want.coeffs.tobytes()

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -635,6 +636,36 @@ def test_one_x_order_fewer_of_lnsigma_starves_w_o(monkeypatch, capsys, name):
     assert all(rec["residual"] == "inf" for rec in failed.values())
 
 
+def _report_diff_evals():
+    spec = importlib.util.spec_from_file_location(
+        "report_diff", Path(__file__).resolve().parents[1] / "tools" / "report_diff.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return {label: argv for label, argv in module.COMMANDS if argv[0] == "eval"}
+
+
+_EVALS = _report_diff_evals()
+
+
+@pytest.mark.parametrize("label", list(_EVALS))
+def test_eval_reads_exactly_x_order_three_of_f_squared(monkeypatch, capsys, label):
+    # eval's (x, y) ring keeps x-degree <= LNSIGMA_XDEGREE; without the cap every
+    # eval of the report list prints the same bytes, and with one order fewer
+    # W^o starves, as a check's declared degree is pinned one degree lower
+    argv = _EVALS[label]
+    assert cli.LNSIGMA_XDEGREE == projective.LNSIGMA_XDEGREE == 3
+    capped = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "LNSIGMA_XDEGREE", None)
+    assert run_cli(capsys, *argv) == capped
+    monkeypatch.setattr(cli, "LNSIGMA_XDEGREE", 2)
+    starved = run_cli(capsys, *argv)
+    if capped[0] == 0:
+        assert starved == (2, "", "error: no exact first-order x coefficients left\n")
+    else:
+        assert starved == capped
+
+
 def test_unread_family_parameter_names_the_ones_it_takes(capsys):
     code, out, err = run_cli(capsys, "eval", "--metric", "fourth-root", "--param", "n=3")
     assert code == 2 and out == ""
@@ -718,11 +749,23 @@ def test_oversized_ring_exits_two_before_it_is_built(capsys, monkeypatch):
     # other test has cached: ring(4, 7) has C(2*4 + 7, 7) = 6,435 pairs
     monkeypatch.setattr(jets, "MAX_MUL_PAIRS", 6_434)
     monkeypatch.setattr(jets, "ring", functools.lru_cache(maxsize=None)(jets.PolyRing))
-    code, out, err = run_cli(capsys, "eval", "--metric", "euclidean", "--dim", "2",
+    code, out, err = run_cli(capsys, "verify", "--metric", "euclidean", "--dim", "2",
                              "--points", "1")
     assert code == 2 and out == ""
     assert err == ("error: jet ring(4, 7) needs 6,435 multiply pairs, more than the "
                    "budget of 6,434; lower the degree or the dimension\n")
+
+
+def test_oversized_capped_ring_exits_two_before_it_is_built(capsys, monkeypatch):
+    # eval's ring(4, 7) keeps x-degree <= 3: sum over a <= 3 of
+    # C(4 + a - 1, a) C(4 + 7 - a, 7 - a) = 330 + 840 + 1,260 + 1,400 pairs
+    monkeypatch.setattr(jets, "MAX_MUL_PAIRS", 3_829)
+    monkeypatch.setattr(jets, "ring", functools.lru_cache(maxsize=None)(jets.PolyRing))
+    code, out, err = run_cli(capsys, "eval", "--metric", "euclidean", "--dim", "2",
+                             "--points", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: jet ring(4, 7) at x-degree 3 needs 3,830 multiply pairs, more than "
+                   "the budget of 3,829; lower the degree or the dimension\n")
 
 
 _DRAWN_FLAGS = {

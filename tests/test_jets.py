@@ -1048,3 +1048,170 @@ def test_a_jet_exact_in_x_to_its_valid_behaves_as_before():
             top = top.grad(0)
         assert np.shape(top.value()) == jet.batch_shape
         assert jet.gradient().shape == jet.batch_shape + (4,)
+
+
+# -- rings with an x-degree cap ---------------------------------------------------------
+
+CAPPED = [(4, 4, 2), (4, 5, 1), (6, 7, 3), (6, 5, 2)]
+
+
+def _kept_rows(capped):
+    """The full ring's rows of the capped ring's monomials, in the capped ring's order."""
+    full = jets.ring(capped.nvars, capped.degree)
+    xdeg = full.exponents[:, : full.nvars // 2].sum(axis=1)
+    rows = np.flatnonzero(xdeg <= capped.xcap)
+    assert np.array_equal(full.exponents[rows], capped.exponents)
+    return full, rows
+
+
+def _jet_pair(capped, rng, batch, valid=None, nzdeg=None, positive=False):
+    """One random jet of the full ring and its projection onto the capped ring."""
+    full, rows = _kept_rows(capped)
+    valid = int(rng.integers(1, full.degree + 1)) if valid is None else valid
+    nzdeg = int(rng.integers(1, valid + 1)) if nzdeg is None else nzdeg
+    coeffs = rng.normal(size=batch + (int(full.size_upto[valid]),))
+    coeffs[..., int(full.size_upto[nzdeg]):] = 0.0
+    if positive:
+        coeffs[..., 0] = rng.uniform(1.0, 2.0, size=batch)
+    width = int(capped.size_upto[valid])
+    return jets.Jet(full, coeffs, nzdeg), jets.Jet(capped, coeffs[..., rows[:width]], nzdeg)
+
+
+def _assert_kept_equal(got, want):
+    """Every coefficient of ``got`` its counts call exact has the bits of ``want``'s."""
+    _, rows = _kept_rows(got.ring)
+    width = got.coeffs.shape[-1]
+    assert got.valid == want.valid and got.nzdeg <= want.nzdeg
+    assert not got.coeffs[..., got.ring.total_degree[:width] > got.nzdeg].any()
+    # an x-derivative of a coefficient at the cap reads no row, so it can cost one more
+    assert 0 <= min(want.xvalid, got.ring.xcap) - got.xvalid <= 1
+    exact = got.ring.exponents[:width, : got.ring.nvars // 2].sum(axis=1) <= got.xvalid
+    assert exact.any()
+    assert got.coeffs[..., exact].tobytes() == want.coeffs[..., rows[:width][exact]].tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(CAPPED), st.sampled_from([(), (2,), (3, 1)]), st.integers(0, 2**32 - 1))
+def test_capped_ring_keeps_the_full_rings_bits(shape, batch, seed):
+    # every kept output reads the full ring's pairs in the same order, and a
+    # derivative reads no coefficient above the cap that its counts call exact
+    capped = jets.ring(*shape)
+    rng = np.random.default_rng(seed)
+    (fa, ca), (fb, cb) = _jet_pair(capped, rng, batch), _jet_pair(capped, rng, batch[:1])
+    _assert_kept_equal(ca * cb, fa * fb)
+    _assert_kept_equal(cb - ca, fb - fa)
+    slots = rng.choice(capped.nvars, size=2, replace=False)
+    _assert_kept_equal(ca.grad(slots), fa.grad(slots))
+    (fp, cp) = _jet_pair(capped, rng, batch, positive=True)
+    for fn in (lambda j: jets.powr(j, -1.5), jets.log, jets.exp):
+        _assert_kept_equal(fn(cp), fn(fp))
+    n = 3
+    fm, cm = _jet_pair(capped, rng, (n, n), valid=capped.degree)
+    eye = 4.0 * np.eye(n)[..., None] * (np.arange(fm.coeffs.shape[-1]) == 0)
+    fm = jets.Jet(fm.ring, fm.coeffs + eye, fm.nzdeg)
+    cm = jets.Jet(cm.ring, cm.coeffs + eye[..., : cm.coeffs.shape[-1]], cm.nzdeg)
+    fr, cr = _jet_pair(capped, rng, (n,))
+    _assert_kept_equal(jets.solve(cm, cr), jets.solve(fm, fr))
+    x = _random_jet(jets.ring(capped.nvars // 2, capped.degree), rng)
+    _assert_kept_equal(jets.lift(x, capped, capped.degree), jets.lift(x, fa.ring, capped.degree))
+
+
+def test_capped_ring_tables_equal_the_reference_construction():
+    for shape in CAPPED + [(8, 7, 4)]:
+        r = jets.ring(*shape)
+        for name, want in reference_ring_tables(*shape).items():
+            got = getattr(r, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (shape, name)
+            assert np.array_equal(got, want), (shape, name)
+
+
+def test_the_cap_bounds_the_exact_x_orders_and_a_reader_past_it_raises():
+    r = jets.ring(6, 7, 3)
+    assert (r.size, len(r._mul_i)) == (1716 - 658, 50388 - 21666)
+    assert jets.ring(6, 7, 7) is jets.ring(6, 7, None) is jets.ring(6, 7)
+    x = r.seed(0, 0.3)
+    assert (x.valid, x.xvalid) == (7, 3)
+    assert (x.grad(3).valid, x.grad(3).xvalid) == (6, 3)
+    third = x.grad(0).grad(1).grad(2)
+    assert (third.valid, third.xvalid) == (4, 0)
+    with pytest.raises(DegreeBudgetError, match="x-derivative would exceed the exact x-orders"):
+        third.grad(0)
+    with pytest.raises(ValueError, match="x-degree cap"):
+        jets.PolyRing(5, 7, 3)
+
+
+def test_an_x_jet_is_lifted_on_contact_and_other_rings_raise():
+    rng = np.random.default_rng(11)
+    for big in (jets.ring(6, 7), jets.ring(6, 7, 3)):
+        small = big.xring
+        assert (small.nvars, small.degree) == (3, big.xcap)
+        a, g = _random_jet(small, rng), _random_jet(big, rng)
+        lifted = jets.lift(a, big, big.degree)
+        for got, want in ((a * g, lifted * g), (g * a, g * lifted), (a + g, lifted + g),
+                          (g - a, g - lifted), (a - g, lifted - g), (g / (2.0 + a * a),
+                                                                     g / (2.0 + lifted * lifted))):
+            assert got.ring is big
+            assert (got.valid, got.xvalid, got.nzdeg) == (want.valid, want.xvalid, want.nzdeg)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    for u, v in ((jets.ring(3, 3), jets.ring(6, 7)), (jets.ring(3, 7), jets.ring(6, 7, 3)),
+                 (jets.ring(2, 3), jets.ring(6, 7)), (jets.ring(6, 7), jets.ring(6, 7, 3))):
+        with pytest.raises(ValueError, match="jets belong to different rings"):
+            u.seed(0, 0.1) * v.seed(0, 0.2)
+        with pytest.raises(ValueError, match="jets belong to different rings"):
+            v.seed(0, 0.2) + u.seed(0, 0.1)
+
+
+# -- products with seeds ------------------------------------------------------------------
+
+
+def _batch_jet(r, rng, batch):
+    return jets.Jet(r, rng.normal(size=batch + (r.size,)), nzdeg=r.degree)
+
+
+def _seed_cases(r, rng):
+    """(operand, stack of seeds) pairs: single, stacked and batched, with table-sized work."""
+    n = r.nvars // 2
+    ys = jets.stack([r.seed(n + i, rng.uniform(0.5, 2.0)) for i in range(n)])
+    xs = jets.stack([r.seed(i, rng.uniform(-0.5, 0.5)) for i in range(n)])
+    mixed = jets.stack([r.seed(0, 0.3), r.seed(n + 1, -0.7), 0.4 * r.seed(n, 1.2), r.const(0.9)])
+    tensor = _batch_jet(r, rng, (1, n))
+    return [
+        (_random_jet(r, rng), r.seed(n, -1.3)),
+        (_random_jet(r, rng), r.seed(0, 0.4) * -2.5),
+        (_batch_jet(r, rng, (n,)), ys),
+        (_batch_jet(r, rng, (n,)), xs),
+        (tensor, ys[:, None]),
+        (ys[:, None], tensor),
+        (_batch_jet(r, rng, (4,)), mixed),
+        (_batch_jet(r, rng, (2, n)), r.seed(n + 1, np.array([0.5, -1.5]))[:, None]),
+    ]
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (6, 7), (6, 7, 3)])
+def test_seed_shift_equals_the_pair_table(shape, monkeypatch):
+    # each output of a product with a stack of seeds sums s0 a_k and c a_{k - e_v}:
+    # the two terms of its segment that do not multiply an exact zero
+    r = jets.ring(*shape)
+    rng = np.random.default_rng(sum(shape))
+    for a, s in _seed_cases(r, rng):
+        seed, other = (s, a) if s.nzdeg == 1 else (a, s)
+        out_deg = min(a.nzdeg + s.nzdeg, a.valid, s.valid)
+        got = r._shift_coeffs(other.coeffs, seed.coeffs, out_deg)
+        want = r._mul_coeffs(a.coeffs, s.coeffs, out_deg)
+        assert (got.shape, got.strides) == (want.shape, want.strides)
+        assert np.array_equal(got, want)
+    # and Jet.__mul__ takes the shift, or the table, as the call's size says
+    shifts = []
+    shift = jets.PolyRing._shift_coeffs
+    monkeypatch.setattr(jets.PolyRing, "_shift_coeffs",
+                        lambda self, *args: shifts.append(1) or shift(self, *args))
+    for limit in (0, 10**12):
+        monkeypatch.setattr(jets, "_SHIFT_PAIRS", limit)
+        before = len(shifts)
+        for a, s in _seed_cases(r, np.random.default_rng(sum(shape))):
+            table = r._mul_coeffs(a.coeffs, s.coeffs, min(a.nzdeg + s.nzdeg, a.valid, s.valid))
+            assert np.array_equal((a * s).coeffs[..., : table.shape[-1]], table)
+        assert (len(shifts) > before) == (limit == 0)
+    # a jet of nzdeg 1 with two first-order terms in one row is no stack of seeds
+    two = r.seed(0, 0.1) + r.seed(1, 0.2)
+    assert jets._seed_moves(two) == math.inf

@@ -6,19 +6,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# appended to a copy of jets.py: every product moves its first coefficient by one ulp
+# appended to a copy of jets.py: every product, on the pair table or as a seed
+# shift, moves its first coefficient by one ulp
 PERTURB = """
 
-_exact_kernel = PolyRing._mul_coeffs
+def _perturbed(kernel):
+    def perturbed(self, *args):
+        out = kernel(self, *args)
+        out.flat[0] = np.nextafter(out.flat[0], np.inf)
+        return out
+    return perturbed
 
 
-def _perturbed_kernel(self, *args):
-    out = _exact_kernel(self, *args)
-    out.flat[0] = np.nextafter(out.flat[0], np.inf)
-    return out
-
-
-PolyRing._mul_coeffs = _perturbed_kernel
+PolyRing._mul_coeffs = _perturbed(PolyRing._mul_coeffs)
+PolyRing._shift_coeffs = _perturbed(PolyRing._shift_coeffs)
 """
 
 
@@ -37,9 +38,9 @@ def _run(capsys, old: Path, new: Path) -> tuple[int, str]:
 def test_a_tree_replayed_against_itself_agrees(capsys):
     code, out = _run(capsys, ROOT, ROOT)
     assert code == 0
-    assert "61 calls, 1 replays per tree" in out
+    assert "53 calls (47 table, 6 shift), 1 replays per tree" in out
     assert "outputs: values differ in 0 calls, layout in 0" in out
-    assert "via exp" in out  # call sites name the jet function they went through
+    assert "via solve" in out  # call sites name the jet function they went through
 
 
 def test_a_kernel_that_moves_one_coefficient_is_caught(tmp_path, capsys):
@@ -50,4 +51,4 @@ def test_a_kernel_that_moves_one_coefficient_is_caught(tmp_path, capsys):
     jets_py.write_text(jets_py.read_text() + PERTURB)
     code, out = _run(capsys, ROOT, fake)
     assert code == 1
-    assert "outputs: values differ in 61 calls, layout in 0" in out
+    assert "outputs: values differ in 53 calls, layout in 0" in out

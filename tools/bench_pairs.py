@@ -4,6 +4,7 @@ Usage, from anywhere:
 
     python tools/bench_pairs.py OLD_ROOT NEW_ROOT --workload W --pairs N
                                 [--seconds S] [--seed K]
+    python tools/bench_pairs.py OLD_ROOT NEW_ROOT --workload W --points N [--seed K]
 
 ``OLD_ROOT`` and ``NEW_ROOT`` are the roots of two checkouts.  Each pair
 runs ``perfbench/run.py --workload W --seed K --seconds S --trace 0`` of
@@ -23,18 +24,34 @@ of ``NEW_ROOT/BENCHMARK.json``; one line per metric reports:
 Every run and these summaries are written to ``BENCH_<W>.json`` in the
 current directory.  The exit status is 1 when any run fails or reports an
 incorrect operation, and 0 otherwise.
+
+``--points N`` times single points instead of whole runs, since a host
+whose speed drifts within a minute can move a whole-run median by more
+than a change does.  Two warmed worker processes, one per tree, set up
+with that tree's own ``perfbench/run.py`` (``setup``, then one warm-up
+point), answer the same N point seeds of ``--seed K``, each point twice
+per tree, in the order old, new, new, old for even points and new, old,
+old, new for odd ones.  A point's ratio is its new time over its old
+time, each summed over its two answers.  The mode prints the median of
+the N ratios and its 95% bootstrap interval (percentiles of the medians of
+``BOOTSTRAP`` resamples of the points, with a fixed seed); a tree run
+against itself should give an interval that contains 1.  The exit status
+is 1 when any point fails its workload's check in either tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import random
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("old", "new")
+BOOTSTRAP = 2000
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -90,18 +107,99 @@ def line(name: str, s: dict, pairs: int) -> str:
             f"bound {'ok' if s['within_bound'] else 'EXCEEDED'}")
 
 
+def worker(root: Path, workload: str, seed: int):
+    """Answer point indices read from stdin with one JSON line each: seconds and error."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(root / "perfbench"))
+    import run
+
+    run.check_source()
+    wl = run.WORKLOADS[workload]
+    inputs = run.setup(wl, seed)[0]
+    run.run_op(wl, inputs, run.WARM_UP)
+    print("ready", flush=True)
+    for line in sys.stdin:
+        result = run.run_op(wl, inputs, int(line))
+        print(json.dumps({"seconds": result.seconds, "error": result.error}), flush=True)
+
+
+def bootstrap_median(values: list[float], resamples: int = BOOTSTRAP) -> tuple[float, float]:
+    """The 2.5th and 97.5th percentiles of the medians of resamples of ``values``."""
+    rng = random.Random(0)
+    medians = sorted(statistics.median(rng.choices(values, k=len(values)))
+                     for _ in range(resamples))
+    return medians[int(0.025 * resamples)], medians[int(0.975 * resamples) - 1]
+
+
+def interleave(roots: dict[str, Path], workload: str, seed: int, points: int) -> dict:
+    """Per-point times of both trees' warmed workers, ABBA within each point."""
+    procs = {side: subprocess.Popen(
+        [sys.executable, str(Path(__file__).resolve()), "--worker", str(roots[side]),
+         "--workload", workload, "--seed", str(seed)],
+        cwd=roots[side], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for side in SIDES}
+    try:
+        for side, proc in procs.items():
+            if proc.stdout.readline().strip() != "ready":
+                raise RuntimeError(f"the {side} worker under {roots[side]} did not start")
+        times = {side: [0.0] * points for side in SIDES}
+        errors = []
+        for i in range(points):
+            order = (*SIDES, *SIDES[::-1]) if i % 2 == 0 else (*SIDES[::-1], *SIDES)
+            for side in order:
+                procs[side].stdin.write(f"{i}\n")
+                procs[side].stdin.flush()
+                answer = json.loads(procs[side].stdout.readline())
+                times[side][i] += answer["seconds"]
+                if answer["error"]:
+                    errors.append(f"{side} point {i}: {answer['error']}")
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+    ratios = [new / old for old, new in zip(times["old"], times["new"])]
+    low, high = bootstrap_median(ratios)
+    return {"points": points, "old_ms": [500.0 * t for t in times["old"]],
+            "new_ms": [500.0 * t for t in times["new"]], "ratios": ratios,
+            "ratio_median": statistics.median(ratios), "ratio_low": low, "ratio_high": high,
+            "errors": errors}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old_root", type=Path)
-    parser.add_argument("new_root", type=Path)
+    parser.add_argument("old_root", type=Path, nargs="?")
+    parser.add_argument("new_root", type=Path, nargs="?")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--pairs", type=int)
+    mode.add_argument("--points", type=int)
+    mode.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.worker:
+        worker(args.worker, args.workload, args.seed)
+        return 0
+    if args.old_root is None or args.new_root is None:
+        parser.error("OLD_ROOT and NEW_ROOT are required")
     roots = {"old": args.old_root.resolve(), "new": args.new_root.resolve()}
+    if args.points is not None:
+        if args.points < 2:
+            parser.error("--points must be at least 2")
+        result = interleave(roots, args.workload, args.seed, args.points)
+        print(f"{args.workload}: {args.points} points, each twice per tree (ABBA)")
+        for side in SIDES:
+            print(f"{side}: median {statistics.median(result[side + '_ms']):.3f} ms per point")
+        print(f"ratio new/old: median {result['ratio_median']:.4f}  95% interval "
+              f"[{result['ratio_low']:.4f}, {result['ratio_high']:.4f}] "
+              f"(bootstrap, {BOOTSTRAP} resamples)")
+        for error in result["errors"]:
+            print(f"FAILED {error}")
+        return 1 if result["errors"] else 0
+    if args.pairs is None or args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     specs = json.loads((roots["new"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     runs = []

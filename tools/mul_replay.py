@@ -5,14 +5,18 @@ Usage, from anywhere:
     python tools/mul_replay.py OLD_ROOT NEW_ROOT --workload W [--seed K] [--repeats R]
 
 ``OLD_ROOT`` and ``NEW_ROOT`` are the roots of two checkouts.  The tool
-times the multiply kernel ``PolyRing._mul_coeffs`` alone, which whole-point
-runs cannot resolve on a host whose speed drifts by tens of percent:
+times the multiply kernels alone, which whole-point runs cannot resolve on
+a host whose speed drifts by tens of percent: the pair table
+``PolyRing._mul_coeffs`` and, in a tree that has it, the seed shift
+``PolyRing._shift_coeffs``.
 
 1. In a process on ``OLD_ROOT/src`` it runs the command of workload ``W``
    (read from ``OLD_ROOT/perfbench/workloads.py``) at the first two point
    seeds that ``perfbench/run.py --seed K`` draws: the first warms the
-   rings, and every ``_mul_coeffs`` call of the second is recorded with its
-   operands (values, shapes and strides) and its call site.
+   rings, and every kernel call of the second is recorded with its ring
+   (nvars, degree, x-degree cap), its operands (values, shapes and
+   strides) and its call site.  A tree without the seed shift replays its
+   calls on the pair table, which gives the same product.
 2. It replays the recorded calls ``R`` times under each tree, each time in
    a fresh process on that tree's ``src``, in the order old, new / new,
    old / ... (ABBA).  A replay runs every call once untimed, then once
@@ -92,21 +96,50 @@ def _call_site(frame) -> str:
     return f"{Path(frame.f_code.co_filename).name}:{frame.f_lineno} {frame.f_code.co_name} via {via}"
 
 
+def _ring_key(ring) -> tuple:
+    """(nvars, degree, x-degree cap or None) of a ring, in a tree with or without caps."""
+    xcap = getattr(ring, "xcap", ring.degree)
+    return ring.nvars, ring.degree, None if xcap >= ring.degree else xcap
+
+
+def _ring(jets, key):
+    if key[2] is None:
+        return jets.ring(*key[:2])
+    try:
+        return jets.ring(*key)
+    except TypeError:
+        sys.exit(f"error: ring{key} has an x-degree cap, which {jets.__file__} cannot build")
+
+
+def _kernel(ring, kind: str):
+    """The bound kernel that replays a call of ``kind``."""
+    if kind == "shift" and hasattr(ring, "_shift_coeffs"):
+        return lambda a, b, hi, lo: ring._shift_coeffs(a, b, hi)
+    return ring._mul_coeffs
+
+
 def record(root: Path, workload: str, seed: int, out: Path):
     cli, jets = _import_spraylab(root)
     warm, point = _workload_argv(root, workload, seed)
     calls = []
-    kernel = jets.PolyRing._mul_coeffs
+    kernels = {"table": jets.PolyRing._mul_coeffs,
+               "shift": getattr(jets.PolyRing, "_shift_coeffs", None)}
 
-    def recording(ring, a, b, out_deg, lo_deg=0):
-        calls.append({"ring": (ring.nvars, ring.degree), "a": _freeze(a), "b": _freeze(b),
-                      "out_deg": out_deg, "lo_deg": lo_deg,
-                      "site": _call_site(sys._getframe(1))})
-        return kernel(ring, a, b, out_deg, lo_deg)
+    def recorder(kind):
+        def recording(ring, a, b, out_deg, lo_deg=0):
+            calls.append({"kind": kind, "ring": _ring_key(ring), "a": _freeze(a),
+                          "b": _freeze(b), "out_deg": out_deg, "lo_deg": lo_deg,
+                          "site": _call_site(sys._getframe(1))})
+            if kind == "shift":
+                return kernels[kind](ring, a, b, out_deg)
+            return kernels[kind](ring, a, b, out_deg, lo_deg)
+        return recording
 
     for argv, patched in ((warm, False), (point, True)):
         if patched:
-            jets.PolyRing._mul_coeffs = recording
+            jets.PolyRing._mul_coeffs = recorder("table")
+            if kernels["shift"] is not None:
+                jets.PolyRing._shift_coeffs = recorder("shift")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         if code != 0:
@@ -117,13 +150,13 @@ def record(root: Path, workload: str, seed: int, out: Path):
 def replay(root: Path, data: Path, out: Path):
     _, jets = _import_spraylab(root)
     calls = pickle.loads(data.read_bytes())
-    args = [(jets.ring(*c["ring"]), _thaw(c["a"]), _thaw(c["b"]), c["out_deg"], c["lo_deg"])
-            for c in calls]
-    outputs = [ring._mul_coeffs(a, b, hi, lo) for ring, a, b, hi, lo in args]
+    args = [(_kernel(_ring(jets, c["ring"]), c["kind"]), _thaw(c["a"]), _thaw(c["b"]),
+             c["out_deg"], c["lo_deg"]) for c in calls]
+    outputs = [kernel(a, b, hi, lo) for kernel, a, b, hi, lo in args]
     seconds = []
-    for ring, a, b, hi, lo in args:
+    for kernel, a, b, hi, lo in args:
         start = perf_counter()
-        ring._mul_coeffs(a, b, hi, lo)
+        kernel(a, b, hi, lo)
         seconds.append(perf_counter() - start)
     out.write_bytes(pickle.dumps({
         "seconds": seconds,
@@ -133,14 +166,18 @@ def replay(root: Path, data: Path, out: Path):
 
 
 def _child(mode: str, root: Path, *paths: Path, extra=()):
-    subprocess.run([sys.executable, str(Path(__file__).resolve()), f"--{mode}", str(root),
-                    *map(str, paths), *extra], cwd=root, check=True)
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), f"--{mode}", str(root),
+                           *map(str, paths), *extra], cwd=root, check=False)
+    if proc.returncode:
+        sys.exit(f"error: the {mode} under {root} exited {proc.returncode}")
 
 
 def compare(calls: list[dict], runs: dict[str, list[dict]], repeats: int) -> bool:
     """Print the summary of the replays; True when every output agrees."""
     totals = {side: [1e3 * sum(r["seconds"]) for r in runs[side]] for side in SIDES}
-    print(f"{len(calls)} calls, {repeats} replays per tree (ABBA)")
+    shifts = sum(call["kind"] == "shift" for call in calls)
+    print(f"{len(calls)} calls ({len(calls) - shifts} table, {shifts} shift), "
+          f"{repeats} replays per tree (ABBA)")
     for side in SIDES:
         t = totals[side]
         print(f"{side}: median {statistics.median(t):.2f} ms  range {min(t):.2f}-{max(t):.2f} ms")
